@@ -167,19 +167,30 @@ void append_fit_rows(util::CsvTable& table, const std::string& species,
 
 // --- stage graph ------------------------------------------------------------
 
+/// Whether a stage body can use more than one thread. A property of the
+/// stage kind (a device-LUT build is single-threaded; characterization and
+/// sweeps fan out), never a user option.
+enum class StageBody { kParallel, kSerial };
+
 /// A small deterministic DAG scheduler: stages run in dependency waves on
-/// the exec thread budget. Within a wave, stages run concurrently on an
-/// exec::ThreadPool and each receives an equal share of the budget for its
-/// *internal* parallelism (flows and characterizers are thread-count-
-/// invariant, so the split never changes results — only wall-clock).
-/// Exceptions thrown by a stage propagate out of run().
+/// the exec thread budget. The budget goes only to stages that can use it:
+///  * a lone stage in its wave receives the whole budget;
+///  * otherwise the wave's kParallel stages split the whole budget between
+///    them (remainder threads to the earliest-added), while each kSerial
+///    stage runs on a thread of its own beside them and receives 1;
+///  * at a budget of 1 the stages of a wave run one at a time on the
+///    calling thread — a one-thread budget means one thread.
+/// Flows and characterizers are thread-count-invariant, so the split never
+/// changes results — only wall-clock. Exceptions thrown by a stage
+/// propagate out of run().
 class StageGraph {
  public:
   /// Add a stage. \p deps are indices of previously added stages (so the
   /// graph is acyclic by construction); \p fn receives its thread share.
   /// Returns the stage's index.
   std::size_t add(std::string label, std::vector<std::size_t> deps,
-                  std::function<void(std::size_t threads)> fn);
+                  std::function<void(std::size_t threads)> fn,
+                  StageBody body = StageBody::kParallel);
 
   std::size_t size() const { return stages_.size(); }
 
@@ -192,6 +203,7 @@ class StageGraph {
     std::string label;
     std::vector<std::size_t> deps;
     std::function<void(std::size_t)> fn;
+    StageBody body;
   };
   std::vector<Stage> stages_;
 };

@@ -677,12 +677,14 @@ void append_fit_rows(util::CsvTable& table, const std::string& species,
 // --- stage graph ------------------------------------------------------------
 
 std::size_t StageGraph::add(std::string label, std::vector<std::size_t> deps,
-                            std::function<void(std::size_t)> fn) {
+                            std::function<void(std::size_t)> fn,
+                            StageBody body) {
   for (std::size_t d : deps) {
     FINSER_REQUIRE(d < stages_.size(),
                    "StageGraph::add: dependency on a stage not yet added");
   }
-  stages_.push_back(Stage{std::move(label), std::move(deps), std::move(fn)});
+  stages_.push_back(
+      Stage{std::move(label), std::move(deps), std::move(fn), body});
   return stages_.size() - 1;
 }
 
@@ -707,7 +709,6 @@ void StageGraph::run(std::size_t thread_budget,
     }
     if (ready.empty()) continue;
 
-    const std::size_t share = std::max<std::size_t>(1, budget / ready.size());
     const auto run_stage = [&](std::size_t id, std::size_t threads) {
       const Stage& stage = stages_[id];
       obs::ScopedSpan span("pipeline.stage", stage.label);
@@ -716,15 +717,37 @@ void StageGraph::run(std::size_t thread_budget,
     };
     if (ready.size() == 1) {
       run_stage(ready[0], budget);  // a lone stage keeps the whole budget
-    } else {
-      exec::ThreadPool pool(std::min(ready.size(), budget));
-      pool.parallel_for_chunks(ready.size(), 1,
-                               [&](const exec::ChunkRange& r) {
-                                 for (std::size_t i = r.begin; i < r.end; ++i) {
-                                   run_stage(ready[i], share);
-                                 }
-                               });
+      continue;
     }
+
+    // (stage, threads) jobs, serial stages first so each claims a pool
+    // thread of its own at once. The parallel stages split the whole budget,
+    // remainder threads to the earliest; past `budget` of them they get one
+    // thread each and queue for the pool's parallel slots.
+    std::vector<std::pair<std::size_t, std::size_t>> jobs;
+    std::vector<std::size_t> parallel;
+    for (std::size_t id : ready) {
+      if (stages_[id].body == StageBody::kSerial) {
+        jobs.emplace_back(id, 1);
+      } else {
+        parallel.push_back(id);
+      }
+    }
+    const std::size_t n_serial = jobs.size();
+    const std::size_t n_par = parallel.size();
+    for (std::size_t k = 0; k < n_par; ++k) {
+      const std::size_t share =
+          budget / n_par + (k < budget % n_par ? 1 : 0);
+      jobs.emplace_back(parallel[k], std::max<std::size_t>(1, share));
+    }
+    // At budget 1 a one-thread pool runs every job inline, one at a time.
+    exec::ThreadPool pool(budget == 1 ? 1
+                                      : n_serial + std::min(n_par, budget));
+    pool.parallel_for_chunks(jobs.size(), 1, [&](const exec::ChunkRange& r) {
+      for (std::size_t i = r.begin; i < r.end; ++i) {
+        run_stage(jobs[i].first, jobs[i].second);
+      }
+    });
   }
 }
 
@@ -885,6 +908,7 @@ struct CampaignRunner::Exec {
   std::vector<std::function<void(std::size_t, const exec::ProgressSink&,
                                  const ckpt::RunOptions&)>>
       fns;
+  std::vector<StageBody> bodies;  // aligned with fns
 
   /// Ensure models[fp] is populated: already-materialized → no-op; else
   /// artifact-store load; else characterize here (counts
@@ -959,7 +983,7 @@ void CampaignRunner::ensure_exec() {
   ex->results.resize(n);
 
   const auto add_stage =
-      [&](std::string label, std::vector<std::size_t> deps,
+      [&](std::string label, std::vector<std::size_t> deps, StageBody body,
           std::function<void(std::size_t, const exec::ProgressSink&,
                              const ckpt::RunOptions&)>
               fn) {
@@ -969,6 +993,7 @@ void CampaignRunner::ensure_exec() {
         info.deps = std::move(deps);
         plan_.push_back(std::move(info));
         ex->fns.push_back(std::move(fn));
+        ex->bodies.push_back(body);
         return plan_.size() - 1;
       };
 
@@ -982,7 +1007,7 @@ void CampaignRunner::ensure_exec() {
     const sram::CellDesign design = ex->flows[i].cell_design;
     const sram::CharacterizerConfig ccfg = ex->flows[i].characterization;
     model_stage[fp] = add_stage(
-        "characterize " + hex8(fp), {},
+        "characterize " + hex8(fp), {}, StageBody::kParallel,
         [ex, fp, design, ccfg](std::size_t threads,
                                const exec::ProgressSink& progress,
                                const ckpt::RunOptions& run) {
@@ -1020,7 +1045,7 @@ void CampaignRunner::ensure_exec() {
         const double e_hi = name == "alpha" ? ex->flows[i].alpha_e_hi_mev
                                             : ex->flows[i].proton_e_hi_mev;
         add_stage(
-            "device_lut " + name + " " + hex8(gfp), {},
+            "device_lut " + name + " " + hex8(gfp), {}, StageBody::kSerial,
             [this, ex, name, species, g, e_lo, e_hi, scale, suffix_geometry,
              gfp](std::size_t, const exec::ProgressSink&,
                   const ckpt::RunOptions&) {
@@ -1053,6 +1078,7 @@ void CampaignRunner::ensure_exec() {
         ex->flows[i].characterization.fingerprint(ex->flows[i].cell_design);
     add_stage(
         "sweep " + spec_.scenarios[i].name, {model_stage.at(fp)},
+        StageBody::kParallel,
         [this, ex, i, fp](std::size_t threads,
                           const exec::ProgressSink& progress,
                           const ckpt::RunOptions& run) {
@@ -1154,7 +1180,8 @@ std::vector<ScenarioResult> CampaignRunner::run(
     graph.add(plan_[k].label, plan_[k].deps,
               [ex, k, &progress, stage_run](std::size_t threads) {
                 ex->fns[k](threads, progress, stage_run);
-              });
+              },
+              ex->bodies[k]);
   }
   graph.run(spec_.threads, progress);
   return ex->results;

@@ -5,16 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "finser/obs/obs.hpp"
 #include "finser/pipeline/campaign.hpp"
 #include "finser/util/error.hpp"
+#include "finser/util/io.hpp"
 
 namespace finser::pipeline {
 namespace {
@@ -219,7 +224,79 @@ TEST(StageGraph, StageThreadShareIsPositiveAndBounded) {
   }
   graph.run(2);
   ASSERT_EQ(shares.size(), 5u);
-  for (std::size_t s : shares) EXPECT_GE(s, 1u);
+  for (std::size_t s : shares) {
+    EXPECT_GE(s, 1u);
+    EXPECT_LE(s, 2u);
+  }
+}
+
+/// Serial stages (device-LUT builds) must not dilute the budget: the one
+/// parallel stage of the wave keeps all of it, the serial ones run beside it
+/// on one thread each.
+TEST(StageGraph, ParallelStageTakesWholeBudgetBesideSerialStages) {
+  StageGraph graph;
+  std::mutex mu;
+  std::map<std::string, std::size_t> shares;
+  const auto record = [&](const std::string& name) {
+    return [&, name](std::size_t threads) {
+      const std::lock_guard<std::mutex> lock(mu);
+      shares[name] = threads;
+    };
+  };
+  graph.add("characterize", {}, record("characterize"));
+  graph.add("lut-a", {}, record("lut-a"), StageBody::kSerial);
+  graph.add("lut-b", {}, record("lut-b"), StageBody::kSerial);
+  graph.run(4);
+
+  ASSERT_EQ(shares.size(), 3u);
+  EXPECT_EQ(shares["characterize"], 4u);
+  EXPECT_EQ(shares["lut-a"], 1u);
+  EXPECT_EQ(shares["lut-b"], 1u);
+}
+
+/// Parallel stages of one wave split the whole budget, remainder threads to
+/// the earliest-added, and never more than the budget in total.
+TEST(StageGraph, ParallelStagesSplitWholeBudget) {
+  StageGraph graph;
+  std::vector<std::size_t> shares(3, 0);
+  for (std::size_t i = 0; i < shares.size(); ++i) {
+    graph.add("p", {}, [&shares, i](std::size_t threads) {
+      shares[i] = threads;
+    });
+  }
+  graph.add("serial", {}, [](std::size_t) {}, StageBody::kSerial);
+  graph.run(5);
+  EXPECT_EQ(shares, (std::vector<std::size_t>{2, 2, 1}));
+}
+
+/// A one-thread budget means one thread: no two stages are ever in flight
+/// together, and every stage runs on the calling thread.
+TEST(StageGraph, OneThreadBudgetRunsOneStageAtATime) {
+  StageGraph graph;
+  std::atomic<int> in_flight{0};
+  std::atomic<int> max_in_flight{0};
+  std::atomic<int> off_caller{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto body = [&](std::size_t threads) {
+    EXPECT_EQ(threads, 1u);
+    const int now = in_flight.fetch_add(1) + 1;
+    int seen = max_in_flight.load();
+    while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
+    }
+    if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    in_flight.fetch_sub(1);
+  };
+  const std::size_t a = graph.add("a", {}, body);
+  const std::size_t b = graph.add("b", {}, body);
+  graph.add("lut-a", {}, body, StageBody::kSerial);
+  graph.add("lut-b", {}, body, StageBody::kSerial);
+  graph.add("c", {a}, body);
+  graph.add("d", {b}, body);
+  graph.run(1);
+
+  EXPECT_EQ(max_in_flight.load(), 1);
+  EXPECT_EQ(off_caller.load(), 0);
 }
 
 TEST(StageGraph, ExceptionsPropagate) {
@@ -421,6 +498,73 @@ TEST(CampaignFingerprint, InvariantToExecutionKnobs) {
   CampaignSpec edited = spec;
   edited.scenarios[0].flow.array_mc.strikes += 1;
   EXPECT_NE(campaign_fingerprint(edited), base);
+}
+
+/// Every regular file under \p root, keyed by its relative path.
+std::map<std::string, std::vector<std::uint8_t>> files_under(
+    const std::string& root) {
+  std::map<std::string, std::vector<std::uint8_t>> out;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string rel =
+        std::filesystem::relative(entry.path(), root).string();
+    util::read_file(entry.path().string(), out[rel]);
+  }
+  return out;
+}
+
+/// A cold campaign with CSV outputs and an artifact store runs device-LUT
+/// stages beside characterization; at 1 and 4 threads the CSVs must be the
+/// same bytes and the stores must hold the same artifacts.
+TEST(CampaignRunner, ColdCampaignOutputsAreThreadCountInvariant) {
+  std::map<std::string, std::vector<std::uint8_t>> csvs[2];
+  std::vector<ArtifactStore::Entry> inventories[2];
+  const std::size_t thread_counts[2] = {1, 4};
+  for (int run = 0; run < 2; ++run) {
+    const std::string root =
+        temp_dir(("finser_campaign_threads_" + std::to_string(run)).c_str());
+    std::filesystem::remove_all(root);
+
+    CampaignSpec spec;
+    spec.name = "threads-test";
+    spec.output_dir = root + "/out";
+    spec.artifact_dir = root + "/artifacts";
+    spec.threads = thread_counts[run];
+    ScenarioSpec a;
+    a.name = "a";
+    a.species = {"alpha", "proton"};
+    a.flow = tiny_flow();
+    ScenarioSpec b = a;
+    b.name = "b";
+    b.flow.characterization.vdds = {0.7};  // a second cell model
+    spec.scenarios = {a, b};
+    CampaignRunner(spec).run();
+
+    csvs[run] = files_under(spec.output_dir);
+    inventories[run] = ArtifactStore(spec.artifact_dir, false).list();
+    std::filesystem::remove_all(root);
+  }
+
+  for (const char* name :
+       {"a/pof_alpha.csv", "a/pof_proton.csv", "a/fit_summary.csv",
+        "b/pof_alpha.csv", "b/pof_proton.csv", "b/fit_summary.csv",
+        "eh_pairs_alpha.csv", "eh_pairs_proton.csv"}) {
+    EXPECT_EQ(csvs[0].count(name), 1u) << name;
+  }
+  EXPECT_TRUE(csvs[0] == csvs[1]) << "CSV bytes differ between 1 and 4 threads";
+
+  ASSERT_EQ(inventories[0].size(), inventories[1].size());
+  EXPECT_FALSE(inventories[0].empty());
+  for (std::size_t i = 0; i < inventories[0].size(); ++i) {
+    const ArtifactStore::Entry& x = inventories[0][i];
+    const ArtifactStore::Entry& y = inventories[1][i];
+    EXPECT_EQ(x.key.kind, y.key.kind);
+    EXPECT_EQ(x.key.fingerprint, y.key.fingerprint);
+    EXPECT_EQ(x.bytes, y.bytes) << x.key.kind;
+    EXPECT_TRUE(x.ok && y.ok) << x.key.kind << ": " << x.status << " / "
+                              << y.status;
+  }
 }
 
 /// Scenario outputs land in per-scenario directories with the CLI's CSV
