@@ -32,12 +32,14 @@
 /// `cluster = 1x1` (the default) bypasses all of this: the engines keep the
 /// independent per-cell path bit-for-bit.
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -148,6 +150,13 @@ class ClusterSimulator {
                       const std::vector<std::vector<DeltaVt>>& dvt_samples,
                       spice::PulseShape::Kind kind, std::vector<Outcome>& out);
 
+  /// Forget the pivot orders cached by earlier simulations. They never
+  /// change a result bit, only whether a factorization counts as
+  /// `spice.mna.pivot_reuse` or `spice.mna.pivot_refactor`; after a reset
+  /// those counters depend on the next simulation alone, not on what this
+  /// simulator ran before.
+  void reset_pivot_caches();
+
   std::size_t tile_rows() const { return tile_rows_; }
   std::size_t tile_cols() const { return tile_cols_; }
   std::size_t cell_count() const { return tile_rows_ * tile_cols_; }
@@ -180,10 +189,15 @@ class ClusterSimulator {
 };
 
 /// Memoized cluster-level POF surface: quantized joint charge vector →
-/// flip-count distribution, one lazily built ClusterSimulator per supply
-/// voltage. Thread-safe; every entry is a pure function of its key (PV
-/// seeds derive from the key hash), so concurrent or repeated computes of
-/// one key agree bit-for-bit and the memo is schedule-invariant.
+/// flip-count distribution. Thread-safe, with misses simulated
+/// concurrently: the mutex guards only the memo, the keys in flight and a
+/// per-supply-voltage pool of idle ClusterSimulators. A miss marks its key
+/// in flight, checks out an idle simulator (building one when none is idle)
+/// and runs the joint simulation unlocked; a query for a key in flight
+/// waits for it and reads the entry as a hit, so each key is simulated
+/// exactly once at any thread count. Every entry is a pure function of its
+/// key (PV seeds derive from the key hash, and pooled simulators drop their
+/// pivot caches before each evaluation), so the memo is schedule-invariant.
 class ClusterPofSurface {
  public:
   ClusterPofSurface(const CellDesign& design, const ClusterConfig& config);
@@ -223,16 +237,23 @@ class ClusterPofSurface {
 
  private:
   using Key = std::vector<std::int64_t>;
-  const std::vector<double>& evaluate_locked(const Key& key, double vdd_v,
-                                             bool with_pv,
-                                             const std::vector<CellCharge>& q);
-  ClusterSimulator& simulator_locked(double vdd_v);
+  using SimPtr = std::unique_ptr<ClusterSimulator>;
+  std::vector<double> evaluate(const Key& key, ClusterSimulator& sim,
+                               bool with_pv,
+                               const std::vector<CellCharge>& cells) const;
+  /// Return \p sim to the pool, take \p key out of flight (inserting
+  /// \p dist unless null) and wake the queries waiting on it.
+  void finish_miss(const Key& key, SimPtr sim, std::vector<double>* dist);
 
   CellDesign design_;
   ClusterConfig config_;
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  ///< Guards memo_, in_flight_ and idle_.
+  std::condition_variable landed_;  ///< A key left in_flight_.
   std::map<Key, std::vector<double>> memo_;
-  std::map<std::int64_t, std::unique_ptr<ClusterSimulator>> sims_;
+  std::set<Key> in_flight_;  ///< Keys being simulated right now.
+  /// Idle simulators by supply voltage [µV]; a miss checks one out for the
+  /// length of its evaluation.
+  std::map<std::int64_t, std::vector<SimPtr>> idle_;
 };
 
 }  // namespace finser::sram

@@ -9,8 +9,9 @@ struct ProgressSink::State {
   MessageFn fn;
   std::chrono::milliseconds min_interval{250};
 
-  std::mutex mutex;  // Guards fn, last_emit, label, total.
+  std::mutex mutex;  // Guards fn, last_emit, emitted, label, total.
   std::chrono::steady_clock::time_point last_emit{};
+  std::uint64_t emitted = 0;  // Count of the last tick line of the phase.
   std::string label = "progress";
   std::uint64_t total = 0;
 
@@ -44,6 +45,7 @@ void ProgressSink::start_phase(const std::string& label,
   std::lock_guard<std::mutex> lk(state_->mutex);
   state_->label = label;
   state_->total = total;
+  state_->emitted = 0;
   state_->done.store(0, std::memory_order_relaxed);
   state_->last_emit = std::chrono::steady_clock::now();
 }
@@ -54,12 +56,16 @@ void ProgressSink::tick(std::uint64_t n) const {
       state_->done.fetch_add(n, std::memory_order_relaxed) + n;
 
   // The final tick of a phase always reports; intermediate ticks are
-  // throttled to one line per min_interval.
+  // throttled to one line per min_interval. Ticks reach the lock in any
+  // order, so a count at or below the last emitted one is stale and dropped:
+  // lines only ever count up, and the final line stays last.
   std::lock_guard<std::mutex> lk(state_->mutex);
+  if (done <= state_->emitted) return;
   const bool final_tick = state_->total > 0 && done >= state_->total;
   const auto now = std::chrono::steady_clock::now();
   if (!final_tick && now - state_->last_emit < state_->min_interval) return;
   state_->last_emit = now;
+  state_->emitted = done;
   state_->fn(state_->line(done));
 }
 

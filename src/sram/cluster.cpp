@@ -292,6 +292,11 @@ void ClusterSimulator::simulate_batch(
   }
 }
 
+void ClusterSimulator::reset_pivot_caches() {
+  ws_.pivot.invalidate();
+  for (spice::Mna::PivotCache& cache : bw_.pivot) cache.invalidate();
+}
+
 // ---------------------------------------------------------------------------
 // ClusterPofSurface
 // ---------------------------------------------------------------------------
@@ -353,7 +358,10 @@ void ClusterPofSurface::flip_count_distribution(
     key.push_back(std::llround(c.charges.i3_fc / config_.quantum_fc));
   }
 
-  std::lock_guard<std::mutex> lock(mu_);
+  // A key another query is simulating is waited for and then read as a hit,
+  // so each key is simulated exactly once whatever the thread count.
+  std::unique_lock<std::mutex> lock(mu_);
+  landed_.wait(lock, [&] { return in_flight_.count(key) == 0; });
   const auto it = memo_.find(key);
   if (it != memo_.end()) {
     FINSER_OBS_COUNT("sram.cluster.surface_hit", 1);
@@ -361,25 +369,48 @@ void ClusterPofSurface::flip_count_distribution(
     return;
   }
   FINSER_OBS_COUNT("sram.cluster.surface_miss", 1);
-  out = evaluate_locked(key, vdd_v, with_pv, cells);
-}
-
-ClusterSimulator& ClusterPofSurface::simulator_locked(double vdd_v) {
-  const std::int64_t key = std::llround(vdd_v * 1e6);
-  auto it = sims_.find(key);
-  if (it == sims_.end()) {
-    it = sims_
-             .emplace(key, std::make_unique<ClusterSimulator>(
-                               design_, vdd_v, tile_rows(), tile_cols()))
-             .first;
+  in_flight_.insert(key);
+  SimPtr sim;
+  std::vector<SimPtr>& idle = idle_[key[0]];
+  if (!idle.empty()) {
+    sim = std::move(idle.back());
+    idle.pop_back();
   }
-  return *it->second;
+  lock.unlock();
+
+  // The joint simulation runs unlocked on a simulator no other query holds.
+  // A throwing evaluation releases its key and simulator without an entry,
+  // so a later query recomputes the key.
+  std::vector<double> dist;
+  try {
+    if (!sim) {
+      sim = std::make_unique<ClusterSimulator>(design_, vdd_v, tile_rows(),
+                                               tile_cols());
+    }
+    sim->reset_pivot_caches();
+    dist = evaluate(key, *sim, with_pv, cells);
+  } catch (...) {
+    finish_miss(key, std::move(sim), nullptr);
+    throw;
+  }
+  out = dist;
+  finish_miss(key, std::move(sim), &dist);
 }
 
-const std::vector<double>& ClusterPofSurface::evaluate_locked(
-    const Key& key, double vdd_v, bool with_pv,
-    const std::vector<CellCharge>& cells) {
-  ClusterSimulator& sim = simulator_locked(vdd_v);
+void ClusterPofSurface::finish_miss(const Key& key, SimPtr sim,
+                                    std::vector<double>* dist) {
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (sim) idle_[key[0]].push_back(std::move(sim));
+    if (dist != nullptr) memo_.emplace(key, std::move(*dist));
+    in_flight_.erase(key);
+  }
+  landed_.notify_all();
+}
+
+std::vector<double> ClusterPofSurface::evaluate(
+    const Key& key, ClusterSimulator& sim, bool with_pv,
+    const std::vector<CellCharge>& cells) const {
   const std::size_t n = cells.size();
   const std::size_t tile_cells = sim.cell_count();
 
@@ -484,7 +515,7 @@ const std::vector<double>& ClusterPofSurface::evaluate_locked(
   for (std::size_t k = 0; k <= n; ++k) {
     dist[k] = counts[k] / static_cast<double>(successes);
   }
-  return memo_.emplace(key, std::move(dist)).first->second;
+  return dist;
 }
 
 std::size_t ClusterPofSurface::size() const {

@@ -8,17 +8,22 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cmath>
 #include <numbers>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "finser/core/array_mc.hpp"
 #include "finser/core/pof_combine.hpp"
 #include "finser/obs/obs.hpp"
+#include "finser/obs/report.hpp"
 #include "finser/spice/batch.hpp"
 #include "finser/sram/cluster.hpp"
 #include "finser/util/error.hpp"
+#include "finser/util/json.hpp"
 
 namespace finser::sram {
 namespace {
@@ -373,6 +378,64 @@ TEST(ClusterPofSurface, EncodeDecodeMergeRoundTrips) {
   EXPECT_THROW(victim.decode_merge(truncated), util::Error);
 }
 
+TEST(ClusterPofSurface, ConcurrentQueriesOfOneKeySimulateItOnce) {
+  // Eight threads released together onto one cold key: one query misses and
+  // simulates it, the other seven wait for that entry and read it as hits.
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  const CellDesign design;
+  ClusterConfig cc;
+  cc.mode = ClusterMode::k2x2;
+  cc.pv_samples = 5;
+  ClusterPofSurface surf(design, cc);
+  constexpr std::size_t kThreads = 8;
+  std::barrier start(static_cast<std::ptrdiff_t>(kThreads));
+  std::vector<std::vector<double>> outs(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      surf.flip_count_distribution(kVdd, true, two_cell_query(0.15, 0.12),
+                                   outs[t]);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  obs::Registry& reg = obs::Registry::global();
+  EXPECT_EQ(reg.counter("sram.cluster.surface_miss").total(), 1u);
+  EXPECT_EQ(reg.counter("sram.cluster.surface_hit").total(), kThreads - 1);
+  EXPECT_EQ(reg.counter("sram.cluster.sims").total(), cc.pv_samples);
+  obs::set_enabled(false);
+  obs::Registry::global().reset();
+
+  EXPECT_EQ(surf.size(), 1u);
+  ClusterPofSurface serial(design, cc);
+  std::vector<double> ref;
+  serial.flip_count_distribution(kVdd, true, two_cell_query(0.15, 0.12), ref);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(outs[t], ref) << "thread " << t;  // bitwise
+  }
+}
+
+TEST(ClusterPofSurface, FailedEvaluationReleasesItsKey) {
+  // A miss that throws (here the simulator rejects a non-positive supply)
+  // leaves no entry and no key in flight: the next query of the same key
+  // recomputes it, and throws again, instead of waiting forever.
+  const CellDesign design;
+  ClusterConfig cc;
+  cc.mode = ClusterMode::k2x2;
+  cc.pv_samples = 1;
+  ClusterPofSurface surf(design, cc);
+  std::vector<double> out;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_THROW(surf.flip_count_distribution(-kVdd, false,
+                                              two_cell_query(0.2, 0.05), out),
+                 util::Error);
+  }
+  EXPECT_EQ(surf.size(), 0u);
+  surf.flip_count_distribution(kVdd, false, two_cell_query(0.2, 0.05), out);
+  EXPECT_EQ(surf.size(), 1u);
+}
+
 TEST(ClusterPofSurface, RejectsMalformedQueries) {
   const CellDesign design;
   ClusterConfig cc;
@@ -482,6 +545,8 @@ TEST(ClusterEngine, CorrelatedRunIsThreadAndLaneInvariant) {
   // Odd-sized (3x3) array under 2x2 tiles: ragged border tiles, grazing
   // tracks spanning several tiles. The per-cell path uses the synthetic
   // LUT; multi-cell tiles run the real joint simulator from the design.
+  // Small chunks spread the strikes over the workers, so the multi-thread
+  // runs query the surface — and simulate its misses — concurrently.
   const sram::CellDesign design;
   const ArrayLayout layout(3, 3, CellGeometry{});
   const CellSoftErrorModel model = synthetic_model(0.8, 0.05);
@@ -489,6 +554,7 @@ TEST(ClusterEngine, CorrelatedRunIsThreadAndLaneInvariant) {
     const std::size_t restore = spice::lane_width();
     spice::set_lane_width(lanes);
     ArrayMcConfig cfg = grazing_config(300, sram::ClusterMode::k2x2, &design);
+    cfg.chunk = 32;
     cfg.threads = threads;
     ArrayMc mc(layout, model, cfg);
     const auto blob = encode_result(mc.run(phys::Species::kAlpha, 1.0, 12));
@@ -498,6 +564,42 @@ TEST(ClusterEngine, CorrelatedRunIsThreadAndLaneInvariant) {
   const auto ref = run_with(1, 1);
   EXPECT_EQ(ref, run_with(4, 1)) << "thread count changed the result";
   EXPECT_EQ(ref, run_with(2, 4)) << "lane width changed the result";
+}
+
+TEST(ClusterEngine, MetricsAreThreadInvariantButCompiles) {
+  // Multi-chunk 2x2 grazing run at 1 and 4 threads. Every counter and
+  // histogram must match except spice.compiled.compiles, which counts one
+  // compile per pooled simulator. Pooled simulators drop their pivot caches
+  // before each evaluation; without that, spice.mna.pivot_reuse and
+  // pivot_refactor would depend on which simulator ran which key.
+  const sram::CellDesign design;
+  const ArrayLayout layout(3, 3, CellGeometry{});
+  const CellSoftErrorModel model = synthetic_model(0.8, 0.05);
+  const auto metrics_at = [&](std::size_t threads) {
+    obs::Registry::global().reset();
+    ArrayMcConfig cfg = grazing_config(300, sram::ClusterMode::k2x2, &design);
+    cfg.chunk = 32;
+    cfg.threads = threads;
+    ArrayMc mc(layout, model, cfg);
+    (void)mc.run(phys::Species::kAlpha, 1.0, 14);
+    obs::Snapshot snap = obs::Registry::global().snapshot();
+    std::erase_if(snap.counters, [](const obs::Snapshot::CounterRow& row) {
+      return row.name == "spice.compiled.compiles";
+    });
+    return obs::metrics_json(snap).dump(2);
+  };
+  obs::set_enabled(true);
+  const std::string serial = metrics_at(1);
+  const std::string parallel = metrics_at(4);
+  obs::set_enabled(false);
+  obs::Registry::global().reset();
+  EXPECT_EQ(serial, parallel);
+  // The fixture misses the surface many times over ten chunks, so the
+  // 4-thread run simulates misses on several threads at once.
+  const util::JsonValue counters =
+      util::JsonValue::parse(serial).at("counters");
+  EXPECT_GT(counters.at("sram.cluster.surface_miss").as_uint(), 8u);
+  EXPECT_GT(counters.at("spice.mna.pivot_reuse").as_uint(), 0u);
 }
 
 TEST(ClusterEngine, SharedSurfaceReusesMemoAcrossRuns) {
