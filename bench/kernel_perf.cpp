@@ -9,7 +9,6 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -312,20 +311,20 @@ void report_artifact_cache() {
   std::cout << "[json] " << path << "\n";
 }
 
-/// Compile-once/evaluate-many SPICE kernel: the characterization hot path
-/// runs thousands of strike transients per supply voltage, each differing
-/// only in rebindable parameters (ΔVt sample, strike charges). This bench
-/// compares the historical shape — a fresh reference-engine simulator per
-/// PV sample (rebuild netlist + solver scratch every time) — against the
-/// compiled engine's rebind-per-sample path, on identical work, and
-/// cross-checks that both produce bit-identical outcomes.
+/// SPICE strike kernel: the characterization hot path runs thousands of
+/// strike transients per supply voltage, each differing only in rebindable
+/// parameters (ΔVt sample, strike charges). Every compiled transient runs
+/// the lane-batched engine; this bench times the scalar entry point
+/// (StrikeSimulator::simulate, a one-lane group per transient) against
+/// lane_width()-wide groups on identical work, and cross-checks that both
+/// produce bit-identical outcomes.
 void report_spice_kernel() {
   const sram::CellDesign design;
   const double vdd = 0.8;
   constexpr int kSamples = 120;     // PV (ΔVt) samples.
   constexpr int kSimsPerSample = 8; // Charge ladder per sample (~a bisection).
 
-  // Deterministic workload, generated once and replayed by both engines.
+  // Deterministic workload, generated once and replayed by both passes.
   std::vector<sram::DeltaVt> dvts(kSamples);
   std::vector<std::array<double, kSimsPerSample>> charges(kSamples);
   {
@@ -340,19 +339,13 @@ void report_spice_kernel() {
     }
   }
 
-  const auto run_pass = [&](sram::SpiceEngine engine, bool fresh_per_sample,
-                            std::vector<sram::StrikeOutcome>& out) {
+  // Scalar pass: one simulator rebound per sample, one transient per call.
+  const auto run_scalar = [&](std::vector<sram::StrikeOutcome>& out) {
     out.clear();
     out.reserve(kSamples * kSimsPerSample);
-    sram::StrikeSimulator shared(design, vdd, sram::AccessMode::kRetention,
-                                 engine);
+    sram::StrikeSimulator sim(design, vdd);
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < kSamples; ++i) {
-      std::optional<sram::StrikeSimulator> local;
-      if (fresh_per_sample) {
-        local.emplace(design, vdd, sram::AccessMode::kRetention, engine);
-      }
-      sram::StrikeSimulator& sim = fresh_per_sample ? *local : shared;
       for (int s = 0; s < kSimsPerSample; ++s) {
         const double q = charges[static_cast<std::size_t>(i)]
                                 [static_cast<std::size_t>(s)];
@@ -368,8 +361,7 @@ void report_spice_kernel() {
   // Lane-batched pass: the same workload, rebound lane_width() samples at a
   // time and every charge step of the ladder advanced for the whole lane
   // group in one batched transient — exactly the shape the characterizer
-  // drives. The scalar passes are forced to lane width 1 so the comparison
-  // is batched-vs-scalar-compiled, not batched-vs-itself.
+  // drives.
   const std::size_t lanes = spice::lane_width();
   const auto run_batched = [&](std::vector<sram::StrikeOutcome>& out) {
     out.assign(static_cast<std::size_t>(kSamples * kSimsPerSample),
@@ -407,28 +399,20 @@ void report_spice_kernel() {
         .count();
   };
 
-  std::vector<sram::StrikeOutcome> ref_out, hot_out, batch_out;
   // Warm-up (page in the models, spin up allocators), then timed passes.
   // Both timed passes run with observability disabled so neither side pays
-  // the counter overhead; the counters come from a separate untimed pass.
-  double rebuild_s = 0.0, rebind_s = 0.0;
-  {
-    // Scalar reference + compiled-rebind baselines at lane width 1.
-    spice::set_lane_width(1);
-    run_pass(sram::SpiceEngine::kReference, true, ref_out);
-    run_pass(sram::SpiceEngine::kCompiled, false, hot_out);
-    rebuild_s = run_pass(sram::SpiceEngine::kReference, true, ref_out);
-    rebind_s = run_pass(sram::SpiceEngine::kCompiled, false, hot_out);
-    spice::set_lane_width(0);
-  }
-  run_batched(batch_out);  // Warm-up.
+  // the counter overhead; the counters come from separate untimed passes.
+  std::vector<sram::StrikeOutcome> scalar_out, batch_out;
+  run_scalar(scalar_out);
+  const double scalar_s = run_scalar(scalar_out);
+  run_batched(batch_out);
   const double batched_s = run_batched(batch_out);
 
-  // Count what the compiled path actually does: solver steps skipped by the
+  // Count what the scalar entry point does: solver steps skipped by the
   // steady-state fast-forward and DC hold solves saved by the ΔVt cache.
   obs::Registry::global().reset();
   obs::set_enabled(true);
-  run_pass(sram::SpiceEngine::kCompiled, false, hot_out);
+  run_scalar(scalar_out);
   const auto count = [](const char* name) {
     return static_cast<unsigned long long>(
         obs::Registry::global().counter(name).total());
@@ -437,7 +421,7 @@ void report_spice_kernel() {
   const unsigned long long ff_steps = count("spice.tran.ff_steps");
   const unsigned long long newton_iters = count("spice.tran.newton_iters");
   const unsigned long long dc_reuse = count("sram.strike.dc_reuse");
-  // Lane-utilization counters of the batched engine: how full the SIMD lanes
+  // Lane-utilization counters of the batched pass: how full the SIMD lanes
   // ran and how many lane-iterations were masked-off (converged/ragged).
   obs::Registry::global().reset();
   run_batched(batch_out);
@@ -447,26 +431,17 @@ void report_spice_kernel() {
   obs::set_enabled(false);
   obs::Registry::global().reset();
 
-  const auto outcomes_equal = [](const std::vector<sram::StrikeOutcome>& a,
-                                 const std::vector<sram::StrikeOutcome>& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (a[i].flipped != b[i].flipped || a[i].final_q_v != b[i].final_q_v ||
-          a[i].final_qb_v != b[i].final_qb_v) {
-        return false;
-      }
-    }
-    return true;
-  };
-  const bool identical = outcomes_equal(ref_out, hot_out);
-  const bool identical_batched = outcomes_equal(ref_out, batch_out);
+  bool identical = scalar_out.size() == batch_out.size();
+  for (std::size_t i = 0; identical && i < scalar_out.size(); ++i) {
+    identical = scalar_out[i].flipped == batch_out[i].flipped &&
+                scalar_out[i].final_q_v == batch_out[i].final_q_v &&
+                scalar_out[i].final_qb_v == batch_out[i].final_qb_v;
+  }
 
   const double n = static_cast<double>(kSamples * kSimsPerSample);
-  const double rebuild_rate = rebuild_s > 0.0 ? n / rebuild_s : 0.0;
-  const double rebind_rate = rebind_s > 0.0 ? n / rebind_s : 0.0;
+  const double scalar_rate = scalar_s > 0.0 ? n / scalar_s : 0.0;
   const double batched_rate = batched_s > 0.0 ? n / batched_s : 0.0;
-  const double speedup = rebind_s > 0.0 ? rebuild_s / rebind_s : 0.0;
-  const double batched_speedup = batched_s > 0.0 ? rebind_s / batched_s : 0.0;
+  const double batched_speedup = batched_s > 0.0 ? scalar_s / batched_s : 0.0;
   const double lane_fraction =
       batch_ticks > 0 ? static_cast<double>(lane_active) /
                             (static_cast<double>(batch_ticks) *
@@ -475,17 +450,14 @@ void report_spice_kernel() {
 
   util::CsvTable t({"path", "seconds", "transients_per_s", "speedup",
                     "identical"});
-  t.add_row({std::string("rebuild-per-sample (reference)"), rebuild_s,
-             rebuild_rate, 1.0, 1.0});
-  t.add_row({std::string("rebind-per-sample (compiled)"), rebind_s,
-             rebind_rate, speedup, identical ? 1.0 : 0.0});
+  t.add_row({std::string("scalar entry point (W=1)"), scalar_s, scalar_rate,
+             1.0, 1.0});
   t.add_row({std::string("lane-batched W=") + std::to_string(lanes),
-             batched_s, batched_rate,
-             batched_s > 0.0 ? rebuild_s / batched_s : 0.0,
-             identical_batched ? 1.0 : 0.0});
+             batched_s, batched_rate, batched_speedup,
+             identical ? 1.0 : 0.0});
   bench::emit(t, "spice_kernel",
-              "SPICE strike kernel: rebuild vs compiled rebind vs "
-              "lane-batched (identical must be 1)");
+              "SPICE strike kernel: scalar entry point vs lane-batched "
+              "(identical must be 1)");
 
   std::filesystem::create_directories(bench::kOutDir);
   const std::string path = std::string(bench::kOutDir) + "/spice_kernel.json";
@@ -496,31 +468,26 @@ void report_spice_kernel() {
                 "  \"kernel\": \"spice_strike_transient\",\n"
                 "  \"pv_samples\": %d,\n"
                 "  \"transients_per_sample\": %d,\n"
-                "  \"rebuild_seconds\": %.6f,\n"
-                "  \"rebind_seconds\": %.6f,\n"
+                "  \"scalar_seconds\": %.6f,\n"
                 "  \"batched_seconds\": %.6f,\n"
-                "  \"rebuild_transients_per_s\": %.1f,\n"
-                "  \"rebind_transients_per_s\": %.1f,\n"
+                "  \"scalar_transients_per_s\": %.1f,\n"
                 "  \"batched_transients_per_s\": %.1f,\n"
-                "  \"rebind_speedup\": %.3f,\n"
-                "  \"batched_speedup_vs_rebind\": %.3f,\n"
+                "  \"batched_speedup_vs_scalar\": %.3f,\n"
                 "  \"lane_width\": %zu,\n"
-                "  \"bit_identical_outcomes\": %s,\n"
                 "  \"bit_identical_batched\": %s,\n"
-                "  \"rebind_tran_steps\": %llu,\n"
-                "  \"rebind_ff_steps\": %llu,\n"
-                "  \"rebind_newton_iters\": %llu,\n"
-                "  \"rebind_dc_hold_reuses\": %llu,\n"
+                "  \"scalar_tran_steps\": %llu,\n"
+                "  \"scalar_ff_steps\": %llu,\n"
+                "  \"scalar_newton_iters\": %llu,\n"
+                "  \"scalar_dc_hold_reuses\": %llu,\n"
                 "  \"batch_newton_ticks\": %llu,\n"
                 "  \"batch_lane_iters_active\": %llu,\n"
                 "  \"batch_lane_iters_masked\": %llu,\n"
                 "  \"batch_active_lane_fraction\": %.4f\n"
                 "}\n",
                 bench::machine_json_fields().c_str(), kSamples,
-                kSimsPerSample, rebuild_s, rebind_s, batched_s,
-                rebuild_rate, rebind_rate, batched_rate, speedup,
-                batched_speedup, lanes, identical ? "true" : "false",
-                identical_batched ? "true" : "false", tran_steps, ff_steps,
+                kSimsPerSample, scalar_s, batched_s, scalar_rate,
+                batched_rate, batched_speedup, lanes,
+                identical ? "true" : "false", tran_steps, ff_steps,
                 newton_iters, dc_reuse, batch_ticks, lane_active, lane_masked,
                 lane_fraction);
   os << body;

@@ -1,6 +1,7 @@
 #pragma once
 /// \file batch.hpp
-/// \brief Lane-batched compiled transient engine (public surface).
+/// \brief The compiled transient engine: lane-batched, W = 1 included
+/// (public surface).
 ///
 /// Characterization solves millions of *independent* strike transients on the
 /// same topology: PV samples never interact, so W of them can advance in
@@ -10,23 +11,25 @@
 /// intrinsics): the arithmetic is elementwise IEEE-754 with no reductions
 /// across lanes, so vectorizing it cannot change any lane's bits, and every
 /// transcendental goes through the deterministic kernels of vecmath.hpp.
-/// That is the bit-pinned contract (docs/spice.md): the batched engine is
-/// **byte-identical** to the scalar compiled engine per lane, for every lane
-/// width, at any thread count — W is a pure throughput knob.
+/// That is the bit-pinned contract (docs/spice.md): every lane is
+/// **byte-identical** to the interpreted reference engine
+/// (run_transient(Circuit&) in transient.hpp), for every lane width, at any
+/// thread count — W is a pure throughput knob. This is the only compiled
+/// transient loop: a scalar compiled transient is a one-lane group
+/// (run_transient_single()).
 ///
 /// Lanes are *masked, not branched around*: a converged, finished or failed
 /// lane keeps riding the vector tick (its stamps and LU are computed and
 /// discarded) until the whole group drains. Per-lane Newton bookkeeping —
-/// damping, convergence, step control, the escalation ladder, steady-state
-/// fast-forward — stays scalar per lane and mirrors engine_detail.hpp's
-/// scalar transient loop statement for statement.
+/// damping, convergence, step control, the escalation ladder — stays scalar
+/// per lane and follows the reference loop statement for statement; a
+/// steady-state fast-forward on top replays proven cycles value for value.
 ///
 /// Width selection: the compiled default (`kDefaultLaneWidth`) picks the
 /// widest vector unit the build targets; `set_lane_width()` / the
 /// `FINSER_LANES` env var / the `--lanes` CLI flag override it at runtime
-/// (0 = auto, 1 = the scalar reference). All widths {1, 4, 8} are always
-/// compiled, so a vectorized build can be pinned to the scalar reference
-/// without recompiling.
+/// (0 = auto). All widths {1, 4, 8} are always compiled and run the same
+/// loop, so the width only changes how many transients advance per tick.
 
 #include <array>
 #include <cstddef>
@@ -42,8 +45,17 @@ namespace finser::spice {
 /// Hard ceiling on the lane count (sizes the per-lane cold-state arrays).
 inline constexpr std::size_t kMaxLaneWidth = 8;
 
+/// Snapshot of one accepted uniform transient step of one lane: the solution
+/// vector plus the reactive (capacitor) state. The transient engine keeps a
+/// short ring of these per lane to detect exact steady-state cycles (see
+/// engine_detail.hpp run_transient_batch_impl).
+struct StateSnap {
+  std::vector<double> x;
+  std::vector<double> state;
+};
+
 /// Compile-time auto width: the widest SIMD unit the build targets.
-/// FINSER_SCALAR_LANES (CMake option) forces the portable scalar default.
+/// FINSER_SCALAR_LANES (CMake option) forces the portable width-1 default.
 #if defined(FINSER_SCALAR_LANES)
 inline constexpr std::size_t kDefaultLaneWidth = 1;
 #elif defined(__AVX512F__)
@@ -110,7 +122,7 @@ struct BatchWorkspace {
 
   // --- Per-lane transient cold state (scalar access only) ------------------
   std::array<std::vector<double>, kMaxLaneWidth> breaks;
-  std::array<std::array<SolveWorkspace::StateSnap, 8>, kMaxLaneWidth> ff_ring;
+  std::array<std::array<StateSnap, 8>, kMaxLaneWidth> ff_ring;
 };
 
 /// Per-lane results of one batched transient group. Lane w of the input maps
@@ -119,22 +131,31 @@ struct BatchWorkspace {
 struct BatchTransientResult {
   std::vector<Waveform> waves;        ///< Size = lane count.
   std::vector<std::uint8_t> failed;   ///< 1 where the lane's run failed.
-  /// The failure text per failed lane — the same message the scalar engine
-  /// would have thrown as util::NumericalError for that transient.
+  /// The failure text per failed lane — the same message the reference
+  /// engine throws as util::NumericalError for that transient.
   std::vector<std::string> errors;
 };
 
 /// Advance up to bw.lanes independent transients in lockstep. \p x0 supplies
 /// one operating point per lane (size ≤ bw.lanes; an empty entry — or a
 /// missing trailing one — marks the lane inactive, i.e. a masked-off ragged
-/// tail). Per lane this computes byte-identical waveforms, device state and
-/// failure text to scalar run_transient(cc, ws, x0[w], opt, probe_nodes);
-/// a failed lane is reported in the result instead of thrown, and never
-/// perturbs its neighbors. The circuit's per-lane parameters must have been
-/// loaded with batch_rebind_lane() beforehand.
+/// tail). Per lane this computes byte-identical waveforms and failure text to
+/// the reference run_transient(circuit, x0[w], opt, probe_nodes) on the
+/// lane's binding; a failed lane is reported in the result instead of
+/// thrown, and never perturbs its neighbors. The circuit's per-lane
+/// parameters must have been loaded with batch_rebind_lane() beforehand.
 BatchTransientResult run_transient_batch(
     CompiledCircuit& cc, BatchWorkspace& bw,
     const std::vector<std::vector<double>>& x0, const TransientOptions& opt,
     const std::vector<std::string>& probe_nodes = {});
+
+/// One transient from the circuit's current binding, run as a one-lane
+/// group: \p bw is sized to width 1 on first use (a workspace of another
+/// width is reconfigured) and lane 0 is rebound before the run. Throws the
+/// lane's failure text as util::NumericalError.
+Waveform run_transient_single(CompiledCircuit& cc, BatchWorkspace& bw,
+                              const std::vector<double>& x0,
+                              const TransientOptions& opt,
+                              const std::vector<std::string>& probe_nodes = {});
 
 }  // namespace finser::spice

@@ -14,22 +14,22 @@
 ///     polymorphic reference path (both share the kernels in
 ///     src/spice/stamp_kernels.hpp).
 ///   * **Per-kind SoA parameter arrays** — precomputed unknown indices and
-///     parameters, contiguous per device kind; reactive state (capacitor
-///     histories) lives here too, so evaluating a compiled circuit never
-///     touches the polymorphic devices.
+///     parameters, contiguous per device kind; transient reactive state
+///     (capacitor histories) lives per lane in a BatchWorkspace, so
+///     evaluating a compiled circuit never touches the polymorphic devices.
 ///   * **rebind()** — refreshes every *mutable* parameter (Mosfet ΔVt and
 ///     temperature, VSource voltage, PulseISource shape) from the source
 ///     circuit without reallocating devices, nodes or plans. A Vt-variation
 ///     MC sample or an injected-charge step is a rebind, not a rebuild.
 ///
-/// Together with SolveWorkspace (preallocated Mna + Newton scratch + pivot
-/// cache) the compiled entry points of solve_dc()/run_transient() run the
-/// characterization hot path without per-sample allocation. The polymorphic
-/// path remains the reference implementation; equivalence is pinned
-/// bit-exact by tests/test_spice_compiled.cpp. Lifecycle details and the
+/// A compiled circuit solves DC through solve_dc(CompiledCircuit&,
+/// SolveWorkspace&) and transients through the lane-batched engine
+/// (run_transient_batch() in batch.hpp, W = 1 included), both without
+/// per-sample allocation. The polymorphic path remains the reference
+/// implementation; equivalence is pinned bit-exact by
+/// tests/test_spice_compiled.cpp. Lifecycle details and the
 /// when-to-recompile table: docs/spice.md.
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -59,48 +59,30 @@ class CompiledCircuit {
   std::size_t unknown_count() const { return unknown_count_; }
   std::size_t device_count() const { return ops_.size(); }
 
-  // --- Engine hooks (mirror the Device interface, devirtualized) ----------
+  // --- DC stamp hooks (mirror Device::stamp, devirtualized) ---------------
+  // DC only: \p ctx.transient must be false. Capacitors and strike sources
+  // are open in DC, PWL sources sit at their t = 0 value. Transient stamps
+  // go through batch_stamp_fused() below.
 
-  /// Contribute every device's linearized companion model at ctx's iterate.
+  /// Contribute every device's linearized DC model at ctx's iterate.
   void stamp_all(Mna& mna, const StampContext& ctx) const;
 
-  /// Fused-path stamp: identical contributions in identical order to
+  /// Fused-path DC stamp: identical contributions in identical order to
   /// stamp_all(), written through precomputed flat slot indices into raw
   /// dense arrays instead of Mna::add() calls. \p a must have
   /// unknown_count()² + 1 zeroed entries and \p b unknown_count() + 1 —
   /// the final entry of each is a scratch slot absorbing ground stamps
-  /// (branch-free equivalent of Mna's kGround drop). Used by the engine's
-  /// compiled Newton kernel (engine_detail.hpp); bit-identity with
-  /// stamp_all() is pinned by tests/test_spice_compiled.cpp.
+  /// (branch-free equivalent of Mna's kGround drop). Used by the compiled
+  /// DC Newton stage (engine_detail.hpp); bit-identity with stamp_all() is
+  /// pinned by tests/test_spice_compiled.cpp.
   void stamp_fused(double* a, double* b, const StampContext& ctx) const;
 
-  /// Reset reactive state from the DC operating point \p x.
-  void initialize_state(const std::vector<double>& x);
-
-  /// Advance reactive state after an accepted time step.
-  void commit(const StampContext& ctx);
-
-  /// Append hard time points (source edges) within [0, t_end].
-  void add_breakpoints(double t_end, std::vector<double>& out) const;
-
-  /// True when every time-dependent source (PWL tables, strike pulses) has
-  /// reached its final constant value by time \p t — i.e. stamping at any
-  /// time >= \p t is a pure function of the iterate and the reactive state.
-  /// This is the license for the transient engine's steady-state
-  /// fast-forward (see engine_detail.hpp).
-  bool sources_constant_after(double t) const;
-
-  /// Snapshot / restore the reactive state (capacitor histories), used by
-  /// the steady-state fast-forward to replay a proven cycle.
-  void save_reactive_state(std::vector<double>& out) const;
-  void load_reactive_state(const std::vector<double>& in);
-
-  // --- Lane-batched engine hooks (batch.hpp; see docs/spice.md) -----------
+  // --- Lane-batched transient hooks (batch.hpp; see docs/spice.md) --------
   // The batched transient engine (engine_detail.hpp) advances W independent
-  // parameter bindings of *this one compiled plan* in lockstep. Per-lane
-  // parameters and state live in the caller's BatchWorkspace as AoSoA
-  // blocks; the hooks below mirror the scalar hooks above one lane at a
-  // time (scalar bookkeeping) or all lanes at once (the hot stamp).
+  // parameter bindings of *this one compiled plan* in lockstep, W = 1
+  // included. Per-lane parameters and reactive state live in the caller's
+  // BatchWorkspace as AoSoA blocks; the hooks below work one lane at a time
+  // (scalar bookkeeping) or on all lanes at once (the hot stamp).
 
   /// Size \p bw for \p lanes lanes of this circuit and seed every lane from
   /// the current scalar binding. Invalidates the per-lane pivot caches.
@@ -112,23 +94,40 @@ class CompiledCircuit {
   void batch_rebind_lane(BatchWorkspace& bw, std::size_t lane) const;
 
   /// Fused transient stamp of every lane at once: per lane w this computes
-  /// byte-identically what stamp_fused() computes at time[w] / dt[w] from
-  /// bw.x_try's lane-w iterate, accumulating into bw.fa / bw.fb (which must
-  /// be zeroed). Every lane is stamped unconditionally — masked lanes are
-  /// compute-and-discard riders, which is what keeps the loop vector-shaped.
+  /// byte-identically what the reference devices' Device::stamp() computes
+  /// at time[w] / dt[w] from bw.x_try's lane-w iterate and the lane's
+  /// reactive state, accumulating into bw.fa / bw.fb (which must be zeroed;
+  /// layout as for stamp_fused(), lane-interleaved). Every lane is stamped
+  /// unconditionally — masked lanes are compute-and-discard riders, which is
+  /// what keeps the loop vector-shaped.
   template <std::size_t W>
   void batch_stamp_fused(BatchWorkspace& bw, const double* time,
                          const double* dt, Integrator method) const;
 
-  /// Per-lane mirrors of the scalar state hooks above.
+  /// Reset lane \p lane's reactive state from the DC operating point \p x.
   void batch_initialize_state(BatchWorkspace& bw, std::size_t lane,
                               const std::vector<double>& x) const;
+
+  /// Advance lane \p lane's reactive state after an accepted step, reading
+  /// the lane's committed solution from bw.x.
   void batch_commit(BatchWorkspace& bw, std::size_t lane, double time,
                     double dt, Integrator method) const;
+
+  /// Append lane \p lane's hard time points (source edges) within
+  /// [0, t_end].
   void batch_add_breakpoints(const BatchWorkspace& bw, std::size_t lane,
                              double t_end, std::vector<double>& out) const;
+
+  /// True when every time-dependent source of lane \p lane (PWL tables,
+  /// strike pulses) has reached its final constant value by time \p t —
+  /// i.e. stamping at any time >= \p t is a pure function of the iterate
+  /// and the reactive state. This is the license for the transient
+  /// engine's steady-state fast-forward (see engine_detail.hpp).
   bool batch_sources_constant_after(const BatchWorkspace& bw,
                                     std::size_t lane, double t) const;
+
+  /// Snapshot / restore lane \p lane's reactive state (capacitor
+  /// histories), used by the fast-forward to replay a proven cycle.
   void batch_save_reactive_state(const BatchWorkspace& bw, std::size_t lane,
                                  std::vector<double>& out) const;
   void batch_load_reactive_state(BatchWorkspace& bw, std::size_t lane,
@@ -163,8 +162,6 @@ class CompiledCircuit {
   struct CapacitorRec {
     std::size_t a, b;
     double c;
-    double v_prev = 0.0;
-    double i_prev = 0.0;
     Slot s_aa, s_bb, s_ab, s_ba, r_a, r_b;
   };
   struct VSourceRec {
@@ -209,30 +206,19 @@ class CompiledCircuit {
   std::vector<MosRec> mosfets_;
 };
 
-/// Preallocated scratch of the compiled solve paths: the MNA system, the
-/// pivot-order cache and every Newton/transient work vector. One workspace
+/// Preallocated scratch of the DC solve paths: the MNA system, the
+/// pivot-order cache and the Newton/continuation work vectors. One workspace
 /// per (thread, compiled circuit); reusing it across solves is what removes
 /// the per-sample allocations of the reference path. A workspace adapts
 /// automatically when handed a system of a different size (and drops the
-/// pivot cache, which is topology-specific).
+/// pivot cache, which is topology-specific). Compiled transients keep their
+/// scratch in a BatchWorkspace (batch.hpp).
 struct SolveWorkspace {
   Mna::PivotCache pivot;
   std::vector<double> x_new;     ///< Newton candidate iterate.
-  std::vector<double> x_try;     ///< Transient trial state.
-  std::vector<double> x_good;    ///< DC: last converged iterate.
-  std::vector<double> anchor;    ///< DC: gmin anchor (initial guess copy).
-  std::vector<double> gmin_schedule;  ///< DC: extensible continuation schedule.
-  std::vector<double> breaks;    ///< Transient: hard breakpoint times.
-
-  /// Snapshot of one accepted uniform transient step: the solution vector
-  /// plus the reactive (capacitor) state. The transient engine keeps a short
-  /// ring of these to detect exact steady-state cycles (see
-  /// engine_detail.hpp run_transient_impl).
-  struct StateSnap {
-    std::vector<double> x;
-    std::vector<double> state;
-  };
-  std::array<StateSnap, 8> ff_ring;
+  std::vector<double> x_good;    ///< Last converged iterate.
+  std::vector<double> anchor;    ///< gmin anchor (initial guess copy).
+  std::vector<double> gmin_schedule;  ///< Extensible continuation schedule.
 
   // --- Fused solve-kernel scratch (compiled path only) ---------------------
   // Raw dense system written by CompiledCircuit::stamp_fused(): fa holds the

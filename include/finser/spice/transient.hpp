@@ -9,6 +9,11 @@
 /// while Newton converges easily, and step rejection/shrinking on
 /// convergence failure. Integrators: backward Euler (robust default) and
 /// trapezoidal (2nd order, used by accuracy cross-checks).
+///
+/// run_transient() here is the interpreted reference engine. Compiled
+/// circuits run the same step control through the lane-batched engine
+/// (run_transient_batch() in batch.hpp), which is pinned byte-identical to
+/// this one at every lane width.
 
 #include <iosfwd>
 #include <string>
@@ -17,9 +22,6 @@
 #include "finser/spice/circuit.hpp"
 
 namespace finser::spice {
-
-class CompiledCircuit;
-struct SolveWorkspace;
 
 /// Recorded node waveforms of one transient run.
 class Waveform {
@@ -85,16 +87,6 @@ struct TransientOptions {
 /// the final time (re-run requires re-solving DC first).
 /// \param probe_nodes node names to record; empty records every node.
 Waveform run_transient(const Circuit& circuit, const std::vector<double>& x0,
-                       const TransientOptions& options,
-                       const std::vector<std::string>& probe_nodes = {});
-
-/// Compiled hot-path overload: same algorithm and bit-identical waveforms,
-/// but stamps through the devirtualized plan and keeps all solver scratch in
-/// the caller-owned \p ws so repeated runs allocate only the waveform. The
-/// compiled circuit's reactive state is initialized from \p x0 and left at
-/// the final time, mirroring the reference path's device-state contract.
-Waveform run_transient(CompiledCircuit& circuit, SolveWorkspace& ws,
-                       const std::vector<double>& x0,
                        const TransientOptions& options,
                        const std::vector<std::string>& probe_nodes = {});
 

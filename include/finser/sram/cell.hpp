@@ -101,33 +101,29 @@ enum class AccessMode {
                ///< read-disturb condition — the cell's weakest moment.
 };
 
-/// Which SPICE evaluation path a StrikeSimulator drives.
-enum class SpiceEngine {
-  /// Compile-once/evaluate-many: the cell circuit is lowered to a
-  /// spice::CompiledCircuit at construction; every sample is a parameter
-  /// rebind plus a solve against a persistent SolveWorkspace, and the DC
-  /// hold state is cached per ΔVt vector (it is independent of the strike
-  /// charges, so a whole Qcrit bisection shares one DC solve). Results are
-  /// bit-identical to the reference engine.
-  kCompiled,
-  /// Polymorphic reference path: rebuilds solver scratch per solve, exactly
-  /// the historical behavior. Kept as the equivalence baseline.
-  kReference,
-};
-
 /// Reusable single-cell strike simulator at a fixed supply voltage.
+///
+/// The cell circuit is lowered to a spice::CompiledCircuit once, at
+/// construction; every sample is a parameter rebind plus a DC solve and a
+/// transient on persistent workspaces. The DC hold state is cached per ΔVt
+/// vector (it is independent of the strike charges, so a whole Qcrit
+/// bisection shares one DC solve). Transients run on the lane-batched
+/// engine: simulate() as a one-lane group, simulate_batch() in groups of
+/// spice::lane_width(). Results are bit-identical to the interpreted
+/// reference engine on circuit().
 class StrikeSimulator {
  public:
   StrikeSimulator(const CellDesign& design, double vdd_v,
-                  AccessMode mode = AccessMode::kRetention,
-                  SpiceEngine engine = SpiceEngine::kCompiled);
+                  AccessMode mode = AccessMode::kRetention);
 
   StrikeSimulator(const StrikeSimulator&) = delete;
   StrikeSimulator& operator=(const StrikeSimulator&) = delete;
 
   /// Simulate a strike delivering \p charges with the given pulse shape
   /// kind and threshold shifts. The pulse width is the transit time
-  /// τ = L²/(μ·Vdd) (paper Eq. 2).
+  /// τ = L²/(μ·Vdd) (paper Eq. 2). Runs one transient as a one-lane group
+  /// on a workspace of its own; throws util::NumericalError if the solve
+  /// fails.
   StrikeOutcome simulate(
       const StrikeCharges& charges, const DeltaVt& delta_vt = {},
       spice::PulseShape::Kind kind = spice::PulseShape::Kind::kRectangular);
@@ -145,13 +141,12 @@ class StrikeSimulator {
   /// lockstep (larger groups are split internally; inactive lanes are masked
   /// off, and their \p out entries are left untouched). Each active lane's
   /// outcome — flip decision, final node voltages, failure text — is
-  /// byte-identical to a scalar simulate() call with the same inputs; a
-  /// failing lane is reported in \p out instead of thrown. Lane k keeps a
-  /// ΔVt-keyed DC hold cache of its own (slot k % lane_width()), so a caller
-  /// that keeps each sample in a stable lane across repeated calls — the
-  /// characterizer's charge ladders do — pays one DC solve per sample.
-  /// With the reference engine or lane_width() == 1 this degrades to the
-  /// scalar loop (the byte-identity reference).
+  /// byte-identical to a simulate() call with the same inputs, at every
+  /// lane width; a failing lane is reported in \p out instead of thrown.
+  /// Lane k keeps a ΔVt-keyed DC hold cache of its own (slot
+  /// k % lane_width()), so a caller that keeps each sample in a stable lane
+  /// across repeated calls — the characterizer's charge ladders do — pays
+  /// one DC solve per sample.
   void simulate_batch(
       const std::vector<StrikeCharges>& charges,
       const std::vector<DeltaVt>& dvts, spice::PulseShape::Kind kind,
@@ -164,7 +159,13 @@ class StrikeSimulator {
   double vdd() const { return vdd_v_; }
   const CellDesign& design() const { return design_; }
   AccessMode mode() const { return mode_; }
-  SpiceEngine engine() const { return engine_; }
+
+  /// The cell netlist. Its devices carry the ΔVt and strike shapes of the
+  /// last simulate()/hold_state() call, so the interpreted reference engine
+  /// (spice::solve_dc / spice::run_transient on this circuit) can replay
+  /// that sample.
+  const spice::Circuit& circuit() const { return circuit_; }
+  const spice::TransientOptions& transient_options() const { return topt_; }
 
   /// Scale the strike pulse width relative to the transit time τ (default
   /// 1.0). The delivered charge is held constant, so this directly tests
@@ -175,16 +176,18 @@ class StrikeSimulator {
 
  private:
   void apply_delta_vt(const DeltaVt& delta_vt);
-  std::vector<double> solve_hold(const DeltaVt& delta_vt);
   void set_strike_shapes(const StrikeCharges& charges,
                          spice::PulseShape::Kind kind);
-  /// Compiled engine only; expects apply_delta_vt() + rebind() done.
+  /// DC hold guess: the Q=1/QB=0 state with the supplies at their rails.
+  std::vector<double> hold_guess() const;
+  /// Outcome of a strike transient probed at {q, qb}.
+  StrikeOutcome finish_wave(const spice::Waveform& wave) const;
+  /// Expects apply_delta_vt() + rebind() done.
   const std::vector<double>& hold_cached(const DeltaVt& delta_vt);
 
   CellDesign design_;
   double vdd_v_;
   AccessMode mode_ = AccessMode::kRetention;
-  SpiceEngine engine_ = SpiceEngine::kCompiled;
   double tau_s_;  ///< Drift-collection pulse width [s].
   double pulse_width_scale_ = 1.0;
 
@@ -196,15 +199,16 @@ class StrikeSimulator {
   spice::PulseISource* src_i3_ = nullptr;
   spice::TransientOptions topt_;
 
-  // Compiled-engine state: the lowered circuit, the per-simulator solver
-  // workspace, and the ΔVt-keyed DC hold-state cache.
+  // The lowered circuit, the DC solver workspace, and simulate()'s
+  // ΔVt-keyed DC hold cache and one-lane transient workspace.
   std::optional<spice::CompiledCircuit> compiled_;
   spice::SolveWorkspace ws_;
   bool hold_valid_ = false;
   DeltaVt hold_dvt_{};
   std::vector<double> hold_x_;
+  spice::BatchWorkspace bw1_;
 
-  // Lane-batched state: the AoSoA workspace (configured lazily to the
+  // simulate_batch() state: the AoSoA workspace (configured lazily to the
   // current lane width) and one ΔVt-keyed DC hold cache per lane slot.
   spice::BatchWorkspace bw_;
   std::array<bool, spice::kMaxLaneWidth> hold_lane_valid_{};

@@ -15,9 +15,10 @@
 ///    spice::CompiledCircuit: shared supply and wordline rails, shared
 ///    per-column bitlines (the electrical coupling path through the off
 ///    pass gates), per-cell storage nodes, threshold-shift rebind slots and
-///    strike-current sources. Process-variation sampling runs lane-batched
-///    through the AoSoA batch engine, so every lane's outcome is
-///    byte-identical to a scalar evaluation at any `--lanes` width.
+///    strike-current sources. Transients run on the lane-batched engine: a
+///    single evaluation as a one-lane group, process-variation samples in
+///    groups of the lane width, so every outcome is the same at any
+///    `--lanes` width.
 ///
 ///  * ClusterPofSurface — the cluster-level analogue of the per-cell POF
 ///    LUT: a memoized map from the *quantized joint charge vector* of a
@@ -136,7 +137,9 @@ class ClusterSimulator {
   };
 
   /// Simulate one simultaneous strike into the tile. \p dvts carries one
-  /// DeltaVt per tile cell (flat local order).
+  /// DeltaVt per tile cell (flat local order). Runs one transient as a
+  /// one-lane group on a workspace of its own; throws util::NumericalError
+  /// if the solve fails.
   Outcome simulate(const std::vector<CellStrike>& strikes,
                    const std::vector<DeltaVt>& dvts,
                    spice::PulseShape::Kind kind);
@@ -144,8 +147,8 @@ class ClusterSimulator {
   /// Lane-batched simulate() over process-variation samples: sample s runs
   /// with \p dvt_samples[s], all sharing \p strikes. Samples are packed
   /// into SIMD lanes in index order; each lane's outcome is byte-identical
-  /// to a scalar simulate() with the same inputs, so results do not depend
-  /// on the configured lane width.
+  /// to a simulate() with the same inputs, so results do not depend on the
+  /// configured lane width.
   void simulate_batch(const std::vector<CellStrike>& strikes,
                       const std::vector<std::vector<DeltaVt>>& dvt_samples,
                       spice::PulseShape::Kind kind, std::vector<Outcome>& out);
@@ -184,8 +187,9 @@ class ClusterSimulator {
   spice::TransientOptions topt_;
 
   std::optional<spice::CompiledCircuit> compiled_;
-  spice::SolveWorkspace ws_;
-  spice::BatchWorkspace bw_;
+  spice::SolveWorkspace ws_;   ///< DC hold solves.
+  spice::BatchWorkspace bw1_;  ///< simulate()'s one-lane transients.
+  spice::BatchWorkspace bw_;   ///< simulate_batch()'s lane groups.
 };
 
 /// Memoized cluster-level POF surface: quantized joint charge vector →

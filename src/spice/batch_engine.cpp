@@ -1,10 +1,11 @@
 /// \file batch_engine.cpp
-/// \brief Lane-width selection and the batched transient entry point.
+/// \brief Lane-width selection and the compiled transient entry points.
 
 #include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "finser/spice/batch.hpp"
 #include "engine_detail.hpp"
@@ -80,6 +81,20 @@ BatchTransientResult run_transient_batch(
           "run_transient_batch: workspace not configured (lanes must be 1, 4 "
           "or 8; call batch_configure first)");
   }
+}
+
+Waveform run_transient_single(CompiledCircuit& cc, BatchWorkspace& bw,
+                              const std::vector<double>& x0,
+                              const TransientOptions& opt,
+                              const std::vector<std::string>& probe_nodes) {
+  FINSER_REQUIRE(x0.size() == cc.unknown_count(),
+                 "run_transient: x0 size mismatch");
+  if (bw.lanes != 1) cc.batch_configure(bw, 1);
+  cc.batch_rebind_lane(bw, 0);
+  BatchTransientResult res =
+      detail::run_transient_batch_impl<1>(cc, bw, {x0}, opt, probe_nodes);
+  if (res.failed[0]) throw util::NumericalError(res.errors[0]);
+  return std::move(res.waves[0]);
 }
 
 }  // namespace finser::spice

@@ -22,8 +22,7 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit)
     } else if (const auto* c = dynamic_cast<const Capacitor*>(d)) {
       ops_.push_back({Kind::kCapacitor,
                       static_cast<std::uint32_t>(capacitors_.size())});
-      capacitors_.push_back(
-          {c->node_a(), c->node_b(), c->capacitance(), 0.0, 0.0});
+      capacitors_.push_back({c->node_a(), c->node_b(), c->capacitance()});
     } else if (const auto* p = dynamic_cast<const PwlVSource*>(d)) {
       ops_.push_back({Kind::kPwlVSource,
                       static_cast<std::uint32_t>(pwls_.size())});
@@ -126,6 +125,7 @@ void CompiledCircuit::rebind() {
 }
 
 void CompiledCircuit::stamp_all(Mna& mna, const StampContext& ctx) const {
+  FINSER_REQUIRE(!ctx.transient, "CompiledCircuit::stamp_all: DC stamp only");
   // Walk the plan in original netlist order: FP accumulation into shared MNA
   // entries is order-sensitive, and bit-identity with the reference path
   // requires the exact same Mna::add sequence.
@@ -136,11 +136,9 @@ void CompiledCircuit::stamp_all(Mna& mna, const StampContext& ctx) const {
         detail::stamp_conductance(mna, r.a, r.b, r.g);
         break;
       }
-      case Kind::kCapacitor: {
-        const CapacitorRec& c = capacitors_[op.idx];
-        detail::stamp_capacitor(mna, ctx, c.a, c.b, c.c, c.v_prev, c.i_prev);
-        break;
-      }
+      case Kind::kCapacitor:
+      case Kind::kPulseISource:
+        break;  // Open in DC.
       case Kind::kVSource: {
         const VSourceRec& v = vsources_[op.idx];
         detail::stamp_vsource(mna, ctx, v.a, v.b, v.branch, v.v);
@@ -148,13 +146,7 @@ void CompiledCircuit::stamp_all(Mna& mna, const StampContext& ctx) const {
       }
       case Kind::kPwlVSource: {
         const PwlRec& p = pwls_[op.idx];
-        detail::stamp_vsource(mna, ctx, p.a, p.b, p.branch,
-                              p.src->value(ctx.transient ? ctx.time : 0.0));
-        break;
-      }
-      case Kind::kPulseISource: {
-        const ISourceRec& s = isources_[op.idx];
-        detail::stamp_isource(mna, ctx, s.from, s.to, s.shape);
+        detail::stamp_vsource(mna, ctx, p.a, p.b, p.branch, p.src->value(0.0));
         break;
       }
       case Kind::kMosfet: {
@@ -169,6 +161,7 @@ void CompiledCircuit::stamp_all(Mna& mna, const StampContext& ctx) const {
 
 void CompiledCircuit::stamp_fused(double* a, double* b,
                                   const StampContext& ctx) const {
+  FINSER_REQUIRE(!ctx.transient, "CompiledCircuit::stamp_fused: DC stamp only");
   // Same netlist-order walk and the same arithmetic as stamp_all(), with
   // Mna::add replaced by precomputed-slot accumulation (ground writes land in
   // the trailing scratch slot). Every expression below mirrors the matching
@@ -184,20 +177,9 @@ void CompiledCircuit::stamp_fused(double* a, double* b,
         a[r.s_ba] += -r.g;
         break;
       }
-      case Kind::kCapacitor: {
-        if (!ctx.transient) break;  // Open circuit in DC.
-        FINSER_REQUIRE(ctx.dt > 0.0, "Capacitor::stamp: non-positive dt");
-        const CapacitorRec& c = capacitors_[op.idx];
-        const double geq = detail::cap_geq(ctx, c.c);
-        const double ieq = detail::cap_ieq(ctx, c.c, c.v_prev, c.i_prev);
-        a[c.s_aa] += geq;
-        a[c.s_bb] += geq;
-        a[c.s_ab] += -geq;
-        a[c.s_ba] += -geq;
-        b[c.r_a] += ieq;
-        b[c.r_b] += -ieq;
-        break;
-      }
+      case Kind::kCapacitor:
+      case Kind::kPulseISource:
+        break;  // Open in DC.
       case Kind::kVSource: {
         const VSourceRec& v = vsources_[op.idx];
         a[v.s_ak] += 1.0;
@@ -213,16 +195,7 @@ void CompiledCircuit::stamp_fused(double* a, double* b,
         a[p.s_bk] += -1.0;
         a[p.s_ka] += 1.0;
         a[p.s_kb] += -1.0;
-        b[p.r_k] += p.src->value(ctx.transient ? ctx.time : 0.0);
-        break;
-      }
-      case Kind::kPulseISource: {
-        if (!ctx.transient) break;
-        const ISourceRec& s = isources_[op.idx];
-        const double i = s.shape.value(ctx.time);
-        if (i == 0.0) break;
-        b[s.r_from] += -i;
-        b[s.r_to] += i;
+        b[p.r_k] += p.src->value(0.0);
         break;
       }
       case Kind::kMosfet: {
@@ -245,61 +218,6 @@ void CompiledCircuit::stamp_fused(double* a, double* b,
         break;
       }
     }
-  }
-}
-
-void CompiledCircuit::initialize_state(const std::vector<double>& x) {
-  for (CapacitorRec& c : capacitors_) {
-    const double va = c.a == kGround ? 0.0 : x[c.a];
-    const double vb = c.b == kGround ? 0.0 : x[c.b];
-    c.v_prev = va - vb;
-    c.i_prev = 0.0;  // DC steady state: no capacitor current.
-  }
-}
-
-void CompiledCircuit::commit(const StampContext& ctx) {
-  for (CapacitorRec& c : capacitors_) {
-    detail::commit_capacitor(ctx, c.c, c.a, c.b, c.v_prev, c.i_prev);
-  }
-}
-
-void CompiledCircuit::add_breakpoints(double t_end,
-                                      std::vector<double>& out) const {
-  // Breakpoints are sorted and deduplicated by the transient engine, so the
-  // per-kind (rather than netlist-order) walk here is observationally
-  // identical to the reference path.
-  for (const PwlRec& p : pwls_) p.src->add_breakpoints(t_end, out);
-  for (const ISourceRec& s : isources_) {
-    detail::pulse_breakpoints(s.shape, t_end, out);
-  }
-}
-
-bool CompiledCircuit::sources_constant_after(double t) const {
-  for (const PwlRec& p : pwls_) {
-    if (p.src->last_point_time() > t) return false;
-  }
-  for (const ISourceRec& s : isources_) {
-    if (s.shape.end_time() > t) return false;
-  }
-  return true;
-}
-
-void CompiledCircuit::save_reactive_state(std::vector<double>& out) const {
-  out.clear();
-  out.reserve(2 * capacitors_.size());
-  for (const CapacitorRec& c : capacitors_) {
-    out.push_back(c.v_prev);
-    out.push_back(c.i_prev);
-  }
-}
-
-void CompiledCircuit::load_reactive_state(const std::vector<double>& in) {
-  FINSER_REQUIRE(in.size() == 2 * capacitors_.size(),
-                 "CompiledCircuit: reactive-state snapshot size mismatch");
-  std::size_t k = 0;
-  for (CapacitorRec& c : capacitors_) {
-    c.v_prev = in[k++];
-    c.i_prev = in[k++];
   }
 }
 

@@ -1,24 +1,26 @@
 #pragma once
 /// \file engine_detail.hpp
-/// \brief Shared DC/transient solver engine (internal to finser::spice).
+/// \brief Shared DC engine and the lane-batched transient engine (internal
+/// to finser::spice).
 ///
-/// The Newton/continuation/time-stepping algorithms exist exactly once,
-/// templated over a *Stamper* policy that supplies circuit topology and the
-/// four device hooks (stamp_all / initialize_state / commit /
-/// add_breakpoints):
+/// The DC Newton/gmin-continuation algorithm exists exactly once, templated
+/// over a *Stamper* policy that supplies the circuit size and the stamp:
 ///
 ///   * InterpretedStamper — walks the polymorphic Device list of a Circuit.
-///     This is the reference path; behavior of the classic
-///     solve_dc(Circuit&)/run_transient(Circuit&) entry points.
-///   * CompiledStamper — walks a CompiledCircuit's devirtualized stamp plan.
-///     This is the characterization hot path; callers keep a SolveWorkspace
-///     alive across solves so Newton scratch, the MNA system and the pivot
-///     cache are allocated once per (thread, topology).
+///     This is the reference path behind solve_dc(Circuit&).
+///   * CompiledStamper — walks a CompiledCircuit's devirtualized stamp plan
+///     through the fused solve kernel. Callers keep a SolveWorkspace alive
+///     across solves, so the MNA scratch and pivot cache are allocated once
+///     per (thread, topology).
 ///
-/// Because both stampers emit stamps through the kernels in
-/// stamp_kernels.hpp in the same device order, and both paths run this very
-/// engine, the two entry-point families produce byte-identical results
-/// (pinned by tests/test_spice_compiled.cpp).
+/// Both stampers emit the same stamps in the same device order, so the two
+/// DC entry points produce byte-identical operating points.
+///
+/// The compiled transient loop is run_transient_batch_impl() below: W
+/// transients in masked-Newton lockstep, with W = 1 as the scalar case. The
+/// interpreted reference loop behind run_transient(Circuit&) lives in
+/// transient.cpp; tests/test_spice_compiled.cpp pins the batched engine to
+/// it byte for byte at every lane width.
 
 #include <algorithm>
 #include <array>
@@ -43,30 +45,15 @@ namespace finser::spice::detail {
 struct InterpretedStamper {
   const Circuit& c;
 
-  /// The reference path never fast-forwards: it is the ground truth the
-  /// compiled path's steady-state replay is checked against.
-  static constexpr bool kSteadyForward = false;
-
-  /// The reference path solves through Mna: it is the legacy baseline the
-  /// fused compiled kernel is benchmarked (and bit-compared) against.
+  /// The reference path solves through Mna: it is the baseline the fused
+  /// compiled kernel is bit-compared against.
   static constexpr bool kFusedSolve = false;
 
   std::size_t node_count() const { return c.node_count(); }
   std::size_t unknown_count() const { return c.unknown_count(); }
-  const std::string& node_name(std::size_t i) const { return c.node_name(i); }
-  std::size_t find_node(const std::string& name) const { return c.find_node(name); }
 
   void stamp_all(Mna& mna, const StampContext& ctx) const {
     for (const auto& dev : c.devices()) dev->stamp(mna, ctx);
-  }
-  void initialize_state(const std::vector<double>& x) const {
-    for (const auto& dev : c.devices()) dev->initialize_state(x);
-  }
-  void commit(const StampContext& ctx) const {
-    for (const auto& dev : c.devices()) dev->commit(ctx);
-  }
-  void add_breakpoints(double t_end, std::vector<double>& out) const {
-    for (const auto& dev : c.devices()) dev->add_breakpoints(t_end, out);
   }
 };
 
@@ -74,44 +61,18 @@ struct InterpretedStamper {
 struct CompiledStamper {
   CompiledCircuit& cc;
 
-  static constexpr bool kSteadyForward = true;
   static constexpr bool kFusedSolve = true;
 
   std::size_t node_count() const { return cc.node_count(); }
   std::size_t unknown_count() const { return cc.unknown_count(); }
-  const std::string& node_name(std::size_t i) const {
-    return cc.source().node_name(i);
-  }
-  std::size_t find_node(const std::string& name) const {
-    return cc.source().find_node(name);
-  }
 
-  void stamp_all(Mna& mna, const StampContext& ctx) const {
-    cc.stamp_all(mna, ctx);
-  }
   void stamp_fused(double* a, double* b, const StampContext& ctx) const {
     cc.stamp_fused(a, b, ctx);
-  }
-  void initialize_state(const std::vector<double>& x) const {
-    cc.initialize_state(x);
-  }
-  void commit(const StampContext& ctx) const { cc.commit(ctx); }
-  void add_breakpoints(double t_end, std::vector<double>& out) const {
-    cc.add_breakpoints(t_end, out);
-  }
-  bool sources_constant_after(double t) const {
-    return cc.sources_constant_after(t);
-  }
-  void save_state(std::vector<double>& out) const {
-    cc.save_reactive_state(out);
-  }
-  void load_state(const std::vector<double>& in) const {
-    cc.load_reactive_state(in);
   }
 };
 
 // ---------------------------------------------------------------------------
-// Fused solve kernel (compiled path)
+// Fused solve kernel (compiled DC path)
 // ---------------------------------------------------------------------------
 
 /// LU solve on the raw fused workspace arrays (ws.fa / ws.fb / ws.fperm, as
@@ -119,7 +80,7 @@ struct CompiledStamper {
 /// transplanted line for line — same pivot scan, same elimination and back
 /// substitution arithmetic, same pivot-cache verification, same
 /// spice.mna.* observability counters, same error surface — so the compiled
-/// Newton kernels that call it stay byte-identical to the reference path
+/// DC Newton stage that calls it stays byte-identical to the reference path
 /// while skipping the per-stamp virtual dispatch and Mna bookkeeping. The
 /// trailing ground-scratch slots (index n² resp. n) are never read.
 ///
@@ -378,271 +339,13 @@ std::vector<double> solve_dc_impl(const Stamper& st, SolveWorkspace& ws,
 }
 
 // ---------------------------------------------------------------------------
-// Transient
-// ---------------------------------------------------------------------------
-
-/// Newton solve of one implicit step; returns true on convergence and leaves
-/// the converged iterate in \p x.
-template <class Stamper>
-bool newton_step(const Stamper& st, SolveWorkspace& ws, Mna& mna,
-                 StampContext& ctx, std::vector<double>& x,
-                 const TransientOptions& opt) {
-  [[maybe_unused]] const std::size_t n = st.unknown_count();
-  if constexpr (Stamper::kFusedSolve) ws.fused_for(n);
-  for (int iter = 0; iter < opt.max_newton; ++iter) {
-    FINSER_OBS_COUNT("spice.tran.newton_iters", 1);
-    if constexpr (Stamper::kFusedSolve) {
-      std::fill(ws.fa.begin(), ws.fa.end(), 0.0);
-      std::fill(ws.fb.begin(), ws.fb.end(), 0.0);
-      ctx.x = &x;
-      st.stamp_fused(ws.fa.data(), ws.fb.data(), ctx);
-      try {
-        fused_lu_solve(ws, n, ws.x_new);
-      } catch (const util::NumericalError&) {
-        return false;  // Singular at this iterate: convergence failure.
-      }
-    } else {
-      mna.clear();
-      ctx.x = &x;
-      st.stamp_all(mna, ctx);
-
-      try {
-        mna.solve_with_cache(ws.pivot, ws.x_new);
-      } catch (const util::NumericalError&) {
-        return false;  // Singular at this iterate: treat as convergence
-                       // failure.
-      }
-    }
-    const std::vector<double>& x_new = ws.x_new;
-
-    double max_dv = 0.0;
-    for (std::size_t i = 0; i < st.node_count(); ++i) {
-      max_dv = std::max(max_dv, std::abs(x_new[i] - x[i]));
-    }
-    const double alpha = max_dv > opt.damping_vmax ? opt.damping_vmax / max_dv : 1.0;
-
-    double max_delta = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      const double step = alpha * (x_new[i] - x[i]);
-      x[i] += step;
-      max_delta = std::max(max_delta, std::abs(step));
-    }
-    if (alpha == 1.0 && max_delta < opt.v_tol) return true;
-  }
-  return false;
-}
-
-template <class Stamper>
-Waveform run_transient_impl(const Stamper& st, SolveWorkspace& ws,
-                            const std::vector<double>& x0,
-                            const TransientOptions& opt,
-                            const std::vector<std::string>& probe_nodes) {
-  FINSER_REQUIRE(opt.t_end > 0.0, "run_transient: t_end must be positive");
-  FINSER_REQUIRE(x0.size() == st.unknown_count(),
-                 "run_transient: x0 size mismatch");
-  FINSER_REQUIRE(opt.dt_initial > 0.0 && opt.dt_min > 0.0 &&
-                     opt.dt_max >= opt.dt_initial,
-                 "run_transient: inconsistent step-size options");
-
-  obs::ScopedSpan run_span("spice.tran.run");
-  FINSER_OBS_COUNT("spice.tran.runs", 1);
-
-  // Resolve probes.
-  std::vector<std::string> names;
-  std::vector<std::size_t> nodes;
-  if (probe_nodes.empty()) {
-    for (std::size_t i = 0; i < st.node_count(); ++i) {
-      names.push_back(st.node_name(i));
-      nodes.push_back(i);
-    }
-  } else {
-    for (const std::string& p : probe_nodes) {
-      names.push_back(p);
-      nodes.push_back(st.find_node(p));
-    }
-  }
-  Waveform wave(std::move(names), std::move(nodes));
-
-  // Collect and sort hard breakpoints.
-  std::vector<double>& breaks = ws.breaks;
-  breaks.clear();
-  st.add_breakpoints(opt.t_end, breaks);
-  breaks.push_back(opt.t_end);
-  std::sort(breaks.begin(), breaks.end());
-  breaks.erase(std::unique(breaks.begin(), breaks.end(),
-                           [](double a, double b) { return std::abs(a - b) < 1e-24; }),
-               breaks.end());
-
-  // Initialize device state from the operating point.
-  st.initialize_state(x0);
-
-  std::vector<double> x = x0;
-  Mna& mna = ws.mna_for(st.unknown_count());
-  StampContext ctx;
-  ctx.transient = true;
-  ctx.method = opt.method;
-  ctx.branch_offset = st.node_count();
-
-  wave.append(0.0, x);
-
-  double t = 0.0;
-  double dt = opt.dt_initial;
-  std::size_t next_break = 0;
-
-  // Retry ladder (see TransientOptions::max_restarts): the effective Newton
-  // settings escalate deterministically each time the step size underflows,
-  // instead of aborting on the first hard spot.
-  TransientOptions eff = opt;
-  int restart_level = 0;
-  std::uint64_t accepted_steps = 0;
-
-  // Steady-state fast-forward (compiled stamper only). In the settling tail
-  // of a strike transient the step map becomes a pure function of
-  // (x, reactive state): the step size is pinned at dt_max, every source is
-  // past its last edge, and each accepted step reproduces the previous
-  // solution *exactly* once the floating-point contraction bottoms out
-  // (trapezoidal capacitor histories may alternate sign, giving a period-2
-  // cycle). The engine snapshots (x, state) after each uniform accepted
-  // step; once the last 2p snapshots repeat with period p, every further
-  // uniform step provably replays that cycle, so the remaining steps up to
-  // the final breakpoint clamp are emitted without stamping or solving —
-  // value-identical by induction, not by approximation.
-  [[maybe_unused]] constexpr std::size_t kFfMaxPeriod = 4;
-  std::uint64_t ff_count = 0;  // Uniform-step snapshots since last reset.
-  [[maybe_unused]] const auto ff_snap =
-      [&ws](std::uint64_t i) -> SolveWorkspace::StateSnap& {
-    return ws.ff_ring[i % ws.ff_ring.size()];
-  };
-  [[maybe_unused]] const auto ff_same = [](const SolveWorkspace::StateSnap& a,
-                                           const SolveWorkspace::StateSnap& b) {
-    return a.x == b.x && a.state == b.state;
-  };
-
-  while (t < opt.t_end - 1e-24) {
-    // Clamp the step to land exactly on the next breakpoint.
-    while (next_break < breaks.size() && breaks[next_break] <= t + 1e-24) {
-      ++next_break;
-    }
-
-    if constexpr (Stamper::kSteadyForward) {
-      if (ff_count >= 2 && dt == opt.dt_max && next_break < breaks.size() &&
-          st.sources_constant_after(t)) {
-        std::size_t period = 0;
-        for (std::size_t p = 1; p <= kFfMaxPeriod && period == 0; ++p) {
-          if (ff_count < 2 * p) break;
-          bool cyclic = true;
-          for (std::size_t j = 0; j < p && cyclic; ++j) {
-            cyclic = ff_same(ff_snap(ff_count - 1 - j),
-                             ff_snap(ff_count - 1 - j - p));
-          }
-          if (cyclic) period = p;
-        }
-        if (period > 0) {
-          // Replay the cycle over every remaining full-dt step before the
-          // breakpoint clamp (mirrors the clamp condition below). Step k
-          // ahead of the newest snapshot s_last reproduces
-          // s_{last - period + 1 + ((k-1) mod period)}.
-          const double bound = breaks[next_break];
-          std::uint64_t replayed = 0;
-          while (t + dt < bound - 1e-24) {
-            ++replayed;
-            const SolveWorkspace::StateSnap& s = ff_snap(
-                ff_count - 1 - period + 1 + ((replayed - 1) % period));
-            t += dt;
-            wave.append(t, s.x);
-            FINSER_OBS_COUNT("spice.tran.steps", 1);
-            FINSER_OBS_COUNT("spice.tran.ff_steps", 1);
-            ++accepted_steps;
-          }
-          if (replayed > 0) {
-            const SolveWorkspace::StateSnap& s = ff_snap(
-                ff_count - 1 - period + 1 + ((replayed - 1) % period));
-            x = s.x;
-            st.load_state(s.state);
-            ff_count = 0;
-          }
-        }
-      }
-    }
-
-    bool hit_break = false;
-    double step = dt;
-    if (next_break < breaks.size() && t + step >= breaks[next_break] - 1e-24) {
-      step = breaks[next_break] - t;
-      hit_break = true;
-    }
-
-    ctx.time = t + step;
-    ctx.dt = step;
-    ws.x_try = x;  // Start Newton from the previous solution.
-    if (newton_step(st, ws, mna, ctx, ws.x_try, eff)) {
-      // Accept.
-      FINSER_OBS_COUNT("spice.tran.steps", 1);
-      ++accepted_steps;
-      std::swap(x, ws.x_try);
-      ctx.x = &x;
-      st.commit(ctx);
-      t = ctx.time;
-      wave.append(t, x);
-      if constexpr (Stamper::kSteadyForward) {
-        // Only a run of *uniform* full-size steps with time-constant
-        // sources can certify a cycle; anything else restarts detection.
-        if (!hit_break && step == opt.dt_max &&
-            st.sources_constant_after(t - step)) {
-          SolveWorkspace::StateSnap& slot =
-              ws.ff_ring[ff_count % ws.ff_ring.size()];
-          slot.x = x;
-          st.save_state(slot.state);
-          ++ff_count;
-        } else {
-          ff_count = 0;
-        }
-      }
-      if (hit_break) {
-        dt = opt.dt_initial;  // Restart small after a source edge.
-        ++next_break;
-      } else {
-        dt = std::min(dt * opt.grow_factor, opt.dt_max);
-      }
-    } else {
-      // Reject: shrink and retry from the committed state.
-      FINSER_OBS_COUNT("spice.tran.rejects", 1);
-      ff_count = 0;
-      dt *= opt.shrink_factor;
-      if (dt < opt.dt_min) {
-        if (restart_level < opt.max_restarts) {
-          // Escalate: more Newton iterations, stronger damping, and a fresh
-          // (smaller) starting step for the same failing instant. The state
-          // is the last *committed* step, so nothing is replayed.
-          ++restart_level;
-          FINSER_OBS_COUNT("spice.tran.escalations", 1);
-          eff.max_newton *= 2;
-          eff.damping_vmax *= 0.5;
-          dt = std::max(opt.dt_min,
-                        opt.dt_initial * std::pow(0.1, restart_level));
-        } else {
-          FINSER_OBS_COUNT("spice.tran.failures", 1);
-          throw util::NumericalError(
-              "run_transient: Newton failed to converge at t = " +
-              std::to_string(t) + " after " + std::to_string(restart_level) +
-              " escalation(s) (max_newton " + std::to_string(eff.max_newton) +
-              ", damping_vmax " + std::to_string(eff.damping_vmax) + ")");
-        }
-      }
-    }
-  }
-  FINSER_OBS_RECORD("spice.tran.steps_per_run", accepted_steps);
-  return wave;
-}
-
-// ---------------------------------------------------------------------------
-// Lane-batched transient (compiled path; see batch.hpp)
+// Lane-batched transient: the compiled transient loop (see batch.hpp)
 // ---------------------------------------------------------------------------
 
 /// Per-lane LU failure classification of one batched solve. Each value maps
-/// to the util::NumericalError the scalar fused_lu_solve_sized() would have
-/// thrown for that lane; the batched Newton turns any of them into a
-/// per-lane convergence failure exactly like the scalar catch does.
+/// to the util::NumericalError Mna::factor_and_solve() would have thrown for
+/// that lane; the batched Newton turns any of them into a per-lane
+/// convergence failure, as the reference Newton step does with the throw.
 enum class LaneLu : std::uint8_t {
   kOk = 0,
   kNonFiniteRhs,
@@ -842,14 +545,16 @@ inline void batch_lu_solve(BatchWorkspace& bw, std::size_t n,
   }
 }
 
-/// Lane-batched mirror of run_transient_impl(): W independent transients
-/// advance through one vectorized Newton tick at a time. All per-lane step
-/// control (breakpoint clamping, accept/reject, the escalation ladder,
-/// steady-state fast-forward) is the scalar loop's code ported statement for
-/// statement and run per lane; only the per-iteration stamp+solve+update is
-/// batched. Lanes that are done, failed or inactive stay in the vector as
-/// masked compute-and-discard riders until the group drains — freezing, not
-/// branching, is what keeps the hot loop uniform.
+/// The compiled transient loop: W independent transients advance through one
+/// vectorized Newton tick at a time (W = 1 is the scalar case). Per-lane step
+/// control (breakpoint clamping, accept/reject, the escalation ladder) runs
+/// in scalar bookkeeping that follows the reference loop in transient.cpp
+/// statement for statement, plus a steady-state fast-forward the reference
+/// loop lacks (it replays proven cycles value for value; see below). Only
+/// the per-iteration stamp+solve+update is batched. Lanes that are done,
+/// failed or inactive stay in the vector as masked compute-and-discard
+/// riders until the group drains — freezing, not branching, is what keeps
+/// the hot loop uniform.
 template <std::size_t W>
 BatchTransientResult run_transient_batch_impl(
     CompiledCircuit& cc, BatchWorkspace& bw,
@@ -866,7 +571,7 @@ BatchTransientResult run_transient_batch_impl(
 
   obs::ScopedSpan run_span("spice.tran.run_batch");
 
-  // Resolve probes once (identical resolution to the scalar engine).
+  // Resolve probes once (identical resolution to the reference engine).
   std::vector<std::string> names;
   std::vector<std::size_t> nodes;
   if (probe_nodes.empty()) {
@@ -926,12 +631,10 @@ BatchTransientResult run_transient_batch_impl(
   };
 
   constexpr std::size_t kFfMaxPeriod = 4;
-  const auto ff_snap = [&bw](std::size_t w,
-                             std::uint64_t i) -> SolveWorkspace::StateSnap& {
+  const auto ff_snap = [&bw](std::size_t w, std::uint64_t i) -> StateSnap& {
     return bw.ff_ring[w][i % bw.ff_ring[w].size()];
   };
-  const auto ff_same = [](const SolveWorkspace::StateSnap& sa,
-                          const SolveWorkspace::StateSnap& sb) {
+  const auto ff_same = [](const StateSnap& sa, const StateSnap& sb) {
     return sa.x == sb.x && sa.state == sb.state;
   };
 
@@ -967,8 +670,9 @@ BatchTransientResult run_transient_batch_impl(
     }
   }
 
-  // Scalar accept-path bookkeeping for lane w (run_transient_impl's accept
-  // branch, minus the shared counter handled by the caller).
+  // Accept-path bookkeeping for lane w. Only uniform full-size steps with
+  // time-constant sources feed the fast-forward ring (see below); anything
+  // else restarts cycle detection.
   const auto accept = [&](std::size_t w) {
     FINSER_OBS_COUNT("spice.tran.steps", 1);
     ++accepted[w];
@@ -981,7 +685,7 @@ BatchTransientResult run_transient_batch_impl(
     res.waves[w].append(t[w], xscratch);
     if (!hit_break[w] && step[w] == opt.dt_max &&
         cc.batch_sources_constant_after(bw, w, t[w] - step[w])) {
-      SolveWorkspace::StateSnap& slot = ff_snap(w, ff_count[w]);
+      StateSnap& slot = ff_snap(w, ff_count[w]);
       slot.x = xscratch;
       cc.batch_save_reactive_state(bw, w, slot.state);
       ++ff_count[w];
@@ -997,8 +701,11 @@ BatchTransientResult run_transient_batch_impl(
     phase[w] = Phase::kStepping;
   };
 
-  // Scalar reject path for lane w; a drained escalation ladder marks the
-  // lane failed with the text the scalar engine would have thrown.
+  // Reject path for lane w: shrink and retry from the committed state. When
+  // the step underflows dt_min the retry ladder escalates (more Newton
+  // iterations, stronger damping, a fresh smaller dt for the same failing
+  // instant); a drained ladder marks the lane failed with the text the
+  // reference engine throws.
   const auto reject = [&](std::size_t w) {
     FINSER_OBS_COUNT("spice.tran.rejects", 1);
     ff_count[w] = 0;
@@ -1044,7 +751,17 @@ BatchTransientResult run_transient_batch_impl(
         ++next_break[w];
       }
 
-      // Steady-state fast-forward (scalar port, per lane).
+      // Steady-state fast-forward. In the settling tail of a strike the step
+      // map becomes a pure function of (x, reactive state): dt is pinned at
+      // dt_max, every source is past its last edge, and each accepted step
+      // reproduces the previous solution exactly once the floating-point
+      // contraction bottoms out (trapezoidal capacitor histories may
+      // alternate sign, giving a period-2 cycle). Once the last 2p ring
+      // snapshots repeat with period p, every further uniform step provably
+      // replays that cycle, so the steps up to the breakpoint clamp are
+      // emitted without stamping or solving — value-identical by induction,
+      // not by approximation. Step k ahead of the newest snapshot s_last
+      // reproduces s_{last - period + 1 + ((k-1) mod period)}.
       if (ff_count[w] >= 2 && dt[w] == opt.dt_max &&
           next_break[w] < breaks.size() &&
           cc.batch_sources_constant_after(bw, w, t[w])) {
@@ -1063,7 +780,7 @@ BatchTransientResult run_transient_batch_impl(
           std::uint64_t replayed = 0;
           while (t[w] + dt[w] < bound - 1e-24) {
             ++replayed;
-            const SolveWorkspace::StateSnap& s = ff_snap(
+            const StateSnap& s = ff_snap(
                 w, ff_count[w] - 1 - period + 1 + ((replayed - 1) % period));
             t[w] += dt[w];
             res.waves[w].append(t[w], s.x);
@@ -1072,7 +789,7 @@ BatchTransientResult run_transient_batch_impl(
             ++accepted[w];
           }
           if (replayed > 0) {
-            const SolveWorkspace::StateSnap& s = ff_snap(
+            const StateSnap& s = ff_snap(
                 w, ff_count[w] - 1 - period + 1 + ((replayed - 1) % period));
             inject_lane(s.x, w, bw.x);
             cc.batch_load_reactive_state(bw, w, s.state);
@@ -1119,7 +836,7 @@ BatchTransientResult run_transient_batch_impl(
 
     // Damping and convergence, lane-vectorized: the max reductions and the
     // damped iterate update run for every lane (i outer, w inner, identical
-    // per-lane operation order as the scalar loop), with a masked store so
+    // per-lane operation order as the reference loop), with a masked store so
     // lanes that are not mid-Newton (or whose solve failed) keep their
     // iterate untouched — their max_dv/alpha/max_delta values are computed
     // from garbage and discarded below, never stored.
@@ -1158,8 +875,8 @@ BatchTransientResult run_transient_batch_impl(
       for (std::size_t w = 0; w < W; ++w) {
         if (phase[w] != Phase::kNewton) continue;
         if (lu_status[w] != LaneLu::kOk) {
-          // Scalar newton_step catches the LU throw and reports convergence
-          // failure without touching the iterate.
+          // A failed LU is a convergence failure that leaves the iterate
+          // untouched (the reference Newton step catches the throw).
           reject(w);
           continue;
         }

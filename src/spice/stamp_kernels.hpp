@@ -6,8 +6,10 @@
 /// Device::stamp) and the devirtualized compiled one (compiled.cpp,
 /// CompiledCircuit::stamp_all) — call these kernels, so the two produce
 /// byte-identical MNA systems *by construction*: same expressions, same
-/// evaluation order, same sequence of Mna::add calls. Any change to a
-/// device's companion model belongs here, never in only one caller.
+/// evaluation order, same sequence of Mna::add calls. The lane-batched
+/// transient stamp (compiled_batch.cpp) cannot call them per lane, so it
+/// mirrors them term for term. Any change to a device's companion model
+/// belongs here and there, never in only one caller.
 
 #include <cstddef>
 

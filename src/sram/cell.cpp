@@ -14,8 +14,8 @@ using spice::PulseISource;
 using spice::PulseShape;
 
 StrikeSimulator::StrikeSimulator(const CellDesign& design, double vdd_v,
-                                 AccessMode mode, SpiceEngine engine)
-    : design_(design), vdd_v_(vdd_v), mode_(mode), engine_(engine) {
+                                 AccessMode mode)
+    : design_(design), vdd_v_(vdd_v), mode_(mode) {
   FINSER_REQUIRE(vdd_v > 0.0, "StrikeSimulator: Vdd must be positive");
   if (design_.nfet == nullptr) design_.nfet = &spice::default_nfet();
   if (design_.pfet == nullptr) design_.pfet = &spice::default_pfet();
@@ -96,7 +96,7 @@ StrikeSimulator::StrikeSimulator(const CellDesign& design, double vdd_v,
 
   // The netlist is final: lower it once. Every simulate() from here on is a
   // rebind, never a rebuild.
-  if (engine_ == SpiceEngine::kCompiled) compiled_.emplace(circuit_);
+  compiled_.emplace(circuit_);
 }
 
 void StrikeSimulator::set_pulse_width_scale(double scale) {
@@ -110,15 +110,14 @@ void StrikeSimulator::apply_delta_vt(const DeltaVt& delta_vt) {
   }
 }
 
-std::vector<double> StrikeSimulator::solve_hold(const DeltaVt& delta_vt) {
-  apply_delta_vt(delta_vt);
+std::vector<double> StrikeSimulator::hold_guess() const {
   std::vector<double> guess(circuit_.unknown_count(), 0.0);
   guess[n_q_] = vdd_v_;
   guess[n_qb_] = 0.0;
   guess[n_vdd_] = vdd_v_;
   guess[n_bl_] = vdd_v_;
   guess[n_blb_] = vdd_v_;
-  return spice::solve_dc(circuit_, guess);
+  return guess;
 }
 
 const std::vector<double>& StrikeSimulator::hold_cached(const DeltaVt& delta_vt) {
@@ -132,23 +131,13 @@ const std::vector<double>& StrikeSimulator::hold_cached(const DeltaVt& delta_vt)
     FINSER_OBS_COUNT("sram.strike.dc_reuse", 1);
     return hold_x_;
   }
-  std::vector<double> guess(circuit_.unknown_count(), 0.0);
-  guess[n_q_] = vdd_v_;
-  guess[n_qb_] = 0.0;
-  guess[n_vdd_] = vdd_v_;
-  guess[n_bl_] = vdd_v_;
-  guess[n_blb_] = vdd_v_;
-  hold_x_ = spice::solve_dc(*compiled_, ws_, guess);
+  hold_x_ = spice::solve_dc(*compiled_, ws_, hold_guess());
   hold_dvt_ = delta_vt;
   hold_valid_ = true;
   return hold_x_;
 }
 
 std::array<double, 2> StrikeSimulator::hold_state(const DeltaVt& delta_vt) {
-  if (engine_ == SpiceEngine::kReference) {
-    const auto x = solve_hold(delta_vt);
-    return {x[n_q_], x[n_qb_]};
-  }
   apply_delta_vt(delta_vt);
   compiled_->rebind();
   const auto& x = hold_cached(delta_vt);
@@ -172,6 +161,16 @@ void StrikeSimulator::set_strike_shapes(const StrikeCharges& charges,
   src_i3_->set_shape(shape(charges.i3_fc));
 }
 
+StrikeOutcome StrikeSimulator::finish_wave(const spice::Waveform& wave) const {
+  StrikeOutcome out;
+  out.final_q_v = wave.final_value(0);
+  out.final_qb_v = wave.final_value(1);
+  // Flip detection: the '1' node fell below mid-rail and the '0' node rose
+  // above it (a regenerated cell returns to its rails within the window).
+  out.flipped = out.final_q_v < 0.5 * vdd_v_ && out.final_qb_v > 0.5 * vdd_v_;
+  return out;
+}
+
 StrikeOutcome StrikeSimulator::simulate(const StrikeCharges& charges,
                                         const DeltaVt& delta_vt,
                                         PulseShape::Kind kind) {
@@ -184,30 +183,15 @@ StrikeOutcome StrikeSimulator::simulate(const StrikeCharges& charges,
         "(FINSER_FAULT newton_diverge)");
   }
 
-  const auto finish = [this](const spice::Waveform& wave) {
-    StrikeOutcome out;
-    out.final_q_v = wave.final_value(0);
-    out.final_qb_v = wave.final_value(1);
-    // Flip detection: the '1' node fell below mid-rail and the '0' node rose
-    // above it (a regenerated cell returns to its rails within the window).
-    out.flipped = out.final_q_v < 0.5 * vdd_v_ && out.final_qb_v > 0.5 * vdd_v_;
-    return out;
-  };
-
-  if (engine_ == SpiceEngine::kReference) {
-    const auto x0 = solve_hold(delta_vt);
-    set_strike_shapes(charges, kind);
-    return finish(spice::run_transient(circuit_, x0, topt_, {"q", "qb"}));
-  }
-
-  // Compiled hot path: mutate the source devices exactly as the reference
-  // engine would, then rebind the plan once. The strike shapes are open in
-  // DC, so setting them before the hold solve changes nothing there.
+  // Mutate the source devices, then rebind the plan once. The strike shapes
+  // are open in DC, so setting them before the hold solve changes nothing
+  // there.
   apply_delta_vt(delta_vt);
   set_strike_shapes(charges, kind);
   compiled_->rebind();
   const auto& x0 = hold_cached(delta_vt);
-  return finish(spice::run_transient(*compiled_, ws_, x0, topt_, {"q", "qb"}));
+  return finish_wave(
+      spice::run_transient_single(*compiled_, bw1_, x0, topt_, {"q", "qb"}));
 }
 
 void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
@@ -221,21 +205,6 @@ void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
   if (out.size() < count) out.resize(count);
 
   const std::size_t width = spice::lane_width();
-  if (engine_ == SpiceEngine::kReference || width == 1) {
-    // Scalar reference loop: same per-sample arithmetic by definition.
-    for (std::size_t k = 0; k < count; ++k) {
-      if (!active[k]) continue;
-      out[k] = LaneOutcome{};
-      try {
-        out[k].outcome = simulate(charges[k], dvts[k], kind);
-      } catch (const util::NumericalError& e) {
-        out[k].failed = true;
-        out[k].error = e.what();
-      }
-    }
-    return;
-  }
-
   if (bw_.lanes != width) {
     compiled_->batch_configure(bw_, width);
     hold_lane_valid_.fill(false);
@@ -258,7 +227,7 @@ void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
             "(FINSER_FAULT newton_diverge)";
         continue;
       }
-      // Bind lane g: same setter+rebind sequence as the scalar path, then
+      // Bind lane g: same setter+rebind sequence as simulate(), then
       // captured into the lane's AoSoA slices.
       apply_delta_vt(dvts[k]);
       set_strike_shapes(charges[k], kind);
@@ -274,14 +243,8 @@ void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
         any = true;
         continue;
       }
-      std::vector<double> guess(circuit_.unknown_count(), 0.0);
-      guess[n_q_] = vdd_v_;
-      guess[n_qb_] = 0.0;
-      guess[n_vdd_] = vdd_v_;
-      guess[n_bl_] = vdd_v_;
-      guess[n_blb_] = vdd_v_;
       try {
-        hold_lane_x_[g] = spice::solve_dc(*compiled_, ws_, guess);
+        hold_lane_x_[g] = spice::solve_dc(*compiled_, ws_, hold_guess());
         hold_lane_dvt_[g] = dvts[k];
         hold_lane_valid_[g] = true;
         x0s[g] = hold_lane_x_[g];
@@ -304,11 +267,7 @@ void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
         out[k].error = res.errors[g];
         continue;
       }
-      StrikeOutcome& o = out[k].outcome;
-      o.final_q_v = res.waves[g].final_value(0);
-      o.final_qb_v = res.waves[g].final_value(1);
-      o.flipped =
-          o.final_q_v < 0.5 * vdd_v_ && o.final_qb_v > 0.5 * vdd_v_;
+      out[k].outcome = finish_wave(res.waves[g]);
     }
   }
 }

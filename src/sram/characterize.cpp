@@ -20,10 +20,9 @@ namespace detail {
 /// One StrikeSimulator per pool worker slot, created lazily on the worker's
 /// own thread (the simulator keeps transient-analysis scratch and is not
 /// shareable across threads). Each slot lives for the whole per-voltage
-/// characterization, so with the default compiled engine every worker
-/// compiles its cell circuit exactly once and then rebinds parameters per
-/// sample — across the Qcrit bisections, the PV-sample loops and the grid
-/// stages alike (see spice/compiled.hpp).
+/// characterization, so every worker compiles its cell circuit exactly once
+/// and then rebinds parameters per sample — across the Qcrit bisections, the
+/// PV-sample loops and the grid stages alike (see spice/compiled.hpp).
 struct SimSlots {
   const CellDesign* design;
   double vdd_v;
@@ -73,9 +72,10 @@ StrikeCharges scale_direction(const StrikeCharges& dir, double s) {
 constexpr double kFailedSample = -1.0;
 
 /// Lane-batched bisect_critical_scale for a group of PV samples sharing one
-/// strike direction: every lane runs the scalar bisection verbatim — same
-/// bracket [0, s_max], same probe-then-halve sequence — so the group stays in
-/// lockstep and each lane's result is byte-identical to the scalar call.
+/// strike direction: every lane runs that bisection verbatim — same bracket
+/// [0, s_max], same probe-then-halve sequence — so the group stays in
+/// lockstep and each lane's result is byte-identical to a
+/// bisect_critical_scale() call.
 /// Lanes finish independently (never-flips at the s_max probe, a diverged
 /// solve, or bracket below tol) and are masked off; their slot stays put so
 /// the remaining lanes keep their per-slot DC hold caches. Writes qcrit to
@@ -141,8 +141,8 @@ void bisect_critical_scale_batch(StrikeSimulator& sim,
 /// lane group of nominal boundary rows. All lanes share the search range
 /// [0, np); a lane whose bracket closes is masked off while the rest finish.
 /// Nominal rows are ΔVt-free, so every lane's per-slot DC hold cache hits
-/// after its first iteration. Failures propagate (as in the scalar rows): a
-/// wrong boundary would misplace the whole MC band.
+/// after its first iteration. Failures propagate: a wrong boundary would
+/// misplace the whole MC band.
 template <typename MakeCharges>
 std::vector<std::size_t> boundary_search_batch(StrikeSimulator& sim,
                                                std::size_t group, std::size_t np,
@@ -183,7 +183,7 @@ std::vector<std::size_t> boundary_search_batch(StrikeSimulator& sim,
 /// its own ΔVt stream, so all lanes take the same number of rounds. A lane
 /// whose solve diverges this round just skips the tally (the sample's RNG
 /// draws were already consumed, so later samples are unshifted) — it stays
-/// active for the next round, exactly like the scalar loop.
+/// active for the next round.
 template <typename SampleDvt>
 void mc_group_batch(StrikeSimulator& sim,
                     const std::vector<StrikeCharges>& charges,
@@ -321,50 +321,28 @@ SingleCdf CellCharacterizer::characterize_single(
   // stage's seed, so the result is the same for any thread count, lane width
   // or batch boundary. A sample whose solve diverges is marked with a
   // negative sentinel and excluded from the CDF — never guessed as flip or
-  // no-flip. With lane_width() > 1 the samples advance in SIMD lockstep lane
-  // groups (chunk = lane width, a few dozen SPICE transients per chunk);
-  // lane width 1 keeps the historical chunk = 1 scalar loop.
+  // no-flip. The samples advance in SIMD lockstep lane groups (chunk = lane
+  // width, a few dozen SPICE transients per chunk).
   const std::size_t lanes = spice::lane_width();
   std::vector<double> qcrit(config_.pv_samples_single);
   std::atomic<std::size_t> n_failed{0};
-  if (lanes <= 1) {
-    require_complete(pool.parallel_for_chunks(
-        config_.pv_samples_single, 1,
-        [&](const exec::ChunkRange& r) {
-          StrikeSimulator& sim = sims.at(r.worker);
-          for (std::size_t k = r.begin; k < r.end; ++k) {
-            stats::Rng rng = stats::Rng::stream(seed, k);
-            const DeltaVt dvt = sample_delta_vt(rng);
-            try {
-              qcrit[k] = bisect_critical_scale(sim, dir, dvt, config_.q_max_fc,
-                                               config_.bisect_tol_fc,
-                                               config_.pulse_kind);
-            } catch (const util::NumericalError&) {
-              qcrit[k] = kFailedSample;
-              n_failed.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-        },
-        cancel));
-  } else {
-    require_complete(pool.parallel_for_chunks(
-        config_.pv_samples_single, lanes,
-        [&](const exec::ChunkRange& r) {
-          StrikeSimulator& sim = sims.at(r.worker);
-          const std::size_t group = r.end - r.begin;
-          std::vector<DeltaVt> dvts(group);
-          for (std::size_t g = 0; g < group; ++g) {
-            stats::Rng rng = stats::Rng::stream(seed, r.begin + g);
-            dvts[g] = sample_delta_vt(rng);
-          }
-          std::size_t nf = 0;
-          bisect_critical_scale_batch(sim, dir, dvts, config_.q_max_fc,
-                                      config_.bisect_tol_fc, config_.pulse_kind,
-                                      qcrit.data() + r.begin, nf);
-          if (nf > 0) n_failed.fetch_add(nf, std::memory_order_relaxed);
-        },
-        cancel));
-  }
+  require_complete(pool.parallel_for_chunks(
+      config_.pv_samples_single, lanes,
+      [&](const exec::ChunkRange& r) {
+        StrikeSimulator& sim = sims.at(r.worker);
+        const std::size_t group = r.end - r.begin;
+        std::vector<DeltaVt> dvts(group);
+        for (std::size_t g = 0; g < group; ++g) {
+          stats::Rng rng = stats::Rng::stream(seed, r.begin + g);
+          dvts[g] = sample_delta_vt(rng);
+        }
+        std::size_t nf = 0;
+        bisect_critical_scale_batch(sim, dir, dvts, config_.q_max_fc,
+                                    config_.bisect_tol_fc, config_.pulse_kind,
+                                    qcrit.data() + r.begin, nf);
+        if (nf > 0) n_failed.fetch_add(nf, std::memory_order_relaxed);
+      },
+      cancel));
   cdf.failed_samples = n_failed.load();
   cdf.total_samples = config_.pv_samples_single - cdf.failed_samples;
   attempted += config_.pv_samples_single;
@@ -441,48 +419,23 @@ void CellCharacterizer::characterize_pair(
       static_cast<std::ptrdiff_t>(std::ceil(4.0 * sigma_q_fc / dq)) + 1;
 
   // Nominal boundary per row by binary search (flip region is monotone).
-  // Rows are independent and RNG-free — parallel rows, lane-grouped when the
-  // batched engine is on. Failures propagate: a wrong boundary would
-  // misplace the whole MC band.
+  // Rows are independent and RNG-free — parallel rows in lane groups.
+  // Failures propagate: a wrong boundary would misplace the whole MC band.
   const std::size_t lanes = spice::lane_width();
   std::vector<std::size_t> boundary(np, np);  // First flipping column, np = none.
-  if (lanes <= 1) {
-    require_complete(pool.parallel_for_chunks(
-        np, 1,
-        [&](const exec::ChunkRange& r) {
-      StrikeSimulator& sim = sims.at(r.worker);
-      for (std::size_t i = r.begin; i < r.end; ++i) {
-        std::size_t lo = 0, hi = np;  // Search smallest j with flip in [lo, hi).
-        while (lo < hi) {
-          const std::size_t mid = lo + (hi - lo) / 2;
-          const bool flips = sim.simulate(pair_charges(a, b, axis[i], axis[mid]),
-                                          DeltaVt{}, config_.pulse_kind)
-                                 .flipped;
-          if (flips) {
-            hi = mid;
-          } else {
-            lo = mid + 1;
-          }
-        }
-        boundary[i] = lo;
-      }
-        },
-        cancel));
-  } else {
-    require_complete(pool.parallel_for_chunks(
-        np, lanes,
-        [&](const exec::ChunkRange& r) {
-          StrikeSimulator& sim = sims.at(r.worker);
-          const std::vector<std::size_t> first_flip = boundary_search_batch(
-              sim, r.end - r.begin, np, config_.pulse_kind,
-              [&](std::size_t g, std::size_t mid) {
-                return pair_charges(a, b, axis[r.begin + g], axis[mid]);
-              });
-          std::copy(first_flip.begin(), first_flip.end(),
-                    boundary.begin() + static_cast<std::ptrdiff_t>(r.begin));
-        },
-        cancel));
-  }
+  require_complete(pool.parallel_for_chunks(
+      np, lanes,
+      [&](const exec::ChunkRange& r) {
+        StrikeSimulator& sim = sims.at(r.worker);
+        const std::vector<std::size_t> first_flip = boundary_search_batch(
+            sim, r.end - r.begin, np, config_.pulse_kind,
+            [&](std::size_t g, std::size_t mid) {
+              return pair_charges(a, b, axis[r.begin + g], axis[mid]);
+            });
+        std::copy(first_flip.begin(), first_flip.end(),
+                  boundary.begin() + static_cast<std::ptrdiff_t>(r.begin));
+      },
+      cancel));
 
   std::vector<double> nom_values(np * np);
   for (std::size_t i = 0; i < np; ++i) {
@@ -520,72 +473,35 @@ void CellCharacterizer::characterize_pair(
     }
   }
   std::atomic<std::size_t> n_failed{0};
-  if (lanes <= 1) {
-    require_complete(pool.parallel_for_chunks(
-        mc_cells.size(), 1,
-        [&](const exec::ChunkRange& r) {
-      StrikeSimulator& sim = sims.at(r.worker);
-      for (std::size_t c = r.begin; c < r.end; ++c) {
-        const std::size_t cell = mc_cells[c];
-        const std::size_t i = cell / np;
-        const std::size_t j = cell % np;
-        stats::Rng rng = stats::Rng::stream(seed, cell);
-        std::size_t flips = 0;
-        std::size_t ok = 0;
-        for (std::size_t k = 0; k < config_.pv_samples_grid; ++k) {
-          // Draw the PV sample before the solve: a failed sample consumes the
-          // same RNG stream, so later samples are unshifted.
-          const DeltaVt dvt = sample_delta_vt(rng);
-          try {
-            if (sim.simulate(pair_charges(a, b, axis[i], axis[j]), dvt,
-                             config_.pulse_kind)
-                    .flipped) {
-              ++flips;
-            }
-            ++ok;
-          } catch (const util::NumericalError&) {
-            n_failed.fetch_add(1, std::memory_order_relaxed);
-          }
+  require_complete(pool.parallel_for_chunks(
+      mc_cells.size(), lanes,
+      [&](const exec::ChunkRange& r) {
+        StrikeSimulator& sim = sims.at(r.worker);
+        const std::size_t group = r.end - r.begin;
+        std::vector<StrikeCharges> charges(group);
+        std::vector<stats::Rng> rngs;
+        rngs.reserve(group);
+        for (std::size_t g = 0; g < group; ++g) {
+          const std::size_t cell = mc_cells[r.begin + g];
+          charges[g] = pair_charges(a, b, axis[cell / np], axis[cell % np]);
+          rngs.push_back(stats::Rng::stream(seed, cell));
         }
-        // Failures shrink the denominator; if every sample failed, fall back
-        // to the nominal value rather than invent a probability.
-        pv_values[cell] = ok > 0 ? static_cast<double>(flips) /
-                                       static_cast<double>(ok)
-                                 : nom_values[cell];
-      }
-        },
-        cancel));
-  } else {
-    require_complete(pool.parallel_for_chunks(
-        mc_cells.size(), lanes,
-        [&](const exec::ChunkRange& r) {
-          StrikeSimulator& sim = sims.at(r.worker);
-          const std::size_t group = r.end - r.begin;
-          std::vector<StrikeCharges> charges(group);
-          std::vector<stats::Rng> rngs;
-          rngs.reserve(group);
-          for (std::size_t g = 0; g < group; ++g) {
-            const std::size_t cell = mc_cells[r.begin + g];
-            charges[g] = pair_charges(a, b, axis[cell / np], axis[cell % np]);
-            rngs.push_back(stats::Rng::stream(seed, cell));
-          }
-          std::vector<std::size_t> flips(group, 0);
-          std::vector<std::size_t> ok(group, 0);
-          mc_group_batch(
-              sim, charges, rngs, config_.pv_samples_grid, config_.pulse_kind,
-              [this](stats::Rng& rng) { return sample_delta_vt(rng); }, flips,
-              ok, n_failed);
-          for (std::size_t g = 0; g < group; ++g) {
-            const std::size_t cell = mc_cells[r.begin + g];
-            // Failures shrink the denominator; if every sample failed, fall
-            // back to the nominal value rather than invent a probability.
-            pv_values[cell] = ok[g] > 0 ? static_cast<double>(flips[g]) /
-                                              static_cast<double>(ok[g])
-                                        : nom_values[cell];
-          }
-        },
-        cancel));
-  }
+        std::vector<std::size_t> flips(group, 0);
+        std::vector<std::size_t> ok(group, 0);
+        mc_group_batch(
+            sim, charges, rngs, config_.pv_samples_grid, config_.pulse_kind,
+            [this](stats::Rng& rng) { return sample_delta_vt(rng); }, flips,
+            ok, n_failed);
+        for (std::size_t g = 0; g < group; ++g) {
+          const std::size_t cell = mc_cells[r.begin + g];
+          // Failures shrink the denominator; if every sample failed, fall
+          // back to the nominal value rather than invent a probability.
+          pv_values[cell] = ok[g] > 0 ? static_cast<double>(flips[g]) /
+                                            static_cast<double>(ok[g])
+                                      : nom_values[cell];
+        }
+      },
+      cancel));
   attempted += mc_cells.size() * config_.pv_samples_grid;
   failed += n_failed.load();
 
@@ -608,58 +524,28 @@ void CellCharacterizer::characterize_triple(
   };
 
   // Nominal: binary search the first flipping k for each (i, j) — RNG-free,
-  // one parallel item per (i, j) column, lane-grouped when the batched
-  // engine is on.
+  // one parallel item per (i, j) column, in lane groups.
   const std::size_t lanes = spice::lane_width();
   std::vector<double> nom_values(np * np * np);
-  if (lanes <= 1) {
-    require_complete(pool.parallel_for_chunks(
-        np * np, 1,
-        [&](const exec::ChunkRange& r) {
-      StrikeSimulator& sim = sims.at(r.worker);
-      for (std::size_t ij = r.begin; ij < r.end; ++ij) {
-        const std::size_t i = ij / np;
-        const std::size_t j = ij % np;
-        std::size_t lo = 0, hi = np;
-        while (lo < hi) {
-          const std::size_t mid = lo + (hi - lo) / 2;
-          const bool flips =
-              sim.simulate(StrikeCharges{axis[i], axis[j], axis[mid]}, DeltaVt{},
-                           config_.pulse_kind)
-                  .flipped;
-          if (flips) {
-            hi = mid;
-          } else {
-            lo = mid + 1;
+  require_complete(pool.parallel_for_chunks(
+      np * np, lanes,
+      [&](const exec::ChunkRange& r) {
+        StrikeSimulator& sim = sims.at(r.worker);
+        const std::vector<std::size_t> first_flip = boundary_search_batch(
+            sim, r.end - r.begin, np, config_.pulse_kind,
+            [&](std::size_t g, std::size_t mid) {
+              const std::size_t ij = r.begin + g;
+              return StrikeCharges{axis[ij / np], axis[ij % np], axis[mid]};
+            });
+        for (std::size_t g = 0; g < r.end - r.begin; ++g) {
+          const std::size_t ij = r.begin + g;
+          for (std::size_t k = 0; k < np; ++k) {
+            nom_values[idx(ij / np, ij % np, k)] =
+                k >= first_flip[g] ? 1.0 : 0.0;
           }
         }
-        for (std::size_t k = 0; k < np; ++k) {
-          nom_values[idx(i, j, k)] = k >= lo ? 1.0 : 0.0;
-        }
-      }
-        },
-        cancel));
-  } else {
-    require_complete(pool.parallel_for_chunks(
-        np * np, lanes,
-        [&](const exec::ChunkRange& r) {
-          StrikeSimulator& sim = sims.at(r.worker);
-          const std::vector<std::size_t> first_flip = boundary_search_batch(
-              sim, r.end - r.begin, np, config_.pulse_kind,
-              [&](std::size_t g, std::size_t mid) {
-                const std::size_t ij = r.begin + g;
-                return StrikeCharges{axis[ij / np], axis[ij % np], axis[mid]};
-              });
-          for (std::size_t g = 0; g < r.end - r.begin; ++g) {
-            const std::size_t ij = r.begin + g;
-            for (std::size_t k = 0; k < np; ++k) {
-              nom_values[idx(ij / np, ij % np, k)] =
-                  k >= first_flip[g] ? 1.0 : 0.0;
-            }
-          }
-        },
-        cancel));
-  }
+      },
+      cancel));
 
   std::vector<double> pv_values = nom_values;
   std::vector<std::size_t> mc_cells;
@@ -693,68 +579,34 @@ void CellCharacterizer::characterize_triple(
     }
   }
   std::atomic<std::size_t> n_failed{0};
-  if (lanes <= 1) {
-    require_complete(pool.parallel_for_chunks(
-        mc_cells.size(), 1,
-        [&](const exec::ChunkRange& r) {
-      StrikeSimulator& sim = sims.at(r.worker);
-      for (std::size_t c = r.begin; c < r.end; ++c) {
-        const std::size_t cell = mc_cells[c];
-        const std::size_t k = cell % np;
-        const std::size_t j = (cell / np) % np;
-        const std::size_t i = cell / (np * np);
-        stats::Rng rng = stats::Rng::stream(seed, cell);
-        std::size_t flips = 0;
-        std::size_t ok = 0;
-        for (std::size_t s = 0; s < config_.pv_samples_grid; ++s) {
-          const DeltaVt dvt = sample_delta_vt(rng);  // Drawn even if the solve fails.
-          try {
-            if (sim.simulate(StrikeCharges{axis[i], axis[j], axis[k]}, dvt,
-                             config_.pulse_kind)
-                    .flipped) {
-              ++flips;
-            }
-            ++ok;
-          } catch (const util::NumericalError&) {
-            n_failed.fetch_add(1, std::memory_order_relaxed);
-          }
+  require_complete(pool.parallel_for_chunks(
+      mc_cells.size(), lanes,
+      [&](const exec::ChunkRange& r) {
+        StrikeSimulator& sim = sims.at(r.worker);
+        const std::size_t group = r.end - r.begin;
+        std::vector<StrikeCharges> charges(group);
+        std::vector<stats::Rng> rngs;
+        rngs.reserve(group);
+        for (std::size_t g = 0; g < group; ++g) {
+          const std::size_t cell = mc_cells[r.begin + g];
+          charges[g] = StrikeCharges{axis[cell / (np * np)],
+                                     axis[(cell / np) % np], axis[cell % np]};
+          rngs.push_back(stats::Rng::stream(seed, cell));
         }
-        pv_values[cell] = ok > 0 ? static_cast<double>(flips) /
-                                       static_cast<double>(ok)
-                                 : nom_values[cell];
-      }
-        },
-        cancel));
-  } else {
-    require_complete(pool.parallel_for_chunks(
-        mc_cells.size(), lanes,
-        [&](const exec::ChunkRange& r) {
-          StrikeSimulator& sim = sims.at(r.worker);
-          const std::size_t group = r.end - r.begin;
-          std::vector<StrikeCharges> charges(group);
-          std::vector<stats::Rng> rngs;
-          rngs.reserve(group);
-          for (std::size_t g = 0; g < group; ++g) {
-            const std::size_t cell = mc_cells[r.begin + g];
-            charges[g] = StrikeCharges{axis[cell / (np * np)],
-                                       axis[(cell / np) % np], axis[cell % np]};
-            rngs.push_back(stats::Rng::stream(seed, cell));
-          }
-          std::vector<std::size_t> flips(group, 0);
-          std::vector<std::size_t> ok(group, 0);
-          mc_group_batch(
-              sim, charges, rngs, config_.pv_samples_grid, config_.pulse_kind,
-              [this](stats::Rng& rng) { return sample_delta_vt(rng); }, flips,
-              ok, n_failed);
-          for (std::size_t g = 0; g < group; ++g) {
-            const std::size_t cell = mc_cells[r.begin + g];
-            pv_values[cell] = ok[g] > 0 ? static_cast<double>(flips[g]) /
-                                              static_cast<double>(ok[g])
-                                        : nom_values[cell];
-          }
-        },
-        cancel));
-  }
+        std::vector<std::size_t> flips(group, 0);
+        std::vector<std::size_t> ok(group, 0);
+        mc_group_batch(
+            sim, charges, rngs, config_.pv_samples_grid, config_.pulse_kind,
+            [this](stats::Rng& rng) { return sample_delta_vt(rng); }, flips,
+            ok, n_failed);
+        for (std::size_t g = 0; g < group; ++g) {
+          const std::size_t cell = mc_cells[r.begin + g];
+          pv_values[cell] = ok[g] > 0 ? static_cast<double>(flips[g]) /
+                                            static_cast<double>(ok[g])
+                                      : nom_values[cell];
+        }
+      },
+      cancel));
   attempted += mc_cells.size() * config_.pv_samples_grid;
   failed += n_failed.load();
 

@@ -220,7 +220,8 @@ ClusterSimulator::Outcome ClusterSimulator::simulate(
     PulseShape::Kind kind) {
   bind(strikes, dvts, kind);
   const auto x0 = spice::solve_dc(*compiled_, ws_, hold_guess());
-  return finish_wave(spice::run_transient(*compiled_, ws_, x0, topt_, probes_));
+  return finish_wave(
+      spice::run_transient_single(*compiled_, bw1_, x0, topt_, probes_));
 }
 
 void ClusterSimulator::simulate_batch(
@@ -231,18 +232,6 @@ void ClusterSimulator::simulate_batch(
   out.assign(count, Outcome{});
 
   const std::size_t width = spice::lane_width();
-  if (width == 1) {
-    for (std::size_t k = 0; k < count; ++k) {
-      try {
-        out[k] = simulate(strikes, dvt_samples[k], kind);
-      } catch (const util::NumericalError& e) {
-        out[k].failed = true;
-        out[k].error = e.what();
-      }
-    }
-    return;
-  }
-
   if (bw_.lanes != width) compiled_->batch_configure(bw_, width);
 
   std::vector<std::vector<double>> x0s;
@@ -252,7 +241,7 @@ void ClusterSimulator::simulate_batch(
     bool any = false;
     for (std::size_t g = 0; g < group; ++g) {
       const std::size_t k = offset + g;
-      // Bind lane g: same setter+rebind sequence as the scalar path, then
+      // Bind lane g: same setter+rebind sequence as simulate(), then
       // captured into the lane's AoSoA slices. The DC hold solve stays
       // scalar (one per sample; the joint transient dominates the cost).
       bind(strikes, dvt_samples[k], kind);
@@ -277,24 +266,16 @@ void ClusterSimulator::simulate_batch(
         out[k].error = res.errors[g];
         continue;
       }
-      Outcome& o = out[k];
-      o.flipped.assign(cell_count(), 0);
-      o.flip_count = 0;
-      for (std::size_t i = 0; i < cell_count(); ++i) {
-        const double q = res.waves[g].final_value(2 * i);
-        const double qb = res.waves[g].final_value(2 * i + 1);
-        if (q < 0.5 * vdd_v_ && qb > 0.5 * vdd_v_) {
-          o.flipped[i] = 1;
-          ++o.flip_count;
-        }
-      }
+      out[k] = finish_wave(res.waves[g]);
     }
   }
 }
 
 void ClusterSimulator::reset_pivot_caches() {
   ws_.pivot.invalidate();
-  for (spice::Mna::PivotCache& cache : bw_.pivot) cache.invalidate();
+  for (spice::BatchWorkspace* bw : {&bw1_, &bw_}) {
+    for (spice::Mna::PivotCache& cache : bw->pivot) cache.invalidate();
+  }
 }
 
 // ---------------------------------------------------------------------------

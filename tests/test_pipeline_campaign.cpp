@@ -18,6 +18,7 @@
 
 #include "finser/obs/obs.hpp"
 #include "finser/pipeline/campaign.hpp"
+#include "finser/spice/batch.hpp"
 #include "finser/util/error.hpp"
 #include "finser/util/io.hpp"
 
@@ -515,13 +516,22 @@ std::map<std::string, std::vector<std::uint8_t>> files_under(
 }
 
 /// A cold campaign with CSV outputs and an artifact store runs device-LUT
-/// stages beside characterization; at 1 and 4 threads the CSVs must be the
-/// same bytes and the stores must hold the same artifacts.
+/// stages beside characterization; at 1 and 4 threads, and at lane width 1,
+/// the CSVs must be the same bytes and the stores must hold the same
+/// artifacts.
 TEST(CampaignRunner, ColdCampaignOutputsAreThreadCountInvariant) {
-  std::map<std::string, std::vector<std::uint8_t>> csvs[2];
-  std::vector<ArtifactStore::Entry> inventories[2];
-  const std::size_t thread_counts[2] = {1, 4};
-  for (int run = 0; run < 2; ++run) {
+  // 1 and 4 threads at the auto lane width, then lane width 1.
+  constexpr int kRuns = 3;
+  std::map<std::string, std::vector<std::uint8_t>> csvs[kRuns];
+  std::vector<ArtifactStore::Entry> inventories[kRuns];
+  const std::size_t thread_counts[kRuns] = {1, 4, 4};
+  const std::size_t lane_widths[kRuns] = {0, 0, 1};
+  // CampaignRunner pins a non-zero width for the whole process; restore
+  // the auto width however the test exits.
+  struct AutoLaneWidth {
+    ~AutoLaneWidth() { spice::set_lane_width(0); }
+  } restore;
+  for (int run = 0; run < kRuns; ++run) {
     const std::string root =
         temp_dir(("finser_campaign_threads_" + std::to_string(run)).c_str());
     std::filesystem::remove_all(root);
@@ -531,6 +541,7 @@ TEST(CampaignRunner, ColdCampaignOutputsAreThreadCountInvariant) {
     spec.output_dir = root + "/out";
     spec.artifact_dir = root + "/artifacts";
     spec.threads = thread_counts[run];
+    spec.lanes = lane_widths[run];
     ScenarioSpec a;
     a.name = "a";
     a.species = {"alpha", "proton"};
@@ -552,18 +563,21 @@ TEST(CampaignRunner, ColdCampaignOutputsAreThreadCountInvariant) {
         "eh_pairs_alpha.csv", "eh_pairs_proton.csv"}) {
     EXPECT_EQ(csvs[0].count(name), 1u) << name;
   }
-  EXPECT_TRUE(csvs[0] == csvs[1]) << "CSV bytes differ between 1 and 4 threads";
-
-  ASSERT_EQ(inventories[0].size(), inventories[1].size());
   EXPECT_FALSE(inventories[0].empty());
-  for (std::size_t i = 0; i < inventories[0].size(); ++i) {
-    const ArtifactStore::Entry& x = inventories[0][i];
-    const ArtifactStore::Entry& y = inventories[1][i];
-    EXPECT_EQ(x.key.kind, y.key.kind);
-    EXPECT_EQ(x.key.fingerprint, y.key.fingerprint);
-    EXPECT_EQ(x.bytes, y.bytes) << x.key.kind;
-    EXPECT_TRUE(x.ok && y.ok) << x.key.kind << ": " << x.status << " / "
-                              << y.status;
+  for (int run = 1; run < kRuns; ++run) {
+    EXPECT_TRUE(csvs[0] == csvs[run])
+        << "CSV bytes differ at " << thread_counts[run] << " threads, lane "
+        << "width " << lane_widths[run];
+    ASSERT_EQ(inventories[0].size(), inventories[run].size());
+    for (std::size_t i = 0; i < inventories[0].size(); ++i) {
+      const ArtifactStore::Entry& x = inventories[0][i];
+      const ArtifactStore::Entry& y = inventories[run][i];
+      EXPECT_EQ(x.key.kind, y.key.kind);
+      EXPECT_EQ(x.key.fingerprint, y.key.fingerprint);
+      EXPECT_EQ(x.bytes, y.bytes) << x.key.kind;
+      EXPECT_TRUE(x.ok && y.ok) << x.key.kind << ": " << x.status << " / "
+                                << y.status;
+    }
   }
 }
 

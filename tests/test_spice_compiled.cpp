@@ -1,17 +1,19 @@
 /// \file test_spice_compiled.cpp
 /// \brief Equivalence contract of the compiled SPICE path.
 ///
-/// The compiled (devirtualized, rebindable) evaluation path must be
-/// *byte-identical* to the polymorphic reference path — same MNA matrices,
-/// same solutions, same waveforms, same strike outcomes — on randomized
-/// device soups as well as on the real SRAM cell, including across
-/// parameter rebinds, warm solver workspaces and a kill-and-resume
-/// characterization run. These tests are the license for the compiled path
-/// to be the default engine everywhere.
+/// The compiled (devirtualized, rebindable) evaluation path — DC through the
+/// fused kernel, transients through the lane-batched engine at every width,
+/// W = 1 included — must be *byte-identical* to the polymorphic reference
+/// path: same MNA matrices, same solutions, same waveforms, same strike
+/// outcomes, on randomized device soups as well as on the real SRAM cell,
+/// including across parameter rebinds, warm solver workspaces and a
+/// kill-and-resume characterization run. These tests are the license for
+/// the compiled path to be the engine everywhere outside the tests.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -151,47 +153,59 @@ TEST(SpiceCompiled, RandomSoupStampsAreByteIdentical) {
     cc.stamp_all(cmp, ctx);
     expect_same_system(ref, cmp, n, "dc");
 
-    // Transient stamp: fresh state from a random operating point, then two
-    // accepted steps so the capacitor histories (kept separately by each
-    // path) must evolve in lockstep.
+    // Transient stamp: compiled transients stamp through the lane-batched
+    // hooks, here at width 1. Fresh state from a random operating point,
+    // then two accepted steps so the capacitor histories (kept by the
+    // devices and by the lane) must evolve in lockstep.
     const std::vector<double> x0 = random_iterate(rng, n);
     for (const auto& dev : c.devices()) dev->initialize_state(x0);
-    cc.initialize_state(x0);
+    BatchWorkspace bw;
+    cc.batch_configure(bw, 1);
+    cc.batch_initialize_state(bw, 0, x0);
     ctx.transient = true;
     ctx.method = rng.uniform() < 0.5 ? Integrator::kBackwardEuler
                                      : Integrator::kTrapezoidal;
-    std::vector<double> x_step = x0;
     double t = 0.0;
     for (int step = 0; step < 2; ++step) {
       ctx.dt = rng.uniform(1e-15, 1e-12);
       t += ctx.dt;
       ctx.time = t;
-      x_step = random_iterate(rng, n);
+      const std::vector<double> x_step = random_iterate(rng, n);
       ctx.x = &x_step;
       ref.clear();
-      cmp.clear();
       for (const auto& dev : c.devices()) dev->stamp(ref, ctx);
-      cc.stamp_all(cmp, ctx);
-      expect_same_system(ref, cmp, n, step == 0 ? "tran step 0" : "tran step 1");
+      bw.x_try = x_step;
+      std::fill(bw.fa.begin(), bw.fa.end(), 0.0);
+      std::fill(bw.fb.begin(), bw.fb.end(), 0.0);
+      cc.batch_stamp_fused<1>(bw, &ctx.time, &ctx.dt, ctx.method);
+      const char* where = step == 0 ? "tran step 0" : "tran step 1";
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(bw.fb[i], ref.rhs_at(i)) << where << ": rhs row " << i;
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(bw.fa[i * n + j], ref.matrix_at(i, j))
+              << where << ": entry (" << i << ", " << j << ")";
+        }
+      }
       for (const auto& dev : c.devices()) dev->commit(ctx);
-      cc.commit(ctx);
+      bw.x = x_step;
+      cc.batch_commit(bw, 0, ctx.time, ctx.dt, ctx.method);
     }
 
     // Breakpoints (order-insensitive by contract: the engine sorts them).
     std::vector<double> b_ref;
     std::vector<double> b_cmp;
     for (const auto& dev : c.devices()) dev->add_breakpoints(1e-11, b_ref);
-    cc.add_breakpoints(1e-11, b_cmp);
+    cc.batch_add_breakpoints(bw, 0, 1e-11, b_cmp);
     std::sort(b_ref.begin(), b_ref.end());
     std::sort(b_cmp.begin(), b_cmp.end());
     ASSERT_EQ(b_ref, b_cmp);
   }
 }
 
-// The fused stamp path (raw flat arrays + precomputed slot indices, used by
-// the compiled Newton kernel) must produce the same dense system as the
-// Mna-based stamp, entry for entry, with every ground contribution absorbed
-// by the trailing scratch slots.
+// The fused DC stamp path (raw flat arrays + precomputed slot indices, used
+// by the compiled DC Newton kernel) must produce the same dense system as
+// the Mna-based stamp, entry for entry, with every ground contribution
+// absorbed by the trailing scratch slots.
 TEST(SpiceCompiled, FusedStampMatchesMnaOnSoups) {
   stats::Rng rng(19830426);
   for (int trial = 0; trial < 40; ++trial) {
@@ -223,20 +237,6 @@ TEST(SpiceCompiled, FusedStampMatchesMnaOnSoups) {
     };
 
     check("dc");
-
-    cc.initialize_state(x);
-    ctx.transient = true;
-    ctx.method = rng.uniform() < 0.5 ? Integrator::kBackwardEuler
-                                     : Integrator::kTrapezoidal;
-    double t = 0.0;
-    for (int step = 0; step < 2; ++step) {
-      ctx.dt = rng.uniform(1e-15, 1e-12);
-      t += ctx.dt;
-      ctx.time = t;
-      x = random_iterate(rng, n);
-      check(step == 0 ? "tran step 0" : "tran step 1");
-      cc.commit(ctx);
-    }
   }
 }
 
@@ -323,12 +323,21 @@ void expect_same_waveform(const Waveform& a, const Waveform& b,
   }
 }
 
+// DC through the compiled kernel and transients through the batched engine
+// at widths 1, 4 and 8 must match the interpreted engine across rebinds,
+// with every workspace warm from the previous pass. Each pass runs its one
+// binding in a different lane, the lanes before it masked off.
 TEST(SpiceCompiled, SolutionsMatchAcrossRebindsAndWarmWorkspace) {
   stats::Rng rng(77);
   for (int trial = 0; trial < 5; ++trial) {
     SolvableCircuit s = make_solvable(rng);
     CompiledCircuit cc(s.c);
     SolveWorkspace ws;  // Deliberately reused across every solve below.
+    std::array<BatchWorkspace, 3> bws;  // Likewise, one per width.
+    const std::array<std::size_t, 3> widths{1, 4, 8};
+    for (std::size_t k = 0; k < bws.size(); ++k) {
+      cc.batch_configure(bws[k], widths[k]);
+    }
 
     TransientOptions topt;
     topt.t_end = 20e-12;
@@ -346,14 +355,24 @@ TEST(SpiceCompiled, SolutionsMatchAcrossRebindsAndWarmWorkspace) {
       expect_same_vector(x_ref, x_cmp, "dc");
 
       const Waveform w_ref = run_transient(s.c, x_ref, topt, {"out", "out2"});
-      const Waveform w_cmp = run_transient(cc, ws, x_cmp, topt, {"out", "out2"});
-      expect_same_waveform(w_ref, w_cmp, "transient");
+      for (BatchWorkspace& bw : bws) {
+        const std::size_t lane = static_cast<std::size_t>(pass) % bw.lanes;
+        cc.batch_rebind_lane(bw, lane);
+        std::vector<std::vector<double>> x0(lane + 1);
+        x0[lane] = x_cmp;
+        const BatchTransientResult res =
+            run_transient_batch(cc, bw, x0, topt, {"out", "out2"});
+        ASSERT_FALSE(res.failed[lane]) << res.errors[lane];
+        expect_same_waveform(
+            w_ref, res.waves[lane],
+            ("transient, width " + std::to_string(bw.lanes)).c_str());
+      }
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Lane-batched engine: byte-equality against the scalar compiled path
+// Lane-batched engine: byte-equality against the interpreted reference
 // ---------------------------------------------------------------------------
 
 /// Restores the auto lane-width resolution no matter how a test exits.
@@ -421,10 +440,10 @@ void bind_params(SolvableCircuit& s, CompiledCircuit& cc, const LaneParams& p) {
   cc.rebind();
 }
 
-// The batched transient must reproduce the scalar compiled engine byte for
-// byte, per lane, for every compiled width — including lanes carrying
-// different supply voltages, ΔVt and pulse shapes, and ragged tails where
-// only some lanes are occupied.
+// The batched transient must reproduce the interpreted reference engine
+// byte for byte, per lane, for every compiled width — including lanes
+// carrying different supply voltages, ΔVt and pulse shapes, and ragged
+// tails where only some lanes are occupied.
 TEST(SpiceBatch, BatchTransientMatchesScalarPerLane) {
   stats::Rng rng(271828);
   TransientOptions topt;
@@ -433,20 +452,19 @@ TEST(SpiceBatch, BatchTransientMatchesScalarPerLane) {
   for (int trial = 0; trial < 3; ++trial) {
     SolvableCircuit s = make_solvable(rng);
     CompiledCircuit cc(s.c);
-    SolveWorkspace ws;
 
     // Eight parameter sets; each width consumes a prefix, so the same lane
     // is checked under every width.
     std::vector<LaneParams> params;
     for (int k = 0; k < 8; ++k) params.push_back(random_params(rng));
 
-    // Scalar references.
+    // Interpreted references.
     std::vector<std::vector<double>> x0(params.size());
     std::vector<Waveform> ref;
     for (std::size_t k = 0; k < params.size(); ++k) {
       bind_params(s, cc, params[k]);
-      x0[k] = solve_dc(cc, ws);
-      ref.push_back(run_transient(cc, ws, x0[k], topt, {"out", "out2"}));
+      x0[k] = solve_dc(s.c);
+      ref.push_back(run_transient(s.c, x0[k], topt, {"out", "out2"}));
     }
 
     for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
@@ -512,22 +530,29 @@ namespace finser::sram {
 namespace {
 
 // ---------------------------------------------------------------------------
-// StrikeSimulator: reference vs compiled engine
+// StrikeSimulator against the interpreted reference engine
 // ---------------------------------------------------------------------------
 
+// simulate() (compiled DC hold solve + one-lane batched transient) and
+// hold_state() must match solve_dc/run_transient of the interpreted engine on
+// the simulator's own 6T netlist: after each simulate() its devices carry
+// that sample's ΔVt and strike shapes, so the reference replays the sample.
 TEST(SpiceCompiled, StrikeSimulatorEnginesAgreeExactly) {
   const CellDesign design;
   stats::Rng rng(4242);
   for (double vdd : {0.7, 1.0}) {
-    StrikeSimulator ref(design, vdd, AccessMode::kRetention,
-                        SpiceEngine::kReference);
-    StrikeSimulator fast(design, vdd, AccessMode::kRetention,
-                         SpiceEngine::kCompiled);
-    EXPECT_EQ(fast.engine(), SpiceEngine::kCompiled);
+    StrikeSimulator sim(design, vdd);
+    const spice::Circuit& c = sim.circuit();
+    std::vector<double> guess(c.unknown_count(), 0.0);
+    for (const char* node : {"q", "vdd", "bl", "blb"}) {
+      guess[c.find_node(node)] = vdd;
+    }
+    const std::size_t nq = c.find_node("q");
+    const std::size_t nqb = c.find_node("qb");
 
     DeltaVt dvt{};
     for (int trial = 0; trial < 6; ++trial) {
-      // Re-use each ΔVt twice to exercise the compiled DC hold cache: the
+      // Re-use each ΔVt twice to exercise the DC hold cache: the
       // cached-hold simulate must still match the reference bit-for-bit.
       if (trial % 2 == 0) {
         for (double& v : dvt) v = rng.normal(0.0, design.sigma_vt);
@@ -536,16 +561,19 @@ TEST(SpiceCompiled, StrikeSimulatorEnginesAgreeExactly) {
                             rng.uniform(0.0, 0.3)};
       const auto kind = trial % 2 == 0 ? spice::PulseShape::Kind::kRectangular
                                        : spice::PulseShape::Kind::kTriangular;
-      const StrikeOutcome a = ref.simulate(q, dvt, kind);
-      const StrikeOutcome b = fast.simulate(q, dvt, kind);
-      EXPECT_EQ(a.flipped, b.flipped) << "vdd " << vdd << ", trial " << trial;
-      EXPECT_EQ(a.final_q_v, b.final_q_v);
-      EXPECT_EQ(a.final_qb_v, b.final_qb_v);
+      const StrikeOutcome got = sim.simulate(q, dvt, kind);
+      const std::vector<double> x0 = spice::solve_dc(c, guess);
+      const spice::Waveform want =
+          spice::run_transient(c, x0, sim.transient_options(), {"q", "qb"});
+      EXPECT_EQ(got.final_q_v, want.final_value(0))
+          << "vdd " << vdd << ", trial " << trial;
+      EXPECT_EQ(got.final_qb_v, want.final_value(1));
+      EXPECT_EQ(got.flipped, want.final_value(0) < 0.5 * vdd &&
+                                 want.final_value(1) > 0.5 * vdd);
 
-      const auto h_ref = ref.hold_state(dvt);
-      const auto h_cmp = fast.hold_state(dvt);
-      EXPECT_EQ(h_ref[0], h_cmp[0]);
-      EXPECT_EQ(h_ref[1], h_cmp[1]);
+      const auto hold = sim.hold_state(dvt);
+      EXPECT_EQ(hold[0], x0[nq]);
+      EXPECT_EQ(hold[1], x0[nqb]);
     }
   }
 }
@@ -652,7 +680,7 @@ TEST(SpiceBatch, MaskedLanesAreUntouched) {
 }
 
 // The full characterization table — CDFs, nominal boundaries, grid MC — must
-// be byte-identical for every lane width (the scalar width is the reference).
+// be byte-identical for every lane width.
 TEST(SpiceBatch, CharacterizeAtAgreesAcrossLaneWidths) {
   CharacterizerConfig cfg;
   cfg.vdds = {0.8};

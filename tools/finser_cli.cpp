@@ -33,6 +33,7 @@
 ///   lut_cache = finser_out/pof_luts.bin
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -106,10 +107,10 @@ void print_help() {
       "                 multi-cell tile with one joint circuit simulation;\n"
       "                 sets FINSER_CLUSTER so shard workers inherit it;\n"
       "                 docs/charge_sharing.md)\n"
-      "  --lanes N      SPICE engine lane width: 0 = auto (FINSER_LANES, else\n"
-      "                 the widest compiled vector unit), 1 = scalar\n"
-      "                 reference, 4 or 8 = batched; never changes the\n"
-      "                 results (docs/spice.md)\n"
+      "  --lanes N      SPICE lane width: how many transients the compiled\n"
+      "                 engine advances per step: 0 = auto (FINSER_LANES,\n"
+      "                 else the widest compiled vector unit), 1, 4 or 8;\n"
+      "                 never changes the results (docs/spice.md)\n"
       "  --resume PATH  checkpoint file stem for `run`: progress is saved\n"
       "                 there periodically and on SIGINT/SIGTERM, and a\n"
       "                 matching checkpoint found at start is resumed —\n"
@@ -162,24 +163,39 @@ std::vector<std::string> split_list(const std::string& csv) {
   return out;
 }
 
+/// Integer config value no smaller than \p min, checked before any unsigned
+/// cast can wrap it. The bounds are the campaign parser's: counts and sizes
+/// at least 1, seeds and thread counts at least 0.
+std::uint64_t get_bounded(const util::KeyValueConfig& cfg,
+                          const std::string& key, long long fallback,
+                          long long min) {
+  const long long v = cfg.get_int(key, fallback);
+  if (v < min) {
+    throw util::InvalidArgument("config value for " + key + " (line " +
+                                std::to_string(cfg.line_of(key)) +
+                                ") must be >= " + std::to_string(min) +
+                                ", got " + std::to_string(v));
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 core::SerFlowConfig flow_config_from(const util::KeyValueConfig& cfg,
                                      std::size_t cli_threads) {
   core::SerFlowConfig flow;
-  flow.array_rows = static_cast<std::size_t>(cfg.get_int("array.rows", 9));
-  flow.array_cols = static_cast<std::size_t>(cfg.get_int("array.cols", 9));
+  flow.array_rows = get_bounded(cfg, "array.rows", 9, 1);
+  flow.array_cols = get_bounded(cfg, "array.cols", 9, 1);
   flow.characterization.vdds =
       cfg.get_double_list("cell.vdds", {0.7, 0.8, 0.9, 1.0, 1.1});
   flow.cell_design.sigma_vt = cfg.get_double("cell.sigma_vt", 0.05);
   flow.cell_design.cnode_f = cfg.get_double("cell.cnode_ff", 0.17) * 1e-15;
   flow.characterization.pv_samples_single =
-      static_cast<std::size_t>(cfg.get_int("mc.pv_samples", 200));
-  flow.array_mc.strikes = static_cast<std::size_t>(cfg.get_int("mc.strikes", 60000));
+      get_bounded(cfg, "mc.pv_samples", 200, 1);
+  flow.array_mc.strikes = get_bounded(cfg, "mc.strikes", 60000, 1);
   flow.neutron_mc.histories = flow.array_mc.strikes;
-  flow.seed = static_cast<std::uint64_t>(cfg.get_int("mc.seed", 20140601));
+  flow.seed = get_bounded(cfg, "mc.seed", 20140601, 0);
   // CLI --threads wins over the config key; both 0 = auto.
-  flow.threads = cli_threads > 0
-                     ? cli_threads
-                     : static_cast<std::size_t>(cfg.get_int("mc.threads", 0));
+  flow.threads =
+      cli_threads > 0 ? cli_threads : get_bounded(cfg, "mc.threads", 0, 0);
   flow.lut_cache_path = cfg.get_string("lut_cache", "");
   const double ini_ci = cfg.get_double("mc.ci_target", 0.0);
   if (ini_ci < 0.0) {
@@ -788,7 +804,20 @@ int main(int argc, char** argv) {
       return cmd_worker(args[1], threads, shard_opts);
     }
     if (cmd == "cell") {
-      return cmd_cell(args.size() > 1 ? std::stod(args[1]) : 0.8);
+      double vdd = 0.8;
+      if (args.size() > 1) {
+        const char* raw = args[1].c_str();
+        char* end = nullptr;
+        vdd = std::strtod(raw, &end);
+        if (end == raw || *end != '\0' || !std::isfinite(vdd) || vdd <= 0.0) {
+          std::fprintf(stderr,
+                       "error: cell expects a supply voltage <vdd> > 0 [V], "
+                       "got \"%s\"\n",
+                       raw);
+          return 2;
+        }
+      }
+      return cmd_cell(vdd);
     }
     print_help();
     return cmd == "--help" || cmd == "-h" ? 0 : 2;
