@@ -25,7 +25,7 @@ void report() {
     core::SerFlowConfig cfg = base;
     cfg.array_rows = n;
     cfg.array_cols = n;
-    // One shared LUT cache works for every size (cell model is identical).
+    // One cached cell model works for every size (same fingerprint).
     core::SerFlow flow(cfg);
     const auto res = flow.run_at_energy(phys::Species::kAlpha, 2.0);
     // Vdd = 0.7 V, with process variation.

@@ -8,8 +8,9 @@
 /// (3) writes a CSV under bench_out/ for EXPERIMENTS.md, and then
 /// (4) runs google-benchmark micro-benchmarks of the kernel it exercises.
 ///
-/// The expensive POF-LUT characterization is cached in
-/// bench_out/pof_luts.bin and shared by every binary (same fingerprint).
+/// The expensive POF-LUT characterization is cached as a `cell_model`
+/// artifact in the bench_out/artifacts store and shared by every binary
+/// (same fingerprint).
 
 #include <benchmark/benchmark.h>
 
@@ -23,12 +24,23 @@
 
 #include "finser/core/ser_flow.hpp"
 #include "finser/exec/progress.hpp"
+#include "finser/pipeline/artifact_store.hpp"
+#include "finser/pipeline/campaign.hpp"
 #include "finser/util/csv.hpp"
 
 namespace finser::bench {
 
 /// Output directory of the reproduction CSVs.
 inline const char* kOutDir = "bench_out";
+
+/// Cell-model cache shared by every bench binary: the `cell_model` kind of
+/// the bench_out/artifacts store (lives for the whole process).
+inline core::BinCache* model_cache() {
+  static const pipeline::ArtifactStore store(std::string(kOutDir) +
+                                             "/artifacts");
+  static pipeline::ArtifactBinCache cache(store, "cell_model");
+  return &cache;
+}
 
 /// The paper's experimental setup (Sec. 6): 9×9 array, Vdd 0.7-1.1 V,
 /// 14 nm SOI FinFET cell, checkerboard data. Monte-Carlo sizes are the
@@ -44,7 +56,7 @@ inline core::SerFlowConfig paper_flow_config() {
   cfg.array_mc.strikes = 60000;
   cfg.proton_bins = 12;
   cfg.alpha_bins = 10;
-  cfg.lut_cache_path = std::string(kOutDir) + "/pof_luts.bin";
+  cfg.model_cache = model_cache();
   cfg.seed = 20140601;  // DAC'14 conference date.
   core::apply_mc_scale(cfg, core::mc_scale_from_env());
   return cfg;

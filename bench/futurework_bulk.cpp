@@ -26,8 +26,8 @@ void report() {
         std::pair{"bulk", sram::TechnologyKind::kBulk}}) {
     core::SerFlowConfig cfg = bench::paper_flow_config();
     cfg.cell_geometry.technology = tech;
-    // Separate LUT cache per technology is unnecessary (the cell electrical
-    // model is shared); the default cache applies.
+    // One cached cell model serves both technologies (the cell electrical
+    // model is shared, so is its fingerprint).
     core::SerFlow flow(cfg);
     flow.cell_model(bench::progress_printer());
     const auto ra = flow.sweep(env::package_alphas());

@@ -240,10 +240,7 @@ void report_artifact_cache() {
                                         sram::DataPattern::kAllZeros};
   const char* names[] = {"checkerboard", "ones", "zeros"};
   for (int i = 0; i < 3; ++i) {
-    pipeline::ScenarioSpec sc;
-    sc.name = names[i];
-    sc.species = {"alpha", "proton"};
-    sc.flow = base;
+    pipeline::ScenarioSpec sc{names[i], {"alpha", "proton"}, base};
     sc.flow.pattern = patterns[i];
     spec.scenarios.push_back(sc);
   }

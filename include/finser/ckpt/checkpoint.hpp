@@ -4,7 +4,7 @@
 ///
 /// A checkpoint is the set of *completed work units* of a deterministic
 /// parallel region: for each finished unit index, the serialized partial
-/// result (an encoded McPartial, ArrayMcResult, or PofTable). Because every
+/// result (an encoded McPartial or PofTable). Because every
 /// engine keys its RNG streams and merge order by unit index — never by
 /// thread or completion order — replaying the missing units and re-reducing
 /// the full index-ordered set reproduces an uninterrupted run bit-for-bit.

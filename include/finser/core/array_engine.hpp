@@ -141,10 +141,10 @@ struct ArrayMcResult {
   bool stopped_early = false;
 };
 
-/// Bit-exact ArrayMcResult codec, used for SerFlow sweep checkpoint blobs
-/// and ArtifactStore per-bin artifacts (one blob per energy bin). Doubles
-/// round-trip as raw IEEE-754, so a restored bin is indistinguishable from a
-/// recomputed one.
+/// Bit-exact ArrayMcResult codec, used for the `array_bin` artifacts
+/// through which sweeps cache and resume per energy bin (one blob per bin).
+/// Doubles round-trip as raw IEEE-754, so a restored bin is
+/// indistinguishable from a recomputed one.
 std::vector<std::uint8_t> encode_result(const ArrayMcResult& result);
 ArrayMcResult decode_result(util::ByteReader& r);
 

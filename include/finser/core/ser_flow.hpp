@@ -3,8 +3,9 @@
 /// \brief End-to-end SER estimation flow (paper Fig. 6).
 ///
 /// Orchestrates the three layers:
-///   1. cell characterization → POF LUTs (cached on disk when a cache path
-///      is configured — the paper builds its LUTs "only once" too);
+///   1. cell characterization → POF LUTs (cached through the model_cache
+///      hook when one is plugged in — the paper builds its LUTs "only once"
+///      too);
 ///   2. array-level 3-D MC per (species, energy bin) → POF(E);
 ///   3. FIT integration over the environmental spectrum (Eq. 8).
 ///
@@ -23,6 +24,7 @@
 #include "finser/core/fit.hpp"
 #include "finser/core/neutron_mc.hpp"
 #include "finser/env/spectrum.hpp"
+#include "finser/exec/cancel.hpp"
 #include "finser/exec/progress.hpp"
 #include "finser/sram/characterize.hpp"
 #include "finser/sram/layout.hpp"
@@ -71,9 +73,6 @@ struct SerFlowConfig {
   double neutron_e_lo_mev = 1.0;  ///< Below ~1 MeV recoils are sub-critical.
   double neutron_e_hi_mev = 1000.0;
 
-  /// Optional POF-LUT cache file (reused when the fingerprint matches).
-  std::string lut_cache_path;
-
   std::uint64_t seed = 2024;
 
   /// Optional per-energy-bin result cache (non-owning; must outlive the
@@ -87,6 +86,13 @@ struct SerFlowConfig {
   /// their keys, so a preloaded surface only *skips* joint simulations — it
   /// can never change a result. Unused when array_mc.cluster is 1x1.
   BinCache* cluster_cache = nullptr;
+
+  /// Optional cache for the characterized cell model (non-owning; the same
+  /// never-throw contract as bin_cache, "cell_model" artifact kind). Keyed
+  /// by model_fingerprint(); blobs round-trip through
+  /// sram::encode_cell_model bit-exactly, so a loaded model is
+  /// indistinguishable from a characterized one.
+  BinCache* model_cache = nullptr;
 
   /// Total thread budget of the flow; 0 = auto (FINSER_THREADS, else
   /// hardware concurrency). sweep() splits it into an outer level over
@@ -110,15 +116,10 @@ class SerFlow {
  public:
   explicit SerFlow(const SerFlowConfig& config);
 
-  /// Characterized cell model (built lazily; loaded from cache if valid).
-  /// With \p run active the characterization campaign itself is
-  /// checkpointable/cancellable: its per-voltage checkpoint lives at
-  /// `<run.checkpoint_path>.cell` so it never collides with the sweep
-  /// checkpoint. A cache-save failure degrades to a warning — the model is
-  /// already in memory and the run continues.
+  /// Characterized cell model (built lazily through load_or_characterize,
+  /// so a valid model_cache entry is loaded instead of characterized).
   const sram::CellSoftErrorModel& cell_model(
-      const exec::ProgressSink& progress = {},
-      const ckpt::RunOptions& run = {});
+      const exec::ProgressSink& progress = {});
 
   /// Inject a pre-built cell model (campaigns share one characterization
   /// across scenarios). The model must carry the fingerprint this flow's
@@ -146,15 +147,12 @@ class SerFlow {
   /// outer task level (per-bin seeds are pre-drawn in bin order, so results
   /// are thread-count-invariant), with the strike loops nested inside on
   /// the remaining thread budget.
-  /// With \p run active the sweep is checkpointable and cancellable: the
-  /// unit of work is one energy bin (blob = serialized ArrayMcResult), and
-  /// run.cancel also interrupts *inside* a bin at strike-chunk granularity.
-  /// Resuming with the same config and seed state is bit-identical to an
-  /// uninterrupted sweep at any thread count. On cancellation throws
-  /// util::Cancelled after flushing finished bins.
+  /// A non-null \p cancel interrupts the sweep at strike-chunk granularity
+  /// (throws util::Cancelled). Resume is per energy bin through bin_cache:
+  /// bins priced before the interruption are cache hits on the rerun.
   EnergySweepResult sweep(const env::Spectrum& spectrum,
                           const exec::ProgressSink& progress = {},
-                          const ckpt::RunOptions& run = {});
+                          const exec::CancelToken* cancel = nullptr);
 
  private:
   /// The flow-owned cluster surface (nullptr when array_mc.cluster is 1x1),
@@ -168,6 +166,16 @@ class SerFlow {
   std::unique_ptr<sram::ClusterPofSurface> cluster_surface_;
   std::uint64_t mc_seed_cursor_;
 };
+
+/// The one load → characterize → store sequence of the cell model.
+/// \p cache (may be null) is consulted under config.fingerprint(design); on
+/// a miss or an undecodable blob the cell is characterized under \p run
+/// (its per-voltage checkpoint and cancel token) and the model stored back.
+/// \p characterized (if non-null) reports whether a characterization ran.
+sram::CellSoftErrorModel load_or_characterize(
+    const sram::CellDesign& design, const sram::CharacterizerConfig& config,
+    BinCache* cache, const exec::ProgressSink& progress = {},
+    const ckpt::RunOptions& run = {}, bool* characterized = nullptr);
 
 /// FINSER_MC_SCALE environment variable (default 1.0, clamped to > 0).
 double mc_scale_from_env();

@@ -9,14 +9,14 @@
 /// (util::Fnv1a — the same digests the checkpoint layer uses) and reused by
 /// every later run or campaign scenario that shares them.
 ///
-/// The store generalizes the bespoke FNSRPOF3 POF-LUT cache into one
-/// discipline for all artifact kinds:
+/// It is the one persisted form of every stage product, the characterized
+/// cell model included, under one discipline for all artifact kinds:
 ///  * **Addressing** — key = (kind slug, fingerprint); the blob's path is a
 ///    pure function of the key, so two processes computing the same artifact
 ///    converge on the same file.
 ///  * **Integrity first** — every blob carries a magic, the key echo and a
 ///    CRC-32 over the payload; load verifies all three *before* any payload
-///    byte is parsed (pof_table.cpp discipline).
+///    byte is parsed.
 ///  * **Crash safety** — writes go through util::atomic_write_file (temp +
 ///    fsync + rename), so readers only ever see an old or a complete new
 ///    blob; concurrent writers of one key race benignly (identical content).
@@ -68,10 +68,11 @@ class ArtifactStore {
   /// Blob path of \p key: `<root>/<kind>-<fingerprint hex>.art`.
   std::string path_for(const ArtifactKey& key) const;
 
-  /// Atomically persist \p payload under \p key. Returns false (with the
-  /// cause in \p error if non-null) on I/O failure — the store is a cache,
-  /// so callers typically log and continue. Honors the io_write_fail and
-  /// cache_flip fault-injection sites like the POF-LUT cache does.
+  /// Atomically persist \p payload under \p key. On I/O failure prints one
+  /// `[finser:pipeline] warning` line naming the path and the cause and
+  /// returns false (cause also in \p error if non-null) — the store is a
+  /// cache, so callers continue. Honors the io_write_fail, cache_flip and
+  /// kill_after_flush fault-injection sites (util/fault.hpp).
   bool put(const ArtifactKey& key, const std::vector<std::uint8_t>& payload,
            std::string* error = nullptr) const;
 

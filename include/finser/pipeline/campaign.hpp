@@ -21,10 +21,11 @@
 /// for what is genuinely new. Caching never changes numbers: every blob
 /// round-trips bit-exactly, and a hit is indistinguishable from recomputing.
 ///
-/// A single-scenario campaign is byte-identical to driving core::SerFlow
-/// directly (the CLI's `run` path): same characterization seeds, same
-/// per-bin seed cursor discipline, same CSV formats — the CSV emitters here
-/// are the ones the CLI uses.
+/// `finser_cli run` is a single-scenario campaign: the CLI lowers its INI
+/// through single_scenario_campaign() and runs it here, exactly as
+/// `campaign` runs a JSON document. A single-scenario campaign is
+/// byte-identical to driving core::SerFlow directly: same characterization
+/// seeds, same per-bin seed cursor discipline, same CSV formats.
 ///
 /// Campaign JSON schema (all scenario keys optional unless noted; unknown
 /// keys are rejected with a nearest-key suggestion):
@@ -90,9 +91,9 @@ class ResponseSurface;
 namespace finser::pipeline {
 
 /// One scenario: a fully resolved flow configuration plus the spectra to
-/// sweep. `flow.threads`, `flow.lut_cache_path` and `flow.bin_cache` are
-/// owned by the campaign runner (thread budget, artifact store) and ignored
-/// here.
+/// sweep. `flow.threads` and the cache hooks (`bin_cache`, `cluster_cache`,
+/// `model_cache`) are owned by the campaign runner (thread budget, artifact
+/// store) and ignored here.
 struct ScenarioSpec {
   std::string name;
   std::vector<std::string> species;  ///< "alpha" | "proton" | "neutron".
@@ -124,8 +125,8 @@ CampaignSpec parse_campaign_file(const std::string& path);
 /// \p spec exactly (for the schema-covered fields).
 util::JsonValue campaign_to_json(const CampaignSpec& spec);
 
-/// Wrap one legacy flow configuration as a single-scenario campaign — the
-/// bridge the CLI uses so `run` and `campaign` share one engine room.
+/// Wrap one flow configuration as a single-scenario campaign — the lowering
+/// through which `finser_cli run` becomes a campaign.
 CampaignSpec single_scenario_campaign(const core::SerFlowConfig& flow,
                                       std::vector<std::string> species,
                                       std::string output_dir,
@@ -136,24 +137,23 @@ CampaignSpec single_scenario_campaign(const core::SerFlowConfig& flow,
 env::Spectrum spectrum_for_species(const std::string& name);
 
 /// Apply the execution-environment overrides to a scenario flow config:
-/// FINSER_MC_SCALE, FINSER_CI_TARGET, FINSER_CLUSTER, and clearing the
-/// legacy LUT cache path (the artifact store supersedes it). Both the
-/// campaign runner and the serve-mode refinement path resolve flows through
-/// this one helper, which is what keeps their response-surface fingerprints
-/// — and hence their cached answers — aligned.
+/// FINSER_MC_SCALE, FINSER_CI_TARGET and FINSER_CLUSTER. Both the campaign
+/// runner and the serve-mode refinement path resolve flows through this one
+/// helper, which is what keeps their response-surface fingerprints — and
+/// hence their cached answers — aligned. It is the one place a campaign
+/// applies the MC scale: specs (and `--print-config` dumps) carry unscaled
+/// sizes.
 void resolve_flow_for_execution(core::SerFlowConfig& flow);
 
-// --- CSV emitters (shared by the CLI `run` command and the campaign
-// runner, which is what makes single-scenario output byte-identity hold by
-// construction rather than by parallel maintenance). All of them read from
-// a surface::ResponseSurface — the sweep overloads wrap the sweep into a
-// transient surface first, so every consumer-facing number flows through
-// the same query layer that `finser_cli serve` answers from. -----------------
+// --- CSV emitters (the campaign runner's, so `run` and `campaign` write the
+// same formats). All of them read from a surface::ResponseSurface — the
+// sweep overload of append_fit_rows wraps the sweep into a transient surface
+// first, so every consumer-facing number flows through the same query layer
+// that `finser_cli serve` answers from. --------------------------------------
 
 /// POF(E, Vdd) table: columns energy_mev, vdd_v, pof_tot, pof_seu, pof_mbu,
 /// pof_tot_se (with-PV estimates).
 util::CsvTable pof_csv(const surface::ResponseSurface& surface);
-util::CsvTable pof_csv(const core::EnergySweepResult& sweep);
 
 /// Empty FIT summary table: columns species, vdd_v, fit_tot, fit_seu,
 /// fit_mbu, fit_tot_no_pv.
@@ -314,9 +314,11 @@ class CampaignRunner {
   /// `<output_dir>/<scenario>/pof_<species>.csv` and
   /// `<output_dir>/<scenario>/fit_summary.csv` plus per-campaign device
   /// LUT curves `<output_dir>/eh_pairs_<species>.csv`. Honors
-  /// \p run.cancel at chunk granularity (throws util::Cancelled);
-  /// resumability comes from the artifact store, not checkpoint files —
-  /// a re-run after a kill reloads every finished product from artifacts.
+  /// \p run.cancel at chunk granularity (throws util::Cancelled).
+  /// Resumability comes from the artifact store: a re-run after a kill
+  /// reloads every finished product, energy bins included, from artifacts,
+  /// and an interrupted characterization resumes per voltage from its
+  /// checkpoint in the store.
   std::vector<ScenarioResult> run(const exec::ProgressSink& progress = {},
                                   const ckpt::RunOptions& run = {});
 

@@ -20,8 +20,8 @@
 /// near-boundary grid cells are independent work items, each drawing from
 /// its own counter-derived RNG stream (stats::Rng::stream), which keeps the
 /// model bit-identical for any thread count. A full 5-voltage model is a
-/// few tens of seconds on one core and is cached on disk by the benches
-/// (CellSoftErrorModel::save / try_load).
+/// few tens of seconds on one core and is cached on disk as a `cell_model`
+/// artifact (core::load_or_characterize).
 
 #include <cstdint>
 #include <string>

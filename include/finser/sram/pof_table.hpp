@@ -16,8 +16,9 @@
 ///  * three-current strike — trilinear POF grids.
 ///
 /// One PofTable covers one supply voltage; CellSoftErrorModel aggregates
-/// the swept voltages and provides binary (de)serialization so expensive
-/// characterizations are cached across benchmark binaries.
+/// the swept voltages. Their byte codec is the payload of the `cell_model`
+/// artifact, through which expensive characterizations are cached across
+/// runs, campaigns and benchmark binaries.
 
 #include <array>
 #include <cstdint>
@@ -93,9 +94,9 @@ class PofTable {
   /// \param with_pv true → process-variation tables; false → nominal cell.
   double pof(const StrikeCharges& charges, bool with_pv) const;
 
-  /// Byte codec shared by the cache file and the characterizer's
-  /// per-voltage checkpoints (util/bytes.hpp; read throws util::Error on a
-  /// malformed payload).
+  /// Byte codec shared by the cell-model codec below and the
+  /// characterizer's per-voltage checkpoints (util/bytes.hpp; read throws
+  /// util::Error on a malformed payload).
   void write(util::ByteWriter& w) const;
   static PofTable read(util::ByteReader& r);
 
@@ -107,7 +108,7 @@ class PofTable {
 class CellSoftErrorModel {
  public:
   std::vector<PofTable> tables;  ///< Sorted by vdd_v ascending.
-  std::uint64_t config_fingerprint = 0;  ///< Validates cache files.
+  std::uint64_t config_fingerprint = 0;  ///< Cell-model artifact key.
 
   /// Table at the given supply voltage (must match a characterized point
   /// within 1 mV; the paper evaluates fixed Vdd points, not a continuum).
@@ -121,23 +122,15 @@ class CellSoftErrorModel {
   /// Characterization failure bookkeeping summed over every table.
   std::size_t attempted_samples() const;
   std::size_t failed_samples() const;
-
-  /// Binary serialization: versioned magic, CRC-32 over the payload,
-  /// written atomically (temp + fsync + rename) so a crash mid-save can
-  /// never leave a torn cache. Throws util::Error on I/O failure.
-  void save(const std::string& path) const;
-
-  /// Load a model; throws util::Error on I/O problems, a failed CRC, or a
-  /// malformed payload.
-  static CellSoftErrorModel load(const std::string& path);
-
-  /// Load if the file exists, passes its integrity checks, *and* matches
-  /// the fingerprint; returns false otherwise with the reject reason in
-  /// \p reason (if non-null) and logged to stderr — never throws. A
-  /// corrupted or stale cache therefore always degrades to
-  /// re-characterization.
-  static bool try_load(const std::string& path, std::uint64_t expected_fingerprint,
-                       CellSoftErrorModel& out, std::string* reason = nullptr);
 };
+
+/// Cell-model artifact payload (kind "cell_model"): u64 table count, then
+/// each PofTable through its own codec. The model fingerprint is the
+/// artifact key, so decode restores it from \p fingerprint. decode throws
+/// util::Error on a malformed payload; the ArtifactStore envelope supplies
+/// magic, key echo and CRC.
+std::vector<std::uint8_t> encode_cell_model(const CellSoftErrorModel& model);
+CellSoftErrorModel decode_cell_model(const std::vector<std::uint8_t>& blob,
+                                     std::uint64_t fingerprint);
 
 }  // namespace finser::sram

@@ -123,13 +123,9 @@ class ResponseSurface {
   void rebuild_axes();
 };
 
-/// Cell-model artifact payload (kind "cell_model"): u64 table count, then
-/// each PofTable through its own codec. The model fingerprint is the
-/// artifact key, so it is restored from the key on load. Hoisted from the
-/// pipeline so every consumer of cached characterizations shares one codec.
-std::vector<std::uint8_t> encode_cell_model(
-    const sram::CellSoftErrorModel& model);
-sram::CellSoftErrorModel decode_cell_model(
-    const std::vector<std::uint8_t>& blob, std::uint64_t fingerprint);
+/// The cell-model artifact codec lives next to PofTable's in sram; these
+/// names keep it reachable from the query layer.
+using sram::decode_cell_model;
+using sram::encode_cell_model;
 
 }  // namespace finser::surface

@@ -2,7 +2,7 @@
 /// \file bytes.hpp
 /// \brief Bounds-checked little-endian byte codec for binary artifacts.
 ///
-/// Checkpoints, POF-LUT caches and per-chunk Monte-Carlo partials share one
+/// Checkpoints, artifacts and per-chunk Monte-Carlo partials share one
 /// encoding discipline: raw IEEE-754 doubles and 64-bit counters, written in
 /// host order (finser artifacts are machine-local caches, not interchange
 /// files). The reader is bounds-checked so a truncated or corrupted payload

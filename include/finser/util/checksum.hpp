@@ -2,7 +2,7 @@
 /// \file checksum.hpp
 /// \brief CRC-32 payload checksums for on-disk artifacts.
 ///
-/// Checkpoints and POF-LUT caches are binary files that long campaigns write
+/// Checkpoints and artifacts are binary files that long campaigns write
 /// and re-read across process lifetimes; a torn write, a truncated copy or a
 /// flipped bit must be *detected* (and the artifact regenerated) rather than
 /// silently parsed into garbage statistics. Every finser binary format

@@ -16,15 +16,16 @@
 /// The site fires on hits n .. n+count-1 of its call counter (count
 /// defaults to 1). Sites:
 ///
-///   io_write_fail:N      the Nth atomic file write fails (checkpoint or
-///                        POF-cache save) — the run must warn and continue
-///   cache_flip:OFFSET    the first POF-cache save gets the byte at OFFSET
-///                        XOR-flipped after the write — the next load must
-///                        reject the file by CRC and regenerate
+///   io_write_fail:N      the Nth atomic file write fails (checkpoint flush
+///                        or artifact put) — the run must warn and continue
+///   cache_flip:OFFSET    the first artifact put gets the byte at OFFSET
+///                        XOR-flipped before the write — the next load must
+///                        reject the blob by CRC and regenerate it
 ///   newton_diverge:N     the Nth strike transient throws NumericalError —
 ///                        characterization must count/exclude the sample
 ///   kill_after_flush:N   raise(SIGKILL) right after the Nth successful
-///                        checkpoint flush — drives the kill-and-resume test
+///                        checkpoint flush or artifact put — drives the
+///                        kill-and-resume tests
 ///   worker_kill_after_claim:N  a shard worker raises SIGKILL right after
 ///                        acknowledging its Nth stage assignment — the
 ///                        supervisor must reclaim the lease and reassign

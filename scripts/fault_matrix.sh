@@ -3,9 +3,11 @@
 #
 # Runs `finser_cli run` end to end under every FINSER_FAULT site and requires
 # the *documented* degradation for each — warn-and-continue for I/O failures,
-# reject-and-regenerate for a corrupted cache, a clean exit code 3 (never a
-# crash) when the solver is driven past its retry ladder. The SIGKILL site is
-# covered separately by the KillResumeHarness ctest.
+# reject-and-regenerate for a corrupted artifact, resume-to-identical-bytes
+# after a SIGKILL, a clean exit code 3 (never a crash) when the solver is
+# driven past its retry ladder. `run` is a one-scenario campaign with its
+# artifact store at <output.dir>/artifacts; the KillResumeHarness ctest
+# covers the SIGKILL site in more depth.
 #
 # Usage: scripts/fault_matrix.sh [build-dir]   (default: build)
 
@@ -32,7 +34,6 @@ mc.strikes = 1000
 mc.seed = 99
 species = alpha
 output.dir = $WORK/out
-lut_cache = $WORK/out/pof_luts.bin
 EOF
 
 unset FINSER_FAULT FINSER_MC_SCALE FINSER_THREADS
@@ -57,27 +58,48 @@ run_cli() {
 # --- baseline: the tiny campaign must pass cleanly --------------------------
 run_cli "" run "$CONFIG" --threads 2
 [[ $? -eq 0 ]] || fail "baseline run exited non-zero"
-[[ -s "$WORK/out/fit_summary.csv" ]] || fail "baseline produced no fit_summary.csv"
+[[ -s "$WORK/out/run/fit_summary.csv" ]] || fail "baseline produced no fit_summary.csv"
+cp -r "$WORK/out/run" "$WORK/baseline"
 
-# --- io_write_fail: a failed cache/checkpoint write degrades to a warning ---
+# --- io_write_fail: a failed artifact/checkpoint write degrades to a warning
 rm -rf "$WORK/out"
 run_cli "io_write_fail:1" run "$CONFIG" --threads 2
 [[ $? -eq 0 ]] || fail "io_write_fail run did not warn-and-continue (exit != 0)"
 grep -qi "warning" "$WORK/stdout.log" "$WORK/stderr.log" ||
   fail "io_write_fail run emitted no warning"
 
-# --- cache_flip: a corrupted LUT cache is rejected and regenerated ----------
+# --- cache_flip: a corrupted artifact is rejected and regenerated -----------
+# The first artifact put lands with one byte flipped; the next run must
+# reject it by CRC ("not used") and recompute it, the one after must not.
 rm -rf "$WORK/out"
 run_cli "cache_flip:40" run "$CONFIG" --threads 2
 [[ $? -eq 0 ]] || fail "cache_flip seeding run exited non-zero"
 run_cli "" run "$CONFIG" --threads 2
-[[ $? -eq 0 ]] || fail "run with corrupted cache exited non-zero"
-grep -q "re-characterizing" "$WORK/stderr.log" ||
-  fail "corrupted cache was not rejected + regenerated"
+[[ $? -eq 0 ]] || fail "run with corrupted artifact exited non-zero"
+grep -q "not used" "$WORK/stderr.log" ||
+  fail "corrupted artifact was not rejected + regenerated"
 run_cli "" run "$CONFIG" --threads 2
-[[ $? -eq 0 ]] || fail "run with regenerated cache exited non-zero"
-grep -q "re-characterizing" "$WORK/stderr.log" &&
-  fail "regenerated cache was rejected again"
+[[ $? -eq 0 ]] || fail "run with regenerated artifact exited non-zero"
+grep -q "not used" "$WORK/stderr.log" &&
+  fail "regenerated artifact was rejected again"
+
+# --- kill_after_flush: SIGKILL mid-sweep, the rerun resumes -----------------
+# The 5th flush or put of a cold run lands after the device LUT, the
+# characterization checkpoint, the cell model and two energy bins; the
+# process dies by SIGKILL right after it. Rerunning the same command must
+# serve the finished bins from the store and write the baseline's bytes.
+rm -rf "$WORK/out"
+run_cli "kill_after_flush:5" run "$CONFIG" --threads 2
+status=$?
+[[ $status -eq 137 ]] || fail "kill_after_flush run exited $status, expected SIGKILL (137)"
+run_cli "" run "$CONFIG" --threads 2 --metrics-out "$WORK/resume.json"
+[[ $? -eq 0 ]] || fail "rerun after SIGKILL exited non-zero"
+grep -Eq '"core.bin_cache_hits": [1-9]' "$WORK/resume.json" ||
+  fail "rerun after SIGKILL served no energy bin from the store"
+for csv in fit_summary.csv pof_alpha.csv; do
+  cmp -s "$WORK/baseline/$csv" "$WORK/out/run/$csv" ||
+    fail "rerun after SIGKILL: $csv differs from the baseline run"
+done
 
 # --- newton_diverge saturation: exit code 3, never a crash ------------------
 # Making *every* strike transient diverge must trip the failure-fraction gate

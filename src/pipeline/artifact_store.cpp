@@ -1,6 +1,7 @@
 #include "finser/pipeline/artifact_store.hpp"
 
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -73,9 +74,8 @@ bool ArtifactStore::put(const ArtifactKey& key,
   file.bytes(body.data().data(), body.size());
   file.u32(util::crc32(body.data().data(), body.size()));
 
-  // Fault-injection hook (same contract as the POF-LUT cache): corrupt one
-  // byte so tests can prove a flipped blob is rejected by CRC and
-  // recomputed, never loaded.
+  // Fault-injection hook: corrupt one byte so tests can prove a flipped blob
+  // is rejected by CRC and recomputed, never loaded.
   std::vector<std::uint8_t> bytes = file.take();
   if (util::fault_fire(util::FaultSite::kCacheFlip)) {
     const std::size_t off = static_cast<std::size_t>(util::fault_arg(
@@ -84,11 +84,21 @@ bool ArtifactStore::put(const ArtifactKey& key,
     bytes[off] ^= 0x01;
   }
 
-  if (!util::atomic_write_file(path_for(key), bytes.data(), bytes.size(),
-                               error)) {
+  const std::string path = path_for(key);
+  std::string write_error;
+  if (!util::atomic_write_file(path, bytes.data(), bytes.size(), &write_error)) {
+    // A lost artifact costs a later run a recompute, never this one — warn
+    // and continue (docs/robustness.md).
+    std::fprintf(stderr,
+                 "[finser:pipeline] warning: artifact %s not written: %s\n",
+                 path.c_str(), write_error.c_str());
+    if (error != nullptr) *error = write_error;
     return false;
   }
   FINSER_OBS_COUNT("pipeline.artifact.writes", 1);
+  // The kill-and-resume tests SIGKILL the process *after* a put has safely
+  // landed on disk — the artifact must survive exactly this death.
+  if (util::fault_fire(util::FaultSite::kKillAfterFlush)) std::raise(SIGKILL);
   return true;
 }
 

@@ -629,7 +629,6 @@ void resolve_flow_for_execution(core::SerFlowConfig& flow) {
   // FINSER_CLUSTER overrides the cluster mode the same way (--cluster sets
   // it in the environment before workers fork).
   core::apply_cluster(flow, core::cluster_mode_from_env());
-  flow.lut_cache_path.clear();  // the artifact store supersedes it
 }
 
 // --- CSV emitters -----------------------------------------------------------
@@ -647,10 +646,6 @@ util::CsvTable pof_csv(const surface::ResponseSurface& s) {
     }
   }
   return table;
-}
-
-util::CsvTable pof_csv(const core::EnergySweepResult& sweep) {
-  return pof_csv(surface::ResponseSurface::from_sweep("", 0.0, 0, sweep));
 }
 
 util::CsvTable make_fit_table() {
@@ -841,12 +836,13 @@ std::uint64_t geometry_fingerprint(const sram::CellGeometry& g) {
   return h.hash();
 }
 
-std::string hex8(std::uint64_t v) {
-  char buf[9];
-  std::snprintf(buf, sizeof(buf), "%08llx",
-                static_cast<unsigned long long>(v & 0xffffffffull));
+std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
   return std::string(buf);
 }
+
+std::string hex8(std::uint64_t v) { return hex16(v).substr(8); }
 
 /// Deterministic seed of the campaign's device-LUT stages. Fixed (not a
 /// scenario seed) so every scenario sharing a geometry shares the LUT.
@@ -901,6 +897,7 @@ struct CampaignRunner::Exec {
   // re-runs and sibling scenarios with the same surface fingerprint skip the
   // joint multi-cell simulations already priced.
   std::optional<ArtifactBinCache> cluster_cache;
+  std::optional<ArtifactBinCache> model_cache;  // "cell_model" artifacts
   // Keys pre-inserted serially at plan time; stages then only assign to
   // their own slot, so concurrent stages never mutate the map's structure.
   std::map<std::uint64_t, sram::CellSoftErrorModel> models;
@@ -911,11 +908,13 @@ struct CampaignRunner::Exec {
   std::vector<StageBody> bodies;  // aligned with fns
 
   /// Ensure models[fp] is populated: already-materialized → no-op; else
-  /// artifact-store load; else characterize here (counts
-  /// "pipeline.characterizations" exactly like the characterize stage —
-  /// this is the sweep-stage fallback when the dependency ran in another
-  /// process and the artifact got lost, and it is bit-identical to the
-  /// stage by purity).
+  /// core::load_or_characterize through the "cell_model" artifacts (counts
+  /// "pipeline.characterizations" when it characterizes — this is also the
+  /// sweep-stage fallback when the dependency ran in another process and
+  /// the artifact got lost, bit-identical to the stage by purity). With a
+  /// store, characterization checkpoints each finished voltage at
+  /// `<artifact_dir>/characterize-<fp16>.ckpt`, so an interrupted stage
+  /// resumes per voltage; the file is removed when the stage completes.
   void materialize_model(std::uint64_t fp, const sram::CellDesign& design,
                          const sram::CharacterizerConfig& ccfg,
                          std::size_t threads,
@@ -923,26 +922,19 @@ struct CampaignRunner::Exec {
                          const ckpt::RunOptions& run) {
     sram::CellSoftErrorModel& slot = models.at(fp);
     if (!slot.tables.empty()) return;
-    const ArtifactKey key{"cell_model", fp};
-    if (store.has_value()) {
-      std::vector<std::uint8_t> blob;
-      if (store->try_get(key, blob)) {
-        try {
-          slot = surface::decode_cell_model(blob, fp);
-          progress.message("cell model " + hex8(fp) +
-                           " loaded from artifact store");
-          return;
-        } catch (const std::exception&) {
-          // Malformed payload: fall through to characterize.
-        }
-      }
-    }
     sram::CharacterizerConfig cfg = ccfg;
     if (cfg.threads == 0) cfg.threads = threads;
-    const sram::CellCharacterizer characterizer(design, cfg);
-    slot = characterizer.characterize(progress, run.cancel_only());
-    FINSER_OBS_COUNT("pipeline.characterizations", 1);
-    if (store.has_value()) store->put(key, surface::encode_cell_model(slot));
+    ckpt::RunOptions crun = run.cancel_only();
+    if (store.has_value()) {
+      crun.checkpoint_path =
+          store->root() + "/characterize-" + hex16(fp) + ".ckpt";
+      crun.checkpoint_interval_sec = 0.0;  // flush after every voltage
+    }
+    bool characterized = false;
+    slot = core::load_or_characterize(
+        design, cfg, model_cache.has_value() ? &*model_cache : nullptr,
+        progress, crun, &characterized);
+    if (characterized) FINSER_OBS_COUNT("pipeline.characterizations", 1);
   }
 };
 
@@ -979,6 +971,7 @@ void CampaignRunner::ensure_exec() {
     ex->store.emplace(spec_.artifact_dir);
     ex->bin_cache.emplace(*ex->store);
     ex->cluster_cache.emplace(*ex->store, "cluster_surface");
+    ex->model_cache.emplace(*ex->store, "cell_model");
   }
   ex->results.resize(n);
 
@@ -1114,7 +1107,7 @@ void CampaignRunner::ensure_exec() {
             const env::Spectrum spectrum = spectrum_for_species(name);
             progress.message(scenario.name + ": sweeping " + spectrum.name());
             core::EnergySweepResult sweep =
-                flow.sweep(spectrum, progress, run.cancel_only());
+                flow.sweep(spectrum, progress, run.cancel);
             // Every consumer-facing product below comes from the surface,
             // not the raw sweep — batch CSVs and `serve` answers are the
             // same bytes by construction (docs/serving.md).

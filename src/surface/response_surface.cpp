@@ -259,36 +259,4 @@ ResponseSurface ResponseSurface::decode(const std::vector<std::uint8_t>& blob) {
   return s;
 }
 
-// GCC at -O3 misanalyzes the inlined vector growth inside ByteWriter as a
-// zero-size-destination memmove (stringop-overflow false positive); every
-// copy is bounds-checked by the writer itself.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wstringop-overflow"
-#endif
-std::vector<std::uint8_t> encode_cell_model(
-    const sram::CellSoftErrorModel& model) {
-  util::ByteWriter w;
-  w.u64(model.tables.size());
-  for (const sram::PofTable& t : model.tables) t.write(w);
-  return w.take();
-}
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-sram::CellSoftErrorModel decode_cell_model(
-    const std::vector<std::uint8_t>& blob, std::uint64_t fingerprint) {
-  util::ByteReader r(blob);
-  sram::CellSoftErrorModel model;
-  const std::uint64_t count = r.u64();
-  model.tables.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    model.tables.push_back(sram::PofTable::read(r));
-  }
-  FINSER_REQUIRE(r.exhausted(), "cell model artifact: trailing bytes");
-  model.config_fingerprint = fingerprint;
-  return model;
-}
-
 }  // namespace finser::surface

@@ -4,6 +4,8 @@
 #include <filesystem>
 
 #include "finser/core/ser_flow.hpp"
+#include "finser/pipeline/artifact_store.hpp"
+#include "finser/pipeline/campaign.hpp"
 #include "finser/util/error.hpp"
 
 namespace finser::core {
@@ -41,42 +43,43 @@ TEST(SerFlow, CellModelIsCachedInMemory) {
   EXPECT_EQ(m1.tables.size(), 1u);
 }
 
+/// The model_cache hook on an on-disk artifact store: the first flow
+/// characterizes and stores the model, the second loads it, and a config
+/// change misses (a new fingerprint) and characterizes again.
 TEST(SerFlow, DiskCacheRoundTrip) {
-  const auto cache =
-      (std::filesystem::temp_directory_path() / "finser_flow_cache.bin").string();
-  std::filesystem::remove(cache);
+  const auto dir =
+      (std::filesystem::temp_directory_path() / "finser_flow_cache").string();
+  std::filesystem::remove_all(dir);
+  const pipeline::ArtifactStore store(dir);
+  pipeline::ArtifactBinCache cache(store, "cell_model");
 
   SerFlowConfig cfg = tiny_config();
-  cfg.lut_cache_path = cache;
-  bool characterized = false;
-  {
-    SerFlow flow(cfg);
+  cfg.model_cache = &cache;
+  const auto characterizes = [](SerFlow& flow) {
+    bool characterized = false;
     flow.cell_model([&](const std::string& msg) {
       if (msg.find("characterizing") != std::string::npos) characterized = true;
     });
-    EXPECT_TRUE(characterized);
-    EXPECT_TRUE(std::filesystem::exists(cache));
+    return characterized;
+  };
+  {
+    SerFlow flow(cfg);
+    EXPECT_TRUE(characterizes(flow));
+    EXPECT_EQ(store.list().size(), 1u);
   }
   {
     SerFlow flow(cfg);
-    bool loaded = false;
-    flow.cell_model([&](const std::string& msg) {
-      if (msg.find("loaded from") != std::string::npos) loaded = true;
-    });
-    EXPECT_TRUE(loaded);
+    EXPECT_FALSE(characterizes(flow)) << "the stored model must be loaded";
+    EXPECT_EQ(flow.cell_model().config_fingerprint, flow.model_fingerprint());
   }
-  // A config change invalidates the cache.
+  // A config change is a different fingerprint: a miss, not a stale load.
   {
     SerFlowConfig cfg2 = cfg;
     cfg2.characterization.q_max_fc *= 1.05;
     SerFlow flow(cfg2);
-    bool recharacterized = false;
-    flow.cell_model([&](const std::string& msg) {
-      if (msg.find("characterizing") != std::string::npos) recharacterized = true;
-    });
-    EXPECT_TRUE(recharacterized);
+    EXPECT_TRUE(characterizes(flow));
   }
-  std::filesystem::remove(cache);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SerFlow, RunAtEnergyReturnsAllVddsAndModes) {

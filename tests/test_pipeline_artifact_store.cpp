@@ -19,6 +19,7 @@
 #include "finser/obs/obs.hpp"
 #include "finser/pipeline/artifact_store.hpp"
 #include "finser/util/fault.hpp"
+#include "finser/util/io.hpp"
 
 namespace finser::pipeline {
 namespace {
@@ -155,6 +156,46 @@ TEST(ArtifactStore, GarbageFileNeverThrows) {
   }
   EXPECT_FALSE(store->try_get(key, out, &reason));
   EXPECT_NE(reason.find("too short"), std::string::npos) << reason;
+
+  // A valid blob cut at 30/60/90% of its length (a torn copy): every cut
+  // is a CRC reject, never an exception or a partial payload.
+  std::vector<std::uint8_t> payload(1024);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  ASSERT_TRUE(store->put(key, payload));
+  std::vector<std::uint8_t> full;
+  ASSERT_TRUE(util::read_file(store->path_for(key), full, nullptr));
+  for (const double frac : {0.3, 0.6, 0.9}) {
+    const auto cut = static_cast<std::size_t>(frac * static_cast<double>(full.size()));
+    ASSERT_TRUE(util::atomic_write_file(store->path_for(key), full.data(), cut));
+    bool hit = true;
+    EXPECT_NO_THROW(hit = store->try_get(key, out, &reason)) << frac;
+    EXPECT_FALSE(hit) << frac;
+    EXPECT_NE(reason.find("CRC"), std::string::npos) << frac << ": " << reason;
+  }
+}
+
+/// A failed write is a lost cache entry, not a failed run — but never a
+/// silent one: put() names the path and the cause on stderr.
+TEST(ArtifactStore, FailedPutWarnsOnStderr) {
+  const TempStore store("finser_art_write_fail");
+  const ArtifactKey key{"unit_test", 9};
+
+  util::fault_configure("io_write_fail:1");
+  testing::internal::CaptureStderr();
+  std::string error;
+  const bool stored = store->put(key, payload_bytes(), &error);
+  const std::string err = testing::internal::GetCapturedStderr();
+  util::fault_configure("");
+
+  EXPECT_FALSE(stored);
+  EXPECT_FALSE(error.empty());
+  EXPECT_NE(err.find("[finser:pipeline] warning"), std::string::npos) << err;
+  EXPECT_NE(err.find(store->path_for(key)), std::string::npos) << err;
+  EXPECT_NE(err.find(error), std::string::npos) << err;
+  std::vector<std::uint8_t> out;
+  EXPECT_FALSE(store->try_get(key, out));
 }
 
 TEST(ArtifactStore, ConcurrentWritersSameKeyConverge) {

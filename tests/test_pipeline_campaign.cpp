@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "finser/exec/cancel.hpp"
 #include "finser/obs/obs.hpp"
 #include "finser/pipeline/campaign.hpp"
 #include "finser/spice/batch.hpp"
@@ -596,6 +597,65 @@ TEST(CampaignRunner, WritesPerScenarioCsvOutputs) {
   EXPECT_TRUE(std::filesystem::exists(out + "/only/fit_summary.csv"));
   EXPECT_TRUE(std::filesystem::exists(out + "/eh_pairs_alpha.csv"));
   std::filesystem::remove_all(out);
+}
+
+/// An interrupted characterize stage resumes per supply voltage: cancelled
+/// while characterizing vdd=0.9, the campaign leaves a per-voltage
+/// checkpoint in its store; the rerun restores vdd=0.7 from it, removes it,
+/// and writes the same CSV bytes as an uninterrupted campaign.
+TEST(CampaignRunner, InterruptedCharacterizationResumesPerVoltage) {
+  const std::string root = temp_dir("finser_campaign_char_resume");
+  std::filesystem::remove_all(root);
+  const auto spec_at = [](const std::string& dir) {
+    core::SerFlowConfig flow = tiny_flow();
+    flow.characterization.vdds = {0.7, 0.9};
+    CampaignSpec spec =
+        single_scenario_campaign(flow, {"alpha"}, dir + "/out", "a");
+    spec.artifact_dir = dir + "/artifacts";
+    spec.threads = 2;
+    return spec;
+  };
+  const auto checkpoints = [](const std::string& store) {
+    std::size_t n = 0;
+    std::error_code ec;
+    for (const auto& e : std::filesystem::directory_iterator(store, ec)) {
+      const std::string name = e.path().filename().string();
+      if (name.rfind("characterize-", 0) == 0 &&
+          e.path().extension() == ".ckpt") {
+        ++n;
+      }
+    }
+    return n;
+  };
+
+  CampaignRunner(spec_at(root + "/ref")).run();
+
+  // Cancelled on the first vdd=0.9 progress message: vdd=0.7 is finished
+  // and checkpointed, vdd=0.9 is abandoned at a chunk boundary.
+  const CampaignSpec spec = spec_at(root + "/cut");
+  exec::CancelToken cancel;
+  ckpt::RunOptions run;
+  run.cancel = &cancel;
+  const exec::ProgressSink cancel_at_09([&cancel](const std::string& m) {
+    if (m.rfind("vdd=0.9", 0) == 0) cancel.cancel();
+  });
+  EXPECT_THROW(CampaignRunner(spec).run(cancel_at_09, run), util::Cancelled);
+  EXPECT_EQ(checkpoints(spec.artifact_dir), 1u);
+
+  std::vector<std::string> restored;  // ProgressSink serializes messages
+  const exec::ProgressSink watch([&restored](const std::string& m) {
+    if (m.find("restored from checkpoint") != std::string::npos) {
+      restored.push_back(m);
+    }
+  });
+  CampaignRunner(spec).run(watch);
+  ASSERT_EQ(restored.size(), 1u);
+  EXPECT_NE(restored[0].find("1/2 voltage(s)"), std::string::npos)
+      << restored[0];
+  EXPECT_EQ(checkpoints(spec.artifact_dir), 0u);
+  EXPECT_TRUE(files_under(root + "/ref/out") == files_under(spec.output_dir))
+      << "resumed campaign CSVs differ from the uninterrupted campaign";
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

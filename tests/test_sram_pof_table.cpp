@@ -1,15 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdio>
-#include <filesystem>
-#include <string>
 #include <vector>
 
 #include "finser/sram/pof_table.hpp"
 #include "finser/util/error.hpp"
-#include "finser/util/fault.hpp"
-#include "finser/util/io.hpp"
 
 namespace finser::sram {
 namespace {
@@ -141,11 +137,9 @@ TEST(Model, SerializationRoundTrip) {
   m.tables.push_back(synthetic_table(0.7));
   m.tables.push_back(synthetic_table(1.1));
 
-  const auto path =
-      (std::filesystem::temp_directory_path() / "finser_pof_roundtrip.bin")
-          .string();
-  m.save(path);
-  const CellSoftErrorModel r = CellSoftErrorModel::load(path);
+  // The cell-model artifact codec; the fingerprint travels as the key.
+  const CellSoftErrorModel r =
+      decode_cell_model(encode_cell_model(m), m.config_fingerprint);
   EXPECT_EQ(r.config_fingerprint, m.config_fingerprint);
   ASSERT_EQ(r.tables.size(), 2u);
   EXPECT_DOUBLE_EQ(r.tables[1].vdd_v, 1.1);
@@ -157,121 +151,21 @@ TEST(Model, SerializationRoundTrip) {
     EXPECT_DOUBLE_EQ(r.tables[0].pof(c, true), m.tables[0].pof(c, true));
     EXPECT_DOUBLE_EQ(r.tables[0].pof(c, false), m.tables[0].pof(c, false));
   }
-  std::filesystem::remove(path);
-}
-
-TEST(Model, TryLoadValidatesFingerprint) {
-  CellSoftErrorModel m;
-  m.config_fingerprint = 111;
-  m.tables.push_back(synthetic_table(0.8));
-  const auto path =
-      (std::filesystem::temp_directory_path() / "finser_pof_fp.bin").string();
-  m.save(path);
-
-  CellSoftErrorModel out;
-  EXPECT_TRUE(CellSoftErrorModel::try_load(path, 111, out));
-  EXPECT_EQ(out.tables.size(), 1u);
-  EXPECT_FALSE(CellSoftErrorModel::try_load(path, 222, out));
-  EXPECT_FALSE(CellSoftErrorModel::try_load("/nonexistent/file.bin", 111, out));
-  std::filesystem::remove(path);
-}
-
-TEST(Model, LoadRejectsCorruptFile) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "finser_pof_bad.bin").string();
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a pof file at all", f);
-    std::fclose(f);
-  }
-  EXPECT_THROW(CellSoftErrorModel::load(path), util::Error);
-  std::filesystem::remove(path);
-}
-
-TEST(Model, LoadRejectsMissingFile) {
-  EXPECT_THROW(CellSoftErrorModel::load("/nonexistent/nope.bin"), util::Error);
 }
 
 TEST(Model, LoadRejectsTruncatedFile) {
   CellSoftErrorModel m;
   m.config_fingerprint = 7;
   m.tables.push_back(synthetic_table(0.8));
-  const auto dir = std::filesystem::temp_directory_path();
-  const auto full = (dir / "finser_pof_full.bin").string();
-  const auto cut = (dir / "finser_pof_cut.bin").string();
-  m.save(full);
+  const std::vector<std::uint8_t> full = encode_cell_model(m);
 
-  // Truncate at several points: every cut must throw, never crash or
-  // silently return a partial model.
-  const auto size = std::filesystem::file_size(full);
+  // Truncate the payload at several points: every cut must throw, never
+  // crash or silently return a partial model.
   for (const double frac : {0.3, 0.6, 0.9}) {
-    std::filesystem::copy_file(full, cut,
-                               std::filesystem::copy_options::overwrite_existing);
-    std::filesystem::resize_file(
-        cut, static_cast<std::uintmax_t>(frac * static_cast<double>(size)));
-    EXPECT_THROW(CellSoftErrorModel::load(cut), util::Error) << frac;
+    const auto cut = static_cast<std::ptrdiff_t>(frac * static_cast<double>(full.size()));
+    const std::vector<std::uint8_t> torn(full.begin(), full.begin() + cut);
+    EXPECT_THROW(decode_cell_model(torn, m.config_fingerprint), util::Error) << frac;
   }
-  std::filesystem::remove(full);
-  std::filesystem::remove(cut);
-}
-
-TEST(Model, TryLoadRejectsBitFlipWithCrcReason) {
-  CellSoftErrorModel m;
-  m.config_fingerprint = 13;
-  m.tables.push_back(synthetic_table(0.8));
-  const auto path =
-      (std::filesystem::temp_directory_path() / "finser_pof_flip.bin").string();
-  m.save(path);
-
-  // Flip one payload byte: try_load must reject by CRC, never throw, and
-  // report why.
-  std::vector<std::uint8_t> raw;
-  ASSERT_TRUE(util::read_file(path, raw, nullptr));
-  raw[raw.size() / 2] ^= 0x01;
-  ASSERT_TRUE(util::atomic_write_file(path, raw.data(), raw.size()));
-
-  CellSoftErrorModel out;
-  std::string reason;
-  EXPECT_FALSE(CellSoftErrorModel::try_load(path, 13, out, &reason));
-  EXPECT_NE(reason.find("CRC"), std::string::npos) << reason;
-  std::filesystem::remove(path);
-}
-
-TEST(Model, CacheFlipFaultForcesRegeneration) {
-  CellSoftErrorModel m;
-  m.config_fingerprint = 42;
-  m.tables.push_back(synthetic_table(0.8));
-  const auto path =
-      (std::filesystem::temp_directory_path() / "finser_pof_fault.bin").string();
-
-  // First save lands corrupted (byte 25 of the file XOR-flipped by the
-  // injected fault): the cache must be rejected, not loaded.
-  util::fault_configure("cache_flip:25");
-  m.save(path);
-  CellSoftErrorModel out;
-  std::string reason;
-  EXPECT_FALSE(CellSoftErrorModel::try_load(path, 42, out, &reason));
-  EXPECT_FALSE(reason.empty());
-
-  // The re-characterized model saves again; the fault window has passed, so
-  // the regenerated cache is intact and loads.
-  m.save(path);
-  util::fault_configure("");
-  EXPECT_TRUE(CellSoftErrorModel::try_load(path, 42, out, &reason)) << reason;
-  EXPECT_EQ(out.config_fingerprint, 42u);
-  std::filesystem::remove(path);
-}
-
-TEST(Model, SaveCreatesParentDirectories) {
-  const auto dir = std::filesystem::temp_directory_path() / "finser_pof_mkdir";
-  std::filesystem::remove_all(dir);
-  CellSoftErrorModel m;
-  m.tables.push_back(synthetic_table(0.8));
-  const auto path = (dir / "deep" / "cache.bin").string();
-  m.save(path);
-  EXPECT_TRUE(std::filesystem::exists(path));
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 # CTest script: numeric command-line arguments and INI values are validated
 # before use. `cell <vdd>` must take a finite voltage > 0 with nothing
-# trailing, and the `run` INI sizes must not wrap around through an unsigned
-# cast. Every rejection exits 2 with a message naming the offending argument
-# or key; `cell 0.8` still exits 0.
+# trailing, the `run` INI sizes must not wrap around through an unsigned
+# cast, and unknown options are rejected. Every rejection exits 2 with a
+# message naming the offending argument or key; `cell 0.8` still exits 0.
 #
 # Inputs: -DFINSER_CLI=<path to binary> -DWORK_DIR=<scratch dir>
 
@@ -46,3 +46,12 @@ foreach(case "array.rows=-3" "array.cols=0" "mc.strikes=-5"
   file(WRITE "${ini}" "${key} = ${value}\n")
   expect_exit(2 "${key}" run "${ini}" --print-config)
 endforeach()
+
+# An unknown --option is an error naming it, never a positional argument (a
+# config or campaign path) or silently ignored — `--resume` included: runs
+# resume through their artifact store, with no flag.
+expect_exit(2 "--thread" run --thread 4)
+expect_exit(2 "--resume" run "${WORK_DIR}/x.ini" --resume p)
+set(campaign "${WORK_DIR}/campaign.json")
+file(WRITE "${campaign}" "{\"scenarios\": [{\"name\": \"a\"}]}\n")
+expect_exit(2 "--bogus" campaign "${campaign}" --bogus)

@@ -2,7 +2,8 @@
 /// \brief Command-line driver of the finser cross-layer SER flow.
 ///
 /// Usage:
-///   finser_cli run <config.ini>       full flow from a config file (below)
+///   finser_cli run <config.ini>       full flow from a config file (below),
+///                                     run as a one-scenario campaign
 ///   finser_cli run                    ... with built-in paper defaults
 ///   finser_cli campaign <file.json>   multi-scenario campaign
 ///                                     (schema: docs/architecture.md)
@@ -30,7 +31,13 @@
 ///                             # and FINSER_CI_TARGET override)
 ///   species = alpha, proton, neutron
 ///   output.dir = finser_out
-///   lut_cache = finser_out/pof_luts.bin
+///
+/// `run` lowers the config to the single-scenario campaign `--print-config`
+/// prints (scenario "run", artifact store `<output.dir>/artifacts`) and runs
+/// it like `campaign` does: CSVs go to `<output.dir>/run/` and
+/// `<output.dir>/eh_pairs_<species>.csv`, and a rerun reuses every finished
+/// product in the store — an interrupted run resumes per energy bin, or per
+/// supply voltage while still characterizing.
 
 #include <chrono>
 #include <cmath>
@@ -70,7 +77,11 @@ using namespace finser;
 void print_help() {
   std::printf(
       "finser_cli — cross-layer SOI FinFET SRAM soft-error analysis\n\n"
-      "  finser_cli run [config.ini]       full characterization + sweeps\n"
+      "  finser_cli run [config.ini]       full characterization + sweeps, run\n"
+      "                                    as the one-scenario campaign that\n"
+      "                                    --print-config shows; artifact store\n"
+      "                                    at <output.dir>/artifacts, so a\n"
+      "                                    rerun resumes where it stopped\n"
       "  finser_cli campaign <file.json>   multi-scenario campaign; shared\n"
       "                                    characterization and artifact cache\n"
       "                                    (schema: docs/architecture.md)\n"
@@ -111,12 +122,6 @@ void print_help() {
       "                 engine advances per step: 0 = auto (FINSER_LANES,\n"
       "                 else the widest compiled vector unit), 1, 4 or 8;\n"
       "                 never changes the results (docs/spice.md)\n"
-      "  --resume PATH  checkpoint file stem for `run`: progress is saved\n"
-      "                 there periodically and on SIGINT/SIGTERM, and a\n"
-      "                 matching checkpoint found at start is resumed —\n"
-      "                 results are bit-identical to an uninterrupted run\n"
-      "  --checkpoint-interval SEC  seconds between periodic checkpoint\n"
-      "                 flushes (default 30; 0 = after every work unit)\n"
       "  --metrics-out PATH  enable metric collection and write a versioned\n"
       "                 JSON RunReport there at exit (docs/observability.md);\n"
       "                 FINSER_METRICS=<path> is an equivalent default\n"
@@ -196,7 +201,6 @@ core::SerFlowConfig flow_config_from(const util::KeyValueConfig& cfg,
   // CLI --threads wins over the config key; both 0 = auto.
   flow.threads =
       cli_threads > 0 ? cli_threads : get_bounded(cfg, "mc.threads", 0, 0);
-  flow.lut_cache_path = cfg.get_string("lut_cache", "");
   const double ini_ci = cfg.get_double("mc.ci_target", 0.0);
   if (ini_ci < 0.0) {
     throw util::InvalidArgument("mc.ci_target must be >= 0 (0 disables "
@@ -204,14 +208,65 @@ core::SerFlowConfig flow_config_from(const util::KeyValueConfig& cfg,
   }
   flow.array_mc.ci.target = ini_ci;
   flow.neutron_mc.ci.target = ini_ci;
-  core::apply_mc_scale(flow, core::mc_scale_from_env());
+  // No MC scale here: the campaign runner applies FINSER_MC_SCALE once, so
+  // the lowered campaign (and --print-config) carries unscaled sizes. The
+  // CI target and cluster mode are set, not multiplied, so applying them
+  // here as well only lets --print-config record them.
   core::apply_ci_target(flow, core::ci_target_from_env());
   core::apply_cluster(flow, core::cluster_mode_from_env());
   return flow;
 }
 
+/// The in-process campaign driver behind `run` and `campaign`: runs \p spec
+/// on a CampaignRunner (cancellable; resumable through its artifact store),
+/// prints each scenario's FIT table, and writes the run report and trace
+/// when asked.
+int run_campaign(const pipeline::CampaignSpec& spec, const std::string& command,
+                 const std::string& metrics_out, const std::string& trace_out,
+                 const exec::CancelToken& cancel) {
+  const exec::ProgressSink progress(
+      [](const std::string& m) { std::printf("  [%s]\n", m.c_str()); },
+      std::chrono::milliseconds(250));
+  ckpt::RunOptions run;
+  run.cancel = &cancel;
+
+  pipeline::CampaignRunner runner(spec);
+  const auto results = runner.run(progress, run);
+
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& scenario = results[i];
+    const auto& species = runner.spec().scenarios[i].species;
+    util::CsvTable fit_table = pipeline::make_fit_table();
+    for (std::size_t s = 0; s < scenario.sweeps.size(); ++s) {
+      pipeline::append_fit_rows(fit_table, species[s], scenario.sweeps[s]);
+    }
+    std::printf("\nscenario %s:\n", scenario.name.c_str());
+    fit_table.write_pretty(std::cout);
+  }
+  if (!spec.output_dir.empty()) {
+    std::printf("\nresults written to %s/\n", spec.output_dir.c_str());
+  }
+
+  if (!metrics_out.empty()) {
+    obs::RunInfo info;
+    info.tool = "finser_cli";
+    info.command = command;
+    if (spec.scenarios.size() == 1) info.seed = spec.scenarios[0].flow.seed;
+    info.threads = exec::resolve_threads(spec.threads);
+    info.lanes = spice::lane_width();
+    info.mc_scale = core::mc_scale_from_env();
+    info.config_fingerprint = pipeline::campaign_fingerprint(spec);
+    obs::write_run_report(metrics_out, info);
+    std::printf("metrics written to %s\n", metrics_out.c_str());
+  }
+  if (!trace_out.empty()) {
+    obs::write_chrome_trace(trace_out);
+    std::printf("trace written to %s\n", trace_out.c_str());
+  }
+  return 0;
+}
+
 int cmd_run(const std::string& config_path, std::size_t cli_threads,
-            const std::string& ckpt_path, double ckpt_interval,
             const std::string& metrics_out, const std::string& trace_out,
             bool print_config, const exec::CancelToken& cancel) {
   util::KeyValueConfig cfg;
@@ -221,11 +276,7 @@ int cmd_run(const std::string& config_path, std::size_t cli_threads,
   const std::string out_dir = cfg.get_string("output.dir", "finser_out");
   const std::vector<std::string> species =
       split_list(cfg.get_string("species", "alpha,proton"));
-
-  core::SerFlowConfig flow_cfg = flow_config_from(cfg, cli_threads);
-  if (flow_cfg.lut_cache_path.empty()) {
-    flow_cfg.lut_cache_path = out_dir + "/pof_luts.bin";
-  }
+  const core::SerFlowConfig flow_cfg = flow_config_from(cfg, cli_threads);
 
   // Fail loudly on config typos before hours of Monte Carlo. The getters
   // above recorded every supported knob, so misspellings get a suggestion.
@@ -242,70 +293,20 @@ int cmd_run(const std::string& config_path, std::size_t cli_threads,
     return 2;
   }
 
+  // The lowering: a single-scenario campaign whose artifact store lives
+  // under the output directory. --print-config prints exactly what runs,
+  // and it round-trips through the campaign parser unchanged.
+  pipeline::CampaignSpec spec =
+      pipeline::single_scenario_campaign(flow_cfg, species, out_dir, "run");
+  spec.artifact_dir = out_dir + "/artifacts";
   if (print_config) {
-    // The fully resolved effective configuration, as a single-scenario
-    // campaign document — pasteable into `finser_cli campaign` and exact:
-    // it round-trips through the campaign parser unchanged.
-    const pipeline::CampaignSpec spec =
-        pipeline::single_scenario_campaign(flow_cfg, species, out_dir, "run");
     std::printf("%s\n", pipeline::campaign_to_json(spec).dump(2).c_str());
     return 0;
   }
-
-  core::SerFlow flow(flow_cfg);
-  const exec::ProgressSink progress(
-      [](const std::string& m) { std::printf("  [%s]\n", m.c_str()); },
-      std::chrono::milliseconds(250));
-
-  // One RunOptions per sweep: the checkpoint stem gets a per-species suffix
-  // so consecutive sweeps never clobber each other's progress. The cancel
-  // token is always armed — Ctrl-C stops cleanly even without --resume.
-  const auto run_opts_for = [&](const std::string& suffix) {
-    ckpt::RunOptions run;
-    if (!ckpt_path.empty()) {
-      run.checkpoint_path = suffix.empty() ? ckpt_path : ckpt_path + "." + suffix;
-      run.checkpoint_interval_sec = ckpt_interval;
-    }
-    run.cancel = &cancel;
-    return run;
-  };
-  // Characterization checkpoints at "<stem>.cell" (cell_model adds the
-  // suffix); by the time the sweeps run, the model is already in memory.
-  flow.cell_model(progress, run_opts_for(""));
-
-  util::CsvTable fit_table = pipeline::make_fit_table();
-  for (const std::string& name : species) {
-    const env::Spectrum spectrum = pipeline::spectrum_for_species(name);
-    std::printf("sweeping %s...\n", spectrum.name().c_str());
-    const auto result = flow.sweep(spectrum, progress, run_opts_for(name));
-    pipeline::pof_csv(result).write_csv_file(out_dir + "/pof_" + name +
-                                             ".csv");
-    pipeline::append_fit_rows(fit_table, name, result);
-  }
-  fit_table.write_csv_file(out_dir + "/fit_summary.csv");
-  std::printf("\n");
-  fit_table.write_pretty(std::cout);
-  std::printf("\nresults written to %s/\n", out_dir.c_str());
-
-  if (!metrics_out.empty()) {
-    obs::RunInfo info;
-    info.tool = "finser_cli";
-    info.command = config_path.empty() ? std::string("run")
-                                       : "run " + config_path;
-    info.seed = flow_cfg.seed;
-    info.threads = exec::resolve_threads(flow_cfg.threads);
-    info.lanes = spice::lane_width();
-    info.mc_scale = core::mc_scale_from_env();
-    info.config_fingerprint =
-        flow_cfg.characterization.fingerprint(flow_cfg.cell_design);
-    obs::write_run_report(metrics_out, info);
-    std::printf("metrics written to %s\n", metrics_out.c_str());
-  }
-  if (!trace_out.empty()) {
-    obs::write_chrome_trace(trace_out);
-    std::printf("trace written to %s\n", trace_out.c_str());
-  }
-  return 0;
+  return run_campaign(spec,
+                      config_path.empty() ? std::string("run")
+                                          : "run " + config_path,
+                      metrics_out, trace_out, cancel);
 }
 
 /// Sharding knobs extracted from the global flag pass (campaign supervisor
@@ -391,6 +392,7 @@ int cmd_campaign(const std::string& campaign_path, std::size_t cli_threads,
       info.threads = exec::resolve_threads(spec.threads);
       info.lanes = spice::lane_width();
       info.mc_scale = core::mc_scale_from_env();
+      info.config_fingerprint = pipeline::campaign_fingerprint(spec);
       const util::JsonValue shard_doc = shard::shard_report_json(result, scfg);
       obs::write_run_report(metrics_out, info, &shard_doc);
       std::printf("metrics written to %s\n", metrics_out.c_str());
@@ -410,46 +412,8 @@ int cmd_campaign(const std::string& campaign_path, std::size_t cli_threads,
     return 1;
   }
 
-  const exec::ProgressSink progress(
-      [](const std::string& m) { std::printf("  [%s]\n", m.c_str()); },
-      std::chrono::milliseconds(250));
-  // Campaign resumability lives in the artifact store (every finished
-  // product is cached content-addressed), so only the cancel token rides in.
-  ckpt::RunOptions run;
-  run.cancel = &cancel;
-
-  pipeline::CampaignRunner runner(spec);
-  const auto results = runner.run(progress, run);
-
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& scenario = results[i];
-    const auto& species = runner.spec().scenarios[i].species;
-    util::CsvTable fit_table = pipeline::make_fit_table();
-    for (std::size_t s = 0; s < scenario.sweeps.size(); ++s) {
-      pipeline::append_fit_rows(fit_table, species[s], scenario.sweeps[s]);
-    }
-    std::printf("\nscenario %s:\n", scenario.name.c_str());
-    fit_table.write_pretty(std::cout);
-  }
-  if (!spec.output_dir.empty()) {
-    std::printf("\nresults written to %s/\n", spec.output_dir.c_str());
-  }
-
-  if (!metrics_out.empty()) {
-    obs::RunInfo info;
-    info.tool = "finser_cli";
-    info.command = "campaign " + campaign_path;
-    info.threads = exec::resolve_threads(spec.threads);
-    info.lanes = spice::lane_width();
-    info.mc_scale = core::mc_scale_from_env();
-    obs::write_run_report(metrics_out, info);
-    std::printf("metrics written to %s\n", metrics_out.c_str());
-  }
-  if (!trace_out.empty()) {
-    obs::write_chrome_trace(trace_out);
-    std::printf("trace written to %s\n", trace_out.c_str());
-  }
-  return 0;
+  return run_campaign(spec, "campaign " + campaign_path, metrics_out,
+                      trace_out, cancel);
 }
 
 /// A streambuf reading raw bytes from a POSIX fd with local buffering.
@@ -591,8 +555,6 @@ int main(int argc, char** argv) {
     std::vector<std::string> args;
     std::size_t threads = 0;
     bool lanes_given = false;
-    std::string ckpt_path;
-    double ckpt_interval = 30.0;
     // FINSER_METRICS turns collection on; a path-like value (anything but
     // "0"/"1") doubles as the default --metrics-out destination.
     std::string metrics_out = finser::obs::configure_from_env();
@@ -616,8 +578,7 @@ int main(int argc, char** argv) {
         print_config = true;
         continue;
       }
-      if (a == "--threads" || a == "--lanes" || a == "--resume" ||
-          a == "--checkpoint-interval" || a == "--metrics-out" ||
+      if (a == "--threads" || a == "--lanes" || a == "--metrics-out" ||
           a == "--trace-out" || a == "--workers" || a == "--max-retries" ||
           a == "--stage-timeout-s" || a == "--heartbeat-timeout-s" ||
           a == "--worker-id" || a == "--lease-dir" || a == "--artifact-dir" ||
@@ -627,10 +588,6 @@ int main(int argc, char** argv) {
           return 2;
         }
         const char* raw = argv[++i];
-        if (a == "--resume") {
-          ckpt_path = raw;
-          continue;
-        }
         if (a == "--metrics-out") {
           metrics_out = raw;
           finser::obs::set_enabled(true);
@@ -735,7 +692,7 @@ int main(int argc, char** argv) {
             return 2;
           }
           threads = static_cast<std::size_t>(v);
-        } else if (a == "--lanes") {
+        } else {
           const long v = std::strtol(raw, &end, 10);
           if (end == raw || *end != '\0' || v < 0 ||
               !spice::lane_width_valid(static_cast<std::size_t>(v))) {
@@ -748,17 +705,13 @@ int main(int argc, char** argv) {
           // Applies process-wide immediately: every engine below sees it.
           spice::set_lane_width(static_cast<std::size_t>(v));
           lanes_given = true;
-        } else {
-          const double v = std::strtod(raw, &end);
-          if (end == raw || *end != '\0' || v < 0.0) {
-            std::fprintf(stderr,
-                         "error: --checkpoint-interval expects seconds >= 0, "
-                         "got \"%s\"\n",
-                         raw);
-            return 2;
-          }
-          ckpt_interval = v;
         }
+      } else if (a.rfind("--", 0) == 0 && a != "--help") {
+        // An unknown option must not be mistaken for a positional argument
+        // (a config or campaign path) or silently ignored.
+        std::fprintf(stderr, "error: unknown option %s (see --help)\n",
+                     a.c_str());
+        return 2;
       } else {
         args.push_back(a);
       }
@@ -773,9 +726,8 @@ int main(int argc, char** argv) {
                      "--print-config)\n");
         return 2;
       }
-      return cmd_run(args.size() > 1 ? args[1] : "", threads, ckpt_path,
-                     ckpt_interval, metrics_out, trace_out, print_config,
-                     cancel);
+      return cmd_run(args.size() > 1 ? args[1] : "", threads, metrics_out,
+                     trace_out, print_config, cancel);
     }
     if (cmd == "campaign") {
       if (args.size() < 2) {

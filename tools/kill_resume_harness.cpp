@@ -1,31 +1,34 @@
 /// \file kill_resume_harness.cpp
-/// \brief End-to-end crash test: SIGKILL a checkpointed sweep mid-run, resume
-/// it, and require the result bytes to match an uninterrupted reference.
+/// \brief End-to-end crash test: SIGKILL a campaign mid-sweep, resume it,
+/// and require the result bytes to match an uninterrupted reference.
 ///
 /// Two modes share this binary:
 ///
-///   * default (ctest KillResumeHarness) — SIGKILL a checkpointed sweep in
-///     this process tree and resume it, per the plan below.
+///   * default (ctest KillResumeHarness) — SIGKILL a one-scenario campaign
+///     in this process tree and resume it, per the plan below.
 ///   * `campaign <finser_cli>` (ctest KillResumeCampaign) — SIGKILL the
 ///     *supervisor* of a sharded campaign right after its first durable done
 ///     marker lands, let the orphaned workers self-terminate, re-run the
 ///     identical command, and require every CSV to match an uninterrupted
 ///     in-process reference byte-for-byte (docs/sharding.md).
 ///
-/// Registered as a ctest (KillResumeHarness). The driver process forks three
-/// children per thread count (1 and 4):
+/// Default mode runs three legs — plain, adaptive (`--ci-target`, chunk 64)
+/// and correlated 2x2 cluster collection under an 88° beam — at 1 and 4
+/// threads. Every child runs the alpha sweep of a one-scenario
+/// CampaignRunner with its artifact store in its work dir, seeded with the
+/// `cell_model` and `device_lut` artifacts of the first reference, so a
+/// victim's first artifact puts are energy bins:
 ///
-///   1. reference — plain sweep, no checkpointing; writes ref<t>.bin and, on
-///      the first run, the shared POF-LUT cache (so later children skip the
-///      expensive characterization).
-///   2. victim    — checkpointed sweep with FINSER_FAULT=kill_after_flush:2:
-///      the process raises SIGKILL right after the 2nd checkpoint flush
-///      lands on disk. The driver asserts it died by exactly that signal.
-///   3. resume    — same command, no fault: restores the checkpoint,
-///      computes the remaining bins, writes out<t>.bin.
+///   1. reference — uninterrupted; writes ref.bin.
+///   2. victim    — FINSER_FAULT=kill_after_flush:2: the process raises
+///      SIGKILL right after its 2nd artifact put lands on disk. The driver
+///      asserts it died by exactly that signal and left `array_bin`
+///      artifacts behind.
+///   3. resume    — same store, no fault: serves the finished bins from the
+///      store (core.bin_cache_hits >= 1), computes the rest, writes out.bin.
 ///
-/// Pass criterion: out<t>.bin is byte-identical to ref<t>.bin for both
-/// thread counts — the checkpoint/restore path changes nothing about the
+/// Pass criterion: out.bin is byte-identical to ref.bin for every leg and
+/// thread count — resuming through the store changes nothing about the
 /// numbers, only about who computed them when.
 
 #include <sys/types.h>
@@ -43,9 +46,9 @@
 
 #include <unistd.h>
 
-#include "finser/ckpt/checkpoint.hpp"
 #include "finser/core/ser_flow.hpp"
-#include "finser/env/spectrum.hpp"
+#include "finser/obs/obs.hpp"
+#include "finser/pipeline/campaign.hpp"
 #include "finser/util/bytes.hpp"
 #include "finser/util/io.hpp"
 
@@ -53,9 +56,11 @@ namespace {
 
 using namespace finser;
 
-core::SerFlowConfig harness_config(std::size_t threads,
-                                   const std::string& cache, bool with_ci,
-                                   bool with_cluster) {
+/// The leg's one-scenario campaign: the alpha sweep of a tiny flow, with its
+/// artifact store at \p store and no CSV outputs.
+pipeline::CampaignSpec harness_campaign(const std::string& store,
+                                        std::size_t threads,
+                                        const std::string& leg) {
   core::SerFlowConfig cfg;
   cfg.array_rows = 2;
   cfg.array_cols = 2;
@@ -67,9 +72,7 @@ core::SerFlowConfig harness_config(std::size_t threads,
   cfg.array_mc.strikes = 1200;
   cfg.alpha_bins = 3;
   cfg.seed = 77;
-  cfg.threads = threads;
-  cfg.lut_cache_path = cache;
-  if (with_ci) {
+  if (leg == "ci") {
     // Adaptive leg: per-bin CI-driven early stopping must engage (small
     // chunks so the round schedule has real decision points inside the
     // budget) and its stopping state must survive kill + resume byte-for-
@@ -78,33 +81,34 @@ core::SerFlowConfig harness_config(std::size_t threads,
     cfg.array_mc.chunk = 64;
     core::apply_ci_target(cfg, 0.35);
   }
-  if (with_cluster) {
+  if (leg == "cluster") {
     // Cluster leg: correlated 2x2 charge collection under a near-grazing
-    // beam, so checkpointed bins carry real joint multi-cell simulations —
-    // the memoized cluster surface must not perturb kill + resume
-    // byte-identity (its entries are pure functions of quantized keys).
+    // beam, so stored bins carry real joint multi-cell simulations — the
+    // memoized cluster surface must not perturb kill + resume byte-identity
+    // (its entries are pure functions of quantized keys).
     cfg.array_mc.angular = core::SourceAngularLaw::kBeam;
     const double tilt = 88.0 * std::numbers::pi / 180.0;
     cfg.array_mc.beam_direction = {std::sin(tilt), 0.05, -std::cos(tilt)};
     cfg.array_mc.cluster.mode = sram::ClusterMode::k2x2;
     cfg.array_mc.cluster.pv_samples = 4;
   }
-  return cfg;
+  pipeline::CampaignSpec spec =
+      pipeline::single_scenario_campaign(cfg, {"alpha"}, "", leg);
+  spec.artifact_dir = store;
+  spec.threads = threads;
+  return spec;
 }
 
-/// Child body: run the alpha sweep and write its exact result bytes.
-int run_sweep(const std::string& workdir, std::size_t threads,
-              const std::string& result_file, const std::string& cache,
-              bool checkpointed, bool with_ci, bool with_cluster) {
-  core::SerFlow flow(harness_config(threads, cache, with_ci, with_cluster));
-
-  ckpt::RunOptions run;
-  if (checkpointed) {
-    run.checkpoint_path = workdir + "/ckpt";
-    run.checkpoint_interval_sec = 0.0;  // Flush after every finished bin.
-  }
-
-  const auto result = flow.sweep(env::package_alphas(), {}, run);
+/// Child body: run the leg's one-scenario campaign on \p store and write
+/// the exact bytes of its alpha sweep. With \p resuming, the run must have
+/// served at least one energy bin from the store.
+int run_sweep(const std::string& store, std::size_t threads,
+              const std::string& result_file, const std::string& leg,
+              bool resuming) {
+  obs::set_enabled(true);
+  pipeline::CampaignRunner runner(harness_campaign(store, threads, leg));
+  const std::vector<pipeline::ScenarioResult> results = runner.run();
+  const core::EnergySweepResult& result = results[0].sweeps[0];
 
   util::ByteWriter w;
   w.u64(result.per_bin.size());
@@ -126,15 +130,19 @@ int run_sweep(const std::string& workdir, std::size_t threads,
                  result_file.c_str(), error.c_str());
     return 1;
   }
+  if (resuming &&
+      obs::Registry::global().counter("core.bin_cache_hits").total() < 1) {
+    std::fprintf(stderr, "harness child: resume served no energy bin from "
+                         "the store\n");
+    return 1;
+  }
   return 0;
 }
 
 /// Fork + execv this binary in child mode; returns the raw waitpid status.
-int spawn_child(const char* self, const std::string& workdir,
-                std::size_t threads, const std::string& result_file,
-                const std::string& cache, bool checkpointed,
-                const char* fault_spec, bool with_ci = false,
-                bool with_cluster = false) {
+int spawn_child(const char* self, const std::string& store, std::size_t threads,
+                const std::string& result_file, const std::string& leg,
+                bool resuming, const char* fault_spec) {
   const pid_t pid = fork();
   if (pid < 0) {
     std::perror("fork");
@@ -147,13 +155,11 @@ int spawn_child(const char* self, const std::string& workdir,
       unsetenv("FINSER_FAULT");
     }
     const std::string t = std::to_string(threads);
-    std::string mode = checkpointed ? "ckpt" : "plain";
-    if (with_ci) mode += "-ci";
-    if (with_cluster) mode += "-cl";
+    const char* role = resuming ? "resume" : "run";
     std::vector<char*> argv;
-    const char* args[] = {self,           "child",       workdir.c_str(),
-                          t.c_str(),      result_file.c_str(), cache.c_str(),
-                          mode.c_str()};
+    const char* args[] = {self,        "child",     store.c_str(),
+                          t.c_str(),   result_file.c_str(), leg.c_str(),
+                          role};
     for (const char* a : args) argv.push_back(const_cast<char*>(a));
     argv.push_back(nullptr);
     execv(self, argv.data());
@@ -173,6 +179,29 @@ bool files_identical(const std::string& a, const std::string& b) {
   std::vector<std::uint8_t> db;
   return util::read_file(a, da, nullptr) && util::read_file(b, db, nullptr) &&
          da == db;
+}
+
+/// Number of artifacts of \p kind in the store directory \p dir.
+std::size_t count_artifacts(const std::string& dir, const std::string& kind) {
+  std::size_t n = 0;
+  std::error_code ec;
+  for (const auto& e : std::filesystem::directory_iterator(dir, ec)) {
+    if (e.path().filename().string().rfind(kind + "-", 0) == 0) ++n;
+  }
+  return n;
+}
+
+/// Copy the cell_model and device_lut artifacts of \p from (if it exists)
+/// into a fresh store directory \p to.
+void seed_store(const std::string& from, const std::string& to) {
+  std::filesystem::create_directories(to);
+  std::error_code ec;
+  for (const auto& e : std::filesystem::directory_iterator(from, ec)) {
+    const std::string name = e.path().filename().string();
+    if (name.rfind("cell_model-", 0) == 0 || name.rfind("device_lut-", 0) == 0) {
+      std::filesystem::copy_file(e.path(), to + "/" + name);
+    }
+  }
 }
 
 int fail(const std::string& msg) {
@@ -196,147 +225,53 @@ int run_driver(const char* self) {
     return 1;
   }
   const std::string root = root_c;
-  const std::string cache = root + "/luts.bin";
+  // The first reference's cell model and device LUT, shared by every later
+  // store so only the first child characterizes.
+  const std::string seed = root + "/seed";
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const std::string tag = std::to_string(threads);
-    const std::string workdir = root + "/v" + tag;
-    std::filesystem::create_directories(workdir);
-    const std::string ref_file = root + "/ref" + tag + ".bin";
-    const std::string out_file = root + "/out" + tag + ".bin";
+  for (const std::string leg : {"plain", "ci", "cluster"}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const std::string tag = leg + " leg, threads=" + std::to_string(threads);
+      const std::string dir = root + "/" + leg + std::to_string(threads);
+      const std::string ref_file = dir + "/ref.bin";
+      const std::string out_file = dir + "/out.bin";
 
-    // 1. Uninterrupted reference (also populates the shared LUT cache).
-    int status = spawn_child(self, workdir, threads, ref_file, cache,
-                             /*checkpointed=*/false, nullptr);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      return fail("reference run (threads=" + tag + ") did not exit cleanly");
-    }
+      // 1. Uninterrupted reference.
+      seed_store(seed, dir + "/ref-store");
+      int status = spawn_child(self, dir + "/ref-store", threads, ref_file, leg,
+                               /*resuming=*/false, nullptr);
+      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        return fail("reference run (" + tag + ") did not exit cleanly");
+      }
+      if (!std::filesystem::exists(seed)) seed_store(dir + "/ref-store", seed);
 
-    // 2. Victim: dies by SIGKILL right after its 2nd checkpoint flush.
-    status = spawn_child(self, workdir, threads, out_file, cache,
-                         /*checkpointed=*/true, "kill_after_flush:2");
-    if (!WIFSIGNALED(status) || WTERMSIG(status) != SIGKILL) {
-      return fail("victim (threads=" + tag +
-                  ") was expected to die by SIGKILL, status=" +
-                  std::to_string(status));
-    }
-    if (!std::filesystem::exists(workdir + "/ckpt")) {
-      return fail("victim (threads=" + tag + ") left no checkpoint behind");
-    }
+      // 2. Victim: dies by SIGKILL right after its 2nd artifact put.
+      const std::string store = dir + "/store";
+      seed_store(seed, store);
+      status = spawn_child(self, store, threads, out_file, leg,
+                           /*resuming=*/false, "kill_after_flush:2");
+      if (!WIFSIGNALED(status) || WTERMSIG(status) != SIGKILL) {
+        return fail("victim (" + tag + ") was expected to die by SIGKILL, "
+                    "status=" + std::to_string(status));
+      }
+      if (count_artifacts(store, "array_bin") == 0) {
+        return fail("victim (" + tag + ") left no array_bin artifact behind");
+      }
 
-    // 3. Resume: restores the checkpoint and finishes the sweep.
-    status = spawn_child(self, workdir, threads, out_file, cache,
-                         /*checkpointed=*/true, nullptr);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      return fail("resume run (threads=" + tag + ") did not exit cleanly");
+      // 3. Resume: serves the stored bins and finishes the sweep.
+      status = spawn_child(self, store, threads, out_file, leg,
+                           /*resuming=*/true, nullptr);
+      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        return fail("resume run (" + tag + ") did not exit cleanly");
+      }
+      if (!files_identical(out_file, ref_file)) {
+        return fail("resumed result differs from uninterrupted reference (" +
+                    tag + ")");
+      }
+      std::printf("kill-resume OK (%s): bit-identical after SIGKILL + "
+                  "resume\n",
+                  tag.c_str());
     }
-    if (std::filesystem::exists(workdir + "/ckpt")) {
-      return fail("completed resume (threads=" + tag +
-                  ") did not remove its checkpoint");
-    }
-    if (!files_identical(out_file, ref_file)) {
-      return fail("resumed result differs from uninterrupted reference "
-                  "(threads=" + tag + ")");
-    }
-    std::printf("kill-resume OK at %s thread(s): bit-identical after "
-                "SIGKILL + resume\n",
-                tag.c_str());
-  }
-
-  // Adaptive leg: the same kill + resume discipline with CI-driven early
-  // stopping enabled. The per-bin blobs now carry stopping state
-  // (units_used / stopped_early), so byte-identity additionally proves a
-  // resumed run replays the *same stopping decisions* as an uninterrupted
-  // one — the decision is derived from the deterministic chunk prefix, not
-  // stored schedule state.
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const std::string tag = std::to_string(threads);
-    const std::string workdir = root + "/ci" + tag;
-    std::filesystem::create_directories(workdir);
-    const std::string ref_file = root + "/ci_ref" + tag + ".bin";
-    const std::string out_file = root + "/ci_out" + tag + ".bin";
-
-    int status = spawn_child(self, workdir, threads, ref_file, cache,
-                             /*checkpointed=*/false, nullptr, /*with_ci=*/true);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      return fail("adaptive reference run (threads=" + tag +
-                  ") did not exit cleanly");
-    }
-
-    status = spawn_child(self, workdir, threads, out_file, cache,
-                         /*checkpointed=*/true, "kill_after_flush:2",
-                         /*with_ci=*/true);
-    if (!WIFSIGNALED(status) || WTERMSIG(status) != SIGKILL) {
-      return fail("adaptive victim (threads=" + tag +
-                  ") was expected to die by SIGKILL, status=" +
-                  std::to_string(status));
-    }
-    if (!std::filesystem::exists(workdir + "/ckpt")) {
-      return fail("adaptive victim (threads=" + tag +
-                  ") left no checkpoint behind");
-    }
-
-    status = spawn_child(self, workdir, threads, out_file, cache,
-                         /*checkpointed=*/true, nullptr, /*with_ci=*/true);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      return fail("adaptive resume run (threads=" + tag +
-                  ") did not exit cleanly");
-    }
-    if (!files_identical(out_file, ref_file)) {
-      return fail("adaptive resumed result differs from uninterrupted "
-                  "reference (threads=" + tag + ")");
-    }
-    std::printf("kill-resume OK at %s thread(s) with --ci-target: stopping "
-                "state bit-identical after SIGKILL + resume\n",
-                tag.c_str());
-  }
-
-  // Cluster leg: kill + resume with correlated 2x2 charge collection under a
-  // grazing beam (real joint multi-cell simulations in the checkpointed
-  // bins). Byte-identity proves the memoized cluster surface and the joint
-  // scoring replay deterministically across the restore.
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const std::string tag = std::to_string(threads);
-    const std::string workdir = root + "/cl" + tag;
-    std::filesystem::create_directories(workdir);
-    const std::string ref_file = root + "/cl_ref" + tag + ".bin";
-    const std::string out_file = root + "/cl_out" + tag + ".bin";
-
-    int status = spawn_child(self, workdir, threads, ref_file, cache,
-                             /*checkpointed=*/false, nullptr, /*with_ci=*/false,
-                             /*with_cluster=*/true);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      return fail("cluster reference run (threads=" + tag +
-                  ") did not exit cleanly");
-    }
-
-    status = spawn_child(self, workdir, threads, out_file, cache,
-                         /*checkpointed=*/true, "kill_after_flush:2",
-                         /*with_ci=*/false, /*with_cluster=*/true);
-    if (!WIFSIGNALED(status) || WTERMSIG(status) != SIGKILL) {
-      return fail("cluster victim (threads=" + tag +
-                  ") was expected to die by SIGKILL, status=" +
-                  std::to_string(status));
-    }
-    if (!std::filesystem::exists(workdir + "/ckpt")) {
-      return fail("cluster victim (threads=" + tag +
-                  ") left no checkpoint behind");
-    }
-
-    status = spawn_child(self, workdir, threads, out_file, cache,
-                         /*checkpointed=*/true, nullptr, /*with_ci=*/false,
-                         /*with_cluster=*/true);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      return fail("cluster resume run (threads=" + tag +
-                  ") did not exit cleanly");
-    }
-    if (!files_identical(out_file, ref_file)) {
-      return fail("cluster resumed result differs from uninterrupted "
-                  "reference (threads=" + tag + ")");
-    }
-    std::printf("kill-resume OK at %s thread(s) with cluster=2x2: "
-                "bit-identical after SIGKILL + resume\n",
-                tag.c_str());
   }
 
   std::error_code ec;
@@ -512,11 +447,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "harness child: bad argument count\n");
       return 2;
     }
-    const std::string mode = argv[6];
     return run_sweep(argv[2], static_cast<std::size_t>(std::atol(argv[3])),
-                     argv[4], argv[5], mode.rfind("ckpt", 0) == 0,
-                     mode.find("-ci") != std::string::npos,
-                     mode.find("-cl") != std::string::npos);
+                     argv[4], argv[5], std::strcmp(argv[6], "resume") == 0);
   }
   return run_driver(argv[0]);
 }
