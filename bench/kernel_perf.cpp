@@ -29,7 +29,7 @@ namespace {
 using namespace finser;
 
 /// Threshold cell model (no SPICE): deposits above q_thresh flip. Keeps the
-/// thread-scaling sweep a pure measurement of the array-MC kernel.
+/// observability-overhead bench a pure measurement of the array-MC kernel.
 sram::CellSoftErrorModel threshold_model(double vdd, double q_thresh_fc) {
   sram::PofTable t;
   t.vdd_v = vdd;
@@ -53,84 +53,6 @@ sram::CellSoftErrorModel threshold_model(double vdd, double q_thresh_fc) {
   sram::CellSoftErrorModel m;
   m.tables.push_back(std::move(t));
   return m;
-}
-
-/// Thread-scaling sweep of the array-MC strike loop (1/2/4/8 threads, same
-/// seed). Emits the machine-readable bench_out/parallel_scaling.json and a
-/// human-readable CSV, and cross-checks the determinism contract: every
-/// thread count must reproduce the single-thread POF bit-for-bit.
-void report_parallel_scaling() {
-  const sram::ArrayLayout layout(9, 9, sram::CellGeometry{});
-  const sram::CellSoftErrorModel model = threshold_model(0.8, 0.02);
-
-  core::ArrayMcConfig cfg;
-  cfg.strikes = 40000;
-  cfg.chunk = 512;
-  const std::uint64_t seed = 20140601;
-
-  util::CsvTable t(
-      {"threads", "seconds", "strikes_per_s", "speedup_vs_1", "identical"});
-  double t1_seconds = 0.0;
-  double ref_tot = 0.0;
-  bool all_identical = true;
-  std::string rows_json;
-
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    cfg.threads = threads;
-    core::ArrayMc mc(layout, model, cfg);
-    // One warm-up run (spawns the worker threads, faults in the LUTs), then
-    // the timed run.
-    mc.run(phys::Species::kAlpha, 2.0, seed);
-    const auto start = std::chrono::steady_clock::now();
-    const auto res = mc.run(phys::Species::kAlpha, 2.0, seed);
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-
-    const double tot = res.est[0][core::kModeWithPv].tot;
-    if (threads == 1) {
-      t1_seconds = seconds;
-      ref_tot = tot;
-    }
-    const bool identical = tot == ref_tot;
-    all_identical = all_identical && identical;
-    const double speedup = seconds > 0.0 ? t1_seconds / seconds : 0.0;
-    const double rate = seconds > 0.0
-                            ? static_cast<double>(cfg.strikes) / seconds
-                            : 0.0;
-    t.add_row({static_cast<double>(threads), seconds, rate, speedup,
-               identical ? 1.0 : 0.0});
-
-    char row[256];
-    std::snprintf(row,
-                  sizeof row,
-                  "%s    {\"threads\": %zu, \"seconds\": %.6f, "
-                  "\"strikes_per_s\": %.1f, \"speedup_vs_1\": %.3f, "
-                  "\"identical_to_1_thread\": %s}",
-                  rows_json.empty() ? "" : ",\n", threads, seconds, rate,
-                  speedup, identical ? "true" : "false");
-    rows_json += row;
-  }
-
-  bench::emit(t, "parallel_scaling",
-              "Array-MC thread scaling (same seed; identical must be 1)");
-
-  std::filesystem::create_directories(bench::kOutDir);
-  const std::string path =
-      std::string(bench::kOutDir) + "/parallel_scaling.json";
-  std::ofstream os(path);
-  os << "{\n"
-     << bench::machine_json_fields()
-     << "  \"kernel\": \"array_mc_strikes\",\n"
-     << "  \"strikes\": " << cfg.strikes << ",\n"
-     << "  \"chunk\": " << cfg.chunk << ",\n"
-     << "  \"seed\": " << seed << ",\n"
-     << "  \"hardware_threads\": " << exec::hardware_threads() << ",\n"
-     << "  \"deterministic_across_thread_counts\": "
-     << (all_identical ? "true" : "false") << ",\n"
-     << "  \"results\": [\n"
-     << rows_json << "\n  ]\n}\n";
-  std::cout << "[json] " << path << "\n";
 }
 
 /// Observability tax on the hottest loop: the same array-MC strike kernel
@@ -405,8 +327,9 @@ void report_spice_kernel() {
   run_batched(batch_out);
   const double batched_s = run_batched(batch_out);
 
-  // Count what the scalar entry point does: solver steps skipped by the
-  // steady-state fast-forward and DC hold solves saved by the ΔVt cache.
+  // Count what the scalar entry point does: accepted steps, transients the
+  // latch stop ended before the 50 ps window, and DC hold solves saved by
+  // the ΔVt cache.
   obs::Registry::global().reset();
   obs::set_enabled(true);
   run_scalar(scalar_out);
@@ -415,20 +338,27 @@ void report_spice_kernel() {
         obs::Registry::global().counter(name).total());
   };
   const unsigned long long tran_steps = count("spice.tran.steps");
-  const unsigned long long ff_steps = count("spice.tran.ff_steps");
+  const unsigned long long latch_stops = count("spice.tran.latch_stops");
   const unsigned long long newton_iters = count("spice.tran.newton_iters");
   const unsigned long long dc_reuse = count("sram.strike.dc_reuse");
   // Lane-utilization counters of the batched pass: how full the SIMD lanes
-  // ran and how many lane-iterations were masked-off (converged/ragged).
+  // ran and how many lane-iterations were masked-off (converged, latched or
+  // ragged).
   obs::Registry::global().reset();
   run_batched(batch_out);
+  const unsigned long long batch_steps = count("spice.tran.steps");
+  const unsigned long long batch_latch_stops = count("spice.tran.latch_stops");
   const unsigned long long batch_ticks = count("spice.batch.newton_ticks");
   const unsigned long long lane_active = count("spice.batch.lane_iters_active");
   const unsigned long long lane_masked = count("spice.batch.lane_iters_masked");
   obs::set_enabled(false);
   obs::Registry::global().reset();
 
-  bool identical = scalar_out.size() == batch_out.size();
+  // Identical outcomes, and every lane stopped on the step its scalar run
+  // stopped on.
+  bool identical = scalar_out.size() == batch_out.size() &&
+                   tran_steps == batch_steps &&
+                   latch_stops == batch_latch_stops;
   for (std::size_t i = 0; identical && i < scalar_out.size(); ++i) {
     identical = scalar_out[i].flipped == batch_out[i].flipped &&
                 scalar_out[i].final_q_v == batch_out[i].final_q_v &&
@@ -473,7 +403,7 @@ void report_spice_kernel() {
                 "  \"lane_width\": %zu,\n"
                 "  \"bit_identical_batched\": %s,\n"
                 "  \"scalar_tran_steps\": %llu,\n"
-                "  \"scalar_ff_steps\": %llu,\n"
+                "  \"scalar_latch_stops\": %llu,\n"
                 "  \"scalar_newton_iters\": %llu,\n"
                 "  \"scalar_dc_hold_reuses\": %llu,\n"
                 "  \"batch_newton_ticks\": %llu,\n"
@@ -484,7 +414,7 @@ void report_spice_kernel() {
                 bench::machine_json_fields().c_str(), kSamples,
                 kSimsPerSample, scalar_s, batched_s, scalar_rate,
                 batched_rate, batched_speedup, lanes,
-                identical ? "true" : "false", tran_steps, ff_steps,
+                identical ? "true" : "false", tran_steps, latch_stops,
                 newton_iters, dc_reuse, batch_ticks, lane_active, lane_masked,
                 lane_fraction);
   os << body;
@@ -538,7 +468,6 @@ void report() {
               "Runtime budget of the paper-scale campaign on this machine");
 
   report_spice_kernel();
-  report_parallel_scaling();
   report_obs_overhead();
   report_artifact_cache();
 }

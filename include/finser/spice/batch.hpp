@@ -22,8 +22,10 @@
 /// lane keeps riding the vector tick (its stamps and LU are computed and
 /// discarded) until the whole group drains. Per-lane Newton bookkeeping —
 /// damping, convergence, step control, the escalation ladder — stays scalar
-/// per lane and follows the reference loop statement for statement; a
-/// steady-state fast-forward on top replays proven cycles value for value.
+/// per lane and follows the reference loop statement for statement. So does
+/// the opt-in latch stop (TransientOptions::latch): each lane stops on its
+/// own step, and a latched lane rides masked until its group's slowest lane
+/// finishes.
 ///
 /// Width selection: the compiled default (`kDefaultLaneWidth`) picks the
 /// widest vector unit the build targets; `set_lane_width()` / the
@@ -44,15 +46,6 @@ namespace finser::spice {
 
 /// Hard ceiling on the lane count (sizes the per-lane cold-state arrays).
 inline constexpr std::size_t kMaxLaneWidth = 8;
-
-/// Snapshot of one accepted uniform transient step of one lane: the solution
-/// vector plus the reactive (capacitor) state. The transient engine keeps a
-/// short ring of these per lane to detect exact steady-state cycles (see
-/// engine_detail.hpp run_transient_batch_impl).
-struct StateSnap {
-  std::vector<double> x;
-  std::vector<double> state;
-};
 
 /// Compile-time auto width: the widest SIMD unit the build targets.
 /// FINSER_SCALAR_LANES (CMake option) forces the portable width-1 default.
@@ -81,8 +74,7 @@ void set_lane_width(std::size_t w);
 
 /// Preallocated AoSoA scratch of one lane-batched circuit: the per-lane
 /// rebound parameters, reactive state, dense MNA blocks and solver vectors,
-/// plus the per-lane cold state (pivot caches, breakpoints, fast-forward
-/// rings). One workspace per (thread, compiled circuit); sized by
+/// plus the per-lane cold state (pivot caches, breakpoints). One workspace per (thread, compiled circuit); sized by
 /// CompiledCircuit::batch_configure(). Hot arrays index as [slot * lanes + w].
 struct BatchWorkspace {
   std::size_t lanes = 0;     ///< AoSoA width W (1, 4 or 8).
@@ -122,7 +114,6 @@ struct BatchWorkspace {
 
   // --- Per-lane transient cold state (scalar access only) ------------------
   std::array<std::vector<double>, kMaxLaneWidth> breaks;
-  std::array<std::array<StateSnap, 8>, kMaxLaneWidth> ff_ring;
 };
 
 /// Per-lane results of one batched transient group. Lane w of the input maps
@@ -139,9 +130,9 @@ struct BatchTransientResult {
 /// Advance up to bw.lanes independent transients in lockstep. \p x0 supplies
 /// one operating point per lane (size ≤ bw.lanes; an empty entry — or a
 /// missing trailing one — marks the lane inactive, i.e. a masked-off ragged
-/// tail). Per lane this computes byte-identical waveforms and failure text to
-/// the reference run_transient(circuit, x0[w], opt, probe_nodes) on the
-/// lane's binding; a failed lane is reported in the result instead of
+/// tail). Per lane this computes byte-identical waveforms (latch stops
+/// included) and failure text to the reference
+/// run_transient(circuit, x0[w], opt, probe_nodes) on the lane's binding; a failed lane is reported in the result instead of
 /// thrown, and never perturbs its neighbors. The circuit's per-lane
 /// parameters must have been loaded with batch_rebind_lane() beforehand.
 BatchTransientResult run_transient_batch(

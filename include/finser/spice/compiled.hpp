@@ -114,24 +114,9 @@ class CompiledCircuit {
                     double dt, Integrator method) const;
 
   /// Append lane \p lane's hard time points (source edges) within
-  /// [0, t_end].
+  /// (0, t_end).
   void batch_add_breakpoints(const BatchWorkspace& bw, std::size_t lane,
                              double t_end, std::vector<double>& out) const;
-
-  /// True when every time-dependent source of lane \p lane (PWL tables,
-  /// strike pulses) has reached its final constant value by time \p t —
-  /// i.e. stamping at any time >= \p t is a pure function of the iterate
-  /// and the reactive state. This is the license for the transient
-  /// engine's steady-state fast-forward (see engine_detail.hpp).
-  bool batch_sources_constant_after(const BatchWorkspace& bw,
-                                    std::size_t lane, double t) const;
-
-  /// Snapshot / restore lane \p lane's reactive state (capacitor
-  /// histories), used by the fast-forward to replay a proven cycle.
-  void batch_save_reactive_state(const BatchWorkspace& bw, std::size_t lane,
-                                 std::vector<double>& out) const;
-  void batch_load_reactive_state(BatchWorkspace& bw, std::size_t lane,
-                                 const std::vector<double>& in) const;
 
  private:
   enum class Kind : std::uint8_t {

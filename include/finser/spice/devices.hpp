@@ -89,9 +89,6 @@ class PwlVSource : public Device {
   /// Waveform value at time \p t.
   double value(double t) const;
 
-  /// Time of the last table point; value(t) is constant for t beyond it.
-  double last_point_time() const { return points_.back().first; }
-
   std::size_t branch_id() const { return branch_; }
   std::size_t node_a() const { return a_; }
   std::size_t node_b() const { return b_; }
@@ -116,10 +113,6 @@ struct PulseShape {
 
   /// Total charge delivered [C].
   double charge_c() const;
-
-  /// Time past which value(t) is identically zero (trailing edge plus the
-  /// same edge tolerance value() applies).
-  double end_time() const;
 
   /// Rectangular pulse delivering \p charge_c over \p width_s.
   static PulseShape rectangular_for_charge(double charge_c, double width_s,

@@ -10,12 +10,17 @@
 /// convergence failure. Integrators: backward Euler (robust default) and
 /// trapezoidal (2nd order, used by accuracy cross-checks).
 ///
+/// A run normally integrates to t_end. A bistable circuit whose caller only
+/// needs the final state can opt into a latch stop (TransientOptions::latch)
+/// that ends the run once the outcome can no longer change.
+///
 /// run_transient() here is the interpreted reference engine. Compiled
 /// circuits run the same step control through the lane-batched engine
 /// (run_transient_batch() in batch.hpp), which is pinned byte-identical to
-/// this one at every lane width.
+/// this one at every lane width, latch stops included.
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,6 +66,24 @@ class Waveform {
   std::vector<std::vector<double>> data_;  ///< [probe][sample].
 };
 
+/// Half-width of the latch band as a fraction of the rail (see LatchStop).
+inline constexpr double kLatchMargin = 0.02;
+
+/// Early-stop rule for a bistable pair of nodes (an SRAM cell's storage
+/// nodes). A run stops at the first accepted step that is past the last
+/// edge of every source — computed once per run from the unclipped edges,
+/// so a source still on, even one ending past t_end, never arms the rule —
+/// and finds the two nodes within kLatchMargin · rail of opposite rails.
+/// The band is two-sided: a node overshooting past a rail is not latched.
+struct LatchStop {
+  std::size_t node_a = kGround;  ///< Probe node (not ground).
+  std::size_t node_b = kGround;  ///< Probe node (not ground).
+  double rail = 0.0;             ///< High rail [V]; the low rail is 0 V.
+
+  /// True when {va, vb} sit within the band of {rail, 0} or of {0, rail}.
+  bool holds(double va, double vb) const;
+};
+
 /// Transient analysis options.
 struct TransientOptions {
   double t_end = 0.0;           ///< Simulation end time [s] (required, > 0).
@@ -80,6 +103,10 @@ struct TransientOptions {
   /// deterministic — no randomness, no wall-clock — so retried runs stay
   /// reproducible. 0 disables the ladder.
   int max_restarts = 2;
+  /// Opt-in latch stop (see LatchStop). Unset, every run ends at t_end;
+  /// set, a run may end earlier, so its waveform length and final values
+  /// are those of the stop step.
+  std::optional<LatchStop> latch;
 };
 
 /// Run a transient from the operating point \p x0 (from solve_dc).

@@ -87,7 +87,11 @@ struct CellDesign {
   phys::FinTechnology tech;   ///< Fin geometry / mobility (pulse width).
 };
 
-/// Result of one strike transient.
+/// Result of one strike transient. The voltages are those of the run's last
+/// step: in retention a run stops once the cell has latched (see
+/// StrikeSimulator), so they are usually stop-time voltages within
+/// spice::kLatchMargin · Vdd of the rails rather than values at the end of
+/// the 50 ps window.
 struct StrikeOutcome {
   bool flipped = false;
   double final_q_v = 0.0;
@@ -110,7 +114,13 @@ enum class AccessMode {
 /// bisection shares one DC solve). Transients run on the lane-batched
 /// engine: simulate() as a one-lane group, simulate_batch() in groups of
 /// spice::lane_width(). Results are bit-identical to the interpreted
-/// reference engine on circuit().
+/// reference engine on circuit() with transient_options().
+///
+/// In AccessMode::kRetention the transient options carry a latch stop on
+/// {q, qb} (spice::LatchStop): a run ends at the first step past the strike
+/// pulse where both storage nodes sit within 2% of Vdd of opposite rails,
+/// since the flip verdict cannot change after that. Read mode keeps the
+/// whole 50 ps window.
 class StrikeSimulator {
  public:
   StrikeSimulator(const CellDesign& design, double vdd_v,

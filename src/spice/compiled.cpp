@@ -12,47 +12,14 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit)
     : src_(&circuit),
       node_count_(circuit.node_count()),
       unknown_count_(circuit.unknown_count()) {
-  ops_.reserve(circuit.devices().size());
-  for (const auto& dev : circuit.devices()) {
-    const Device* d = dev.get();
-    if (const auto* r = dynamic_cast<const Resistor*>(d)) {
-      ops_.push_back({Kind::kResistor,
-                      static_cast<std::uint32_t>(resistors_.size())});
-      resistors_.push_back({r->node_a(), r->node_b(), r->conductance()});
-    } else if (const auto* c = dynamic_cast<const Capacitor*>(d)) {
-      ops_.push_back({Kind::kCapacitor,
-                      static_cast<std::uint32_t>(capacitors_.size())});
-      capacitors_.push_back({c->node_a(), c->node_b(), c->capacitance()});
-    } else if (const auto* p = dynamic_cast<const PwlVSource*>(d)) {
-      ops_.push_back({Kind::kPwlVSource,
-                      static_cast<std::uint32_t>(pwls_.size())});
-      pwls_.push_back({p, p->node_a(), p->node_b(), p->branch_id()});
-    } else if (const auto* v = dynamic_cast<const VSource*>(d)) {
-      ops_.push_back({Kind::kVSource,
-                      static_cast<std::uint32_t>(vsources_.size())});
-      vsources_.push_back(
-          {v, v->node_a(), v->node_b(), v->branch_id(), v->voltage()});
-    } else if (const auto* s = dynamic_cast<const PulseISource*>(d)) {
-      ops_.push_back({Kind::kPulseISource,
-                      static_cast<std::uint32_t>(isources_.size())});
-      isources_.push_back({s, s->node_from(), s->node_to(), s->shape()});
-    } else if (const auto* m = dynamic_cast<const Mosfet*>(d)) {
-      ops_.push_back({Kind::kMosfet,
-                      static_cast<std::uint32_t>(mosfets_.size())});
-      mosfets_.push_back({m, m->drain(), m->gate(), m->source(), &m->model(),
-                          m->nfin(), m->delta_vt(), m->temperature()});
-    } else {
-      throw util::InvalidArgument(
-          std::string("CompiledCircuit: unsupported device kind '") +
-          d->kind() + "'");
-    }
-  }
-
-  // Precompute the fused-path flat slot indices (see stamp_fused): matrix
-  // entry (i,j) lives at i·n + j, rhs entry i at i, and any ground-touching
-  // stamp is redirected to the trailing scratch slot (n² resp. n) so the
-  // inner loop needs no kGround branches — the scratch values are written
-  // and never read, exactly mirroring Mna::add's silent drop.
+  // Each record carries its fused-path flat slot indices (see stamp_fused):
+  // matrix entry (i,j) lives at i·n + j, rhs entry i at i, and any
+  // ground-touching stamp is redirected to the trailing scratch slot (n²
+  // resp. n) so the inner loop needs no kGround branches — the scratch
+  // values are written and never read, exactly mirroring Mna::add's silent
+  // drop. A source's branch unknown index is fixed per circuit:
+  // branch_offset is always node_count() in both engine paths
+  // (StampContext::branch_index).
   const std::size_t n = unknown_count_;
   const auto ms = [n](std::size_t i, std::size_t j) {
     return static_cast<Slot>((i == kGround || j == kGround) ? n * n
@@ -61,52 +28,53 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit)
   const auto rs = [n](std::size_t i) {
     return static_cast<Slot>(i == kGround ? n : i);
   };
-  for (ResistorRec& r : resistors_) {
-    r.s_aa = ms(r.a, r.a);
-    r.s_bb = ms(r.b, r.b);
-    r.s_ab = ms(r.a, r.b);
-    r.s_ba = ms(r.b, r.a);
-  }
-  for (CapacitorRec& c : capacitors_) {
-    c.s_aa = ms(c.a, c.a);
-    c.s_bb = ms(c.b, c.b);
-    c.s_ab = ms(c.a, c.b);
-    c.s_ba = ms(c.b, c.a);
-    c.r_a = rs(c.a);
-    c.r_b = rs(c.b);
-  }
-  for (VSourceRec& v : vsources_) {
-    // The branch unknown index is fixed per circuit: branch_offset is always
-    // node_count() in both engine paths (StampContext::branch_index).
-    const std::size_t k = node_count_ + v.branch;
-    v.s_ak = ms(v.a, k);
-    v.s_bk = ms(v.b, k);
-    v.s_ka = ms(k, v.a);
-    v.s_kb = ms(k, v.b);
-    v.r_k = rs(k);
-  }
-  for (PwlRec& p : pwls_) {
-    const std::size_t k = node_count_ + p.branch;
-    p.s_ak = ms(p.a, k);
-    p.s_bk = ms(p.b, k);
-    p.s_ka = ms(k, p.a);
-    p.s_kb = ms(k, p.b);
-    p.r_k = rs(k);
-  }
-  for (ISourceRec& s : isources_) {
-    s.r_from = rs(s.from);
-    s.r_to = rs(s.to);
-  }
-  for (MosRec& m : mosfets_) {
-    m.s_dd = ms(m.d, m.d);
-    m.s_dg = ms(m.d, m.g);
-    m.s_ds = ms(m.d, m.s);
-    m.s_sd = ms(m.s, m.d);
-    m.s_sg = ms(m.s, m.g);
-    m.s_ss = ms(m.s, m.s);
-    m.r_d = rs(m.d);
-    m.r_s = rs(m.s);
-    m.plan = bake_finfet(*m.model, m.delta_vt, m.nfin, m.temp_k);
+  const auto op = [](Kind kind, std::size_t idx) {
+    return Op{kind, static_cast<std::uint32_t>(idx)};
+  };
+
+  ops_.reserve(circuit.devices().size());
+  for (const auto& dev : circuit.devices()) {
+    const Device* d = dev.get();
+    if (const auto* r = dynamic_cast<const Resistor*>(d)) {
+      ops_.push_back(op(Kind::kResistor, resistors_.size()));
+      const std::size_t a = r->node_a(), b = r->node_b();
+      resistors_.push_back({a, b, r->conductance(), ms(a, a), ms(b, b),
+                            ms(a, b), ms(b, a)});
+    } else if (const auto* c = dynamic_cast<const Capacitor*>(d)) {
+      ops_.push_back(op(Kind::kCapacitor, capacitors_.size()));
+      const std::size_t a = c->node_a(), b = c->node_b();
+      capacitors_.push_back({a, b, c->capacitance(), ms(a, a), ms(b, b),
+                             ms(a, b), ms(b, a), rs(a), rs(b)});
+    } else if (const auto* p = dynamic_cast<const PwlVSource*>(d)) {
+      ops_.push_back(op(Kind::kPwlVSource, pwls_.size()));
+      const std::size_t a = p->node_a(), b = p->node_b();
+      const std::size_t k = node_count_ + p->branch_id();
+      pwls_.push_back({p, a, b, p->branch_id(), ms(a, k), ms(b, k), ms(k, a),
+                       ms(k, b), rs(k)});
+    } else if (const auto* v = dynamic_cast<const VSource*>(d)) {
+      ops_.push_back(op(Kind::kVSource, vsources_.size()));
+      const std::size_t a = v->node_a(), b = v->node_b();
+      const std::size_t k = node_count_ + v->branch_id();
+      vsources_.push_back({v, a, b, v->branch_id(), v->voltage(), ms(a, k),
+                           ms(b, k), ms(k, a), ms(k, b), rs(k)});
+    } else if (const auto* s = dynamic_cast<const PulseISource*>(d)) {
+      ops_.push_back(op(Kind::kPulseISource, isources_.size()));
+      isources_.push_back({s, s->node_from(), s->node_to(), s->shape(),
+                           rs(s->node_from()), rs(s->node_to())});
+    } else if (const auto* m = dynamic_cast<const Mosfet*>(d)) {
+      ops_.push_back(op(Kind::kMosfet, mosfets_.size()));
+      const std::size_t dn = m->drain(), g = m->gate(), sn = m->source();
+      mosfets_.push_back(
+          {m, dn, g, sn, &m->model(), m->nfin(), m->delta_vt(),
+           m->temperature(),
+           bake_finfet(m->model(), m->delta_vt(), m->nfin(), m->temperature()),
+           ms(dn, dn), ms(dn, g), ms(dn, sn), ms(sn, dn), ms(sn, g), ms(sn, sn),
+           rs(dn), rs(sn)});
+    } else {
+      throw util::InvalidArgument(
+          std::string("CompiledCircuit: unsupported device kind '") +
+          d->kind() + "'");
+    }
   }
   FINSER_OBS_COUNT("spice.compiled.compiles", 1);
 }

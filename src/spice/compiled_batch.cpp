@@ -333,41 +333,4 @@ void CompiledCircuit::batch_add_breakpoints(const BatchWorkspace& bw,
   }
 }
 
-bool CompiledCircuit::batch_sources_constant_after(const BatchWorkspace& bw,
-                                                   std::size_t lane,
-                                                   double t) const {
-  const std::size_t W = bw.lanes;
-  for (const PwlRec& p : pwls_) {
-    if (p.src->last_point_time() > t) return false;
-  }
-  for (std::size_t i = 0; i < isources_.size(); ++i) {
-    if (bw.is_shape[i * W + lane].end_time() > t) return false;
-  }
-  return true;
-}
-
-void CompiledCircuit::batch_save_reactive_state(const BatchWorkspace& bw,
-                                                std::size_t lane,
-                                                std::vector<double>& out) const {
-  const std::size_t W = bw.lanes;
-  out.clear();
-  out.reserve(2 * capacitors_.size());
-  for (std::size_t i = 0; i < capacitors_.size(); ++i) {
-    out.push_back(bw.cap_v_prev[i * W + lane]);
-    out.push_back(bw.cap_i_prev[i * W + lane]);
-  }
-}
-
-void CompiledCircuit::batch_load_reactive_state(
-    BatchWorkspace& bw, std::size_t lane, const std::vector<double>& in) const {
-  const std::size_t W = bw.lanes;
-  FINSER_REQUIRE(in.size() == 2 * capacitors_.size(),
-                 "CompiledCircuit: reactive-state snapshot size mismatch");
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < capacitors_.size(); ++i) {
-    bw.cap_v_prev[i * W + lane] = in[k++];
-    bw.cap_i_prev[i * W + lane] = in[k++];
-  }
-}
-
 }  // namespace finser::spice

@@ -129,12 +129,6 @@ double PulseShape::value(double t) const {
   return 0.0;
 }
 
-double PulseShape::end_time() const {
-  // Mirrors value(): current is zero once rel > width + edge_tol.
-  const double edge_tol = 1e-9 * (std::abs(delay_s) + width_s);
-  return delay_s + width_s + edge_tol;
-}
-
 double PulseShape::charge_c() const {
   switch (kind) {
     case Kind::kRectangular:

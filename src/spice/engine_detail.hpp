@@ -19,8 +19,9 @@
 /// The compiled transient loop is run_transient_batch_impl() below: W
 /// transients in masked-Newton lockstep, with W = 1 as the scalar case. The
 /// interpreted reference loop behind run_transient(Circuit&) lives in
-/// transient.cpp; tests/test_spice_compiled.cpp pins the batched engine to
-/// it byte for byte at every lane width.
+/// transient.cpp and shares the option checks and the breakpoint/arming
+/// setup below with it; tests/test_spice_compiled.cpp pins the batched
+/// engine to it byte for byte at every lane width.
 
 #include <algorithm>
 #include <array>
@@ -339,6 +340,45 @@ std::vector<double> solve_dc_impl(const Stamper& st, SolveWorkspace& ws,
 }
 
 // ---------------------------------------------------------------------------
+// Transient set-up shared by both transient loops
+// ---------------------------------------------------------------------------
+
+/// Horizon that collects source edges unclipped (add_breakpoints() with it
+/// appends every edge after t = 0).
+inline constexpr double kNoHorizon = std::numeric_limits<double>::infinity();
+
+/// Option checks of both transient loops (same messages).
+inline void require_valid_transient(const TransientOptions& opt,
+                                    std::size_t node_count) {
+  FINSER_REQUIRE(opt.t_end > 0.0, "run_transient: t_end must be positive");
+  FINSER_REQUIRE(opt.dt_initial > 0.0 && opt.dt_min > 0.0 &&
+                     opt.dt_max >= opt.dt_initial,
+                 "run_transient: inconsistent step-size options");
+  FINSER_REQUIRE(!opt.latch || (opt.latch->node_a < node_count &&
+                                opt.latch->node_b < node_count),
+                 "run_transient: latch nodes must be circuit nodes");
+}
+
+/// Turn the source edges in \p breaks, collected up to kNoHorizon, into the
+/// step clamp list — the edges inside (0, t_end) plus t_end, sorted and
+/// deduplicated — and return the latest edge (0 without any): the latch
+/// stop's arming time, which may lie past t_end.
+inline double clamp_breaks_and_arm(std::vector<double>& breaks, double t_end) {
+  double last_edge = 0.0;
+  for (const double b : breaks) last_edge = std::max(last_edge, b);
+  breaks.erase(std::remove_if(breaks.begin(), breaks.end(),
+                              [t_end](double b) { return b >= t_end; }),
+               breaks.end());
+  breaks.push_back(t_end);
+  std::sort(breaks.begin(), breaks.end());
+  breaks.erase(
+      std::unique(breaks.begin(), breaks.end(),
+                  [](double p, double q) { return std::abs(p - q) < 1e-24; }),
+      breaks.end());
+  return last_edge;
+}
+
+// ---------------------------------------------------------------------------
 // Lane-batched transient: the compiled transient loop (see batch.hpp)
 // ---------------------------------------------------------------------------
 
@@ -547,11 +587,10 @@ inline void batch_lu_solve(BatchWorkspace& bw, std::size_t n,
 
 /// The compiled transient loop: W independent transients advance through one
 /// vectorized Newton tick at a time (W = 1 is the scalar case). Per-lane step
-/// control (breakpoint clamping, accept/reject, the escalation ladder) runs
-/// in scalar bookkeeping that follows the reference loop in transient.cpp
-/// statement for statement, plus a steady-state fast-forward the reference
-/// loop lacks (it replays proven cycles value for value; see below). Only
-/// the per-iteration stamp+solve+update is batched. Lanes that are done,
+/// control (breakpoint clamping, accept/reject, the escalation ladder, the
+/// latch stop) runs in scalar bookkeeping that follows the reference loop in
+/// transient.cpp statement for statement. Only the per-iteration
+/// stamp+solve+update is batched. Lanes that are done (at t_end or latched),
 /// failed or inactive stay in the vector as masked compute-and-discard
 /// riders until the group drains — freezing, not branching, is what keeps
 /// the hot loop uniform.
@@ -562,10 +601,7 @@ BatchTransientResult run_transient_batch_impl(
     const std::vector<std::string>& probe_nodes) {
   FINSER_REQUIRE(bw.lanes == W, "run_transient_batch: workspace lane mismatch");
   FINSER_REQUIRE(x0.size() <= W, "run_transient_batch: more lanes than width");
-  FINSER_REQUIRE(opt.t_end > 0.0, "run_transient: t_end must be positive");
-  FINSER_REQUIRE(opt.dt_initial > 0.0 && opt.dt_min > 0.0 &&
-                     opt.dt_max >= opt.dt_initial,
-                 "run_transient: inconsistent step-size options");
+  require_valid_transient(opt, cc.node_count());
   const std::size_t n = cc.unknown_count();
   FINSER_REQUIRE(bw.unknowns == n, "run_transient_batch: workspace size mismatch");
 
@@ -605,7 +641,6 @@ BatchTransientResult run_transient_batch_impl(
   std::array<double, W> dt{};
   std::array<double, W> bt{};   ///< Per-lane stamp time (ctx.time).
   std::array<double, W> bdt{};  ///< Per-lane stamp step (ctx.dt).
-  std::array<double, W> step{};
   std::array<bool, W> hit_break{};
   std::array<std::size_t, W> next_break{};
   std::array<int, W> newton_iter{};
@@ -613,7 +648,7 @@ BatchTransientResult run_transient_batch_impl(
   std::array<int, W> eff_max_newton{};
   std::array<double, W> eff_damping{};
   std::array<std::uint64_t, W> accepted{};
-  std::array<std::uint64_t, W> ff_count{};
+  std::array<double, W> arm_time{};  ///< Per-lane latch arming time.
   // Keep masked lanes' dt positive: they are stamped unconditionally and the
   // capacitor companion divides by it.
   dt.fill(opt.dt_initial);
@@ -630,14 +665,6 @@ BatchTransientResult run_transient_batch_impl(
     for (std::size_t i = 0; i < n; ++i) dst[i * W + w] = in[i];
   };
 
-  constexpr std::size_t kFfMaxPeriod = 4;
-  const auto ff_snap = [&bw](std::size_t w, std::uint64_t i) -> StateSnap& {
-    return bw.ff_ring[w][i % bw.ff_ring[w].size()];
-  };
-  const auto ff_same = [](const StateSnap& sa, const StateSnap& sb) {
-    return sa.x == sb.x && sa.state == sb.state;
-  };
-
   // Initialize active lanes; masked lanes inherit the first active lane's
   // operating point so their ride-along arithmetic stays finite.
   std::size_t first_active = W;
@@ -648,13 +675,8 @@ BatchTransientResult run_transient_batch_impl(
     FINSER_OBS_COUNT("spice.tran.runs", 1);
     std::vector<double>& breaks = bw.breaks[w];
     breaks.clear();
-    cc.batch_add_breakpoints(bw, w, opt.t_end, breaks);
-    breaks.push_back(opt.t_end);
-    std::sort(breaks.begin(), breaks.end());
-    breaks.erase(
-        std::unique(breaks.begin(), breaks.end(),
-                    [](double p, double q) { return std::abs(p - q) < 1e-24; }),
-        breaks.end());
+    cc.batch_add_breakpoints(bw, w, kNoHorizon, breaks);
+    arm_time[w] = clamp_breaks_and_arm(breaks, opt.t_end);
     cc.batch_initialize_state(bw, w, x0[w]);
     inject_lane(x0[w], w, bw.x);
     res.waves[w].append(0.0, x0[w]);
@@ -670,9 +692,7 @@ BatchTransientResult run_transient_batch_impl(
     }
   }
 
-  // Accept-path bookkeeping for lane w. Only uniform full-size steps with
-  // time-constant sources feed the fast-forward ring (see below); anything
-  // else restarts cycle detection.
+  // Accept-path bookkeeping for lane w.
   const auto accept = [&](std::size_t w) {
     FINSER_OBS_COUNT("spice.tran.steps", 1);
     ++accepted[w];
@@ -683,15 +703,6 @@ BatchTransientResult run_transient_batch_impl(
     t[w] = bt[w];
     extract_lane(bw.x, w, xscratch);
     res.waves[w].append(t[w], xscratch);
-    if (!hit_break[w] && step[w] == opt.dt_max &&
-        cc.batch_sources_constant_after(bw, w, t[w] - step[w])) {
-      StateSnap& slot = ff_snap(w, ff_count[w]);
-      slot.x = xscratch;
-      cc.batch_save_reactive_state(bw, w, slot.state);
-      ++ff_count[w];
-    } else {
-      ff_count[w] = 0;
-    }
     if (hit_break[w]) {
       dt[w] = opt.dt_initial;  // Restart small after a source edge.
       ++next_break[w];
@@ -708,7 +719,6 @@ BatchTransientResult run_transient_batch_impl(
   // reference engine throws.
   const auto reject = [&](std::size_t w) {
     FINSER_OBS_COUNT("spice.tran.rejects", 1);
-    ff_count[w] = 0;
     dt[w] *= opt.shrink_factor;
     phase[w] = Phase::kStepping;
     if (dt[w] < opt.dt_min) {
@@ -740,73 +750,32 @@ BatchTransientResult run_transient_batch_impl(
     // --- Per-lane scalar bookkeeping: arm the next Newton attempt ---------
     for (std::size_t w = 0; w < W; ++w) {
       if (phase[w] != Phase::kStepping) continue;
-      if (t[w] >= opt.t_end - 1e-24) {
+      bool stop = t[w] >= opt.t_end - 1e-24;
+      if (!stop && opt.latch && t[w] > arm_time[w] &&
+          opt.latch->holds(bw.x[opt.latch->node_a * W + w],
+                           bw.x[opt.latch->node_b * W + w])) {
+        FINSER_OBS_COUNT("spice.tran.latch_stops", 1);
+        stop = true;
+      }
+      if (stop) {
         FINSER_OBS_RECORD("spice.tran.steps_per_run", accepted[w]);
         phase[w] = Phase::kDone;
         continue;
       }
-      std::vector<double>& breaks = bw.breaks[w];
+      const std::vector<double>& breaks = bw.breaks[w];
       while (next_break[w] < breaks.size() &&
              breaks[next_break[w]] <= t[w] + 1e-24) {
         ++next_break[w];
       }
-
-      // Steady-state fast-forward. In the settling tail of a strike the step
-      // map becomes a pure function of (x, reactive state): dt is pinned at
-      // dt_max, every source is past its last edge, and each accepted step
-      // reproduces the previous solution exactly once the floating-point
-      // contraction bottoms out (trapezoidal capacitor histories may
-      // alternate sign, giving a period-2 cycle). Once the last 2p ring
-      // snapshots repeat with period p, every further uniform step provably
-      // replays that cycle, so the steps up to the breakpoint clamp are
-      // emitted without stamping or solving — value-identical by induction,
-      // not by approximation. Step k ahead of the newest snapshot s_last
-      // reproduces s_{last - period + 1 + ((k-1) mod period)}.
-      if (ff_count[w] >= 2 && dt[w] == opt.dt_max &&
-          next_break[w] < breaks.size() &&
-          cc.batch_sources_constant_after(bw, w, t[w])) {
-        std::size_t period = 0;
-        for (std::size_t p = 1; p <= kFfMaxPeriod && period == 0; ++p) {
-          if (ff_count[w] < 2 * p) break;
-          bool cyclic = true;
-          for (std::size_t j = 0; j < p && cyclic; ++j) {
-            cyclic = ff_same(ff_snap(w, ff_count[w] - 1 - j),
-                             ff_snap(w, ff_count[w] - 1 - j - p));
-          }
-          if (cyclic) period = p;
-        }
-        if (period > 0) {
-          const double bound = breaks[next_break[w]];
-          std::uint64_t replayed = 0;
-          while (t[w] + dt[w] < bound - 1e-24) {
-            ++replayed;
-            const StateSnap& s = ff_snap(
-                w, ff_count[w] - 1 - period + 1 + ((replayed - 1) % period));
-            t[w] += dt[w];
-            res.waves[w].append(t[w], s.x);
-            FINSER_OBS_COUNT("spice.tran.steps", 1);
-            FINSER_OBS_COUNT("spice.tran.ff_steps", 1);
-            ++accepted[w];
-          }
-          if (replayed > 0) {
-            const StateSnap& s = ff_snap(
-                w, ff_count[w] - 1 - period + 1 + ((replayed - 1) % period));
-            inject_lane(s.x, w, bw.x);
-            cc.batch_load_reactive_state(bw, w, s.state);
-            ff_count[w] = 0;
-          }
-        }
-      }
-
       hit_break[w] = false;
-      step[w] = dt[w];
+      double step = dt[w];
       if (next_break[w] < breaks.size() &&
-          t[w] + step[w] >= breaks[next_break[w]] - 1e-24) {
-        step[w] = breaks[next_break[w]] - t[w];
+          t[w] + step >= breaks[next_break[w]] - 1e-24) {
+        step = breaks[next_break[w]] - t[w];
         hit_break[w] = true;
       }
-      bt[w] = t[w] + step[w];
-      bdt[w] = step[w];
+      bt[w] = t[w] + step;
+      bdt[w] = step;
       for (std::size_t i = 0; i < n; ++i) {
         bw.x_try[i * W + w] = bw.x[i * W + w];
       }

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <ostream>
 
+#include "engine_detail.hpp"
 #include "finser/obs/obs.hpp"
 #include "finser/util/error.hpp"
 
@@ -81,6 +82,14 @@ void Waveform::write_csv(std::ostream& os) const {
   }
 }
 
+bool LatchStop::holds(double va, double vb) const {
+  const double band = kLatchMargin * rail;
+  const auto near = [band](double v, double level) {
+    return std::abs(v - level) <= band;
+  };
+  return (near(va, rail) && near(vb, 0.0)) || (near(va, 0.0) && near(vb, rail));
+}
+
 // ---------------------------------------------------------------------------
 // Reference transient engine (interpreted)
 // ---------------------------------------------------------------------------
@@ -125,12 +134,9 @@ bool newton_step(const Circuit& c, Mna& mna, Mna::PivotCache& pivot,
 Waveform run_transient(const Circuit& c, const std::vector<double>& x0,
                        const TransientOptions& opt,
                        const std::vector<std::string>& probe_nodes) {
-  FINSER_REQUIRE(opt.t_end > 0.0, "run_transient: t_end must be positive");
+  detail::require_valid_transient(opt, c.node_count());
   FINSER_REQUIRE(x0.size() == c.unknown_count(),
                  "run_transient: x0 size mismatch");
-  FINSER_REQUIRE(opt.dt_initial > 0.0 && opt.dt_min > 0.0 &&
-                     opt.dt_max >= opt.dt_initial,
-                 "run_transient: inconsistent step-size options");
 
   obs::ScopedSpan run_span("spice.tran.run");
   FINSER_OBS_COUNT("spice.tran.runs", 1);
@@ -151,14 +157,12 @@ Waveform run_transient(const Circuit& c, const std::vector<double>& x0,
   }
   Waveform wave(std::move(names), std::move(nodes));
 
-  // Collect and sort hard breakpoints.
+  // Hard breakpoints and the latch arming time, from the unclipped edges.
   std::vector<double> breaks;
-  for (const auto& dev : c.devices()) dev->add_breakpoints(opt.t_end, breaks);
-  breaks.push_back(opt.t_end);
-  std::sort(breaks.begin(), breaks.end());
-  breaks.erase(std::unique(breaks.begin(), breaks.end(),
-                           [](double a, double b) { return std::abs(a - b) < 1e-24; }),
-               breaks.end());
+  for (const auto& dev : c.devices()) {
+    dev->add_breakpoints(detail::kNoHorizon, breaks);
+  }
+  const double arm_time = detail::clamp_breaks_and_arm(breaks, opt.t_end);
 
   // Initialize device state from the operating point.
   for (const auto& dev : c.devices()) dev->initialize_state(x0);
@@ -187,6 +191,11 @@ Waveform run_transient(const Circuit& c, const std::vector<double>& x0,
   std::uint64_t accepted_steps = 0;
 
   while (t < opt.t_end - 1e-24) {
+    if (opt.latch && t > arm_time &&
+        opt.latch->holds(x[opt.latch->node_a], x[opt.latch->node_b])) {
+      FINSER_OBS_COUNT("spice.tran.latch_stops", 1);
+      break;  // The outcome has latched: nothing left to decide.
+    }
     // Clamp the step to land exactly on the next breakpoint.
     while (next_break < breaks.size() && breaks[next_break] <= t + 1e-24) {
       ++next_break;

@@ -93,6 +93,13 @@ StrikeSimulator::StrikeSimulator(const CellDesign& design, double vdd_v,
   topt_.t_end = 50e-12;
   topt_.dt_initial = 1e-15;
   topt_.dt_max = 1e-12;
+  // Only the flip verdict is needed, so in retention a run stops once the
+  // storage nodes sit at opposite rails after the pulse. With the wordline
+  // high the '0' node is held off its rail and can pass through the band
+  // and still recover, so read mode integrates the whole window.
+  if (mode_ == AccessMode::kRetention) {
+    topt_.latch = spice::LatchStop{n_q_, n_qb_, vdd_v_};
+  }
 
   // The netlist is final: lower it once. Every simulate() from here on is a
   // rebind, never a rebuild.

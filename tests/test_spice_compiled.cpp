@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
@@ -25,6 +26,7 @@
 
 #include "finser/ckpt/checkpoint.hpp"
 #include "finser/exec/cancel.hpp"
+#include "finser/obs/obs.hpp"
 #include "finser/spice/batch.hpp"
 #include "finser/spice/compiled.hpp"
 #include "finser/spice/dc.hpp"
@@ -576,6 +578,140 @@ TEST(SpiceCompiled, StrikeSimulatorEnginesAgreeExactly) {
       EXPECT_EQ(hold[1], x0[nqb]);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Latch stop: every engine stops each run on the same step
+// ---------------------------------------------------------------------------
+
+/// {count, sum, min, max} of steps_per_run.
+using StepsPerRun = std::array<std::uint64_t, 4>;
+
+/// The steps_per_run histogram of the runs \p body performs.
+StepsPerRun steps_per_run_of(const std::function<void()>& body) {
+  obs::IntHistogram& h =
+      obs::Registry::global().int_histogram("spice.tran.steps_per_run");
+  h.reset();
+  obs::set_enabled(true);
+  body();
+  obs::set_enabled(false);
+  return {h.count(), h.sum(), h.min(), h.max()};
+}
+
+// With the retention latch set, the batched engine at W = 1, 4 and 8 must
+// stop every lane on the interpreted loop's step: same waveform length and
+// values, same steps_per_run. The lanes of a group stop at different steps
+// (a strike-free sample first, a flip later) and ride masked meanwhile.
+// Without the latch, every run of both engines ends at t_end.
+TEST(SpiceBatch, LatchStopsMatchInterpretedPerLane) {
+  const CellDesign design;
+  constexpr double kVdd = 0.8;
+  StrikeSimulator sim(design, kVdd);
+  const spice::Circuit& c = sim.circuit();
+  spice::CompiledCircuit cc(c);
+  std::vector<double> guess(c.unknown_count(), 0.0);
+  for (const char* node : {"q", "vdd", "bl", "blb"}) {
+    guess[c.find_node(node)] = kVdd;
+  }
+  const std::vector<std::string> probes{"q", "qb"};
+
+  // Strike-free, sub-critical, flipping and rail-overshooting samples, then
+  // random ones with process variation.
+  stats::Rng rng(16016);
+  std::vector<StrikeCharges> charges{
+      {}, {0.05, 0.0, 0.0}, {1.0, 0.0, 0.0}, {0.5, 0.0, 0.5}};
+  std::vector<DeltaVt> dvts(charges.size());
+  while (charges.size() < 8) {
+    charges.push_back(StrikeCharges{rng.uniform(0.0, 0.3),
+                                    rng.uniform(0.0, 0.3),
+                                    rng.uniform(0.0, 0.3)});
+    DeltaVt dvt{};
+    for (double& v : dvt) v = rng.normal(0.0, design.sigma_vt);
+    dvts.push_back(dvt);
+  }
+  // Load sample k into the netlist's devices (simulate() leaves them
+  // carrying it) without recording its run.
+  const auto load = [&](std::size_t k) {
+    obs::set_enabled(false);
+    sim.simulate(charges[k], dvts[k],
+                 k % 2 == 0 ? spice::PulseShape::Kind::kRectangular
+                            : spice::PulseShape::Kind::kTriangular);
+    cc.rebind();
+  };
+
+  spice::TransientOptions latched = sim.transient_options();
+  ASSERT_TRUE(latched.latch.has_value());
+  spice::TransientOptions whole = latched;
+  whole.latch.reset();
+
+  for (const spice::TransientOptions* opt : {&latched, &whole}) {
+    const bool latch = opt->latch.has_value();
+    std::vector<std::vector<double>> x0(charges.size());
+    std::vector<spice::Waveform> ref;
+    // steps_per_run the runs of samples [first, first + count) must record:
+    // one accepted step per reference sample after t = 0.
+    const auto ref_steps = [&ref](std::size_t first, std::size_t count) {
+      StepsPerRun want{0, 0, ~0ull, 0};
+      for (std::size_t k = first; k < first + count; ++k) {
+        const std::uint64_t steps = ref[k].sample_count() - 1;
+        ++want[0];
+        want[1] += steps;
+        want[2] = std::min(want[2], steps);
+        want[3] = std::max(want[3], steps);
+      }
+      return want;
+    };
+    for (std::size_t k = 0; k < charges.size(); ++k) {
+      load(k);
+      x0[k] = spice::solve_dc(c, guess);
+      const StepsPerRun steps = steps_per_run_of([&] {
+        ref.push_back(spice::run_transient(c, x0[k], *opt, probes));
+      });
+      EXPECT_EQ(steps, ref_steps(k, 1)) << k;
+      if (!latch) {
+        EXPECT_EQ(ref[k].times().back(), opt->t_end) << k;
+      }
+    }
+    if (latch) {
+      // Not vacuous: every sample latches early, at more than one step.
+      std::vector<std::size_t> lengths;
+      for (const spice::Waveform& w : ref) {
+        EXPECT_LT(w.times().back(), opt->t_end);
+        lengths.push_back(w.sample_count());
+      }
+      EXPECT_GT(*std::max_element(lengths.begin(), lengths.end()),
+                *std::min_element(lengths.begin(), lengths.end()));
+    }
+
+    for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+      spice::BatchWorkspace bw;
+      cc.batch_configure(bw, width);
+      for (std::size_t offset = 0; offset < charges.size(); offset += width) {
+        std::vector<std::vector<double>> group(width);
+        for (std::size_t g = 0; g < width; ++g) {
+          load(offset + g);
+          cc.batch_rebind_lane(bw, g);
+          group[g] = x0[offset + g];
+        }
+        spice::BatchTransientResult res;
+        const StepsPerRun steps = steps_per_run_of([&] {
+          res = spice::run_transient_batch(cc, bw, group, *opt, probes);
+        });
+        EXPECT_EQ(steps, ref_steps(offset, width))
+            << "width " << width << " group " << offset / width;
+        for (std::size_t g = 0; g < width; ++g) {
+          ASSERT_FALSE(res.failed[g]) << res.errors[g];
+          spice::expect_same_waveform(
+              ref[offset + g], res.waves[g],
+              ((latch ? "latched" : "whole") + std::string(" width ") +
+               std::to_string(width) + " sample " +
+               std::to_string(offset + g))
+                  .c_str());
+        }
+      }
+    }
+  }
+  obs::Registry::global().reset();
 }
 
 // ---------------------------------------------------------------------------

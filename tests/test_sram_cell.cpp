@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <utility>
+#include <vector>
 
+#include "finser/obs/obs.hpp"
+#include "finser/spice/dc.hpp"
+#include "finser/spice/transient.hpp"
 #include "finser/sram/cell.hpp"
+#include "finser/stats/rng.hpp"
 #include "finser/util/error.hpp"
 
 namespace finser::sram {
@@ -165,6 +174,236 @@ TEST(SramCell, HigherVddNeedsMoreCharge) {
     }
     EXPECT_GT(hi, prev_flip_q) << vdd;
     prev_flip_q = hi;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Latch stop (retention): the verdict must be the full window's
+// ---------------------------------------------------------------------------
+
+/// The interpreted engine replaying the sample \p sim simulated last, from
+/// the same hold state: once with the simulator's own options (latch
+/// included) and once over the whole window without the latch.
+struct Replay {
+  spice::Waveform latched;
+  spice::Waveform full;
+};
+
+Replay replay(const StrikeSimulator& sim) {
+  const spice::Circuit& c = sim.circuit();
+  std::vector<double> guess(c.unknown_count(), 0.0);
+  for (const char* node : {"q", "vdd", "bl", "blb"}) {
+    guess[c.find_node(node)] = sim.vdd();
+  }
+  const std::vector<double> x0 = spice::solve_dc(c, guess);
+  spice::TransientOptions full = sim.transient_options();
+  full.latch.reset();
+  return {spice::run_transient(c, x0, sim.transient_options(), {"q", "qb"}),
+          spice::run_transient(c, x0, full, {"q", "qb"})};
+}
+
+bool flipped(const spice::Waveform& w, double vdd) {
+  return w.final_value(0) < 0.5 * vdd && w.final_value(1) > 0.5 * vdd;
+}
+
+/// Trailing edge of the strike pulses \p sim simulated last.
+double pulse_end(const StrikeSimulator& sim) {
+  double end = 0.0;
+  for (const auto& dev : sim.circuit().devices()) {
+    if (const auto* src = dynamic_cast<const spice::PulseISource*>(dev.get())) {
+      end = std::max(end, src->shape().delay_s + src->shape().width_s);
+    }
+  }
+  return end;
+}
+
+/// Latch stops and the largest steps_per_run of the runs \p body performs.
+template <class Body>
+std::pair<std::uint64_t, std::uint64_t> latch_stops_of(Body&& body) {
+  obs::Registry& reg = obs::Registry::global();
+  reg.reset();
+  obs::set_enabled(true);
+  body();
+  obs::set_enabled(false);
+  const std::pair<std::uint64_t, std::uint64_t> got{
+      reg.counter("spice.tran.latch_stops").total(),
+      reg.int_histogram("spice.tran.steps_per_run").max()};
+  reg.reset();
+  return got;
+}
+
+// The soundness evidence for the latch stop. Near Qcrit the cell regenerates
+// slowest, so that is where stopping early could misjudge a strike: for 6T
+// and 8T cells, rectangular and triangular pulses, Vdd 0.7/0.9/1.1 V and
+// ΔVt drawn at 1σ and 3σ, charges straddling each sample's Qcrit (along I1
+// alone and along I1 = I2 = I3) must get the verdict of the interpreted
+// engine integrating the whole 50 ps window without the latch.
+TEST(LatchStop, VerdictMatchesFullWindowAroundQcrit) {
+  using Kind = spice::PulseShape::Kind;
+  stats::Rng rng(20140601);
+  int cases = 0, flips = 0, early = 0, mismatches = 0, redrawn = 0;
+  for (CellTopology topo : {CellTopology::k6T, CellTopology::k8T}) {
+    CellDesign design;
+    design.topology = topo;
+    for (double vdd : {0.7, 0.9, 1.1}) {
+      StrikeSimulator sim(design, vdd);
+      for (double sigmas : {1.0, 3.0}) {
+        for (Kind kind : {Kind::kRectangular, Kind::kTriangular}) {
+          for (int draw = 0; draw < 2; ++draw) {
+            // A 3σ draw can leave the cell without a hold state (its DC
+            // solve fails; characterization counts such samples as
+            // failures), so draw until the cell holds its '1'.
+            DeltaVt dvt{};
+            for (bool holds = false; !holds;) {
+              for (double& v : dvt) v = rng.normal(0.0, sigmas * design.sigma_vt);
+              try {
+                const auto hs = sim.hold_state(dvt);
+                holds = hs[0] > 0.5 * vdd && hs[1] < 0.5 * vdd;
+              } catch (const util::NumericalError&) {
+              }
+              redrawn += holds ? 0 : 1;
+            }
+            for (const double i23 : {0.0, 1.0}) {
+              const auto at = [i23](double q) {
+                return StrikeCharges{q, i23 * q, i23 * q};
+              };
+              // Qcrit in (lo, hi], bisected on the retention verdict.
+              double lo = 0.0, hi = 2.0;
+              ASSERT_FALSE(sim.simulate(at(lo), dvt, kind).flipped);
+              ASSERT_TRUE(sim.simulate(at(hi), dvt, kind).flipped);
+              for (int i = 0; i < 30; ++i) {
+                const double mid = 0.5 * (lo + hi);
+                (sim.simulate(at(mid), dvt, kind).flipped ? hi : lo) = mid;
+              }
+              for (double q : {0.9 * lo, 0.99 * lo, lo, hi, 1.01 * hi, 1.1 * hi}) {
+                const StrikeOutcome out = sim.simulate(at(q), dvt, kind);
+                const Replay r = replay(sim);
+                ++cases;
+                flips += out.flipped ? 1 : 0;
+                early += r.latched.times().back() < r.full.times().back() ? 1 : 0;
+                if (out.flipped != flipped(r.full, vdd)) {
+                  ++mismatches;
+                  ADD_FAILURE() << "verdict moved: topology "
+                                << static_cast<int>(topo) << ", vdd " << vdd
+                                << ", " << sigmas << " sigma, kind "
+                                << static_cast<int>(kind) << ", q " << q;
+                }
+                // simulate() stopped where the interpreted loop stops.
+                EXPECT_EQ(out.final_q_v, r.latched.final_value(0));
+                EXPECT_EQ(out.final_qb_v, r.latched.final_value(1));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  std::printf("[latch] %d strikes straddling Qcrit: %d flips, %d stopped "
+              "early, %d verdicts moved (%d ΔVt draws without a hold state "
+              "redrawn)\n",
+              cases, flips, early, mismatches, redrawn);
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(flips, cases / 2);          // Each ladder straddles Qcrit.
+  EXPECT_GT(early, cases * 9 / 10);     // The rule fires, not vacuous.
+}
+
+// Trap 1: before the pulse the cell sits in its hold state, which is inside
+// the band. A rule armed at a fixed time would stop there and call every
+// strike harmless; armed at the sources' last edge, it waits for the pulse.
+// A source still on at t_end (here a pulse stretched past the window) never
+// arms it.
+TEST(LatchStop, HoldStateBeforeThePulseDoesNotStop) {
+  constexpr double kVdd = 0.8;
+  StrikeSimulator sim(CellDesign{}, kVdd);
+  const spice::TransientOptions& opt = sim.transient_options();
+  ASSERT_TRUE(opt.latch.has_value());
+
+  const StrikeOutcome out = sim.simulate(StrikeCharges{1.0, 0.0, 0.0});
+  const Replay r = replay(sim);
+  const std::vector<double>& t = r.latched.times();
+  ASSERT_GT(t.size(), 2u);
+  EXPECT_LT(t[1], pulse_end(sim));
+  EXPECT_TRUE(opt.latch->holds(r.latched.value(0, 1), r.latched.value(1, 1)));
+  EXPECT_GT(t.back(), pulse_end(sim));
+  EXPECT_LT(t.back(), opt.t_end);
+  EXPECT_TRUE(out.flipped);
+  EXPECT_TRUE(flipped(r.full, kVdd));
+
+  sim.set_pulse_width_scale(1e5);
+  const auto stops = latch_stops_of(
+      [&] { EXPECT_FALSE(sim.simulate(StrikeCharges{}).flipped); });
+  ASSERT_GT(pulse_end(sim), opt.t_end);
+  const Replay held = replay(sim);
+  EXPECT_EQ(held.latched.times().back(), opt.t_end);
+  EXPECT_EQ(stops.first, 0u);
+  EXPECT_EQ(stops.second, held.full.sample_count() - 1);
+}
+
+// Trap 2: right after a large strike the struck nodes overshoot past their
+// rails (here q dips below -1 V and qb rises above 2 V). A one-sided band,
+// "q at most 2% of Vdd and qb at least Vdd less 2%", already holds there;
+// the two-sided band waits until both nodes are back within 2% of a rail.
+TEST(LatchStop, RailOvershootIsNotLatched) {
+  constexpr double kVdd = 0.7;
+  const double m = spice::kLatchMargin * kVdd;
+  const spice::LatchStop band{0, 1, kVdd};
+  EXPECT_TRUE(band.holds(kVdd, 0.0));
+  EXPECT_TRUE(band.holds(0.0, kVdd));
+  EXPECT_TRUE(band.holds(kVdd - 0.5 * m, 0.5 * m));
+  EXPECT_TRUE(band.holds(-0.5 * m, kVdd + 0.5 * m));
+  EXPECT_FALSE(band.holds(-0.9, kVdd));
+  EXPECT_FALSE(band.holds(0.0, 2.0));
+  EXPECT_FALSE(band.holds(kVdd + 2.0 * m, 0.0));
+  EXPECT_FALSE(band.holds(0.5 * kVdd, 0.5 * kVdd));
+  EXPECT_FALSE(band.holds(kVdd, kVdd));
+
+  StrikeSimulator sim(CellDesign{}, kVdd);
+  const StrikeOutcome out = sim.simulate(StrikeCharges{0.5, 0.0, 0.5});
+  const Replay r = replay(sim);
+  std::size_t one_sided = 0;  // First post-pulse sample a one-sided band takes.
+  for (std::size_t i = 0; i < r.full.sample_count() && one_sided == 0; ++i) {
+    if (r.full.times()[i] > pulse_end(sim) && r.full.value(0, i) <= m &&
+        r.full.value(1, i) >= kVdd - m) {
+      one_sided = i;
+    }
+  }
+  ASSERT_GT(one_sided, 0u);
+  const double q = r.full.value(0, one_sided);
+  const double qb = r.full.value(1, one_sided);
+  EXPECT_TRUE(q < -m || qb > kVdd + m) << q << " " << qb;
+  EXPECT_FALSE(band.holds(q, qb));
+  // The run goes on past the overshoot and stops inside the band.
+  EXPECT_GT(r.latched.sample_count(), one_sided + 1);
+  EXPECT_LT(r.latched.times().back(), sim.transient_options().t_end);
+  EXPECT_TRUE(band.holds(out.final_q_v, out.final_qb_v));
+  EXPECT_TRUE(out.flipped);
+  EXPECT_TRUE(flipped(r.full, kVdd));
+}
+
+// Read mode keeps the whole window: with the wordline high the '0' node is
+// held off its rail, and a read-mode transient can pass through the band and
+// still recover. The same strike in retention stops early.
+TEST(LatchStop, ReadModeRunsTheWholeWindow) {
+  constexpr double kVdd = 0.8;
+  const StrikeCharges strike{0.05, 0.0, 0.0};
+  for (CellTopology topo : {CellTopology::k6T, CellTopology::k8T}) {
+    CellDesign design;
+    design.topology = topo;
+    StrikeSimulator read(design, kVdd, AccessMode::kRead);
+    EXPECT_FALSE(read.transient_options().latch.has_value());
+    StrikeOutcome out;
+    const auto stops = latch_stops_of([&] { out = read.simulate(strike); });
+    const Replay r = replay(read);
+    EXPECT_EQ(r.full.times().back(), read.transient_options().t_end);
+    EXPECT_EQ(stops.first, 0u);
+    EXPECT_EQ(stops.second, r.full.sample_count() - 1);
+    EXPECT_EQ(out.final_q_v, r.full.final_value(0));
+    EXPECT_EQ(out.final_qb_v, r.full.final_value(1));
+
+    StrikeSimulator retention(design, kVdd);
+    const auto ret_stops = latch_stops_of([&] { retention.simulate(strike); });
+    EXPECT_EQ(ret_stops.first, 1u);
+    EXPECT_LT(ret_stops.second, r.full.sample_count() - 1);
   }
 }
 
