@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "finser/ckpt/checkpoint.hpp"
 #include "finser/core/array_mc.hpp"
 #include "finser/exec/exec.hpp"
 #include "finser/obs/obs.hpp"
@@ -171,14 +170,13 @@ void report_artifact_cache() {
   obs::Registry::global().reset();
   obs::set_enabled(true);
   const exec::ProgressSink quiet;
-  const ckpt::RunOptions run;
 
   const auto timed_pass = [&](const char* label) {
     const std::uint64_t chars_before =
         obs::Registry::global().counter("pipeline.characterizations").total();
     const auto start = std::chrono::steady_clock::now();
     pipeline::CampaignRunner runner(spec);
-    const auto results = runner.run(quiet, run);
+    const auto results = runner.run(quiet);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();

@@ -8,27 +8,29 @@
 /// fixed-size RNG chunks on the exec thread pool, accumulated into one
 /// PofAccumulator per (vdd, mode) and merged pairwise in chunk-index order.
 /// ArrayEngine hoists that entire driver — worker-scratch management, the
-/// plain vs checkpointed execution paths, partial decode/merge, and the
-/// final estimate — into one place; the engines supply only the per-chunk
-/// physics (simulate_chunk) and their checkpoint fingerprint.
+/// one round-scheduled execution path for fixed and adaptive budgets, the
+/// partial merge, and the final estimate — into one place; the engines
+/// supply only the per-chunk physics (simulate_chunk) and the fingerprint
+/// of a run.
 ///
 /// The driver preserves the exec-layer determinism contract verbatim: chunk
 /// *i* consumes stats::Rng::stream(seed, i) and nothing else, partials merge
 /// in chunk-index order, so results are bit-identical at any thread count
-/// and across kill/resume (docs/parallelism.md, docs/robustness.md).
+/// (docs/parallelism.md).
 ///
 /// ArrayEngine is also the unit the pipeline layer schedules: a campaign
-/// stage node is "one engine × one energy point", keyed by the same
-/// fingerprint the checkpoint layer uses (docs/architecture.md).
+/// stage node is "one engine × one energy point", and its `array_bin`
+/// artifact is keyed by point_fingerprint (docs/architecture.md).
 
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "finser/ckpt/checkpoint.hpp"
 #include "finser/core/pof_combine.hpp"
+#include "finser/exec/cancel.hpp"
 #include "finser/exec/progress.hpp"
+#include "finser/exec/thread_pool.hpp"
 #include "finser/phys/track.hpp"
 #include "finser/sram/cluster.hpp"
 #include "finser/sram/layout.hpp"
@@ -110,12 +112,6 @@ class PofAccumulator {
   /// recorded verbatim; \p hit_fraction is campaign-level bookkeeping.
   PofEstimate finalize(std::size_t strikes, double hit_fraction) const;
 
-  /// Bit-exact serialization for checkpoint blobs: the raw Welford state
-  /// round-trips as IEEE-754 doubles, so a deserialized accumulator merges
-  /// identically to the original.
-  void write(util::ByteWriter& w) const;
-  static PofAccumulator read(util::ByteReader& r);
-
  private:
   stats::RunningStats tot_;
   stats::RunningStats seu_;
@@ -164,15 +160,8 @@ struct McPartial {
   McPartial() = default;
   explicit McPartial(std::size_t nv) : acc(nv) {}
 
-  /// Merge for exec::parallel_reduce (associative; a absorbs b).
+  /// Merge for exec::reduce_pairwise (associative; a absorbs b).
   static McPartial merge(McPartial a, McPartial b);
-
-  /// Checkpoint-blob codec. The raw Welford state round-trips bit-exactly,
-  /// so decode(encode(p)) merges identically to p itself — the property the
-  /// resume-bit-identity guarantee rests on.
-  std::vector<std::uint8_t> encode() const;
-  static McPartial decode(const std::vector<std::uint8_t>& blob,
-                          std::size_t expected_nv);
 };
 
 /// One (species, energy) evaluation point of an array engine. The unified
@@ -210,23 +199,23 @@ class ArrayEngine {
   /// result is bit-identical for any thread count. Const and thread-safe:
   /// concurrent calls on one engine (e.g. parallel energy bins) are fine.
   ///
-  /// \p run_opts adds checkpoint/cancel behaviour (ckpt::RunOptions): with a
-  /// checkpoint path, each chunk's partial is persisted and a resumed run
-  /// recomputes only the missing chunks — the pairwise reduction over the
-  /// full chunk set makes the result bit-identical to an uninterrupted run.
-  /// Cancellation throws util::Cancelled at a chunk boundary.
+  /// A fixed budget runs every chunk in one round; a CI target
+  /// (ci_stop()) runs geometric rounds that may stop early. Either way the
+  /// chunks go through the one round scheduler (ckpt/scheduler.hpp).
+  /// A non-null \p cancel stops the run at a chunk boundary with
+  /// util::Cancelled; a token that never fires changes no bit.
   ArrayMcResult run_point(const EnergyPoint& point, std::uint64_t seed,
                           const exec::ProgressSink& progress = {},
-                          const ckpt::RunOptions& run_opts = {}) const;
+                          const exec::CancelToken* cancel = nullptr) const;
 
   /// Area of the source-sampling plane [nm²]: (W + 2·margin)(H + 2·margin).
   /// This — not the bare array footprint — is the area POF estimates are
   /// normalized to, and therefore the area that enters the FIT integral.
   double sampled_area_nm2() const;
 
-  /// Identity of one run for checkpoint/artifact validation: everything
-  /// that decides the numbers (engine config, layout, model fingerprint,
-  /// point, seed) and nothing about the schedule (threads, cadence).
+  /// Identity of one run for artifact validation: everything that decides
+  /// the numbers (engine config, layout, model fingerprint, point, seed) and
+  /// nothing about the schedule (threads, cadence).
   virtual std::uint64_t point_fingerprint(const EnergyPoint& point,
                                           std::uint64_t seed) const = 0;
 
@@ -287,7 +276,7 @@ class ArrayEngine {
   /// (ckpt::round_boundaries) and stops at the first boundary where every
   /// (vdd, mode) accumulator's POF_tot 95% CI is within ci_stop().target
   /// relative half-width — a pure function of the merged chunk prefix, so
-  /// the decision is identical at any thread/worker count and on resume.
+  /// the decision is identical at any thread/worker count.
   virtual const stats::CiStopConfig& ci_stop() const = 0;
 
   /// Simulate units [r.begin, r.end) of chunk r.index into \p part, drawing

@@ -19,8 +19,8 @@
 /// state-independent) — the hierarchical trick that keeps the cross-layer
 /// analysis tractable (paper Sec. 2).
 ///
-/// The chunked strike driver, accumulation and checkpoint plumbing live in
-/// the common base (core/array_engine.hpp); this engine supplies only the
+/// The chunked strike driver, accumulation and cancellation live in the
+/// common base (core/array_engine.hpp); this engine supplies only the
 /// charged-particle source sampling and per-strike physics.
 
 #include <vector>
@@ -107,11 +107,11 @@ class ArrayMc final : public ArrayEngine {
           const ArrayMcConfig& config);
 
   /// Run the MC at a fixed particle energy (legacy spelling of
-  /// ArrayEngine::run_point; same determinism and checkpoint contract).
+  /// ArrayEngine::run_point; same determinism and cancellation contract).
   ArrayMcResult run(phys::Species species, double e_mev, std::uint64_t seed,
                     const exec::ProgressSink& progress = {},
-                    const ckpt::RunOptions& run_opts = {}) const {
-    return run_point(EnergyPoint{species, e_mev}, seed, progress, run_opts);
+                    const exec::CancelToken* cancel = nullptr) const {
+    return run_point(EnergyPoint{species, e_mev}, seed, progress, cancel);
   }
 
   const ArrayMcConfig& config() const { return config_; }

@@ -18,8 +18,8 @@
 /// alphas, protons) are transported with the ordinary charged-particle
 /// machinery; recoils deposit locally, (n,α) alphas range over many cells.
 ///
-/// The chunked history driver, accumulation and checkpoint plumbing live in
-/// the common base (core/array_engine.hpp); this engine supplies the forced
+/// The chunked history driver, accumulation and cancellation live in the
+/// common base (core/array_engine.hpp); this engine supplies the forced
 /// interaction, secondary transport and the weighted estimator.
 
 #include "finser/core/array_mc.hpp"
@@ -62,9 +62,9 @@ class NeutronArrayMc final : public ArrayEngine {
   /// spectrum exactly like the charged-particle results do.
   ArrayMcResult run(double e_n_mev, std::uint64_t seed,
                     const exec::ProgressSink& progress = {},
-                    const ckpt::RunOptions& run_opts = {}) const {
+                    const exec::CancelToken* cancel = nullptr) const {
     return run_point(EnergyPoint{phys::Species::kProton, e_n_mev}, seed,
-                     progress, run_opts);
+                     progress, cancel);
   }
 
   const NeutronMcConfig& config() const { return config_; }

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "finser/ckpt/checkpoint.hpp"
 #include "finser/core/array_mc.hpp"
 #include "finser/core/fit.hpp"
 #include "finser/core/neutron_mc.hpp"
@@ -168,14 +167,22 @@ class SerFlow {
 };
 
 /// The one load → characterize → store sequence of the cell model.
-/// \p cache (may be null) is consulted under config.fingerprint(design); on
-/// a miss or an undecodable blob the cell is characterized under \p run
-/// (its per-voltage checkpoint and cancel token) and the model stored back.
-/// \p characterized (if non-null) reports whether a characterization ran.
+/// \p model_cache (may be null; "cell_model" artifacts) is consulted under
+/// config.fingerprint(design); on a miss or an undecodable blob the cell is
+/// characterized voltage by voltage and the model stored back.
+/// \p table_cache (may be null; "pof_table" artifacts) makes that resumable:
+/// each finished voltage's PofTable but the last is stored under a key of
+/// (model fingerprint, voltage index), and a rerun after an interruption
+/// restores those tables instead of recharacterizing them — bit-identical,
+/// because each voltage is a pure function of its key. The last voltage
+/// needs no table of its own: it is stored inside the cell model. \p cancel
+/// interrupts between strike simulations (util::Cancelled). \p characterized
+/// (if non-null) reports whether a characterization ran.
 sram::CellSoftErrorModel load_or_characterize(
     const sram::CellDesign& design, const sram::CharacterizerConfig& config,
-    BinCache* cache, const exec::ProgressSink& progress = {},
-    const ckpt::RunOptions& run = {}, bool* characterized = nullptr);
+    BinCache* model_cache, BinCache* table_cache,
+    const exec::ProgressSink& progress = {},
+    const exec::CancelToken* cancel = nullptr, bool* characterized = nullptr);
 
 /// FINSER_MC_SCALE environment variable (default 1.0, clamped to > 0).
 double mc_scale_from_env();

@@ -6,8 +6,9 @@
 /// handler, test, outer engine) and the workers of a parallel region. The
 /// workers poll it *between* chunks — never mid-chunk — so cancellation can
 /// only be observed at a chunk boundary and every chunk either ran to
-/// completion or not at all. That invariant is what makes checkpointed state
-/// safe: a cancelled run holds no partial-chunk results. There is no
+/// completion or not at all. That invariant is what makes an interrupted run
+/// resumable: it holds no partial-chunk results, and every artifact it put
+/// before stopping is a whole product (docs/robustness.md). There is no
 /// pthread_kill / thread interruption anywhere; everything is a relaxed
 /// handshake on one atomic bool.
 

@@ -7,9 +7,10 @@
 /// from a single atomic counter. Which thread executes which chunk is
 /// scheduling noise; everything an engine needs for reproducibility is keyed
 /// by the chunk index (RNG stream id, partial-result slot), so results are
-/// bit-identical for 1 and N threads. parallel_reduce() completes the
-/// pattern: per-chunk partials land in an index-addressed vector and are
-/// merged by a deterministic pairwise tree, never in completion order.
+/// bit-identical for 1 and N threads. reduce_pairwise() completes the
+/// pattern: per-chunk partials land in an index-addressed vector (the round
+/// scheduler, ckpt/scheduler.hpp) and are merged by a deterministic pairwise
+/// tree, never in completion order.
 
 #include <cstddef>
 #include <functional>
@@ -83,21 +84,6 @@ T reduce_pairwise(std::vector<T> parts, MergeFn merge) {
     parts.resize(out);
   }
   return std::move(parts.front());
-}
-
-/// Map every chunk to a partial (any schedule), then reduce the partials
-/// pairwise in chunk-index order. T must be default-constructible; \p map is
-/// (const ChunkRange&) -> T, \p merge is (T, T) -> T.
-template <typename T, typename MapFn, typename MergeFn>
-T parallel_reduce(ThreadPool& pool, std::size_t n_items, std::size_t chunk,
-                  MapFn&& map, MergeFn&& merge) {
-  FINSER_REQUIRE(n_items > 0 && chunk > 0, "parallel_reduce: empty region");
-  const std::size_t n_chunks = (n_items + chunk - 1) / chunk;
-  std::vector<T> parts(n_chunks);
-  pool.parallel_for_chunks(n_items, chunk, [&](const ChunkRange& r) {
-    parts[r.index] = map(r);
-  });
-  return reduce_pairwise(std::move(parts), std::forward<MergeFn>(merge));
 }
 
 }  // namespace finser::exec

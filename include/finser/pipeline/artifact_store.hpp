@@ -6,17 +6,17 @@
 /// LUTs → cell POF LUTs → per-(species, energy) array-MC results → FIT. Each
 /// stage's output is a pure function of a configuration subset, so it can be
 /// addressed by a 64-bit FNV-1a fingerprint of exactly those knobs
-/// (util::Fnv1a — the same digests the checkpoint layer uses) and reused by
-/// every later run or campaign scenario that shares them.
+/// (util::Fnv1a) and reused by every later run or campaign scenario that
+/// shares them.
 ///
 /// It is the one persisted form of every stage product, the characterized
 /// cell model included, under one discipline for all artifact kinds:
 ///  * **Addressing** — key = (kind slug, fingerprint); the blob's path is a
 ///    pure function of the key, so two processes computing the same artifact
 ///    converge on the same file.
-///  * **Integrity first** — every blob carries a magic, the key echo and a
-///    CRC-32 over the payload; load verifies all three *before* any payload
-///    byte is parsed.
+///  * **Integrity first** — every blob is a sealed record
+///    (util/sealed_record.hpp): magic, the key echo and a CRC-32 over the
+///    body; load verifies all three *before* any payload byte is parsed.
 ///  * **Crash safety** — writes go through util::atomic_write_file (temp +
 ///    fsync + rename), so readers only ever see an old or a complete new
 ///    blob; concurrent writers of one key race benignly (identical content).

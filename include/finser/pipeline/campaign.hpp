@@ -75,9 +75,9 @@
 #include <string>
 #include <vector>
 
-#include "finser/ckpt/checkpoint.hpp"
 #include "finser/core/ser_flow.hpp"
 #include "finser/env/spectrum.hpp"
+#include "finser/exec/cancel.hpp"
 #include "finser/exec/progress.hpp"
 #include "finser/phys/fin_mc.hpp"
 #include "finser/pipeline/artifact_store.hpp"
@@ -298,11 +298,11 @@ class CampaignRunner {
   /// Run one stage by plan index. Dependencies need NOT have run in this
   /// process — missing inputs are reloaded from the artifact store or
   /// recomputed (see class comment). \p threads 0 = auto. Honors
-  /// \p run.cancel (throws util::Cancelled); numerical failures propagate
-  /// as the flow's usual exceptions.
+  /// \p cancel (throws util::Cancelled); numerical failures propagate as
+  /// the flow's usual exceptions.
   void run_stage(std::size_t index, std::size_t threads,
                  const exec::ProgressSink& progress = {},
-                 const ckpt::RunOptions& run = {});
+                 const exec::CancelToken* cancel = nullptr);
 
   /// Scenario results accumulated by run() / run_stage() sweep stages, in
   /// scenario order; entries of scenarios whose sweep has not run in this
@@ -313,14 +313,13 @@ class CampaignRunner {
   /// output_dir set, writes per-scenario CSVs to
   /// `<output_dir>/<scenario>/pof_<species>.csv` and
   /// `<output_dir>/<scenario>/fit_summary.csv` plus per-campaign device
-  /// LUT curves `<output_dir>/eh_pairs_<species>.csv`. Honors
-  /// \p run.cancel at chunk granularity (throws util::Cancelled).
-  /// Resumability comes from the artifact store: a re-run after a kill
-  /// reloads every finished product, energy bins included, from artifacts,
-  /// and an interrupted characterization resumes per voltage from its
-  /// checkpoint in the store.
+  /// LUT curves `<output_dir>/eh_pairs_<species>.csv`. Honors \p cancel
+  /// at chunk granularity (throws util::Cancelled). Resumability comes from
+  /// the artifact store: a re-run after a kill reloads every finished
+  /// product from artifacts — energy bins included, and each finished
+  /// voltage of an interrupted characterization ("pof_table").
   std::vector<ScenarioResult> run(const exec::ProgressSink& progress = {},
-                                  const ckpt::RunOptions& run = {});
+                                  const exec::CancelToken* cancel = nullptr);
 
  private:
   struct Exec;  // persistent stage state (flows, store, models, results)

@@ -24,7 +24,7 @@
 #include <string>
 #include <utility>
 
-#include "finser/ckpt/checkpoint.hpp"
+#include "finser/exec/cancel.hpp"
 #include "finser/exec/progress.hpp"
 #include "finser/pipeline/artifact_store.hpp"
 #include "finser/pipeline/campaign.hpp"
@@ -52,9 +52,11 @@ class SurfaceProvider {
   ///                 multiplicative knobs (FINSER_MC_SCALE) twice. Resolved
   ///                 copies are made only for fingerprint computation.
   /// \param threads  exec thread budget for refinement builds (0 = auto).
+  /// \param cancel   interrupts a refinement build (util::Cancelled); must
+  ///                 outlive the provider.
   SurfaceProvider(CampaignSpec spec, std::size_t threads,
                   exec::ProgressSink progress = {},
-                  ckpt::RunOptions run = {});
+                  const exec::CancelToken* cancel = nullptr);
 
   /// Scenario catalog in ServeSession's shape (names, species order,
   /// temperature).
@@ -84,7 +86,7 @@ class SurfaceProvider {
   CampaignSpec spec_;  ///< Unresolved (see ctor doc).
   std::size_t threads_ = 0;
   exec::ProgressSink progress_;
-  ckpt::RunOptions run_;
+  const exec::CancelToken* cancel_ = nullptr;
   std::optional<ArtifactStore> store_;
   /// (scenario, species) → surface; node-stable so lookup() pointers
   /// survive later insertions.

@@ -6,11 +6,11 @@
 /// ONLY through the filesystem: the ArtifactStore carries stage products,
 /// and a lease directory (`<artifact_dir>/leases/`) carries the control
 /// plane. Every control record is one small file written with
-/// util::atomic_write_file and framed exactly like an artifact blob —
-/// magic, CRC-32 over the body, key echo (here: the campaign fingerprint)
-/// — and loaded with the same never-throw discipline: a missing, torn,
-/// corrupted or stale record reads as "absent", never as an error
-/// (docs/sharding.md, docs/robustness.md).
+/// util::atomic_write_file and framed like an artifact blob, as a sealed
+/// record (util/sealed_record.hpp): magic, CRC-32 over the body, key echo
+/// (here: the campaign fingerprint) — and loaded with the same never-throw
+/// discipline: a missing, torn, corrupted or stale record reads as
+/// "absent", never as an error (docs/sharding.md, docs/robustness.md).
 ///
 /// Three record roles share one format, distinguished by LeaseKind and by
 /// filename:

@@ -27,8 +27,9 @@
 #include <string>
 #include <vector>
 
-#include "finser/ckpt/checkpoint.hpp"
+#include "finser/exec/cancel.hpp"
 #include "finser/exec/progress.hpp"
+#include "finser/exec/thread_pool.hpp"
 #include "finser/sram/cell.hpp"
 #include "finser/sram/pof_table.hpp"
 #include "finser/stats/rng.hpp"
@@ -88,17 +89,23 @@ class CellCharacterizer {
  public:
   CellCharacterizer(const CellDesign& design, const CharacterizerConfig& config);
 
-  /// Characterize every configured supply voltage. Voltage \p i (in sorted
-  /// order) runs under seed stats::Rng::derive_seed(config.seed, i).
-  ///
-  /// With \p run active the campaign is checkpointable: the unit of work is
-  /// one supply voltage (each checkpoint blob is a serialized PofTable), so
-  /// a cancelled or killed run resumes after its last finished voltage and
-  /// the final model is bit-identical to an uninterrupted run. Cancellation
-  /// via run.cancel also interrupts *inside* a voltage (between strike
-  /// simulations); only fully finished voltages are persisted.
+  /// Supply voltages in characterization order (ascending).
+  std::vector<double> voltages() const;
+
+  /// Characterize voltage \p index of voltages() under seed
+  /// stats::Rng::derive_seed(config.seed, index) — the one place that
+  /// decides voltage order and seeds. characterize() and the store-backed
+  /// loop of core::load_or_characterize (which resumes an interrupted
+  /// characterization from per-voltage `pof_table` artifacts) both call it.
+  /// Throws util::Cancelled if \p cancel fires, between strike simulations;
+  /// a partial table is never returned.
+  PofTable characterize_voltage(std::size_t index,
+                                const exec::ProgressSink& progress = {},
+                                const exec::CancelToken* cancel = nullptr) const;
+
+  /// Characterize every configured supply voltage, in voltages() order.
   CellSoftErrorModel characterize(const exec::ProgressSink& progress = {},
-                                  const ckpt::RunOptions& run = {}) const;
+                                  const exec::CancelToken* cancel = nullptr) const;
 
   /// Characterize one supply voltage under \p seed. Deterministic in
   /// (design, config, vdd_v, seed) — never in the thread count. Throws

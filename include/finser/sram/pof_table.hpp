@@ -94,9 +94,9 @@ class PofTable {
   /// \param with_pv true → process-variation tables; false → nominal cell.
   double pof(const StrikeCharges& charges, bool with_pv) const;
 
-  /// Byte codec shared by the cell-model codec below and the
-  /// characterizer's per-voltage checkpoints (util/bytes.hpp; read throws
-  /// util::Error on a malformed payload).
+  /// Byte codec shared by the cell-model codec below and the per-voltage
+  /// `pof_table` artifacts of core::load_or_characterize (util/bytes.hpp;
+  /// read throws util::Error on a malformed payload).
   void write(util::ByteWriter& w) const;
   static PofTable read(util::ByteReader& r);
 

@@ -15,17 +15,6 @@ namespace finser::stats {
 /// Numerically stable running mean / variance accumulator.
 class RunningStats {
  public:
-  /// The complete internal state, exposed for bit-exact serialization
-  /// (checkpoint blobs round-trip these fields as raw IEEE-754 doubles, so a
-  /// resumed accumulator is indistinguishable from the original).
-  struct Raw {
-    std::uint64_t n = 0;
-    double mean = 0.0;
-    double m2 = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-
   /// Add one observation.
   void add(double x);
 
@@ -47,20 +36,6 @@ class RunningStats {
   double min() const { return min_; }
   double max() const { return max_; }
 
-  Raw raw() const {
-    return Raw{static_cast<std::uint64_t>(n_), mean_, m2_, min_, max_};
-  }
-
-  static RunningStats from_raw(const Raw& r) {
-    RunningStats s;
-    s.n_ = static_cast<std::size_t>(r.n);
-    s.mean_ = r.mean;
-    s.m2_ = r.m2;
-    s.min_ = r.min;
-    s.max_ = r.max;
-    return s;
-  }
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -81,8 +56,9 @@ class RunningStats {
 /// first quantity to overflow — tested in test_stats.cpp).
 class WeightedRunningStats {
  public:
-  /// Complete internal state for bit-exact serialization (the same
-  /// round-trip contract as RunningStats::Raw).
+  /// Complete internal state for bit-exact serialization: the fields
+  /// round-trip as raw IEEE-754 doubles, so a restored accumulator is
+  /// indistinguishable from the original.
   struct Raw {
     std::uint64_t n = 0;
     double sum_w = 0.0;

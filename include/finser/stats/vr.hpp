@@ -103,7 +103,8 @@ inline constexpr double kZ95 = 1.959963984540054;
 /// accumulator has seen no POF mass at all — treated as converged (returns
 /// 0); see docs/statistics.md for why that is safe under a min_chunks floor.
 /// (The round boundaries themselves live in ckpt::round_boundaries — the
-/// checkpoint layer owns the schedule so resume replays it exactly.)
+/// round scheduler owns the schedule, so every thread and worker count
+/// replays it exactly.)
 double relative_halfwidth(double mean, double se);
 
 // ---------------------------------------------------------------------------

@@ -2,16 +2,16 @@
 /// \file bytes.hpp
 /// \brief Bounds-checked little-endian byte codec for binary artifacts.
 ///
-/// Checkpoints, artifacts and per-chunk Monte-Carlo partials share one
-/// encoding discipline: raw IEEE-754 doubles and 64-bit counters, written in
-/// host order (finser artifacts are machine-local caches, not interchange
+/// Artifacts, lease records and their payloads share one encoding
+/// discipline: raw IEEE-754 doubles and 64-bit counters, written in host
+/// order (finser artifacts are machine-local caches, not interchange
 /// files). The reader is bounds-checked so a truncated or corrupted payload
 /// surfaces as a typed util::Error instead of reading past the buffer —
 /// the robustness layer turns that error into "regenerate", never a crash.
 ///
 /// Round-tripping through this codec is bit-exact for doubles, which is what
-/// makes checkpoint/resume reproduce uninterrupted runs to the last bit
-/// (docs/robustness.md).
+/// makes a run resumed from the artifact store reproduce an uninterrupted
+/// run to the last bit (docs/robustness.md).
 
 #include <cstdint>
 #include <cstring>
@@ -34,6 +34,12 @@ class ByteWriter {
   void f64_vec(const std::vector<double>& v) {
     u64(v.size());
     raw(v.data(), v.size() * sizeof(double));
+  }
+
+  /// Length-prefixed string: u64 length, then the bytes.
+  void str(const std::string& s) {
+    u64(s.size());
+    raw(s.data(), s.size());
   }
 
   const std::vector<std::uint8_t>& data() const { return buf_; }
@@ -76,6 +82,20 @@ class ByteReader {
     std::vector<double> v(n);
     bytes(v.data(), n * sizeof(double));
     return v;
+  }
+
+  /// Length-prefixed string (ByteWriter::str). The claimed length is checked
+  /// against the remaining payload before anything is allocated.
+  std::string str() {
+    const std::uint64_t n = u64();
+    if (n > remaining()) {
+      throw Error("ByteReader: string length " + std::to_string(n) +
+                  " exceeds remaining payload (" +
+                  std::to_string(remaining()) + " bytes)");
+    }
+    std::string s(n, '\0');
+    bytes(s.data(), n);
+    return s;
   }
 
   std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }

@@ -46,8 +46,8 @@ class LogicError : public Error {
 };
 
 /// Cooperative cancellation (SIGINT/SIGTERM or an exec::CancelToken). A run
-/// that throws this after flushing a checkpoint is resumable; the CLI maps
-/// it to exit code 4.
+/// that throws this is resumable from the products it already put in the
+/// artifact store; the CLI maps it to exit code 4.
 class Cancelled : public Error {
  public:
   explicit Cancelled(const std::string& what) : Error(what) {}

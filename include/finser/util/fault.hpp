@@ -2,8 +2,8 @@
 /// \file fault.hpp
 /// \brief Deterministic fault injection for the robustness test suite.
 ///
-/// The resilience machinery (checkpoint/restore, cache regeneration, solver
-/// retry ladders) is only trustworthy if its failure paths are *exercised*,
+/// The resilience machinery (resume from the artifact store, cache
+/// regeneration, solver retry ladders) is only trustworthy if its failure paths are *exercised*,
 /// so finser can inject its own faults, counter-deterministically — in the
 /// spirit of gem5-based soft-error injection frameworks, but aimed at the
 /// analysis pipeline itself.
@@ -16,16 +16,15 @@
 /// The site fires on hits n .. n+count-1 of its call counter (count
 /// defaults to 1). Sites:
 ///
-///   io_write_fail:N      the Nth atomic file write fails (checkpoint flush
-///                        or artifact put) — the run must warn and continue
+///   io_write_fail:N      the Nth atomic file write fails (artifact put or
+///                        lease write) — the run must warn and continue
 ///   cache_flip:OFFSET    the first artifact put gets the byte at OFFSET
 ///                        XOR-flipped before the write — the next load must
 ///                        reject the blob by CRC and regenerate it
 ///   newton_diverge:N     the Nth strike transient throws NumericalError —
 ///                        characterization must count/exclude the sample
 ///   kill_after_flush:N   raise(SIGKILL) right after the Nth successful
-///                        checkpoint flush or artifact put — drives the
-///                        kill-and-resume tests
+///                        artifact put — drives the kill-and-resume tests
 ///   worker_kill_after_claim:N  a shard worker raises SIGKILL right after
 ///                        acknowledging its Nth stage assignment — the
 ///                        supervisor must reclaim the lease and reassign

@@ -1,13 +1,13 @@
 #pragma once
 /// \file fingerprint.hpp
-/// \brief FNV-1a configuration fingerprints for cached/checkpointed artifacts.
+/// \brief FNV-1a configuration fingerprints for cached artifacts.
 ///
-/// A checkpoint or cache is only valid for the exact configuration that
+/// A cached artifact is only valid for the exact configuration that
 /// produced it. Every serialized artifact therefore embeds a 64-bit FNV-1a
 /// digest of the knobs its content depends on; a loader that sees a
 /// different digest discards the file and recomputes. Knobs that provably do
-/// *not* affect results (thread count, progress sinks, checkpoint intervals)
-/// are deliberately left out so a run can resume under different execution
+/// *not* affect results (thread count, progress sinks, lane width) are
+/// deliberately left out so a run can resume under different execution
 /// settings.
 
 #include <cstdint>

@@ -61,7 +61,7 @@ run_cli "" run "$CONFIG" --threads 2
 [[ -s "$WORK/out/run/fit_summary.csv" ]] || fail "baseline produced no fit_summary.csv"
 cp -r "$WORK/out/run" "$WORK/baseline"
 
-# --- io_write_fail: a failed artifact/checkpoint write degrades to a warning
+# --- io_write_fail: a failed artifact write degrades to a warning ----------
 rm -rf "$WORK/out"
 run_cli "io_write_fail:1" run "$CONFIG" --threads 2
 [[ $? -eq 0 ]] || fail "io_write_fail run did not warn-and-continue (exit != 0)"
@@ -84,10 +84,11 @@ grep -q "not used" "$WORK/stderr.log" &&
   fail "regenerated artifact was rejected again"
 
 # --- kill_after_flush: SIGKILL mid-sweep, the rerun resumes -----------------
-# The 5th flush or put of a cold run lands after the device LUT, the
-# characterization checkpoint, the cell model and two energy bins; the
-# process dies by SIGKILL right after it. Rerunning the same command must
-# serve the finished bins from the store and write the baseline's bytes.
+# The 5th artifact put of a cold run lands after the device LUT, the cell
+# model (one voltage: no pof_table puts) and two energy bins — it is the
+# third bin; the process dies by SIGKILL right after it. Rerunning the same
+# command must serve the finished bins from the store and write the
+# baseline's bytes.
 rm -rf "$WORK/out"
 run_cli "kill_after_flush:5" run "$CONFIG" --threads 2
 status=$?

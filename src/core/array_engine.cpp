@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "finser/ckpt/scheduler.hpp"
 #include "finser/exec/thread_pool.hpp"
 #include "finser/obs/obs.hpp"
 #include "finser/phys/collection.hpp"
@@ -63,52 +64,6 @@ PofEstimate PofAccumulator::finalize(std::size_t strikes,
     }
   }
   return e;
-}
-
-void PofAccumulator::write(util::ByteWriter& w) const {
-  const auto write_stats = [&w](const stats::RunningStats& s) {
-    const stats::RunningStats::Raw raw = s.raw();
-    w.u64(raw.n);
-    w.f64(raw.mean);
-    w.f64(raw.m2);
-    w.f64(raw.min);
-    w.f64(raw.max);
-  };
-  write_stats(tot_);
-  write_stats(seu_);
-  write_stats(mbu_);
-  const stats::WeightedRunningStats::Raw wraw = wtot_.raw();
-  w.u64(wraw.n);
-  w.f64(wraw.sum_w);
-  w.f64(wraw.sum_w2);
-  w.f64(wraw.mean);
-  w.f64(wraw.m2);
-  for (const double m : mult_) w.f64(m);
-}
-
-PofAccumulator PofAccumulator::read(util::ByteReader& r) {
-  const auto read_stats = [&r]() {
-    stats::RunningStats::Raw raw;
-    raw.n = r.u64();
-    raw.mean = r.f64();
-    raw.m2 = r.f64();
-    raw.min = r.f64();
-    raw.max = r.f64();
-    return stats::RunningStats::from_raw(raw);
-  };
-  PofAccumulator a;
-  a.tot_ = read_stats();
-  a.seu_ = read_stats();
-  a.mbu_ = read_stats();
-  stats::WeightedRunningStats::Raw wraw;
-  wraw.n = r.u64();
-  wraw.sum_w = r.f64();
-  wraw.sum_w2 = r.f64();
-  wraw.mean = r.f64();
-  wraw.m2 = r.f64();
-  a.wtot_ = stats::WeightedRunningStats::from_raw(wraw);
-  for (double& m : a.mult_) m = r.f64();
-  return a;
 }
 
 // --- ArrayMcResult codec ----------------------------------------------------
@@ -174,34 +129,6 @@ McPartial McPartial::merge(McPartial a, McPartial b) {
   a.hits += b.hits;
   a.weighted_hits += b.weighted_hits;
   return a;
-}
-
-std::vector<std::uint8_t> McPartial::encode() const {
-  util::ByteWriter w;
-  w.u64(acc.size());
-  w.u64(hits);
-  w.f64(weighted_hits);
-  for (const auto& modes : acc) {
-    modes[kModeNominal].write(w);
-    modes[kModeWithPv].write(w);
-  }
-  return w.take();
-}
-
-McPartial McPartial::decode(const std::vector<std::uint8_t>& blob,
-                            std::size_t expected_nv) {
-  util::ByteReader r(blob);
-  const std::uint64_t nv = r.u64();
-  FINSER_REQUIRE(nv == expected_nv, "McPartial: vdd count mismatch in blob");
-  McPartial p(static_cast<std::size_t>(nv));
-  p.hits = static_cast<std::size_t>(r.u64());
-  p.weighted_hits = r.f64();
-  for (auto& modes : p.acc) {
-    modes[kModeNominal] = PofAccumulator::read(r);
-    modes[kModeWithPv] = PofAccumulator::read(r);
-  }
-  FINSER_REQUIRE(r.exhausted(), "McPartial: trailing bytes in blob");
-  return p;
 }
 
 // --- ArrayEngine ------------------------------------------------------------
@@ -418,7 +345,7 @@ void ArrayEngine::score_clustered(sram::ClusterPofSurface& surface,
 ArrayMcResult ArrayEngine::run_point(const EnergyPoint& point,
                                      std::uint64_t seed,
                                      const exec::ProgressSink& progress,
-                                     const ckpt::RunOptions& run_opts) const {
+                                     const exec::CancelToken* cancel) const {
   FINSER_REQUIRE(point.e_mev > 0.0,
                  std::string(kind()) + "::run: non-positive energy");
   obs::ScopedSpan run_span(span_name());
@@ -436,10 +363,9 @@ ArrayMcResult ArrayEngine::run_point(const EnergyPoint& point,
   std::vector<std::unique_ptr<WorkerScratch>> workers(pool.thread_count());
   progress.start_phase(unit_label(), units());
 
-  // Chunk i consumes stats::Rng::stream(seed, i) and nothing else, and the
-  // partials merge in chunk-index order — so the result is bit-identical
-  // for any thread count, and a resumed run (which replays only the missing
-  // chunks and re-reduces the full set) for any interruption pattern.
+  // Chunk i (the last one may be ragged) consumes stats::Rng::stream(seed, i)
+  // and nothing else, and the partials merge in chunk-index order — so the
+  // result is bit-identical for any thread count.
   const auto process_chunk = [&](const exec::ChunkRange& r) -> McPartial {
     std::unique_ptr<WorkerScratch>& slot = workers[r.worker];
     if (!slot) slot = std::make_unique<WorkerScratch>(*layout_, tc);
@@ -451,87 +377,44 @@ ArrayMcResult ArrayEngine::run_point(const EnergyPoint& point,
     return part;
   };
 
-  // Unit-space mapping of ckpt work units onto strike chunks (the last
-  // chunk may be ragged).
-  const auto chunk_for_unit = [&](const exec::ChunkRange& u) {
-    return exec::ChunkRange{u.index, u.index * chunk_size(),
-                            std::min(units(), (u.index + 1) * chunk_size()),
-                            u.worker};
-  };
-
+  // A fixed budget is one round over every chunk. With CI stopping enabled
+  // the chunks run in deterministic geometric rounds, and after each
+  // boundary the merged prefix decides whether the remaining budget can be
+  // skipped. The decision depends only on the chunk partials (merged
+  // pairwise in index order), so it is identical at any thread count and
+  // any worker count — the same invariance class as the estimates.
   const stats::CiStopConfig& ci = ci_stop();
-  McPartial total;
-  std::size_t used_units = units();
-  bool stopped_early = false;
-  if (!ci.enabled()) {
-    // Fixed-budget paths, untouched: with CI stopping disabled the driver is
-    // byte-identical to its pre-adaptive form.
-    if (!run_opts.active()) {
-      total = exec::parallel_reduce<McPartial>(pool, units(), chunk_size(),
-                                               process_chunk, McPartial::merge);
-    } else {
-      const std::size_t n_chunks = (units() + chunk_size() - 1) / chunk_size();
-      const std::uint64_t fp = point_fingerprint(point, seed);
-      const ckpt::UnitRunResult unit_result = ckpt::run_units(
-          pool, n_chunks, fp, run_opts, [&](const exec::ChunkRange& u) {
-            return process_chunk(chunk_for_unit(u)).encode();
-          });
-      std::vector<McPartial> parts;
-      parts.reserve(unit_result.blobs.size());
-      for (const auto& blob : unit_result.blobs) {
-        parts.push_back(McPartial::decode(blob, nv));
+  const std::size_t n_chunks = (units() + chunk_size() - 1) / chunk_size();
+  const std::vector<std::size_t> bounds =
+      ci.enabled() ? ckpt::round_boundaries(
+                         n_chunks, ckpt::AdaptiveSchedule{ci.min_chunks,
+                                                          ci.growth})
+                   : std::vector<std::size_t>{n_chunks};
+  const auto converged = [&](std::size_t done,
+                             const std::vector<McPartial>& parts) {
+    const McPartial prefix = exec::reduce_pairwise(
+        std::vector<McPartial>(
+            parts.begin(), parts.begin() + static_cast<std::ptrdiff_t>(done)),
+        McPartial::merge);
+    double worst = 0.0;
+    for (const auto& modes : prefix.acc) {
+      for (const PofAccumulator& a : modes) {
+        worst = std::max(worst, a.rel_halfwidth());
       }
-      total = exec::reduce_pairwise(std::move(parts), McPartial::merge);
     }
-  } else {
-    // Adaptive path: chunks run in deterministic geometric rounds; after
-    // each boundary the merged prefix decides whether the remaining budget
-    // can be skipped. The decision depends only on the chunk blobs (merged
-    // pairwise in index order), so it is identical at any thread count, any
-    // worker count, and across kill/resume — the same invariance class as
-    // the estimates themselves.
-    const std::size_t n_chunks = (units() + chunk_size() - 1) / chunk_size();
-    const std::uint64_t fp = point_fingerprint(point, seed);
-    const ckpt::AdaptiveSchedule schedule{ci.min_chunks, ci.growth};
-    const auto converged = [&](std::size_t done,
-                               const std::vector<std::vector<std::uint8_t>>&
-                                   blobs) {
-      std::vector<McPartial> parts;
-      parts.reserve(done);
-      for (std::size_t i = 0; i < done; ++i) {
-        parts.push_back(McPartial::decode(blobs[i], nv));
-      }
-      const McPartial prefix =
-          exec::reduce_pairwise(std::move(parts), McPartial::merge);
-      double worst = 0.0;
-      for (const auto& modes : prefix.acc) {
-        for (const PofAccumulator& a : modes) {
-          worst = std::max(worst, a.rel_halfwidth());
-        }
-      }
-      return worst <= ci.target;
-    };
-    const ckpt::UnitRunResult unit_result = ckpt::run_units_adaptive(
-        pool, n_chunks, fp, run_opts, schedule,
-        [&](const exec::ChunkRange& u) {
-          return process_chunk(chunk_for_unit(u)).encode();
-        },
-        converged);
-    std::vector<McPartial> parts;
-    parts.reserve(unit_result.blobs.size());
-    for (const auto& blob : unit_result.blobs) {
-      parts.push_back(McPartial::decode(blob, nv));
-    }
-    total = exec::reduce_pairwise(std::move(parts), McPartial::merge);
-    used_units = std::min(units(), unit_result.completed * chunk_size());
-    stopped_early = unit_result.stopped_early;
-    if (obs::enabled()) {
-      obs::Registry& reg = obs::Registry::global();
-      if (stopped_early) reg.counter("core.mc.vr.stopped_early").add(1);
-      reg.counter("core.mc.vr.units_saved").add(units() - used_units);
-    }
+    return worst <= ci.target;
+  };
+  std::vector<McPartial> parts = ckpt::run_rounds<McPartial>(
+      pool, units(), chunk_size(), bounds, cancel, process_chunk, converged);
+  const bool stopped_early = parts.size() < n_chunks;
+  const std::size_t used_units = std::min(units(), parts.size() * chunk_size());
+  const McPartial total =
+      exec::reduce_pairwise(std::move(parts), McPartial::merge);
+  if (ci.enabled() && obs::enabled()) {
+    obs::Registry& reg = obs::Registry::global();
+    if (stopped_early) reg.counter("core.mc.vr.stopped_early").add(1);
+    reg.counter("core.mc.vr.units_saved").add(units() - used_units);
   }
-
   ArrayMcResult result;
   result.vdds = vdds_;
   result.est.resize(nv);

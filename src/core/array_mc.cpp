@@ -232,9 +232,11 @@ ArrayMc::ArrayMc(const sram::ArrayLayout& layout,
   }
 }
 
-/// Fingerprint of everything an ArrayMc checkpoint's content depends on.
-/// Thread count and chunk *schedule* are excluded by construction; the chunk
-/// *size* is included because it defines the unit decomposition.
+/// Fingerprint of everything an ArrayMc result depends on (the `array_bin`
+/// artifact key). Thread count and chunk *schedule* are excluded by
+/// construction; the chunk *size* is included because it defines the unit
+/// decomposition. The domain string keeps its historical "ckpt" spelling:
+/// changing it would orphan every stored bin.
 std::uint64_t ArrayMc::point_fingerprint(const EnergyPoint& point,
                                          std::uint64_t seed) const {
   util::Fnv1a h;

@@ -17,7 +17,7 @@ NeutronArrayMc::NeutronArrayMc(const sram::ArrayLayout& layout,
   FINSER_REQUIRE(!model.tables.empty(), "NeutronArrayMc: empty cell model");
 }
 
-/// Checkpoint fingerprint — see ArrayMc::point_fingerprint for the inclusion
+/// Result fingerprint — see ArrayMc::point_fingerprint for the inclusion
 /// policy. The point's species is not hashed: every history is a neutron.
 std::uint64_t NeutronArrayMc::point_fingerprint(const EnergyPoint& point,
                                                 std::uint64_t seed) const {

@@ -13,6 +13,7 @@
 #include "finser/obs/obs.hpp"
 #include "finser/util/bytes.hpp"
 #include "finser/util/error.hpp"
+#include "finser/util/fingerprint.hpp"
 
 namespace finser::core {
 
@@ -22,14 +23,29 @@ SerFlow::SerFlow(const SerFlowConfig& config)
               config.pattern, config.pattern_seed),
       mc_seed_cursor_(config.seed) {}
 
+namespace {
+
+/// Key of voltage \p index's `pof_table` artifact under cell model
+/// \p model_fp.
+std::uint64_t pof_table_fingerprint(std::uint64_t model_fp, std::size_t index) {
+  util::Fnv1a h;
+  h.str("finser.pof_table.v1");
+  h.u64(model_fp);
+  h.u64(index);
+  return h.hash();
+}
+
+}  // namespace
+
 sram::CellSoftErrorModel load_or_characterize(
     const sram::CellDesign& design, const sram::CharacterizerConfig& config,
-    BinCache* cache, const exec::ProgressSink& progress,
-    const ckpt::RunOptions& run, bool* characterized) {
+    BinCache* model_cache, BinCache* table_cache,
+    const exec::ProgressSink& progress, const exec::CancelToken* cancel,
+    bool* characterized) {
   const std::uint64_t fp = config.fingerprint(design);
   if (characterized != nullptr) *characterized = false;
   std::vector<std::uint8_t> blob;
-  if (cache != nullptr && cache->load(fp, blob)) {
+  if (model_cache != nullptr && model_cache->load(fp, blob)) {
     try {
       sram::CellSoftErrorModel model = sram::decode_cell_model(blob, fp);
       progress.message("cell model loaded from cache");
@@ -39,10 +55,46 @@ sram::CellSoftErrorModel load_or_characterize(
     }
   }
   progress.message("characterizing SRAM cell (POF LUTs)...");
-  sram::CellSoftErrorModel model =
-      sram::CellCharacterizer(design, config).characterize(progress, run);
+  const sram::CellCharacterizer characterizer(design, config);
+  sram::CellSoftErrorModel model;
+  model.config_fingerprint = fp;
+  const std::size_t n = config.vdds.size();
+  std::size_t restored = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    // Every finished voltage but the last is stored on its own, so an
+    // interrupted characterization resumes per voltage; the last table
+    // reaches the store inside the cell model below.
+    const bool persist = table_cache != nullptr && v + 1 < n;
+    const std::uint64_t table_fp = pof_table_fingerprint(fp, v);
+    if (persist && table_cache->load(table_fp, blob)) {
+      try {
+        util::ByteReader r(blob);
+        sram::PofTable table = sram::PofTable::read(r);
+        FINSER_REQUIRE(r.exhausted(), "pof_table: trailing bytes");
+        model.tables.push_back(std::move(table));
+        ++restored;
+        continue;
+      } catch (const std::exception&) {
+        // A malformed table degrades to recharacterizing its voltage.
+      }
+    }
+    model.tables.push_back(
+        characterizer.characterize_voltage(v, progress, cancel));
+    if (persist) {
+      util::ByteWriter w;
+      model.tables.back().write(w);
+      table_cache->store(table_fp, w.take());
+    }
+  }
+  if (restored > 0) {
+    progress.message("characterize: resumed, " + std::to_string(restored) +
+                     "/" + std::to_string(n) +
+                     " voltage(s) restored from the artifact store");
+  }
   if (characterized != nullptr) *characterized = true;
-  if (cache != nullptr) cache->store(fp, sram::encode_cell_model(model));
+  if (model_cache != nullptr) {
+    model_cache->store(fp, sram::encode_cell_model(model));
+  }
   return model;
 }
 
@@ -52,7 +104,7 @@ const sram::CellSoftErrorModel& SerFlow::cell_model(
     sram::CharacterizerConfig ccfg = config_.characterization;
     if (ccfg.threads == 0) ccfg.threads = config_.threads;
     model_ = load_or_characterize(config_.cell_design, ccfg,
-                                  config_.model_cache, progress);
+                                  config_.model_cache, nullptr, progress);
   }
   return *model_;
 }
@@ -174,10 +226,7 @@ EnergySweepResult SerFlow::sweep(const env::Spectrum& spectrum,
           << "MeV";
     obs::ScopedSpan bin_span("core.energy_bin", label.str());
     FINSER_OBS_COUNT("core.energy_bins", 1);
-    // Engines see the cancel token only; resume is per bin, through
-    // bin_cache.
-    ckpt::RunOptions inner_run;
-    inner_run.cancel = cancel;
+    // Resume is per bin, through bin_cache; the engine sees only the token.
     std::unique_ptr<ArrayEngine> engine;
     if (neutron) {
       engine = std::make_unique<NeutronArrayMc>(layout_, model, neutron_cfg);
@@ -213,7 +262,7 @@ EnergySweepResult SerFlow::sweep(const env::Spectrum& spectrum,
       if (!have_result) FINSER_OBS_COUNT("core.bin_cache_misses", 1);
     }
     if (!have_result) {
-      r = engine->run_point(point, bin_seeds[i], {}, inner_run);
+      r = engine->run_point(point, bin_seeds[i], {}, cancel);
       if (config_.bin_cache != nullptr) {
         config_.bin_cache->store(bin_fp, encode_result(r));
       }

@@ -3,24 +3,23 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 
 #include "finser/obs/obs.hpp"
 #include "finser/util/bytes.hpp"
-#include "finser/util/checksum.hpp"
 #include "finser/util/fault.hpp"
 #include "finser/util/io.hpp"
+#include "finser/util/sealed_record.hpp"
 
 namespace finser::pipeline {
 
 namespace {
 
-// Format v1. Layout: magic | u64 kind_len | kind bytes | u64 fingerprint |
-// u64 payload_len | payload bytes | u32 crc32(everything after the magic).
+// Format v1, a sealed record (util/sealed_record.hpp) whose body is
+// u64 kind_len | kind bytes | u64 fingerprint | u64 payload_len | payload.
 // The key echo inside the CRC'd region means a blob renamed onto another
 // key's path is rejected as mis-keyed, not served as that key's content.
-constexpr char kMagic[8] = {'F', 'N', 'S', 'R', 'A', 'R', 'T', '1'};
+constexpr util::RecordMagic kMagic = {'F', 'N', 'S', 'R', 'A', 'R', 'T', '1'};
 
 std::string hex16(std::uint64_t v) {
   char buf[17];
@@ -63,20 +62,14 @@ bool ArtifactStore::put(const ArtifactKey& key,
                         const std::vector<std::uint8_t>& payload,
                         std::string* error) const {
   util::ByteWriter body;
-  body.u64(key.kind.size());
-  body.bytes(key.kind.data(), key.kind.size());
+  body.str(key.kind);
   body.u64(key.fingerprint);
   body.u64(payload.size());
   body.bytes(payload.data(), payload.size());
 
-  util::ByteWriter file;
-  file.bytes(kMagic, sizeof(kMagic));
-  file.bytes(body.data().data(), body.size());
-  file.u32(util::crc32(body.data().data(), body.size()));
-
   // Fault-injection hook: corrupt one byte so tests can prove a flipped blob
   // is rejected by CRC and recomputed, never loaded.
-  std::vector<std::uint8_t> bytes = file.take();
+  std::vector<std::uint8_t> bytes = util::seal_record(kMagic, body.take());
   if (util::fault_fire(util::FaultSite::kCacheFlip)) {
     const std::size_t off = static_cast<std::size_t>(util::fault_arg(
                                 util::FaultSite::kCacheFlip)) %
@@ -106,72 +99,39 @@ bool ArtifactStore::try_get(const ArtifactKey& key,
                             std::vector<std::uint8_t>& out,
                             std::string* reason) const {
   const std::string path = path_for(key);
-  const auto miss = [&](const std::string& why, bool log) {
-    if (reason != nullptr) *reason = why;
-    if (log) {
-      std::fprintf(stderr,
-                   "[finser:pipeline] artifact %s not used: %s; recomputing\n",
-                   path.c_str(), why.c_str());
-    }
-    if (log) {
-      FINSER_OBS_COUNT("pipeline.artifact.rejects", 1);
-    } else {
+  std::string why;
+  const util::RecordStatus status = util::read_sealed_record(
+      path, kMagic, "an artifact",
+      [&key, &out](util::ByteReader& r) -> std::string {
+        if (r.str() != key.kind) return "artifact kind mismatch";
+        if (r.u64() != key.fingerprint) {
+          return "fingerprint mismatch (stale artifact)";
+        }
+        const std::uint64_t payload_len = r.u64();
+        if (payload_len != r.remaining()) return "payload length mismatch";
+        out.resize(payload_len);
+        r.bytes(out.data(), payload_len);
+        return "";
+      },
+      &why);
+  switch (status) {
+    case util::RecordStatus::kOk:
+      FINSER_OBS_COUNT("pipeline.artifact.hits", 1);
+      return true;
+    case util::RecordStatus::kMissing:
+      // The normal cold-run case — no log, no warning.
+      if (reason != nullptr) *reason = "no artifact";
       FINSER_OBS_COUNT("pipeline.artifact.misses", 1);
-    }
-    return false;
-  };
-
-  // A missing blob is the normal cold-run case — no log, no warning.
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) return miss("no artifact", false);
-
-  std::vector<std::uint8_t> raw;
-  std::string io_error;
-  if (!util::read_file(path, raw, &io_error)) return miss(io_error, true);
-
-  if (raw.size() < sizeof(kMagic) + sizeof(std::uint32_t)) {
-    return miss("too short to be an artifact (" + std::to_string(raw.size()) +
-                    " bytes)",
-                true);
+      return false;
+    case util::RecordStatus::kRejected:
+      break;
   }
-  if (std::memcmp(raw.data(), kMagic, sizeof(kMagic)) != 0) {
-    return miss("bad magic (not a format-v1 artifact)", true);
-  }
-
-  // Integrity first, parsing second: the CRC over the whole body rejects
-  // truncation and bit flips before any length field is trusted.
-  const std::size_t body_size =
-      raw.size() - sizeof(kMagic) - sizeof(std::uint32_t);
-  const std::uint8_t* body = raw.data() + sizeof(kMagic);
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, body + body_size, sizeof(stored_crc));
-  if (stored_crc != util::crc32(body, body_size)) {
-    return miss("CRC mismatch (torn or corrupted artifact)", true);
-  }
-
-  try {
-    util::ByteReader r(body, body_size);
-    const std::uint64_t kind_len = r.u64();
-    if (kind_len != key.kind.size()) return miss("artifact kind mismatch", true);
-    std::string kind(kind_len, '\0');
-    r.bytes(kind.data(), kind_len);
-    if (kind != key.kind) return miss("artifact kind mismatch", true);
-    if (r.u64() != key.fingerprint) {
-      return miss("fingerprint mismatch (stale artifact)", true);
-    }
-    const std::uint64_t payload_len = r.u64();
-    if (payload_len != r.remaining()) {
-      return miss("payload length mismatch", true);
-    }
-    out.resize(payload_len);
-    r.bytes(out.data(), payload_len);
-  } catch (const std::exception& e) {
-    // A corrupt length field that slipped past the CRC must degrade to
-    // recompute, never crash the run.
-    return miss(e.what(), true);
-  }
-  FINSER_OBS_COUNT("pipeline.artifact.hits", 1);
-  return true;
+  if (reason != nullptr) *reason = why;
+  std::fprintf(stderr,
+               "[finser:pipeline] artifact %s not used: %s; recomputing\n",
+               path.c_str(), why.c_str());
+  FINSER_OBS_COUNT("pipeline.artifact.rejects", 1);
+  return false;
 }
 
 std::vector<ArtifactStore::Entry> ArtifactStore::list() const {

@@ -898,12 +898,13 @@ struct CampaignRunner::Exec {
   // joint multi-cell simulations already priced.
   std::optional<ArtifactBinCache> cluster_cache;
   std::optional<ArtifactBinCache> model_cache;  // "cell_model" artifacts
+  std::optional<ArtifactBinCache> table_cache;  // "pof_table" artifacts
   // Keys pre-inserted serially at plan time; stages then only assign to
   // their own slot, so concurrent stages never mutate the map's structure.
   std::map<std::uint64_t, sram::CellSoftErrorModel> models;
   std::vector<ScenarioResult> results;
   std::vector<std::function<void(std::size_t, const exec::ProgressSink&,
-                                 const ckpt::RunOptions&)>>
+                                 const exec::CancelToken*)>>
       fns;
   std::vector<StageBody> bodies;  // aligned with fns
 
@@ -912,28 +913,22 @@ struct CampaignRunner::Exec {
   /// "pipeline.characterizations" when it characterizes — this is also the
   /// sweep-stage fallback when the dependency ran in another process and
   /// the artifact got lost, bit-identical to the stage by purity). With a
-  /// store, characterization checkpoints each finished voltage at
-  /// `<artifact_dir>/characterize-<fp16>.ckpt`, so an interrupted stage
-  /// resumes per voltage; the file is removed when the stage completes.
+  /// store, each finished voltage but the last also lands as a "pof_table"
+  /// artifact, so an interrupted stage resumes per voltage.
   void materialize_model(std::uint64_t fp, const sram::CellDesign& design,
                          const sram::CharacterizerConfig& ccfg,
                          std::size_t threads,
                          const exec::ProgressSink& progress,
-                         const ckpt::RunOptions& run) {
+                         const exec::CancelToken* cancel) {
     sram::CellSoftErrorModel& slot = models.at(fp);
     if (!slot.tables.empty()) return;
     sram::CharacterizerConfig cfg = ccfg;
     if (cfg.threads == 0) cfg.threads = threads;
-    ckpt::RunOptions crun = run.cancel_only();
-    if (store.has_value()) {
-      crun.checkpoint_path =
-          store->root() + "/characterize-" + hex16(fp) + ".ckpt";
-      crun.checkpoint_interval_sec = 0.0;  // flush after every voltage
-    }
     bool characterized = false;
     slot = core::load_or_characterize(
         design, cfg, model_cache.has_value() ? &*model_cache : nullptr,
-        progress, crun, &characterized);
+        table_cache.has_value() ? &*table_cache : nullptr, progress, cancel,
+        &characterized);
     if (characterized) FINSER_OBS_COUNT("pipeline.characterizations", 1);
   }
 };
@@ -972,13 +967,14 @@ void CampaignRunner::ensure_exec() {
     ex->bin_cache.emplace(*ex->store);
     ex->cluster_cache.emplace(*ex->store, "cluster_surface");
     ex->model_cache.emplace(*ex->store, "cell_model");
+    ex->table_cache.emplace(*ex->store, "pof_table");
   }
   ex->results.resize(n);
 
   const auto add_stage =
       [&](std::string label, std::vector<std::size_t> deps, StageBody body,
           std::function<void(std::size_t, const exec::ProgressSink&,
-                             const ckpt::RunOptions&)>
+                             const exec::CancelToken*)>
               fn) {
         StageInfo info;
         info.id = std::to_string(plan_.size()) + "-" + sanitize_slug(label);
@@ -1003,8 +999,8 @@ void CampaignRunner::ensure_exec() {
         "characterize " + hex8(fp), {}, StageBody::kParallel,
         [ex, fp, design, ccfg](std::size_t threads,
                                const exec::ProgressSink& progress,
-                               const ckpt::RunOptions& run) {
-          ex->materialize_model(fp, design, ccfg, threads, progress, run);
+                               const exec::CancelToken* cancel) {
+          ex->materialize_model(fp, design, ccfg, threads, progress, cancel);
         });
   }
 
@@ -1041,7 +1037,7 @@ void CampaignRunner::ensure_exec() {
             "device_lut " + name + " " + hex8(gfp), {}, StageBody::kSerial,
             [this, ex, name, species, g, e_lo, e_hi, scale, suffix_geometry,
              gfp](std::size_t, const exec::ProgressSink&,
-                  const ckpt::RunOptions&) {
+                  const exec::CancelToken*) {
               const geom::Aabb fin_box{
                   {0.0, 0.0, 0.0}, {g.fin_w_nm, g.gate_len_nm, g.fin_h_nm}};
               phys::FinStrikeMc::Config cfg;
@@ -1074,14 +1070,14 @@ void CampaignRunner::ensure_exec() {
         StageBody::kParallel,
         [this, ex, i, fp](std::size_t threads,
                           const exec::ProgressSink& progress,
-                          const ckpt::RunOptions& run) {
+                          const exec::CancelToken* cancel) {
           const ScenarioSpec& scenario = spec_.scenarios[i];
           // Sharded path: the characterize stage may have run in another
           // process — materialize the model here (store load, else
           // recompute). In-process runs find it already populated.
           ex->materialize_model(fp, ex->flows[i].cell_design,
                                 ex->flows[i].characterization, threads,
-                                progress, run);
+                                progress, cancel);
           core::SerFlowConfig cfg = ex->flows[i];
           cfg.threads = threads;
           cfg.bin_cache =
@@ -1107,7 +1103,7 @@ void CampaignRunner::ensure_exec() {
             const env::Spectrum spectrum = spectrum_for_species(name);
             progress.message(scenario.name + ": sweeping " + spectrum.name());
             core::EnergySweepResult sweep =
-                flow.sweep(spectrum, progress, run.cancel);
+                flow.sweep(spectrum, progress, cancel);
             // Every consumer-facing product below comes from the surface,
             // not the raw sweep — batch CSVs and `serve` answers are the
             // same bytes by construction (docs/serving.md).
@@ -1143,7 +1139,7 @@ const std::vector<StageInfo>& CampaignRunner::plan() {
 
 void CampaignRunner::run_stage(std::size_t index, std::size_t threads,
                                const exec::ProgressSink& progress,
-                               const ckpt::RunOptions& run) {
+                               const exec::CancelToken* cancel) {
   ensure_exec();
   FINSER_REQUIRE(index < plan_.size(),
                  "CampaignRunner::run_stage: stage index " +
@@ -1154,8 +1150,7 @@ void CampaignRunner::run_stage(std::size_t index, std::size_t threads,
   const StageInfo& info = plan_[index];
   obs::ScopedSpan span("pipeline.stage", info.label);
   if (progress) progress.message("stage: " + info.label);
-  exec_->fns[index](exec::resolve_threads(threads), progress,
-                    run.cancel_only());
+  exec_->fns[index](exec::resolve_threads(threads), progress, cancel);
 }
 
 const std::vector<ScenarioResult>& CampaignRunner::results() {
@@ -1164,15 +1159,14 @@ const std::vector<ScenarioResult>& CampaignRunner::results() {
 }
 
 std::vector<ScenarioResult> CampaignRunner::run(
-    const exec::ProgressSink& progress, const ckpt::RunOptions& run) {
+    const exec::ProgressSink& progress, const exec::CancelToken* cancel) {
   ensure_exec();
   Exec* ex = exec_.get();
   StageGraph graph;
-  const ckpt::RunOptions stage_run = run.cancel_only();
   for (std::size_t k = 0; k < plan_.size(); ++k) {
     graph.add(plan_[k].label, plan_[k].deps,
-              [ex, k, &progress, stage_run](std::size_t threads) {
-                ex->fns[k](threads, progress, stage_run);
+              [ex, k, &progress, cancel](std::size_t threads) {
+                ex->fns[k](threads, progress, cancel);
               },
               ex->bodies[k]);
   }

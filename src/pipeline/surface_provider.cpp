@@ -33,11 +33,11 @@ std::uint64_t response_surface_fingerprint(const ScenarioSpec& scenario,
 
 SurfaceProvider::SurfaceProvider(CampaignSpec spec, std::size_t threads,
                                  exec::ProgressSink progress,
-                                 ckpt::RunOptions run)
+                                 const exec::CancelToken* cancel)
     : spec_(std::move(spec)),
       threads_(threads),
       progress_(std::move(progress)),
-      run_(std::move(run)) {
+      cancel_(cancel) {
   FINSER_REQUIRE(!spec_.scenarios.empty(),
                  "SurfaceProvider: campaign has no scenarios");
   if (!spec_.artifact_dir.empty()) store_.emplace(spec_.artifact_dir);
@@ -137,7 +137,7 @@ const surface::ResponseSurface* SurfaceProvider::refine(
   sub.scenarios.push_back(scen);
   FINSER_OBS_COUNT("surface.builds", 1);
   CampaignRunner runner(std::move(sub));
-  const std::vector<ScenarioResult> results = runner.run(progress_, run_);
+  const std::vector<ScenarioResult> results = runner.run(progress_, cancel_);
   FINSER_REQUIRE(results.size() == 1 &&
                      results[0].sweeps.size() == scen.species.size(),
                  "surface provider: refinement produced unexpected results");

@@ -3,26 +3,26 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <filesystem>
 #include <vector>
 
 #include "finser/obs/obs.hpp"
 #include "finser/util/bytes.hpp"
-#include "finser/util/checksum.hpp"
 #include "finser/util/fault.hpp"
 #include "finser/util/io.hpp"
+#include "finser/util/sealed_record.hpp"
 
 namespace finser::shard {
 
 namespace {
 
-// Format v1. Layout: magic | body | u32 crc32(body); body = u32 version |
-// u32 kind | u64 campaign | u64 worker | u64 attempt | u64 seq | u32 state |
-// u32 reserved | u64 stage_len | stage bytes | u64 msg_len | msg bytes.
-// The campaign fingerprint inside the CRC'd region is the staleness key —
-// same role the (kind, fingerprint) echo plays in an artifact blob.
-constexpr char kMagic[8] = {'F', 'N', 'S', 'R', 'L', 'S', 'E', '1'};
+// Format v1, a sealed record (util/sealed_record.hpp) whose body is
+// u32 version | u32 kind | u64 campaign | u64 worker | u64 attempt | u64 seq |
+// u32 state | u32 reserved | u64 stage_len | stage bytes | u64 msg_len |
+// msg bytes. The campaign fingerprint inside the CRC'd region is the
+// staleness key — same role the (kind, fingerprint) echo plays in an
+// artifact blob.
+constexpr util::RecordMagic kMagic = {'F', 'N', 'S', 'R', 'L', 'S', 'E', '1'};
 constexpr std::uint32_t kVersion = 1;
 
 std::vector<std::uint8_t> encode(const LeaseRecord& rec) {
@@ -35,16 +35,9 @@ std::vector<std::uint8_t> encode(const LeaseRecord& rec) {
   body.u64(rec.seq);
   body.u32(static_cast<std::uint32_t>(rec.state));
   body.u32(0);  // reserved
-  body.u64(rec.stage.size());
-  body.bytes(rec.stage.data(), rec.stage.size());
-  body.u64(rec.message.size());
-  body.bytes(rec.message.data(), rec.message.size());
-
-  util::ByteWriter file;
-  file.bytes(kMagic, sizeof(kMagic));
-  file.bytes(body.data().data(), body.size());
-  file.u32(util::crc32(body.data().data(), body.size()));
-  return file.take();
+  body.str(rec.stage);
+  body.str(rec.message);
+  return util::seal_record(kMagic, body.take());
 }
 
 /// Deliberately land a torn record: the first half of the encoded bytes,
@@ -100,81 +93,52 @@ bool write_lease(const std::string& path, const LeaseRecord& rec,
 
 bool try_read_lease(const std::string& path, std::uint64_t expected_campaign,
                     LeaseRecord& out, std::string* reason) {
-  const auto miss = [&](const std::string& why, bool reject) {
-    if (reason != nullptr) *reason = why;
-    if (reject) {
-      FINSER_OBS_COUNT("shard.lease.rejects", 1);
-    }
-    return false;
-  };
-
-  // A missing record is the normal polling case — quiet, uncounted.
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) return miss("no lease", false);
-
-  std::vector<std::uint8_t> raw;
-  std::string io_error;
-  if (!util::read_file(path, raw, &io_error)) return miss(io_error, true);
-
-  if (raw.size() < sizeof(kMagic) + sizeof(std::uint32_t)) {
-    return miss("too short to be a lease record (" +
-                    std::to_string(raw.size()) + " bytes)",
-                true);
+  std::string why;
+  const util::RecordStatus status = util::read_sealed_record(
+      path, kMagic, "a lease record",
+      [&out, expected_campaign](util::ByteReader& r) -> std::string {
+        const std::uint32_t version = r.u32();
+        if (version != kVersion) {
+          return "unknown lease version " + std::to_string(version);
+        }
+        const std::uint32_t kind = r.u32();
+        if (kind > static_cast<std::uint32_t>(LeaseKind::kDone)) {
+          return "unknown lease kind " + std::to_string(kind);
+        }
+        out.kind = static_cast<LeaseKind>(kind);
+        out.campaign = r.u64();
+        out.worker = r.u64();
+        out.attempt = r.u64();
+        out.seq = r.u64();
+        const std::uint32_t state = r.u32();
+        if (state > static_cast<std::uint32_t>(LeaseState::kShutdown)) {
+          return "unknown lease state " + std::to_string(state);
+        }
+        out.state = static_cast<LeaseState>(state);
+        r.u32();  // reserved
+        out.stage = r.str();
+        out.message = r.str();
+        if (r.remaining() != 0) return "trailing bytes in lease record";
+        if (out.campaign != expected_campaign) {
+          return "campaign fingerprint mismatch (stale lease)";
+        }
+        return "";
+      },
+      &why);
+  switch (status) {
+    case util::RecordStatus::kOk:
+      FINSER_OBS_COUNT("shard.lease.reads", 1);
+      return true;
+    case util::RecordStatus::kMissing:
+      // The normal polling case — quiet, uncounted.
+      if (reason != nullptr) *reason = "no lease";
+      return false;
+    case util::RecordStatus::kRejected:
+      break;
   }
-  if (std::memcmp(raw.data(), kMagic, sizeof(kMagic)) != 0) {
-    return miss("bad magic (not a format-v1 lease record)", true);
-  }
-
-  // Integrity first, parsing second: the CRC over the whole body rejects
-  // truncation and bit flips before any length field is trusted.
-  const std::size_t body_size =
-      raw.size() - sizeof(kMagic) - sizeof(std::uint32_t);
-  const std::uint8_t* body = raw.data() + sizeof(kMagic);
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, body + body_size, sizeof(stored_crc));
-  if (stored_crc != util::crc32(body, body_size)) {
-    return miss("CRC mismatch (torn or corrupted lease)", true);
-  }
-
-  try {
-    util::ByteReader r(body, body_size);
-    const std::uint32_t version = r.u32();
-    if (version != kVersion) {
-      return miss("unknown lease version " + std::to_string(version), true);
-    }
-    const std::uint32_t kind = r.u32();
-    if (kind > static_cast<std::uint32_t>(LeaseKind::kDone)) {
-      return miss("unknown lease kind " + std::to_string(kind), true);
-    }
-    out.kind = static_cast<LeaseKind>(kind);
-    out.campaign = r.u64();
-    out.worker = r.u64();
-    out.attempt = r.u64();
-    out.seq = r.u64();
-    const std::uint32_t state = r.u32();
-    if (state > static_cast<std::uint32_t>(LeaseState::kShutdown)) {
-      return miss("unknown lease state " + std::to_string(state), true);
-    }
-    out.state = static_cast<LeaseState>(state);
-    r.u32();  // reserved
-    const std::uint64_t stage_len = r.u64();
-    out.stage.resize(stage_len);
-    r.bytes(out.stage.data(), stage_len);
-    const std::uint64_t msg_len = r.u64();
-    out.message.resize(msg_len);
-    r.bytes(out.message.data(), msg_len);
-    if (r.remaining() != 0) return miss("trailing bytes in lease record", true);
-  } catch (const std::exception& e) {
-    // A corrupt length field that slipped past the CRC must degrade to
-    // "absent", never crash a supervisor or worker.
-    return miss(e.what(), true);
-  }
-
-  if (out.campaign != expected_campaign) {
-    return miss("campaign fingerprint mismatch (stale lease)", true);
-  }
-  FINSER_OBS_COUNT("shard.lease.reads", 1);
-  return true;
+  if (reason != nullptr) *reason = why;
+  FINSER_OBS_COUNT("shard.lease.rejects", 1);
+  return false;
 }
 
 }  // namespace finser::shard

@@ -9,7 +9,6 @@
 #include <thread>
 #include <unistd.h>
 
-#include "finser/ckpt/checkpoint.hpp"
 #include "finser/exec/cancel.hpp"
 #include "finser/pipeline/campaign.hpp"
 #include "finser/shard/lease.hpp"
@@ -86,8 +85,6 @@ int run_worker(const WorkerConfig& config) {
   // stage cooperatively; the worker then exits.
   exec::CancelToken cancel;
   exec::install_signal_cancel(&cancel);
-  ckpt::RunOptions stage_run;
-  stage_run.cancel = &cancel;
 
   Heartbeat hb;
   hb.path = heartbeat_path(config.lease_dir, config.worker_id);
@@ -152,7 +149,7 @@ int run_worker(const WorkerConfig& config) {
       FINSER_REQUIRE(it != index_of.end(),
                      "worker: unknown stage id `" + task.stage +
                          "` (campaign file changed under the supervisor?)");
-      runner.run_stage(it->second, config.threads, progress, stage_run);
+      runner.run_stage(it->second, config.threads, progress, &cancel);
       // Durable completion marker first (resume authority for future
       // supervisors), then the done heartbeat (completion authority for
       // this one). Losing the marker only costs a recompute next run.

@@ -10,7 +10,6 @@
 #include "finser/exec/thread_pool.hpp"
 #include "finser/obs/obs.hpp"
 #include "finser/spice/batch.hpp"
-#include "finser/util/bytes.hpp"
 #include "finser/util/error.hpp"
 
 namespace finser::sram {
@@ -54,12 +53,13 @@ constexpr std::uint64_t kStreamTriple = 7;
 
 /// A parallel stage that stopped early (cancel token fired) holds a
 /// partially written table — the only safe continuation is to abandon it.
-/// Finished voltages survive in the checkpoint; this one restarts on resume.
+/// Finished voltages survive as `pof_table` artifacts when the caller
+/// persists them (core::load_or_characterize); this one restarts on resume.
 void require_complete(bool completed) {
   if (!completed) {
     throw util::Cancelled(
         "characterization cancelled at a chunk boundary; the in-progress "
-        "voltage is discarded (finished voltages persist in the checkpoint)");
+        "voltage is discarded");
   }
 }
 
@@ -617,6 +617,7 @@ void CellCharacterizer::characterize_triple(
 PofTable CellCharacterizer::characterize_at(double vdd_v, std::uint64_t seed,
                                             const exec::ProgressSink& progress,
                                             const exec::CancelToken* cancel) const {
+  require_complete(cancel == nullptr || !cancel->cancelled());
   obs::ScopedSpan span("sram.characterize_voltage",
                        "sram.characterize_voltage vdd=" +
                            std::to_string(vdd_v) + "V");
@@ -706,46 +707,29 @@ PofTable CellCharacterizer::characterize_at(double vdd_v, std::uint64_t seed,
   return table;
 }
 
-CellSoftErrorModel CellCharacterizer::characterize(
-    const exec::ProgressSink& progress, const ckpt::RunOptions& run) const {
-  CellSoftErrorModel model;
-  model.config_fingerprint = config_.fingerprint(design_);
+std::vector<double> CellCharacterizer::voltages() const {
   std::vector<double> vdds = config_.vdds;
   std::sort(vdds.begin(), vdds.end());
+  return vdds;
+}
 
-  if (!run.active()) {
-    for (std::size_t v = 0; v < vdds.size(); ++v) {
-      model.tables.push_back(characterize_at(
-          vdds[v], stats::Rng::derive_seed(config_.seed, v), progress));
-    }
-    return model;
-  }
+PofTable CellCharacterizer::characterize_voltage(
+    std::size_t index, const exec::ProgressSink& progress,
+    const exec::CancelToken* cancel) const {
+  const std::vector<double> vdds = voltages();
+  FINSER_REQUIRE(index < vdds.size(),
+                 "characterize_voltage: voltage index out of range");
+  return characterize_at(vdds[index],
+                         stats::Rng::derive_seed(config_.seed, index),
+                         progress, cancel);
+}
 
-  // Checkpointable campaign: the unit of work is one (sorted) supply
-  // voltage; its blob is the serialized PofTable. The outer pool is serial —
-  // characterize_at parallelizes internally — so run_units only sequences
-  // the voltages, skips restored ones, and flushes after finished ones.
-  exec::ThreadPool outer(1);
-  const ckpt::UnitRunResult units = ckpt::run_units(
-      outer, vdds.size(), model.config_fingerprint, run,
-      [&](const exec::ChunkRange& u) {
-        const PofTable t = characterize_at(
-            vdds[u.index], stats::Rng::derive_seed(config_.seed, u.index),
-            progress, run.cancel);
-        util::ByteWriter w;
-        t.write(w);
-        return w.take();
-      });
-  if (progress && units.reused > 0) {
-    progress.message("characterize: resumed, " + std::to_string(units.reused) +
-                     "/" + std::to_string(vdds.size()) +
-                     " voltage(s) restored from checkpoint");
-  }
-  for (const std::vector<std::uint8_t>& blob : units.blobs) {
-    util::ByteReader r(blob);
-    model.tables.push_back(PofTable::read(r));
-    FINSER_REQUIRE(r.exhausted(),
-                   "characterize: trailing bytes in checkpointed PofTable");
+CellSoftErrorModel CellCharacterizer::characterize(
+    const exec::ProgressSink& progress, const exec::CancelToken* cancel) const {
+  CellSoftErrorModel model;
+  model.config_fingerprint = config_.fingerprint(design_);
+  for (std::size_t v = 0; v < config_.vdds.size(); ++v) {
+    model.tables.push_back(characterize_voltage(v, progress, cancel));
   }
   return model;
 }

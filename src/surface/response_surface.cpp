@@ -31,20 +31,6 @@ util::Axis::Location locate_or_collapse(const util::Axis& axis, double x) {
   return axis.locate(x, util::OutOfRange::kClamp);
 }
 
-void write_str(util::ByteWriter& w, const std::string& s) {
-  w.u64(s.size());
-  w.bytes(s.data(), s.size());
-}
-
-std::string read_str(util::ByteReader& r) {
-  const std::uint64_t n = r.u64();
-  FINSER_REQUIRE(n <= r.remaining(),
-                 "response surface: string length exceeds payload");
-  std::string s(n, '\0');
-  r.bytes(s.data(), n);
-  return s;
-}
-
 }  // namespace
 
 ResponseSurface ResponseSurface::from_sweep(std::string scenario_name,
@@ -193,8 +179,8 @@ std::vector<std::uint8_t> ResponseSurface::encode() const {
   validate();
   util::ByteWriter w;
   w.u32(kCodecVersion);
-  write_str(w, scenario);
-  write_str(w, species);
+  w.str(scenario);
+  w.str(species);
   w.f64(temp_k);
   w.u64(fingerprint);
   w.f64_vec(vdds);
@@ -225,8 +211,8 @@ ResponseSurface ResponseSurface::decode(const std::vector<std::uint8_t>& blob) {
   FINSER_REQUIRE(version == kCodecVersion,
                  "response surface: unsupported codec version");
   ResponseSurface s;
-  s.scenario = read_str(r);
-  s.species = read_str(r);
+  s.scenario = r.str();
+  s.species = r.str();
   s.temp_k = r.f64();
   s.fingerprint = r.u64();
   s.vdds = r.f64_vec();

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <string>
 
 #include "finser/core/array_mc.hpp"
+#include "finser/exec/cancel.hpp"
 #include "finser/stats/summary.hpp"
 #include "finser/util/error.hpp"
 
@@ -256,6 +259,54 @@ TEST(ArrayMc, RejectsBadInputs) {
   EXPECT_THROW(ArrayMc(layout, empty, fast_config()), util::InvalidArgument);
   ArrayMc mc(layout, model, fast_config());
   EXPECT_THROW(mc.run(phys::Species::kAlpha, 0.0, 8), util::InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Cancellation: one driver with or without a token
+// ---------------------------------------------------------------------------
+
+/// A token that never fires changes no bit: fixed and CI-target budgets, at
+/// 1 and 4 threads, give the result bytes of a run without a token.
+TEST(ArrayMcCancel, IdleTokenIsByteIdentical) {
+  const ArrayLayout layout(3, 3, CellGeometry{});
+  const CellSoftErrorModel model = synthetic_model(0.8, 0.05);
+  for (const double ci_target : {0.0, 0.2}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      ArrayMcConfig cfg = fast_config(8192);
+      cfg.chunk = 128;
+      cfg.threads = threads;
+      cfg.ci.target = ci_target;
+      cfg.ci.min_chunks = 4;
+      const ArrayMc mc(layout, model, cfg);
+      const exec::CancelToken idle;
+      const ArrayMcResult plain = mc.run(phys::Species::kAlpha, 1.0, 9);
+      EXPECT_EQ(plain.stopped_early, ci_target > 0.0);
+      EXPECT_EQ(encode_result(plain),
+                encode_result(
+                    mc.run(phys::Species::kAlpha, 1.0, 9, {}, &idle)))
+          << "ci_target " << ci_target << ", " << threads << " threads";
+    }
+  }
+}
+
+/// A token fired from the progress sink (on the first finished chunk) stops
+/// the run at a chunk boundary with util::Cancelled.
+TEST(ArrayMcCancel, TokenFiredFromProgressSinkThrows) {
+  const ArrayLayout layout(3, 3, CellGeometry{});
+  const CellSoftErrorModel model = synthetic_model(0.8, 0.05);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ArrayMcConfig cfg = fast_config(8192);
+    cfg.chunk = 128;
+    cfg.threads = threads;
+    const ArrayMc mc(layout, model, cfg);
+    exec::CancelToken token;
+    const exec::ProgressSink fire(
+        [&token](const std::string&) { token.cancel(); },
+        std::chrono::milliseconds(0));
+    EXPECT_THROW(mc.run(phys::Species::kAlpha, 1.0, 9, fire, &token),
+                 util::Cancelled)
+        << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
 #include "finser/core/neutron_mc.hpp"
+#include "finser/exec/cancel.hpp"
 #include "finser/core/pof_combine.hpp"
 #include "finser/core/ser_flow.hpp"
 #include "finser/util/error.hpp"
@@ -194,6 +198,48 @@ TEST(NeutronFlow, SweepDispatchesToNeutronMc) {
   // Spectrum anchor: ~13 n/(cm^2 h) above 10 MeV.
   EXPECT_NEAR(env::sea_level_neutrons().integral_flux(10.0, 1000.0) * 3600.0,
               13.0, 0.2);
+}
+
+/// A token that never fires changes no bit: fixed and CI-target budgets, at
+/// 1 and 4 threads, give the result bytes of a run without a token.
+TEST(NeutronMcCancel, IdleTokenIsByteIdentical) {
+  const ArrayLayout layout(2, 2, CellGeometry{});
+  const CellSoftErrorModel model = threshold_model(0.8, 0.02);
+  for (const double ci_target : {0.0, 0.5}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      NeutronMcConfig cfg = fast_config(8192);
+      cfg.chunk = 128;
+      cfg.threads = threads;
+      cfg.ci.target = ci_target;
+      cfg.ci.min_chunks = 4;
+      const NeutronArrayMc mc(layout, model, cfg);
+      const exec::CancelToken idle;
+      const ArrayMcResult plain = mc.run(14.0, 6);
+      EXPECT_EQ(plain.stopped_early, ci_target > 0.0);
+      EXPECT_EQ(encode_result(plain),
+                encode_result(mc.run(14.0, 6, {}, &idle)))
+          << "ci_target " << ci_target << ", " << threads << " threads";
+    }
+  }
+}
+
+/// A token fired from the progress sink (on the first finished chunk) stops
+/// the run at a chunk boundary with util::Cancelled.
+TEST(NeutronMcCancel, TokenFiredFromProgressSinkThrows) {
+  const ArrayLayout layout(2, 2, CellGeometry{});
+  const CellSoftErrorModel model = threshold_model(0.8, 0.02);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    NeutronMcConfig cfg = fast_config(8192);
+    cfg.chunk = 128;
+    cfg.threads = threads;
+    const NeutronArrayMc mc(layout, model, cfg);
+    exec::CancelToken token;
+    const exec::ProgressSink fire(
+        [&token](const std::string&) { token.cancel(); },
+        std::chrono::milliseconds(0));
+    EXPECT_THROW(mc.run(14.0, 6, fire, &token), util::Cancelled)
+        << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -246,25 +246,6 @@ TEST(Reduce, PairwiseMatchesFold) {
                util::InvalidArgument);
 }
 
-TEST(Reduce, ParallelReduceSumsItems) {
-  ThreadPool pool(4);
-  const auto got = parallel_reduce<long>(
-      pool, 5000, 128,
-      [](const ChunkRange& r) {
-        long s = 0;
-        for (std::size_t i = r.begin; i < r.end; ++i) {
-          s += static_cast<long>(i);
-        }
-        return s;
-      },
-      [](long a, long b) { return a + b; });
-  EXPECT_EQ(got, 4999L * 5000L / 2L);
-  EXPECT_THROW((parallel_reduce<long>(
-                   pool, 0, 16, [](const ChunkRange&) { return 0L; },
-                   [](long a, long b) { return a + b; })),
-               util::InvalidArgument);
-}
-
 // ---------------------------------------------------------------------------
 // Deterministic RNG streams
 // ---------------------------------------------------------------------------

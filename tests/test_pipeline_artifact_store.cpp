@@ -18,8 +18,10 @@
 
 #include "finser/obs/obs.hpp"
 #include "finser/pipeline/artifact_store.hpp"
+#include "finser/util/bytes.hpp"
 #include "finser/util/fault.hpp"
 #include "finser/util/io.hpp"
+#include "finser/util/sealed_record.hpp"
 
 namespace finser::pipeline {
 namespace {
@@ -174,6 +176,28 @@ TEST(ArtifactStore, GarbageFileNeverThrows) {
     EXPECT_FALSE(hit) << frac;
     EXPECT_NE(reason.find("CRC"), std::string::npos) << frac << ": " << reason;
   }
+}
+
+/// A CRC-valid blob whose kind echo claims more bytes than the blob holds
+/// is rejected before anything is allocated, naming the claimed length.
+TEST(ArtifactStore, ClaimedKindLengthPastThePayloadIsRejected) {
+  const TempStore store("finser_art_huge_kind");
+  const ArtifactKey key{"unit_test", 4};
+  std::filesystem::create_directories(store.root());
+  util::ByteWriter body;
+  body.u64(std::uint64_t{1} << 40);
+  body.bytes("unit_test", 9);
+  const std::vector<std::uint8_t> sealed = util::seal_record(
+      {'F', 'N', 'S', 'R', 'A', 'R', 'T', '1'}, body.take());
+  ASSERT_TRUE(util::atomic_write_file(store->path_for(key), sealed.data(),
+                                      sealed.size()));
+
+  std::vector<std::uint8_t> out;
+  std::string reason;
+  bool hit = true;
+  EXPECT_NO_THROW(hit = store->try_get(key, out, &reason));
+  EXPECT_FALSE(hit);
+  EXPECT_NE(reason.find("1099511627776"), std::string::npos) << reason;
 }
 
 /// A failed write is a lost cache entry, not a failed run — but never a

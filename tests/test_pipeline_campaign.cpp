@@ -600,9 +600,10 @@ TEST(CampaignRunner, WritesPerScenarioCsvOutputs) {
 }
 
 /// An interrupted characterize stage resumes per supply voltage: cancelled
-/// while characterizing vdd=0.9, the campaign leaves a per-voltage
-/// checkpoint in its store; the rerun restores vdd=0.7 from it, removes it,
-/// and writes the same CSV bytes as an uninterrupted campaign.
+/// while characterizing vdd=0.9, the campaign leaves vdd=0.7's table in its
+/// store as a `pof_table` artifact; the rerun restores vdd=0.7 from it, adds
+/// no table for the last voltage (that one lives in the cell model), and
+/// writes the same CSV bytes as an uninterrupted campaign.
 TEST(CampaignRunner, InterruptedCharacterizationResumesPerVoltage) {
   const std::string root = temp_dir("finser_campaign_char_resume");
   std::filesystem::remove_all(root);
@@ -615,15 +616,10 @@ TEST(CampaignRunner, InterruptedCharacterizationResumesPerVoltage) {
     spec.threads = 2;
     return spec;
   };
-  const auto checkpoints = [](const std::string& store) {
+  const auto pof_tables = [](const std::string& store) {
     std::size_t n = 0;
-    std::error_code ec;
-    for (const auto& e : std::filesystem::directory_iterator(store, ec)) {
-      const std::string name = e.path().filename().string();
-      if (name.rfind("characterize-", 0) == 0 &&
-          e.path().extension() == ".ckpt") {
-        ++n;
-      }
+    for (const ArtifactStore::Entry& e : ArtifactStore(store, false).list()) {
+      if (e.key.kind == "pof_table" && e.ok) ++n;
     }
     return n;
   };
@@ -631,20 +627,19 @@ TEST(CampaignRunner, InterruptedCharacterizationResumesPerVoltage) {
   CampaignRunner(spec_at(root + "/ref")).run();
 
   // Cancelled on the first vdd=0.9 progress message: vdd=0.7 is finished
-  // and checkpointed, vdd=0.9 is abandoned at a chunk boundary.
+  // and stored, vdd=0.9 is abandoned at a chunk boundary.
   const CampaignSpec spec = spec_at(root + "/cut");
   exec::CancelToken cancel;
-  ckpt::RunOptions run;
-  run.cancel = &cancel;
   const exec::ProgressSink cancel_at_09([&cancel](const std::string& m) {
     if (m.rfind("vdd=0.9", 0) == 0) cancel.cancel();
   });
-  EXPECT_THROW(CampaignRunner(spec).run(cancel_at_09, run), util::Cancelled);
-  EXPECT_EQ(checkpoints(spec.artifact_dir), 1u);
+  EXPECT_THROW(CampaignRunner(spec).run(cancel_at_09, &cancel),
+               util::Cancelled);
+  EXPECT_EQ(pof_tables(spec.artifact_dir), 1u);
 
   std::vector<std::string> restored;  // ProgressSink serializes messages
   const exec::ProgressSink watch([&restored](const std::string& m) {
-    if (m.find("restored from checkpoint") != std::string::npos) {
+    if (m.find("restored from the artifact store") != std::string::npos) {
       restored.push_back(m);
     }
   });
@@ -652,7 +647,7 @@ TEST(CampaignRunner, InterruptedCharacterizationResumesPerVoltage) {
   ASSERT_EQ(restored.size(), 1u);
   EXPECT_NE(restored[0].find("1/2 voltage(s)"), std::string::npos)
       << restored[0];
-  EXPECT_EQ(checkpoints(spec.artifact_dir), 0u);
+  EXPECT_EQ(pof_tables(spec.artifact_dir), 1u);
   EXPECT_TRUE(files_under(root + "/ref/out") == files_under(spec.output_dir))
       << "resumed campaign CSVs differ from the uninterrupted campaign";
   std::filesystem::remove_all(root);

@@ -19,8 +19,10 @@
 
 #include "finser/obs/obs.hpp"
 #include "finser/shard/lease.hpp"
+#include "finser/util/bytes.hpp"
 #include "finser/util/fault.hpp"
 #include "finser/util/io.hpp"
+#include "finser/util/sealed_record.hpp"
 
 namespace finser::shard {
 namespace {
@@ -168,6 +170,41 @@ TEST(ShardLease, GarbageFileNeverThrows) {
   }
   EXPECT_FALSE(try_read_lease(path, kCampaign, out, &reason));
   EXPECT_NE(reason.find("too short"), std::string::npos) << reason;
+}
+
+/// A CRC-valid record whose stage length claims more bytes than the record
+/// holds (here 4 GiB and 2^40) is rejected before anything is allocated,
+/// with a reason that names the claimed length — never a multi-gigabyte
+/// allocation, never std::bad_alloc.
+TEST(ShardLease, ClaimedStringLengthPastThePayloadIsRejected) {
+  const TempDir dir("finser_lease_huge_len");
+  const std::string path = task_path(dir.path(), 0);
+  for (const std::uint64_t claimed : {std::uint64_t{1} << 32,
+                                      std::uint64_t{1} << 40}) {
+    util::ByteWriter body;
+    body.u32(1);  // version
+    body.u32(static_cast<std::uint32_t>(LeaseKind::kTask));
+    body.u64(kCampaign);
+    body.u64(0);  // worker
+    body.u64(0);  // attempt
+    body.u64(0);  // seq
+    body.u32(static_cast<std::uint32_t>(LeaseState::kAssign));
+    body.u32(0);  // reserved
+    body.u64(claimed);
+    body.bytes("0-x", 3);
+    const std::vector<std::uint8_t> sealed = util::seal_record(
+        {'F', 'N', 'S', 'R', 'L', 'S', 'E', '1'}, body.take());
+    ASSERT_TRUE(util::atomic_write_file(path, sealed.data(), sealed.size()));
+
+    LeaseRecord out;
+    std::string reason;
+    bool hit = true;
+    EXPECT_NO_THROW(hit = try_read_lease(path, kCampaign, out, &reason))
+        << claimed;
+    EXPECT_FALSE(hit) << claimed;
+    EXPECT_NE(reason.find(std::to_string(claimed)), std::string::npos)
+        << reason;
+  }
 }
 
 TEST(ShardLease, TornWriteFaultSiteLandsARejectableRecord) {

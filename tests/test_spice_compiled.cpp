@@ -24,9 +24,11 @@
 #include <utility>
 #include <vector>
 
-#include "finser/ckpt/checkpoint.hpp"
+#include "finser/core/ser_flow.hpp"
 #include "finser/exec/cancel.hpp"
 #include "finser/obs/obs.hpp"
+#include "finser/pipeline/artifact_store.hpp"
+#include "finser/pipeline/campaign.hpp"
 #include "finser/spice/batch.hpp"
 #include "finser/spice/compiled.hpp"
 #include "finser/spice/dc.hpp"
@@ -851,12 +853,52 @@ std::vector<std::uint8_t> model_bytes(const CellSoftErrorModel& model) {
   return w.take();
 }
 
-TEST(SpiceCompiled, CharacterizerResumesThroughCompiledPath) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "finser_compiled_resume.bin")
-          .string();
-  std::remove(path.c_str());
+/// The store-backed characterization of two voltages: cancelled as soon as
+/// vdd=0.9 reports progress (vdd=0.7 is then a `pof_table` artifact, and no
+/// cell model exists yet), then resumed without the token. Returns the
+/// resumed model; \p restored counts the rerun's restored voltages.
+CellSoftErrorModel cancel_and_resume(const CellDesign& design,
+                                     const CharacterizerConfig& cfg,
+                                     const std::string& root,
+                                     std::size_t& restored) {
+  std::filesystem::remove_all(root);
+  const pipeline::ArtifactStore store(root);
+  pipeline::ArtifactBinCache models(store, "cell_model");
+  pipeline::ArtifactBinCache tables(store, "pof_table");
 
+  exec::CancelToken token;
+  bool saw_second = false;
+  const exec::ProgressSink canceller([&](const std::string& msg) {
+    if (msg.find("vdd=0.9") != std::string::npos && !saw_second) {
+      saw_second = true;
+      token.cancel();
+    }
+  });
+  EXPECT_THROW(core::load_or_characterize(design, cfg, &models, &tables,
+                                          canceller, &token),
+               util::Cancelled);
+  EXPECT_TRUE(saw_second);
+  std::vector<std::string> kinds;
+  for (const pipeline::ArtifactStore::Entry& e : store.list()) {
+    kinds.push_back(e.key.kind);
+  }
+  EXPECT_EQ(kinds, std::vector<std::string>{"pof_table"});
+
+  // Resume without the token: the stored voltage is restored, the other
+  // one characterized, and the model stored.
+  restored = 0;
+  const exec::ProgressSink watch([&](const std::string& msg) {
+    if (msg.find("1/2 voltage(s) restored") != std::string::npos) ++restored;
+  });
+  bool characterized = false;
+  const CellSoftErrorModel got = core::load_or_characterize(
+      design, cfg, &models, &tables, watch, nullptr, &characterized);
+  EXPECT_TRUE(characterized);
+  std::filesystem::remove_all(root);
+  return got;
+}
+
+CharacterizerConfig resume_config() {
   CharacterizerConfig cfg;
   cfg.vdds = {0.7, 0.9};
   cfg.pv_samples_single = 6;
@@ -865,89 +907,48 @@ TEST(SpiceCompiled, CharacterizerResumesThroughCompiledPath) {
   cfg.pv_samples_grid = 4;
   cfg.seed = 13;
   cfg.threads = 2;
+  return cfg;
+}
+
+TEST(SpiceCompiled, CharacterizerResumesThroughCompiledPath) {
+  const CharacterizerConfig cfg = resume_config();
   const CellDesign design;
-  const CellCharacterizer ch(design, cfg);
 
-  // Uninterrupted baseline (no checkpointing at all).
-  const CellSoftErrorModel want = ch.characterize();
+  // Uninterrupted baseline (no store at all).
+  const CellSoftErrorModel want = CellCharacterizer(design, cfg).characterize();
 
-  // Killed run: cancel as soon as the second voltage reports progress; the
-  // first voltage's table is already flushed to the checkpoint.
-  ckpt::RunOptions run;
-  run.checkpoint_path = path;
-  run.checkpoint_interval_sec = 0.0;
-  exec::CancelToken token;
-  run.cancel = &token;
-  bool saw_second = false;
-  const exec::ProgressSink canceller([&](const std::string& msg) {
-    if (msg.find("vdd=0.9") != std::string::npos && !saw_second) {
-      saw_second = true;
-      token.cancel();
-    }
-  });
-  EXPECT_THROW(ch.characterize(canceller, run), util::Cancelled);
-  EXPECT_TRUE(saw_second);
-  ASSERT_TRUE(std::filesystem::exists(path));
-
-  // Resume without the token: the restored voltage is reused and the final
-  // model is byte-identical to the uninterrupted run.
-  run.cancel = nullptr;
-  const CellSoftErrorModel got = ch.characterize({}, run);
+  std::size_t restored = 0;
+  const CellSoftErrorModel got = cancel_and_resume(
+      design, cfg,
+      (std::filesystem::temp_directory_path() / "finser_compiled_resume")
+          .string(),
+      restored);
+  EXPECT_EQ(restored, 1u);
   EXPECT_EQ(model_bytes(want), model_bytes(got));
-  EXPECT_FALSE(std::filesystem::exists(path));
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
 }
 
 // Same contract with the lane-batched engine forced on: a killed batched run
 // resumes to the byte-identical model — and that model equals a scalar
 // (width 1) uninterrupted run, so a resume may even change lane width.
 TEST(SpiceBatch, CharacterizerResumesThroughBatchedPath) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "finser_batched_resume.bin")
-          .string();
-  std::remove(path.c_str());
-
-  CharacterizerConfig cfg;
-  cfg.vdds = {0.7, 0.9};
-  cfg.pv_samples_single = 6;
-  cfg.pair_grid_points = 6;
-  cfg.triple_grid_points = 6;
-  cfg.pv_samples_grid = 4;
-  cfg.seed = 13;
-  cfg.threads = 2;
+  const CharacterizerConfig cfg = resume_config();
   const CellDesign design;
-  const CellCharacterizer ch(design, cfg);
 
   std::vector<std::uint8_t> want;
   {
     LaneWidthGuard scalar(1);
-    want = model_bytes(ch.characterize());
+    want = model_bytes(CellCharacterizer(design, cfg).characterize());
   }
 
   LaneWidthGuard batched(4);
-  ckpt::RunOptions run;
-  run.checkpoint_path = path;
-  run.checkpoint_interval_sec = 0.0;
-  exec::CancelToken token;
-  run.cancel = &token;
-  bool saw_second = false;
-  const exec::ProgressSink canceller([&](const std::string& msg) {
-    if (msg.find("vdd=0.9") != std::string::npos && !saw_second) {
-      saw_second = true;
-      token.cancel();
-    }
-  });
-  EXPECT_THROW(ch.characterize(canceller, run), util::Cancelled);
-  EXPECT_TRUE(saw_second);
-  ASSERT_TRUE(std::filesystem::exists(path));
-
-  run.cancel = nullptr;
-  const CellSoftErrorModel got = ch.characterize({}, run);
+  std::size_t restored = 0;
+  const CellSoftErrorModel got = cancel_and_resume(
+      design, cfg,
+      (std::filesystem::temp_directory_path() / "finser_batched_resume")
+          .string(),
+      restored);
+  EXPECT_EQ(restored, 1u);
   EXPECT_EQ(want, model_bytes(got));
-  EXPECT_FALSE(std::filesystem::exists(path));
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
 }
 
 }  // namespace

@@ -51,7 +51,6 @@
 
 #include <unistd.h>
 
-#include "finser/ckpt/checkpoint.hpp"
 #include "finser/core/ser_flow.hpp"
 #include "finser/exec/cancel.hpp"
 #include "finser/exec/exec.hpp"
@@ -148,7 +147,8 @@ void print_help() {
       "  1  unexpected error\n"
       "  2  invalid configuration or command line\n"
       "  3  numerical failure (solver gave up after its retry ladder)\n"
-      "  4  interrupted, progress checkpointed (rerun to resume)\n"
+      "  4  interrupted; finished work is in the artifact store (rerun to\n"
+      "     resume)\n"
       "  5  partial: sharded campaign completed with quarantined stages\n"
       "     (details in the run report's \"shard\" section)\n"
       "  6  degraded: `serve` drained, but at least one request was shed,\n"
@@ -227,11 +227,8 @@ int run_campaign(const pipeline::CampaignSpec& spec, const std::string& command,
   const exec::ProgressSink progress(
       [](const std::string& m) { std::printf("  [%s]\n", m.c_str()); },
       std::chrono::milliseconds(250));
-  ckpt::RunOptions run;
-  run.cancel = &cancel;
-
   pipeline::CampaignRunner runner(spec);
-  const auto results = runner.run(progress, run);
+  const auto results = runner.run(progress, &cancel);
 
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& scenario = results[i];
@@ -463,11 +460,8 @@ int cmd_serve(const std::string& campaign_path, std::size_t cli_threads,
   const exec::ProgressSink progress(
       [](const std::string& m) { std::fprintf(stderr, "  [%s]\n", m.c_str()); },
       std::chrono::milliseconds(250));
-  ckpt::RunOptions run;
-  run.cancel = &cancel;
-
   pipeline::SurfaceProvider provider(std::move(spec), cli_threads, progress,
-                                     run);
+                                     &cancel);
   surface::ServeConfig scfg;
   scfg.max_pending = max_pending;
   surface::ServeSession session(
