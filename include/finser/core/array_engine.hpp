@@ -18,6 +18,11 @@
 /// in chunk-index order, so results are bit-identical at any thread count
 /// (docs/parallelism.md).
 ///
+/// The strike loop does nothing per strike that a run can do once: the
+/// PofTable of each supply voltage is resolved once at construction, and
+/// each worker's scratch holds the TrackResult the Transporter fills, so a
+/// strike allocates nothing once the worker's buffers have grown.
+///
 /// ArrayEngine is also the unit the pipeline layer schedules: a campaign
 /// stage node is "one engine × one energy point", and its `array_bin`
 /// artifact is keyed by point_fingerprint (docs/architecture.md).
@@ -227,10 +232,13 @@ class ArrayEngine {
 
  protected:
   /// Per-worker mutable state: the Transporter keeps internal scratch and
-  /// the strike loop reuses per-cell charge slots, so each pool slot gets
-  /// its own copy (created lazily on first chunk, on the worker's thread).
+  /// the strike loop reuses per-cell charge slots and one track buffer, so
+  /// each pool slot gets its own copy (created lazily on first chunk, on the
+  /// worker's thread) and a strike allocates nothing once the buffers have
+  /// grown to fit.
   struct WorkerScratch {
     phys::Transporter transporter;
+    phys::TrackResult track;  ///< Filled by transporter.transport per track.
     std::vector<sram::StrikeCharges> cell_charges;
     std::vector<std::uint32_t> touched_cells;
     std::vector<double> pofs;  ///< Per-touched-cell POFs of one strike.
@@ -325,6 +333,8 @@ class ArrayEngine {
   const sram::ArrayLayout* layout_;
   const sram::CellSoftErrorModel* model_;
   std::vector<double> vdds_;
+  /// tables_[v] = &model.at_vdd(vdds_[v]), resolved once at construction.
+  std::vector<const sram::PofTable*> tables_;
 };
 
 /// Hash an array layout's result-relevant identity (dimensions, footprint,

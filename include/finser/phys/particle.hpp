@@ -8,7 +8,10 @@
 /// to future work. Kinematics here are relativistic throughout, although
 /// the energies of interest (< 100 MeV) are mildly relativistic at most.
 
+#include <cmath>
 #include <string_view>
+
+#include "finser/util/constants.hpp"
 
 namespace finser::phys {
 
@@ -52,5 +55,24 @@ double passage_time_fs(Species s, double e_mev, double length_nm);
 /// Kinematic maximum energy transferable to a single electron [MeV]:
 /// T_max = 2 m_e c² β²γ² / (1 + 2γ m_e/M + (m_e/M)²).
 double max_energy_transfer_mev(Species s, double e_mev);
+
+// The kinematic formulas behind the per-species functions above, written
+// once: phys::EnergyLoss calls them with its precomputed rest energy and
+// mass ratio, the functions above with the species' own.
+
+/// γ = 1 + E/M for kinetic energy \p e_mev and rest energy \p rest_mev.
+inline double lorentz_gamma(double e_mev, double rest_mev) {
+  return 1.0 + e_mev / rest_mev;
+}
+
+/// β = √(1 − 1/γ²).
+inline double beta_from_gamma(double g) { return std::sqrt(1.0 - 1.0 / (g * g)); }
+
+/// T_max from γ and the electron-to-projectile mass ratio \p me_over_m.
+inline double max_energy_transfer_from_gamma(double g, double me_over_m) {
+  const double b2g2 = g * g - 1.0;
+  return 2.0 * util::kElectronMassMeV * b2g2 /
+         (1.0 + 2.0 * g * me_over_m + me_over_m * me_over_m);
+}
 
 }  // namespace finser::phys

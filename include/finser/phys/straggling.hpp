@@ -21,7 +21,8 @@
 ///                 upsets collapse with Vdd while fast particles retain a
 ///                 rare-event tail. **Default everywhere.**
 ///
-/// All samples are clamped to [0, available energy].
+/// All samples are clamped to [0, available energy]. The formulas live in
+/// phys::EnergyLoss (stopping.hpp); the functions below call into it.
 
 #include "finser/phys/material.hpp"
 #include "finser/phys/particle.hpp"

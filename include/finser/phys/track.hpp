@@ -10,7 +10,16 @@
 /// per segment by the configured straggling model, so a single grazing track
 /// can cross fins of several cells with *correlated*, *ordered* deposits —
 /// exactly the mechanism that produces MBUs in the paper's array analysis.
+///
+/// The Transporter builds one phys::EnergyLoss evaluator per species for
+/// its fin and its background material at construction, and evaluates the
+/// energy-dependent terms once per segment entry: the segment's first CSDA
+/// step, its straggling draw and (in a fin) the ionizing fraction share
+/// them. The array strike loops call the buffer-filling transport() with a
+/// TrackResult they keep per worker, so once the buffers have grown a strike
+/// allocates nothing.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -18,6 +27,7 @@
 #include "finser/geom/box_set.hpp"
 #include "finser/phys/material.hpp"
 #include "finser/phys/particle.hpp"
+#include "finser/phys/stopping.hpp"
 #include "finser/phys/straggling.hpp"
 #include "finser/stats/rng.hpp"
 
@@ -55,17 +65,32 @@ class Transporter {
   Transporter(const Transporter&) = delete;
   Transporter& operator=(const Transporter&) = delete;
 
-  /// Transport one particle; deterministic given \p rng state.
+  /// Transport one particle into \p out (its deposits are cleared first,
+  /// their capacity kept); deterministic given \p rng state.
+  void transport(const geom::Ray& ray, Species s, double e_mev,
+                 stats::Rng& rng, TrackResult& out);
+
+  /// By-value form of the above.
   TrackResult transport(const geom::Ray& ray, Species s, double e_mev,
-                        stats::Rng& rng);
+                        stats::Rng& rng) {
+    TrackResult out;
+    transport(ray, s, e_mev, rng, out);
+    return out;
+  }
 
   const geom::BoxSet& fins() const { return *fins_; }
 
  private:
+  /// One evaluator per Species enumerator, in declaration order.
+  using PerSpecies = std::array<EnergyLoss, 5>;
+  static PerSpecies evaluators(const Material& m);
+
   const geom::BoxSet* fins_;
   Config config_;
   std::unique_ptr<geom::UniformGrid> grid_;
   std::vector<geom::BoxHit> scratch_hits_;
+  PerSpecies fin_loss_;
+  PerSpecies background_loss_;
 };
 
 }  // namespace finser::phys

@@ -11,6 +11,8 @@
 
 #include <cstdint>
 
+#include "finser/util/error.hpp"
+
 namespace finser::stats {
 
 /// xoshiro256++ engine. Satisfies std::uniform_random_bit_generator.
@@ -25,13 +27,29 @@ class Rng {
   static constexpr result_type max() { return ~static_cast<result_type>(0); }
 
   /// Next raw 64-bit output.
-  result_type operator()();
+  result_type operator()() {
+    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53-bit mantissa construction => uniform on [0, 1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
+  double uniform(double lo, double hi) {
+    FINSER_REQUIRE(hi >= lo, "Rng::uniform: hi < lo");
+    return lo + (hi - lo) * uniform();
+  }
 
   /// Uniform integer in [0, n) for n > 0 (Lemire's method).
   std::uint64_t uniform_index(std::uint64_t n);
@@ -65,6 +83,10 @@ class Rng {
   static Rng stream(std::uint64_t root_seed, std::uint64_t stream_id);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

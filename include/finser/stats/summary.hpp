@@ -7,8 +7,11 @@
 /// numerically stable at any sample count, and `stderr_of_mean()` gives the
 /// error bars quoted in EXPERIMENTS.md.
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
-#include <cstdint>
+
+#include "finser/util/error.hpp"
 
 namespace finser::stats {
 
@@ -16,7 +19,18 @@ namespace finser::stats {
 class RunningStats {
  public:
   /// Add one observation.
-  void add(double x);
+  void add(double x) {
+    if (n_ == 0) {
+      min_ = max_ = x;
+    } else {
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+    }
+    ++n_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+  }
 
   /// Merge another accumulator (parallel reduction form).
   void merge(const RunningStats& other);
@@ -56,19 +70,18 @@ class RunningStats {
 /// first quantity to overflow — tested in test_stats.cpp).
 class WeightedRunningStats {
  public:
-  /// Complete internal state for bit-exact serialization: the fields
-  /// round-trip as raw IEEE-754 doubles, so a restored accumulator is
-  /// indistinguishable from the original.
-  struct Raw {
-    std::uint64_t n = 0;
-    double sum_w = 0.0;
-    double sum_w2 = 0.0;
-    double mean = 0.0;
-    double m2 = 0.0;
-  };
-
   /// Add one observation \p x with weight \p w >= 0.
-  void add(double x, double w);
+  void add(double x, double w) {
+    FINSER_REQUIRE(w >= 0.0 && std::isfinite(w),
+                   "WeightedRunningStats: weight must be finite and >= 0");
+    ++n_;
+    if (w == 0.0) return;  // Counted, no moment mass.
+    sum_w_ += w;
+    sum_w2_ += w * w;
+    const double delta = x - mean_;
+    mean_ += (w / sum_w_) * delta;
+    m2_ += w * delta * (x - mean_);
+  }
 
   /// Merge another accumulator (parallel reduction form).
   void merge(const WeightedRunningStats& other);
@@ -90,20 +103,6 @@ class WeightedRunningStats {
 
   /// Standard error of the weighted mean: sqrt(variance / ESS).
   double stderr_of_mean() const;
-
-  Raw raw() const {
-    return Raw{static_cast<std::uint64_t>(n_), sum_w_, sum_w2_, mean_, m2_};
-  }
-
-  static WeightedRunningStats from_raw(const Raw& r) {
-    WeightedRunningStats s;
-    s.n_ = static_cast<std::size_t>(r.n);
-    s.sum_w_ = r.sum_w;
-    s.sum_w2_ = r.sum_w2;
-    s.mean_ = r.mean;
-    s.m2_ = r.m2;
-    return s;
-  }
 
  private:
   std::size_t n_ = 0;

@@ -140,7 +140,10 @@ ArrayEngine::WorkerScratch::WorkerScratch(const sram::ArrayLayout& layout,
 
 ArrayEngine::ArrayEngine(const sram::ArrayLayout& layout,
                          const sram::CellSoftErrorModel& model)
-    : layout_(&layout), model_(&model), vdds_(model.vdds()) {}
+    : layout_(&layout), model_(&model), vdds_(model.vdds()) {
+  tables_.reserve(vdds_.size());
+  for (const double vdd : vdds_) tables_.push_back(&model.at_vdd(vdd));
+}
 
 ArrayEngine::~ArrayEngine() = default;
 
@@ -186,7 +189,7 @@ void ArrayEngine::score_strike(WorkerScratch& ws, McPartial& part) const {
   }
   const std::size_t nv = vdds_.size();
   for (std::size_t v = 0; v < nv; ++v) {
-    const sram::PofTable& table = model_->at_vdd(vdds_[v]);
+    const sram::PofTable& table = *tables_[v];
     for (std::size_t mode = 0; mode < 2; ++mode) {
       const bool with_pv = (mode == kModeWithPv);
       ws.pofs.clear();
@@ -219,7 +222,7 @@ void ArrayEngine::score_weighted_history(WorkerScratch& ws, McPartial& part,
   }
   const std::size_t nv = vdds_.size();
   for (std::size_t v = 0; v < nv; ++v) {
-    const sram::PofTable& table = model_->at_vdd(vdds_[v]);
+    const sram::PofTable& table = *tables_[v];
     for (std::size_t mode = 0; mode < 2; ++mode) {
       const bool with_pv = (mode == kModeWithPv);
       ws.pofs.clear();
@@ -272,7 +275,7 @@ void ArrayEngine::score_clustered(sram::ClusterPofSurface& surface,
 
   const std::size_t nv = vdds_.size();
   for (std::size_t v = 0; v < nv; ++v) {
-    const sram::PofTable& table = model_->at_vdd(vdds_[v]);
+    const sram::PofTable& table = *tables_[v];
     for (std::size_t mode = 0; mode < 2; ++mode) {
       const bool with_pv = (mode == kModeWithPv);
       // Singleton tiles keep the independent per-cell LUT arithmetic

@@ -459,11 +459,10 @@ void ArrayMc::simulate_chunk(const exec::ChunkRange& r,
     }
 
     // Step 2-3: transport, accumulate sensitive-transistor charges per cell.
-    const phys::TrackResult track =
-        ws.transporter.transport(ray, point.species, e_mev, rng);
+    ws.transporter.transport(ray, point.species, e_mev, rng, ws.track);
 
     begin_strike(ws);
-    add_deposits(track, ws);
+    add_deposits(ws.track, ws);
     if (!ws.touched_cells.empty()) {
       ++part.hits;
       part.weighted_hits += w;

@@ -80,9 +80,9 @@ void NeutronArrayMc::simulate_chunk(const exec::ChunkRange& r,
     for (const phys::NeutronSecondary& sec : interaction.secondaries) {
       if (sec.energy_mev <= 1e-5) continue;
       const geom::Ray ray{interaction_point, sec.direction};
-      const phys::TrackResult track =
-          ws.transporter.transport(ray, sec.species, sec.energy_mev, rng);
-      add_deposits(track, ws);
+      ws.transporter.transport(ray, sec.species, sec.energy_mev, rng,
+                               ws.track);
+      add_deposits(ws.track, ws);
     }
     if (!ws.touched_cells.empty()) {
       ++part.hits;

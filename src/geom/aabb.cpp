@@ -1,8 +1,6 @@
 #include "finser/geom/aabb.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 namespace finser::geom {
 
@@ -13,32 +11,6 @@ void Aabb::expand(const Aabb& o) {
   hi.x = std::max(hi.x, o.hi.x);
   hi.y = std::max(hi.y, o.hi.y);
   hi.z = std::max(hi.z, o.hi.z);
-}
-
-std::optional<RayInterval> Aabb::intersect(const Ray& ray, double t_min) const {
-  double t0 = t_min;
-  double t1 = std::numeric_limits<double>::infinity();
-
-  const double* o = &ray.origin.x;
-  const double* d = &ray.dir.x;
-  const double* blo = &lo.x;
-  const double* bhi = &hi.x;
-
-  for (int axis = 0; axis < 3; ++axis) {
-    if (d[axis] == 0.0) {
-      // Ray parallel to this slab: miss unless origin lies within it.
-      if (o[axis] < blo[axis] || o[axis] > bhi[axis]) return std::nullopt;
-      continue;
-    }
-    const double inv = 1.0 / d[axis];
-    double ta = (blo[axis] - o[axis]) * inv;
-    double tb = (bhi[axis] - o[axis]) * inv;
-    if (ta > tb) std::swap(ta, tb);
-    t0 = std::max(t0, ta);
-    t1 = std::min(t1, tb);
-    if (t0 > t1) return std::nullopt;
-  }
-  return RayInterval{t0, t1};
 }
 
 }  // namespace finser::geom

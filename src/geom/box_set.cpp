@@ -22,16 +22,28 @@ Aabb BoxSet::bounds() const {
   return b;
 }
 
+namespace {
+
+/// Order hits by entry parameter (both query paths share it).
+void sort_by_entry(std::vector<BoxHit>& hits) {
+  if (hits.size() < 2) return;
+  std::sort(hits.begin(), hits.end(), [](const BoxHit& a, const BoxHit& b) {
+    return a.interval.t_in < b.interval.t_in;
+  });
+}
+
+}  // namespace
+
 void BoxSet::query(const Ray& ray, std::vector<BoxHit>& out) const {
   FINSER_OBS_COUNT("geom.box_queries", 1);
   out.clear();
+  const SlabRay slab(ray);
   for (std::uint32_t id = 0; id < boxes_.size(); ++id) {
-    if (auto iv = boxes_[id].intersect(ray)) {
+    if (auto iv = boxes_[id].intersect(slab)) {
       out.push_back(BoxHit{id, *iv});
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const BoxHit& a, const BoxHit& b) { return a.interval.t_in < b.interval.t_in; });
+  sort_by_entry(out);
 }
 
 UniformGrid::UniformGrid(const BoxSet& set, double target_boxes_per_cell)
@@ -84,7 +96,8 @@ UniformGrid::UniformGrid(const BoxSet& set, double target_boxes_per_cell)
 void UniformGrid::query(const Ray& ray, std::vector<BoxHit>& out) {
   FINSER_OBS_COUNT("geom.grid_queries", 1);
   out.clear();
-  const auto entry = bounds_.intersect(ray);
+  const SlabRay slab(ray);
+  const auto entry = bounds_.intersect(slab);
   if (!entry) return;
   ++epoch_;
 
@@ -126,7 +139,7 @@ void UniformGrid::query(const Ray& ray, std::vector<BoxHit>& out) {
     for (std::uint32_t id : cells_[cell_index(cell[0], cell[1], cell[2])]) {
       if (stamp_[id] == epoch_) continue;
       stamp_[id] = epoch_;
-      if (auto iv = set_->box(id).intersect(ray)) {
+      if (auto iv = set_->box(id).intersect(slab)) {
         out.push_back(BoxHit{id, *iv});
       }
     }
@@ -140,8 +153,7 @@ void UniformGrid::query(const Ray& ray, std::vector<BoxHit>& out) {
     t_max[axis] += t_delta[axis];
   }
 
-  std::sort(out.begin(), out.end(),
-            [](const BoxHit& a, const BoxHit& b) { return a.interval.t_in < b.interval.t_in; });
+  sort_by_entry(out);
 }
 
 }  // namespace finser::geom

@@ -43,6 +43,11 @@ FinStrikeStats FinStrikeMc::run(Species s, double e_mev, stats::Rng& rng) const 
   FINSER_OBS_COUNT("phys.fin_mc.samples", config_.samples);
   const Vec3 center = fin_.center();
   const Material& si = silicon();
+  // Every hit enters the fin at e_mev: one evaluation of the energy terms
+  // and of the ionizing fraction serves the whole run.
+  const EnergyLoss loss(s, si);
+  const EnergyLoss::Terms entry = loss.at(e_mev);
+  const double ionizing_share = loss.ionizing_fraction(entry);
 
   stats::RunningStats pairs_stats;
   stats::RunningStats chord_stats;
@@ -64,11 +69,11 @@ FinStrikeStats FinStrikeMc::run(Species s, double e_mev, stats::Rng& rng) const 
     ++hits;
 
     const double chord_nm = iv->length();
-    const double mean_loss = csda_energy_loss(s, e_mev, chord_nm, si);
-    const double loss = sample_energy_loss(config_.straggling, rng, s, e_mev,
-                                           mean_loss, chord_nm, si);
+    const double mean_loss = loss.csda_loss(entry, chord_nm);
+    const double sampled = loss.sample_loss(config_.straggling, rng, entry,
+                                            mean_loss, chord_nm);
     // Ionizing fraction (Lindhard-partitioned nuclear share included).
-    const double ionizing = loss * ionizing_fraction(s, e_mev, si);
+    const double ionizing = sampled * ionizing_share;
 
     pairs_stats.add(eh_pairs_from_energy(ionizing, si));
     chord_stats.add(chord_nm);

@@ -47,13 +47,10 @@ std::string_view species_name(Species s) {
 
 double gamma(Species s, double e_mev) {
   FINSER_REQUIRE(e_mev >= 0.0, "gamma: negative kinetic energy");
-  return 1.0 + e_mev / mass_mev(s);
+  return lorentz_gamma(e_mev, mass_mev(s));
 }
 
-double beta(Species s, double e_mev) {
-  const double g = gamma(s, e_mev);
-  return std::sqrt(1.0 - 1.0 / (g * g));
-}
+double beta(Species s, double e_mev) { return beta_from_gamma(gamma(s, e_mev)); }
 
 double beta_gamma(Species s, double e_mev) {
   const double g = gamma(s, e_mev);
@@ -65,10 +62,8 @@ double speed_cm_per_s(Species s, double e_mev) {
 }
 
 double max_energy_transfer_mev(Species s, double e_mev) {
-  const double g = gamma(s, e_mev);
-  const double b2g2 = g * g - 1.0;
-  const double r = util::kElectronMassMeV / mass_mev(s);
-  return 2.0 * util::kElectronMassMeV * b2g2 / (1.0 + 2.0 * g * r + r * r);
+  return max_energy_transfer_from_gamma(gamma(s, e_mev),
+                                        util::kElectronMassMeV / mass_mev(s));
 }
 
 double passage_time_fs(Species s, double e_mev, double length_nm) {

@@ -1,90 +1,31 @@
 #include "finser/phys/straggling.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "finser/phys/stopping.hpp"
-#include "finser/util/constants.hpp"
-#include "finser/util/error.hpp"
-#include "finser/util/units.hpp"
 
 namespace finser::phys {
 
-namespace {
-
-/// Areal density [g/cm²] of a path of length_nm through material m.
-double areal_density(double length_nm, const Material& m) {
-  return util::nm_to_cm(length_nm) * m.density_g_cm3;
-}
-
-/// Euler–Mascheroni constant; Moyal mean offset is (gamma_E + ln 2)·xi.
-constexpr double kMoyalMeanOffset = 0.5772156649015329 + 0.6931471805599453;
-
-}  // namespace
+// Thin calls into a temporary phys::EnergyLoss, which holds the formulas.
 
 double bohr_sigma_mev(Species s, double e_mev, double length_nm, const Material& m) {
-  FINSER_REQUIRE(length_nm >= 0.0, "bohr_sigma_mev: negative path");
-  const double zeff = effective_charge(s, e_mev);
-  // Ω² = 4π N_A r_e² (m_e c²)² z² (Z/A) · X = 0.1569 z² (Z/A) X [MeV²],
-  // X in g/cm² (Bohr 1915; non-relativistic form, adequate below 100 MeV).
-  const double var = 0.1569 * zeff * zeff * m.z_over_a * areal_density(length_nm, m);
-  return std::sqrt(std::max(var, 0.0));
+  const EnergyLoss loss(s, m);
+  return loss.bohr_sigma_mev(loss.at(e_mev), length_nm);
 }
 
 double landau_xi_mev(Species s, double e_mev, double length_nm, const Material& m) {
-  FINSER_REQUIRE(length_nm >= 0.0, "landau_xi_mev: negative path");
-  const double b = beta(s, e_mev);
-  if (b <= 0.0) return 0.0;
-  const double zeff = effective_charge(s, e_mev);
-  // ξ = (K/2) z² (Z/A) X / β²  [MeV].
-  return 0.5 * util::kBetheK * zeff * zeff * m.z_over_a *
-         areal_density(length_nm, m) / (b * b);
+  const EnergyLoss loss(s, m);
+  return loss.landau_xi_mev(loss.at(e_mev), length_nm);
 }
 
 double vavilov_kappa(Species s, double e_mev, double length_nm, const Material& m) {
-  const double t_max = max_energy_transfer_mev(s, e_mev);
-  if (t_max <= 0.0) return 1e30;
-  return landau_xi_mev(s, e_mev, length_nm, m) / t_max;
+  const EnergyLoss loss(s, m);
+  return loss.vavilov_kappa(loss.at(e_mev), length_nm);
 }
 
 double sample_energy_loss(StragglingModel model, stats::Rng& rng, Species s,
                           double e_mev, double mean_loss_mev, double length_nm,
                           const Material& m) {
-  FINSER_REQUIRE(mean_loss_mev >= 0.0, "sample_energy_loss: negative mean loss");
-  if (model == StragglingModel::kAuto) {
-    // Vavilov regime selection: κ ≳ 1 → near-Gaussian; κ ≪ 1 → Landau tail.
-    model = vavilov_kappa(s, e_mev, length_nm, m) >= 0.7
-                ? StragglingModel::kGaussian
-                : StragglingModel::kMoyal;
-  }
-  double loss = mean_loss_mev;
-  switch (model) {
-    case StragglingModel::kNone:
-      break;
-    case StragglingModel::kGaussian: {
-      const double sigma = bohr_sigma_mev(s, e_mev, length_nm, m);
-      loss = rng.normal(mean_loss_mev, sigma);
-      break;
-    }
-    case StragglingModel::kMoyal: {
-      const double xi = landau_xi_mev(s, e_mev, length_nm, m);
-      if (xi > 0.0) {
-        // Moyal variate: X = -ln(Z²) with Z ~ N(0,1) has the Moyal density;
-        // its mean is gamma_E + ln 2. Shift so the sample mean equals the
-        // CSDA mean loss.
-        double z;
-        do {
-          z = rng.normal();
-        } while (z == 0.0);
-        const double moyal = -std::log(z * z);
-        loss = mean_loss_mev + xi * (moyal - kMoyalMeanOffset);
-      }
-      break;
-    }
-    case StragglingModel::kAuto:
-      break;  // Unreachable: resolved to a concrete model above.
-  }
-  return std::clamp(loss, 0.0, e_mev);
+  const EnergyLoss loss(s, m);
+  return loss.sample_loss(model, rng, loss.at(e_mev), mean_loss_mev, length_nm);
 }
 
 }  // namespace finser::phys

@@ -4,37 +4,56 @@
 #include <cmath>
 
 #include "finser/phys/collection.hpp"
-#include "finser/phys/stopping.hpp"
 #include "finser/util/error.hpp"
 
 namespace finser::phys {
+
+namespace {
+
+Transporter::Config with_default_materials(Transporter::Config c) {
+  if (c.fin_material == nullptr) c.fin_material = &silicon();
+  if (c.background_material == nullptr) c.background_material = &silicon_dioxide();
+  return c;
+}
+
+}  // namespace
+
+Transporter::PerSpecies Transporter::evaluators(const Material& m) {
+  return {EnergyLoss(Species::kProton, m), EnergyLoss(Species::kAlpha, m),
+          EnergyLoss(Species::kSiRecoil, m), EnergyLoss(Species::kMgRecoil, m),
+          EnergyLoss(Species::kNeutron, m)};
+}
 
 Transporter::Transporter(const geom::BoxSet& fins)
     : Transporter(fins, Config{}) {}
 
 Transporter::Transporter(const geom::BoxSet& fins, const Config& config)
-    : fins_(&fins), config_(config) {
+    : fins_(&fins),
+      config_(with_default_materials(config)),
+      fin_loss_(evaluators(*config_.fin_material)),
+      background_loss_(evaluators(*config_.background_material)) {
   FINSER_REQUIRE(!fins.empty(), "Transporter: empty fin set");
   FINSER_REQUIRE(config_.cutoff_mev > 0.0, "Transporter: cutoff must be positive");
-  if (config_.fin_material == nullptr) config_.fin_material = &silicon();
-  if (config_.background_material == nullptr) {
-    config_.background_material = &silicon_dioxide();
-  }
   grid_ = std::make_unique<geom::UniformGrid>(fins);
 }
 
-TrackResult Transporter::transport(const geom::Ray& ray, Species s, double e_mev,
-                                   stats::Rng& rng) {
+void Transporter::transport(const geom::Ray& ray, Species s, double e_mev,
+                            stats::Rng& rng, TrackResult& result) {
   FINSER_REQUIRE(e_mev > 0.0, "transport: non-positive kinetic energy");
   const double dir_norm = ray.dir.norm();
   FINSER_REQUIRE(std::abs(dir_norm - 1.0) < 1e-9,
                  "transport: ray direction must be unit length");
+  const auto species = static_cast<std::size_t>(s);
+  FINSER_REQUIRE(species < fin_loss_.size(), "transport: unknown species");
 
-  TrackResult result;
+  result.deposits.clear();
+  result.exit_energy_mev = 0.0;
+  result.stopped_inside = false;
   grid_->query(ray, scratch_hits_);
 
+  const EnergyLoss& fin_loss = fin_loss_[species];
+  const EnergyLoss& bg_loss = background_loss_[species];
   const Material& fin_mat = *config_.fin_material;
-  const Material& bg_mat = *config_.background_material;
 
   double e = e_mev;
   double t_cursor = 0.0;  // Track parameter [nm] processed so far.
@@ -49,27 +68,26 @@ TrackResult Transporter::transport(const geom::Ray& ray, Species s, double e_mev
     // 1) Background segment up to the fin entry: degrades energy only.
     const double bg_len = t_in - t_cursor;
     if (bg_len > 0.0) {
-      const double mean_bg = csda_energy_loss(s, e, bg_len, bg_mat);
-      const double loss_bg = sample_energy_loss(config_.straggling, rng, s, e,
-                                                mean_bg, bg_len, bg_mat);
-      e -= loss_bg;
+      const EnergyLoss::Terms entry = bg_loss.at(e);
+      const double mean_bg = bg_loss.csda_loss(entry, bg_len);
+      e -= bg_loss.sample_loss(config_.straggling, rng, entry, mean_bg, bg_len);
       if (e <= config_.cutoff_mev) {
         result.stopped_inside = true;
-        result.exit_energy_mev = 0.0;
-        return result;
+        return;
       }
     }
 
     // 2) Fin segment: deposit collectable ionizing energy.
     const double fin_len = t_out - t_in;
     if (fin_len > 0.0) {
-      const double mean_fin = csda_energy_loss(s, e, fin_len, fin_mat);
-      const double loss_fin = sample_energy_loss(config_.straggling, rng, s, e,
-                                                 mean_fin, fin_len, fin_mat);
+      const EnergyLoss::Terms entry = fin_loss.at(e);
+      const double mean_fin = fin_loss.csda_loss(entry, fin_len);
+      const double loss_fin = fin_loss.sample_loss(config_.straggling, rng,
+                                                   entry, mean_fin, fin_len);
       if (loss_fin > 0.0) {
         // Ionizing fraction: electronic loss plus the Lindhard share of the
         // nuclear (recoil-cascade) loss.
-        const double ionizing_mev = loss_fin * ionizing_fraction(s, e, fin_mat);
+        const double ionizing_mev = loss_fin * fin_loss.ionizing_fraction(entry);
         result.deposits.push_back(FinDeposit{
             hit.id, fin_len, ionizing_mev,
             eh_pairs_from_energy(ionizing_mev, fin_mat)});
@@ -77,15 +95,13 @@ TrackResult Transporter::transport(const geom::Ray& ray, Species s, double e_mev
       e -= loss_fin;
       if (e <= config_.cutoff_mev) {
         result.stopped_inside = true;
-        result.exit_energy_mev = 0.0;
-        return result;
+        return;
       }
     }
     t_cursor = t_out;
   }
 
   result.exit_energy_mev = std::max(e, 0.0);
-  return result;
 }
 
 }  // namespace finser::phys

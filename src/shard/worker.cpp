@@ -1,6 +1,7 @@
 #include "finser/shard/worker.hpp"
 
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -58,10 +59,50 @@ struct Heartbeat {
   }
 };
 
-void sleep_s(double seconds) {
-  std::this_thread::sleep_for(
-      std::chrono::duration<double>(seconds > 0.0 ? seconds : 0.01));
+std::chrono::duration<double> period(double seconds) {
+  return std::chrono::duration<double>(seconds > 0.0 ? seconds : 0.01);
 }
+
+void sleep_s(double seconds) { std::this_thread::sleep_for(period(seconds)); }
+
+/// The heartbeat thread, owned by run_worker's scope: it ticks \p hb every
+/// period and exits the process if the supervisor vanishes, until the
+/// destructor stops and joins it — on every return path, so the thread
+/// never touches \p hb after run_worker has destroyed it. The timed wait
+/// wakes on stop at once instead of sleeping out the period.
+class HeartbeatThread {
+ public:
+  HeartbeatThread(Heartbeat& hb, double period_s, pid_t parent)
+      : thread_([this, &hb, period_s, parent] {
+          for (;;) {
+            if (::getppid() != parent) ::_exit(0);
+            hb.tick();
+            std::unique_lock<std::mutex> lock(mutex_);
+            if (stop_cv_.wait_for(lock, period(period_s),
+                                  [this] { return stop_; })) {
+              return;
+            }
+          }
+        }) {}
+
+  ~HeartbeatThread() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    stop_cv_.notify_one();
+    thread_.join();
+  }
+
+  HeartbeatThread(const HeartbeatThread&) = delete;
+  HeartbeatThread& operator=(const HeartbeatThread&) = delete;
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable stop_cv_;
+  bool stop_ = false;
+  std::thread thread_;  // Last: starts after the members it reads exist.
+};
 
 }  // namespace
 
@@ -98,14 +139,7 @@ int run_worker(const WorkerConfig& config) {
   // instead of computing for a campaign nobody is steering. Checked in both
   // loops so even a wedged (stalled) worker's watchdog thread still exits.
   const pid_t parent = ::getppid();
-  std::thread hb_thread([&hb, &config, parent] {
-    for (;;) {
-      if (::getppid() != parent) ::_exit(0);
-      hb.tick();
-      sleep_s(config.heartbeat_period_s);
-    }
-  });
-  hb_thread.detach();
+  const HeartbeatThread hb_thread(hb, config.heartbeat_period_s, parent);
 
   const char* poison_env = std::getenv("FINSER_SHARD_POISON");
   const std::string poison = poison_env != nullptr ? poison_env : "";

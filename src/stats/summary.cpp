@@ -7,19 +7,6 @@
 
 namespace finser::stats {
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
 void RunningStats::merge(const RunningStats& other) {
   if (other.n_ == 0) return;
   if (n_ == 0) {
@@ -47,18 +34,6 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 double RunningStats::stderr_of_mean() const {
   if (n_ < 2) return 0.0;
   return stddev() / std::sqrt(static_cast<double>(n_));
-}
-
-void WeightedRunningStats::add(double x, double w) {
-  FINSER_REQUIRE(w >= 0.0 && std::isfinite(w),
-                 "WeightedRunningStats: weight must be finite and >= 0");
-  ++n_;
-  if (w == 0.0) return;  // Counted, no moment mass.
-  sum_w_ += w;
-  sum_w2_ += w * w;
-  const double delta = x - mean_;
-  mean_ += (w / sum_w_) * delta;
-  m2_ += w * delta * (x - mean_);
 }
 
 void WeightedRunningStats::merge(const WeightedRunningStats& other) {

@@ -51,8 +51,10 @@ void expect_equivalent(const BoxSet& set, UniformGrid& grid, const Ray& ray) {
   ASSERT_EQ(b.size(), f.size()) << describe(ray);
   for (std::size_t i = 0; i < b.size(); ++i) {
     EXPECT_EQ(b[i].id, f[i].id) << describe(ray) << " hit " << i;
-    // Identical box + identical ray → identical slab arithmetic; the two
-    // paths share Aabb::intersect, so the intervals must match exactly.
+    // Identical box + identical ray → identical slab arithmetic; both
+    // paths run the one slab kernel, Aabb::intersect(const SlabRay&), on a
+    // reciprocal direction computed once per ray, so the intervals must
+    // match exactly.
     EXPECT_EQ(b[i].interval.t_in, f[i].interval.t_in) << describe(ray);
     EXPECT_EQ(b[i].interval.t_out, f[i].interval.t_out) << describe(ray);
   }

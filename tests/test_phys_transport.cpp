@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numbers>
+#include <vector>
 
 #include "finser/phys/collection.hpp"
 #include "finser/phys/fin_mc.hpp"
 #include "finser/phys/straggling.hpp"
 #include "finser/phys/stopping.hpp"
 #include "finser/phys/track.hpp"
+#include "finser/sram/layout.hpp"
+#include "finser/stats/direction.hpp"
 #include "finser/stats/summary.hpp"
 #include "finser/util/error.hpp"
+#include "finser/util/units.hpp"
 
 namespace finser::phys {
 namespace {
@@ -258,6 +264,172 @@ TEST(Transport, RejectsBadInput) {
 }
 
 // ---------------------------------------------------------------------------
+// Shared-state kernel == per-call functions, bit for bit
+// ---------------------------------------------------------------------------
+//
+// Transporter and FinStrikeMc hold one EnergyLoss evaluator per (species,
+// material) and share each energy's terms across a segment's first CSDA
+// step, its straggling draw and the ionizing fraction. The reference loops
+// below recompute everything per call through the public free functions
+// (and walk the brute-force BoxSet::query), drawing from the same Rng
+// stream; every output must match exactly.
+
+struct KernelCase {
+  Species species;
+  double e_mev;
+};
+
+// Energies spanning the proton curve's VB branch, its 0.5-1 MeV blend and
+// Bethe (at the proton-equivalent energy for heavy species), and ZBL
+// reduced energies on both sides of the eps = 30 switch.
+const KernelCase kKernelCases[] = {
+    {Species::kProton, 0.02},   // VB, eps <= 30
+    {Species::kProton, 0.3},    // VB, eps > 30
+    {Species::kProton, 0.7},    // blend
+    {Species::kProton, 2.0},    // Bethe
+    {Species::kProton, 30.0},   // Bethe
+    {Species::kAlpha, 0.05},    // VB, eps <= 30
+    {Species::kAlpha, 1.0},     // VB, eps > 30
+    {Species::kAlpha, 3.0},     // blend
+    {Species::kAlpha, 8.0},     // Bethe
+    {Species::kSiRecoil, 0.2},  // eps <= 30
+    {Species::kSiRecoil, 5.0},  // eps > 30
+    {Species::kMgRecoil, 0.2},  // eps <= 30
+    {Species::kMgRecoil, 3.0},  // eps > 30
+};
+
+const StragglingModel kAllModels[] = {StragglingModel::kNone,
+                                      StragglingModel::kGaussian,
+                                      StragglingModel::kMoyal,
+                                      StragglingModel::kAuto};
+
+/// CSDA loss sub-stepped as the evaluator does, with every stopping power
+/// (the first step's included) evaluated afresh through the free functions.
+double reference_csda(Species s, double e_mev, double length_nm,
+                      const Material& m) {
+  const auto linear = [&](double e) {
+    return linear_electronic_stopping(s, e, m) +
+           nuclear_stopping(s, e, m) * m.density_g_cm3;
+  };
+  double e = e_mev;
+  double remaining_cm = util::nm_to_cm(length_nm);
+  while (remaining_cm > 0.0 && e > 1e-6) {
+    const double s_lin = linear(e);
+    if (s_lin <= 0.0) break;
+    const double step = std::min(remaining_cm, 0.05 * e / s_lin);
+    if (step <= 0.0) break;
+    const double e_mid = std::max(e - 0.5 * step * s_lin, 1e-6);
+    const double de = std::min(e, step * std::max(linear(e_mid), 0.0));
+    e -= de;
+    remaining_cm -= step;
+  }
+  return e_mev - std::max(e, 0.0);
+}
+
+/// Track transport through the brute-force query and per-call functions.
+TrackResult reference_transport(const geom::BoxSet& fins, const geom::Ray& ray,
+                                Species s, double e_mev, StragglingModel model,
+                                stats::Rng& rng) {
+  constexpr double kCutoffMeV = 1e-5;  // Transporter::Config default.
+  const Material& fin_mat = silicon();
+  const Material& bg_mat = silicon_dioxide();
+  std::vector<geom::BoxHit> hits;
+  fins.query(ray, hits);
+  TrackResult result;
+  double e = e_mev;
+  double t_cursor = 0.0;
+  for (const geom::BoxHit& hit : hits) {
+    if (e <= kCutoffMeV) break;
+    const double t_in = std::max(hit.interval.t_in, t_cursor);
+    const double t_out = std::max(hit.interval.t_out, t_in);
+    if (t_in < 0.0) continue;
+    const double bg_len = t_in - t_cursor;
+    if (bg_len > 0.0) {
+      const double mean = reference_csda(s, e, bg_len, bg_mat);
+      e -= sample_energy_loss(model, rng, s, e, mean, bg_len, bg_mat);
+      if (e <= kCutoffMeV) {
+        result.stopped_inside = true;
+        return result;
+      }
+    }
+    const double fin_len = t_out - t_in;
+    if (fin_len > 0.0) {
+      const double mean = reference_csda(s, e, fin_len, fin_mat);
+      const double loss =
+          sample_energy_loss(model, rng, s, e, mean, fin_len, fin_mat);
+      if (loss > 0.0) {
+        const double ionizing = loss * ionizing_fraction(s, e, fin_mat);
+        result.deposits.push_back(FinDeposit{
+            hit.id, fin_len, ionizing, eh_pairs_from_energy(ionizing, fin_mat)});
+      }
+      e -= loss;
+      if (e <= kCutoffMeV) {
+        result.stopped_inside = true;
+        return result;
+      }
+    }
+    t_cursor = t_out;
+  }
+  result.exit_energy_mev = std::max(e, 0.0);
+  return result;
+}
+
+TEST(TransportKernel, MatchesPerCallReferenceBitForBit) {
+  // The paper array (9x9) with the array MC's default 400 nm source margin,
+  // so grazing rays cross many cells and many rays miss entirely.
+  const sram::ArrayLayout layout(9, 9, sram::CellGeometry{});
+  const geom::BoxSet& fins = layout.fins();
+  constexpr double kMarginNm = 400.0;
+  const double z_source = layout.bounds().hi.z + 1.0;
+  constexpr std::size_t kRaysPerCase = 400;  // 13 cases x 4 models: ~20k rays.
+
+  std::size_t deposits = 0;
+  std::size_t stopped = 0;
+  std::uint64_t seed = 0;
+  for (const StragglingModel model : kAllModels) {
+    Transporter::Config cfg;
+    cfg.straggling = model;
+    Transporter transporter(fins, cfg);
+    TrackResult got;  // Reused across rays, as the array engines do.
+    for (const KernelCase& c : kKernelCases) {
+      stats::Rng ray_rng(++seed);
+      stats::Rng rng_kernel(seed * 7919);
+      stats::Rng rng_reference(seed * 7919);
+      for (std::size_t i = 0; i < kRaysPerCase; ++i) {
+        geom::Ray ray;
+        ray.origin = {ray_rng.uniform(-kMarginNm, layout.width_nm() + kMarginNm),
+                      ray_rng.uniform(-kMarginNm, layout.height_nm() + kMarginNm),
+                      z_source};
+        ray.dir = stats::isotropic_hemisphere_down(ray_rng);
+        if (ray.dir.z == 0.0) ray.dir.z = -1e-12;
+
+        transporter.transport(ray, c.species, c.e_mev, rng_kernel, got);
+        const TrackResult want = reference_transport(fins, ray, c.species,
+                                                     c.e_mev, model,
+                                                     rng_reference);
+        ASSERT_EQ(got.deposits.size(), want.deposits.size())
+            << species_name(c.species) << " " << c.e_mev << " MeV, ray " << i;
+        for (std::size_t d = 0; d < want.deposits.size(); ++d) {
+          EXPECT_EQ(got.deposits[d].fin_id, want.deposits[d].fin_id);
+          EXPECT_EQ(got.deposits[d].path_nm, want.deposits[d].path_nm);
+          EXPECT_EQ(got.deposits[d].energy_mev, want.deposits[d].energy_mev);
+          EXPECT_EQ(got.deposits[d].eh_pairs, want.deposits[d].eh_pairs);
+        }
+        EXPECT_EQ(got.exit_energy_mev, want.exit_energy_mev);
+        EXPECT_EQ(got.stopped_inside, want.stopped_inside);
+        deposits += want.deposits.size();
+        stopped += want.stopped_inside ? 1 : 0;
+      }
+      // Both sides consumed exactly the same random numbers.
+      EXPECT_EQ(rng_kernel(), rng_reference());
+    }
+  }
+  // The sweep exercises real deposits and ranging-out, not just misses.
+  EXPECT_GT(deposits, 1000u);
+  EXPECT_GT(stopped, 50u);
+}
+
+// ---------------------------------------------------------------------------
 // Single-fin strike MC (paper Fig. 4 machinery)
 // ---------------------------------------------------------------------------
 
@@ -322,6 +494,69 @@ TEST(FinMc, RejectsBadConfig) {
   FinStrikeMc mc(fin);
   stats::Rng rng(11);
   EXPECT_THROW(mc.run(Species::kAlpha, 0.0, rng), util::InvalidArgument);
+}
+
+
+/// FinStrikeMc::run through per-call functions at every sample.
+FinStrikeStats reference_fin_run(const geom::Aabb& fin, StragglingModel model,
+                                 std::size_t samples, Species s, double e_mev,
+                                 stats::Rng& rng) {
+  const geom::Vec3 center = fin.center();
+  const double radius = 0.5 * fin.extent().norm() * (1.0 + 1e-9);
+  stats::RunningStats pairs;
+  stats::RunningStats chords;
+  std::size_t hits = 0;
+  for (std::size_t i = 0; i < samples; ++i) {
+    const geom::Vec3 dir = stats::isotropic_sphere(rng);
+    const geom::Vec3 helper = std::abs(dir.x) < 0.9 ? geom::Vec3{1.0, 0.0, 0.0}
+                                                    : geom::Vec3{0.0, 1.0, 0.0};
+    const geom::Vec3 u = dir.cross(helper).normalized();
+    const geom::Vec3 v = dir.cross(u);
+    const double r = radius * std::sqrt(rng.uniform());
+    const double phi = rng.uniform(0.0, 2.0 * std::numbers::pi);
+    const geom::Vec3 offset = u * (r * std::cos(phi)) + v * (r * std::sin(phi));
+    const geom::Ray ray{center + offset - dir * (2.0 * radius), dir};
+    const auto iv = fin.intersect(ray);
+    if (!iv || iv->length() <= 0.0) continue;
+    ++hits;
+    const double chord = iv->length();
+    const double mean = reference_csda(s, e_mev, chord, si);
+    const double loss = sample_energy_loss(model, rng, s, e_mev, mean, chord, si);
+    pairs.add(eh_pairs_from_energy(loss * ionizing_fraction(s, e_mev, si), si));
+    chords.add(chord);
+  }
+  FinStrikeStats out;
+  out.hits = hits;
+  out.hit_fraction = static_cast<double>(hits) / static_cast<double>(samples);
+  out.mean_eh_pairs = pairs.mean();
+  out.stderr_eh_pairs = pairs.stderr_of_mean();
+  out.mean_chord_nm = chords.mean();
+  return out;
+}
+
+TEST(FinMcKernel, MatchesPerCallReferenceBitForBit) {
+  const geom::Aabb fin{{0, 0, 0}, {10, 20, 26}};
+  std::uint64_t seed = 100;
+  for (const StragglingModel model : kAllModels) {
+    FinStrikeMc::Config cfg;
+    cfg.straggling = model;
+    cfg.samples = 300;
+    const FinStrikeMc mc(fin, cfg);
+    for (const KernelCase& c : kKernelCases) {
+      stats::Rng rng_kernel(++seed);
+      stats::Rng rng_reference(seed);
+      const FinStrikeStats got = mc.run(c.species, c.e_mev, rng_kernel);
+      const FinStrikeStats want = reference_fin_run(
+          fin, model, cfg.samples, c.species, c.e_mev, rng_reference);
+      EXPECT_EQ(got.hits, want.hits) << species_name(c.species) << " " << c.e_mev;
+      EXPECT_EQ(got.hit_fraction, want.hit_fraction);
+      EXPECT_EQ(got.mean_eh_pairs, want.mean_eh_pairs);
+      EXPECT_EQ(got.stderr_eh_pairs, want.stderr_eh_pairs);
+      EXPECT_EQ(got.mean_chord_nm, want.mean_chord_nm);
+      EXPECT_GT(got.hits, 0u);
+      EXPECT_EQ(rng_kernel(), rng_reference());
+    }
+  }
 }
 
 }  // namespace

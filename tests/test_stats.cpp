@@ -322,24 +322,6 @@ TEST(WeightedRunningStats, SurvivesExtremeWeightRatios) {
   EXPECT_TRUE(std::isfinite(t.variance()));
 }
 
-TEST(WeightedRunningStats, RawRoundTripIsBitExact) {
-  Rng r(61);
-  WeightedRunningStats s;
-  for (int i = 0; i < 50; ++i) s.add(r.normal(), r.uniform(0.0, 2.0));
-  const WeightedRunningStats back = WeightedRunningStats::from_raw(s.raw());
-  EXPECT_EQ(back.count(), s.count());
-  EXPECT_DOUBLE_EQ(back.mean(), s.mean());
-  EXPECT_DOUBLE_EQ(back.variance(), s.variance());
-  EXPECT_DOUBLE_EQ(back.ess(), s.ess());
-  // A restored accumulator keeps accumulating identically.
-  WeightedRunningStats cont = back;
-  WeightedRunningStats orig = s;
-  cont.add(0.5, 1.5);
-  orig.add(0.5, 1.5);
-  EXPECT_DOUBLE_EQ(cont.mean(), orig.mean());
-  EXPECT_DOUBLE_EQ(cont.variance(), orig.variance());
-}
-
 TEST(WeightedRunningStats, RejectsBadWeights) {
   WeightedRunningStats s;
   EXPECT_THROW(s.add(1.0, -0.5), util::InvalidArgument);
