@@ -15,42 +15,49 @@ namespace {
 using namespace finser;
 
 /// Qcrit with explicit transient controls (bypasses StrikeSimulator's
-/// defaults by rebuilding the cell circuit — also a public-API workout).
+/// defaults by building the cell circuit itself — also a public-API workout:
+/// compile once, then every bisection step is a pulse rebind).
 double qcrit_with(spice::Integrator method, double dt_max_s) {
   const double vdd = 0.8;
   const sram::CellDesign design;
 
+  spice::Circuit c;
+  const auto q = c.node("q"), qb = c.node("qb"), nvdd = c.node("vdd");
+  const auto bl = c.node("bl"), blb = c.node("blb"), wl = c.node("wl");
+  c.add<spice::VSource>(c, nvdd, spice::kGround, vdd);
+  c.add<spice::VSource>(c, bl, spice::kGround, vdd);
+  c.add<spice::VSource>(c, blb, spice::kGround, vdd);
+  c.add<spice::VSource>(c, wl, spice::kGround, 0.0);
+  c.add<spice::Mosfet>(q, qb, spice::kGround, spice::default_nfet());
+  c.add<spice::Mosfet>(q, qb, nvdd, spice::default_pfet());
+  c.add<spice::Mosfet>(qb, q, spice::kGround, spice::default_nfet());
+  c.add<spice::Mosfet>(qb, q, nvdd, spice::default_pfet());
+  c.add<spice::Mosfet>(bl, wl, q, spice::default_nfet());
+  c.add<spice::Mosfet>(blb, wl, qb, spice::default_nfet());
+  c.add<spice::Capacitor>(q, spice::kGround, design.cnode_f);
+  c.add<spice::Capacitor>(qb, spice::kGround, design.cnode_f);
+  auto& strike = c.add<spice::PulseISource>(q, spice::kGround,
+                                            spice::PulseShape{});
+  const double tau_s = phys::transit_time_fs(design.tech, vdd) * 1e-15;
+  std::vector<double> guess(c.unknown_count(), 0.0);
+  guess[q] = vdd;
+  guess[nvdd] = vdd;
+  guess[bl] = vdd;
+  guess[blb] = vdd;
+  spice::TransientOptions opt;
+  opt.t_end = 50e-12;
+  opt.dt_max = dt_max_s;
+  opt.method = method;
+
+  spice::CompiledCircuit cc(c);
+  spice::SolveWorkspace ws;
+  spice::BatchWorkspace bw;
   auto flips = [&](double q_fc) {
-    spice::Circuit c;
-    const auto q = c.node("q"), qb = c.node("qb"), nvdd = c.node("vdd");
-    const auto bl = c.node("bl"), blb = c.node("blb"), wl = c.node("wl");
-    c.add<spice::VSource>(c, nvdd, spice::kGround, vdd);
-    c.add<spice::VSource>(c, bl, spice::kGround, vdd);
-    c.add<spice::VSource>(c, blb, spice::kGround, vdd);
-    c.add<spice::VSource>(c, wl, spice::kGround, 0.0);
-    c.add<spice::Mosfet>(q, qb, spice::kGround, spice::default_nfet());
-    c.add<spice::Mosfet>(q, qb, nvdd, spice::default_pfet());
-    c.add<spice::Mosfet>(qb, q, spice::kGround, spice::default_nfet());
-    c.add<spice::Mosfet>(qb, q, nvdd, spice::default_pfet());
-    c.add<spice::Mosfet>(bl, wl, q, spice::default_nfet());
-    c.add<spice::Mosfet>(blb, wl, qb, spice::default_nfet());
-    c.add<spice::Capacitor>(q, spice::kGround, design.cnode_f);
-    c.add<spice::Capacitor>(qb, spice::kGround, design.cnode_f);
-    const double tau_s = phys::transit_time_fs(design.tech, vdd) * 1e-15;
-    c.add<spice::PulseISource>(
-        q, spice::kGround,
+    strike.set_shape(
         spice::PulseShape::rectangular_for_charge(q_fc * 1e-15, tau_s, 1e-12));
-    std::vector<double> guess(c.unknown_count(), 0.0);
-    guess[q] = vdd;
-    guess[nvdd] = vdd;
-    guess[bl] = vdd;
-    guess[blb] = vdd;
-    const auto x0 = spice::solve_dc(c, guess);
-    spice::TransientOptions opt;
-    opt.t_end = 50e-12;
-    opt.dt_max = dt_max_s;
-    opt.method = method;
-    const auto w = spice::run_transient(c, x0, opt, {"q", "qb"});
+    cc.rebind();
+    const auto x0 = spice::solve_dc(cc, ws, guess);
+    const auto w = spice::run_transient_single(cc, bw, x0, opt, {"q", "qb"});
     return w.final_value(0) < 0.5 * vdd && w.final_value(1) > 0.5 * vdd;
   };
 

@@ -17,10 +17,17 @@
 /// device-level charge spectra exactly like the SRAM flow.
 
 #include <cstddef>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "finser/phys/collection.hpp"
+#include "finser/spice/batch.hpp"
 #include "finser/spice/circuit.hpp"
+#include "finser/spice/compiled.hpp"
+#include "finser/spice/dc.hpp"
 #include "finser/spice/devices.hpp"
+#include "finser/spice/transient.hpp"
 
 namespace finser::logic {
 
@@ -43,7 +50,10 @@ struct SetOutcome {
                                   ///< quiescent level.
 };
 
-/// Reusable SET injection simulator on an inverter chain.
+/// Reusable SET injection simulator on an inverter chain. The chain is
+/// lowered to a spice::CompiledCircuit once, at construction; every
+/// injection is a strike-shape rebind, a DC solve and a one-lane transient
+/// on persistent workspaces.
 class SetChainSimulator {
  public:
   SetChainSimulator(const ChainDesign& design, double vdd_v);
@@ -61,6 +71,16 @@ class SetChainSimulator {
   double vdd() const { return vdd_v_; }
   const ChainDesign& design() const { return design_; }
 
+  /// The chain netlist. Its strike source carries the pulse of the last
+  /// inject(), so the tests' interpreted reference engine can replay that
+  /// injection on it (DC guess: vdd at the rail, chain nodes alternating
+  /// from n0 high).
+  const spice::Circuit& circuit() const { return circuit_; }
+  const spice::TransientOptions& transient_options() const { return topt_; }
+
+  /// The output waveform of the last inject(): one probe, the chain output.
+  const spice::Waveform& last_output() const { return *last_output_; }
+
  private:
   ChainDesign design_;
   double vdd_v_;
@@ -71,6 +91,14 @@ class SetChainSimulator {
   spice::PulseISource* strike_ = nullptr;
   bool victim_high_ = true;  ///< Quiescent level of the struck node.
   bool output_high_ = true;  ///< Quiescent level of the output node.
+  std::string output_name_;  ///< Name of the output node.
+  std::vector<double> guess_;  ///< DC guess: the quiescent logic levels.
+  spice::TransientOptions topt_;
+
+  std::optional<spice::CompiledCircuit> compiled_;
+  spice::SolveWorkspace ws_;
+  spice::BatchWorkspace bw_;
+  std::optional<spice::Waveform> last_output_;
 };
 
 /// Latching-window masking: the probability that a glitch of width \p

@@ -35,7 +35,6 @@
 ///   "campaign": "vdd-corners",
 ///   "seed": 20140601,                // default scenario seed
 ///   "threads": 0,                    // 0 = auto (FINSER_THREADS, else HW)
-///   "lanes": 0,                      // SPICE lane width: 0 = auto, 1, 4, 8
 ///   "artifact_dir": "out/artifacts", // "" disables the artifact store
 ///   "output_dir": "out",             // "" disables CSV emission
 ///   "defaults": { "strikes": 60000 },// merged under every scenario
@@ -45,7 +44,7 @@
 ///       "rows": 9, "cols": 9,
 ///       "pattern": "checkerboard",   // ones|zeros|checkerboard|random
 ///       "pattern_seed": 1,
-///       "vdds": [0.7, 0.8, 0.9, 1.0, 1.1],
+///       "vdds": [0.7, 0.8, 0.9, 1.0, 1.1], // positive, distinct, any order
 ///       "sigma_vt": 0.05,            // [V]
 ///       "cnode_f": 1.7e-16,          // storage-node capacitance [F]
 ///       "pv_samples": 200,
@@ -106,9 +105,6 @@ struct CampaignSpec {
   std::string artifact_dir;             ///< "" = no artifact store.
   std::string output_dir = "finser_out";  ///< "" = no CSV outputs.
   std::size_t threads = 0;              ///< Whole-campaign budget; 0 = auto.
-  /// SPICE engine lane width for every scenario: 0 = leave the process-wide
-  /// resolution (--lanes / FINSER_LANES / widest compiled unit) alone.
-  std::size_t lanes = 0;
   std::vector<ScenarioSpec> scenarios;
 };
 
@@ -126,7 +122,9 @@ CampaignSpec parse_campaign_file(const std::string& path);
 util::JsonValue campaign_to_json(const CampaignSpec& spec);
 
 /// Wrap one flow configuration as a single-scenario campaign — the lowering
-/// through which `finser_cli run` becomes a campaign.
+/// through which `finser_cli run` becomes a campaign. Checks the species
+/// names and the supply voltages as parse_campaign() does (throws
+/// util::InvalidArgument).
 CampaignSpec single_scenario_campaign(const core::SerFlowConfig& flow,
                                       std::vector<std::string> species,
                                       std::string output_dir,
@@ -262,8 +260,8 @@ struct StageInfo {
 };
 
 /// FNV-1a fingerprint of a campaign's *result-relevant* content: the fully
-/// resolved campaign_to_json document with the execution knobs (threads,
-/// lanes) zeroed, since they never change numbers. Two processes agree on
+/// resolved campaign_to_json document with the execution knob (threads)
+/// zeroed, since it never changes numbers. Two processes agree on
 /// this iff they would compute identical results — shard leases and done
 /// markers embed it so records from a different campaign (or an edited
 /// spec) are rejected as stale, never trusted.

@@ -36,10 +36,10 @@ namespace finser::pipeline {
 /// Content-address of the ResponseSurface for species index \p species_index
 /// of \p scenario (whose flow must already be resolved through
 /// resolve_flow_for_execution). Hashes the fully resolved single-scenario
-/// campaign JSON — threads/lanes zeroed, dirs cleared, full species list
+/// campaign JSON — threads zeroed, dirs cleared, full species list
 /// included — plus the species position. Everything that can change a
-/// number is in the hash; everything that cannot (thread budget, lane
-/// width, output paths) is not.
+/// number is in the hash; everything that cannot (thread budget, output
+/// paths) is not.
 std::uint64_t response_surface_fingerprint(const ScenarioSpec& scenario,
                                            std::size_t species_index);
 

@@ -60,7 +60,6 @@ struct ShardConfig {
   std::string cli_path;      ///< finser_cli binary; "" = /proc/self/exe.
   std::string campaign_path; ///< Campaign JSON handed to workers (required).
   std::size_t worker_threads = 0;  ///< Per-worker thread budget; 0 = split.
-  std::size_t lanes = 0;           ///< Forwarded --lanes; 0 = omit.
 };
 
 /// How a sharded campaign ended (maps to CLI exit codes 0 / 5 / 1).

@@ -12,11 +12,11 @@
 /// across lanes, so vectorizing it cannot change any lane's bits, and every
 /// transcendental goes through the deterministic kernels of vecmath.hpp.
 /// That is the bit-pinned contract (docs/spice.md): every lane is
-/// **byte-identical** to the interpreted reference engine
-/// (run_transient(Circuit&) in transient.hpp), for every lane width, at any
-/// thread count — W is a pure throughput knob. This is the only compiled
-/// transient loop: a scalar compiled transient is a one-lane group
-/// (run_transient_single()).
+/// **byte-identical** to the interpreted reference engine the tests keep as
+/// their oracle, for every lane width, at any thread count — W is a pure
+/// throughput knob. This is the only compiled transient loop: a scalar
+/// compiled transient is a one-lane group (run_transient_single()), and the
+/// compiled DC solve factors its one-lane system with the same LU kernel.
 ///
 /// Lanes are *masked, not branched around*: a converged, finished or failed
 /// lane keeps riding the vector tick (its stamps and LU are computed and
@@ -27,11 +27,11 @@
 /// own step, and a latched lane rides masked until its group's slowest lane
 /// finishes.
 ///
-/// Width selection: the compiled default (`kDefaultLaneWidth`) picks the
-/// widest vector unit the build targets; `set_lane_width()` / the
-/// `FINSER_LANES` env var / the `--lanes` CLI flag override it at runtime
-/// (0 = auto). All widths {1, 4, 8} are always compiled and run the same
-/// loop, so the width only changes how many transients advance per tick.
+/// Width: the build fixes it. `kDefaultLaneWidth` is the widest vector unit
+/// the build targets, or 1 under the FINSER_SCALAR_LANES CMake option.
+/// All widths {1, 4, 8} are always compiled and run the same loop, so the
+/// width only changes how many transients advance per tick; set_lane_width()
+/// is the seam the cross-width tests use to run the others.
 
 #include <array>
 #include <cstddef>
@@ -57,19 +57,19 @@ inline constexpr std::size_t kDefaultLaneWidth = 8;
 inline constexpr std::size_t kDefaultLaneWidth = 4;
 #endif
 
-/// True for the widths the engine is instantiated at (0 = auto is accepted
-/// by set_lane_width()).
+/// True for the widths the engine is instantiated at (0 = back to the
+/// build default, accepted by set_lane_width()).
 inline constexpr bool lane_width_valid(std::size_t w) {
   return w == 0 || w == 1 || w == 4 || w == 8;
 }
 
-/// Resolved lane width of this process: the last set_lane_width() value if
-/// any, else FINSER_LANES (invalid values are diagnosed on stderr and
-/// ignored, mirroring FINSER_MC_SCALE), else kDefaultLaneWidth.
+/// Lane width of this process: kDefaultLaneWidth unless set_lane_width()
+/// overrode it.
 std::size_t lane_width();
 
-/// Override the lane width (0 = back to auto). Throws util::InvalidArgument
-/// unless lane_width_valid(w).
+/// Override the lane width (0 = back to kDefaultLaneWidth): the seam the
+/// cross-width tests use. Throws util::InvalidArgument unless
+/// lane_width_valid(w).
 void set_lane_width(std::size_t w);
 
 /// Preallocated AoSoA scratch of one lane-batched circuit: the per-lane
@@ -131,8 +131,8 @@ struct BatchTransientResult {
 /// one operating point per lane (size ≤ bw.lanes; an empty entry — or a
 /// missing trailing one — marks the lane inactive, i.e. a masked-off ragged
 /// tail). Per lane this computes byte-identical waveforms (latch stops
-/// included) and failure text to the reference
-/// run_transient(circuit, x0[w], opt, probe_nodes) on the lane's binding; a failed lane is reported in the result instead of
+/// included) and failure text to the reference engine's run of the lane's
+/// binding from x0[w]; a failed lane is reported in the result instead of
 /// thrown, and never perturbs its neighbors. The circuit's per-lane
 /// parameters must have been loaded with batch_rebind_lane() beforehand.
 BatchTransientResult run_transient_batch(

@@ -11,8 +11,8 @@
 ///     records, walked with a switch instead of virtual Device::stamp()
 ///     calls, in the *original netlist order* so the floating-point
 ///     accumulation into each MNA entry is byte-identical to the
-///     polymorphic reference path (both share the kernels in
-///     src/spice/stamp_kernels.hpp).
+///     polymorphic devices' (the plan mirrors the kernels of
+///     src/spice/stamp_kernels.hpp term for term).
 ///   * **Per-kind SoA parameter arrays** — precomputed unknown indices and
 ///     parameters, contiguous per device kind; transient reactive state
 ///     (capacitor histories) lives per lane in a BatchWorkspace, so
@@ -22,16 +22,15 @@
 ///     circuit without reallocating devices, nodes or plans. A Vt-variation
 ///     MC sample or an injected-charge step is a rebind, not a rebuild.
 ///
-/// A compiled circuit solves DC through solve_dc(CompiledCircuit&,
-/// SolveWorkspace&) and transients through the lane-batched engine
-/// (run_transient_batch() in batch.hpp, W = 1 included), both without
-/// per-sample allocation. The polymorphic path remains the reference
-/// implementation; equivalence is pinned bit-exact by
+/// A compiled circuit solves DC through solve_dc() (dc.hpp) and transients
+/// through the lane-batched engine (run_transient_batch() in batch.hpp,
+/// W = 1 included), both without per-sample allocation and both on the one
+/// compiled LU kernel. The polymorphic devices remain the reference the
+/// tests compare against; equivalence is pinned bit-exact by
 /// tests/test_spice_compiled.cpp. Lifecycle details and the
 /// when-to-recompile table: docs/spice.md.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "finser/spice/circuit.hpp"
@@ -59,22 +58,19 @@ class CompiledCircuit {
   std::size_t unknown_count() const { return unknown_count_; }
   std::size_t device_count() const { return ops_.size(); }
 
-  // --- DC stamp hooks (mirror Device::stamp, devirtualized) ---------------
-  // DC only: \p ctx.transient must be false. Capacitors and strike sources
-  // are open in DC, PWL sources sit at their t = 0 value. Transient stamps
-  // go through batch_stamp_fused() below.
+  // --- DC stamp hook (mirrors Device::stamp, devirtualized) ---------------
 
-  /// Contribute every device's linearized DC model at ctx's iterate.
-  void stamp_all(Mna& mna, const StampContext& ctx) const;
-
-  /// Fused-path DC stamp: identical contributions in identical order to
-  /// stamp_all(), written through precomputed flat slot indices into raw
-  /// dense arrays instead of Mna::add() calls. \p a must have
-  /// unknown_count()² + 1 zeroed entries and \p b unknown_count() + 1 —
-  /// the final entry of each is a scratch slot absorbing ground stamps
+  /// Fused DC stamp: every device's linearized DC model at ctx's iterate —
+  /// the contributions Device::stamp() makes, in netlist order — written
+  /// through precomputed flat slot indices into raw dense arrays. DC only:
+  /// \p ctx.transient must be false; capacitors and strike sources are open,
+  /// PWL sources sit at their t = 0 value. \p a must have
+  /// unknown_count()² + 1 zeroed entries and \p b unknown_count() + 1 — the
+  /// final entry of each is a scratch slot absorbing ground stamps
   /// (branch-free equivalent of Mna's kGround drop). Used by the compiled
-  /// DC Newton stage (engine_detail.hpp); bit-identity with stamp_all() is
-  /// pinned by tests/test_spice_compiled.cpp.
+  /// DC Newton (engine_detail.hpp); bit-identity with Device::stamp() is
+  /// pinned by tests/test_spice_compiled.cpp. Transient stamps go through
+  /// batch_stamp_fused() below.
   void stamp_fused(double* a, double* b, const StampContext& ctx) const;
 
   // --- Lane-batched transient hooks (batch.hpp; see docs/spice.md) --------
@@ -189,48 +185,6 @@ class CompiledCircuit {
   std::vector<PwlRec> pwls_;
   std::vector<ISourceRec> isources_;
   std::vector<MosRec> mosfets_;
-};
-
-/// Preallocated scratch of the DC solve paths: the MNA system, the
-/// pivot-order cache and the Newton/continuation work vectors. One workspace
-/// per (thread, compiled circuit); reusing it across solves is what removes
-/// the per-sample allocations of the reference path. A workspace adapts
-/// automatically when handed a system of a different size (and drops the
-/// pivot cache, which is topology-specific). Compiled transients keep their
-/// scratch in a BatchWorkspace (batch.hpp).
-struct SolveWorkspace {
-  Mna::PivotCache pivot;
-  std::vector<double> x_new;     ///< Newton candidate iterate.
-  std::vector<double> x_good;    ///< Last converged iterate.
-  std::vector<double> anchor;    ///< gmin anchor (initial guess copy).
-  std::vector<double> gmin_schedule;  ///< Extensible continuation schedule.
-
-  // --- Fused solve-kernel scratch (compiled path only) ---------------------
-  // Raw dense system written by CompiledCircuit::stamp_fused(): fa holds the
-  // n×n matrix row-major plus one trailing ground-scratch slot, fb the rhs
-  // plus one, fperm the pivot permutation of the in-place factorization.
-  std::vector<double> fa;
-  std::vector<double> fb;
-  std::vector<std::size_t> fperm;
-
-  /// Size the fused-kernel scratch for \p n unknowns (idempotent).
-  void fused_for(std::size_t n) {
-    fa.resize(n * n + 1);
-    fb.resize(n + 1);
-    fperm.resize(n);
-  }
-
-  /// The workspace MNA system, (re)constructed to \p n unknowns on demand.
-  Mna& mna_for(std::size_t n) {
-    if (!mna_ || mna_->size() != n) {
-      mna_.emplace(n);
-      pivot.invalidate();
-    }
-    return *mna_;
-  }
-
- private:
-  std::optional<Mna> mna_;
 };
 
 }  // namespace finser::spice

@@ -7,15 +7,19 @@
 /// zero). SRAM cells are bistable: the solver converges to the stable state
 /// in whose basin the initial guess lies, which is exactly how the cell's
 /// logical state is selected before a strike simulation.
+///
+/// The solve runs on a compiled circuit: its fused stamp plan assembles each
+/// Newton iterate's linearization, and the compiled LU kernel of the
+/// transient engine (batch.hpp) factors it as a one-lane system. The tests
+/// keep an interpreted oracle over the polymorphic devices that runs the same
+/// Newton and continuation code and is pinned byte-identical to this one.
 
 #include <vector>
 
-#include "finser/spice/circuit.hpp"
+#include "finser/spice/batch.hpp"
+#include "finser/spice/compiled.hpp"
 
 namespace finser::spice {
-
-class CompiledCircuit;
-struct SolveWorkspace;
 
 /// Options for the operating-point solve.
 struct DcOptions {
@@ -35,19 +39,24 @@ struct DcOptions {
   int max_gmin_extensions = 8;
 };
 
-/// Solve the DC operating point of \p circuit.
+/// Preallocated scratch of the DC solve: the Newton/continuation work
+/// vectors and the one-lane system the LU kernel factors (its dense blocks,
+/// solution and pivot-order cache). One workspace per (thread, compiled
+/// circuit); reusing it across solves is what removes per-sample
+/// allocations. Handed a circuit of another size, the solve resizes it and
+/// drops the pivot cache, which is topology-specific.
+struct SolveWorkspace {
+  BatchWorkspace lu;                  ///< One-lane system (batch.hpp).
+  std::vector<double> x_good;         ///< Last converged iterate.
+  std::vector<double> anchor;         ///< gmin anchor (initial guess copy).
+  std::vector<double> gmin_schedule;  ///< Extensible continuation schedule.
+};
+
+/// Solve the DC operating point of \p circuit's current binding.
 /// \param initial_guess optional starting vector (unknown_count() wide);
 ///        pass the intended SRAM state to select the bistable branch.
 /// \returns the solution vector (node voltages then branch currents).
 /// \throws util::NumericalError if any gmin stage fails to converge.
-std::vector<double> solve_dc(const Circuit& circuit,
-                             const std::vector<double>& initial_guess = {},
-                             const DcOptions& options = {});
-
-/// Compiled hot-path overload: same algorithm and bit-identical results, but
-/// stamps through the devirtualized plan and keeps all solver scratch (MNA
-/// system, pivot cache, Newton vectors) in the caller-owned \p ws so repeated
-/// solves allocate nothing. See spice/compiled.hpp and docs/spice.md.
 std::vector<double> solve_dc(CompiledCircuit& circuit, SolveWorkspace& ws,
                              const std::vector<double>& initial_guess = {},
                              const DcOptions& options = {});

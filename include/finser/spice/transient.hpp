@@ -1,6 +1,7 @@
 #pragma once
 /// \file transient.hpp
-/// \brief Transient analysis with event-aware adaptive time stepping.
+/// \brief Transient analysis: options, the latch stop and recorded
+/// waveforms.
 ///
 /// Strike simulations resolve a ~10 fs current pulse inside a ~100 ps
 /// settling window — four orders of magnitude of time scale. The solver
@@ -14,10 +15,11 @@
 /// needs the final state can opt into a latch stop (TransientOptions::latch)
 /// that ends the run once the outcome can no longer change.
 ///
-/// run_transient() here is the interpreted reference engine. Compiled
-/// circuits run the same step control through the lane-batched engine
-/// (run_transient_batch() in batch.hpp), which is pinned byte-identical to
-/// this one at every lane width, latch stops included.
+/// The engine is the lane-batched compiled loop (run_transient_batch() and
+/// run_transient_single() in batch.hpp). The tests keep an interpreted
+/// reference loop over the polymorphic devices with the same step control;
+/// the compiled loop is pinned byte-identical to it at every lane width,
+/// latch stops included.
 
 #include <iosfwd>
 #include <optional>
@@ -108,13 +110,5 @@ struct TransientOptions {
   /// are those of the stop step.
   std::optional<LatchStop> latch;
 };
-
-/// Run a transient from the operating point \p x0 (from solve_dc).
-/// Devices' internal state is initialized from \p x0, advanced, and left at
-/// the final time (re-run requires re-solving DC first).
-/// \param probe_nodes node names to record; empty records every node.
-Waveform run_transient(const Circuit& circuit, const std::vector<double>& x0,
-                       const TransientOptions& options,
-                       const std::vector<std::string>& probe_nodes = {});
 
 }  // namespace finser::spice

@@ -27,6 +27,7 @@
 #include "finser/spice/batch.hpp"
 #include "finser/spice/circuit.hpp"
 #include "finser/spice/compiled.hpp"
+#include "finser/spice/dc.hpp"
 #include "finser/spice/devices.hpp"
 #include "finser/spice/transient.hpp"
 
@@ -113,8 +114,8 @@ enum class AccessMode {
 /// vector (it is independent of the strike charges, so a whole Qcrit
 /// bisection shares one DC solve). Transients run on the lane-batched
 /// engine: simulate() as a one-lane group, simulate_batch() in groups of
-/// spice::lane_width(). Results are bit-identical to the interpreted
-/// reference engine on circuit() with transient_options().
+/// spice::lane_width(). Results are bit-identical to the tests' interpreted
+/// reference engine replaying circuit() with transient_options().
 ///
 /// In AccessMode::kRetention the transient options carry a latch stop on
 /// {q, qb} (spice::LatchStop): a run ends at the first step past the strike
@@ -171,9 +172,8 @@ class StrikeSimulator {
   AccessMode mode() const { return mode_; }
 
   /// The cell netlist. Its devices carry the ΔVt and strike shapes of the
-  /// last simulate()/hold_state() call, so the interpreted reference engine
-  /// (spice::solve_dc / spice::run_transient on this circuit) can replay
-  /// that sample.
+  /// last simulate()/hold_state() call, so the tests' interpreted reference
+  /// engine can replay that sample on it.
   const spice::Circuit& circuit() const { return circuit_; }
   const spice::TransientOptions& transient_options() const { return topt_; }
 

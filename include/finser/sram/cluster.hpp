@@ -17,8 +17,8 @@
 ///    pass gates), per-cell storage nodes, threshold-shift rebind slots and
 ///    strike-current sources. Transients run on the lane-batched engine: a
 ///    single evaluation as a one-lane group, process-variation samples in
-///    groups of the lane width, so every outcome is the same at any
-///    `--lanes` width.
+///    groups of the lane width, so every outcome is the same at any lane
+///    width.
 ///
 ///  * ClusterPofSurface — the cluster-level analogue of the per-cell POF
 ///    LUT: a memoized map from the *quantized joint charge vector* of a

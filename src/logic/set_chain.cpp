@@ -4,8 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "finser/spice/dc.hpp"
-#include "finser/spice/transient.hpp"
 #include "finser/util/error.hpp"
 #include "finser/util/units.hpp"
 
@@ -52,6 +50,21 @@ SetChainSimulator::SetChainSimulator(const ChainDesign& design, double vdd_v)
   // (current pulls the node toward ground).
   strike_ = &circuit_.add<spice::PulseISource>(nodes_.front(), kGround,
                                                spice::PulseShape{});
+  output_name_ = circuit_.node_name(nodes_.back());
+
+  // Seed Newton with the alternating logic levels: long chains from an
+  // all-zero guess can wander into singular iterates.
+  guess_.assign(circuit_.unknown_count(), 0.0);
+  guess_[n_vdd] = vdd_v_;
+  for (std::size_t s = 0; s < nodes_.size(); ++s) {
+    guess_[nodes_[s]] = (s % 2 == 0) ? vdd_v_ : 0.0;
+  }
+  topt_.t_end = 100e-12;
+  topt_.dt_initial = 1e-15;
+  topt_.dt_max = 2e-13;
+
+  // The netlist is final: lower it once. Every inject() is a rebind.
+  compiled_.emplace(circuit_);
 }
 
 SetOutcome SetChainSimulator::inject(double q_fc) {
@@ -60,21 +73,11 @@ SetOutcome SetChainSimulator::inject(double q_fc) {
   strike_->set_shape(spice::PulseShape::rectangular_for_charge(
       util::fc_to_c(q_fc), tau_s_, kDelayS));
 
-  // Seed Newton with the alternating logic levels: long chains from an
-  // all-zero guess can wander into singular iterates.
-  std::vector<double> guess(circuit_.unknown_count(), 0.0);
-  guess[circuit_.find_node("vdd")] = vdd_v_;
-  for (std::size_t s = 0; s < nodes_.size(); ++s) {
-    guess[nodes_[s]] = (s % 2 == 0) ? vdd_v_ : 0.0;
-  }
-  const auto x0 = spice::solve_dc(circuit_, guess);
-  spice::TransientOptions opt;
-  opt.t_end = 100e-12;
-  opt.dt_initial = 1e-15;
-  opt.dt_max = 2e-13;
-  std::string out_name = "n";
-  out_name += std::to_string(design_.stages);
-  const auto wave = spice::run_transient(circuit_, x0, opt, {out_name});
+  compiled_->rebind();
+  const auto x0 = spice::solve_dc(*compiled_, ws_, guess_);
+  last_output_ = spice::run_transient_single(*compiled_, bw_, x0, topt_,
+                                             {output_name_});
+  const spice::Waveform& wave = *last_output_;
 
   SetOutcome out;
   const double quiescent = output_high_ ? vdd_v_ : 0.0;

@@ -1,6 +1,7 @@
 #include "finser/pipeline/campaign.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <utility>
@@ -9,7 +10,6 @@
 #include "finser/exec/thread_pool.hpp"
 #include "finser/obs/obs.hpp"
 #include "finser/pipeline/surface_provider.hpp"
-#include "finser/spice/batch.hpp"
 #include "finser/stats/rng.hpp"
 #include "finser/surface/response_surface.hpp"
 #include "finser/util/bytes.hpp"
@@ -26,7 +26,7 @@ namespace {
 
 const std::vector<std::string>& top_level_keys() {
   static const std::vector<std::string> keys = {
-      "campaign", "seed",     "threads",  "lanes", "artifact_dir",
+      "campaign", "seed",     "threads",  "artifact_dir",
       "output_dir", "defaults", "scenarios"};
   return keys;
 }
@@ -282,6 +282,26 @@ sram::ClusterMode cluster_mode_from_name(const std::string& name,
   bad(message);
 }
 
+/// Supply voltages are characterization axis points: each must be a
+/// positive finite voltage, and none may repeat (the response surface needs
+/// a strictly increasing axis). Order is free — the model sorts them.
+void check_vdds(const std::vector<double>& vdds, const std::string& where) {
+  if (vdds.empty()) bad("`vdds` at " + where + " must not be empty");
+  for (const double v : vdds) {
+    if (!(std::isfinite(v) && v > 0.0)) {
+      bad("`vdds` at " + where + " must hold positive voltages, got " +
+          util::JsonValue(v).dump());
+    }
+  }
+  std::vector<double> sorted = vdds;
+  std::sort(sorted.begin(), sorted.end());
+  const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+  if (dup != sorted.end()) {
+    bad("`vdds` at " + where + " lists the supply voltage " +
+        util::JsonValue(*dup).dump() + " twice");
+  }
+}
+
 void check_species_name(const std::string& name, const std::string& where) {
   const auto& known = species_names();
   if (std::find(known.begin(), known.end(), name) != known.end()) return;
@@ -322,6 +342,7 @@ ScenarioSpec parse_scenario(const util::JsonValue& obj,
                "pattern_seed");
   f.characterization.vdds = get_num_list(
       key("vdds"), reference.characterization.vdds, where, "vdds");
+  check_vdds(f.characterization.vdds, where);
   f.cell_design.sigma_vt =
       get_num(key("sigma_vt"), reference.cell_design.sigma_vt, where,
               "sigma_vt");
@@ -477,12 +498,6 @@ CampaignSpec parse_campaign(const util::JsonValue& doc) {
       get_str(top("output_dir"), spec.output_dir, "top level", "output_dir");
   spec.threads = static_cast<std::size_t>(
       get_uint(top("threads"), 0, "top level", "threads"));
-  spec.lanes = static_cast<std::size_t>(
-      get_uint(top("lanes"), 0, "top level", "lanes"));
-  if (!spice::lane_width_valid(spec.lanes)) {
-    bad("top level: `lanes` must be 0 (auto), 1, 4 or 8, got " +
-        std::to_string(spec.lanes));
-  }
   const std::uint64_t campaign_seed =
       get_uint(top("seed"), 20140601, "top level", "seed");
 
@@ -534,7 +549,6 @@ util::JsonValue campaign_to_json(const CampaignSpec& spec) {
   util::JsonValue doc = util::JsonValue::object();
   doc["campaign"] = spec.name;
   doc["threads"] = static_cast<std::uint64_t>(spec.threads);
-  doc["lanes"] = static_cast<std::uint64_t>(spec.lanes);
   doc["artifact_dir"] = spec.artifact_dir;
   doc["output_dir"] = spec.output_dir;
   util::JsonValue scenarios = util::JsonValue::array();
@@ -597,13 +611,11 @@ CampaignSpec single_scenario_campaign(const core::SerFlowConfig& flow,
                                       std::string output_dir,
                                       std::string name) {
   for (const std::string& s : species) check_species_name(s, "species list");
+  check_vdds(flow.characterization.vdds, "scenarios[0]");
   CampaignSpec spec;
   spec.name = name;
   spec.output_dir = std::move(output_dir);
   spec.threads = flow.threads;
-  // Resolved lane width, so --print-config surfaces the engine the run
-  // would actually use (and round-trips to an identical run).
-  spec.lanes = spice::lane_width();
   ScenarioSpec scenario;
   scenario.name = std::move(name);
   scenario.species = std::move(species);
@@ -871,12 +883,11 @@ std::string sanitize_slug(const std::string& label) {
 }  // namespace
 
 std::uint64_t campaign_fingerprint(const CampaignSpec& spec) {
-  // threads/lanes are pure execution knobs — every stage is thread-count-
-  // and lane-width-invariant — so they are zeroed before hashing: a re-run
-  // with a different worker or thread budget must resume, not recompute.
+  // threads is a pure execution knob — every stage is thread-count-
+  // invariant — so it is zeroed before hashing: a re-run with a different
+  // worker or thread budget must resume, not recompute.
   CampaignSpec norm = spec;
   norm.threads = 0;
-  norm.lanes = 0;
   util::Fnv1a h;
   h.str("finser.campaign.fingerprint.v1");
   h.str(campaign_to_json(norm).dump(0));
@@ -940,10 +951,6 @@ CampaignRunner::CampaignRunner(CampaignSpec spec) : spec_(std::move(spec)) {
 
 void CampaignRunner::ensure_exec() {
   if (exec_ != nullptr) return;
-  // A non-zero spec pins the SPICE lane width for the whole campaign
-  // (results are identical for every width; this is a performance knob).
-  if (spec_.lanes != 0) spice::set_lane_width(spec_.lanes);
-
   exec_ = std::make_shared<Exec>();
   Exec* ex = exec_.get();  // stage lambdas share the runner's lifetime
   ex->scale = core::mc_scale_from_env();

@@ -16,7 +16,7 @@ std::uint64_t response_surface_fingerprint(const ScenarioSpec& scenario,
   FINSER_REQUIRE(species_index < scenario.species.size(),
                  "response_surface_fingerprint: species index out of range");
   // A normalized single-scenario campaign is the identity document: the
-  // dirs and campaign name are presentation, threads/lanes are zeroed by
+  // dirs and campaign name are presentation, threads is zeroed by
   // campaign_fingerprint, and the full species list stays in (the seed
   // cursor makes earlier species part of a later species' identity).
   CampaignSpec one;
@@ -133,7 +133,6 @@ const surface::ResponseSurface* SurfaceProvider::refine(
   sub.artifact_dir = spec_.artifact_dir;
   sub.output_dir.clear();  // serve emits answers, not CSV files
   sub.threads = threads_;
-  sub.lanes = spec_.lanes;
   sub.scenarios.push_back(scen);
   FINSER_OBS_COUNT("surface.builds", 1);
   CampaignRunner runner(std::move(sub));

@@ -94,10 +94,6 @@ pid_t spawn_worker(const std::string& cli, const ShardConfig& config,
       "--threads",
       std::to_string(threads),
   };
-  if (config.lanes != 0) {
-    args.push_back("--lanes");
-    args.push_back(std::to_string(config.lanes));
-  }
 
   const pid_t pid = ::fork();
   if (pid < 0) return -1;

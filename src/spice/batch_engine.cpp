@@ -1,10 +1,8 @@
 /// \file batch_engine.cpp
-/// \brief Lane-width selection and the compiled transient entry points.
+/// \brief The lane width and the compiled transient entry points.
 
 #include <atomic>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
+#include <string>
 #include <utility>
 
 #include "finser/spice/batch.hpp"
@@ -15,51 +13,21 @@ namespace finser::spice {
 
 namespace {
 
-/// Explicit set_lane_width() override; 0 = none (fall through to env/auto).
+/// set_lane_width() override; 0 = none (the build default).
 std::atomic<std::size_t> g_lane_override{0};
-
-/// One-shot FINSER_LANES parse, hardened the same way as FINSER_MC_SCALE
-/// (core/ser_flow.cpp): tolerate trailing whitespace, diagnose-and-ignore
-/// anything else on stderr. Returns 0 for unset/auto/invalid.
-std::size_t lanes_from_env_uncached() {
-  const char* raw = std::getenv("FINSER_LANES");
-  if (raw == nullptr) return 0;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(raw, &end, 10);
-  while (end != nullptr && *end != '\0' &&
-         std::isspace(static_cast<unsigned char>(*end))) {
-    ++end;
-  }
-  const bool parsed = end != nullptr && end != raw && *end == '\0';
-  if (!parsed || !lane_width_valid(static_cast<std::size_t>(v))) {
-    std::fprintf(stderr,
-                 "finser: ignoring invalid FINSER_LANES=\"%s\" "
-                 "(expected 0 = auto, 1, 4 or 8); using auto\n",
-                 raw);
-    return 0;
-  }
-  return static_cast<std::size_t>(v);
-}
-
-std::size_t lanes_from_env() {
-  static const std::size_t cached = lanes_from_env_uncached();
-  return cached;
-}
 
 }  // namespace
 
 std::size_t lane_width() {
   const std::size_t over = g_lane_override.load(std::memory_order_relaxed);
-  if (over != 0) return over;
-  const std::size_t env = lanes_from_env();
-  if (env != 0) return env;
-  return kDefaultLaneWidth;
+  return over != 0 ? over : kDefaultLaneWidth;
 }
 
 void set_lane_width(std::size_t w) {
   if (!lane_width_valid(w)) {
     throw util::InvalidArgument(
-        "set_lane_width: lane width must be 0 (auto), 1, 4 or 8, got " +
+        "set_lane_width: lane width must be 0 (build default), 1, 4 or 8, "
+        "got " +
         std::to_string(w));
   }
   g_lane_override.store(w, std::memory_order_relaxed);

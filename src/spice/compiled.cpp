@@ -4,7 +4,6 @@
 
 #include "finser/obs/obs.hpp"
 #include "finser/util/error.hpp"
-#include "stamp_kernels.hpp"
 
 namespace finser::spice {
 
@@ -92,49 +91,16 @@ void CompiledCircuit::rebind() {
   FINSER_OBS_COUNT("spice.compiled.rebinds", 1);
 }
 
-void CompiledCircuit::stamp_all(Mna& mna, const StampContext& ctx) const {
-  FINSER_REQUIRE(!ctx.transient, "CompiledCircuit::stamp_all: DC stamp only");
-  // Walk the plan in original netlist order: FP accumulation into shared MNA
-  // entries is order-sensitive, and bit-identity with the reference path
-  // requires the exact same Mna::add sequence.
-  for (const Op op : ops_) {
-    switch (op.kind) {
-      case Kind::kResistor: {
-        const ResistorRec& r = resistors_[op.idx];
-        detail::stamp_conductance(mna, r.a, r.b, r.g);
-        break;
-      }
-      case Kind::kCapacitor:
-      case Kind::kPulseISource:
-        break;  // Open in DC.
-      case Kind::kVSource: {
-        const VSourceRec& v = vsources_[op.idx];
-        detail::stamp_vsource(mna, ctx, v.a, v.b, v.branch, v.v);
-        break;
-      }
-      case Kind::kPwlVSource: {
-        const PwlRec& p = pwls_[op.idx];
-        detail::stamp_vsource(mna, ctx, p.a, p.b, p.branch, p.src->value(0.0));
-        break;
-      }
-      case Kind::kMosfet: {
-        const MosRec& m = mosfets_[op.idx];
-        detail::stamp_mosfet(mna, ctx, m.d, m.g, m.s, *m.model, m.nfin,
-                             m.delta_vt, m.temp_k);
-        break;
-      }
-    }
-  }
-}
-
 void CompiledCircuit::stamp_fused(double* a, double* b,
                                   const StampContext& ctx) const {
   FINSER_REQUIRE(!ctx.transient, "CompiledCircuit::stamp_fused: DC stamp only");
-  // Same netlist-order walk and the same arithmetic as stamp_all(), with
-  // Mna::add replaced by precomputed-slot accumulation (ground writes land in
-  // the trailing scratch slot). Every expression below mirrors the matching
-  // kernel in stamp_kernels.hpp term for term — the fused system must be
-  // byte-identical to the Mna the reference path assembles.
+  // Walk the plan in original netlist order: FP accumulation into shared
+  // entries is order-sensitive, and bit-identity with the polymorphic devices
+  // requires their exact accumulation sequence. Mna::add becomes
+  // precomputed-slot accumulation (ground writes land in the trailing
+  // scratch slot), and every expression below mirrors the matching kernel
+  // in stamp_kernels.hpp term for term — the fused system must be
+  // byte-identical to the Mna Device::stamp() assembles.
   for (const Op op : ops_) {
     switch (op.kind) {
       case Kind::kResistor: {

@@ -2,9 +2,10 @@
 /// \brief Lane-batched hooks of CompiledCircuit (see batch.hpp).
 ///
 /// Every expression here mirrors the matching reference device code
-/// (stamp_kernels.hpp, as called by devices.cpp and compiled.cpp) term for
-/// term, evaluated per lane on the AoSoA slices: that is what makes each
-/// lane byte-identical to a reference run with the same binding. The hot stamp (batch_stamp_fused) is written as compile-time-W
+/// (stamp_kernels.hpp, as called by devices.cpp) term for term, evaluated
+/// per lane on the AoSoA slices: that is what makes each lane
+/// byte-identical to a reference run with the same binding. The hot stamp
+/// (batch_stamp_fused) is written as compile-time-W
 /// lane loops over unit-stride slices with uniform (lane-invariant) branches
 /// hoisted and the rest in select form, so the compiler vectorizes it
 /// without being allowed to change any lane's arithmetic.

@@ -1,25 +1,17 @@
 #include "finser/spice/dc.hpp"
 
-#include "finser/spice/compiled.hpp"
 #include "engine_detail.hpp"
 
 namespace finser::spice {
 
-std::vector<double> solve_dc(const Circuit& circuit,
-                             const std::vector<double>& initial_guess,
-                             const DcOptions& options) {
-  // Reference path: a throwaway workspace per call, exactly the historical
-  // allocation behavior. The hot path below shares one across solves.
-  SolveWorkspace ws;
-  return detail::solve_dc_impl(detail::InterpretedStamper{circuit}, ws,
-                               initial_guess, options);
-}
-
 std::vector<double> solve_dc(CompiledCircuit& circuit, SolveWorkspace& ws,
                              const std::vector<double>& initial_guess,
                              const DcOptions& options) {
-  return detail::solve_dc_impl(detail::CompiledStamper{circuit}, ws,
-                               initial_guess, options);
+  if (ws.lu.lanes != 1 || ws.lu.unknowns != circuit.unknown_count()) {
+    circuit.batch_configure(ws.lu, 1);
+  }
+  detail::CompiledDcSystem system{circuit, ws.lu};
+  return detail::solve_dc_impl(system, ws, initial_guess, options);
 }
 
 }  // namespace finser::spice

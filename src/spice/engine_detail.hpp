@@ -1,27 +1,23 @@
 #pragma once
 /// \file engine_detail.hpp
-/// \brief Shared DC engine and the lane-batched transient engine (internal
-/// to finser::spice).
+/// \brief The compiled SPICE engine: DC Newton, the lane-blocked LU and the
+/// lane-batched transient loop (internal to finser::spice).
 ///
-/// The DC Newton/gmin-continuation algorithm exists exactly once, templated
-/// over a *Stamper* policy that supplies the circuit size and the stamp:
+/// The DC Newton/gmin-continuation algorithm exists exactly once,
+/// solve_dc_impl(), templated over a *system* policy that assembles and
+/// solves the linearization at an iterate. The engine's policy is
+/// CompiledDcSystem: the devirtualized stamp plan, factored by
+/// batch_lu_solve<1>. The interpreted oracle of the tests supplies a policy
+/// over the polymorphic Device list and Mna, so both DC paths run the same
+/// Newton and continuation code.
 ///
-///   * InterpretedStamper — walks the polymorphic Device list of a Circuit.
-///     This is the reference path behind solve_dc(Circuit&).
-///   * CompiledStamper — walks a CompiledCircuit's devirtualized stamp plan
-///     through the fused solve kernel. Callers keep a SolveWorkspace alive
-///     across solves, so the MNA scratch and pivot cache are allocated once
-///     per (thread, topology).
-///
-/// Both stampers emit the same stamps in the same device order, so the two
-/// DC entry points produce byte-identical operating points.
-///
-/// The compiled transient loop is run_transient_batch_impl() below: W
-/// transients in masked-Newton lockstep, with W = 1 as the scalar case. The
-/// interpreted reference loop behind run_transient(Circuit&) lives in
-/// transient.cpp and shares the option checks and the breakpoint/arming
-/// setup below with it; tests/test_spice_compiled.cpp pins the batched
-/// engine to it byte for byte at every lane width.
+/// batch_lu_solve() is the one compiled LU kernel: the DC solve factors a
+/// one-lane system with it, the transient loop W lanes at a time. The
+/// compiled transient loop is run_transient_batch_impl() below: W
+/// transients in masked-Newton lockstep, with W = 1 as the scalar case. It
+/// shares the option checks and the breakpoint/arming set-up below with the
+/// interpreted reference loop the tests keep; tests/test_spice_compiled.cpp
+/// pins it to that loop byte for byte at every lane width.
 
 #include <algorithm>
 #include <array>
@@ -41,303 +37,6 @@
 #include "finser/util/error.hpp"
 
 namespace finser::spice::detail {
-
-/// Stamper policy over the polymorphic reference path.
-struct InterpretedStamper {
-  const Circuit& c;
-
-  /// The reference path solves through Mna: it is the baseline the fused
-  /// compiled kernel is bit-compared against.
-  static constexpr bool kFusedSolve = false;
-
-  std::size_t node_count() const { return c.node_count(); }
-  std::size_t unknown_count() const { return c.unknown_count(); }
-
-  void stamp_all(Mna& mna, const StampContext& ctx) const {
-    for (const auto& dev : c.devices()) dev->stamp(mna, ctx);
-  }
-};
-
-/// Stamper policy over a compiled circuit's devirtualized plan.
-struct CompiledStamper {
-  CompiledCircuit& cc;
-
-  static constexpr bool kFusedSolve = true;
-
-  std::size_t node_count() const { return cc.node_count(); }
-  std::size_t unknown_count() const { return cc.unknown_count(); }
-
-  void stamp_fused(double* a, double* b, const StampContext& ctx) const {
-    cc.stamp_fused(a, b, ctx);
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Fused solve kernel (compiled DC path)
-// ---------------------------------------------------------------------------
-
-/// LU solve on the raw fused workspace arrays (ws.fa / ws.fb / ws.fperm, as
-/// filled by CompiledCircuit::stamp_fused). This is Mna::factor_and_solve
-/// transplanted line for line — same pivot scan, same elimination and back
-/// substitution arithmetic, same pivot-cache verification, same
-/// spice.mna.* observability counters, same error surface — so the compiled
-/// DC Newton stage that calls it stays byte-identical to the reference path
-/// while skipping the per-stamp virtual dispatch and Mna bookkeeping. The
-/// trailing ground-scratch slots (index n² resp. n) are never read.
-///
-/// \tparam N compile-time system size (0 = runtime \p n_rt). Fixing the size
-/// lets the compiler fully unroll the tiny elimination loops; unrolling
-/// never reassociates floating-point operations, so every instantiation
-/// computes the same bits (fused_lu_solve() below picks one by size).
-template <std::size_t N = 0>
-inline void fused_lu_solve_sized(SolveWorkspace& ws, std::size_t n_rt,
-                                 std::vector<double>& x) {
-  const std::size_t n = N == 0 ? n_rt : N;
-  double* a = ws.fa.data();
-  double* b = ws.fb.data();
-  std::vector<std::size_t>& perm = ws.fperm;
-  Mna::PivotCache& cache = ws.pivot;
-
-  FINSER_OBS_COUNT("spice.mna.solves", 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(b[i])) {
-      throw util::NumericalError("Mna::solve: non-finite rhs entry at row " +
-                                 std::to_string(i));
-    }
-  }
-
-  const bool predicted = cache.valid && cache.perm.size() == n;
-  bool prediction_held = predicted;
-
-  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-
-  for (std::size_t col = 0; col < n; ++col) {
-    std::size_t piv = col;
-    double best = std::abs(a[perm[col] * n + col]);
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double v = std::abs(a[perm[r] * n + col]);
-      if (v > best) {
-        best = v;
-        piv = r;
-      }
-    }
-    if (!(best > 1e-300)) {
-      cache.invalidate();
-      throw util::NumericalError("Mna::solve: singular matrix at column " +
-                                 std::to_string(col));
-    }
-    if (prediction_held && perm[piv] != cache.perm[col]) {
-      prediction_held = false;
-    }
-    std::swap(perm[col], perm[piv]);
-
-    const std::size_t prow = perm[col];
-    const double diag = a[prow * n + col];
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const std::size_t row = perm[r];
-      const double factor = a[row * n + col] / diag;
-      if (factor == 0.0) continue;
-      a[row * n + col] = factor;  // Store L in place.
-      for (std::size_t c = col + 1; c < n; ++c) {
-        a[row * n + c] -= factor * a[prow * n + c];
-      }
-      b[row] -= factor * b[prow];
-    }
-  }
-
-  cache.perm = perm;
-  cache.valid = true;
-  if (prediction_held) {
-    FINSER_OBS_COUNT("spice.mna.pivot_reuse", 1);
-  } else {
-    FINSER_OBS_COUNT("spice.mna.pivot_refactor", 1);
-  }
-
-  x.assign(n, 0.0);
-  for (std::size_t ri = n; ri-- > 0;) {
-    const std::size_t row = perm[ri];
-    double acc = b[row];
-    for (std::size_t c = ri + 1; c < n; ++c) {
-      acc -= a[row * n + c] * x[c];
-    }
-    x[ri] = acc / a[row * n + ri];
-    if (!std::isfinite(x[ri])) {
-      throw util::NumericalError("Mna::solve: non-finite solution component");
-    }
-  }
-}
-
-/// Size-dispatching front end: routes the characterization-relevant system
-/// sizes (a 6T cell solves 10 unknowns, an 8T cell a few more) to fully
-/// unrolled instantiations and everything else to the generic one.
-inline void fused_lu_solve(SolveWorkspace& ws, std::size_t n,
-                           std::vector<double>& x) {
-  switch (n) {
-    case 6: return fused_lu_solve_sized<6>(ws, n, x);
-    case 8: return fused_lu_solve_sized<8>(ws, n, x);
-    case 10: return fused_lu_solve_sized<10>(ws, n, x);
-    case 11: return fused_lu_solve_sized<11>(ws, n, x);
-    case 12: return fused_lu_solve_sized<12>(ws, n, x);
-    case 13: return fused_lu_solve_sized<13>(ws, n, x);
-    case 14: return fused_lu_solve_sized<14>(ws, n, x);
-    default: return fused_lu_solve_sized<0>(ws, n, x);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// DC operating point
-// ---------------------------------------------------------------------------
-
-/// One damped-Newton stage at fixed gmin. Returns true on convergence;
-/// \p x is updated in place with the best iterate either way.
-///
-/// The gmin shunt pulls node voltages toward \p anchor (the caller's initial
-/// guess) rather than toward ground: for bistable circuits such as SRAM
-/// cells this keeps the continuation inside the basin the caller selected
-/// instead of collapsing onto the symmetric metastable point.
-template <class Stamper>
-bool newton_stage(const Stamper& st, SolveWorkspace& ws, Mna& mna,
-                  std::vector<double>& x, const std::vector<double>& anchor,
-                  double gmin, const DcOptions& opt) {
-  const std::size_t n = st.unknown_count();
-  StampContext ctx;
-  ctx.transient = false;
-  ctx.branch_offset = st.node_count();
-  if constexpr (Stamper::kFusedSolve) ws.fused_for(n);
-
-  for (int iter = 0; iter < opt.max_iterations; ++iter) {
-    FINSER_OBS_COUNT("spice.dc.newton_iters", 1);
-    if constexpr (Stamper::kFusedSolve) {
-      std::fill(ws.fa.begin(), ws.fa.end(), 0.0);
-      std::fill(ws.fb.begin(), ws.fb.end(), 0.0);
-      ctx.x = &x;
-      st.stamp_fused(ws.fa.data(), ws.fb.data(), ctx);
-      if (gmin > 0.0) {
-        // Same accumulation order as the Mna branch: every diagonal shunt
-        // first (Mna::add_gmin), then the rhs anchor loop.
-        for (std::size_t i = 0; i < st.node_count() && i < n; ++i) {
-          ws.fa[i * n + i] += gmin;
-        }
-        for (std::size_t i = 0; i < st.node_count(); ++i) {
-          ws.fb[i] += gmin * anchor[i];
-        }
-      }
-      try {
-        fused_lu_solve(ws, n, ws.x_new);
-      } catch (const util::NumericalError&) {
-        return false;  // Singular at this iterate: report stage failure so
-                       // the caller sees "failed to converge".
-      }
-    } else {
-      mna.clear();
-      ctx.x = &x;
-      st.stamp_all(mna, ctx);
-      if (gmin > 0.0) {
-        mna.add_gmin(gmin, st.node_count());
-        for (std::size_t i = 0; i < st.node_count(); ++i) {
-          mna.add_rhs(i, gmin * anchor[i]);
-        }
-      }
-
-      try {
-        mna.solve_with_cache(ws.pivot, ws.x_new);
-      } catch (const util::NumericalError&) {
-        return false;  // Singular at this iterate: report stage failure so
-                       // the caller sees "failed to converge", not a raw LU
-                       // error.
-      }
-    }
-    const std::vector<double>& x_new = ws.x_new;
-
-    // Damping: limit the largest voltage move per iteration.
-    double max_dv = 0.0;
-    for (std::size_t i = 0; i < st.node_count(); ++i) {
-      max_dv = std::max(max_dv, std::abs(x_new[i] - x[i]));
-    }
-    double alpha = 1.0;
-    if (max_dv > opt.damping_vmax) alpha = opt.damping_vmax / max_dv;
-
-    double max_delta = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double step = alpha * (x_new[i] - x[i]);
-      x[i] += step;
-      max_delta = std::max(max_delta, std::abs(step));
-    }
-    if (alpha == 1.0 && max_delta < opt.v_tol) {
-      FINSER_OBS_RECORD("spice.dc.iters_per_stage", iter + 1);
-      return true;
-    }
-  }
-  return false;
-}
-
-template <class Stamper>
-std::vector<double> solve_dc_impl(const Stamper& st, SolveWorkspace& ws,
-                                  const std::vector<double>& initial_guess,
-                                  const DcOptions& options) {
-  const std::size_t n = st.unknown_count();
-  FINSER_REQUIRE(n > 0, "solve_dc: circuit has no unknowns");
-  FINSER_REQUIRE(!options.gmin_steps.empty(), "solve_dc: empty gmin schedule");
-  FINSER_REQUIRE(initial_guess.empty() || initial_guess.size() == n,
-                 "solve_dc: initial guess size mismatch");
-
-  obs::ScopedSpan span("spice.dc.solve");
-  FINSER_OBS_COUNT("spice.dc.solves", 1);
-  Mna& mna = ws.mna_for(n);
-  std::vector<double> x = initial_guess.empty() ? std::vector<double>(n, 0.0)
-                                                : initial_guess;
-  ws.anchor = x;
-  const std::vector<double>& anchor = ws.anchor;
-
-  // gmin continuation with a bounded retry ladder: a failed stage is retried
-  // from the last converged iterate with the geometric midpoint between the
-  // previous (converged) gmin and the failed one inserted first. Halving the
-  // continuation step this way rescues solves where a single gmin decade is
-  // too aggressive a homotopy jump, without loosening any tolerance.
-  std::vector<double>& schedule = ws.gmin_schedule;
-  schedule.assign(options.gmin_steps.begin(), options.gmin_steps.end());
-  int extensions = 0;
-  double prev_gmin = 0.0;       // gmin of the last converged stage.
-  bool any_converged = false;   // Whether prev_gmin is meaningful.
-  ws.x_good = x;
-
-  for (std::size_t i = 0; i < schedule.size(); ++i) {
-    const double gmin = schedule[i];
-    FINSER_OBS_COUNT("spice.dc.gmin_stages", 1);
-    if (newton_stage(st, ws, mna, x, anchor, gmin, options)) {
-      prev_gmin = gmin;
-      any_converged = true;
-      ws.x_good = x;
-      continue;
-    }
-
-    if (extensions >= options.max_gmin_extensions) {
-      FINSER_OBS_COUNT("spice.dc.failures", 1);
-      throw util::NumericalError(
-          "solve_dc: Newton failed to converge at gmin = " +
-          std::to_string(gmin) + " after " + std::to_string(extensions) +
-          " schedule extension(s)");
-    }
-
-    // Restore the last converged iterate: the failed stage may have walked x
-    // somewhere useless.
-    x = ws.x_good;
-    double inserted;
-    if (any_converged) {
-      inserted = std::sqrt(prev_gmin * gmin);
-      FINSER_REQUIRE(inserted > gmin && inserted < prev_gmin,
-                     "solve_dc: gmin schedule is not strictly decreasing");
-    } else {
-      // The very first stage failed: retry from a much stiffer shunt.
-      inserted = std::min(gmin * 100.0, 1.0);
-    }
-    ++extensions;
-    FINSER_OBS_COUNT("spice.dc.gmin_extensions", 1);
-    schedule.insert(schedule.begin() + static_cast<std::ptrdiff_t>(i), inserted);
-    --i;  // Re-enter the loop at the inserted stage.
-  }
-  return x;
-}
 
 // ---------------------------------------------------------------------------
 // Transient set-up shared by both transient loops
@@ -379,13 +78,13 @@ inline double clamp_breaks_and_arm(std::vector<double>& breaks, double t_end) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-batched transient: the compiled transient loop (see batch.hpp)
+// The compiled LU kernel (DC at W = 1, transients at every W)
 // ---------------------------------------------------------------------------
 
 /// Per-lane LU failure classification of one batched solve. Each value maps
 /// to the util::NumericalError Mna::factor_and_solve() would have thrown for
-/// that lane; the batched Newton turns any of them into a per-lane
-/// convergence failure, as the reference Newton step does with the throw.
+/// that lane; both compiled Newton loops turn any of them into a convergence
+/// failure, as the reference Newton loops do with the throw.
 enum class LaneLu : std::uint8_t {
   kOk = 0,
   kNonFiniteRhs,
@@ -393,8 +92,8 @@ enum class LaneLu : std::uint8_t {
   kNonFiniteSolution,
 };
 
-/// Lane-blocked LU on the AoSoA fused arrays: Mna::factor_and_solve /
-/// fused_lu_solve_sized() arithmetic per lane — same pivot scan order and
+/// Lane-blocked LU on the AoSoA fused arrays: Mna::factor_and_solve
+/// arithmetic per lane — same pivot scan order and
 /// tie-breaks, same factor==0 skip semantics (as selects), same counters and
 /// per-lane pivot-cache bookkeeping — with one structural change: pivot rows
 /// are swapped *physically* per lane instead of indirected through the
@@ -585,11 +284,170 @@ inline void batch_lu_solve(BatchWorkspace& bw, std::size_t n,
   }
 }
 
+// ---------------------------------------------------------------------------
+// DC operating point
+// ---------------------------------------------------------------------------
+
+/// solve_dc_impl()'s system policy over a compiled circuit: the fused DC
+/// stamp of the devirtualized plan into a one-lane system, factored by
+/// batch_lu_solve<1>. \p lu must be configured to one lane of \p cc; its
+/// pivot cache carries across solves.
+struct CompiledDcSystem {
+  CompiledCircuit& cc;
+  BatchWorkspace& lu;
+
+  std::size_t node_count() const { return cc.node_count(); }
+  std::size_t unknown_count() const { return cc.unknown_count(); }
+
+  /// Solve the linearization at ctx's iterate, with a gmin shunt from every
+  /// node toward \p anchor. Returns the solution, or nullptr when the LU
+  /// fails (singular or non-finite).
+  const double* solve(const StampContext& ctx,
+                      const std::vector<double>& anchor, double gmin) {
+    const std::size_t n = cc.unknown_count();
+    std::fill(lu.fa.begin(), lu.fa.end(), 0.0);
+    std::fill(lu.fb.begin(), lu.fb.end(), 0.0);
+    cc.stamp_fused(lu.fa.data(), lu.fb.data(), ctx);
+    if (gmin > 0.0) {
+      // Mna's accumulation order: every diagonal shunt first
+      // (Mna::add_gmin), then the rhs anchor loop.
+      for (std::size_t i = 0; i < cc.node_count() && i < n; ++i) {
+        lu.fa[i * n + i] += gmin;
+      }
+      for (std::size_t i = 0; i < cc.node_count(); ++i) {
+        lu.fb[i] += gmin * anchor[i];
+      }
+    }
+    std::array<LaneLu, 1> status;
+    batch_lu_solve<1>(lu, n, {1}, status);
+    return status[0] == LaneLu::kOk ? lu.x_new.data() : nullptr;
+  }
+};
+
+/// One damped-Newton stage at fixed gmin. Returns true on convergence;
+/// \p x is updated in place with the best iterate either way.
+///
+/// The gmin shunt pulls node voltages toward \p anchor (the caller's initial
+/// guess) rather than toward ground: for bistable circuits such as SRAM
+/// cells this keeps the continuation inside the basin the caller selected
+/// instead of collapsing onto the symmetric metastable point.
+template <class System>
+bool newton_stage(System& sys, std::vector<double>& x,
+                  const std::vector<double>& anchor, double gmin,
+                  const DcOptions& opt) {
+  const std::size_t n = sys.unknown_count();
+  StampContext ctx;
+  ctx.transient = false;
+  ctx.branch_offset = sys.node_count();
+  ctx.x = &x;
+
+  for (int iter = 0; iter < opt.max_iterations; ++iter) {
+    FINSER_OBS_COUNT("spice.dc.newton_iters", 1);
+    const double* x_new = sys.solve(ctx, anchor, gmin);
+    // A failed LU fails the stage, so the caller reports "failed to
+    // converge", not a raw LU error.
+    if (x_new == nullptr) return false;
+
+    // Damping: limit the largest voltage move per iteration.
+    double max_dv = 0.0;
+    for (std::size_t i = 0; i < sys.node_count(); ++i) {
+      max_dv = std::max(max_dv, std::abs(x_new[i] - x[i]));
+    }
+    double alpha = 1.0;
+    if (max_dv > opt.damping_vmax) alpha = opt.damping_vmax / max_dv;
+
+    double max_delta = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double step = alpha * (x_new[i] - x[i]);
+      x[i] += step;
+      max_delta = std::max(max_delta, std::abs(step));
+    }
+    if (alpha == 1.0 && max_delta < opt.v_tol) {
+      FINSER_OBS_RECORD("spice.dc.iters_per_stage", iter + 1);
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The DC Newton/gmin-continuation solve over \p sys, with its work vectors
+/// in \p ws (see DcOptions for the continuation and its retry ladder).
+template <class System>
+std::vector<double> solve_dc_impl(System& sys, SolveWorkspace& ws,
+                                  const std::vector<double>& initial_guess,
+                                  const DcOptions& options) {
+  const std::size_t n = sys.unknown_count();
+  FINSER_REQUIRE(n > 0, "solve_dc: circuit has no unknowns");
+  FINSER_REQUIRE(!options.gmin_steps.empty(), "solve_dc: empty gmin schedule");
+  FINSER_REQUIRE(initial_guess.empty() || initial_guess.size() == n,
+                 "solve_dc: initial guess size mismatch");
+
+  obs::ScopedSpan span("spice.dc.solve");
+  FINSER_OBS_COUNT("spice.dc.solves", 1);
+  std::vector<double> x = initial_guess.empty() ? std::vector<double>(n, 0.0)
+                                                : initial_guess;
+  ws.anchor = x;
+  const std::vector<double>& anchor = ws.anchor;
+
+  // gmin continuation with a bounded retry ladder: a failed stage is retried
+  // from the last converged iterate with the geometric midpoint between the
+  // previous (converged) gmin and the failed one inserted first. Halving the
+  // continuation step this way rescues solves where a single gmin decade is
+  // too aggressive a homotopy jump, without loosening any tolerance.
+  std::vector<double>& schedule = ws.gmin_schedule;
+  schedule.assign(options.gmin_steps.begin(), options.gmin_steps.end());
+  int extensions = 0;
+  double prev_gmin = 0.0;       // gmin of the last converged stage.
+  bool any_converged = false;   // Whether prev_gmin is meaningful.
+  ws.x_good = x;
+
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    const double gmin = schedule[i];
+    FINSER_OBS_COUNT("spice.dc.gmin_stages", 1);
+    if (newton_stage(sys, x, anchor, gmin, options)) {
+      prev_gmin = gmin;
+      any_converged = true;
+      ws.x_good = x;
+      continue;
+    }
+
+    if (extensions >= options.max_gmin_extensions) {
+      FINSER_OBS_COUNT("spice.dc.failures", 1);
+      throw util::NumericalError(
+          "solve_dc: Newton failed to converge at gmin = " +
+          std::to_string(gmin) + " after " + std::to_string(extensions) +
+          " schedule extension(s)");
+    }
+
+    // Restore the last converged iterate: the failed stage may have walked x
+    // somewhere useless.
+    x = ws.x_good;
+    double inserted;
+    if (any_converged) {
+      inserted = std::sqrt(prev_gmin * gmin);
+      FINSER_REQUIRE(inserted > gmin && inserted < prev_gmin,
+                     "solve_dc: gmin schedule is not strictly decreasing");
+    } else {
+      // The very first stage failed: retry from a much stiffer shunt.
+      inserted = std::min(gmin * 100.0, 1.0);
+    }
+    ++extensions;
+    FINSER_OBS_COUNT("spice.dc.gmin_extensions", 1);
+    schedule.insert(schedule.begin() + static_cast<std::ptrdiff_t>(i), inserted);
+    --i;  // Re-enter the loop at the inserted stage.
+  }
+  return x;
+}
+
+// ---------------------------------------------------------------------------
+// Lane-batched transient: the compiled transient loop (see batch.hpp)
+// ---------------------------------------------------------------------------
+
 /// The compiled transient loop: W independent transients advance through one
 /// vectorized Newton tick at a time (W = 1 is the scalar case). Per-lane step
 /// control (breakpoint clamping, accept/reject, the escalation ladder, the
-/// latch stop) runs in scalar bookkeeping that follows the reference loop in
-/// transient.cpp statement for statement. Only the per-iteration
+/// latch stop) runs in scalar bookkeeping that follows the interpreted
+/// reference loop statement for statement. Only the per-iteration
 /// stamp+solve+update is batched. Lanes that are done (at t_end or latched),
 /// failed or inactive stay in the vector as masked compute-and-discard
 /// riders until the group drains — freezing, not branching, is what keeps

@@ -2,14 +2,13 @@
 /// \file stamp_kernels.hpp
 /// \brief Shared per-device stamp arithmetic (internal to finser::spice).
 ///
-/// Both stamping paths — the polymorphic reference one (devices.cpp,
-/// Device::stamp) and the devirtualized compiled one (compiled.cpp,
-/// CompiledCircuit::stamp_all) — call these kernels, so the two produce
-/// byte-identical MNA systems *by construction*: same expressions, same
-/// evaluation order, same sequence of Mna::add calls. The lane-batched
-/// transient stamp (compiled_batch.cpp) cannot call them per lane, so it
-/// mirrors them term for term. Any change to a device's companion model
-/// belongs here and there, never in only one caller.
+/// The polymorphic devices (devices.cpp, Device::stamp) stamp through these
+/// kernels. The compiled stamps — the fused DC stamp (compiled.cpp) and the
+/// lane-batched transient stamp (compiled_batch.cpp) — write raw slots
+/// instead of calling Mna::add, so they mirror the kernels term for term;
+/// tests/test_spice_compiled.cpp pins the systems byte-identical. Any change
+/// to a device's companion model belongs here and there, never in only one
+/// place.
 
 #include <cstddef>
 

@@ -272,8 +272,7 @@ void ClusterSimulator::simulate_batch(
 }
 
 void ClusterSimulator::reset_pivot_caches() {
-  ws_.pivot.invalidate();
-  for (spice::BatchWorkspace* bw : {&bw1_, &bw_}) {
+  for (spice::BatchWorkspace* bw : {&ws_.lu, &bw1_, &bw_}) {
     for (spice::Mna::PivotCache& cache : bw->pivot) cache.invalidate();
   }
 }

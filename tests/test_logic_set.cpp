@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "finser/logic/set_chain.hpp"
 #include "finser/util/error.hpp"
+#include "spice_reference.hpp"
 
 namespace finser::logic {
 namespace {
@@ -88,6 +94,67 @@ TEST(SetChain, RejectsBadInputs) {
   SetChainSimulator sim(ChainDesign{}, 0.8);
   EXPECT_THROW(sim.inject(-1.0), util::InvalidArgument);
   EXPECT_THROW(sim.critical_charge_fc(0.0), util::InvalidArgument);
+}
+
+// inject() runs on the compiled engine; replaying each injection on the
+// chain's own netlist through the interpreted reference engine must give
+// the same output waveform bit for bit, and the outcome inject() reports
+// must be the one that waveform defines.
+TEST(SetChain, CompiledMatchesReferenceEngine) {
+  const auto node_name = [](std::size_t s) {
+    std::string name = "n";
+    name += std::to_string(s);
+    return name;
+  };
+  for (std::size_t stages : {2u, 7u}) {
+    ChainDesign d;
+    d.stages = stages;
+    SetChainSimulator sim(d, 0.8);
+    const double qc = sim.critical_charge_fc();
+    ASSERT_LT(qc, 1e29) << stages;
+    const spice::Circuit& c = sim.circuit();
+    std::vector<double> guess(c.unknown_count(), 0.0);
+    guess[c.find_node("vdd")] = sim.vdd();
+    for (std::size_t s = 0; s <= stages; ++s) {
+      guess[c.find_node(node_name(s))] = s % 2 == 0 ? sim.vdd() : 0.0;
+    }
+    const std::string out = node_name(stages);
+
+    for (double scale : {0.5, 0.9, 1.1, 2.0}) {
+      const SetOutcome got = sim.inject(scale * qc);
+      const std::vector<double> x0 = spice::solve_dc(c, guess);
+      const spice::Waveform want =
+          spice::run_transient(c, x0, sim.transient_options(), {out});
+      const spice::Waveform& have = sim.last_output();
+      ASSERT_EQ(have.sample_count(), want.sample_count())
+          << stages << " stages, " << scale << " Qcrit";
+      for (std::size_t i = 0; i < want.sample_count(); ++i) {
+        ASSERT_EQ(have.times()[i], want.times()[i]) << "sample " << i;
+        ASSERT_EQ(have.value(0, i), want.value(0, i)) << "sample " << i;
+      }
+
+      // The outcome of the reference waveform, by inject()'s definition.
+      const double vdd = sim.vdd();
+      const bool high = x0[c.find_node(out)] > 0.5 * vdd;
+      const double quiescent = high ? vdd : 0.0;
+      double peak = 0.0;
+      double t_first = -1.0;
+      double t_last = -1.0;
+      for (std::size_t i = 0; i < want.sample_count(); ++i) {
+        const double v = want.value(0, i);
+        peak = std::max(peak, std::abs(v - quiescent));
+        if (high ? v < 0.5 * vdd : v > 0.5 * vdd) {
+          if (t_first < 0.0) t_first = want.times()[i];
+          t_last = want.times()[i];
+        }
+      }
+      EXPECT_EQ(got.propagated, scale > 1.0) << stages << " stages";
+      EXPECT_EQ(got.propagated, t_first >= 0.0);
+      EXPECT_EQ(got.width_out_s,
+                got.propagated ? std::max(t_last - t_first, 0.0) : 0.0);
+      EXPECT_EQ(got.peak_excursion_v, peak);
+    }
+  }
 }
 
 TEST(LatchWindow, CaptureProbability) {

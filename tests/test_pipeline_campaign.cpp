@@ -157,6 +157,48 @@ TEST(CampaignParse, RejectsDuplicateNamesAndBadValues) {
                util::InvalidArgument);
 }
 
+// Supply voltages are the characterization's axis points: a repeated or
+// non-positive one is rejected at parse time, naming the key, before any
+// stage could characterize it. Order stays free.
+TEST(CampaignParse, RejectsDuplicateOrNonPositiveVdds) {
+  const auto rejects = [](const std::string& doc) {
+    try {
+      parse_campaign_text(doc);
+    } catch (const util::InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("`vdds`"), std::string::npos) << what;
+      EXPECT_NE(what.find("scenarios[0]"), std::string::npos) << what;
+      return;
+    }
+    ADD_FAILURE() << "accepted " << doc;
+  };
+  rejects(R"({"scenarios": [{"name": "a", "vdds": [0.8, 0.8]}]})");
+  rejects(R"({"scenarios": [{"name": "a", "vdds": [0.7, 0.9, 0.7]}]})");
+  rejects(R"({"scenarios": [{"name": "a", "vdds": [0.8, 0]}]})");
+  rejects(R"({"scenarios": [{"name": "a", "vdds": [-0.8]}]})");
+  rejects(R"({"defaults": {"vdds": [0.9, 0.9]},
+              "scenarios": [{"name": "a"}]})");
+
+  const CampaignSpec spec = parse_campaign_text(
+      R"({"scenarios": [{"name": "a", "vdds": [0.9, 0.7]}]})");
+  EXPECT_EQ(spec.scenarios[0].flow.characterization.vdds,
+            (std::vector<double>{0.9, 0.7}));
+
+  // The `run` front end lowers through single_scenario_campaign: same rule.
+  core::SerFlowConfig flow = tiny_flow();
+  flow.characterization.vdds = {0.8, 0.8};
+  try {
+    single_scenario_campaign(flow, {"alpha"}, "");
+    ADD_FAILURE() << "accepted a duplicate supply voltage";
+  } catch (const util::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("`vdds`"), std::string::npos)
+        << e.what();
+  }
+  flow.characterization.vdds = {0.0};
+  EXPECT_THROW(single_scenario_campaign(flow, {"alpha"}, ""),
+               util::InvalidArgument);
+}
+
 TEST(CampaignParse, JsonRoundTripIsExact) {
   CampaignSpec spec;
   spec.name = "round-trip";
@@ -487,14 +529,13 @@ TEST(CampaignRunner, RunStageByStageMatchesRun) {
 }
 
 /// The fingerprint names lease/done files across processes, so it must not
-/// depend on execution knobs (threads, lanes) — only on the science.
+/// depend on the execution knob (threads) — only on the science.
 TEST(CampaignFingerprint, InvariantToExecutionKnobs) {
   CampaignSpec spec = single_scenario_campaign(tiny_flow(), {"alpha"}, "");
   const std::uint64_t base = campaign_fingerprint(spec);
 
   CampaignSpec threaded = spec;
   threaded.threads = 7;
-  threaded.lanes = 4;
   EXPECT_EQ(campaign_fingerprint(threaded), base);
 
   CampaignSpec edited = spec;
@@ -521,14 +562,14 @@ std::map<std::string, std::vector<std::uint8_t>> files_under(
 /// the CSVs must be the same bytes and the stores must hold the same
 /// artifacts.
 TEST(CampaignRunner, ColdCampaignOutputsAreThreadCountInvariant) {
-  // 1 and 4 threads at the auto lane width, then lane width 1.
+  // 1 and 4 threads at the build's lane width, then lane width 1.
   constexpr int kRuns = 3;
   std::map<std::string, std::vector<std::uint8_t>> csvs[kRuns];
   std::vector<ArtifactStore::Entry> inventories[kRuns];
   const std::size_t thread_counts[kRuns] = {1, 4, 4};
   const std::size_t lane_widths[kRuns] = {0, 0, 1};
-  // CampaignRunner pins a non-zero width for the whole process; restore
-  // the auto width however the test exits.
+  // The width is process-wide; restore the build default however the test
+  // exits.
   struct AutoLaneWidth {
     ~AutoLaneWidth() { spice::set_lane_width(0); }
   } restore;
@@ -542,7 +583,7 @@ TEST(CampaignRunner, ColdCampaignOutputsAreThreadCountInvariant) {
     spec.output_dir = root + "/out";
     spec.artifact_dir = root + "/artifacts";
     spec.threads = thread_counts[run];
-    spec.lanes = lane_widths[run];
+    spice::set_lane_width(lane_widths[run]);
     ScenarioSpec a;
     a.name = "a";
     a.species = {"alpha", "proton"};

@@ -1,14 +1,15 @@
 /// \file test_spice_compiled.cpp
 /// \brief Equivalence contract of the compiled SPICE path.
 ///
-/// The compiled (devirtualized, rebindable) evaluation path — DC through the
-/// fused kernel, transients through the lane-batched engine at every width,
-/// W = 1 included — must be *byte-identical* to the polymorphic reference
-/// path: same MNA matrices, same solutions, same waveforms, same strike
-/// outcomes, on randomized device soups as well as on the real SRAM cell,
-/// including across parameter rebinds, warm solver workspaces and a
-/// kill-and-resume characterization run. These tests are the license for
-/// the compiled path to be the engine everywhere outside the tests.
+/// The compiled (devirtualized, rebindable) engine — DC through the fused
+/// stamp and the one-lane LU, transients through the lane-batched engine at
+/// every width, W = 1 included — must be *byte-identical* to the interpreted
+/// reference engine (spice_reference.hpp): same MNA matrices, same
+/// solutions, same waveforms, same strike outcomes, on randomized device
+/// soups as well as on the real SRAM cell, including across parameter
+/// rebinds, warm solver workspaces and a kill-and-resume characterization
+/// run. These tests are the license for the compiled engine to be the only
+/// engine outside the tests.
 
 #include <gtest/gtest.h>
 
@@ -41,6 +42,7 @@
 #include "finser/stats/rng.hpp"
 #include "finser/util/bytes.hpp"
 #include "finser/util/error.hpp"
+#include "spice_reference.hpp"
 
 namespace finser::spice {
 namespace {
@@ -125,12 +127,19 @@ std::vector<double> random_iterate(stats::Rng& rng, std::size_t n) {
   return x;
 }
 
-void expect_same_system(const Mna& a, const Mna& b, std::size_t n,
-                        const char* where) {
+/// The fused DC stamp of \p cc at ctx's iterate must equal \p ref — the
+/// Mna the polymorphic devices assembled there — entry for entry, with
+/// every ground contribution absorbed by the trailing scratch slots.
+void expect_fused_matches(const CompiledCircuit& cc, const Mna& ref,
+                          const StampContext& ctx, std::size_t n,
+                          const char* where) {
+  std::vector<double> a(n * n + 1, 0.0);
+  std::vector<double> b(n + 1, 0.0);
+  cc.stamp_fused(a.data(), b.data(), ctx);
   for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(a.rhs_at(i), b.rhs_at(i)) << where << ": rhs row " << i;
+    ASSERT_EQ(b[i], ref.rhs_at(i)) << where << ": rhs row " << i;
     for (std::size_t j = 0; j < n; ++j) {
-      ASSERT_EQ(a.matrix_at(i, j), b.matrix_at(i, j))
+      ASSERT_EQ(a[i * n + j], ref.matrix_at(i, j))
           << where << ": entry (" << i << ", " << j << ")";
     }
   }
@@ -144,7 +153,6 @@ TEST(SpiceCompiled, RandomSoupStampsAreByteIdentical) {
     ASSERT_EQ(cc.device_count(), c.devices().size());
     const std::size_t n = c.unknown_count();
     Mna ref(n);
-    Mna cmp(n);
 
     // DC stamp at a random iterate.
     StampContext ctx;
@@ -152,10 +160,8 @@ TEST(SpiceCompiled, RandomSoupStampsAreByteIdentical) {
     const std::vector<double> x_dc = random_iterate(rng, n);
     ctx.x = &x_dc;
     ref.clear();
-    cmp.clear();
     for (const auto& dev : c.devices()) dev->stamp(ref, ctx);
-    cc.stamp_all(cmp, ctx);
-    expect_same_system(ref, cmp, n, "dc");
+    expect_fused_matches(cc, ref, ctx, n, "dc");
 
     // Transient stamp: compiled transients stamp through the lane-batched
     // hooks, here at width 1. Fresh state from a random operating point,
@@ -206,10 +212,10 @@ TEST(SpiceCompiled, RandomSoupStampsAreByteIdentical) {
   }
 }
 
-// The fused DC stamp path (raw flat arrays + precomputed slot indices, used
-// by the compiled DC Newton kernel) must produce the same dense system as
-// the Mna-based stamp, entry for entry, with every ground contribution
-// absorbed by the trailing scratch slots.
+// The fused DC stamp (raw flat arrays + precomputed slot indices, used by
+// the compiled DC Newton) must produce the same dense system as the
+// polymorphic devices' Device::stamp(), entry for entry, with every ground
+// contribution absorbed by the trailing scratch slots.
 TEST(SpiceCompiled, FusedStampMatchesMnaOnSoups) {
   stats::Rng rng(19830426);
   for (int trial = 0; trial < 40; ++trial) {
@@ -217,30 +223,15 @@ TEST(SpiceCompiled, FusedStampMatchesMnaOnSoups) {
     CompiledCircuit cc(c);
     const std::size_t n = c.unknown_count();
     Mna ref(n);
-    SolveWorkspace ws;
-    ws.fused_for(n);
 
     StampContext ctx;
     ctx.branch_offset = c.node_count();
     std::vector<double> x = random_iterate(rng, n);
     ctx.x = &x;
 
-    const auto check = [&](const char* where) {
-      ref.clear();
-      cc.stamp_all(ref, ctx);
-      std::fill(ws.fa.begin(), ws.fa.end(), 0.0);
-      std::fill(ws.fb.begin(), ws.fb.end(), 0.0);
-      cc.stamp_fused(ws.fa.data(), ws.fb.data(), ctx);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(ws.fb[i], ref.rhs_at(i)) << where << ": rhs row " << i;
-        for (std::size_t j = 0; j < n; ++j) {
-          ASSERT_EQ(ws.fa[i * n + j], ref.matrix_at(i, j))
-              << where << ": entry (" << i << ", " << j << ")";
-        }
-      }
-    };
-
-    check("dc");
+    ref.clear();
+    for (const auto& dev : c.devices()) dev->stamp(ref, ctx);
+    expect_fused_matches(cc, ref, ctx, n, "dc");
   }
 }
 

@@ -8,6 +8,7 @@
 #include "finser/spice/devices.hpp"
 #include "finser/spice/transient.hpp"
 #include "finser/util/error.hpp"
+#include "spice_reference.hpp"
 
 namespace finser::spice {
 namespace {

@@ -13,6 +13,7 @@
 #include "finser/sram/cell.hpp"
 #include "finser/stats/rng.hpp"
 #include "finser/util/error.hpp"
+#include "spice_reference.hpp"
 
 namespace finser::sram {
 namespace {

@@ -117,10 +117,6 @@ void print_help() {
       "                 multi-cell tile with one joint circuit simulation;\n"
       "                 sets FINSER_CLUSTER so shard workers inherit it;\n"
       "                 docs/charge_sharing.md)\n"
-      "  --lanes N      SPICE lane width: how many transients the compiled\n"
-      "                 engine advances per step: 0 = auto (FINSER_LANES,\n"
-      "                 else the widest compiled vector unit), 1, 4 or 8;\n"
-      "                 never changes the results (docs/spice.md)\n"
       "  --metrics-out PATH  enable metric collection and write a versioned\n"
       "                 JSON RunReport there at exit (docs/observability.md);\n"
       "                 FINSER_METRICS=<path> is an equivalent default\n"
@@ -135,7 +131,7 @@ void print_help() {
       "  --stage-timeout-s SEC  per-stage wall-clock watchdog: a stage over\n"
       "                 budget is killed and retried (default 0 = off)\n"
       "  --heartbeat-timeout-s SEC  silence before a worker is presumed dead\n"
-      "                 and its stage reassigned (default 30)\n"
+      "                 and its stage reassigned (default 30; 0 = off)\n"
       "  --artifact-dir DIR  for `serve`: override the campaign file's\n"
       "                 artifact_dir; for `artifacts ls`: default directory\n"
       "                 when no positional one is given\n"
@@ -337,14 +333,11 @@ int cmd_worker(const std::string& campaign_path, std::size_t cli_threads,
 }
 
 int cmd_campaign(const std::string& campaign_path, std::size_t cli_threads,
-                 bool cli_lanes, const std::string& metrics_out,
-                 const std::string& trace_out, bool print_config,
-                 const ShardCliOptions& shard_opts,
+                 const std::string& metrics_out, const std::string& trace_out,
+                 bool print_config, const ShardCliOptions& shard_opts,
                  const exec::CancelToken& cancel) {
   pipeline::CampaignSpec spec = pipeline::parse_campaign_file(campaign_path);
   if (cli_threads > 0) spec.threads = cli_threads;
-  // --lanes wins over the campaign file's `lanes` key (both over auto).
-  if (cli_lanes) spec.lanes = spice::lane_width();
 
   if (print_config) {
     std::printf("%s\n", pipeline::campaign_to_json(spec).dump(2).c_str());
@@ -363,7 +356,6 @@ int cmd_campaign(const std::string& campaign_path, std::size_t cli_threads,
     scfg.stage_timeout_s = shard_opts.stage_timeout_s;
     scfg.heartbeat_timeout_s = shard_opts.heartbeat_timeout_s;
     scfg.campaign_path = campaign_path;
-    scfg.lanes = cli_lanes ? spice::lane_width() : 0;
     const shard::ShardResult result =
         shard::run_sharded_campaign(spec, scfg, &cancel, progress);
 
@@ -443,12 +435,10 @@ class FdInBuf final : public std::streambuf {
 };
 
 int cmd_serve(const std::string& campaign_path, std::size_t cli_threads,
-              bool cli_lanes, std::size_t max_pending,
-              const std::string& artifact_dir_override,
+              std::size_t max_pending, const std::string& artifact_dir_override,
               const exec::CancelToken& cancel) {
   pipeline::CampaignSpec spec = pipeline::parse_campaign_file(campaign_path);
   if (cli_threads > 0) spec.threads = cli_threads;
-  if (cli_lanes) spec.lanes = spice::lane_width();
   if (!artifact_dir_override.empty()) spec.artifact_dir = artifact_dir_override;
   spec.output_dir.clear();  // serve answers queries; it never emits CSV files
 
@@ -548,7 +538,6 @@ int main(int argc, char** argv) {
     // Extract the global flags, keep the rest positional.
     std::vector<std::string> args;
     std::size_t threads = 0;
-    bool lanes_given = false;
     // FINSER_METRICS turns collection on; a path-like value (anything but
     // "0"/"1") doubles as the default --metrics-out destination.
     std::string metrics_out = finser::obs::configure_from_env();
@@ -564,6 +553,11 @@ int main(int argc, char** argv) {
       const long v = std::strtol(env, &end, 10);
       if (end != env && *end == '\0' && v >= 0) {
         shard_opts.workers = static_cast<std::size_t>(v);
+      } else {
+        std::fprintf(stderr,
+                     "finser: ignoring invalid FINSER_WORKERS=\"%s\" (want a "
+                     "non-negative integer; 0 = in-process)\n",
+                     env);
       }
     }
     for (int i = 1; i < argc; ++i) {
@@ -572,7 +566,7 @@ int main(int argc, char** argv) {
         print_config = true;
         continue;
       }
-      if (a == "--threads" || a == "--lanes" || a == "--metrics-out" ||
+      if (a == "--threads" || a == "--metrics-out" ||
           a == "--trace-out" || a == "--workers" || a == "--max-retries" ||
           a == "--stage-timeout-s" || a == "--heartbeat-timeout-s" ||
           a == "--worker-id" || a == "--lease-dir" || a == "--artifact-dir" ||
@@ -676,30 +670,16 @@ int main(int argc, char** argv) {
           }
           continue;
         }
-        if (a == "--threads") {
-          const long v = std::strtol(raw, &end, 10);
-          if (end == raw || *end != '\0' || v <= 0) {
-            std::fprintf(stderr,
-                         "error: --threads expects a positive integer, got "
-                         "\"%s\"\n",
-                         raw);
-            return 2;
-          }
-          threads = static_cast<std::size_t>(v);
-        } else {
-          const long v = std::strtol(raw, &end, 10);
-          if (end == raw || *end != '\0' || v < 0 ||
-              !spice::lane_width_valid(static_cast<std::size_t>(v))) {
-            std::fprintf(stderr,
-                         "error: --lanes expects 0 (auto), 1, 4 or 8, got "
-                         "\"%s\"\n",
-                         raw);
-            return 2;
-          }
-          // Applies process-wide immediately: every engine below sees it.
-          spice::set_lane_width(static_cast<std::size_t>(v));
-          lanes_given = true;
+        // --threads
+        const long v = std::strtol(raw, &end, 10);
+        if (end == raw || *end != '\0' || v <= 0) {
+          std::fprintf(stderr,
+                       "error: --threads expects a positive integer, got "
+                       "\"%s\"\n",
+                       raw);
+          return 2;
         }
+        threads = static_cast<std::size_t>(v);
       } else if (a.rfind("--", 0) == 0 && a != "--help") {
         // An unknown option must not be mistaken for a positional argument
         // (a config or campaign path) or silently ignored.
@@ -728,16 +708,16 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: campaign needs a JSON file argument\n");
         return 2;
       }
-      return cmd_campaign(args[1], threads, lanes_given, metrics_out,
-                          trace_out, print_config, shard_opts, cancel);
+      return cmd_campaign(args[1], threads, metrics_out, trace_out,
+                          print_config, shard_opts, cancel);
     }
     if (cmd == "serve") {
       if (args.size() < 2) {
         std::fprintf(stderr, "error: serve needs a campaign JSON argument\n");
         return 2;
       }
-      return cmd_serve(args[1], threads, lanes_given, max_pending,
-                       shard_opts.artifact_dir, cancel);
+      return cmd_serve(args[1], threads, max_pending, shard_opts.artifact_dir,
+                       cancel);
     }
     if (cmd == "artifacts") {
       return cmd_artifacts(args, shard_opts.artifact_dir);
