@@ -4,12 +4,14 @@
 /// built to excite it — a near-grazing alpha beam, the standard tilted-beam
 /// technique for probing MBU sensitivity. The independent per-cell model
 /// (cluster 1x1) prices every touched cell from the POF LUT alone; the
-/// correlated 2x2 model re-prices every multi-cell tile with one joint
-/// multi-cell circuit simulation including inter-cell charge sharing, so it
-/// must report *more* n >= 2 upset-multiplicity mass than the independent
-/// factorization on this fixture. The JSON artifact records both the
-/// wall-clock overhead and that witness.
-/// Micro-benchmark: one joint 2x2 simulation vs one single-cell strike.
+/// correlated 2x2 model re-prices every multi-cell tile by adding
+/// inter-cell charge sharing to each struck cell and simulating each on the
+/// cell netlist, so it must report *more* n >= 2 upset-multiplicity mass
+/// than the independent factorization on this fixture. The JSON artifact
+/// records both the wall-clock overhead and that witness (`joint_sims`
+/// counts tile samples, `sram.cluster.sims`).
+/// Micro-benchmark: one 2x2 tile strike into two cells vs one single-cell
+/// strike.
 
 #include <chrono>
 #include <cmath>
@@ -126,7 +128,8 @@ void report() {
                                          : "NO EXCESS — check fixture");
 }
 
-void bm_joint_2x2_sim(benchmark::State& state) {
+/// Two struck cells of a 2x2 tile: two single-cell transients.
+void bm_tile_2x2_two_cells(benchmark::State& state) {
   const sram::CellDesign design;
   sram::ClusterSimulator sim(design, 0.8, 2, 2);
   std::vector<sram::ClusterSimulator::CellStrike> strikes(2);
@@ -140,7 +143,7 @@ void bm_joint_2x2_sim(benchmark::State& state) {
         sim.simulate(strikes, dvts, spice::PulseShape::Kind::kRectangular));
   }
 }
-BENCHMARK(bm_joint_2x2_sim);
+BENCHMARK(bm_tile_2x2_two_cells);
 
 void bm_single_cell_sim(benchmark::State& state) {
   const sram::CellDesign design;

@@ -72,8 +72,8 @@ int main() {
   std::printf("\n-- charge-collection model (88° grazing beam, 1 MeV) --\n");
   {
     // The independent model (cluster 1x1) multiplies per-cell POFs; the
-    // correlated 2x2 model re-prices every multi-cell tile with one joint
-    // circuit simulation including inter-cell charge sharing
+    // correlated 2x2 model re-prices every multi-cell tile by simulating
+    // each struck cell with inter-cell charge sharing
     // (docs/charge_sharing.md). The grazing beam maximizes same-tile
     // multi-cell deposits, so the two multiplicity distributions separate.
     std::array<std::array<double, core::kMaxMultiplicity>, 2> dist{};

@@ -87,9 +87,9 @@ struct ArrayMcConfig {
   /// Correlated multi-node charge collection (docs/charge_sharing.md). The
   /// default mode (1x1) keeps the independent per-cell path byte-for-byte;
   /// 2x2/1x4 group touched cells into tiles and price each multi-cell tile
-  /// with one joint multi-cell circuit simulation.
+  /// by simulating its struck cells with inter-cell charge sharing.
   sram::ClusterConfig cluster;
-  /// Cell design behind the cluster netlists; required when
+  /// Cell design the cluster tiles are simulated with; required when
   /// cluster.enabled() (the soft-error model does not retain the design it
   /// was characterized from). Must outlive the engine.
   const sram::CellDesign* cluster_design = nullptr;

@@ -82,7 +82,7 @@ struct SerFlowConfig {
   /// Optional cache for the memoized cluster POF surface (non-owning; the
   /// same never-throw contract as bin_cache, "cluster_surface" artifact
   /// kind). Keyed by the surface fingerprint; entries are pure functions of
-  /// their keys, so a preloaded surface only *skips* joint simulations — it
+  /// their keys, so a preloaded surface only *skips* tile simulations — it
   /// can never change a result. Unused when array_mc.cluster is 1x1.
   BinCache* cluster_cache = nullptr;
 
@@ -155,7 +155,7 @@ class SerFlow {
 
  private:
   /// The flow-owned cluster surface (nullptr when array_mc.cluster is 1x1),
-  /// shared by every engine the flow builds so memoized joint simulations
+  /// shared by every engine the flow builds so memoized tile simulations
   /// amortize across energy bins and scenarios.
   sram::ClusterPofSurface* ensure_cluster_surface();
 

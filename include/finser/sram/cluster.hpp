@@ -11,14 +11,12 @@
 ///
 /// This layer adds the correlated alternative behind a `cluster` mode:
 ///
-///  * ClusterSimulator — N coupled 6T cells lowered once into one
-///    spice::CompiledCircuit: shared supply and wordline rails, shared
-///    per-column bitlines (the electrical coupling path through the off
-///    pass gates), per-cell storage nodes, threshold-shift rebind slots and
-///    strike-current sources. Transients run on the lane-batched engine: a
-///    single evaluation as a one-lane group, process-variation samples in
-///    groups of the lane width, so every outcome is the same at any lane
-///    width.
+///  * ClusterSimulator — the struck cells of one tile, each simulated on
+///    one retention StrikeSimulator with its own charge triple and
+///    threshold shifts. The cells of a physical tile share only ideal
+///    rails, so they are electrically independent; the lane-batched engine
+///    runs process-variation samples, and every outcome is the same at any
+///    lane width.
 ///
 ///  * ClusterPofSurface — the cluster-level analogue of the per-cell POF
 ///    LUT: a memoized map from the *quantized joint charge vector* of a
@@ -37,7 +35,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -106,13 +103,15 @@ inline std::uint8_t cluster_local_index(std::uint32_t row, std::uint32_t col,
       col % static_cast<std::uint32_t>(tile_cols));
 }
 
-/// Multi-cell strike simulator: tile_rows × tile_cols 6T cells in one
-/// netlist at a fixed supply voltage (retention). Every cell is built in
-/// the canonical Q=1/QB=0 frame (strike_index already folded the stored bit
-/// into the I1/I2/I3 triple), cells of one tile column share their
-/// bitlines, and all cells share the supply and (low) wordline rails. The
-/// netlist is lowered once into a spice::CompiledCircuit; each evaluation
-/// is a parameter rebind, never a rebuild.
+/// Multi-cell strike simulator: tile bookkeeping over one retention
+/// StrikeSimulator at a fixed supply voltage. Every node the cells of a tile
+/// share — supply, wordline, each column's bitlines — is an ideal source,
+/// so a tile is N electrically independent cells: a simultaneous strike is
+/// each struck cell's own strike, run on the design's single-cell netlist
+/// with that cell's charge triple and threshold shifts. Every cell is in the
+/// canonical Q=1/QB=0 frame (strike_index already folded the stored bit
+/// into the I1/I2/I3 triple). Correlation between cells enters only through
+/// ClusterPofSurface's charge sharing, before simulation.
 class ClusterSimulator {
  public:
   ClusterSimulator(const CellDesign& design, double vdd_v,
@@ -127,8 +126,8 @@ class ClusterSimulator {
     StrikeCharges charges;
   };
 
-  /// Result of one joint transient. `flipped[i]` covers every tile cell
-  /// (unstruck cells keep zero injection and cannot flip).
+  /// Result of one tile strike. `flipped[i]` covers every tile cell
+  /// (unstruck cells carry no injection and are never flipped).
   struct Outcome {
     std::vector<std::uint8_t> flipped;
     std::size_t flip_count = 0;
@@ -136,72 +135,39 @@ class ClusterSimulator {
     std::string error;
   };
 
-  /// Simulate one simultaneous strike into the tile. \p dvts carries one
-  /// DeltaVt per tile cell (flat local order). Runs one transient as a
-  /// one-lane group on a workspace of its own; throws util::NumericalError
-  /// if the solve fails.
+  /// Simulate one simultaneous strike into the tile: each struck cell's
+  /// triple with its own entry of \p dvts, which carries one DeltaVt per
+  /// tile cell (flat local order). Throws util::NumericalError if a cell's
+  /// solve fails.
   Outcome simulate(const std::vector<CellStrike>& strikes,
                    const std::vector<DeltaVt>& dvts,
                    spice::PulseShape::Kind kind);
 
-  /// Lane-batched simulate() over process-variation samples: sample s runs
-  /// with \p dvt_samples[s], all sharing \p strikes. Samples are packed
-  /// into SIMD lanes in index order; each lane's outcome is byte-identical
-  /// to a simulate() with the same inputs, so results do not depend on the
-  /// configured lane width.
+  /// simulate() over process-variation samples: sample s runs with
+  /// \p dvt_samples[s], all sharing \p strikes. Every (sample, struck cell)
+  /// pair is one lane of StrikeSimulator::simulate_batch, so each sample's
+  /// outcome is byte-identical to a simulate() with the same inputs at any
+  /// lane width. A sample fails, with its first failing cell's error, when
+  /// any of its cells does.
   void simulate_batch(const std::vector<CellStrike>& strikes,
                       const std::vector<std::vector<DeltaVt>>& dvt_samples,
                       spice::PulseShape::Kind kind, std::vector<Outcome>& out);
 
-  /// Forget the pivot orders cached by earlier simulations. They never
-  /// change a result bit, only whether a factorization counts as
-  /// `spice.mna.pivot_reuse` or `spice.mna.pivot_refactor`; after a reset
-  /// those counters depend on the next simulation alone, not on what this
-  /// simulator ran before.
-  void reset_pivot_caches();
-
-  std::size_t tile_rows() const { return tile_rows_; }
-  std::size_t tile_cols() const { return tile_cols_; }
-  std::size_t cell_count() const { return tile_rows_ * tile_cols_; }
-  double vdd() const { return vdd_v_; }
+  std::size_t cell_count() const { return cells_; }
 
  private:
-  void bind(const std::vector<CellStrike>& strikes,
-            const std::vector<DeltaVt>& dvts, spice::PulseShape::Kind kind);
-  std::vector<double> hold_guess() const;
-  Outcome finish_wave(const spice::Waveform& wave) const;
-
-  CellDesign design_;
-  double vdd_v_;
-  std::size_t tile_rows_;
-  std::size_t tile_cols_;
-  double tau_s_;
-
-  spice::Circuit circuit_;
-  std::vector<std::size_t> n_q_, n_qb_;       ///< Per cell.
-  std::vector<std::size_t> n_bl_, n_blb_;     ///< Per tile column.
-  std::size_t n_vdd_ = 0, n_wl_ = 0;
-  std::vector<std::array<spice::Mosfet*, kRoleCount>> fets_;  ///< Per cell.
-  std::vector<std::array<spice::PulseISource*, 3>> srcs_;     ///< Per cell.
-  std::vector<std::string> probes_;  ///< q0, qb0, q1, qb1, ...
-  spice::TransientOptions topt_;
-
-  std::optional<spice::CompiledCircuit> compiled_;
-  spice::SolveWorkspace ws_;   ///< DC hold solves.
-  spice::BatchWorkspace bw1_;  ///< simulate()'s one-lane transients.
-  spice::BatchWorkspace bw_;   ///< simulate_batch()'s lane groups.
+  std::size_t cells_;
+  StrikeSimulator sim_;
 };
 
 /// Memoized cluster-level POF surface: quantized joint charge vector →
 /// flip-count distribution. Thread-safe, with misses simulated
-/// concurrently: the mutex guards only the memo, the keys in flight and a
-/// per-supply-voltage pool of idle ClusterSimulators. A miss marks its key
-/// in flight, checks out an idle simulator (building one when none is idle)
-/// and runs the joint simulation unlocked; a query for a key in flight
-/// waits for it and reads the entry as a hit, so each key is simulated
-/// exactly once at any thread count. Every entry is a pure function of its
-/// key (PV seeds derive from the key hash, and pooled simulators drop their
-/// pivot caches before each evaluation), so the memo is schedule-invariant.
+/// concurrently: the mutex guards only the memo and the keys in flight. A
+/// miss marks its key in flight and runs its simulations unlocked on a
+/// ClusterSimulator of its own; a query for a key in flight waits for it
+/// and reads the entry as a hit, so each key is simulated exactly once at
+/// any thread count. Every entry is a pure function of its key (PV seeds
+/// derive from the key hash), so the memo is schedule-invariant.
 class ClusterPofSurface {
  public:
   ClusterPofSurface(const CellDesign& design, const ClusterConfig& config);
@@ -235,29 +201,27 @@ class ClusterPofSurface {
   /// memoized (key, distribution) entries. decode_merge() inserts entries
   /// that are not already present (values are pure functions of keys, so
   /// any subset from any worker is a valid cache) and returns the number
-  /// of entries absorbed; it throws util::Error on a malformed payload.
+  /// of entries absorbed. It merges nothing and throws util::Error unless
+  /// the whole payload is well-formed: every key a query of this tile could
+  /// make (3 + 4·n words, 1 <= n <= tile cells, a 0/1 PV flag, ascending
+  /// in-tile local indices) with n + 1 probabilities in [0, 1].
   std::vector<std::uint8_t> encode() const;
   std::size_t decode_merge(const std::vector<std::uint8_t>& blob);
 
  private:
   using Key = std::vector<std::int64_t>;
-  using SimPtr = std::unique_ptr<ClusterSimulator>;
-  std::vector<double> evaluate(const Key& key, ClusterSimulator& sim,
-                               bool with_pv,
+  std::vector<double> evaluate(const Key& key, double vdd_v, bool with_pv,
                                const std::vector<CellCharge>& cells) const;
-  /// Return \p sim to the pool, take \p key out of flight (inserting
-  /// \p dist unless null) and wake the queries waiting on it.
-  void finish_miss(const Key& key, SimPtr sim, std::vector<double>* dist);
+  /// Take \p key out of flight (inserting \p dist unless null) and wake
+  /// the queries waiting on it.
+  void finish_miss(const Key& key, std::vector<double>* dist);
 
   CellDesign design_;
   ClusterConfig config_;
-  mutable std::mutex mu_;  ///< Guards memo_, in_flight_ and idle_.
+  mutable std::mutex mu_;  ///< Guards memo_ and in_flight_.
   std::condition_variable landed_;  ///< A key left in_flight_.
   std::map<Key, std::vector<double>> memo_;
   std::set<Key> in_flight_;  ///< Keys being simulated right now.
-  /// Idle simulators by supply voltage [µV]; a miss checks one out for the
-  /// length of its evaluation.
-  std::map<std::int64_t, std::vector<SimPtr>> idle_;
 };
 
 }  // namespace finser::sram

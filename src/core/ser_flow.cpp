@@ -189,7 +189,7 @@ EnergySweepResult SerFlow::sweep(const env::Spectrum& spectrum,
   if (neutron_cfg.threads == 0) neutron_cfg.threads = inner;
 
   // Correlated charge-collection mode (charged species only): every bin's
-  // engine shares the flow's cluster surface, so memoized joint simulations
+  // engine shares the flow's cluster surface, so memoized tile simulations
   // amortize across bins — and, through the optional cluster cache, across
   // runs and workers. Preloading entries only skips simulations (values are
   // pure functions of keys); it can never change a result.

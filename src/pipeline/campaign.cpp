@@ -282,6 +282,14 @@ sram::ClusterMode cluster_mode_from_name(const std::string& name,
   bad(message);
 }
 
+/// A number as the campaign document would print it; non-finite values
+/// (which only the INI path can carry) as nan / inf / -inf.
+std::string number_text(double v) {
+  if (std::isnan(v)) return "nan";
+  if (std::isinf(v)) return v > 0.0 ? "inf" : "-inf";
+  return util::JsonValue(v).dump();
+}
+
 /// Supply voltages are characterization axis points: each must be a
 /// positive finite voltage, and none may repeat (the response surface needs
 /// a strictly increasing axis). Order is free — the model sorts them.
@@ -290,7 +298,7 @@ void check_vdds(const std::vector<double>& vdds, const std::string& where) {
   for (const double v : vdds) {
     if (!(std::isfinite(v) && v > 0.0)) {
       bad("`vdds` at " + where + " must hold positive voltages, got " +
-          util::JsonValue(v).dump());
+          number_text(v));
     }
   }
   std::vector<double> sorted = vdds;
@@ -298,8 +306,25 @@ void check_vdds(const std::vector<double>& vdds, const std::string& where) {
   const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
   if (dup != sorted.end()) {
     bad("`vdds` at " + where + " lists the supply voltage " +
-        util::JsonValue(*dup).dump() + " twice");
+        number_text(*dup) + " twice");
   }
+}
+
+/// The other cell and stopping-rule values every stage assumes: σVt finite
+/// and >= 0 (0 = no variation), the storage-node capacitance finite and
+/// > 0, and the CI target finite and >= 0 (0 disables adaptive stopping).
+/// Checked at parse time, with the voltages, so a bad value exits before
+/// any stage runs.
+void check_cell_numbers(const core::SerFlowConfig& f,
+                        const std::string& where) {
+  const auto require = [&](double v, bool positive, const std::string& key) {
+    if (std::isfinite(v) && (positive ? v > 0.0 : v >= 0.0)) return;
+    bad("`" + key + "` at " + where + " must be finite and " +
+        (positive ? "> 0" : ">= 0") + ", got " + number_text(v));
+  };
+  require(f.cell_design.sigma_vt, false, "sigma_vt");
+  require(f.cell_design.cnode_f, true, "cnode_f");
+  require(f.array_mc.ci.target, false, "sampling.ci_target");
 }
 
 void check_species_name(const std::string& name, const std::string& where) {
@@ -424,9 +449,6 @@ ScenarioSpec parse_scenario(const util::JsonValue& obj,
                       swhere);
     const double ci_target =
         get_num(skey("ci_target"), f.array_mc.ci.target, swhere, "ci_target");
-    if (ci_target < 0.0) {
-      bad("`ci_target` at " + swhere + " must be >= 0 (0 disables stopping)");
-    }
     const std::size_t ci_min_chunks = get_size(
         skey("ci_min_chunks"), f.array_mc.ci.min_chunks, swhere,
         "ci_min_chunks");
@@ -473,6 +495,8 @@ ScenarioSpec parse_scenario(const util::JsonValue& obj,
       bad("`quantum_fc` at " + cwhere + " must be positive");
     }
   }
+
+  check_cell_numbers(f, where);
 
   s.species = get_str_list(key("species"), {"alpha", "proton"}, where,
                            "species");
@@ -531,8 +555,24 @@ CampaignSpec parse_campaign(const util::JsonValue& doc) {
   return spec;
 }
 
+namespace {
+
+/// The campaign document of \p text; a JSON syntax error (a truncated
+/// document, a number out of range, ...) is an invalid configuration naming
+/// \p source.
+util::JsonValue parse_document(const std::string& text,
+                               const std::string& source) {
+  try {
+    return util::JsonValue::parse(text);
+  } catch (const util::Error& e) {
+    bad(source + ": " + e.what());
+  }
+}
+
+}  // namespace
+
 CampaignSpec parse_campaign_text(const std::string& text) {
-  return parse_campaign(util::JsonValue::parse(text));
+  return parse_campaign(parse_document(text, "document"));
 }
 
 CampaignSpec parse_campaign_file(const std::string& path) {
@@ -541,8 +581,9 @@ CampaignSpec parse_campaign_file(const std::string& path) {
   if (!util::read_file(path, raw, &error)) {
     throw util::Error("cannot read campaign file: " + error);
   }
-  return parse_campaign_text(
-      std::string(reinterpret_cast<const char*>(raw.data()), raw.size()));
+  return parse_campaign(parse_document(
+      std::string(reinterpret_cast<const char*>(raw.data()), raw.size()),
+      path));
 }
 
 util::JsonValue campaign_to_json(const CampaignSpec& spec) {
@@ -612,6 +653,7 @@ CampaignSpec single_scenario_campaign(const core::SerFlowConfig& flow,
                                       std::string name) {
   for (const std::string& s : species) check_species_name(s, "species list");
   check_vdds(flow.characterization.vdds, "scenarios[0]");
+  check_cell_numbers(flow, "scenarios[0]");
   CampaignSpec spec;
   spec.name = name;
   spec.output_dir = std::move(output_dir);
@@ -906,7 +948,7 @@ struct CampaignRunner::Exec {
   std::optional<ArtifactBinCache> bin_cache;
   // Memoized cluster-surface entries ("cluster_surface" artifact kind):
   // re-runs and sibling scenarios with the same surface fingerprint skip the
-  // joint multi-cell simulations already priced.
+  // tile simulations already priced.
   std::optional<ArtifactBinCache> cluster_cache;
   std::optional<ArtifactBinCache> model_cache;  // "cell_model" artifacts
   std::optional<ArtifactBinCache> table_cache;  // "pof_table" artifacts

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <numbers>
 
 #include "finser/core/ser_flow.hpp"
 #include "finser/pipeline/artifact_store.hpp"
 #include "finser/pipeline/campaign.hpp"
+#include "finser/util/bytes.hpp"
 #include "finser/util/error.hpp"
 
 namespace finser::core {
@@ -111,6 +114,72 @@ TEST(SerFlow, SweepUsesSpeciesSpecificBinning) {
   SerFlow flow(cfg);
   EXPECT_EQ(flow.sweep(env::sea_level_protons()).bins.size(), 4u);
   EXPECT_EQ(flow.sweep(env::package_alphas()).bins.size(), 2u);
+}
+
+/// A cluster_surface artifact that passes the store's CRC but carries an
+/// entry no query could produce — a 2-cell key holding the 1-bin
+/// distribution [1.0] — is rejected whole: the warm sweep recomputes every
+/// key and equals the cold one byte for byte.
+TEST(SerFlow, MalformedClusterSurfaceArtifactIsRecomputed) {
+  const auto dir =
+      (std::filesystem::temp_directory_path() / "finser_flow_cluster_surface")
+          .string();
+  std::filesystem::remove_all(dir);
+  const pipeline::ArtifactStore store(dir);
+  pipeline::ArtifactBinCache models(store, "cell_model");
+  pipeline::ArtifactBinCache clusters(store, "cluster_surface");
+
+  // A grazing alpha beam on 2x2 tiles: tracks cross several cells.
+  SerFlowConfig cfg = tiny_config();
+  cfg.array_mc.angular = SourceAngularLaw::kBeam;
+  const double tilt = 88.0 * std::numbers::pi / 180.0;
+  cfg.array_mc.beam_direction = {std::sin(tilt), 0.05, -std::cos(tilt)};
+  cfg.array_mc.cluster.mode = sram::ClusterMode::k2x2;
+  cfg.array_mc.cluster.pv_samples = 2;
+  cfg.model_cache = &models;
+  cfg.cluster_cache = &clusters;
+  const auto sweep_bytes = [&] {
+    SerFlow flow(cfg);
+    std::vector<std::uint8_t> bytes;
+    for (const ArrayMcResult& bin : flow.sweep(env::package_alphas()).per_bin) {
+      const std::vector<std::uint8_t> b = encode_result(bin);
+      bytes.insert(bytes.end(), b.begin(), b.end());
+    }
+    return bytes;
+  };
+  const std::vector<std::uint8_t> cold = sweep_bytes();
+
+  // Rewrite the surface the cold sweep stored: the first 2-cell entry with
+  // flip mass answers [1.0] (certainly no flip). Sealed under its own key.
+  pipeline::ArtifactKey key;
+  for (const auto& entry : store.list()) {
+    if (entry.key.kind == "cluster_surface") key = entry.key;
+  }
+  ASSERT_EQ(key.kind, "cluster_surface");
+  std::vector<std::uint8_t> blob;
+  ASSERT_TRUE(store.try_get(key, blob));
+  util::ByteReader r(blob);
+  util::ByteWriter w;
+  const std::uint64_t entries = r.u64();
+  w.u64(entries);
+  bool crafted = false;
+  for (std::uint64_t e = 0; e < entries; ++e) {
+    std::vector<std::uint64_t> words(r.u64());
+    for (std::uint64_t& v : words) v = r.u64();
+    std::vector<double> dist = r.f64_vec();
+    if (!crafted && words[2] == 2 && dist[0] < 1.0) {
+      dist = {1.0};
+      crafted = true;
+    }
+    w.u64(words.size());
+    for (const std::uint64_t v : words) w.u64(v);
+    w.f64_vec(dist);
+  }
+  ASSERT_TRUE(crafted) << "no 2-cell entry with flip mass in " << entries;
+  ASSERT_TRUE(store.put(key, w.take()));
+
+  EXPECT_EQ(sweep_bytes(), cold);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(McScale, EnvParsingAndDefaults) {

@@ -1,10 +1,12 @@
 # CTest script: numeric command-line arguments and INI values are validated
 # before use. `cell <vdd>` must take a finite voltage > 0 with nothing
 # trailing, the `run` INI sizes must not wrap around through an unsigned
-# cast, supply-voltage lists must hold distinct positive voltages, and
-# unknown options and campaign keys are rejected. Every rejection exits 2
-# with a message naming the offending argument or key; `cell 0.8` still
-# exits 0. An invalid FINSER_WORKERS is diagnosed on stderr and ignored.
+# cast, supply-voltage lists must hold distinct positive voltages, σVt, the
+# node capacitance and the CI target must be finite and in range, campaign
+# files must be well-formed JSON, and unknown options and campaign keys are
+# rejected. Every rejection exits 2 with a message naming the offending
+# argument, key or file; `cell 0.8` still exits 0. An invalid
+# FINSER_WORKERS is diagnosed on stderr and ignored.
 #
 # Inputs: -DFINSER_CLI=<path to binary> -DWORK_DIR=<scratch dir>
 
@@ -77,6 +79,49 @@ set(dup "${WORK_DIR}/dup_vdds.json")
 file(WRITE "${dup}"
      "{\"scenarios\": [{\"name\": \"a\", \"vdds\": [0.8, 0.8]}]}\n")
 expect_exit(2 "vdds" campaign "${dup}" --print-config)
+
+# σVt finite and >= 0, the node capacitance finite and > 0, the CI target
+# finite and >= 0: NaN, Inf and out-of-range values exit 2 at parse time,
+# naming the key, from the INI and from a campaign file alike.
+foreach(case "cell.sigma_vt=nan:sigma_vt" "cell.sigma_vt=-0.05:sigma_vt"
+             "cell.cnode_ff=0:cnode_f" "cell.cnode_ff=nan:cnode_f"
+             "mc.ci_target=nan:mc.ci_target" "mc.ci_target=inf:mc.ci_target"
+             "cell.vdds=nan:vdds")
+  string(REPLACE ":" ";" kv "${case}")
+  list(GET kv 0 line)
+  list(GET kv 1 needle)
+  string(REPLACE "=" " = " line "${line}")
+  set(ini "${WORK_DIR}/cell_numbers.ini")
+  file(WRITE "${ini}" "${line}\n")
+  expect_exit(2 "${needle}" run "${ini}" --print-config)
+endforeach()
+foreach(case "\"sigma_vt\": -0.05:sigma_vt" "\"cnode_f\": 0:cnode_f"
+             "\"cnode_f\": -1e-15:cnode_f"
+             "\"sampling\": {\"ci_target\": -0.5}:ci_target")
+  string(FIND "${case}" ":" at REVERSE)
+  string(SUBSTRING "${case}" 0 ${at} entry)
+  math(EXPR at "${at} + 1")
+  string(SUBSTRING "${case}" ${at} -1 needle)
+  set(json "${WORK_DIR}/cell_numbers.json")
+  file(WRITE "${json}"
+       "{\"scenarios\": [{\"name\": \"a\", ${entry}}]}\n")
+  expect_exit(2 "${needle}" campaign "${json}" --print-config)
+endforeach()
+
+# A campaign file that is not JSON — truncated, or holding a number no
+# double can represent — exits 2 naming the file, for every command that
+# reads one.
+set(truncated "${WORK_DIR}/truncated.json")
+file(WRITE "${truncated}" "{\"scenarios\": [")
+set(huge "${WORK_DIR}/huge_number.json")
+file(WRITE "${huge}"
+     "{\"scenarios\": [{\"name\": \"a\", \"sigma_vt\": 1e999}]}\n")
+foreach(doc "${truncated}" "${huge}")
+  expect_exit(2 "${doc}" campaign "${doc}" --print-config)
+  expect_exit(2 "${doc}" campaign "${doc}")
+  expect_exit(2 "${doc}" serve "${doc}")
+  expect_exit(2 "${doc}" worker "${doc}" --lease-dir "${WORK_DIR}/leases")
+endforeach()
 
 # The SPICE lane width is fixed by the build: neither a --lanes option nor a
 # campaign `lanes` key exists.

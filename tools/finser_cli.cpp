@@ -113,8 +113,9 @@ void print_help() {
       "                 shard workers inherit it; docs/statistics.md)\n"
       "  --cluster MODE correlated multi-node charge collection: group cells\n"
       "                 into MODE tiles (1x1 = independent per-cell path,\n"
-      "                 byte-identical to the default; 2x2 or 1x4 price each\n"
-      "                 multi-cell tile with one joint circuit simulation;\n"
+      "                 byte-identical to the default; 2x2 or 1x4 add charge\n"
+      "                 sharing between adjacent struck cells of a tile and\n"
+      "                 simulate each struck cell with its shared charge;\n"
       "                 sets FINSER_CLUSTER so shard workers inherit it;\n"
       "                 docs/charge_sharing.md)\n"
       "  --metrics-out PATH  enable metric collection and write a versioned\n"
@@ -198,9 +199,9 @@ core::SerFlowConfig flow_config_from(const util::KeyValueConfig& cfg,
   flow.threads =
       cli_threads > 0 ? cli_threads : get_bounded(cfg, "mc.threads", 0, 0);
   const double ini_ci = cfg.get_double("mc.ci_target", 0.0);
-  if (ini_ci < 0.0) {
-    throw util::InvalidArgument("mc.ci_target must be >= 0 (0 disables "
-                                "adaptive stopping)");
+  if (!(std::isfinite(ini_ci) && ini_ci >= 0.0)) {
+    throw util::InvalidArgument("mc.ci_target must be finite and >= 0 (0 "
+                                "disables adaptive stopping)");
   }
   flow.array_mc.ci.target = ini_ci;
   flow.neutron_mc.ci.target = ini_ci;

@@ -83,7 +83,7 @@ pipeline::CampaignSpec harness_campaign(const std::string& store,
   }
   if (leg == "cluster") {
     // Cluster leg: correlated 2x2 charge collection under a near-grazing
-    // beam, so stored bins carry real joint multi-cell simulations — the
+    // beam, so stored bins carry real charge-shared tile simulations — the
     // memoized cluster surface must not perturb kill + resume byte-identity
     // (its entries are pure functions of quantized keys).
     cfg.array_mc.angular = core::SourceAngularLaw::kBeam;

@@ -244,7 +244,7 @@ int main(int argc, char** argv) {
   //     in-process and --workers 2 — the memoized cluster surface (and its
   //     cluster_surface artifacts) must not leak scheduling into the numbers.
   //     The metrics report is the engagement witness: the reference run must
-  //     actually have performed joint multi-cell simulations, otherwise this
+  //     actually have performed cluster tile simulations, otherwise this
   //     leg passes vacuously with the cluster path never taken.
   {
     const std::string cluster =
@@ -258,7 +258,7 @@ int main(int argc, char** argv) {
       return fail("in-process cluster reference run failed");
     }
     if (!file_contains(report, "sram.cluster.sims")) {
-      return fail("cluster leg: no joint multi-cell simulations ran "
+      return fail("cluster leg: no cluster tile simulations ran "
                   "(report lacks sram.cluster.sims)");
     }
 
