@@ -2,15 +2,16 @@
 /// \file thread_pool.hpp
 /// \brief Deterministic chunked thread pool + pairwise reduction.
 ///
-/// The pool is deliberately work-stealing-free: a parallel region splits
-/// `n_items` into fixed-size chunks and the workers claim chunk *indices*
-/// from a single atomic counter. Which thread executes which chunk is
-/// scheduling noise; everything an engine needs for reproducibility is keyed
-/// by the chunk index (RNG stream id, partial-result slot), so results are
-/// bit-identical for 1 and N threads. reduce_pairwise() completes the
-/// pattern: per-chunk partials land in an index-addressed vector (the round
-/// scheduler, ckpt/scheduler.hpp) and are merged by a deterministic pairwise
-/// tree, never in completion order.
+/// The pool is deliberately work-stealing-free: a parallel region hands out
+/// work *indices* from a single atomic counter — fixed-size chunks of
+/// `n_items` (parallel_for_chunks) or single tasks that each worker claims
+/// whenever it has room for one (parallel_drain). Which thread executes
+/// which index is scheduling noise; everything an engine needs for
+/// reproducibility is keyed by the index (RNG stream id, result slot), so
+/// results are bit-identical for 1 and N threads. reduce_pairwise()
+/// completes the pattern: per-chunk partials land in an index-addressed
+/// vector (the round scheduler, ckpt/scheduler.hpp) and are merged by a
+/// deterministic pairwise tree, never in completion order.
 
 #include <cstddef>
 #include <functional>
@@ -21,6 +22,30 @@
 #include "finser/util/error.hpp"
 
 namespace finser::exec {
+
+namespace detail {
+struct DrainState;  // Shared claim state of one region (thread_pool.cpp).
+}  // namespace detail
+
+/// The task source parallel_drain() hands each worker.
+class TaskCursor {
+ public:
+  /// Claim the next task index into \p task. False once every task is
+  /// claimed, the region's cancel token has fired or another worker threw:
+  /// the worker then finishes the tasks it holds and returns.
+  bool next(std::size_t& task);
+
+  /// Executing worker slot in [0, thread_count()).
+  std::size_t worker() const { return worker_; }
+
+ private:
+  friend class ThreadPool;
+  TaskCursor(detail::DrainState& state, std::size_t worker)
+      : state_(&state), worker_(worker) {}
+
+  detail::DrainState* state_;
+  std::size_t worker_;
+};
 
 /// One chunk of a parallel region.
 struct ChunkRange {
@@ -62,7 +87,28 @@ class ThreadPool {
                            const std::function<void(const ChunkRange&)>& fn,
                            const CancelToken* cancel = nullptr);
 
+  /// Run \p fn once on every worker slot and block until all return. Each
+  /// worker pulls task indices in [0, n_tasks) from one shared cursor, one
+  /// claim at a time and only when it has room for another task, so a
+  /// worker that interleaves several tasks (a lane-batched simulator) stays
+  /// full until the list runs dry. \p fn must run every task it claims to
+  /// completion. The first exception thrown by \p fn stops further claims
+  /// and is rethrown here. With \p cancel set, every claim polls it; once
+  /// it fires no task is handed out, and the tasks already claimed finish.
+  /// Returns true iff every task was claimed. `exec.items` counts
+  /// \p n_tasks and `exec.chunks` the claimed tasks, so neither depends on
+  /// the thread count.
+  bool parallel_drain(std::size_t n_tasks,
+                      const std::function<void(TaskCursor&)>& fn,
+                      const CancelToken* cancel = nullptr);
+
  private:
+  /// The region both entry points run: \p fn on every worker slot over
+  /// \p n_claims indices. Returns the number of indices claimed.
+  std::size_t run_region(std::size_t n_claims,
+                         const std::function<void(TaskCursor&)>& fn,
+                         const CancelToken* cancel);
+
   struct Impl;
   Impl* impl_;
   std::size_t workers_count_;

@@ -18,14 +18,19 @@
 /// compiled transient is a one-lane group (run_transient_single()), and the
 /// compiled DC solve factors its one-lane system with the same LU kernel.
 ///
-/// Lanes are *masked, not branched around*: a converged, finished or failed
-/// lane keeps riding the vector tick (its stamps and LU are computed and
-/// discarded) until the whole group drains. Per-lane Newton bookkeeping —
+/// Lanes are *masked, not branched around*: a lane that is between Newton
+/// iterations, finished or failed keeps riding the vector tick (its stamps
+/// and LU are computed and discarded). Per-lane Newton bookkeeping —
 /// damping, convergence, step control, the escalation ladder — stays scalar
 /// per lane and follows the reference loop statement for statement. So does
 /// the opt-in latch stop (TransientOptions::latch): each lane stops on its
-/// own step, and a latched lane rides masked until its group's slowest lane
-/// finishes.
+/// own step. run_transient_batch() runs a fixed set of at most W
+/// transients, so an ended lane rides masked until the slowest one
+/// finishes; run_transient_stream() refills a lane from a TransientFeed in
+/// the same bookkeeping pass that ends its transient, so a lane only idles
+/// once the feed has no job left for it. Both are the same loop, and since
+/// lanes never read each other, a transient's bits do not depend on its
+/// lane, its neighbours or when it started.
 ///
 /// Width: the build fixes it. `kDefaultLaneWidth` is the widest vector unit
 /// the build targets, or 1 under the FINSER_SCALAR_LANES CMake option.
@@ -139,6 +144,38 @@ BatchTransientResult run_transient_batch(
     CompiledCircuit& cc, BatchWorkspace& bw,
     const std::vector<std::vector<double>>& x0, const TransientOptions& opt,
     const std::vector<std::string>& probe_nodes = {});
+
+/// Job source of run_transient_stream(). The loop asks it for a job
+/// whenever a lane is free — once per lane at the start, then in the
+/// bookkeeping pass that ends the lane's transient — and hands every ended
+/// job back before it asks for the lane's next one.
+class TransientFeed {
+ public:
+  /// Bind the next job into lane \p lane of the run's workspace (device
+  /// setters → CompiledCircuit::rebind() → batch_rebind_lane(bw, lane)) and
+  /// return its operating point, which must stay valid until the lane's
+  /// transient ends; nullptr if the feed has no job left for the lane, which
+  /// then idles until the other lanes are done too.
+  virtual const std::vector<double>* load(std::size_t lane) = 0;
+  /// The job in \p lane ended: \p wave holds its waveform (the buffer is
+  /// reused for the lane's next job) and \p error its failure text, or
+  /// nullptr if it ran to t_end or latched.
+  virtual void finish(std::size_t lane, const Waveform& wave,
+                      const std::string* error) = 0;
+
+ protected:
+  ~TransientFeed() = default;
+};
+
+/// run_transient_batch() with refilling lanes: every lane of \p bw runs
+/// jobs from \p feed until it is drained. A lane that starts a job resets
+/// its clock, step, breakpoints, latch arming, Newton and escalation state,
+/// reactive state and waveform, and drops its pivot cache (bookkeeping
+/// only: pivots are always re-scanned), so each job's waveform and failure
+/// text are byte-identical to a run_transient_single() of its binding.
+void run_transient_stream(CompiledCircuit& cc, BatchWorkspace& bw,
+                          TransientFeed& feed, const TransientOptions& opt,
+                          const std::vector<std::string>& probe_nodes = {});
 
 /// One transient from the circuit's current binding, run as a one-lane
 /// group: \p bw is sized to width 1 on first use (a workspace of another

@@ -43,8 +43,9 @@ struct DcOptions {
 /// vectors and the one-lane system the LU kernel factors (its dense blocks,
 /// solution and pivot-order cache). One workspace per (thread, compiled
 /// circuit); reusing it across solves is what removes per-sample
-/// allocations. Handed a circuit of another size, the solve resizes it and
-/// drops the pivot cache, which is topology-specific.
+/// allocations. Handed a circuit of another size, the solve resizes it.
+/// Every solve starts with an empty pivot cache, so its counters do not
+/// depend on the solves that ran on the workspace before it.
 struct SolveWorkspace {
   BatchWorkspace lu;                  ///< One-lane system (batch.hpp).
   std::vector<double> x_good;         ///< Last converged iterate.

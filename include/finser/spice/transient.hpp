@@ -37,6 +37,10 @@ class Waveform {
 
   void append(double t, const std::vector<double>& x);
 
+  /// Drop every sample but keep the probes and the buffers' capacity, so a
+  /// reused waveform records its next run without reallocating.
+  void clear();
+
   std::size_t probe_count() const { return nodes_.size(); }
   std::size_t sample_count() const { return times_.size(); }
   const std::vector<double>& times() const { return times_; }

@@ -106,6 +106,8 @@ enum class AccessMode {
                ///< read-disturb condition — the cell's weakest moment.
 };
 
+class StrikeFeed;
+
 /// Reusable single-cell strike simulator at a fixed supply voltage.
 ///
 /// The cell circuit is lowered to a spice::CompiledCircuit once, at
@@ -113,9 +115,10 @@ enum class AccessMode {
 /// transient on persistent workspaces. The DC hold state is cached per ΔVt
 /// vector (it is independent of the strike charges, so a whole Qcrit
 /// bisection shares one DC solve). Transients run on the lane-batched
-/// engine: simulate() as a one-lane group, simulate_batch() in groups of
-/// spice::lane_width(). Results are bit-identical to the tests' interpreted
-/// reference engine replaying circuit() with transient_options().
+/// engine: simulate() as a one-lane group, simulate_stream() and
+/// simulate_batch() on spice::lane_width() lanes that refill as strikes
+/// end. Results are bit-identical to the tests' interpreted reference
+/// engine replaying circuit() with transient_options().
 ///
 /// In AccessMode::kRetention the transient options carry a latch stop on
 /// {q, qb} (spice::LatchStop): a run ends at the first step past the strike
@@ -147,17 +150,32 @@ class StrikeSimulator {
     std::string error;
   };
 
-  /// Lane-batched simulate(): run \p charges[k] with \p dvts[k] for every k
-  /// with \p active[k] != 0, advancing up to lane_width() of them in SIMD
-  /// lockstep (larger groups are split internally; inactive lanes are masked
-  /// off, and their \p out entries are left untouched). Each active lane's
-  /// outcome — flip decision, final node voltages, failure text — is
-  /// byte-identical to a simulate() call with the same inputs, at every
-  /// lane width; a failing lane is reported in \p out instead of thrown.
-  /// Lane k keeps a ΔVt-keyed DC hold cache of its own (slot
-  /// k % lane_width()), so a caller that keeps each sample in a stable lane
-  /// across repeated calls — the characterizer's charge ladders do — pays
-  /// one DC solve per sample.
+  /// One strike of a StrikeFeed.
+  struct Strike {
+    StrikeCharges charges;
+    DeltaVt delta_vt{};
+    /// The strike opens a new task of the feed: its lane drops its DC hold
+    /// cache first, so the lane's cache hits depend only on the task's own
+    /// strikes, never on which task the lane ran before.
+    bool new_task = false;
+  };
+
+  /// Lane-batched simulate() over a stream: every one of lane_width() lanes
+  /// takes strikes from \p feed and, the moment a strike's transient ends,
+  /// reports its outcome and takes the next one, until the feed is drained.
+  /// Binding a strike into a lane runs the fault hook, the parameter
+  /// rebind and the lane's ΔVt-keyed DC hold cache; a strike whose hold
+  /// solve fails is reported without taking the lane. Each outcome — flip
+  /// decision, final node voltages, failure text — is byte-identical to a
+  /// simulate() call with the same inputs, at every lane width.
+  void simulate_stream(StrikeFeed& feed, spice::PulseShape::Kind kind);
+
+  /// simulate_stream() over a list: run \p charges[k] with \p dvts[k] for
+  /// every k with \p active[k] != 0, in list order, into \p out[k] (entries
+  /// of inactive k are left untouched). A failing strike is reported in
+  /// \p out instead of thrown. The first lane_width() active entries take
+  /// lanes 0, 1, …, so a caller that repeats a short list keeps each sample
+  /// in a stable lane and its DC hold cache hits.
   void simulate_batch(
       const std::vector<StrikeCharges>& charges,
       const std::vector<DeltaVt>& dvts, spice::PulseShape::Kind kind,
@@ -185,6 +203,8 @@ class StrikeSimulator {
   double pulse_width_scale() const { return pulse_width_scale_; }
 
  private:
+  class StreamBinder;  // simulate_stream()'s spice::TransientFeed.
+
   void apply_delta_vt(const DeltaVt& delta_vt);
   void set_strike_shapes(const StrikeCharges& charges,
                          spice::PulseShape::Kind kind);
@@ -218,12 +238,30 @@ class StrikeSimulator {
   std::vector<double> hold_x_;
   spice::BatchWorkspace bw1_;
 
-  // simulate_batch() state: the AoSoA workspace (configured lazily to the
-  // current lane width) and one ΔVt-keyed DC hold cache per lane slot.
+  // simulate_stream() state: the AoSoA workspace (configured lazily to the
+  // current lane width) and one ΔVt-keyed DC hold cache per lane.
   spice::BatchWorkspace bw_;
   std::array<bool, spice::kMaxLaneWidth> hold_lane_valid_{};
   std::array<DeltaVt, spice::kMaxLaneWidth> hold_lane_dvt_{};
   std::array<std::vector<double>, spice::kMaxLaneWidth> hold_lane_x_{};
+};
+
+/// Strike source of StrikeSimulator::simulate_stream(). A feed hands out
+/// the strikes of its tasks lane by lane: a lane's next strike may depend on
+/// the outcome of its previous one (a bisection's next probe does), because
+/// the simulator reports a lane's outcome before it asks for that lane's
+/// next strike.
+class StrikeFeed {
+ public:
+  /// The next strike for free lane \p lane, or false if the feed has none
+  /// left for it (the lane then idles until the other lanes are done).
+  virtual bool next(std::size_t lane, StrikeSimulator::Strike& strike) = 0;
+  /// The outcome of the strike \p lane last took from next().
+  virtual void done(std::size_t lane,
+                    const StrikeSimulator::LaneOutcome& outcome) = 0;
+
+ protected:
+  ~StrikeFeed() = default;
 };
 
 }  // namespace finser::sram

@@ -11,17 +11,26 @@
 ///    same simulation budget).
 ///  * **Current pairs / triple** — POF grids over charge combinations. The
 ///    flip region is monotone (more charge never un-flips a cell — enforced
-///    by tests), so the nominal boundary is found with per-row binary
+///    by tests), so the nominal boundary is found with per-line binary
 ///    search, and PV Monte Carlo is spent only on grid cells within ~4σ of
 ///    that boundary; everything else is deterministically 0 or 1.
 ///
-/// Characterization cost is dominated by SPICE transients, so the expensive
-/// stages run on the exec thread pool: PV samples, boundary-search rows and
-/// near-boundary grid cells are independent work items, each drawing from
-/// its own counter-derived RNG stream (stats::Rng::stream), which keeps the
-/// model bit-identical for any thread count. A full 5-voltage model is a
-/// few tens of seconds on one core and is cached on disk as a `cell_model`
-/// artifact (core::load_or_characterize).
+/// Characterization cost is dominated by SPICE transients, so each voltage
+/// runs as three flat task lists on the exec thread pool
+/// (ThreadPool::parallel_drain): the nominal bisections with a fixed prefix
+/// of each current's PV samples; the remaining PV samples with every grid's
+/// boundary searches; and the grid Monte Carlo as short sub-chains of each
+/// near-boundary cell's sample ladder. Every lane of every worker's
+/// StrikeSimulator runs one task at a time and claims the next from the
+/// phase's shared cursor as soon as its task needs no further strike. Each
+/// task draws from its own counter-derived RNG stream (stats::Rng::stream)
+/// and writes its results by task index, so the model is bit-identical for
+/// any thread count, lane width or claim order. After the prefix, a PV
+/// bisection starts from a bracket a least-squares fit of the prefix
+/// predicts, verified before use (bisect_critical_scale with a
+/// ScaleBracket). The paper's 5-voltage, 200-sample model takes under ten
+/// seconds on one core and is cached as a `cell_model` artifact
+/// (core::load_or_characterize).
 
 #include <cstdint>
 #include <string>
@@ -29,16 +38,11 @@
 
 #include "finser/exec/cancel.hpp"
 #include "finser/exec/progress.hpp"
-#include "finser/exec/thread_pool.hpp"
 #include "finser/sram/cell.hpp"
 #include "finser/sram/pof_table.hpp"
 #include "finser/stats/rng.hpp"
 
 namespace finser::sram {
-
-namespace detail {
-struct SimSlots;  // Per-worker StrikeSimulator instances (characterize.cpp).
-}  // namespace detail
 
 /// Knobs of the characterization campaign.
 struct CharacterizerConfig {
@@ -71,10 +75,40 @@ struct CharacterizerConfig {
 
 /// Critical-charge bisection along a fixed charge direction:
 /// returns the smallest scale s such that s·\p direction flips the cell,
-/// or SingleCdf::kNeverFlips if \p s_max·direction does not flip it.
+/// or SingleCdf::kNeverFlips if \p s_max·direction does not flip it. The
+/// search probes s_max, then halves [0, s_max] at 0.5·(lo + hi) until the
+/// bracket is within \p tol and returns its upper end.
 double bisect_critical_scale(StrikeSimulator& sim, const StrikeCharges& direction,
                              const DeltaVt& delta_vt, double s_max, double tol,
                              spice::PulseShape::Kind kind);
+
+/// A predicted range [lo, hi] of a critical scale.
+struct ScaleBracket {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+/// What one bracketed bisect_critical_scale() call cost.
+struct BisectCost {
+  std::size_t transients = 0;  ///< Strike simulations it ran.
+  bool hit = false;  ///< The bracket verified; false: it fell back.
+};
+
+/// bisect_critical_scale() started from a predicted bracket. It walks the
+/// plain search's dyadic tree, with the same arithmetic, to the deepest node
+/// [lo, hi] that contains \p predicted, then checks the node with at most
+/// two strikes: hi must flip (at hi = s_max a hold returns kNeverFlips, as
+/// the plain search does), and lo > 0 must hold. Verdicts are monotone in
+/// charge, so every probe the walk skipped is decided by those two, and
+/// bisecting below the node returns the plain search's value bit for bit. A
+/// failed check runs the plain search. One difference remains: a strike the
+/// plain search would have simulated on a skipped probe and seen fail cannot
+/// fail here. \p cost, if given, reports what the call ran.
+double bisect_critical_scale(StrikeSimulator& sim, const StrikeCharges& direction,
+                             const DeltaVt& delta_vt, double s_max, double tol,
+                             spice::PulseShape::Kind kind,
+                             const ScaleBracket& predicted,
+                             BisectCost* cost = nullptr);
 
 /// Build a charge axis for the pair/triple POF grids: a zero anchor, a dense
 /// band bracketing the cell's critical-charge range [qc_lo, qc_hi], and a
@@ -87,6 +121,10 @@ util::Axis make_charge_axis(double qc_lo_fc, double qc_hi_fc, std::size_t points
 /// Cell characterizer.
 class CellCharacterizer {
  public:
+  /// Throws util::InvalidArgument on a config that could not finish: no
+  /// voltages, fewer than 6 points per grid axis, a non-finite or
+  /// non-positive q_max or bisection tolerance, or a max_failure_fraction
+  /// outside [0, 1].
   CellCharacterizer(const CellDesign& design, const CharacterizerConfig& config);
 
   /// Supply voltages in characterization order (ascending).
@@ -97,8 +135,8 @@ class CellCharacterizer {
   /// decides voltage order and seeds. characterize() and the store-backed
   /// loop of core::load_or_characterize (which resumes an interrupted
   /// characterization from per-voltage `pof_table` artifacts) both call it.
-  /// Throws util::Cancelled if \p cancel fires, between strike simulations;
-  /// a partial table is never returned.
+  /// Throws util::Cancelled if \p cancel fires (polled whenever a lane
+  /// takes its next task); a partial table is never returned.
   PofTable characterize_voltage(std::size_t index,
                                 const exec::ProgressSink& progress = {},
                                 const exec::CancelToken* cancel = nullptr) const;
@@ -123,24 +161,6 @@ class CellCharacterizer {
   const CellDesign& design() const { return design_; }
 
  private:
-  // The expensive stages take the cancel token (polled between strike
-  // simulations) and accumulate per-sample solver-failure bookkeeping into
-  // attempted/failed (see PofTable::attempted_samples).
-  SingleCdf characterize_single(exec::ThreadPool& pool, detail::SimSlots& sims,
-                                int which, std::uint64_t seed,
-                                const exec::CancelToken* cancel,
-                                std::size_t& attempted, std::size_t& failed) const;
-  void characterize_pair(exec::ThreadPool& pool, detail::SimSlots& sims, int a,
-                         int b, const util::Axis& axis, double sigma_q_fc,
-                         std::uint64_t seed, util::Grid2& pv,
-                         util::Grid2& nominal, const exec::CancelToken* cancel,
-                         std::size_t& attempted, std::size_t& failed) const;
-  void characterize_triple(exec::ThreadPool& pool, detail::SimSlots& sims,
-                           const util::Axis& axis, double sigma_q_fc,
-                           std::uint64_t seed, util::Grid3& pv,
-                           util::Grid3& nominal, const exec::CancelToken* cancel,
-                           std::size_t& attempted, std::size_t& failed) const;
-
   CellDesign design_;
   CharacterizerConfig config_;
 };

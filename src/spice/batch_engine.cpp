@@ -51,6 +51,26 @@ BatchTransientResult run_transient_batch(
   }
 }
 
+void run_transient_stream(CompiledCircuit& cc, BatchWorkspace& bw,
+                          TransientFeed& feed, const TransientOptions& opt,
+                          const std::vector<std::string>& probe_nodes) {
+  switch (bw.lanes) {
+    case 1:
+      detail::run_transient_batch_impl<1>(cc, bw, {}, opt, probe_nodes, &feed);
+      return;
+    case 4:
+      detail::run_transient_batch_impl<4>(cc, bw, {}, opt, probe_nodes, &feed);
+      return;
+    case 8:
+      detail::run_transient_batch_impl<8>(cc, bw, {}, opt, probe_nodes, &feed);
+      return;
+    default:
+      throw util::InvalidArgument(
+          "run_transient_stream: workspace not configured (lanes must be 1, "
+          "4 or 8; call batch_configure first)");
+  }
+}
+
 Waveform run_transient_single(CompiledCircuit& cc, BatchWorkspace& bw,
                               const std::vector<double>& x0,
                               const TransientOptions& opt,

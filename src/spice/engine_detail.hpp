@@ -14,7 +14,8 @@
 /// batch_lu_solve() is the one compiled LU kernel: the DC solve factors a
 /// one-lane system with it, the transient loop W lanes at a time. The
 /// compiled transient loop is run_transient_batch_impl() below: W
-/// transients in masked-Newton lockstep, with W = 1 as the scalar case. It
+/// transients in masked-Newton lockstep, with W = 1 as the scalar case,
+/// either a fixed set or lanes refilled from a job feed. It
 /// shares the option checks and the breakpoint/arming set-up below with the
 /// interpreted reference loop the tests keep; tests/test_spice_compiled.cpp
 /// pins it to that loop byte for byte at every lane width.
@@ -291,7 +292,7 @@ inline void batch_lu_solve(BatchWorkspace& bw, std::size_t n,
 /// solve_dc_impl()'s system policy over a compiled circuit: the fused DC
 /// stamp of the devirtualized plan into a one-lane system, factored by
 /// batch_lu_solve<1>. \p lu must be configured to one lane of \p cc; its
-/// pivot cache carries across solves.
+/// pivot cache carries across one solve's Newton iterations.
 struct CompiledDcSystem {
   CompiledCircuit& cc;
   BatchWorkspace& lu;
@@ -450,15 +451,24 @@ std::vector<double> solve_dc_impl(System& sys, SolveWorkspace& ws,
 /// reference loop statement for statement. Only the per-iteration
 /// stamp+solve+update is batched. Lanes that are done (at t_end or latched),
 /// failed or inactive stay in the vector as masked compute-and-discard
-/// riders until the group drains — freezing, not branching, is what keeps
-/// the hot loop uniform.
+/// riders — freezing, not branching, is what keeps the hot loop uniform.
+///
+/// Without a \p feed the lanes run the jobs of \p x0 and the group drains
+/// once the slowest one ends. With one, \p x0 must be empty: every lane
+/// loads its jobs from the feed, and the bookkeeping pass that ends a lane's
+/// job hands it back and starts the feed's next one in that lane. A job
+/// start resets every per-lane quantity the loop reads, and lanes never read
+/// each other, so a job computes the same bits in any lane at any time.
 template <std::size_t W>
 BatchTransientResult run_transient_batch_impl(
     CompiledCircuit& cc, BatchWorkspace& bw,
     const std::vector<std::vector<double>>& x0, const TransientOptions& opt,
-    const std::vector<std::string>& probe_nodes) {
+    const std::vector<std::string>& probe_nodes,
+    TransientFeed* feed = nullptr) {
   FINSER_REQUIRE(bw.lanes == W, "run_transient_batch: workspace lane mismatch");
   FINSER_REQUIRE(x0.size() <= W, "run_transient_batch: more lanes than width");
+  FINSER_REQUIRE(feed == nullptr || x0.empty(),
+                 "run_transient_batch: a fed run takes no fixed jobs");
   require_valid_transient(opt, cc.node_count());
   const std::size_t n = cc.unknown_count();
   FINSER_REQUIRE(bw.unknowns == n, "run_transient_batch: workspace size mismatch");
@@ -487,7 +497,7 @@ BatchTransientResult run_transient_batch_impl(
   for (std::size_t w = 0; w < W; ++w) res.waves.emplace_back(names, nodes);
 
   enum class Phase : std::uint8_t {
-    kInactive,  ///< Masked-off ragged-tail lane: rides, never reported.
+    kInactive,  ///< Masked-off lane without a job: rides, never reported.
     kStepping,  ///< Between steps: scalar bookkeeping will arm a Newton.
     kNewton,    ///< Mid-Newton: participates in the vectorized tick.
     kDone,
@@ -523,30 +533,64 @@ BatchTransientResult run_transient_batch_impl(
     for (std::size_t i = 0; i < n; ++i) dst[i * W + w] = in[i];
   };
 
-  // Initialize active lanes; masked lanes inherit the first active lane's
-  // operating point so their ride-along arithmetic stays finite.
-  std::size_t first_active = W;
-  for (std::size_t w = 0; w < x0.size(); ++w) {
-    if (x0[w].empty()) continue;
-    FINSER_REQUIRE(x0[w].size() == n, "run_transient: x0 size mismatch");
-    if (first_active == W) first_active = w;
+  // Start a job in lane w from operating point x: every per-lane quantity
+  // the loop reads is reset here, which is what makes a job's bits
+  // independent of what ran in the lane before.
+  const auto start = [&](std::size_t w, const std::vector<double>& x) {
+    FINSER_REQUIRE(x.size() == n, "run_transient: x0 size mismatch");
     FINSER_OBS_COUNT("spice.tran.runs", 1);
+    t[w] = 0.0;
+    dt[w] = opt.dt_initial;
+    bt[w] = 0.0;
+    bdt[w] = opt.dt_initial;
+    hit_break[w] = false;
+    next_break[w] = 0;
+    newton_iter[w] = 0;
+    restart_level[w] = 0;
+    eff_max_newton[w] = opt.max_newton;
+    eff_damping[w] = opt.damping_vmax;
+    accepted[w] = 0;
     std::vector<double>& breaks = bw.breaks[w];
     breaks.clear();
     cc.batch_add_breakpoints(bw, w, kNoHorizon, breaks);
     arm_time[w] = clamp_breaks_and_arm(breaks, opt.t_end);
-    cc.batch_initialize_state(bw, w, x0[w]);
-    inject_lane(x0[w], w, bw.x);
-    res.waves[w].append(0.0, x0[w]);
+    cc.batch_initialize_state(bw, w, x);
+    inject_lane(x, w, bw.x);
+    bw.pivot[w].invalidate();
+    res.waves[w].clear();
+    res.waves[w].append(0.0, x);
+    res.failed[w] = 0;
+    res.errors[w].clear();
     phase[w] = Phase::kStepping;
-    eff_max_newton[w] = opt.max_newton;
-    eff_damping[w] = opt.damping_vmax;
+  };
+
+  // Fed run: hand lane w's ended job back and start the feed's next one
+  // there; a lane the feed has no job for stays inactive.
+  const auto refill = [&](std::size_t w) {
+    if (phase[w] == Phase::kDone || phase[w] == Phase::kFailed) {
+      feed->finish(w, res.waves[w], res.failed[w] ? &res.errors[w] : nullptr);
+    }
+    phase[w] = Phase::kInactive;
+    if (const std::vector<double>* x = feed->load(w)) start(w, *x);
+  };
+
+  // Initialize the lanes; masked lanes inherit the first active lane's
+  // operating point so their ride-along arithmetic stays finite.
+  std::size_t first_active = W;
+  for (std::size_t w = 0; w < W; ++w) {
+    if (feed != nullptr) {
+      refill(w);
+    } else if (w < x0.size() && !x0[w].empty()) {
+      start(w, x0[w]);
+    }
+    if (phase[w] != Phase::kInactive && first_active == W) first_active = w;
   }
   if (first_active == W) return res;  // Nothing to do.
   for (std::size_t w = 0; w < W; ++w) {
     if (phase[w] == Phase::kInactive) {
-      inject_lane(x0[first_active], w, bw.x);
-      cc.batch_initialize_state(bw, w, x0[first_active]);
+      extract_lane(bw.x, first_active, xscratch);
+      inject_lane(xscratch, w, bw.x);
+      cc.batch_initialize_state(bw, w, xscratch);
     }
   }
 
@@ -601,25 +645,36 @@ BatchTransientResult run_transient_batch_impl(
     }
   };
 
+  // Whether lane w's job ends before its next step: it reached t_end, or
+  // its latch stop fired.
+  const auto stops = [&](std::size_t w) {
+    if (t[w] >= opt.t_end - 1e-24) return true;
+    if (opt.latch && t[w] > arm_time[w] &&
+        opt.latch->holds(bw.x[opt.latch->node_a * W + w],
+                         bw.x[opt.latch->node_b * W + w])) {
+      FINSER_OBS_COUNT("spice.tran.latch_stops", 1);
+      return true;
+    }
+    return false;
+  };
+
   std::array<std::uint8_t, W> newton_mask{};
   std::array<LaneLu, W> lu_status{};
 
   for (;;) {
-    // --- Per-lane scalar bookkeeping: arm the next Newton attempt ---------
+    // --- Per-lane scalar bookkeeping: end jobs, refill, arm a Newton -------
     for (std::size_t w = 0; w < W; ++w) {
-      if (phase[w] != Phase::kStepping) continue;
-      bool stop = t[w] >= opt.t_end - 1e-24;
-      if (!stop && opt.latch && t[w] > arm_time[w] &&
-          opt.latch->holds(bw.x[opt.latch->node_a * W + w],
-                           bw.x[opt.latch->node_b * W + w])) {
-        FINSER_OBS_COUNT("spice.tran.latch_stops", 1);
-        stop = true;
-      }
-      if (stop) {
+      for (;;) {
+        // A fed lane hands its ended job back and starts the feed's next.
+        if (feed != nullptr &&
+            (phase[w] == Phase::kDone || phase[w] == Phase::kFailed)) {
+          refill(w);
+        }
+        if (phase[w] != Phase::kStepping || !stops(w)) break;
         FINSER_OBS_RECORD("spice.tran.steps_per_run", accepted[w]);
         phase[w] = Phase::kDone;
-        continue;
       }
+      if (phase[w] != Phase::kStepping) continue;
       const std::vector<double>& breaks = bw.breaks[w];
       while (next_break[w] < breaks.size() &&
              breaks[next_break[w]] <= t[w] + 1e-24) {

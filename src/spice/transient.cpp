@@ -26,6 +26,11 @@ void Waveform::append(double t, const std::vector<double>& x) {
   }
 }
 
+void Waveform::clear() {
+  times_.clear();
+  for (std::vector<double>& d : data_) d.clear();
+}
+
 std::size_t Waveform::probe(const std::string& name) const {
   for (std::size_t p = 0; p < names_.size(); ++p) {
     if (names_[p] == name) return p;

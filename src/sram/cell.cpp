@@ -1,5 +1,7 @@
 #include "finser/sram/cell.hpp"
 
+#include <utility>
+
 #include "finser/obs/obs.hpp"
 #include "finser/spice/dc.hpp"
 #include "finser/util/error.hpp"
@@ -178,6 +180,21 @@ StrikeOutcome StrikeSimulator::finish_wave(const spice::Waveform& wave) const {
   return out;
 }
 
+namespace {
+
+constexpr const char* kInjectedDivergence =
+    "StrikeSimulator::simulate: injected Newton divergence "
+    "(FINSER_FAULT newton_diverge)";
+
+StrikeSimulator::LaneOutcome failed_outcome(std::string error) {
+  StrikeSimulator::LaneOutcome out;
+  out.failed = true;
+  out.error = std::move(error);
+  return out;
+}
+
+}  // namespace
+
 StrikeOutcome StrikeSimulator::simulate(const StrikeCharges& charges,
                                         const DeltaVt& delta_vt,
                                         PulseShape::Kind kind) {
@@ -185,9 +202,7 @@ StrikeOutcome StrikeSimulator::simulate(const StrikeCharges& charges,
   // a real Newton failure would, exercising the characterizer's
   // count-and-exclude path (util/fault.hpp).
   if (util::fault_fire(util::FaultSite::kNewtonDiverge)) {
-    throw util::NumericalError(
-        "StrikeSimulator::simulate: injected Newton divergence "
-        "(FINSER_FAULT newton_diverge)");
+    throw util::NumericalError(kInjectedDivergence);
   }
 
   // Mutate the source devices, then rebind the plan once. The strike shapes
@@ -201,6 +216,78 @@ StrikeOutcome StrikeSimulator::simulate(const StrikeCharges& charges,
       spice::run_transient_single(*compiled_, bw1_, x0, topt_, {"q", "qb"}));
 }
 
+/// Binds a StrikeFeed's strikes into the lanes of simulate_stream()'s
+/// transient stream and turns each ended transient into the strike's
+/// outcome.
+class StrikeSimulator::StreamBinder final : public spice::TransientFeed {
+ public:
+  StreamBinder(StrikeSimulator& sim, StrikeFeed& feed, PulseShape::Kind kind)
+      : sim_(sim), feed_(feed), kind_(kind) {}
+
+  const std::vector<double>* load(std::size_t lane) override {
+    Strike strike;
+    while (feed_.next(lane, strike)) {
+      if (strike.new_task) sim_.hold_lane_valid_[lane] = false;
+      // Fault-injection hook, fired in bind order (mirrors simulate()).
+      if (util::fault_fire(util::FaultSite::kNewtonDiverge)) {
+        feed_.done(lane, failed_outcome(kInjectedDivergence));
+        continue;
+      }
+      // Same setter+rebind sequence as simulate(), then captured into the
+      // lane's AoSoA slices.
+      sim_.apply_delta_vt(strike.delta_vt);
+      sim_.set_strike_shapes(strike.charges, kind_);
+      sim_.compiled_->rebind();
+      sim_.compiled_->batch_rebind_lane(sim_.bw_, lane);
+      // Per-lane ΔVt-keyed DC hold cache (see hold_cached for why exact
+      // keying keeps results independent of hit patterns). The DC solve
+      // itself stays scalar.
+      std::vector<double>& x0 = sim_.hold_lane_x_[lane];
+      if (sim_.hold_lane_valid_[lane] &&
+          sim_.hold_lane_dvt_[lane] == strike.delta_vt) {
+        FINSER_OBS_COUNT("sram.strike.dc_reuse", 1);
+        return &x0;
+      }
+      try {
+        x0 = spice::solve_dc(*sim_.compiled_, sim_.ws_, sim_.hold_guess());
+        sim_.hold_lane_dvt_[lane] = strike.delta_vt;
+        sim_.hold_lane_valid_[lane] = true;
+        return &x0;
+      } catch (const util::NumericalError& e) {
+        sim_.hold_lane_valid_[lane] = false;
+        feed_.done(lane, failed_outcome(e.what()));
+      }
+    }
+    return nullptr;
+  }
+
+  void finish(std::size_t lane, const spice::Waveform& wave,
+              const std::string* error) override {
+    if (error != nullptr) {
+      feed_.done(lane, failed_outcome(*error));
+      return;
+    }
+    LaneOutcome out;
+    out.outcome = sim_.finish_wave(wave);
+    feed_.done(lane, out);
+  }
+
+ private:
+  StrikeSimulator& sim_;
+  StrikeFeed& feed_;
+  PulseShape::Kind kind_;
+};
+
+void StrikeSimulator::simulate_stream(StrikeFeed& feed, PulseShape::Kind kind) {
+  const std::size_t width = spice::lane_width();
+  if (bw_.lanes != width) {
+    compiled_->batch_configure(bw_, width);
+    hold_lane_valid_.fill(false);
+  }
+  StreamBinder binder(*this, feed, kind);
+  spice::run_transient_stream(*compiled_, bw_, binder, topt_, {"q", "qb"});
+}
+
 void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
                                      const std::vector<DeltaVt>& dvts,
                                      PulseShape::Kind kind,
@@ -211,72 +298,39 @@ void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
                  "simulate_batch: input size mismatch");
   if (out.size() < count) out.resize(count);
 
-  const std::size_t width = spice::lane_width();
-  if (bw_.lanes != width) {
-    compiled_->batch_configure(bw_, width);
-    hold_lane_valid_.fill(false);
-  }
+  // Hands out the active entries in list order; entry k's outcome lands in
+  // out[k].
+  class ListFeed final : public StrikeFeed {
+   public:
+    ListFeed(const std::vector<StrikeCharges>& charges,
+             const std::vector<DeltaVt>& dvts,
+             const std::vector<std::uint8_t>& active,
+             std::vector<LaneOutcome>& out)
+        : charges_(charges), dvts_(dvts), active_(active), out_(out) {}
 
-  std::vector<std::vector<double>> x0s;
-  for (std::size_t offset = 0; offset < count; offset += width) {
-    const std::size_t group = std::min(width, count - offset);
-    x0s.assign(group, {});
-    bool any = false;
-    for (std::size_t g = 0; g < group; ++g) {
-      const std::size_t k = offset + g;
-      if (!active[k]) continue;
-      out[k] = LaneOutcome{};
-      // Fault-injection hook, fired in lane order (mirrors simulate()).
-      if (util::fault_fire(util::FaultSite::kNewtonDiverge)) {
-        out[k].failed = true;
-        out[k].error =
-            "StrikeSimulator::simulate: injected Newton divergence "
-            "(FINSER_FAULT newton_diverge)";
-        continue;
-      }
-      // Bind lane g: same setter+rebind sequence as simulate(), then
-      // captured into the lane's AoSoA slices.
-      apply_delta_vt(dvts[k]);
-      set_strike_shapes(charges[k], kind);
-      compiled_->rebind();
-      compiled_->batch_rebind_lane(bw_, g);
-      // Per-lane ΔVt-keyed DC hold cache (see hold_cached for why exact
-      // keying keeps results independent of hit patterns). The DC solve
-      // itself stays scalar: it is ~2% of a sample's cost and amortized to
-      // one per sample by this cache.
-      if (hold_lane_valid_[g] && hold_lane_dvt_[g] == dvts[k]) {
-        FINSER_OBS_COUNT("sram.strike.dc_reuse", 1);
-        x0s[g] = hold_lane_x_[g];
-        any = true;
-        continue;
-      }
-      try {
-        hold_lane_x_[g] = spice::solve_dc(*compiled_, ws_, hold_guess());
-        hold_lane_dvt_[g] = dvts[k];
-        hold_lane_valid_[g] = true;
-        x0s[g] = hold_lane_x_[g];
-        any = true;
-      } catch (const util::NumericalError& e) {
-        hold_lane_valid_[g] = false;
-        out[k].failed = true;
-        out[k].error = e.what();
-      }
+    bool next(std::size_t lane, Strike& strike) override {
+      while (next_ < charges_.size() && !active_[next_]) ++next_;
+      if (next_ == charges_.size()) return false;
+      entry_[lane] = next_;
+      strike.charges = charges_[next_];
+      strike.delta_vt = dvts_[next_];
+      ++next_;
+      return true;
     }
-    if (!any) continue;
+    void done(std::size_t lane, const LaneOutcome& outcome) override {
+      out_[entry_[lane]] = outcome;
+    }
 
-    const spice::BatchTransientResult res =
-        spice::run_transient_batch(*compiled_, bw_, x0s, topt_, {"q", "qb"});
-    for (std::size_t g = 0; g < group; ++g) {
-      const std::size_t k = offset + g;
-      if (x0s[g].empty()) continue;
-      if (res.failed[g]) {
-        out[k].failed = true;
-        out[k].error = res.errors[g];
-        continue;
-      }
-      out[k].outcome = finish_wave(res.waves[g]);
-    }
-  }
+   private:
+    const std::vector<StrikeCharges>& charges_;
+    const std::vector<DeltaVt>& dvts_;
+    const std::vector<std::uint8_t>& active_;
+    std::vector<LaneOutcome>& out_;
+    std::size_t next_ = 0;
+    std::array<std::size_t, spice::kMaxLaneWidth> entry_{};
+  };
+  ListFeed feed(charges, dvts, active, out);
+  simulate_stream(feed, kind);
 }
 
 }  // namespace finser::sram

@@ -1,43 +1,18 @@
 #include "finser/sram/characterize.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "finser/exec/thread_pool.hpp"
 #include "finser/obs/obs.hpp"
-#include "finser/spice/batch.hpp"
 #include "finser/util/error.hpp"
 
 namespace finser::sram {
-
-namespace detail {
-
-/// One StrikeSimulator per pool worker slot, created lazily on the worker's
-/// own thread (the simulator keeps transient-analysis scratch and is not
-/// shareable across threads). Each slot lives for the whole per-voltage
-/// characterization, so every worker compiles its cell circuit exactly once
-/// and then rebinds parameters per sample — across the Qcrit bisections, the
-/// PV-sample loops and the grid stages alike (see spice/compiled.hpp).
-struct SimSlots {
-  const CellDesign* design;
-  double vdd_v;
-  std::vector<std::unique_ptr<StrikeSimulator>> sims;
-
-  SimSlots(const CellDesign& d, double vdd, std::size_t slots)
-      : design(&d), vdd_v(vdd), sims(slots) {}
-
-  StrikeSimulator& at(std::size_t worker) {
-    std::unique_ptr<StrikeSimulator>& s = sims[worker];
-    if (!s) s = std::make_unique<StrikeSimulator>(*design, vdd_v);
-    return *s;
-  }
-};
-
-}  // namespace detail
 
 namespace {
 
@@ -51,14 +26,28 @@ constexpr std::uint64_t kStreamSingleBase = 1;  // which = 0..2 -> 1..3.
 constexpr std::uint64_t kStreamPairBase = 4;    // pair p = 0..2 -> 4..6.
 constexpr std::uint64_t kStreamTriple = 7;
 
-/// A parallel stage that stopped early (cancel token fired) holds a
-/// partially written table — the only safe continuation is to abandon it.
-/// Finished voltages survive as `pof_table` artifacts when the caller
-/// persists them (core::load_or_characterize); this one restarts on resume.
+/// PV samples per current whose critical charge the plain search finds: the
+/// prefix the bracket predictor is fitted on. A fixed prefix keeps the
+/// predictor, and with it every transient count, independent of the thread
+/// count.
+constexpr std::size_t kPrefixSamples = 32;
+
+/// Half-width of a predicted bracket, in residual standard deviations.
+constexpr double kBracketSigmas = 4.0;
+
+/// Monte Carlo samples per grid task: a near-boundary cell's sample ladder
+/// runs as sub-chains this long, so the grid phase's tasks are short enough
+/// to keep every lane busy until the list runs dry.
+constexpr std::size_t kGridChain = 8;
+
+/// A phase that stopped early (cancel token fired) holds partial results —
+/// the only safe continuation is to abandon them. Finished voltages survive
+/// as `pof_table` artifacts when the caller persists them
+/// (core::load_or_characterize); this one restarts on resume.
 void require_complete(bool completed) {
   if (!completed) {
     throw util::Cancelled(
-        "characterization cancelled at a chunk boundary; the in-progress "
+        "characterization cancelled at a task boundary; the in-progress "
         "voltage is discarded");
   }
 }
@@ -67,156 +56,150 @@ StrikeCharges scale_direction(const StrikeCharges& dir, double s) {
   return StrikeCharges{dir.i1_fc * s, dir.i2_fc * s, dir.i3_fc * s};
 }
 
+/// Charge of current \p which (0..2 for I1..I3).
+double& charge_of(StrikeCharges& c, std::size_t which) {
+  switch (which) {
+    case 0: return c.i1_fc;
+    case 1: return c.i2_fc;
+    case 2: return c.i3_fc;
+    default:
+      throw util::InvalidArgument("charge_of: current index out of range");
+  }
+}
+
+StrikeCharges unit_direction(std::size_t which) {
+  StrikeCharges c;
+  charge_of(c, which) = 1.0;
+  return c;
+}
+
 /// Sentinel for a PV sample whose solve diverged: excluded from the CDF,
 /// never guessed as flip or no-flip.
 constexpr double kFailedSample = -1.0;
 
-/// Lane-batched bisect_critical_scale for a group of PV samples sharing one
-/// strike direction: every lane runs that bisection verbatim — same bracket
-/// [0, s_max], same probe-then-halve sequence — so the group stays in
-/// lockstep and each lane's result is byte-identical to a
-/// bisect_critical_scale() call.
-/// Lanes finish independently (never-flips at the s_max probe, a diverged
-/// solve, or bracket below tol) and are masked off; their slot stays put so
-/// the remaining lanes keep their per-slot DC hold caches. Writes qcrit to
-/// out[0..dvts.size()), kFailedSample for diverged lanes.
-void bisect_critical_scale_batch(StrikeSimulator& sim,
-                                 const StrikeCharges& direction,
-                                 const std::vector<DeltaVt>& dvts, double s_max,
-                                 double tol, spice::PulseShape::Kind kind,
-                                 double* out, std::size_t& n_failed) {
-  FINSER_REQUIRE(s_max > 0.0 && tol > 0.0,
-                 "bisect_critical_scale: bad bracket parameters");
-  const std::size_t group = dvts.size();
-  std::vector<StrikeCharges> charges(group, scale_direction(direction, s_max));
-  std::vector<std::uint8_t> active(group, 1);
-  std::vector<StrikeSimulator::LaneOutcome> res(group);
-  std::vector<double> lo(group, 0.0);
-  std::vector<double> hi(group, s_max);
+/// bisect_critical_scale()'s search, plain or from a predicted bracket (see
+/// characterize.hpp for why both return the same bits), as a chain of
+/// strike probes: probe() names the scale to simulate next and record()
+/// takes its verdict. The scalar entry points and the characterizer's lane
+/// tasks both drive it, so every critical charge comes from this one search.
+class Bisection {
+ public:
+  Bisection() = default;  ///< A finished search.
 
-  sim.simulate_batch(charges, dvts, kind, active, res);
-  for (std::size_t g = 0; g < group; ++g) {
-    if (res[g].failed) {
-      out[g] = kFailedSample;
-      ++n_failed;
-      active[g] = 0;
-    } else if (!res[g].outcome.flipped) {
-      out[g] = SingleCdf::kNeverFlips;
-      active[g] = 0;
-    }
-  }
-  for (;;) {
-    bool any = false;
-    for (std::size_t g = 0; g < group; ++g) {
-      if (!active[g]) continue;
-      if (hi[g] - lo[g] > tol) {
-        charges[g] = scale_direction(direction, 0.5 * (lo[g] + hi[g]));
-        any = true;
+  Bisection(double s_max, double tol)
+      : s_max_(s_max), tol_(tol), hi_(s_max), step_(Step::kTop) {}
+
+  Bisection(double s_max, double tol, const ScaleBracket& predicted)
+      : Bisection(s_max, tol) {
+    predicted_ = true;
+    while (hi_ - lo_ > tol_) {
+      const double mid = 0.5 * (lo_ + hi_);
+      if (predicted.hi <= mid) {
+        hi_ = mid;
+      } else if (predicted.lo >= mid) {
+        lo_ = mid;
       } else {
-        out[g] = hi[g];
-        active[g] = 0;
-      }
-    }
-    if (!any) break;
-    sim.simulate_batch(charges, dvts, kind, active, res);
-    for (std::size_t g = 0; g < group; ++g) {
-      if (!active[g]) continue;
-      if (res[g].failed) {
-        out[g] = kFailedSample;
-        ++n_failed;
-        active[g] = 0;
-        continue;
-      }
-      const double mid = 0.5 * (lo[g] + hi[g]);
-      if (res[g].outcome.flipped) {
-        hi[g] = mid;
-      } else {
-        lo[g] = mid;
+        break;
       }
     }
   }
-}
 
-/// Lockstep integer binary search of the first flipping grid column for a
-/// lane group of nominal boundary rows. All lanes share the search range
-/// [0, np); a lane whose bracket closes is masked off while the rest finish.
-/// Nominal rows are ΔVt-free, so every lane's per-slot DC hold cache hits
-/// after its first iteration. Failures propagate: a wrong boundary would
-/// misplace the whole MC band.
-template <typename MakeCharges>
-std::vector<std::size_t> boundary_search_batch(StrikeSimulator& sim,
-                                               std::size_t group, std::size_t np,
-                                               spice::PulseShape::Kind kind,
-                                               MakeCharges&& make_charges) {
-  std::vector<std::size_t> lo(group, 0);
-  std::vector<std::size_t> hi(group, np);
-  std::vector<StrikeCharges> charges(group);
-  const std::vector<DeltaVt> dvts(group);  // Nominal: all-zero ΔVt.
-  std::vector<std::uint8_t> active(group, 0);
-  std::vector<StrikeSimulator::LaneOutcome> res(group);
-  for (;;) {
-    bool any = false;
-    for (std::size_t g = 0; g < group; ++g) {
-      active[g] = lo[g] < hi[g] ? 1 : 0;
-      if (!active[g]) continue;
-      charges[g] = make_charges(g, lo[g] + (hi[g] - lo[g]) / 2);
-      any = true;
-    }
-    if (!any) break;
-    sim.simulate_batch(charges, dvts, kind, active, res);
-    for (std::size_t g = 0; g < group; ++g) {
-      if (!active[g]) continue;
-      if (res[g].failed) throw util::NumericalError(res[g].error);
-      const std::size_t mid = lo[g] + (hi[g] - lo[g]) / 2;
-      if (res[g].outcome.flipped) {
-        hi[g] = mid;
-      } else {
-        lo[g] = mid + 1;
-      }
-    }
-  }
-  return lo;
-}
+  bool finished() const { return step_ == Step::kDone; }
+  double result() const { return result_; }
+  /// A predicted search whose node failed verification.
+  bool missed() const { return missed_; }
 
-/// Advance a lane group of near-boundary MC grid cells through their sample
-/// ladders in lockstep: every lane holds one cell at fixed charges and draws
-/// its own ΔVt stream, so all lanes take the same number of rounds. A lane
-/// whose solve diverges this round just skips the tally (the sample's RNG
-/// draws were already consumed, so later samples are unshifted) — it stays
-/// active for the next round.
-template <typename SampleDvt>
-void mc_group_batch(StrikeSimulator& sim,
-                    const std::vector<StrikeCharges>& charges,
-                    std::vector<stats::Rng>& rngs, std::size_t samples,
-                    spice::PulseShape::Kind kind, SampleDvt&& sample_dvt,
-                    std::vector<std::size_t>& flips, std::vector<std::size_t>& ok,
-                    std::atomic<std::size_t>& n_failed) {
-  const std::size_t group = charges.size();
-  std::vector<DeltaVt> dvts(group);
-  const std::vector<std::uint8_t> active(group, 1);
-  std::vector<StrikeSimulator::LaneOutcome> res(group);
-  for (std::size_t s = 0; s < samples; ++s) {
-    for (std::size_t g = 0; g < group; ++g) dvts[g] = sample_dvt(rngs[g]);
-    sim.simulate_batch(charges, dvts, kind, active, res);
-    for (std::size_t g = 0; g < group; ++g) {
-      if (res[g].failed) {
-        n_failed.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      ++ok[g];
-      if (res[g].outcome.flipped) ++flips[g];
+  /// Scale of the next probe (only while !finished()).
+  double probe() const {
+    switch (step_) {
+      case Step::kTop: return hi_;
+      case Step::kFloor: return lo_;
+      default: return 0.5 * (lo_ + hi_);
     }
   }
-}
 
-StrikeCharges unit_direction(int which) {
-  switch (which) {
-    case 0: return StrikeCharges{1.0, 0.0, 0.0};
-    case 1: return StrikeCharges{0.0, 1.0, 0.0};
-    case 2: return StrikeCharges{0.0, 0.0, 1.0};
-    default:
-      throw util::InvalidArgument("unit_direction: index out of range");
+  void record(bool flipped) {
+    switch (step_) {
+      case Step::kTop:
+        if (!flipped) {
+          if (hi_ < s_max_) {
+            restart_plain();
+          } else {
+            result_ = SingleCdf::kNeverFlips;
+            step_ = Step::kDone;
+          }
+        } else if (predicted_ && lo_ > 0.0) {
+          step_ = Step::kFloor;
+        } else {
+          halve_or_finish();
+        }
+        return;
+      case Step::kFloor:
+        if (flipped) {
+          restart_plain();
+        } else {
+          halve_or_finish();
+        }
+        return;
+      case Step::kHalve: {
+        const double mid = 0.5 * (lo_ + hi_);
+        if (flipped) {
+          hi_ = mid;
+        } else {
+          lo_ = mid;
+        }
+        halve_or_finish();
+        return;
+      }
+      case Step::kDone:
+        return;
+    }
   }
+
+ private:
+  enum class Step : std::uint8_t { kTop, kFloor, kHalve, kDone };
+
+  void halve_or_finish() {
+    if (hi_ - lo_ > tol_) {
+      step_ = Step::kHalve;
+    } else {
+      result_ = hi_;
+      step_ = Step::kDone;
+    }
+  }
+
+  void restart_plain() {
+    predicted_ = false;
+    missed_ = true;
+    lo_ = 0.0;
+    hi_ = s_max_;
+    step_ = Step::kTop;
+  }
+
+  double s_max_ = 0.0;
+  double tol_ = 0.0;
+  double lo_ = 0.0;
+  double hi_ = 0.0;
+  double result_ = 0.0;
+  Step step_ = Step::kDone;
+  bool predicted_ = false;
+  bool missed_ = false;
+};
+
+/// Drive \p search with scalar simulate() calls; counts them in
+/// \p transients. A failed solve throws, as simulate() does.
+double run_search(StrikeSimulator& sim, const StrikeCharges& direction,
+                  const DeltaVt& delta_vt, spice::PulseShape::Kind kind,
+                  Bisection& search, std::size_t& transients) {
+  while (!search.finished()) {
+    const bool flipped =
+        sim.simulate(scale_direction(direction, search.probe()), delta_vt,
+                     kind)
+            .flipped;
+    ++transients;
+    search.record(flipped);
+  }
+  return search.result();
 }
 
 /// FNV-1a over raw double bytes.
@@ -274,29 +257,43 @@ double bisect_critical_scale(StrikeSimulator& sim, const StrikeCharges& directio
                              spice::PulseShape::Kind kind) {
   FINSER_REQUIRE(s_max > 0.0 && tol > 0.0,
                  "bisect_critical_scale: bad bracket parameters");
-  if (!sim.simulate(scale_direction(direction, s_max), delta_vt, kind).flipped) {
-    return SingleCdf::kNeverFlips;
+  Bisection search(s_max, tol);
+  std::size_t transients = 0;
+  return run_search(sim, direction, delta_vt, kind, search, transients);
+}
+
+double bisect_critical_scale(StrikeSimulator& sim, const StrikeCharges& direction,
+                             const DeltaVt& delta_vt, double s_max, double tol,
+                             spice::PulseShape::Kind kind,
+                             const ScaleBracket& predicted, BisectCost* cost) {
+  FINSER_REQUIRE(s_max > 0.0 && tol > 0.0,
+                 "bisect_critical_scale: bad bracket parameters");
+  Bisection search(s_max, tol, predicted);
+  std::size_t transients = 0;
+  const double s = run_search(sim, direction, delta_vt, kind, search, transients);
+  if (cost != nullptr) {
+    cost->transients = transients;
+    cost->hit = !search.missed();
   }
-  double lo = 0.0;
-  double hi = s_max;
-  while (hi - lo > tol) {
-    const double mid = 0.5 * (lo + hi);
-    if (sim.simulate(scale_direction(direction, mid), delta_vt, kind).flipped) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  return hi;
+  return s;
 }
 
 CellCharacterizer::CellCharacterizer(const CellDesign& design,
                                      const CharacterizerConfig& config)
     : design_(design), config_(config) {
   FINSER_REQUIRE(!config_.vdds.empty(), "CellCharacterizer: no supply voltages");
-  FINSER_REQUIRE(config_.pair_grid_points >= 2 && config_.triple_grid_points >= 2,
-                 "CellCharacterizer: grids need >= 2 points per axis");
-  FINSER_REQUIRE(config_.q_max_fc > 0.0, "CellCharacterizer: q_max must be positive");
+  // make_charge_axis() needs six points: fail here, not after the
+  // single-current transients.
+  FINSER_REQUIRE(config_.pair_grid_points >= 6 && config_.triple_grid_points >= 6,
+                 "CellCharacterizer: grids need >= 6 points per axis");
+  FINSER_REQUIRE(std::isfinite(config_.q_max_fc) && config_.q_max_fc > 0.0,
+                 "CellCharacterizer: q_max must be finite and positive");
+  FINSER_REQUIRE(std::isfinite(config_.bisect_tol_fc) && config_.bisect_tol_fc > 0.0,
+                 "CellCharacterizer: bisect_tol must be finite and positive");
+  // A NaN would disable the failure gate (frac > NaN is false).
+  FINSER_REQUIRE(config_.max_failure_fraction >= 0.0 &&
+                     config_.max_failure_fraction <= 1.0,
+                 "CellCharacterizer: max_failure_fraction must be in [0, 1]");
 }
 
 DeltaVt CellCharacterizer::sample_delta_vt(stats::Rng& rng) const {
@@ -304,78 +301,6 @@ DeltaVt CellCharacterizer::sample_delta_vt(stats::Rng& rng) const {
   for (double& v : dvt) v = rng.normal(0.0, design_.sigma_vt);
   return dvt;
 }
-
-SingleCdf CellCharacterizer::characterize_single(
-    exec::ThreadPool& pool, detail::SimSlots& sims, int which,
-    std::uint64_t seed, const exec::CancelToken* cancel,
-    std::size_t& attempted, std::size_t& failed) const {
-  const StrikeCharges dir = unit_direction(which);
-  SingleCdf cdf;
-  // The nominal bisection anchors the whole table (axis placement, binary
-  // POF); if *it* cannot converge, the voltage is unrecoverable — propagate.
-  cdf.nominal_qcrit_fc = bisect_critical_scale(
-      sims.at(0), dir, DeltaVt{}, config_.q_max_fc, config_.bisect_tol_fc,
-      config_.pulse_kind);
-
-  // PV samples are independent: sample k always draws from stream k of this
-  // stage's seed, so the result is the same for any thread count, lane width
-  // or batch boundary. A sample whose solve diverges is marked with a
-  // negative sentinel and excluded from the CDF — never guessed as flip or
-  // no-flip. The samples advance in SIMD lockstep lane groups (chunk = lane
-  // width, a few dozen SPICE transients per chunk).
-  const std::size_t lanes = spice::lane_width();
-  std::vector<double> qcrit(config_.pv_samples_single);
-  std::atomic<std::size_t> n_failed{0};
-  require_complete(pool.parallel_for_chunks(
-      config_.pv_samples_single, lanes,
-      [&](const exec::ChunkRange& r) {
-        StrikeSimulator& sim = sims.at(r.worker);
-        const std::size_t group = r.end - r.begin;
-        std::vector<DeltaVt> dvts(group);
-        for (std::size_t g = 0; g < group; ++g) {
-          stats::Rng rng = stats::Rng::stream(seed, r.begin + g);
-          dvts[g] = sample_delta_vt(rng);
-        }
-        std::size_t nf = 0;
-        bisect_critical_scale_batch(sim, dir, dvts, config_.q_max_fc,
-                                    config_.bisect_tol_fc, config_.pulse_kind,
-                                    qcrit.data() + r.begin, nf);
-        if (nf > 0) n_failed.fetch_add(nf, std::memory_order_relaxed);
-      },
-      cancel));
-  cdf.failed_samples = n_failed.load();
-  cdf.total_samples = config_.pv_samples_single - cdf.failed_samples;
-  attempted += config_.pv_samples_single;
-  failed += cdf.failed_samples;
-  cdf.qcrit_samples_fc.reserve(cdf.total_samples);
-  for (double q : qcrit) {
-    if (q >= 0.0 && q < SingleCdf::kNeverFlips) cdf.qcrit_samples_fc.push_back(q);
-  }
-  std::sort(cdf.qcrit_samples_fc.begin(), cdf.qcrit_samples_fc.end());
-  return cdf;
-}
-
-namespace {
-
-/// Charges for a pair combo (a, b) at grid charges (qa, qb).
-StrikeCharges pair_charges(int a, int b, double qa, double qb) {
-  StrikeCharges c;
-  double* slots[3] = {&c.i1_fc, &c.i2_fc, &c.i3_fc};
-  *slots[a] = qa;
-  *slots[b] = qb;
-  return c;
-}
-
-/// Smallest spacing of an axis (controls the MC dilation radius).
-double min_spacing(const util::Axis& axis) {
-  double dq = axis.back() - axis.front();
-  for (std::size_t i = 1; i < axis.size(); ++i) {
-    dq = std::min(dq, axis[i] - axis[i - 1]);
-  }
-  return dq;
-}
-
-}  // namespace
 
 util::Axis make_charge_axis(double qc_lo_fc, double qc_hi_fc, std::size_t points,
                             double q_max_fc) {
@@ -408,211 +333,437 @@ util::Axis make_charge_axis(double qc_lo_fc, double qc_hi_fc, std::size_t points
   return util::Axis(std::move(pts));
 }
 
-void CellCharacterizer::characterize_pair(
-    exec::ThreadPool& pool, detail::SimSlots& sims, int a, int b,
-    const util::Axis& axis, double sigma_q_fc, std::uint64_t seed,
-    util::Grid2& pv, util::Grid2& nominal, const exec::CancelToken* cancel,
-    std::size_t& attempted, std::size_t& failed) const {
-  const std::size_t np = axis.size();
-  const double dq = min_spacing(axis);
-  const auto radius =
-      static_cast<std::ptrdiff_t>(std::ceil(4.0 * sigma_q_fc / dq)) + 1;
+namespace {
 
-  // Nominal boundary per row by binary search (flip region is monotone).
-  // Rows are independent and RNG-free — parallel rows in lane groups.
-  // Failures propagate: a wrong boundary would misplace the whole MC band.
-  const std::size_t lanes = spice::lane_width();
-  std::vector<std::size_t> boundary(np, np);  // First flipping column, np = none.
-  require_complete(pool.parallel_for_chunks(
-      np, lanes,
-      [&](const exec::ChunkRange& r) {
-        StrikeSimulator& sim = sims.at(r.worker);
-        const std::vector<std::size_t> first_flip = boundary_search_batch(
-            sim, r.end - r.begin, np, config_.pulse_kind,
-            [&](std::size_t g, std::size_t mid) {
-              return pair_charges(a, b, axis[r.begin + g], axis[mid]);
-            });
-        std::copy(first_flip.begin(), first_flip.end(),
-                  boundary.begin() + static_cast<std::ptrdiff_t>(r.begin));
-      },
-      cancel));
+// ---------------------------------------------------------------------------
+// Grids
+// ---------------------------------------------------------------------------
 
-  std::vector<double> nom_values(np * np);
-  for (std::size_t i = 0; i < np; ++i) {
-    for (std::size_t j = 0; j < np; ++j) {
-      nom_values[i * np + j] = j >= boundary[i] ? 1.0 : 0.0;
+/// One POF grid — a current pair or the triple — across phases 1 and 2. Its
+/// points are indexed row-major over `dims` axes; each boundary "line" fixes
+/// every coordinate but the last and searches the last current.
+struct GridRun {
+  const util::Axis* axis = nullptr;
+  std::size_t dims = 2;
+  std::array<std::size_t, 3> currents{};  ///< Current of each dimension.
+  std::uint64_t seed = 0;                 ///< Stream seed of its MC.
+  std::size_t boundary_task = 0;  ///< Its first boundary search (phase 1).
+  std::vector<double> nominal;    ///< Nominal flip map (0 or 1 per point).
+  std::vector<std::size_t> cells;  ///< Near-boundary points.
+  std::size_t grid_task = 0;      ///< Its first MC task (phase 2).
+
+  std::size_t np() const { return axis->size(); }
+  std::size_t lines() const { return nominal.size() / np(); }
+
+  /// Charges at grid point \p point.
+  StrikeCharges charges_at(std::size_t point) const {
+    StrikeCharges c;
+    for (std::size_t d = dims; d-- > 0; point /= np()) {
+      charge_of(c, currents[d]) = (*axis)[point % np()];
     }
+    return c;
   }
+};
 
-  // PV values: Monte Carlo only within `radius` (Chebyshev) of the boundary.
-  // Collect the near-boundary cells first, then run them in parallel; each
-  // cell draws from the stream keyed by its linear grid index, so the result
-  // does not depend on how many cells made the list.
-  std::vector<double> pv_values = nom_values;
-  std::vector<std::size_t> mc_cells;
-  for (std::size_t i = 0; i < np; ++i) {
-    for (std::size_t j = 0; j < np; ++j) {
-      bool near_boundary = false;
-      const auto si = static_cast<std::ptrdiff_t>(i);
-      const auto sj = static_cast<std::ptrdiff_t>(j);
-      for (std::ptrdiff_t di = -radius; di <= radius && !near_boundary; ++di) {
-        for (std::ptrdiff_t dj = -radius; dj <= radius && !near_boundary; ++dj) {
-          const std::ptrdiff_t ni = si + di;
-          const std::ptrdiff_t nj = sj + dj;
-          if (ni < 0 || nj < 0 || ni >= static_cast<std::ptrdiff_t>(np) ||
-              nj >= static_cast<std::ptrdiff_t>(np)) {
-            continue;
-          }
-          if (nom_values[static_cast<std::size_t>(ni) * np +
-                         static_cast<std::size_t>(nj)] != nom_values[i * np + j]) {
-            near_boundary = true;
-          }
-        }
-      }
-      if (near_boundary) mc_cells.push_back(i * np + j);
-    }
-  }
-  std::atomic<std::size_t> n_failed{0};
-  require_complete(pool.parallel_for_chunks(
-      mc_cells.size(), lanes,
-      [&](const exec::ChunkRange& r) {
-        StrikeSimulator& sim = sims.at(r.worker);
-        const std::size_t group = r.end - r.begin;
-        std::vector<StrikeCharges> charges(group);
-        std::vector<stats::Rng> rngs;
-        rngs.reserve(group);
-        for (std::size_t g = 0; g < group; ++g) {
-          const std::size_t cell = mc_cells[r.begin + g];
-          charges[g] = pair_charges(a, b, axis[cell / np], axis[cell % np]);
-          rngs.push_back(stats::Rng::stream(seed, cell));
-        }
-        std::vector<std::size_t> flips(group, 0);
-        std::vector<std::size_t> ok(group, 0);
-        mc_group_batch(
-            sim, charges, rngs, config_.pv_samples_grid, config_.pulse_kind,
-            [this](stats::Rng& rng) { return sample_delta_vt(rng); }, flips,
-            ok, n_failed);
-        for (std::size_t g = 0; g < group; ++g) {
-          const std::size_t cell = mc_cells[r.begin + g];
-          // Failures shrink the denominator; if every sample failed, fall
-          // back to the nominal value rather than invent a probability.
-          pv_values[cell] = ok[g] > 0 ? static_cast<double>(flips[g]) /
-                                            static_cast<double>(ok[g])
-                                      : nom_values[cell];
-        }
-      },
-      cancel));
-  attempted += mc_cells.size() * config_.pv_samples_grid;
-  failed += n_failed.load();
-
-  nominal = util::Grid2(axis, axis, std::move(nom_values));
-  pv = util::Grid2(axis, axis, std::move(pv_values));
+GridRun make_grid(const util::Axis& axis, std::size_t dims,
+                  std::array<std::size_t, 3> currents, std::uint64_t seed) {
+  GridRun g;
+  g.axis = &axis;
+  g.dims = dims;
+  g.currents = currents;
+  g.seed = seed;
+  std::size_t points = 1;
+  for (std::size_t d = 0; d < dims; ++d) points *= axis.size();
+  g.nominal.assign(points, 0.0);
+  return g;
 }
 
-void CellCharacterizer::characterize_triple(
-    exec::ThreadPool& pool, detail::SimSlots& sims, const util::Axis& axis,
-    double sigma_q_fc, std::uint64_t seed, util::Grid3& pv,
-    util::Grid3& nominal, const exec::CancelToken* cancel,
-    std::size_t& attempted, std::size_t& failed) const {
-  const std::size_t np = axis.size();
-  const double dq = min_spacing(axis);
-  const auto radius =
-      static_cast<std::ptrdiff_t>(std::ceil(4.0 * sigma_q_fc / dq)) + 1;
+/// Grid points within Chebyshev distance \p radius of a point with the other
+/// nominal verdict: where the PV Monte Carlo runs (everything else is
+/// deterministically 0 or 1).
+std::vector<std::size_t> near_boundary_cells(const GridRun& g,
+                                             std::ptrdiff_t radius) {
+  const auto snp = static_cast<std::ptrdiff_t>(g.np());
+  std::vector<std::size_t> cells;
+  for (std::size_t p = 0; p < g.nominal.size(); ++p) {
+    std::array<std::ptrdiff_t, 3> at{};
+    for (std::size_t d = g.dims, rest = p; d-- > 0; rest /= g.np()) {
+      at[d] = static_cast<std::ptrdiff_t>(rest % g.np());
+    }
+    // Walk the (2·radius + 1)^dims neighbourhood as an odometer.
+    std::array<std::ptrdiff_t, 3> off{};
+    off.fill(-radius);
+    bool near = false;
+    for (bool more = true; more && !near;) {
+      std::size_t q = 0;
+      bool inside = true;
+      for (std::size_t d = 0; d < g.dims && inside; ++d) {
+        const std::ptrdiff_t v = at[d] + off[d];
+        inside = v >= 0 && v < snp;
+        q = q * g.np() + static_cast<std::size_t>(v);
+      }
+      near = inside && g.nominal[q] != g.nominal[p];
+      more = false;
+      for (std::size_t d = g.dims; d-- > 0 && !more;) {
+        more = ++off[d] <= radius;
+        if (!more) off[d] = -radius;
+      }
+    }
+    if (near) cells.push_back(p);
+  }
+  return cells;
+}
 
-  const auto idx = [np](std::size_t i, std::size_t j, std::size_t k) {
-    return (i * np + j) * np + k;
+/// Smallest spacing of an axis (controls the MC dilation radius).
+double min_spacing(const util::Axis& axis) {
+  double dq = axis.back() - axis.front();
+  for (std::size_t i = 1; i < axis.size(); ++i) {
+    dq = std::min(dq, axis[i] - axis[i - 1]);
+  }
+  return dq;
+}
+
+// ---------------------------------------------------------------------------
+// Tasks: the units of work every lane of every worker drains
+// ---------------------------------------------------------------------------
+
+/// The work a task's strikes count toward (sram.characterize.transients.*).
+enum class Stage : std::uint8_t { kNominal, kSingle, kBoundary, kGrid };
+constexpr std::size_t kStageCount = 4;
+
+/// One unit of characterization work: a chain of strikes that one lane runs
+/// from start to finish, each chosen from the verdicts before it. The inputs
+/// are set when a phase's list is built; the outputs are written only by the
+/// lane that runs the task and read once the phase has drained, so no result
+/// depends on which worker or lane ran it, or when.
+struct Task {
+  enum class Kind : std::uint8_t {
+    kBisect,    ///< Critical scale of current `current` at `dvt`.
+    kBoundary,  ///< First flipping point of `grid`'s line at `point`.
+    kGrid,      ///< Samples [first, first + count) of `grid`'s cell `point`.
+  };
+  Kind kind = Kind::kBisect;
+  Stage stage = Stage::kSingle;
+  bool predicted = false;        ///< kBisect: start from `bracket`.
+  std::uint8_t current = 0;      ///< kBisect: index of the current.
+  std::uint32_t point = 0;       ///< kBoundary / kGrid: grid point.
+  std::uint32_t first = 0;       ///< kGrid.
+  std::uint32_t count = 0;       ///< kGrid.
+  const GridRun* grid = nullptr;  ///< kBoundary / kGrid.
+  const DeltaVt* dvt = nullptr;  ///< kBisect: the sample's shifts; null: nominal.
+  ScaleBracket bracket;          ///< kBisect, when `predicted`.
+
+  // --- Outputs -------------------------------------------------------------
+  bool failed = false;           ///< kBisect / kBoundary: a strike failed…
+  std::unique_ptr<std::string> error;  ///< …with this text.
+  std::uint32_t first_flip = 0;  ///< kBoundary.
+  std::uint32_t flips = 0;       ///< kGrid: flipping samples.
+  std::uint32_t ok = 0;          ///< kGrid: samples whose solve succeeded.
+  double qcrit = 0.0;  ///< kBisect: scale, kNeverFlips or kFailedSample.
+};
+
+Task bisect_task(Stage stage, std::size_t current, const DeltaVt* dvt) {
+  Task t;
+  t.stage = stage;
+  t.current = static_cast<std::uint8_t>(current);
+  t.dvt = dvt;
+  return t;
+}
+
+Task grid_task(Task::Kind kind, const GridRun& grid, std::size_t point) {
+  Task t;
+  t.kind = kind;
+  t.stage = kind == Task::Kind::kBoundary ? Stage::kBoundary : Stage::kGrid;
+  t.grid = &grid;
+  t.point = static_cast<std::uint32_t>(point);
+  return t;
+}
+
+/// One worker's lanes draining a phase: the StrikeFeed its simulator runs.
+/// A lane holds one task at a time; when the task needs no further strike
+/// the lane claims the next one from the phase's shared cursor.
+class PhaseFeed final : public StrikeFeed {
+ public:
+  PhaseFeed(std::vector<Task>& tasks, exec::TaskCursor& cursor,
+            const CellCharacterizer& ch)
+      : tasks_(tasks), cursor_(cursor), ch_(ch) {}
+
+  /// Count the strikes this worker ran per stage, and its predicted
+  /// bisections that verified their bracket or fell back to the plain one.
+  ~PhaseFeed() {
+    FINSER_OBS_COUNT("sram.characterize.transients.nominal", transients_[0]);
+    FINSER_OBS_COUNT("sram.characterize.transients.single", transients_[1]);
+    FINSER_OBS_COUNT("sram.characterize.transients.boundary", transients_[2]);
+    FINSER_OBS_COUNT("sram.characterize.transients.grid", transients_[3]);
+    FINSER_OBS_COUNT("sram.characterize.bracket_hits", hits_);
+    FINSER_OBS_COUNT("sram.characterize.bracket_misses", misses_);
+  }
+
+  PhaseFeed(const PhaseFeed&) = delete;
+  PhaseFeed& operator=(const PhaseFeed&) = delete;
+
+  bool next(std::size_t lane, StrikeSimulator::Strike& strike) override {
+    Lane& l = lanes_[lane];
+    strike.new_task = false;
+    if (l.task != nullptr && advance(l, strike)) return true;
+    std::size_t i = 0;
+    while (cursor_.next(i)) {
+      start(l, tasks_[i]);
+      if (advance(l, strike)) {
+        strike.new_task = true;
+        return true;
+      }
+    }
+    l.task = nullptr;
+    return false;
+  }
+
+  void done(std::size_t lane,
+            const StrikeSimulator::LaneOutcome& outcome) override {
+    Lane& l = lanes_[lane];
+    Task& t = *l.task;
+    ++transients_[static_cast<std::size_t>(t.stage)];
+    switch (t.kind) {
+      case Task::Kind::kBisect:
+      case Task::Kind::kBoundary:
+        if (outcome.failed) {
+          t.failed = true;
+          t.error = std::make_unique<std::string>(outcome.error);
+        } else if (t.kind == Task::Kind::kBisect) {
+          l.search.record(outcome.outcome.flipped);
+        } else if (outcome.outcome.flipped) {
+          l.hi = l.mid;
+        } else {
+          l.lo = l.mid + 1;
+        }
+        return;
+      case Task::Kind::kGrid:
+        // A failed sample is just not tallied: its draws were consumed, so
+        // the cell's later samples are unshifted.
+        if (!outcome.failed) {
+          ++t.ok;
+          if (outcome.outcome.flipped) ++t.flips;
+        }
+        return;
+    }
+  }
+
+ private:
+  /// A task in progress in one lane.
+  struct Lane {
+    Task* task = nullptr;
+    Bisection search;              ///< kBisect.
+    std::size_t lo = 0, hi = 0;    ///< kBoundary: open column range.
+    std::size_t mid = 0;           ///< kBoundary: the column in flight.
+    stats::Rng rng;                ///< kGrid: at the next sample's draws.
+    std::uint32_t left = 0;        ///< kGrid: samples still to run.
   };
 
-  // Nominal: binary search the first flipping k for each (i, j) — RNG-free,
-  // one parallel item per (i, j) column, in lane groups.
-  const std::size_t lanes = spice::lane_width();
-  std::vector<double> nom_values(np * np * np);
-  require_complete(pool.parallel_for_chunks(
-      np * np, lanes,
-      [&](const exec::ChunkRange& r) {
-        StrikeSimulator& sim = sims.at(r.worker);
-        const std::vector<std::size_t> first_flip = boundary_search_batch(
-            sim, r.end - r.begin, np, config_.pulse_kind,
-            [&](std::size_t g, std::size_t mid) {
-              const std::size_t ij = r.begin + g;
-              return StrikeCharges{axis[ij / np], axis[ij % np], axis[mid]};
-            });
-        for (std::size_t g = 0; g < r.end - r.begin; ++g) {
-          const std::size_t ij = r.begin + g;
-          for (std::size_t k = 0; k < np; ++k) {
-            nom_values[idx(ij / np, ij % np, k)] =
-                k >= first_flip[g] ? 1.0 : 0.0;
-          }
-        }
-      },
-      cancel));
-
-  std::vector<double> pv_values = nom_values;
-  std::vector<std::size_t> mc_cells;
-  const auto snp = static_cast<std::ptrdiff_t>(np);
-  for (std::size_t i = 0; i < np; ++i) {
-    for (std::size_t j = 0; j < np; ++j) {
-      for (std::size_t k = 0; k < np; ++k) {
-        bool near_boundary = false;
-        for (std::ptrdiff_t di = -radius; di <= radius && !near_boundary; ++di) {
-          for (std::ptrdiff_t dj = -radius; dj <= radius && !near_boundary; ++dj) {
-            for (std::ptrdiff_t dk = -radius; dk <= radius && !near_boundary;
-                 ++dk) {
-              const std::ptrdiff_t ni = static_cast<std::ptrdiff_t>(i) + di;
-              const std::ptrdiff_t nj = static_cast<std::ptrdiff_t>(j) + dj;
-              const std::ptrdiff_t nk = static_cast<std::ptrdiff_t>(k) + dk;
-              if (ni < 0 || nj < 0 || nk < 0 || ni >= snp || nj >= snp ||
-                  nk >= snp) {
-                continue;
-              }
-              if (nom_values[idx(static_cast<std::size_t>(ni),
-                                 static_cast<std::size_t>(nj),
-                                 static_cast<std::size_t>(nk))] !=
-                  nom_values[idx(i, j, k)]) {
-                near_boundary = true;
-              }
-            }
-          }
-        }
-        if (near_boundary) mc_cells.push_back(idx(i, j, k));
-      }
+  void start(Lane& l, Task& t) {
+    const CharacterizerConfig& cfg = ch_.config();
+    l.task = &t;
+    switch (t.kind) {
+      case Task::Kind::kBisect:
+        l.search = t.predicted
+                       ? Bisection(cfg.q_max_fc, cfg.bisect_tol_fc, t.bracket)
+                       : Bisection(cfg.q_max_fc, cfg.bisect_tol_fc);
+        return;
+      case Task::Kind::kBoundary:
+        l.lo = 0;
+        l.hi = t.grid->np();
+        return;
+      case Task::Kind::kGrid:
+        // Replay the cell's stream up to the task's first sample, so sample
+        // s keeps the draws of a single pass over the whole ladder.
+        l.rng = stats::Rng::stream(t.grid->seed, t.point);
+        for (std::uint32_t s = 0; s < t.first; ++s) ch_.sample_delta_vt(l.rng);
+        l.left = t.count;
+        return;
     }
   }
-  std::atomic<std::size_t> n_failed{0};
-  require_complete(pool.parallel_for_chunks(
-      mc_cells.size(), lanes,
-      [&](const exec::ChunkRange& r) {
-        StrikeSimulator& sim = sims.at(r.worker);
-        const std::size_t group = r.end - r.begin;
-        std::vector<StrikeCharges> charges(group);
-        std::vector<stats::Rng> rngs;
-        rngs.reserve(group);
-        for (std::size_t g = 0; g < group; ++g) {
-          const std::size_t cell = mc_cells[r.begin + g];
-          charges[g] = StrikeCharges{axis[cell / (np * np)],
-                                     axis[(cell / np) % np], axis[cell % np]};
-          rngs.push_back(stats::Rng::stream(seed, cell));
+
+  /// Fill \p strike with the lane's next strike, or finish its task (writing
+  /// the outputs still pending) and return false.
+  bool advance(Lane& l, StrikeSimulator::Strike& strike) {
+    Task& t = *l.task;
+    switch (t.kind) {
+      case Task::Kind::kBisect:
+        if (t.failed) {
+          t.qcrit = kFailedSample;
+          return false;
         }
-        std::vector<std::size_t> flips(group, 0);
-        std::vector<std::size_t> ok(group, 0);
-        mc_group_batch(
-            sim, charges, rngs, config_.pv_samples_grid, config_.pulse_kind,
-            [this](stats::Rng& rng) { return sample_delta_vt(rng); }, flips,
-            ok, n_failed);
-        for (std::size_t g = 0; g < group; ++g) {
-          const std::size_t cell = mc_cells[r.begin + g];
-          pv_values[cell] = ok[g] > 0 ? static_cast<double>(flips[g]) /
-                                            static_cast<double>(ok[g])
-                                      : nom_values[cell];
+        if (l.search.finished()) {
+          t.qcrit = l.search.result();
+          if (t.predicted) ++(l.search.missed() ? misses_ : hits_);
+          return false;
         }
+        strike.charges =
+            scale_direction(unit_direction(t.current), l.search.probe());
+        strike.delta_vt = t.dvt != nullptr ? *t.dvt : DeltaVt{};
+        return true;
+      case Task::Kind::kBoundary: {
+        if (t.failed) return false;
+        if (l.lo >= l.hi) {
+          t.first_flip = static_cast<std::uint32_t>(l.lo);
+          return false;
+        }
+        const GridRun& g = *t.grid;
+        l.mid = l.lo + (l.hi - l.lo) / 2;
+        strike.charges = g.charges_at(t.point);
+        charge_of(strike.charges, g.currents[g.dims - 1]) = (*g.axis)[l.mid];
+        strike.delta_vt = DeltaVt{};
+        return true;
+      }
+      case Task::Kind::kGrid:
+        if (l.left == 0) return false;
+        --l.left;
+        strike.charges = t.grid->charges_at(t.point);
+        strike.delta_vt = ch_.sample_delta_vt(l.rng);
+        return true;
+    }
+    return false;
+  }
+
+  std::vector<Task>& tasks_;
+  exec::TaskCursor& cursor_;
+  const CellCharacterizer& ch_;
+  std::array<Lane, spice::kMaxLaneWidth> lanes_;
+  std::array<std::size_t, kStageCount> transients_{};
+  std::size_t hits_ = 0;
+  std::size_t misses_ = 0;
+};
+
+/// One StrikeSimulator per pool worker slot, created lazily on the worker's
+/// own thread (the simulator keeps transient-analysis scratch and is not
+/// shareable across threads). Each slot lives for the whole per-voltage
+/// characterization, so every worker compiles its cell circuit once and then
+/// rebinds parameters per strike, in every phase (see spice/compiled.hpp).
+struct SimSlots {
+  const CellDesign* design;
+  double vdd_v;
+  std::vector<std::unique_ptr<StrikeSimulator>> sims;
+
+  SimSlots(const CellDesign& d, double vdd, std::size_t slots)
+      : design(&d), vdd_v(vdd), sims(slots) {}
+
+  StrikeSimulator& at(std::size_t worker) {
+    std::unique_ptr<StrikeSimulator>& s = sims[worker];
+    if (!s) s = std::make_unique<StrikeSimulator>(*design, vdd_v);
+    return *s;
+  }
+};
+
+/// Drain one phase: every worker streams the list's tasks through its
+/// simulator's lanes. Throws util::Cancelled if \p cancel fires.
+void run_phase(exec::ThreadPool& pool, SimSlots& sims, std::vector<Task>& tasks,
+               const CellCharacterizer& ch, const exec::CancelToken* cancel) {
+  require_complete(pool.parallel_drain(
+      tasks.size(),
+      [&](exec::TaskCursor& cursor) {
+        PhaseFeed feed(tasks, cursor, ch);
+        sims.at(cursor.worker()).simulate_stream(feed, ch.config().pulse_kind);
       },
       cancel));
-  attempted += mc_cells.size() * config_.pv_samples_grid;
-  failed += n_failed.load();
-
-  nominal = util::Grid3(axis, axis, axis, std::move(nom_values));
-  pv = util::Grid3(axis, axis, axis, std::move(pv_values));
 }
+
+/// A failed nominal bisection or boundary search cannot be excluded like a
+/// PV sample: it anchors the table (axis placement, the MC band). Rethrow
+/// the first failure in task order, whichever worker ran it.
+void require_no_failure(const std::vector<Task>& tasks, std::size_t begin,
+                        std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
+    if (tasks[i].failed) throw util::NumericalError(*tasks[i].error);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The bracket predictor
+// ---------------------------------------------------------------------------
+
+/// Linear critical-charge model in the six threshold shifts, fitted by least
+/// squares over a current's plain-searched prefix, with its residual
+/// standard deviation. Deterministic in the prefix alone. It only picks
+/// where a search starts: Bisection verifies every bracket it is given.
+class QcritFit {
+ public:
+  static constexpr std::size_t kTerms = kRoleCount + 1;  // Intercept + ΔVt.
+
+  /// Fit samples [0, n) of \p dvts / \p qcrit, skipping failed and
+  /// never-flipping ones; usable() is false without enough of them or on a
+  /// singular system (e.g. σVt = 0).
+  QcritFit(const std::vector<DeltaVt>& dvts, const std::vector<double>& qcrit,
+           std::size_t n) {
+    std::array<std::array<double, kTerms + 1>, kTerms> m{};  // [A | b].
+    std::size_t used = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!(qcrit[k] >= 0.0 && qcrit[k] < SingleCdf::kNeverFlips)) continue;
+      const std::array<double, kTerms> x = terms(dvts[k]);
+      for (std::size_t i = 0; i < kTerms; ++i) {
+        for (std::size_t j = 0; j < kTerms; ++j) m[i][j] += x[i] * x[j];
+        m[i][kTerms] += x[i] * qcrit[k];
+      }
+      ++used;
+    }
+    if (used <= kTerms) return;
+    // Normal equations by Gaussian elimination with partial pivoting.
+    for (std::size_t c = 0; c < kTerms; ++c) {
+      std::size_t piv = c;
+      for (std::size_t r = c + 1; r < kTerms; ++r) {
+        if (std::abs(m[r][c]) > std::abs(m[piv][c])) piv = r;
+      }
+      if (!(std::abs(m[piv][c]) > 0.0)) return;
+      std::swap(m[c], m[piv]);
+      for (std::size_t r = c + 1; r < kTerms; ++r) {
+        const double f = m[r][c] / m[c][c];
+        for (std::size_t j = c; j <= kTerms; ++j) m[r][j] -= f * m[c][j];
+      }
+    }
+    for (std::size_t c = kTerms; c-- > 0;) {
+      double acc = m[c][kTerms];
+      for (std::size_t j = c + 1; j < kTerms; ++j) acc -= m[c][j] * beta_[j];
+      beta_[c] = acc / m[c][c];
+    }
+    double rss = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!(qcrit[k] >= 0.0 && qcrit[k] < SingleCdf::kNeverFlips)) continue;
+      const double r = qcrit[k] - predict(dvts[k]);
+      rss += r * r;
+    }
+    sigma_ = std::sqrt(rss / static_cast<double>(used - kTerms));
+    usable_ = std::isfinite(sigma_) &&
+              std::all_of(beta_.begin(), beta_.end(),
+                          [](double b) { return std::isfinite(b); });
+  }
+
+  bool usable() const { return usable_; }
+
+  /// The prediction for \p dvt, ±kBracketSigmas residual deviations.
+  ScaleBracket bracket(const DeltaVt& dvt) const {
+    const double q = predict(dvt);
+    return ScaleBracket{q - kBracketSigmas * sigma_, q + kBracketSigmas * sigma_};
+  }
+
+ private:
+  static std::array<double, kTerms> terms(const DeltaVt& dvt) {
+    std::array<double, kTerms> x{};
+    x[0] = 1.0;
+    std::copy(dvt.begin(), dvt.end(), x.begin() + 1);
+    return x;
+  }
+
+  double predict(const DeltaVt& dvt) const {
+    const std::array<double, kTerms> x = terms(dvt);
+    double q = 0.0;
+    for (std::size_t i = 0; i < kTerms; ++i) q += beta_[i] * x[i];
+    return q;
+  }
+
+  std::array<double, kTerms> beta_{};
+  double sigma_ = 0.0;
+  bool usable_ = false;
+};
+
+}  // namespace
 
 PofTable CellCharacterizer::characterize_at(double vdd_v, std::uint64_t seed,
                                             const exec::ProgressSink& progress,
@@ -622,33 +773,48 @@ PofTable CellCharacterizer::characterize_at(double vdd_v, std::uint64_t seed,
                        "sram.characterize_voltage vdd=" +
                            std::to_string(vdd_v) + "V");
   exec::ThreadPool pool(config_.threads);
-  detail::SimSlots sims(design_, vdd_v, pool.thread_count());
+  SimSlots sims(design_, vdd_v, pool.thread_count());
 
   PofTable table;
   table.vdd_v = vdd_v;
   table.q_max_fc = config_.q_max_fc;
 
-  for (int which = 0; which < 3; ++which) {
-    table.singles[static_cast<std::size_t>(which)] = characterize_single(
-        pool, sims, which,
-        stats::Rng::derive_seed(seed,
-                                kStreamSingleBase + static_cast<std::uint64_t>(which)),
-        cancel, table.attempted_samples, table.failed_samples);
-    if (progress) {
-      std::ostringstream os;
-      const auto& s = table.singles[static_cast<std::size_t>(which)];
-      os << "vdd=" << vdd_v << " I" << which + 1
-         << ": qcrit_nom=" << s.nominal_qcrit_fc
-         << " fC, qcrit_mean=" << s.mean_qcrit_fc()
-         << " fC, sigma=" << s.stddev_qcrit_fc() << " fC";
-      progress.message(os.str());
+  // PV samples are independent: sample k of current `which` draws from
+  // stream k of that current's seed, so its ΔVt — and its critical charge —
+  // is the same for any thread count, lane width or task order.
+  const std::size_t n_pv = config_.pv_samples_single;
+  const std::size_t n_prefix = std::min(n_pv, kPrefixSamples);
+  std::array<std::vector<DeltaVt>, 3> dvts;
+  std::array<std::vector<double>, 3> qcrit;
+  for (std::size_t which = 0; which < 3; ++which) {
+    const std::uint64_t s = stats::Rng::derive_seed(seed, kStreamSingleBase + which);
+    for (std::size_t k = 0; k < n_pv; ++k) {
+      stats::Rng rng = stats::Rng::stream(s, k);
+      dvts[which].push_back(sample_delta_vt(rng));
     }
+    qcrit[which].resize(n_pv);
   }
 
-  // Smearing radius estimate for the grid MC placement.
-  double sigma_q = 0.0;
-  for (const auto& s : table.singles) sigma_q = std::max(sigma_q, s.stddev_qcrit_fc());
-  if (sigma_q <= 0.0) sigma_q = 0.02 * config_.q_max_fc;
+  // Phase 0: the nominal bisections, which place the grid axes, and each
+  // current's plain-searched PV prefix, which the bracket predictor needs.
+  std::vector<Task> tasks;
+  tasks.reserve(3 * (1 + n_prefix));
+  for (std::size_t which = 0; which < 3; ++which) {
+    tasks.push_back(bisect_task(Stage::kNominal, which, nullptr));
+  }
+  for (std::size_t which = 0; which < 3; ++which) {
+    for (std::size_t k = 0; k < n_prefix; ++k) {
+      tasks.push_back(bisect_task(Stage::kSingle, which, &dvts[which][k]));
+    }
+  }
+  run_phase(pool, sims, tasks, *this, cancel);
+  require_no_failure(tasks, 0, 3);
+  for (std::size_t which = 0; which < 3; ++which) {
+    table.singles[which].nominal_qcrit_fc = tasks[which].qcrit;
+    for (std::size_t k = 0; k < n_prefix; ++k) {
+      qcrit[which][k] = tasks[3 + which * n_prefix + k].qcrit;
+    }
+  }
 
   // Charge axes densified around the cell's critical-charge band.
   double qc_lo = SingleCdf::kNeverFlips;
@@ -664,23 +830,139 @@ PofTable CellCharacterizer::characterize_at(double vdd_v, std::uint64_t seed,
       qc_lo, qc_hi, config_.pair_grid_points, config_.q_max_fc);
   const util::Axis triple_axis = make_charge_axis(
       qc_lo, qc_hi, config_.triple_grid_points, config_.q_max_fc);
+  const std::size_t pair_ids[3][2] = {{0, 1}, {0, 2}, {1, 2}};
+  std::array<GridRun, 4> grids;
+  for (std::size_t p = 0; p < 3; ++p) {
+    grids[p] = make_grid(pair_axis, 2, {pair_ids[p][0], pair_ids[p][1], 0},
+                         stats::Rng::derive_seed(seed, kStreamPairBase + p));
+  }
+  grids[3] = make_grid(triple_axis, 3, {0, 1, 2},
+                       stats::Rng::derive_seed(seed, kStreamTriple));
 
-  const int pair_ids[3][2] = {{0, 1}, {0, 2}, {1, 2}};
-  for (int p = 0; p < 3; ++p) {
-    characterize_pair(
-        pool, sims, pair_ids[p][0], pair_ids[p][1], pair_axis, sigma_q,
-        stats::Rng::derive_seed(seed,
-                                kStreamPairBase + static_cast<std::uint64_t>(p)),
-        table.pairs_pv[static_cast<std::size_t>(p)],
-        table.pairs_nominal[static_cast<std::size_t>(p)], cancel,
-        table.attempted_samples, table.failed_samples);
+  // Phase 1: the rest of the PV samples, each searched from the bracket its
+  // current's prefix fit predicts, and every grid's nominal boundary — a
+  // binary search for the first flipping point along each line (the flip
+  // region is monotone). Lines are ΔVt-free, so a task pays one DC solve.
+  tasks.clear();
+  std::size_t n_lines = 0;
+  for (const GridRun& g : grids) n_lines += g.lines();
+  tasks.reserve(3 * (n_pv - n_prefix) + n_lines);
+  for (std::size_t which = 0; which < 3; ++which) {
+    const QcritFit fit(dvts[which], qcrit[which], n_prefix);
+    for (std::size_t k = n_prefix; k < n_pv; ++k) {
+      Task t = bisect_task(Stage::kSingle, which, &dvts[which][k]);
+      t.predicted = fit.usable();
+      if (t.predicted) t.bracket = fit.bracket(dvts[which][k]);
+      tasks.push_back(std::move(t));
+    }
+  }
+  const std::size_t n_rest = tasks.size();
+  for (GridRun& g : grids) {
+    g.boundary_task = tasks.size();
+    for (std::size_t line = 0; line < g.lines(); ++line) {
+      tasks.push_back(grid_task(Task::Kind::kBoundary, g, line * g.np()));
+    }
+  }
+  run_phase(pool, sims, tasks, *this, cancel);
+  require_no_failure(tasks, n_rest, tasks.size());
+
+  for (std::size_t which = 0; which < 3; ++which) {
+    const std::size_t n_later = n_pv - n_prefix;
+    for (std::size_t k = n_prefix; k < n_pv; ++k) {
+      qcrit[which][k] = tasks[which * n_later + (k - n_prefix)].qcrit;
+    }
+    // A sample whose solve diverged is excluded from the CDF, never guessed
+    // as flip or no-flip.
+    SingleCdf& cdf = table.singles[which];
+    cdf.failed_samples = static_cast<std::size_t>(
+        std::count(qcrit[which].begin(), qcrit[which].end(), kFailedSample));
+    cdf.total_samples = n_pv - cdf.failed_samples;
+    table.attempted_samples += n_pv;
+    table.failed_samples += cdf.failed_samples;
+    for (double q : qcrit[which]) {
+      if (q >= 0.0 && q < SingleCdf::kNeverFlips) cdf.qcrit_samples_fc.push_back(q);
+    }
+    std::sort(cdf.qcrit_samples_fc.begin(), cdf.qcrit_samples_fc.end());
+    if (progress) {
+      std::ostringstream os;
+      os << "vdd=" << vdd_v << " I" << which + 1
+         << ": qcrit_nom=" << cdf.nominal_qcrit_fc
+         << " fC, qcrit_mean=" << cdf.mean_qcrit_fc()
+         << " fC, sigma=" << cdf.stddev_qcrit_fc() << " fC";
+      progress.message(os.str());
+    }
+  }
+
+  // Smearing radius estimate for the grid MC placement.
+  double sigma_q = 0.0;
+  for (const auto& s : table.singles) sigma_q = std::max(sigma_q, s.stddev_qcrit_fc());
+  if (sigma_q <= 0.0) sigma_q = 0.02 * config_.q_max_fc;
+  for (GridRun& g : grids) {
+    for (std::size_t line = 0; line < g.lines(); ++line) {
+      const std::size_t first_flip = tasks[g.boundary_task + line].first_flip;
+      for (std::size_t k = first_flip; k < g.np(); ++k) {
+        g.nominal[line * g.np() + k] = 1.0;
+      }
+    }
+    const auto radius = static_cast<std::ptrdiff_t>(
+                            std::ceil(4.0 * sigma_q / min_spacing(*g.axis))) +
+                        1;
+    g.cells = near_boundary_cells(g, radius);
+  }
+
+  // Phase 2: PV Monte Carlo only within that radius (Chebyshev) of each
+  // nominal boundary, as sub-chains of each cell's sample ladder. A cell
+  // draws from the stream keyed by its linear grid index, so the result
+  // depends neither on how many cells made the list nor on how the ladder
+  // is split into tasks.
+  const std::size_t n_grid = config_.pv_samples_grid;
+  tasks.clear();
+  const std::size_t chains = (n_grid + kGridChain - 1) / kGridChain;
+  std::size_t n_cells = 0;
+  for (const GridRun& g : grids) n_cells += g.cells.size();
+  tasks.reserve(n_cells * chains);
+  for (GridRun& g : grids) {
+    g.grid_task = tasks.size();
+    for (const std::size_t cell : g.cells) {
+      for (std::size_t first = 0; first < n_grid; first += kGridChain) {
+        Task t = grid_task(Task::Kind::kGrid, g, cell);
+        t.first = static_cast<std::uint32_t>(first);
+        t.count = static_cast<std::uint32_t>(std::min(kGridChain, n_grid - first));
+        tasks.push_back(std::move(t));
+      }
+    }
+  }
+  run_phase(pool, sims, tasks, *this, cancel);
+
+  std::array<std::vector<double>, 4> pv;
+  for (std::size_t gi = 0; gi < grids.size(); ++gi) {
+    const GridRun& g = grids[gi];
+    pv[gi] = g.nominal;
+    const Task* t = tasks.data() + g.grid_task;
+    for (const std::size_t cell : g.cells) {
+      std::size_t flips = 0;
+      std::size_t ok = 0;
+      for (std::size_t first = 0; first < n_grid; first += kGridChain, ++t) {
+        flips += t->flips;
+        ok += t->ok;
+      }
+      // Failures shrink the denominator; if every sample failed, fall back
+      // to the nominal value rather than invent a probability.
+      pv[gi][cell] = ok > 0 ? static_cast<double>(flips) / static_cast<double>(ok)
+                            : g.nominal[cell];
+      table.attempted_samples += n_grid;
+      table.failed_samples += n_grid - ok;
+    }
+  }
+  for (std::size_t p = 0; p < 3; ++p) {
+    table.pairs_nominal[p] = util::Grid2(pair_axis, pair_axis, grids[p].nominal);
+    table.pairs_pv[p] = util::Grid2(pair_axis, pair_axis, std::move(pv[p]));
   }
   if (progress) progress.message("vdd=" + std::to_string(vdd_v) + ": pair grids done");
-
-  characterize_triple(pool, sims, triple_axis, sigma_q,
-                      stats::Rng::derive_seed(seed, kStreamTriple),
-                      table.triple_pv, table.triple_nominal, cancel,
-                      table.attempted_samples, table.failed_samples);
+  table.triple_nominal =
+      util::Grid3(triple_axis, triple_axis, triple_axis, grids[3].nominal);
+  table.triple_pv =
+      util::Grid3(triple_axis, triple_axis, triple_axis, std::move(pv[3]));
   if (progress) progress.message("vdd=" + std::to_string(vdd_v) + ": triple grid done");
 
   if (table.failed_samples > 0) {

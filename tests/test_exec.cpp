@@ -21,6 +21,7 @@
 #include "finser/exec/exec.hpp"
 #include "finser/exec/progress.hpp"
 #include "finser/exec/thread_pool.hpp"
+#include "finser/obs/obs.hpp"
 #include "finser/stats/rng.hpp"
 #include "finser/util/error.hpp"
 
@@ -134,6 +135,112 @@ TEST(ThreadPool, ReusableAcrossRegions) {
     });
   }
   EXPECT_EQ(sum.load(), 20L * (99L * 100L / 2L));
+}
+
+// ---------------------------------------------------------------------------
+// ThreadPool::parallel_drain
+// ---------------------------------------------------------------------------
+
+/// Snapshot counter by name (0 when absent).
+std::uint64_t counter(const char* name) {
+  for (const auto& row : obs::Registry::global().snapshot().counters) {
+    if (row.name == name) return row.total;
+  }
+  return 0;
+}
+
+// Every task index is claimed exactly once, by workers that hold several
+// tasks at a time, and exec.items / exec.chunks count tasks, not workers.
+TEST(ThreadPool, DrainClaimsEveryTaskOnce) {
+  constexpr std::size_t kTasks = 301;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(kTasks);
+    std::atomic<std::size_t> workers{0};
+    obs::Registry::global().reset();
+    obs::set_enabled(true);
+    const bool completed = pool.parallel_drain(kTasks, [&](TaskCursor& cursor) {
+      EXPECT_LT(cursor.worker(), pool.thread_count());
+      ++workers;
+      // Interleave up to three tasks, as a lane-batched worker does.
+      std::vector<std::size_t> held;
+      std::size_t task = 0;
+      for (;;) {
+        while (held.size() < 3 && cursor.next(task)) held.push_back(task);
+        if (held.empty()) break;
+        hits[held.front()].fetch_add(1);
+        held.erase(held.begin());
+      }
+    });
+    obs::set_enabled(false);
+    EXPECT_TRUE(completed);
+    EXPECT_EQ(workers.load(), threads);
+    for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+    EXPECT_EQ(counter("exec.items"), kTasks) << threads << " threads";
+    EXPECT_EQ(counter("exec.chunks"), kTasks) << threads << " threads";
+    EXPECT_EQ(counter("exec.regions"), 1u);
+  }
+  obs::Registry::global().reset();
+  ThreadPool pool(2);
+  bool called = false;
+  EXPECT_TRUE(pool.parallel_drain(0, [&](TaskCursor&) { called = true; }));
+  EXPECT_FALSE(called);
+}
+
+// Once the token fires no task is handed out; tasks already claimed finish.
+TEST(ThreadPool, DrainStopsClaimingWhenCancelled) {
+  ThreadPool pool(4);
+  CancelToken token;
+  std::atomic<std::size_t> ran{0};
+  const bool completed = pool.parallel_drain(
+      1000,
+      [&](TaskCursor& cursor) {
+        std::size_t task = 0;
+        while (cursor.next(task)) {
+          ++ran;
+          token.cancel();
+        }
+      },
+      &token);
+  EXPECT_FALSE(completed);
+  EXPECT_GE(ran.load(), 1u);
+  EXPECT_LT(ran.load(), 1000u);
+  std::atomic<std::size_t> ran2{0};
+  EXPECT_FALSE(pool.parallel_drain(
+      10,
+      [&](TaskCursor& cursor) {
+        std::size_t task = 0;
+        while (cursor.next(task)) ++ran2;
+      },
+      &token));
+  EXPECT_EQ(ran2.load(), 0u);
+}
+
+// A worker's exception stops every worker's claims and is rethrown; the
+// pool runs the next region normally.
+TEST(ThreadPool, DrainRethrowsAndStopsClaims) {
+  ThreadPool pool(4);
+  std::atomic<std::size_t> ran{0};
+  EXPECT_THROW(pool.parallel_drain(10000,
+                                   [&](TaskCursor& cursor) {
+                                     std::size_t task = 0;
+                                     while (cursor.next(task)) {
+                                       ++ran;
+                                       if (task == 5) {
+                                         throw std::runtime_error("task 5");
+                                       }
+                                       std::this_thread::sleep_for(
+                                           std::chrono::microseconds(50));
+                                     }
+                                   }),
+               std::runtime_error);
+  EXPECT_LT(ran.load(), 10000u);
+  std::atomic<std::size_t> count{0};
+  EXPECT_TRUE(pool.parallel_drain(50, [&](TaskCursor& cursor) {
+    std::size_t task = 0;
+    while (cursor.next(task)) ++count;
+  }));
+  EXPECT_EQ(count.load(), 50u);
 }
 
 // ---------------------------------------------------------------------------

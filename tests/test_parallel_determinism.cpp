@@ -15,6 +15,7 @@
 #include "finser/core/neutron_mc.hpp"
 #include "finser/core/ser_flow.hpp"
 #include "finser/sram/characterize.hpp"
+#include "finser/util/bytes.hpp"
 #include "finser/util/error.hpp"
 
 namespace finser::core {
@@ -155,6 +156,27 @@ TEST(ParallelDeterminism, CharacterizerOneVsFourThreads) {
       }
     }
   }
+}
+
+// Past the 32-sample prefix most PV bisections start from a predicted
+// bracket: the fit, and with it every table byte, must not depend on the
+// thread count either.
+TEST(ParallelDeterminism, CharacterizerPredictedBracketsOneVsFourThreads) {
+  sram::CharacterizerConfig cfg;
+  cfg.vdds = {0.8};
+  cfg.pv_samples_single = 40;
+  cfg.pair_grid_points = 6;
+  cfg.triple_grid_points = 6;
+  cfg.pv_samples_grid = 10;
+  cfg.seed = 7;
+  const auto table_bytes = [&](std::size_t threads) {
+    sram::CharacterizerConfig c = cfg;
+    c.threads = threads;
+    util::ByteWriter w;
+    sram::CellCharacterizer(sram::CellDesign{}, c).characterize_at(0.9, 3).write(w);
+    return w.take();
+  };
+  EXPECT_EQ(table_bytes(1), table_bytes(4));
 }
 
 TEST(ParallelDeterminism, SerFlowSweepOneVsFourThreads) {

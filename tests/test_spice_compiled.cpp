@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +43,7 @@
 #include "finser/stats/rng.hpp"
 #include "finser/util/bytes.hpp"
 #include "finser/util/error.hpp"
+#include "finser/util/fault.hpp"
 #include "spice_reference.hpp"
 
 namespace finser::spice {
@@ -506,6 +508,91 @@ TEST(SpiceBatch, BatchTransientMatchesScalarPerLane) {
   }
 }
 
+/// A TransientFeed over a list of parameter sets: job k binds params[k]
+/// from operating point x0[k]; every ended job's waveform is kept.
+struct ListTransientFeed final : TransientFeed {
+  ListTransientFeed(SolvableCircuit& circuit, CompiledCircuit& compiled,
+                    BatchWorkspace& workspace,
+                    const std::vector<LaneParams>& jobs,
+                    const std::vector<std::vector<double>>& points)
+      : s(circuit), cc(compiled), bw(workspace), params(jobs), x0(points),
+        waves(jobs.size()), finishes(jobs.size(), 0) {}
+
+  const std::vector<double>* load(std::size_t lane) override {
+    if (next == params.size()) return nullptr;
+    job[lane] = next;
+    bind_params(s, cc, params[next]);
+    cc.batch_rebind_lane(bw, lane);
+    return &x0[next++];
+  }
+
+  void finish(std::size_t lane, const Waveform& wave,
+              const std::string* error) override {
+    ++finishes[job[lane]];
+    if (error != nullptr) errors.push_back(*error);
+    waves[job[lane]] = wave;
+  }
+
+  SolvableCircuit& s;
+  CompiledCircuit& cc;
+  BatchWorkspace& bw;
+  const std::vector<LaneParams>& params;
+  const std::vector<std::vector<double>>& x0;
+  std::size_t next = 0;
+  std::array<std::size_t, kMaxLaneWidth> job{};
+  std::vector<std::optional<Waveform>> waves;
+  std::vector<int> finishes;
+  std::vector<std::string> errors;
+};
+
+// A stream of many more jobs than lanes refills each lane as its transient
+// ends; every job's waveform must equal a run_transient_single() of its
+// binding, at every width, with and without a latch stop (which ends jobs
+// at different steps).
+TEST(SpiceStream, RefilledLanesMatchSingleRuns) {
+  stats::Rng rng(1414);
+  SolvableCircuit s = make_solvable(rng);
+  CompiledCircuit cc(s.c);
+  std::vector<LaneParams> params;
+  for (int k = 0; k < 29; ++k) params.push_back(random_params(rng));
+  std::vector<std::vector<double>> x0;
+  SolveWorkspace ws;
+  for (const LaneParams& p : params) {
+    bind_params(s, cc, p);
+    x0.push_back(solve_dc(cc, ws));
+  }
+  const std::size_t out = s.c.find_node("out");
+  const std::size_t out2 = s.c.find_node("out2");
+
+  for (bool latch : {false, true}) {
+    TransientOptions topt;
+    topt.t_end = 20e-12;
+    if (latch) topt.latch = LatchStop{out, out2, 0.8};
+    std::vector<Waveform> ref;
+    BatchWorkspace single;
+    for (std::size_t k = 0; k < params.size(); ++k) {
+      bind_params(s, cc, params[k]);
+      ref.push_back(
+          run_transient_single(cc, single, x0[k], topt, {"out", "out2"}));
+    }
+    for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+      BatchWorkspace bw;
+      cc.batch_configure(bw, width);
+      ListTransientFeed feed(s, cc, bw, params, x0);
+      run_transient_stream(cc, bw, feed, topt, {"out", "out2"});
+      EXPECT_TRUE(feed.errors.empty());
+      for (std::size_t k = 0; k < params.size(); ++k) {
+        ASSERT_EQ(feed.finishes[k], 1) << "job " << k;
+        expect_same_waveform(ref[k], *feed.waves[k],
+                             ("latch " + std::to_string(latch) + " width " +
+                              std::to_string(width) + " job " +
+                              std::to_string(k))
+                                 .c_str());
+      }
+    }
+  }
+}
+
 TEST(SpiceCompiled, UnsupportedDeviceKindThrows) {
   class Ghost : public Device {
    public:
@@ -805,6 +892,169 @@ TEST(SpiceBatch, MaskedLanesAreUntouched) {
     ASSERT_FALSE(out[k].failed) << out[k].error;
     EXPECT_EQ(out[k].outcome.final_q_v, want.final_q_v) << "lane " << k;
     EXPECT_EQ(out[k].outcome.final_qb_v, want.final_qb_v);
+  }
+}
+
+/// A StrikeFeed over a list that opens a new task every third strike and
+/// records each strike's outcome.
+struct ListStrikeFeed final : StrikeFeed {
+  ListStrikeFeed(const std::vector<StrikeCharges>& strike_charges,
+                 const std::vector<DeltaVt>& strike_dvts)
+      : charges(strike_charges), dvts(strike_dvts), out(strike_charges.size()),
+        reports(strike_charges.size(), 0) {}
+
+  bool next(std::size_t lane, StrikeSimulator::Strike& strike) override {
+    if (next_strike == charges.size()) return false;
+    job[lane] = next_strike;
+    strike.charges = charges[next_strike];
+    strike.delta_vt = dvts[next_strike];
+    strike.new_task = next_strike % 3 == 0;
+    ++next_strike;
+    return true;
+  }
+
+  void done(std::size_t lane,
+            const StrikeSimulator::LaneOutcome& outcome) override {
+    out[job[lane]] = outcome;
+    ++reports[job[lane]];
+  }
+
+  const std::vector<StrikeCharges>& charges;
+  const std::vector<DeltaVt>& dvts;
+  std::size_t next_strike = 0;
+  std::array<std::size_t, spice::kMaxLaneWidth> job{};
+  std::vector<StrikeSimulator::LaneOutcome> out;
+  std::vector<int> reports;
+};
+
+struct FaultReset {
+  ~FaultReset() { util::fault_configure(""); }
+};
+
+// simulate_stream() over many more strikes than lanes — charges straddling
+// the critical charge, random ΔVt, one strike whose hold solve fails (a NaN
+// shift) and one whose bind the newton_diverge hook fails — reports every
+// strike once, byte-identical to simulate() on the same inputs, at every
+// lane width.
+TEST(SpiceStream, StrikeOutcomesMatchSimulateAcrossWidths) {
+  const CellDesign design;
+  constexpr double kVdd = 0.8;
+  const auto kind = spice::PulseShape::Kind::kRectangular;
+  StrikeSimulator probe(design, kVdd);
+  const double qc =
+      bisect_critical_scale(probe, StrikeCharges{1, 0, 0}, DeltaVt{}, 0.4, 2e-4, kind);
+  ASSERT_LT(qc, SingleCdf::kNeverFlips);
+
+  constexpr std::size_t kStrikes = 37;
+  constexpr std::size_t kDcFailure = 11;
+  constexpr std::size_t kInjected = 23;
+  stats::Rng rng(8675309);
+  std::vector<StrikeCharges> charges;
+  std::vector<DeltaVt> dvts;
+  for (std::size_t k = 0; k < kStrikes; ++k) {
+    charges.push_back(StrikeCharges{qc * rng.uniform(0.85, 1.15),
+                                    k % 4 == 0 ? rng.uniform(0.0, 0.05) : 0.0,
+                                    0.0});
+    DeltaVt dvt{};
+    if (k % 5 != 0) {
+      for (double& v : dvt) v = rng.normal(0.0, design.sigma_vt);
+    }
+    dvts.push_back(dvt);
+  }
+  dvts[kDcFailure][0] = std::numeric_limits<double>::quiet_NaN();
+
+  // simulate() references on a fresh simulator, no fault armed.
+  std::vector<StrikeOutcome> ref(kStrikes);
+  std::vector<std::string> ref_error(kStrikes);
+  {
+    StrikeSimulator sim(design, kVdd);
+    for (std::size_t k = 0; k < kStrikes; ++k) {
+      try {
+        ref[k] = sim.simulate(charges[k], dvts[k], kind);
+      } catch (const util::NumericalError& e) {
+        ref_error[k] = e.what();
+      }
+    }
+  }
+  ASSERT_FALSE(ref_error[kDcFailure].empty());
+  const std::size_t flips = static_cast<std::size_t>(std::count_if(
+      ref.begin(), ref.end(), [](const StrikeOutcome& o) { return o.flipped; }));
+  EXPECT_GT(flips, 5u);
+  EXPECT_LT(flips, kStrikes - 5);
+  // simulate()'s injected failure text, for the strike the hook fails.
+  {
+    const FaultReset reset;
+    util::fault_configure("newton_diverge:1");
+    StrikeSimulator sim(design, kVdd);
+    try {
+      sim.simulate(charges[kInjected], dvts[kInjected], kind);
+      FAIL() << "the armed fault did not fire";
+    } catch (const util::NumericalError& e) {
+      ref_error[kInjected] = e.what();
+    }
+  }
+
+  for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    LaneWidthGuard guard(width);
+    const FaultReset reset;
+    // The hook counts binds in feed order: hit kInjected + 1 is strike
+    // kInjected.
+    util::fault_configure("newton_diverge:" + std::to_string(kInjected + 1));
+    StrikeSimulator sim(design, kVdd);
+    ListStrikeFeed feed(charges, dvts);
+    sim.simulate_stream(feed, kind);
+    for (std::size_t k = 0; k < kStrikes; ++k) {
+      const std::string where =
+          "width " + std::to_string(width) + " strike " + std::to_string(k);
+      ASSERT_EQ(feed.reports[k], 1) << where;
+      const StrikeSimulator::LaneOutcome& got = feed.out[k];
+      if (!ref_error[k].empty()) {
+        EXPECT_TRUE(got.failed) << where;
+        EXPECT_EQ(got.error, ref_error[k]) << where;
+        continue;
+      }
+      ASSERT_FALSE(got.failed) << where << ": " << got.error;
+      EXPECT_EQ(got.outcome.flipped, ref[k].flipped) << where;
+      EXPECT_EQ(got.outcome.final_q_v, ref[k].final_q_v) << where;
+      EXPECT_EQ(got.outcome.final_qb_v, ref[k].final_qb_v) << where;
+    }
+  }
+}
+
+// simulate_batch() is a list feed over the stream: a list longer than the
+// lane width refills, and each entry still matches simulate().
+TEST(SpiceStream, LongBatchListsMatchSimulate) {
+  LaneWidthGuard guard(4);
+  const CellDesign design;
+  const auto kind = spice::PulseShape::Kind::kRectangular;
+  stats::Rng rng(31337);
+  std::vector<StrikeCharges> charges;
+  std::vector<DeltaVt> dvts;
+  for (int k = 0; k < 19; ++k) {
+    charges.push_back(StrikeCharges{rng.uniform(0.0, 0.3), 0.0,
+                                    rng.uniform(0.0, 0.1)});
+    DeltaVt dvt{};
+    for (double& v : dvt) v = rng.normal(0.0, design.sigma_vt);
+    dvts.push_back(dvt);
+  }
+  std::vector<std::uint8_t> active(charges.size(), 1);
+  active[2] = 0;
+  active[9] = 0;
+  StrikeSimulator sim(design, 0.9);
+  std::vector<StrikeSimulator::LaneOutcome> out(charges.size());
+  out[2].error = "sentinel";
+  out[9].error = "sentinel";
+  sim.simulate_batch(charges, dvts, kind, active, out);
+  StrikeSimulator ref(design, 0.9);
+  for (std::size_t k = 0; k < charges.size(); ++k) {
+    if (!active[k]) {
+      EXPECT_EQ(out[k].error, "sentinel") << k;
+      continue;
+    }
+    const StrikeOutcome want = ref.simulate(charges[k], dvts[k], kind);
+    ASSERT_FALSE(out[k].failed) << out[k].error;
+    EXPECT_EQ(out[k].outcome.final_q_v, want.final_q_v) << k;
+    EXPECT_EQ(out[k].outcome.final_qb_v, want.final_qb_v) << k;
   }
 }
 

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "finser/obs/obs.hpp"
+#include "finser/obs/report.hpp"
 #include "finser/sram/characterize.hpp"
 #include "finser/util/error.hpp"
 
@@ -83,6 +89,116 @@ TEST(Bisect, RejectsBadBracket) {
   EXPECT_THROW(bisect_critical_scale(sim, StrikeCharges{1, 0, 0}, DeltaVt{}, 0.0,
                                      1e-3, spice::PulseShape::Kind::kRectangular),
                util::InvalidArgument);
+  EXPECT_THROW(bisect_critical_scale(sim, StrikeCharges{1, 0, 0}, DeltaVt{}, 0.4,
+                                     0.0, spice::PulseShape::Kind::kRectangular,
+                                     ScaleBracket{0.1, 0.2}),
+               util::InvalidArgument);
+}
+
+// A search started from a predicted bracket returns the plain search's bits
+// whether the bracket is right (a hit, cheaper) or wrong on either side (a
+// miss, which falls back). ΔVt drawn at Mahalanobis distance 1σ and 3σ,
+// 6T and 8T cells, in retention and read.
+TEST(Bisect, PredictedBracketMatchesPlainSearch) {
+  constexpr double kMax = 0.4;
+  constexpr double kTol = 2e-4;
+  const auto kind = spice::PulseShape::Kind::kRectangular;
+  stats::Rng rng(20260417);
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+  for (CellTopology topology : {CellTopology::k6T, CellTopology::k8T}) {
+    for (AccessMode mode : {AccessMode::kRetention, AccessMode::kRead}) {
+      CellDesign design;
+      design.topology = topology;
+      StrikeSimulator sim(design, 0.8, mode);
+      for (double sigmas : {1.0, 3.0}) {
+        for (const StrikeCharges& dir :
+             {StrikeCharges{1, 0, 0}, StrikeCharges{0, 1, 0}}) {
+          // A random direction in ΔVt space at the given distance; a draw
+          // the cell cannot hold its state at (read disturb) is redrawn.
+          DeltaVt dvt{};
+          for (int attempt = 0;; ++attempt) {
+            ASSERT_LT(attempt, 50) << "no holdable ΔVt draw";
+            double norm = 0.0;
+            for (double& v : dvt) {
+              v = rng.normal(0.0, 1.0);
+              norm += v * v;
+            }
+            for (double& v : dvt) v *= sigmas * design.sigma_vt / std::sqrt(norm);
+            try {
+              sim.hold_state(dvt);
+              break;
+            } catch (const util::NumericalError&) {
+            }
+          }
+          const std::string where =
+              std::string(topology == CellTopology::k6T ? "6T" : "8T") +
+              (mode == AccessMode::kRetention ? " hold " : " read ") +
+              std::to_string(sigmas) + "σ I" + (dir.i1_fc > 0 ? "1" : "2");
+          const double plain =
+              bisect_critical_scale(sim, dir, dvt, kMax, kTol, kind);
+          ASSERT_LT(plain, SingleCdf::kNeverFlips) << where;
+          // The root bracket is the plain search itself: its cost is the
+          // plain search's.
+          BisectCost root;
+          EXPECT_EQ(bisect_critical_scale(sim, dir, dvt, kMax, kTol, kind,
+                                          ScaleBracket{0.0, kMax}, &root),
+                    plain)
+              << where;
+          // Right, a point on the answer, and points far enough above and
+          // below it that the leaf they walk to excludes it.
+          const ScaleBracket right{plain - 2e-3, plain + 2e-3};
+          const ScaleBracket point{plain, plain};
+          const ScaleBracket high{plain + 0.01, plain + 0.01};
+          const ScaleBracket low{plain - 0.01, plain - 0.01};
+          for (const ScaleBracket& b : {right, point, high, low}) {
+            BisectCost cost;
+            EXPECT_EQ(bisect_critical_scale(sim, dir, dvt, kMax, kTol, kind,
+                                            b, &cost),
+                      plain)
+                << where << " bracket [" << b.lo << ", " << b.hi << "]";
+            if (cost.hit) {
+              ++hits;
+              EXPECT_LT(cost.transients, root.transients) << where;
+            } else {
+              ++misses;
+              EXPECT_GT(cost.transients, root.transients) << where;
+            }
+          }
+          BisectCost cost;
+          bisect_critical_scale(sim, dir, dvt, kMax, kTol, kind, right, &cost);
+          EXPECT_TRUE(cost.hit) << where;
+          bisect_critical_scale(sim, dir, dvt, kMax, kTol, kind, high, &cost);
+          EXPECT_FALSE(cost.hit) << where;
+          bisect_critical_scale(sim, dir, dvt, kMax, kTol, kind, low, &cost);
+          EXPECT_FALSE(cost.hit) << where;
+        }
+      }
+    }
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
+}
+
+// A ceiling below the critical charge never flips: a bracket at the
+// ceiling returns kNeverFlips from its one probe, a bracket below it misses
+// and the plain search's first probe returns it too.
+TEST(Bisect, PredictedBracketKeepsTheNeverFlipsSentinel) {
+  StrikeSimulator sim(CellDesign{}, 0.8);
+  const auto kind = spice::PulseShape::Kind::kRectangular;
+  BisectCost cost;
+  EXPECT_EQ(bisect_critical_scale(sim, StrikeCharges{1, 0, 0}, DeltaVt{}, 0.01,
+                                  1e-4, kind, ScaleBracket{0.0098, 0.0099},
+                                  &cost),
+            SingleCdf::kNeverFlips);
+  EXPECT_TRUE(cost.hit);
+  EXPECT_EQ(cost.transients, 1u);
+  EXPECT_EQ(bisect_critical_scale(sim, StrikeCharges{1, 0, 0}, DeltaVt{}, 0.01,
+                                  1e-4, kind, ScaleBracket{0.002, 0.003},
+                                  &cost),
+            SingleCdf::kNeverFlips);
+  EXPECT_FALSE(cost.hit);
+  EXPECT_EQ(cost.transients, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -229,6 +345,151 @@ TEST(Characterizer, RejectsBadConfig) {
   bad = fast_config();
   bad.pair_grid_points = 1;
   EXPECT_THROW(CellCharacterizer(CellDesign{}, bad), util::InvalidArgument);
+  // make_charge_axis() needs six points per axis; the constructor must say
+  // so before any transient runs.
+  bad = fast_config();
+  bad.pair_grid_points = 4;
+  EXPECT_THROW(CellCharacterizer(CellDesign{}, bad), util::InvalidArgument);
+  bad = fast_config();
+  bad.triple_grid_points = 5;
+  EXPECT_THROW(CellCharacterizer(CellDesign{}, bad), util::InvalidArgument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double tol : {0.0, -1e-4, nan, inf}) {
+    bad = fast_config();
+    bad.bisect_tol_fc = tol;
+    EXPECT_THROW(CellCharacterizer(CellDesign{}, bad), util::InvalidArgument)
+        << "bisect_tol_fc " << tol;
+  }
+  for (double q_max : {0.0, nan, inf}) {
+    bad = fast_config();
+    bad.q_max_fc = q_max;
+    EXPECT_THROW(CellCharacterizer(CellDesign{}, bad), util::InvalidArgument)
+        << "q_max_fc " << q_max;
+  }
+  // NaN would silently disable the failure gate (frac > NaN is false).
+  for (double frac : {nan, -0.01, 1.5}) {
+    bad = fast_config();
+    bad.max_failure_fraction = frac;
+    EXPECT_THROW(CellCharacterizer(CellDesign{}, bad), util::InvalidArgument)
+        << "max_failure_fraction " << frac;
+  }
+  CharacterizerConfig edge = fast_config();
+  edge.max_failure_fraction = 0.0;
+  EXPECT_NO_THROW(CellCharacterizer(CellDesign{}, edge));
+  edge.max_failure_fraction = 1.0;
+  EXPECT_NO_THROW(CellCharacterizer(CellDesign{}, edge));
+}
+
+/// A configuration past the 32-sample prefix, so most PV bisections start
+/// from a predicted bracket.
+CharacterizerConfig predicted_config(std::size_t threads) {
+  CharacterizerConfig cfg = fast_config();
+  cfg.pv_samples_single = 48;
+  cfg.pv_samples_grid = 6;
+  cfg.threads = threads;
+  return cfg;
+}
+
+std::uint64_t counter(const obs::Snapshot& snap, const std::string& name) {
+  for (const auto& row : snap.counters) {
+    if (row.name == name) return row.total;
+  }
+  return 0;
+}
+
+// Every PV critical charge of a characterization equals
+// bisect_critical_scale() on the same sample, whether its search was plain
+// (the prefix) or predicted; the predicted searches hit and cost fewer
+// transients than plain ones would.
+TEST(Characterizer, PredictedSamplesMatchPlainBisection) {
+  const CellDesign design;
+  const CharacterizerConfig cfg = predicted_config(2);
+  const CellCharacterizer ch(design, cfg);
+  constexpr std::uint64_t kSeed = 41;
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  const PofTable table = ch.characterize_at(0.8, kSeed);
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  obs::set_enabled(false);
+  obs::Registry::global().reset();
+
+  StrikeSimulator sim(design, 0.8);
+  for (std::size_t which = 0; which < 3; ++which) {
+    StrikeCharges dir;
+    (which == 0 ? dir.i1_fc : which == 1 ? dir.i2_fc : dir.i3_fc) = 1.0;
+    // Sample k of current `which` draws from stream k of the current's
+    // seed (derive_seed(seed, 1 + which)).
+    const std::uint64_t seed = stats::Rng::derive_seed(kSeed, 1 + which);
+    std::vector<double> want;
+    for (std::size_t k = 0; k < cfg.pv_samples_single; ++k) {
+      stats::Rng rng = stats::Rng::stream(seed, k);
+      const double q = bisect_critical_scale(sim, dir, ch.sample_delta_vt(rng),
+                                             cfg.q_max_fc, cfg.bisect_tol_fc,
+                                             cfg.pulse_kind);
+      if (q < SingleCdf::kNeverFlips) want.push_back(q);
+    }
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(table.singles[which].qcrit_samples_fc, want) << "I" << which + 1;
+  }
+
+  const std::uint64_t predicted = 3 * (cfg.pv_samples_single - 32);
+  const std::uint64_t hits = counter(snap, "sram.characterize.bracket_hits");
+  EXPECT_EQ(hits + counter(snap, "sram.characterize.bracket_misses"),
+            predicted);
+  EXPECT_GT(hits, predicted * 9 / 10);
+  // A plain search at these settings takes 12 transients (one probe, 11
+  // halvings); the prefix pays that, the predicted samples less.
+  const std::uint64_t single =
+      counter(snap, "sram.characterize.transients.single");
+  EXPECT_LT(single, 3 * cfg.pv_samples_single * 12);
+  EXPECT_EQ(counter(snap, "sram.characterize.transients.nominal"), 3u * 12u);
+  EXPECT_EQ(counter(snap, "sram.characterize.transients.grid"),
+            table.attempted_samples - 3 * cfg.pv_samples_single);
+  EXPECT_EQ(counter(snap, "sram.characterize.transients.nominal") + single +
+                counter(snap, "sram.characterize.transients.boundary") +
+                counter(snap, "sram.characterize.transients.grid"),
+            counter(snap, "spice.tran.runs"));
+}
+
+// A cold characterization's metrics section is the same at 1, 2 and 4
+// threads and on a repeated run, save the three counters that depend on
+// which transients share a tick or how many workers compiled the cell.
+TEST(Characterizer, MetricsAreThreadInvariant) {
+  const auto metrics_at = [](std::size_t threads) {
+    obs::Registry::global().reset();
+    const CellCharacterizer ch(CellDesign{}, predicted_config(threads));
+    const PofTable table = ch.characterize_at(0.8, 5);
+    obs::Snapshot snap = obs::Registry::global().snapshot();
+    const auto scheduled = [](const obs::Snapshot::CounterRow& row) {
+      return row.total == 0 || row.name == "spice.batch.newton_ticks" ||
+             row.name == "spice.batch.lane_iters_masked" ||
+             row.name == "spice.compiled.compiles";
+    };
+    snap.counters.erase(std::remove_if(snap.counters.begin(),
+                                       snap.counters.end(), scheduled),
+                        snap.counters.end());
+    snap.histograms.erase(
+        std::remove_if(snap.histograms.begin(), snap.histograms.end(),
+                       [](const auto& row) { return row.count == 0; }),
+        snap.histograms.end());
+    return obs::metrics_json(snap).dump(2);
+  };
+  obs::set_enabled(true);
+  const std::string serial = metrics_at(1);
+  const std::string two = metrics_at(2);
+  const std::string four = metrics_at(4);
+  const std::string again = metrics_at(1);
+  obs::set_enabled(false);
+  obs::Registry::global().reset();
+  EXPECT_EQ(serial, two);
+  EXPECT_EQ(serial, four);
+  EXPECT_EQ(serial, again);
+  for (const char* name :
+       {"sram.strike.dc_reuse", "spice.dc.solves", "spice.mna.pivot_reuse",
+        "sram.characterize.bracket_hits", "exec.chunks"}) {
+    EXPECT_NE(serial.find(name), std::string::npos) << name;
+  }
 }
 
 // POF is monotone in supply voltage: at any fixed charge, a cell at lower

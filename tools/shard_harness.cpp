@@ -14,7 +14,10 @@
 ///      campaign with exit 0 and identical CSVs.
 ///   4. stall          — FINSER_FAULT=heartbeat_stall:1 wedges both initial
 ///      workers; with --stage-timeout-s the wall-clock watchdog (not the
-///      heartbeat timeout, pushed out of reach) must reclaim and finish.
+///      heartbeat timeout, pushed out of reach) must reclaim and finish. The
+///      timeout is max(2 s, 3 × the reference leg's wall time), so a slow
+///      build (sanitizers) or a loaded host does not time out healthy
+///      stages.
 ///   5. quarantine     — FINSER_SHARD_POISON=sweep-b makes scenario b's sweep
 ///      die on every attempt: exit code 5 (partial), scenario a identical to
 ///      the reference, and the run report must carry the quarantined stage.
@@ -25,6 +28,8 @@
 #include <sys/types.h>
 #include <sys/wait.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -162,12 +167,17 @@ int main(int argc, char** argv) {
   const std::string root = root_c;
   std::string why;
 
-  // 1. In-process reference.
+  // 1. In-process reference. Its wall time scales the stall leg's stage
+  //    timeout to this build and this host.
   const std::string ref_out = root + "/out_ref";
   write_campaign(root + "/ref.json", ref_out);
+  const auto ref_start = std::chrono::steady_clock::now();
   if (run_cli(cli, {"campaign", root + "/ref.json"}, nullptr, nullptr) != 0) {
     return fail("in-process reference run failed");
   }
+  const double ref_wall_s = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - ref_start)
+                                .count();
 
   // 2. Sharded runs at 1, 2 and 4 workers must be byte-identical.
   for (const int workers : {1, 2, 4}) {
@@ -295,15 +305,19 @@ int main(int argc, char** argv) {
 
   // 4. Wedged workers (heartbeats stalled, stage never reports done) are
   //    reclaimed by the per-stage wall-clock watchdog, not the heartbeat
-  //    timeout (pushed to 600 s so only --stage-timeout-s can fire).
+  //    timeout (pushed to 600 s so only --stage-timeout-s can fire). No
+  //    healthy stage takes longer than the whole reference run, so three
+  //    times its wall time only ever fires on the wedged workers.
   {
     const std::string out = root + "/out_stall";
     const std::string report = root + "/stall_report.json";
+    const std::string timeout =
+        std::to_string(std::max(2.0, 3.0 * ref_wall_s));
     write_campaign(root + "/stall.json", out);
     const int rc = run_cli(
         cli,
         {"campaign", root + "/stall.json", "--workers", "2",
-         "--stage-timeout-s", "2", "--heartbeat-timeout-s", "600",
+         "--stage-timeout-s", timeout, "--heartbeat-timeout-s", "600",
          "--metrics-out", report},
         "heartbeat_stall:1", nullptr);
     if (rc != 0) {
@@ -315,7 +329,8 @@ int main(int argc, char** argv) {
     if (!file_contains(report, "shard.stage_timeouts")) {
       return fail("stage-timeout leg: report lacks shard.stage_timeouts");
     }
-    std::printf("shard OK: stage watchdog reclaimed wedged workers\n");
+    std::printf("shard OK: stage watchdog (%s s) reclaimed wedged workers\n",
+                timeout.c_str());
   }
 
   // 5. A stage that fails every attempt is quarantined: exit 5, the healthy
