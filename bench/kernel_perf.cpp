@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +18,8 @@
 #include "finser/obs/obs.hpp"
 #include "finser/pipeline/campaign.hpp"
 #include "finser/phys/track.hpp"
+#include "finser/spice/batch.hpp"
+#include "finser/spice/compiled.hpp"
 #include "finser/spice/dc.hpp"
 #include "finser/spice/devices.hpp"
 #include "finser/spice/transient.hpp"
@@ -228,6 +231,168 @@ void report_artifact_cache() {
   std::cout << "[json] " << path << "\n";
 }
 
+/// What the LU replay measured (see measure_lu()).
+struct LuReplay {
+  std::size_t systems = 0;        ///< Captured systems (= lane-solves).
+  std::size_t calls = 0;          ///< batch_lu_solve() calls per pass.
+  std::size_t unknowns = 0;
+  std::size_t structural = 0;     ///< Structural nonzeros of the pattern.
+  double lane_solves_per_s = 0.0;
+  double ns_per_lane_solve = 0.0;
+  double divisions_per_solve = 0.0;
+  bool bit_identical = false;
+};
+
+/// The strike kernel's LU on its own: every Newton system the accepted
+/// steps of one strike transient per entry of \p charges end on (the 6T
+/// retention netlist of StrikeSimulator, its transient options, I1 strikes
+/// with ΔVt \p dvts)
+/// is captured, packed lane_width() to an LU call and replayed through
+/// spice::batch_lu_solve(). Each lane's status and solution bits must equal
+/// Mna::solve_with_cache()'s with one pivot cache per lane. The timing
+/// subtracts the pass that only copies the packed systems in.
+LuReplay measure_lu(const sram::CellDesign& design, double vdd,
+                    const std::vector<sram::DeltaVt>& dvts,
+                    const std::vector<double>& charges) {
+  sram::StrikeSimulator sim(design, vdd);
+  const spice::Circuit& c = sim.circuit();
+  spice::CompiledCircuit cc(c);
+  const spice::TransientOptions& opt = sim.transient_options();
+  const std::size_t n = cc.unknown_count();
+  std::vector<double> guess(n, 0.0);
+  for (const char* node : {"q", "vdd", "bl", "blb"}) {
+    guess[c.find_node(node)] = vdd;
+  }
+
+  // Capture: replay each transient's accepted steps through the stamp.
+  std::vector<double> sys_a;  // n² per system.
+  std::vector<double> sys_b;  // n per system.
+  spice::SolveWorkspace ws;
+  spice::BatchWorkspace one;
+  spice::BatchWorkspace stamp;
+  cc.batch_configure(stamp, 1);
+  for (std::size_t k = 0; k < charges.size(); ++k) {
+    sim.simulate(sram::StrikeCharges{charges[k], 0.0, 0.0}, dvts[k]);
+    cc.rebind();
+    const std::vector<double> x0 = spice::solve_dc(cc, ws, guess);
+    const spice::Waveform wave = spice::run_transient_single(cc, one, x0, opt);
+    cc.batch_rebind_lane(stamp, 0);
+    cc.batch_initialize_state(stamp, 0, x0);
+    for (std::size_t i = 1; i < wave.sample_count(); ++i) {
+      const double t = wave.times()[i];
+      const double dt = t - wave.times()[i - 1];
+      std::fill(stamp.x_try.begin(), stamp.x_try.end(), 0.0);
+      for (std::size_t p = 0; p < wave.probe_count(); ++p) {
+        stamp.x_try[p] = wave.value(p, i);
+      }
+      std::fill(stamp.fa.begin(), stamp.fa.end(), 0.0);
+      std::fill(stamp.fb.begin(), stamp.fb.end(), 0.0);
+      cc.batch_stamp_fused<1>(stamp, &t, &dt, opt.method);
+      sys_a.insert(sys_a.end(), stamp.fa.begin(), stamp.fa.begin() + n * n);
+      sys_b.insert(sys_b.end(), stamp.fb.begin(), stamp.fb.begin() + n);
+      stamp.x = stamp.x_try;
+      cc.batch_commit(stamp, 0, t, dt, opt.method);
+    }
+  }
+
+  LuReplay r;
+  const std::size_t lanes = spice::lane_width();
+  r.unknowns = n;
+  r.calls = sys_b.size() / n / lanes;
+  r.systems = r.calls * lanes;
+  for (const std::uint64_t word : cc.lu_pattern()) {
+    r.structural += static_cast<std::size_t>(std::popcount(word));
+  }
+
+  // Pack lane w of call i with system i·W + w, in the fused AoSoA layout.
+  spice::BatchWorkspace bw;
+  cc.batch_configure(bw, lanes);
+  const std::size_t block = bw.fa.size() + bw.fb.size();
+  std::vector<double> packed(r.calls * block, 0.0);
+  for (std::size_t i = 0; i < r.calls; ++i) {
+    double* pa = packed.data() + i * block;
+    double* pb = pa + bw.fa.size();
+    for (std::size_t w = 0; w < lanes; ++w) {
+      const std::size_t s = i * lanes + w;
+      for (std::size_t e = 0; e < n * n; ++e) {
+        pa[e * lanes + w] = sys_a[s * n * n + e];
+      }
+      for (std::size_t e = 0; e < n; ++e) pb[e * lanes + w] = sys_b[s * n + e];
+    }
+  }
+  const std::vector<std::uint8_t> active(lanes, 1);
+  std::vector<spice::LaneLu> status(lanes);
+  const auto load = [&](std::size_t i) {
+    const double* src = packed.data() + i * block;
+    std::copy(src, src + bw.fa.size(), bw.fa.begin());
+    std::copy(src + bw.fa.size(), src + block, bw.fb.begin());
+  };
+
+  // Bit identity against Mna, lane by lane, with persistent pivot caches.
+  r.bit_identical = true;
+  std::size_t divisions = 0;
+  std::vector<spice::Mna::PivotCache> caches(lanes);
+  std::vector<double> x;
+  for (std::size_t i = 0; i < r.calls; ++i) {
+    load(i);
+    divisions += spice::batch_lu_solve(cc, bw, active.data(), status.data());
+    for (std::size_t w = 0; w < lanes; ++w) {
+      const std::size_t s = i * lanes + w;
+      spice::Mna m(n);
+      for (std::size_t e = 0; e < n * n; ++e) {
+        m.set(e / n, e % n, sys_a[s * n * n + e]);
+      }
+      for (std::size_t e = 0; e < n; ++e) m.set_rhs(e, sys_b[s * n + e]);
+      bool ok = true;
+      try {
+        m.solve_with_cache(caches[w], x);
+      } catch (const util::NumericalError&) {
+        ok = false;
+      }
+      r.bit_identical = r.bit_identical &&
+                        ok == (status[w] == spice::LaneLu::kOk);
+      for (std::size_t e = 0; ok && e < n; ++e) {
+        r.bit_identical =
+            r.bit_identical && std::bit_cast<std::uint64_t>(x[e]) ==
+                                   std::bit_cast<std::uint64_t>(
+                                       bw.x_new[e * lanes + w]);
+      }
+    }
+  }
+  r.divisions_per_solve =
+      r.calls > 0 ? static_cast<double>(divisions) /
+                        static_cast<double>(r.calls)
+                  : 0.0;
+
+  // Timing: best of several passes, copy-only passes subtracted.
+  constexpr int kReps = 7;
+  double best_lu = 1e300;
+  double best_copy = 1e300;
+  for (int rep = 0; rep < kReps; ++rep) {
+    auto start = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < r.calls; ++i) {
+      load(i);
+      benchmark::DoNotOptimize(bw.fa.data());
+    }
+    best_copy = std::min(best_copy, std::chrono::duration<double>(
+                                        std::chrono::steady_clock::now() -
+                                        start)
+                                        .count());
+    start = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < r.calls; ++i) {
+      load(i);
+      spice::batch_lu_solve(cc, bw, active.data(), status.data());
+    }
+    best_lu = std::min(best_lu, std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - start)
+                                    .count());
+  }
+  const double lu_s = std::max(best_lu - best_copy, 1e-12);
+  r.lane_solves_per_s = static_cast<double>(r.systems) / lu_s;
+  r.ns_per_lane_solve = 1e9 * lu_s / static_cast<double>(r.systems);
+  return r;
+}
+
 /// SPICE strike kernel: the characterization hot path runs thousands of
 /// strike transients per supply voltage, each differing only in rebindable
 /// parameters (ΔVt sample, strike charges). Every compiled transient runs
@@ -373,6 +538,18 @@ void report_spice_kernel() {
                              static_cast<double>(lanes))
                       : 0.0;
 
+  // The LU replay on the first kLuSamples samples' strike transients.
+  constexpr std::size_t kLuSamples = 24;
+  std::vector<double> lu_charges;
+  std::vector<sram::DeltaVt> lu_dvts;
+  for (std::size_t i = 0; i < kLuSamples; ++i) {
+    for (const double q : charges[i]) {
+      lu_charges.push_back(q);
+      lu_dvts.push_back(dvts[i]);
+    }
+  }
+  const LuReplay lu = measure_lu(design, vdd, lu_dvts, lu_charges);
+
   util::CsvTable t({"path", "seconds", "transients_per_s", "speedup",
                     "identical"});
   t.add_row({std::string("scalar entry point (W=1)"), scalar_s, scalar_rate,
@@ -383,11 +560,22 @@ void report_spice_kernel() {
   bench::emit(t, "spice_kernel",
               "SPICE strike kernel: scalar entry point vs lane-batched "
               "(identical must be 1)");
+  util::CsvTable lt({"systems", "unknowns", "structural_nonzeros",
+                     "lane_solves_per_s", "ns_per_lane_solve",
+                     "divisions_per_solve", "identical"});
+  lt.add_row({static_cast<double>(lu.systems),
+              static_cast<double>(lu.unknowns),
+              static_cast<double>(lu.structural), lu.lane_solves_per_s,
+              lu.ns_per_lane_solve, lu.divisions_per_solve,
+              lu.bit_identical ? 1.0 : 0.0});
+  bench::emit(lt, "spice_lu",
+              "Structural LU on the strike kernel's captured systems, W=" +
+                  std::to_string(lanes) + " (identical must be 1)");
 
   std::filesystem::create_directories(bench::kOutDir);
   const std::string path = std::string(bench::kOutDir) + "/spice_kernel.json";
   std::ofstream os(path);
-  char body[1280];
+  char body[2048];
   std::snprintf(body, sizeof body,
                 "{\n%s"
                 "  \"kernel\": \"spice_strike_transient\",\n"
@@ -407,14 +595,25 @@ void report_spice_kernel() {
                 "  \"batch_newton_ticks\": %llu,\n"
                 "  \"batch_lane_iters_active\": %llu,\n"
                 "  \"batch_lane_iters_masked\": %llu,\n"
-                "  \"batch_active_lane_fraction\": %.4f\n"
+                "  \"batch_active_lane_fraction\": %.4f,\n"
+                "  \"lu_systems\": %zu,\n"
+                "  \"lu_unknowns\": %zu,\n"
+                "  \"lu_structural_nonzeros\": %zu,\n"
+                "  \"lu_lane_solves_per_s\": %.1f,\n"
+                "  \"lu_ns_per_lane_solve\": %.2f,\n"
+                "  \"lu_divisions_per_solve\": %.2f,\n"
+                "  \"lu_dense_divisions_per_solve\": %zu,\n"
+                "  \"lu_bit_identical\": %s\n"
                 "}\n",
                 bench::machine_json_fields().c_str(), kSamples,
                 kSimsPerSample, scalar_s, batched_s, scalar_rate,
                 batched_rate, batched_speedup, lanes,
                 identical ? "true" : "false", tran_steps, latch_stops,
                 newton_iters, dc_reuse, batch_ticks, lane_active, lane_masked,
-                lane_fraction);
+                lane_fraction, lu.systems, lu.unknowns, lu.structural,
+                lu.lane_solves_per_s, lu.ns_per_lane_solve,
+                lu.divisions_per_solve, lu.unknowns * (lu.unknowns - 1) / 2,
+                lu.bit_identical ? "true" : "false");
   os << body;
   std::cout << "[json] " << path << "\n";
 }

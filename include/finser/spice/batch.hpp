@@ -32,11 +32,19 @@
 /// lanes never read each other, a transient's bits do not depend on its
 /// lane, its neighbours or when it started.
 ///
-/// Width: the build fixes it. `kDefaultLaneWidth` is the widest vector unit
-/// the build targets, or 1 under the FINSER_SCALAR_LANES CMake option.
-/// All widths {1, 4, 8} are always compiled and run the same loop, so the
-/// width only changes how many transients advance per tick; set_lane_width()
-/// is the seam the cross-width tests use to run the others.
+/// Width: the build fixes it. `kDefaultLaneWidth` is the measured best width
+/// for the widest vector unit the build targets — 32 on AVX-512, where four
+/// independent vectors per slot keep a tick's divisions and exp/log chains
+/// from running back to back, and 4 on AVX2 (docs/spice.md, "The width") —
+/// or 1 under the FINSER_SCALAR_LANES CMake option. Every width of
+/// kLaneWidths is always compiled and runs the same loop, so the width only
+/// changes how many transients advance per tick; set_lane_width() is the
+/// seam the cross-width tests use to run the others.
+///
+/// The LU of each tick follows the circuit's structural pattern
+/// (CompiledCircuit::lu_pattern()): it never divides, updates or sums an
+/// entry the matrix cannot hold, and is bit-identical per lane to
+/// Mna::solve_with_cache() (docs/spice.md, "The structural LU").
 
 #include <array>
 #include <cstddef>
@@ -49,24 +57,36 @@
 
 namespace finser::spice {
 
-/// Hard ceiling on the lane count (sizes the per-lane cold-state arrays).
-inline constexpr std::size_t kMaxLaneWidth = 8;
+/// The widths the engine is compiled at: the portable scalar width, the
+/// AVX2 default, 8 (the cross-width tests' middle width) and the AVX-512
+/// default.
+inline constexpr std::array<std::size_t, 4> kLaneWidths{1, 4, 8, 32};
 
-/// Compile-time auto width: the widest SIMD unit the build targets.
+/// Hard ceiling on the lane count (sizes the per-lane cold-state arrays).
+inline constexpr std::size_t kMaxLaneWidth = kLaneWidths.back();
+
+/// Compile-time auto width (see the file comment).
 /// FINSER_SCALAR_LANES (CMake option) forces the portable width-1 default.
 #if defined(FINSER_SCALAR_LANES)
 inline constexpr std::size_t kDefaultLaneWidth = 1;
 #elif defined(__AVX512F__)
-inline constexpr std::size_t kDefaultLaneWidth = 8;
+inline constexpr std::size_t kDefaultLaneWidth = 32;
 #else
 inline constexpr std::size_t kDefaultLaneWidth = 4;
 #endif
 
-/// True for the widths the engine is instantiated at (0 = back to the
-/// build default, accepted by set_lane_width()).
+/// True for the widths of kLaneWidths and for 0 (= back to the build
+/// default, accepted by set_lane_width()).
 inline constexpr bool lane_width_valid(std::size_t w) {
-  return w == 0 || w == 1 || w == 4 || w == 8;
+  if (w == 0) return true;
+  for (const std::size_t v : kLaneWidths) {
+    if (v == w) return true;
+  }
+  return false;
 }
+
+/// kLaneWidths as text ("1, 4, 8 or 32"), for error messages.
+std::string lane_width_list();
 
 /// Lane width of this process: kDefaultLaneWidth unless set_lane_width()
 /// overrode it.
@@ -82,7 +102,7 @@ void set_lane_width(std::size_t w);
 /// plus the per-lane cold state (pivot caches, breakpoints). One workspace per (thread, compiled circuit); sized by
 /// CompiledCircuit::batch_configure(). Hot arrays index as [slot * lanes + w].
 struct BatchWorkspace {
-  std::size_t lanes = 0;     ///< AoSoA width W (1, 4 or 8).
+  std::size_t lanes = 0;     ///< AoSoA width W (one of kLaneWidths).
   std::size_t unknowns = 0;  ///< System size n (sans ground scratch).
 
   // --- Per-lane rebound parameters (see batch_rebind_lane) -----------------
@@ -115,11 +135,40 @@ struct BatchWorkspace {
   /// indices across lanes and vectorize regardless of per-lane pivot
   /// divergence; this map only feeds the pivot-order cache bookkeeping.
   std::vector<std::size_t> perm;
-  std::array<Mna::PivotCache, kMaxLaneWidth> pivot;  ///< Per-lane caches.
+  /// Per-lane pivot caches with Mna::PivotCache's meaning: lane w's cached
+  /// order is pivot_perm[pos * W + w], valid where pivot_valid[w] != 0.
+  std::vector<std::size_t> pivot_perm;
+  std::array<std::uint8_t, kMaxLaneWidth> pivot_valid{};
+  /// Row masks of the LU in flight, (n + 1) × lu_mask_words(n): they start
+  /// as CompiledCircuit::lu_pattern() and follow swaps and fill; the last
+  /// row is scratch.
+  std::vector<std::uint64_t> lu_mask;
 
   // --- Per-lane transient cold state (scalar access only) ------------------
   std::array<std::vector<double>, kMaxLaneWidth> breaks;
 };
+
+/// Per-lane outcome of batch_lu_solve(). Each failure is the
+/// util::NumericalError Mna::solve() throws for that lane's system; both
+/// compiled Newton loops treat any of them as a convergence failure, as the
+/// reference loops do with the throw.
+enum class LaneLu : std::uint8_t {
+  kOk = 0,
+  kNonFiniteRhs,
+  kSingular,
+  kNonFiniteSolution,
+};
+
+/// The engine's LU on the bw.lanes systems in bw.fa / bw.fb, laid out as
+/// batch_stamp_fused() writes them; every entry outside \p cc's
+/// lu_pattern() must be +0. Per lane it computes the solution bits (into
+/// bw.x_new) and the status of Mna::solve_with_cache() with the lane's
+/// pivot cache (bw.pivot_perm / bw.pivot_valid), counters included, and
+/// destroys fa / fb. Lanes with active[w] == 0 are solved but not counted.
+/// Returns the number of factor divisions computed, each one vector across
+/// every lane.
+std::size_t batch_lu_solve(const CompiledCircuit& cc, BatchWorkspace& bw,
+                           const std::uint8_t* active, LaneLu* status);
 
 /// Per-lane results of one batched transient group. Lane w of the input maps
 /// to index w here; lanes the caller left inactive (empty x0) come back with

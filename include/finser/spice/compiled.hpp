@@ -42,6 +42,12 @@ namespace finser::spice {
 
 struct BatchWorkspace;
 
+/// Words of one row mask of an \p n-unknown system (see
+/// CompiledCircuit::lu_pattern()).
+inline constexpr std::size_t lu_mask_words(std::size_t n) {
+  return (n + 63) / 64;
+}
+
 /// Devirtualized, rebindable lowering of one Circuit (see file comment).
 /// The source Circuit must outlive the compiled form and must not gain
 /// nodes, branches or devices afterwards — parameter *values* may change
@@ -57,6 +63,13 @@ class CompiledCircuit {
   std::size_t node_count() const { return node_count_; }
   std::size_t unknown_count() const { return unknown_count_; }
   std::size_t device_count() const { return ops_.size(); }
+
+  /// Structural pattern of the MNA matrix: row i's mask (lu_mask_words()
+  /// words, bit j of word j / 64) has bit j set where some device stamps
+  /// entry (i, j) or where DC's gmin shunt does (every node diagonal). Every
+  /// other entry of a stamped system is +0, which is what lets the LU skip
+  /// it (batch_lu_solve()).
+  const std::vector<std::uint64_t>& lu_pattern() const { return lu_pattern_; }
 
   // --- DC stamp hook (mirrors Device::stamp, devirtualized) ---------------
 
@@ -185,6 +198,7 @@ class CompiledCircuit {
   std::vector<PwlRec> pwls_;
   std::vector<ISourceRec> isources_;
   std::vector<MosRec> mosfets_;
+  std::vector<std::uint64_t> lu_pattern_;  ///< n × lu_mask_words(n).
 };
 
 }  // namespace finser::spice

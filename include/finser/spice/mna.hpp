@@ -64,6 +64,11 @@ class Mna {
   /// b[i] += v  (no-op for kGround).
   void add_rhs(std::size_t i, double v);
 
+  /// A[i][j] = v and b[i] = v: load an entry verbatim, for a system
+  /// assembled elsewhere (add() cannot leave a −0 behind: +0 + −0 = +0).
+  void set(std::size_t i, std::size_t j, double v);
+  void set_rhs(std::size_t i, double v);
+
   /// Add \p gmin from each of the first \p n_nodes unknowns to ground
   /// (Newton globalization aid).
   void add_gmin(double gmin, std::size_t n_nodes);

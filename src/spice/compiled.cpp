@@ -75,6 +75,38 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit)
           d->kind() + "'");
     }
   }
+
+  // Structural pattern: every device matrix slot (ground stamps land in the
+  // scratch slot n², outside the matrix) plus the node diagonals DC's gmin
+  // shunt adds to.
+  const std::size_t words = lu_mask_words(n);
+  lu_pattern_.assign(n * words, 0);
+  const auto mark = [&](Slot s) {
+    if (s == n * n) return;
+    const std::size_t row = s / n;
+    const std::size_t col = s % n;
+    lu_pattern_[row * words + col / 64] |= std::uint64_t{1} << (col % 64);
+  };
+  for (const ResistorRec& r : resistors_) {
+    for (const Slot s : {r.s_aa, r.s_bb, r.s_ab, r.s_ba}) mark(s);
+  }
+  for (const CapacitorRec& c : capacitors_) {
+    for (const Slot s : {c.s_aa, c.s_bb, c.s_ab, c.s_ba}) mark(s);
+  }
+  for (const VSourceRec& v : vsources_) {
+    for (const Slot s : {v.s_ak, v.s_bk, v.s_ka, v.s_kb}) mark(s);
+  }
+  for (const PwlRec& p : pwls_) {
+    for (const Slot s : {p.s_ak, p.s_bk, p.s_ka, p.s_kb}) mark(s);
+  }
+  for (const MosRec& m : mosfets_) {
+    for (const Slot s : {m.s_dd, m.s_dg, m.s_ds, m.s_sd, m.s_sg, m.s_ss}) {
+      mark(s);
+    }
+  }
+  for (std::size_t i = 0; i < node_count_ && i < n; ++i) {
+    mark(static_cast<Slot>(i * n + i));
+  }
   FINSER_OBS_COUNT("spice.compiled.compiles", 1);
 }
 

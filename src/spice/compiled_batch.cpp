@@ -22,8 +22,8 @@ namespace finser::spice {
 
 void CompiledCircuit::batch_configure(BatchWorkspace& bw,
                                       std::size_t lanes) const {
-  FINSER_REQUIRE(lanes == 1 || lanes == 4 || lanes == 8,
-                 "batch_configure: lane width must be 1, 4 or 8");
+  FINSER_REQUIRE(lanes != 0 && lane_width_valid(lanes),
+                 "batch_configure: lane width must be " + lane_width_list());
   const std::size_t n = unknown_count_;
   bw.lanes = lanes;
   bw.unknowns = n;
@@ -51,7 +51,9 @@ void CompiledCircuit::batch_configure(BatchWorkspace& bw,
   bw.x_try.assign(n * lanes, 0.0);
   bw.x_new.assign(n * lanes, 0.0);
   bw.perm.assign(n * lanes, 0);
-  for (Mna::PivotCache& cache : bw.pivot) cache.invalidate();
+  bw.pivot_perm.assign(n * lanes, 0);
+  bw.pivot_valid.fill(0);
+  bw.lu_mask.assign((n + 1) * lu_mask_words(n), 0);
   for (auto& b : bw.breaks) b.clear();
 
   // Seed every lane from the current scalar binding so freshly configured
@@ -287,6 +289,10 @@ template void CompiledCircuit::batch_stamp_fused<8>(BatchWorkspace&,
                                                     const double*,
                                                     const double*,
                                                     Integrator) const;
+template void CompiledCircuit::batch_stamp_fused<32>(BatchWorkspace&,
+                                                     const double*,
+                                                     const double*,
+                                                     Integrator) const;
 
 void CompiledCircuit::batch_initialize_state(BatchWorkspace& bw,
                                              std::size_t lane,

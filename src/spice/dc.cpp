@@ -13,7 +13,7 @@ std::vector<double> solve_dc(CompiledCircuit& circuit, SolveWorkspace& ws,
   // Each solve starts without a pivot order: the cache is bookkeeping only
   // (pivots are always re-scanned), and a fresh one keeps a solve's
   // spice.mna.pivot_* counts independent of the solves before it.
-  ws.lu.pivot[0].invalidate();
+  ws.lu.pivot_valid[0] = 0;
   detail::CompiledDcSystem system{circuit, ws.lu};
   return detail::solve_dc_impl(system, ws, initial_guess, options);
 }

@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -82,37 +83,69 @@ inline double clamp_breaks_and_arm(std::vector<double>& breaks, double t_end) {
 // The compiled LU kernel (DC at W = 1, transients at every W)
 // ---------------------------------------------------------------------------
 
-/// Per-lane LU failure classification of one batched solve. Each value maps
-/// to the util::NumericalError Mna::factor_and_solve() would have thrown for
-/// that lane; both compiled Newton loops turn any of them into a convergence
-/// failure, as the reference Newton loops do with the throw.
-enum class LaneLu : std::uint8_t {
-  kOk = 0,
-  kNonFiniteRhs,
-  kSingular,
-  kNonFiniteSolution,
-};
+/// Call f(c) for every column c >= \p from of one row mask, ascending.
+template <class F>
+inline void for_each_col(const std::uint64_t* row, std::size_t words,
+                         std::size_t from, F&& f) {
+  for (std::size_t k = from / 64; k < words; ++k) {
+    std::uint64_t bits = row[k];
+    if (k == from / 64) bits &= ~std::uint64_t{0} << (from % 64);
+    for (; bits != 0; bits &= bits - 1) {
+      f(k * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
+  }
+}
 
-/// Lane-blocked LU on the AoSoA fused arrays: Mna::factor_and_solve
-/// arithmetic per lane — same pivot scan order and
-/// tie-breaks, same factor==0 skip semantics (as selects), same counters and
-/// per-lane pivot-cache bookkeeping — with one structural change: pivot rows
-/// are swapped *physically* per lane instead of indirected through the
-/// permutation. Physically position r then always holds what the scalar
-/// reads as perm[r], so every elimination and back-substitution inner loop
-/// uses indices uniform across lanes and vectorizes no matter how the
-/// per-lane pivot choices diverge. Row swaps only move columns >= col: the
-/// in-place L entries to the left are never read again (same property the
-/// scalar kernel relies on). Errors are flagged per lane, never thrown —
-/// a failed lane keeps computing (garbage stays confined to its stride).
+/// Lane-blocked LU on the AoSoA fused arrays that follows the circuit's
+/// structural pattern (CompiledCircuit::lu_pattern(), copied into
+/// bw.lu_mask and kept up to date through swaps and fill). Per lane it
+/// computes Mna::factor_and_solve's bits: same pivot scan order and
+/// tie-breaks, same factor == 0 skips (as selects), same counters and
+/// pivot-cache bookkeeping. Pivot rows are swapped *physically* per lane
+/// instead of indirected through the permutation, so every inner loop uses
+/// lane-uniform indices and vectorizes however the per-lane pivots diverge.
+///
+/// Invariant: in every lane whose pivots so far were usable (|p| > 1e-300),
+/// every entry of the active submatrix outside its row's mask is +0. It
+/// holds for the stamped system, and each step below keeps it:
+///   * pivot scan — visits only rows whose mask has the column: |+0| never
+///     wins the strictly-greater scan;
+///   * swap — uniform pivots swap the two rows' masked columns and the
+///     masks; divergent ones swap whole rows per lane and OR the masks;
+///   * elimination — a row whose mask lacks the column has factor +0/pivot
+///     = ±0 in every lane with a usable pivot, which the selects ignore, so
+///     the row is skipped, division included. Otherwise the row's mask
+///     grows by the pivot row's (fill) and all of its masked columns update
+///     (a −0 of its own outside the pivot row's mask turns +0 when f < 0, as
+///     in the dense loop); elsewhere both operands are +0, and
+///     +0 − f·(+0) = +0 for finite f. The pivot is the column's largest
+///     magnitude, so a factor is finite or NaN (a NaN entry, or inf over an
+///     inf pivot). A NaN factor leaves its row NaN in every masked column and
+///     +0 elsewhere for good (a later factor of the row is NaN or skipped),
+///     so the row can never be a usable pivot and the lane ends singular —
+///     as in the dense loop, where the row goes NaN throughout;
+///   * back substitution — sums only masked terms. A skipped term is
+///     −(+0·x), which can flip the sign of a zero sum (or poison a lane
+///     already flagged non-finite) and nothing else, so a row whose sum is
+///     a zero in any lane is summed again over every column.
+/// A lane with an unusable pivot may compute other values than the dense
+/// loop, but its status is already an error and final, so they are
+/// discarded. Errors are flagged per lane, never thrown. Returns the number
+/// of factor divisions computed.
 template <std::size_t W>
-inline void batch_lu_solve(BatchWorkspace& bw, std::size_t n,
-                           const std::array<std::uint8_t, W>& active,
-                           std::array<LaneLu, W>& status) {
+inline std::size_t batch_lu_solve(BatchWorkspace& bw,
+                                  const std::uint64_t* pattern, std::size_t n,
+                                  const std::array<std::uint8_t, W>& active,
+                                  std::array<LaneLu, W>& status) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   double* __restrict__ a = bw.fa.data();
   double* __restrict__ b = bw.fb.data();
   double* __restrict__ x = bw.x_new.data();
   std::size_t* __restrict__ perm = bw.perm.data();
+  const std::size_t words = lu_mask_words(n);
+  std::uint64_t* __restrict__ mask = bw.lu_mask.data();
+  std::uint64_t* __restrict__ scratch = mask + n * words;
+  std::copy(pattern, pattern + n * words, mask);
 
   std::size_t n_active = 0;
   for (std::size_t w = 0; w < W; ++w) n_active += active[w] ? 1u : 0u;
@@ -123,7 +156,6 @@ inline void batch_lu_solve(BatchWorkspace& bw, std::size_t n,
   // is exactly isfinite(v) for doubles (NaN compares false). Status here is
   // uniformly kOk, so "first error wins" reduces to "any entry bad".
   {
-    constexpr double kInf = std::numeric_limits<double>::infinity();
     std::array<double, W> bad{};
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t w = 0; w < W; ++w) {
@@ -135,22 +167,17 @@ inline void batch_lu_solve(BatchWorkspace& bw, std::size_t n,
     }
   }
 
-  std::array<bool, W> predicted;
-  std::array<bool, W> held;
-  for (std::size_t w = 0; w < W; ++w) {
-    predicted[w] =
-        bw.pivot[w].valid && bw.pivot[w].perm.size() == n;
-    held[w] = predicted[w];
-  }
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t w = 0; w < W; ++w) perm[r * W + w] = r;
   }
 
+  std::size_t divisions = 0;
   for (std::size_t col = 0; col < n; ++col) {
+    const std::size_t cw = col / 64;
+    const std::uint64_t cbit = std::uint64_t{1} << (col % 64);
     // Pivot scan vectorized across lanes: same strictly-greater comparison
     // as the scalar kernel, so ties keep the first maximum and NaN entries
-    // (compare false) never displace an earlier pivot — the chosen row is
-    // identical per lane, just found with lane-uniform indices.
+    // (compare false) never displace an earlier pivot.
     std::array<double, W> best;
     std::array<std::size_t, W> piv;
     for (std::size_t w = 0; w < W; ++w) {
@@ -158,6 +185,7 @@ inline void batch_lu_solve(BatchWorkspace& bw, std::size_t n,
       piv[w] = col;
     }
     for (std::size_t r = col + 1; r < n; ++r) {
+      if ((mask[r * words + cw] & cbit) == 0) continue;
       for (std::size_t w = 0; w < W; ++w) {
         const double v = std::abs(a[(r * n + col) * W + w]);
         const bool gt = v > best[w];
@@ -165,65 +193,98 @@ inline void batch_lu_solve(BatchWorkspace& bw, std::size_t n,
         best[w] = gt ? v : best[w];
       }
     }
-    // Per-lane swap + pivot-cache bookkeeping (scalar, O(n) only on an
-    // actual row swap).
+    unsigned unusable = 0;
+    unsigned divergent = 0;
     for (std::size_t w = 0; w < W; ++w) {
-      if (!(best[w] > 1e-300)) {
-        if (status[w] == LaneLu::kOk) {
+      unusable |= best[w] > 1e-300 ? 0u : 1u;
+      divergent |= piv[w] == piv[0] ? 0u : 1u;
+    }
+    if (unusable != 0) {
+      // Keep going with a (near-)zero pivot: the lane's values turn to
+      // inf/NaN but stay inside its stride, and the flag voids them.
+      for (std::size_t w = 0; w < W; ++w) {
+        if (!(best[w] > 1e-300) && status[w] == LaneLu::kOk) {
           status[w] = LaneLu::kSingular;
-          bw.pivot[w].invalidate();
+          bw.pivot_valid[w] = 0;
         }
-        // Keep going with the (near-)zero pivot: the lane's values turn to
-        // inf/NaN but stay inside its stride, and the flag above already
-        // voids them.
       }
-      if (held[w] && perm[piv[w] * W + w] != bw.pivot[w].perm[col]) {
-        held[w] = false;
+    }
+    std::uint64_t* __restrict__ mc = mask + col * words;
+    if (divergent == 0) {
+      // Every lane picked row p: swap the two rows' masked columns and
+      // their masks as vectors.
+      const std::size_t p = piv[0];
+      if (p != col) {
+        std::uint64_t* __restrict__ mp = mask + p * words;
+        for (std::size_t k = 0; k < words; ++k) scratch[k] = mc[k] | mp[k];
+        double* __restrict__ rc = a + col * n * W;
+        double* __restrict__ rp = a + p * n * W;
+        for_each_col(scratch, words, col, [&](std::size_t c) {
+          for (std::size_t w = 0; w < W; ++w) {
+            const double t = rc[c * W + w];
+            rc[c * W + w] = rp[c * W + w];
+            rp[c * W + w] = t;
+          }
+        });
+        for (std::size_t w = 0; w < W; ++w) {
+          const double t = b[col * W + w];
+          b[col * W + w] = b[p * W + w];
+          b[p * W + w] = t;
+          const std::size_t q = perm[col * W + w];
+          perm[col * W + w] = perm[p * W + w];
+          perm[p * W + w] = q;
+        }
+        for (std::size_t k = 0; k < words; ++k) std::swap(mc[k], mp[k]);
       }
-      std::swap(perm[col * W + w], perm[piv[w] * W + w]);
-      if (piv[w] != col) {
+    } else {
+      // Divergent pivots: whole-row swaps per lane; each touched position
+      // may now hold either row, so it takes the union of their masks.
+      for (std::size_t w = 0; w < W; ++w) {
+        std::swap(perm[col * W + w], perm[piv[w] * W + w]);
+        if (piv[w] == col) continue;
         for (std::size_t c = col; c < n; ++c) {
           std::swap(a[(col * n + c) * W + w], a[(piv[w] * n + c) * W + w]);
         }
         std::swap(b[col * W + w], b[piv[w] * W + w]);
       }
+      for (std::size_t k = 0; k < words; ++k) scratch[k] = mc[k];
+      for (std::size_t w = 0; w < W; ++w) {
+        for (std::size_t k = 0; k < words; ++k) {
+          mc[k] |= mask[piv[w] * words + k];
+        }
+      }
+      for (std::size_t w = 0; w < W; ++w) {
+        if (piv[w] == col) continue;
+        for (std::size_t k = 0; k < words; ++k) {
+          mask[piv[w] * words + k] |= scratch[k];
+        }
+      }
     }
 
-    // Elimination: uniform indices across lanes (vectorizes). The
-    // factor==0 early-out of the scalar kernel becomes per-entry selects
-    // with identical results (including signed zeros and inf rows).
+    // Elimination over the rows whose mask has the column.
+    const double* __restrict__ apiv = a + col * n * W;
+    const double* __restrict__ bpiv = b + col * W;
+    const std::uint64_t* __restrict__ pmask = mask + col * words;
     for (std::size_t r = col + 1; r < n; ++r) {
+      std::uint64_t* __restrict__ rmask = mask + r * words;
+      if ((rmask[cw] & cbit) == 0) continue;
+      ++divisions;
+      // Distinct rows (r > col): restrict row pointers spare the vectorizer
+      // its run-time overlap checks.
+      double* __restrict__ arow = a + r * n * W;
       std::array<double, W> factor;
       for (std::size_t w = 0; w < W; ++w) {
-        factor[w] = a[(r * n + col) * W + w] / a[(col * n + col) * W + w];
+        factor[w] = arow[col * W + w] / apiv[col * W + w];
       }
-      // All-lane structural zero: every select below would keep its old
-      // value, so skipping the row update outright computes the same bits.
-      // This recovers the scalar kernel's factor==0 early-out for the common
-      // case where the sparsity pattern agrees across lanes (same topology).
-      bool any_nonzero = false;
-      for (std::size_t w = 0; w < W; ++w) {
-        any_nonzero |= factor[w] != 0.0;
-      }
-      if (!any_nonzero) continue;
-      // Distinct rows (r > col), so the update and pivot row never overlap:
-      // restrict row pointers spare the vectorizer its runtime overlap
-      // checks on every (col, r) pair.
-      double* __restrict__ arow = a + r * n * W;
-      const double* __restrict__ apiv = a + col * n * W;
-      for (std::size_t w = 0; w < W; ++w) {
-        const double old = arow[col * W + w];
-        arow[col * W + w] = factor[w] == 0.0 ? old : factor[w];
-      }
-      for (std::size_t c = col + 1; c < n; ++c) {
+      for (std::size_t k = 0; k < words; ++k) rmask[k] |= pmask[k];
+      for_each_col(rmask, words, col + 1, [&](std::size_t c) {
         for (std::size_t w = 0; w < W; ++w) {
           const double v = arow[c * W + w];
           const double upd = v - factor[w] * apiv[c * W + w];
           arow[c * W + w] = factor[w] == 0.0 ? v : upd;
         }
-      }
+      });
       double* __restrict__ brow = b + r * W;
-      const double* __restrict__ bpiv = b + col * W;
       for (std::size_t w = 0; w < W; ++w) {
         const double v = brow[w];
         const double upd = v - factor[w] * bpiv[w];
@@ -232,43 +293,64 @@ inline void batch_lu_solve(BatchWorkspace& bw, std::size_t n,
     }
   }
 
+  // Pivot-cache bookkeeping. Mna's prediction holds while every column's
+  // pivot row matches the cached order; later swaps never move a settled
+  // position, so that is the final order equalling the cached one.
+  std::array<unsigned, W> moved{};
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t w = 0; w < W; ++w) {
+      moved[w] |= perm[r * W + w] == bw.pivot_perm[r * W + w] ? 0u : 1u;
+    }
+  }
   std::int64_t reused = 0;
   std::int64_t refactored = 0;
+  std::array<unsigned, W> store{};
   for (std::size_t w = 0; w < W; ++w) {
-    if (!active[w]) continue;
-    if (status[w] != LaneLu::kOk) continue;
-    Mna::PivotCache& cache = bw.pivot[w];
-    if (held[w]) {
-      // held[w] means every column's pivot matched cache.perm, so the
-      // writeback below would copy the cache onto itself — skip it.
+    if (!active[w] || status[w] != LaneLu::kOk) continue;
+    if (bw.pivot_valid[w] != 0 && moved[w] == 0) {
       ++reused;
     } else {
-      cache.perm.resize(n);
-      for (std::size_t r = 0; r < n; ++r) cache.perm[r] = perm[r * W + w];
-      cache.valid = true;
       ++refactored;
+      store[w] = 1;
+      bw.pivot_valid[w] = 1;
+    }
+  }
+  if (refactored > 0) {
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t w = 0; w < W; ++w) {
+        bw.pivot_perm[r * W + w] =
+            store[w] != 0 ? perm[r * W + w] : bw.pivot_perm[r * W + w];
+      }
     }
   }
   if (reused > 0) FINSER_OBS_COUNT("spice.mna.pivot_reuse", reused);
   if (refactored > 0) FINSER_OBS_COUNT("spice.mna.pivot_refactor", refactored);
 
-  // Back substitution (uniform indices, vectorizes). The non-finite check
+  // Back substitution over the masked columns. The non-finite check
   // accumulates in select form so the division loop stays branch-free:
   // flagging once at the end is equivalent to flagging at the first bad row
   // (same enum value, nothing later overwrites a kOk lane's status).
   {
-    constexpr double kInf = std::numeric_limits<double>::infinity();
     std::array<double, W> badsol{};
     for (std::size_t ri = n; ri-- > 0;) {
-      // x[ri] is only written after every x[c], c > ri, has been read:
-      // restrict row pointers make the non-overlap explicit.
+      // x[ri] is only written after every x[c], c > ri, has been read.
       const double* __restrict__ arow = a + ri * n * W;
       const double* __restrict__ xtail = x + (ri + 1) * W;
       std::array<double, W> acc;
       for (std::size_t w = 0; w < W; ++w) acc[w] = b[ri * W + w];
-      for (std::size_t c = ri + 1; c < n; ++c) {
+      for_each_col(mask + ri * words, words, ri + 1, [&](std::size_t c) {
         for (std::size_t w = 0; w < W; ++w) {
           acc[w] -= arow[c * W + w] * xtail[(c - ri - 1) * W + w];
+        }
+      });
+      unsigned zero = 0;
+      for (std::size_t w = 0; w < W; ++w) zero |= acc[w] == 0.0 ? 1u : 0u;
+      if (zero != 0) {
+        for (std::size_t w = 0; w < W; ++w) acc[w] = b[ri * W + w];
+        for (std::size_t c = ri + 1; c < n; ++c) {
+          for (std::size_t w = 0; w < W; ++w) {
+            acc[w] -= arow[c * W + w] * xtail[(c - ri - 1) * W + w];
+          }
         }
       }
       for (std::size_t w = 0; w < W; ++w) {
@@ -283,6 +365,7 @@ inline void batch_lu_solve(BatchWorkspace& bw, std::size_t n,
       }
     }
   }
+  return divisions;
 }
 
 // ---------------------------------------------------------------------------
@@ -320,7 +403,7 @@ struct CompiledDcSystem {
       }
     }
     std::array<LaneLu, 1> status;
-    batch_lu_solve<1>(lu, n, {1}, status);
+    batch_lu_solve<1>(lu, cc.lu_pattern().data(), n, {1}, status);
     return status[0] == LaneLu::kOk ? lu.x_new.data() : nullptr;
   }
 };
@@ -556,7 +639,7 @@ BatchTransientResult run_transient_batch_impl(
     arm_time[w] = clamp_breaks_and_arm(breaks, opt.t_end);
     cc.batch_initialize_state(bw, w, x);
     inject_lane(x, w, bw.x);
-    bw.pivot[w].invalidate();
+    bw.pivot_valid[w] = 0;
     res.waves[w].clear();
     res.waves[w].append(0.0, x);
     res.failed[w] = 0;
@@ -714,7 +797,7 @@ BatchTransientResult run_transient_batch_impl(
     std::fill(bw.fa.begin(), bw.fa.end(), 0.0);
     std::fill(bw.fb.begin(), bw.fb.end(), 0.0);
     cc.batch_stamp_fused<W>(bw, bt.data(), bdt.data(), opt.method);
-    batch_lu_solve<W>(bw, n, newton_mask, lu_status);
+    batch_lu_solve<W>(bw, cc.lu_pattern().data(), n, newton_mask, lu_status);
 
     // Damping and convergence, lane-vectorized: the max reductions and the
     // damped iterate update run for every lane (i outer, w inner, identical

@@ -42,6 +42,18 @@ void Mna::add_rhs(std::size_t i, double v) {
   b_[i] += v;
 }
 
+void Mna::set(std::size_t i, std::size_t j, double v) {
+  if (consumed_) throw_consumed("set");
+  FINSER_REQUIRE(i < n_ && j < n_, "Mna::set: entry out of range");
+  a_[i * n_ + j] = v;
+}
+
+void Mna::set_rhs(std::size_t i, double v) {
+  if (consumed_) throw_consumed("set_rhs");
+  FINSER_REQUIRE(i < n_, "Mna::set_rhs: entry out of range");
+  b_[i] = v;
+}
+
 void Mna::add_gmin(double gmin, std::size_t n_nodes) {
   if (consumed_) throw_consumed("add_gmin");
   for (std::size_t i = 0; i < n_nodes && i < n_; ++i) {

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -60,7 +61,11 @@ Circuit make_soup(stats::Rng& rng) {
   const std::size_t n_nodes = 3 + rng.uniform_index(6);
   std::vector<std::size_t> nodes{kGround};
   for (std::size_t i = 0; i < n_nodes; ++i) {
-    nodes.push_back(c.node("n" + std::to_string(i)));
+    // Appended, not `"n" + to_string(i)`: GCC 12 raises a false -Wrestrict
+    // on that form in some inlining contexts.
+    std::string name = "n";
+    name += std::to_string(i);
+    nodes.push_back(c.node(name));
   }
   const auto pick = [&] { return nodes[rng.uniform_index(nodes.size())]; };
   const auto pick_pair = [&] {
@@ -321,7 +326,7 @@ void expect_same_waveform(const Waveform& a, const Waveform& b,
 }
 
 // DC through the compiled kernel and transients through the batched engine
-// at widths 1, 4 and 8 must match the interpreted engine across rebinds,
+// at widths 1, 4, 8 and 32 must match the interpreted engine across rebinds,
 // with every workspace warm from the previous pass. Each pass runs its one
 // binding in a different lane, the lanes before it masked off.
 TEST(SpiceCompiled, SolutionsMatchAcrossRebindsAndWarmWorkspace) {
@@ -330,8 +335,8 @@ TEST(SpiceCompiled, SolutionsMatchAcrossRebindsAndWarmWorkspace) {
     SolvableCircuit s = make_solvable(rng);
     CompiledCircuit cc(s.c);
     SolveWorkspace ws;  // Deliberately reused across every solve below.
-    std::array<BatchWorkspace, 3> bws;  // Likewise, one per width.
-    const std::array<std::size_t, 3> widths{1, 4, 8};
+    std::array<BatchWorkspace, 4> bws;  // Likewise, one per width.
+    const std::array<std::size_t, 4> widths{1, 4, 8, 32};
     for (std::size_t k = 0; k < bws.size(); ++k) {
       cc.batch_configure(bws[k], widths[k]);
     }
@@ -369,6 +374,327 @@ TEST(SpiceCompiled, SolutionsMatchAcrossRebindsAndWarmWorkspace) {
 }
 
 // ---------------------------------------------------------------------------
+// The structural LU against Mna
+// ---------------------------------------------------------------------------
+
+/// One n×n row-major system and its rhs.
+struct LuSystem {
+  std::vector<double> a;
+  std::vector<double> b;
+};
+
+/// The structural positions (i, j) of \p cc's lu_pattern(), row-major.
+std::vector<std::pair<std::size_t, std::size_t>> structural_entries(
+    const CompiledCircuit& cc) {
+  const std::size_t n = cc.unknown_count();
+  const std::size_t words = lu_mask_words(n);
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if ((cc.lu_pattern()[i * words + j / 64] >> (j % 64)) & 1u) {
+        out.emplace_back(i, j);
+      }
+    }
+  }
+  return out;
+}
+
+/// A system \p cc stamps at a random iterate: the DC stamp with a gmin
+/// shunt, or a transient stamp from random capacitor histories.
+LuSystem stamped_system(CompiledCircuit& cc, stats::Rng& rng) {
+  const std::size_t n = cc.unknown_count();
+  const std::vector<double> x = random_iterate(rng, n);
+  LuSystem sys{std::vector<double>(n * n + 1, 0.0),
+               std::vector<double>(n + 1, 0.0)};
+  if (rng.uniform() < 0.5) {
+    StampContext ctx;
+    ctx.branch_offset = cc.node_count();
+    ctx.x = &x;
+    cc.stamp_fused(sys.a.data(), sys.b.data(), ctx);
+    for (std::size_t i = 0; i < cc.node_count(); ++i) sys.a[i * n + i] += 1e-9;
+  } else {
+    BatchWorkspace bw;
+    cc.batch_configure(bw, 1);
+    cc.batch_initialize_state(bw, 0, random_iterate(rng, n));
+    bw.x_try = x;
+    const double t = rng.uniform(0.0, 5e-12);
+    const double dt = rng.uniform(1e-15, 1e-12);
+    cc.batch_stamp_fused<1>(bw, &t, &dt, Integrator::kTrapezoidal);
+    sys.a = bw.fa;
+    sys.b = bw.fb;
+  }
+  sys.a.resize(n * n);
+  sys.b.resize(n);
+  return sys;
+}
+
+constexpr std::size_t kLuVariants = 8;
+
+/// Lane variant \p kind of \p base. Only structural entries change, so
+/// every other entry stays +0 as the kernel requires.
+LuSystem lu_variant(
+    const LuSystem& base, std::size_t kind, std::size_t n,
+    const std::vector<std::pair<std::size_t, std::size_t>>& entries,
+    stats::Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  LuSystem s = base;
+  const auto pick = [&] { return entries[rng.uniform_index(entries.size())]; };
+  switch (kind) {
+    case 0:  // The stamped system.
+      break;
+    case 1:  // Every value perturbed.
+      for (const auto& [i, j] : entries) {
+        s.a[i * n + j] *= rng.uniform(0.5, 2.0);
+      }
+      break;
+    case 2: {  // One row scaled up: it wins scans its neighbours' rows win.
+      const std::size_t r = rng.uniform_index(n);
+      for (std::size_t j = 0; j < n; ++j) s.a[r * n + j] *= 1e6;
+      s.b[r] *= 1e6;
+      break;
+    }
+    case 3: {  // Singular: one row of zeros.
+      const std::size_t r = rng.uniform_index(n);
+      for (std::size_t j = 0; j < n; ++j) s.a[r * n + j] = 0.0;
+      break;
+    }
+    case 4: {  // An inf and a NaN entry.
+      const auto [i, j] = pick();
+      s.a[i * n + j] = rng.uniform() < 0.5 ? kInf : -kInf;
+      const auto [k, l] = pick();
+      s.a[k * n + l] = std::numeric_limits<double>::quiet_NaN();
+      break;
+    }
+    case 5: {  // −0s: a row reduced to its diagonal over a −0 rhs (its sum
+               // is a signed zero), and scattered −0 entries.
+      const std::size_t r = rng.uniform_index(n);
+      for (const auto& [i, j] : entries) {
+        if (i == r && j != r) s.a[i * n + j] = rng.uniform() < 0.5 ? 0.0 : -0.0;
+        if (rng.uniform() < 0.1) s.a[i * n + j] = -0.0;
+      }
+      s.b[r] = -0.0;
+      for (double& v : s.b) {
+        if (rng.uniform() < 0.2) v = -0.0;
+      }
+      break;
+    }
+    case 6:  // A zero rhs of mixed signs: the solution is all signed
+             // zeros, so every sign the kernel computes shows.
+      for (const auto& [i, j] : entries) {
+        if (rng.uniform() < 0.3) s.a[i * n + j] = -0.0;
+      }
+      for (double& v : s.b) v = rng.uniform() < 0.5 ? 0.0 : -0.0;
+      break;
+    default:  // A non-finite rhs entry.
+      s.b[rng.uniform_index(n)] =
+          rng.uniform() < 0.5 ? kInf : std::numeric_limits<double>::quiet_NaN();
+      break;
+  }
+  return s;
+}
+
+/// Mna::solve_with_cache on \p sys: the failure its throw reports, if any.
+LaneLu oracle_solve(const LuSystem& sys, std::size_t n, Mna::PivotCache& cache,
+                    std::vector<double>& x) {
+  Mna m(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) m.set(i, j, sys.a[i * n + j]);
+    m.set_rhs(i, sys.b[i]);
+  }
+  try {
+    m.solve_with_cache(cache, x);
+    return LaneLu::kOk;
+  } catch (const util::NumericalError& e) {
+    const std::string what = e.what();
+    if (what.find("rhs") != std::string::npos) return LaneLu::kNonFiniteRhs;
+    if (what.find("singular") != std::string::npos) return LaneLu::kSingular;
+    return LaneLu::kNonFiniteSolution;
+  }
+}
+
+/// Totals of the LU counters.
+std::array<std::uint64_t, 3> lu_counters() {
+  const auto total = [](const char* name) {
+    return obs::Registry::global().counter(name).total();
+  };
+  return {total("spice.mna.solves"), total("spice.mna.pivot_reuse"),
+          total("spice.mna.pivot_refactor")};
+}
+
+/// One batch_lu_solve() call on \p lanes (lane w of \p bw holds lanes[w]):
+/// every lane's status, solution bits and pivot cache, and the call's
+/// counters, must equal Mna::solve_with_cache()'s with the lane's cache in
+/// \p caches.
+void expect_call_matches_oracle(CompiledCircuit& cc, BatchWorkspace& bw,
+                                std::vector<Mna::PivotCache>& caches,
+                                const std::vector<LuSystem>& lanes,
+                                const std::string& where) {
+  const std::size_t n = cc.unknown_count();
+  const std::size_t width = bw.lanes;
+  std::fill(bw.fa.begin(), bw.fa.end(), 0.0);
+  std::fill(bw.fb.begin(), bw.fb.end(), 0.0);
+  for (std::size_t w = 0; w < width; ++w) {
+    for (std::size_t k = 0; k < n * n; ++k) {
+      bw.fa[k * width + w] = lanes[w].a[k];
+    }
+    for (std::size_t i = 0; i < n; ++i) bw.fb[i * width + w] = lanes[w].b[i];
+  }
+  const std::vector<std::uint8_t> active(width, 1);
+  std::vector<LaneLu> status(width);
+  std::vector<double> x;
+
+  obs::set_enabled(true);
+  const auto before = lu_counters();
+  batch_lu_solve(cc, bw, active.data(), status.data());
+  const auto mid = lu_counters();
+  for (std::size_t w = 0; w < width; ++w) {
+    const std::string at = where + " lane " + std::to_string(w);
+    const LaneLu want = oracle_solve(lanes[w], n, caches[w], x);
+    ASSERT_EQ(static_cast<int>(status[w]), static_cast<int>(want)) << at;
+    ASSERT_EQ(bw.pivot_valid[w] != 0, caches[w].valid) << at;
+    for (std::size_t i = 0; caches[w].valid && i < n; ++i) {
+      ASSERT_EQ(bw.pivot_perm[i * width + w], caches[w].perm[i]) << at;
+    }
+    if (want != LaneLu::kOk) continue;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(bw.x_new[i * width + w]),
+                std::bit_cast<std::uint64_t>(x[i]))
+          << at << ": x[" << i << "] " << bw.x_new[i * width + w] << " vs "
+          << x[i];
+    }
+  }
+  const auto after = lu_counters();
+  obs::set_enabled(false);
+  for (std::size_t k = 0; k < 3; ++k) {
+    ASSERT_EQ(mid[k] - before[k], after[k] - mid[k])
+        << where << ": counter " << k;
+  }
+}
+
+/// kLuVariants calls on a fresh width-\p width workspace of \p cc, lane w
+/// holding variant (w + round) % kLuVariants of the round's stamped system,
+/// each checked by expect_call_matches_oracle() with one cache per lane.
+void expect_lu_matches_oracle(CompiledCircuit& cc, std::size_t width,
+                              stats::Rng& rng, const std::string& where) {
+  const std::size_t n = cc.unknown_count();
+  const auto entries = structural_entries(cc);
+  BatchWorkspace bw;
+  cc.batch_configure(bw, width);
+  std::vector<Mna::PivotCache> caches(width);
+  for (std::size_t round = 0; round < kLuVariants; ++round) {
+    const LuSystem base = stamped_system(cc, rng);
+    std::vector<LuSystem> lanes;
+    for (std::size_t w = 0; w < width; ++w) {
+      lanes.push_back(
+          lu_variant(base, (w + round) % kLuVariants, n, entries, rng));
+    }
+    expect_call_matches_oracle(cc, bw, caches, lanes,
+                               where + " width " + std::to_string(width) +
+                                   " round " + std::to_string(round));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+/// A netlist of 71 unknowns, so its row masks take two words: a resistor
+/// chain through 70 nodes from one supply, plus resistors, capacitors and
+/// FinFETs between random nodes.
+Circuit make_wide_soup(stats::Rng& rng) {
+  Circuit c;
+  std::vector<std::size_t> nodes;
+  for (int i = 0; i < 70; ++i) {
+    std::string name = "w";
+    name += std::to_string(i);
+    nodes.push_back(c.node(name));
+  }
+  const auto pick = [&] { return nodes[rng.uniform_index(nodes.size())]; };
+  c.add<VSource>(c, nodes[0], kGround, 0.8);
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    c.add<Resistor>(nodes[i - 1], nodes[i], rng.uniform(1e3, 1e5));
+  }
+  for (int d = 0; d < 40; ++d) {
+    const std::size_t a = pick();
+    std::size_t b = pick();
+    while (b == a) b = pick();
+    switch (rng.uniform_index(3)) {
+      case 0:
+        c.add<Resistor>(a, b, rng.uniform(1e3, 1e6));
+        break;
+      case 1:
+        c.add<Capacitor>(a, kGround, rng.uniform(1e-16, 1e-14));
+        break;
+      default:
+        c.add<Mosfet>(a, b, pick(), default_nfet(), 1.0);
+        break;
+    }
+  }
+  return c;
+}
+
+// The structural LU must compute Mna's bits lane by lane: solution (signed
+// zeros included), failure class, pivot cache and pivot_reuse /
+// pivot_refactor counts, at every width, on device soups (one past 64
+// unknowns) and on the 6T and 8T cell systems. The lanes mix stamped systems with pivot orders forced
+// apart, singular rows, inf and NaN entries, −0 entries and rhs values that
+// make a row's sum a signed zero, and non-finite rhs entries: values no
+// stamp produces, but inside the pattern the kernel's exactness argument
+// covers (docs/spice.md, "The structural LU").
+TEST(SpiceCompiled, PatternLuMatchesOracle) {
+  stats::Rng rng(20260517);
+  std::vector<std::pair<std::string, Circuit>> soups;
+  for (int trial = 0; trial < 24; ++trial) {
+    soups.emplace_back("soup " + std::to_string(trial), make_soup(rng));
+  }
+  soups.emplace_back("wide soup", make_wide_soup(rng));
+  const std::array<std::size_t, 4> widths{1, 4, 8, 32};
+  for (const auto& [name, c] : soups) {
+    CompiledCircuit cc(c);
+    for (const std::size_t width : widths) {
+      expect_lu_matches_oracle(cc, width, rng, name);
+      if (HasFatalFailure()) return;
+    }
+  }
+  for (const sram::CellTopology topology :
+       {sram::CellTopology::k6T, sram::CellTopology::k8T}) {
+    for (const sram::AccessMode mode :
+         {sram::AccessMode::kRetention, sram::AccessMode::kRead}) {
+      sram::CellDesign design;
+      design.topology = topology;
+      const sram::StrikeSimulator sim(design, 0.8, mode);
+      CompiledCircuit cc(sim.circuit());
+      const std::string name =
+          std::string(topology == sram::CellTopology::k6T ? "6T" : "8T") +
+          (mode == sram::AccessMode::kRead ? " read" : " retention");
+      for (const std::size_t width : widths) {
+        expect_lu_matches_oracle(cc, width, rng, name);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+
+  // A −0 outside the pivot row's mask decides a solution's sign. Chain
+  // n0 – n1 – n2: row 1 is eliminated by row 0 with factor −0.5, which
+  // turns its −0 at column 2 (not in row 0's mask) into +0; x2 = +0, so
+  // x1 = (−0 − a12·x2) / a11 is −0 only if that entry did turn +0.
+  Circuit chain;
+  const std::size_t n0 = chain.node("n0");
+  const std::size_t n1 = chain.node("n1");
+  const std::size_t n2 = chain.node("n2");
+  chain.add<Resistor>(n0, n1, 1.0);
+  chain.add<Resistor>(n1, n2, 1.0);
+  CompiledCircuit cc(chain);
+  BatchWorkspace bw;
+  cc.batch_configure(bw, 1);
+  std::vector<Mna::PivotCache> caches(1);
+  const LuSystem signed_zero{{2.0, 1.0, 0.0,    //
+                              -1.0, 1.0, -0.0,  //
+                              0.0, 0.5, 1.0},
+                             {-0.0, -0.0, 0.0}};
+  expect_call_matches_oracle(cc, bw, caches, {signed_zero}, "chain");
+  EXPECT_TRUE(std::signbit(bw.x_new[1]));
+  obs::Registry::global().reset();
+}
+
+// ---------------------------------------------------------------------------
 // Lane-batched engine: byte-equality against the interpreted reference
 // ---------------------------------------------------------------------------
 
@@ -386,6 +712,7 @@ TEST(SpiceBatch, LaneWidthSelection) {
   EXPECT_TRUE(lane_width_valid(4));
   EXPECT_TRUE(lane_width_valid(8));
   EXPECT_FALSE(lane_width_valid(2));
+  EXPECT_TRUE(lane_width_valid(32));
   EXPECT_FALSE(lane_width_valid(16));
   EXPECT_THROW(set_lane_width(3), util::InvalidArgument);
   {
@@ -450,10 +777,10 @@ TEST(SpiceBatch, BatchTransientMatchesScalarPerLane) {
     SolvableCircuit s = make_solvable(rng);
     CompiledCircuit cc(s.c);
 
-    // Eight parameter sets; each width consumes a prefix, so the same lane
+    // 32 parameter sets; each width consumes a prefix, so the same lane
     // is checked under every width.
     std::vector<LaneParams> params;
-    for (int k = 0; k < 8; ++k) params.push_back(random_params(rng));
+    for (int k = 0; k < 32; ++k) params.push_back(random_params(rng));
 
     // Interpreted references.
     std::vector<std::vector<double>> x0(params.size());
@@ -464,7 +791,8 @@ TEST(SpiceBatch, BatchTransientMatchesScalarPerLane) {
       ref.push_back(run_transient(s.c, x0[k], topt, {"out", "out2"}));
     }
 
-    for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8},
+                              std::size_t{32}}) {
       BatchWorkspace bw;
       cc.batch_configure(bw, width);
       std::vector<std::vector<double>> lanes_x0(width);
@@ -554,7 +882,7 @@ TEST(SpiceStream, RefilledLanesMatchSingleRuns) {
   SolvableCircuit s = make_solvable(rng);
   CompiledCircuit cc(s.c);
   std::vector<LaneParams> params;
-  for (int k = 0; k < 29; ++k) params.push_back(random_params(rng));
+  for (int k = 0; k < 71; ++k) params.push_back(random_params(rng));
   std::vector<std::vector<double>> x0;
   SolveWorkspace ws;
   for (const LaneParams& p : params) {
@@ -575,7 +903,8 @@ TEST(SpiceStream, RefilledLanesMatchSingleRuns) {
       ref.push_back(
           run_transient_single(cc, single, x0[k], topt, {"out", "out2"}));
     }
-    for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8},
+                              std::size_t{32}}) {
       BatchWorkspace bw;
       cc.batch_configure(bw, width);
       ListTransientFeed feed(s, cc, bw, params, x0);
@@ -678,7 +1007,7 @@ StepsPerRun steps_per_run_of(const std::function<void()>& body) {
   return {h.count(), h.sum(), h.min(), h.max()};
 }
 
-// With the retention latch set, the batched engine at W = 1, 4 and 8 must
+// With the retention latch set, the batched engine at W = 1, 4, 8 and 32 must
 // stop every lane on the interpreted loop's step: same waveform length and
 // values, same steps_per_run. The lanes of a group stop at different steps
 // (a strike-free sample first, a flip later) and ride masked meanwhile.
@@ -701,7 +1030,7 @@ TEST(SpiceBatch, LatchStopsMatchInterpretedPerLane) {
   std::vector<StrikeCharges> charges{
       {}, {0.05, 0.0, 0.0}, {1.0, 0.0, 0.0}, {0.5, 0.0, 0.5}};
   std::vector<DeltaVt> dvts(charges.size());
-  while (charges.size() < 8) {
+  while (charges.size() < 32) {
     charges.push_back(StrikeCharges{rng.uniform(0.0, 0.3),
                                     rng.uniform(0.0, 0.3),
                                     rng.uniform(0.0, 0.3)});
@@ -763,7 +1092,8 @@ TEST(SpiceBatch, LatchStopsMatchInterpretedPerLane) {
                 *std::min_element(lengths.begin(), lengths.end()));
     }
 
-    for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8},
+                              std::size_t{32}}) {
       spice::BatchWorkspace bw;
       cc.batch_configure(bw, width);
       for (std::size_t offset = 0; offset < charges.size(); offset += width) {
@@ -815,7 +1145,7 @@ TEST(SpiceBatch, StrikeOutcomesMatchScalarAcrossWidths) {
 
   // A sample set that reuses some ΔVt vectors (hold-cache hits) and spans
   // both pulse kinds.
-  constexpr std::size_t kCount = 11;
+  constexpr std::size_t kCount = 67;
   std::vector<StrikeCharges> charges;
   std::vector<DeltaVt> dvts;
   for (std::size_t k = 0; k < kCount; ++k) {
@@ -839,7 +1169,8 @@ TEST(SpiceBatch, StrikeOutcomesMatchScalarAcrossWidths) {
                                      spice::PulseShape::Kind::kRectangular));
     }
 
-    for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8},
+                              std::size_t{32}}) {
       LaneWidthGuard guard(width);
       StrikeSimulator sim(design, vdd);
       std::vector<StrikeSimulator::LaneOutcome> out;
@@ -994,7 +1325,8 @@ TEST(SpiceStream, StrikeOutcomesMatchSimulateAcrossWidths) {
     }
   }
 
-  for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+  for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8},
+                            std::size_t{32}}) {
     LaneWidthGuard guard(width);
     const FaultReset reset;
     // The hook counts binds in feed order: hit kInjected + 1 is strike
@@ -1082,6 +1414,7 @@ TEST(SpiceBatch, CharacterizeAtAgreesAcrossLaneWidths) {
   const std::vector<std::uint8_t> want = table_bytes(1);
   EXPECT_EQ(want, table_bytes(4));
   EXPECT_EQ(want, table_bytes(8));
+  EXPECT_EQ(want, table_bytes(32));
 }
 
 // ---------------------------------------------------------------------------

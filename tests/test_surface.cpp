@@ -2,7 +2,8 @@
 /// \brief finser::surface unit tests: from_sweep channel copies, the
 /// byte-stable query contract (exact nodes bitwise, clamped edges bitwise),
 /// the versioned codec, the hoisted cell-model codec, surface fingerprints,
-/// and the ServeSession NDJSON loop against synthetic lookup/refine hooks.
+/// and the ServeSession NDJSON loop against synthetic lookup/refine hooks,
+/// fuzzed with the ConfigFuzz.* mutation scheme (ServeFuzz.*).
 
 #include "finser/surface/response_surface.hpp"
 
@@ -10,14 +11,18 @@
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "finser/core/array_engine.hpp"
 #include "finser/pipeline/surface_provider.hpp"
+#include "finser/stats/rng.hpp"
 #include "finser/surface/serve.hpp"
 #include "finser/util/error.hpp"
+#include "finser/util/json.hpp"
+#include "fuzz_mutate.hpp"
 
 namespace finser::surface {
 namespace {
@@ -420,6 +425,140 @@ TEST(ServeSession, CancelledTokenDrainsWithCacheOnlyAnswers) {
   // Pre-cancelled token: the loop exits before reading; no replies, clean.
   EXPECT_EQ(rc, 0);
   EXPECT_TRUE(lines.empty());
+}
+
+// ---------------------------------------------------------------------------
+// ServeFuzz: mutated request streams against docs/serving.md's contract
+// ---------------------------------------------------------------------------
+
+/// Valid request lines: every op and optional field, ids of several JSON
+/// types, both scenarios, a hit, a refinement and a failing refinement.
+std::vector<std::string> serve_corpus() {
+  return {
+      R"({"id": 1, "op": "pof", "species": "alpha", "vdd": 0.7, )"
+      R"("energy_mev": 2.0})",
+      R"({"id": "q2", "op": "fit", "species": "proton", "vdd": 0.8, )"
+      R"("with_pv": false})",
+      R"({"op": "pof", "scenario": "other", "species": "alpha", )"
+      R"("vdd": 0.75, "energy_mev": 3.5, "with_pv": true})",
+      R"({"id": [1, {"k": null}], "op": "fit", "scenario": "scen", )"
+      R"("species": "alpha", "vdd": 1.1})",
+      R"({"id": 9, "op": "stats"})",
+      R"({"op": "shutdown"})",
+  };
+}
+
+/// The reply count docs/serving.md promises for \p input: one per non-blank
+/// line up to and including the first shutdown request.
+std::size_t expected_replies(const std::string& input) {
+  std::size_t count = 0;
+  std::istringstream in(input);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    ++count;
+    try {
+      const util::JsonValue req = util::JsonValue::parse(line);
+      if (req.is_object() && req.contains("op") && req.at("op").is_string() &&
+          req.at("op").as_string() == "shutdown") {
+        break;
+      }
+    } catch (const std::exception&) {
+      // Not a request at all: still one reply.
+    }
+  }
+  return count;
+}
+
+/// Feed ServeSession::run \p trials streams of mutated corpus lines and
+/// return every violation of the reply contract: an exception escaping
+/// run(), a reply count other than expected_replies(), or a reply that is
+/// not a JSON object with status ok, shed or error. \p statuses counts the
+/// replies by status.
+std::vector<std::string> fuzz_serve(
+    std::uint64_t seed, std::size_t trials,
+    std::map<std::string, std::size_t>& statuses) {
+  const ResponseSurface surf = make_surface();
+  ServeScenario scen;
+  scen.name = "scen";
+  scen.species = {"alpha", "proton"};
+  ServeScenario other;
+  other.name = "other";
+  other.species = {"alpha"};
+  const std::vector<std::string> corpus = serve_corpus();
+  std::vector<std::string> violations;
+  stats::Rng rng(seed);
+  for (std::size_t t = 0; t < trials; ++t) {
+    std::string input;
+    const std::size_t lines = 1 + rng.uniform_index(8);
+    for (std::size_t l = 0; l < lines; ++l) {
+      const std::string& line = corpus[rng.uniform_index(corpus.size())];
+      input += rng.uniform() < 0.7 ? fuzz::mutate(line, rng) : line;
+      if (l + 1 < lines || rng.uniform() < 0.5) input += '\n';
+    }
+    ServeConfig cfg;
+    cfg.max_pending = 1 + rng.uniform_index(4);
+    ServeSession session(
+        {scen, other}, cfg,
+        [&surf](const std::string& sc,
+                const std::string& sp) -> const ResponseSurface* {
+          return sc == "scen" && sp == "alpha" ? &surf : nullptr;
+        },
+        [&surf](const std::string&,
+                const std::string& sp) -> const ResponseSurface* {
+          if (sp == "proton") throw util::NumericalError("stub refine failed");
+          return &surf;
+        },
+        nullptr);
+    const std::string where = "\n  input: " + fuzz::escaped(input);
+    std::istringstream in(input);
+    std::ostringstream out;
+    try {
+      session.run(in, out);
+    } catch (const std::exception& e) {
+      violations.push_back(std::string("run() threw: ") + e.what() + where);
+      continue;
+    }
+    std::istringstream replies(out.str());
+    std::size_t count = 0;
+    std::string reply;
+    while (std::getline(replies, reply)) {
+      ++count;
+      try {
+        const util::JsonValue r = util::JsonValue::parse(reply);
+        const std::string status = r.at("status").as_string();
+        ++statuses[status];
+        if (status != "ok" && status != "shed" && status != "error") {
+          violations.push_back("status " + status + where);
+        }
+      } catch (const std::exception& e) {
+        violations.push_back(std::string("reply is not a status object: ") +
+                             e.what() + "\n  reply: " +
+                             fuzz::escaped(reply) + where);
+      }
+    }
+    if (count != expected_replies(input)) {
+      violations.push_back(std::to_string(count) + " replies, expected " +
+                           std::to_string(expected_replies(input)) + where);
+    }
+  }
+  return violations;
+}
+
+// Every non-blank line a client sends before `shutdown` gets exactly one
+// reply, with status ok, shed or error, and no exception leaves the loop —
+// over byte flips, truncations, insertions and duplicated spans of valid
+// requests (the ConfigFuzz.* mutation scheme), several lines per stream,
+// under backpressure, with cache hits, refinements and failing ones.
+TEST(ServeFuzz, EveryRequestLineGetsOneStatusReply) {
+  std::map<std::string, std::size_t> statuses;
+  const auto violations = fuzz_serve(20140601, 3000, statuses);
+  EXPECT_TRUE(violations.empty())
+      << violations.size() << " violations; first: " << violations.front();
+  // Not vacuous: mutants reach answers, backpressure and rejections.
+  EXPECT_GT(statuses["ok"], 100u);
+  EXPECT_GT(statuses["shed"], 10u);
+  EXPECT_GT(statuses["error"], 100u);
 }
 
 }  // namespace
