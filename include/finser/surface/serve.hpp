@@ -19,11 +19,18 @@
 /// lookup and refinement are injected callbacks (pipeline::SurfaceProvider
 /// in practice), which keeps `finser::surface` free of a pipeline
 /// dependency.
+///
+/// The common request line (a flat object of the known keys) is read in
+/// one pass without building a util::JsonValue, and replies are appended to
+/// one reused buffer with util's JSON writers, so a cache hit costs little
+/// beyond the surface lookup. Every other line goes through
+/// util::JsonValue::parse; both readers end in one validation step.
 
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "finser/exec/cancel.hpp"
@@ -39,6 +46,10 @@ struct ServeScenario {
   std::vector<std::string> species;
   double temp_k = 0.0;
 };
+
+namespace detail {
+struct RequestFields;  // a request's known keys, as either reader found them
+}  // namespace detail
 
 struct ServeConfig {
   /// Maximum unanswered requests held before shedding (backpressure bound).
@@ -62,18 +73,24 @@ class ServeSession {
                LookupFn lookup, RefineFn refine, const exec::CancelToken* cancel);
 
   /// Run the request loop until EOF, a `shutdown` request, or cancellation.
-  /// Responses go to \p out (one JSON object per line, flushed at batch
-  /// boundaries); \p out must carry protocol traffic only.
+  /// Responses go to \p out (one JSON object per line; the stream is
+  /// flushed at batch boundaries and after each immediate reply); \p out
+  /// must carry protocol traffic only.
   /// \returns the process exit code: 0 for a clean drain (every request
   /// answered ok), 6 (degraded) when any request was shed, malformed, failed
   /// or cancelled.
   int run(std::istream& in, std::ostream& out);
 
  private:
-  struct Request;  // parsed pending query
+  struct Request;  // validated pending query
+  std::string validate(const detail::RequestFields& f, Request& q) const;
   void flush(std::vector<Request>& pending, std::ostream& out,
              bool cache_only);
-  void respond(std::ostream& out, const std::string& line);
+  void write_answer(const Request& q, const ResponseSurface& s);
+  void write_stats(std::string_view id);
+  void write_status(std::string_view id, const char* status,
+                    std::string_view reason);
+  void send(std::ostream& out);
 
   std::vector<ServeScenario> catalog_;
   ServeConfig config_;
@@ -81,6 +98,7 @@ class ServeSession {
   RefineFn refine_;
   const exec::CancelToken* cancel_;
   bool degraded_ = false;
+  std::string replies_;  ///< Reply lines not yet written to the output.
 };
 
 }  // namespace finser::surface

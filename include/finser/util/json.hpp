@@ -7,20 +7,24 @@
 ///
 ///  1. **Deterministic output.** Objects preserve insertion order (stored as
 ///     a flat vector of key/value pairs, not a hash map) and numbers format
-///     reproducibly: integers exactly, doubles via shortest-round-trip
-///     %.17g. Two documents built by the same code path therefore serialize
-///     byte-identically — the property the observability layer's
+///     reproducibly: integers exactly, doubles as the round-tripping text
+///     %.17g prints. Two documents built by the same code path therefore
+///     serialize byte-identically — the property the observability layer's
 ///     "metrics are bit-stable at any thread count" contract is tested on.
+///     The scalar writers below are the ones dump() uses, so text streamed
+///     without a document (the serve loop's replies) matches it byte for
+///     byte.
 ///  2. **No dependencies.** A few hundred lines beat vendoring a JSON
 ///     library the container does not have.
 ///  3. **Strict-enough parsing** for round-trip tests and report tooling:
-///     UTF-8 pass-through, \uXXXX escapes, nesting-depth and trailing-junk
-///     checks. Not a validator of exotic documents.
+///     RFC 8259 numbers, UTF-8 pass-through, \uXXXX escapes, nesting-depth
+///     and trailing-junk checks. Not a validator of exotic documents.
 ///
 /// Errors throw util::Error with a byte offset.
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -116,5 +120,35 @@ class JsonValue {
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
+
+// --- scalar writers and the number reader -----------------------------------
+
+/// Append \p s as a JSON string: quoted, with `"`, `\` and control
+/// characters escaped; other bytes (UTF-8 included) pass through.
+void append_json_string(std::string& out, std::string_view s);
+
+/// Append a finite double as the text `%.17g` prints (produced by
+/// std::to_chars), plus ".0" when that text would read back as an integer.
+/// Throws util::Error on NaN/Inf.
+void append_json_double(std::string& out, double v);
+
+void append_json_int(std::string& out, std::int64_t v);
+void append_json_uint(std::string& out, std::uint64_t v);
+
+/// A number as parse() reads it: an integer that fits is kUint, or kInt
+/// when negative; anything else is kDouble.
+struct JsonNumber {
+  JsonValue::Kind kind = JsonValue::Kind::kUint;
+  std::int64_t i = 0;   ///< The value when kind is kInt.
+  std::uint64_t u = 0;  ///< The value when kind is kUint.
+  double d = 0.0;       ///< The value as JsonValue::as_double() reads it.
+};
+
+/// Read the number that starts at \p p. The token must follow RFC 8259's
+/// grammar and end where the characters that could continue a number end,
+/// so `+1`, `.5`, `1.`, `01`, `-01` and `1.e5` are rejected, as is a value
+/// that overflows a double. parse() reads every number with this function.
+/// \returns the end of the token, or nullptr when there is no valid number.
+const char* scan_json_number(const char* p, const char* end, JsonNumber& out);
 
 }  // namespace finser::util

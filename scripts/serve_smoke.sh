@@ -18,6 +18,10 @@
 #   5. Malformed input degrades (exit 6) without stopping the loop, and
 #      `artifacts ls` reads the store without mutating it.
 #
+# Along the way the `stats` replies must carry the serve latency and queue
+# figures: the batch-size and flush-latency histograms, the pending-queue
+# gauge, and the count of lines that needed the generic JSON parser.
+#
 # Usage: scripts/serve_smoke.sh [build-dir]   (default: build)
 
 set -u
@@ -82,6 +86,16 @@ counter_equals() {
   local file=$1 name=$2 want=$3
   grep -q "\"$name\":$want[,}]" "$file"
 }
+# Histogram rows read {"count":…,"sum":…,"min":…,"max":…}; gauge rows
+# {"value":…,"max":…}.
+histogram_count() {
+  local file=$1 name=$2 want=$3
+  grep -q "\"$name\":{\"count\":$want," "$file"
+}
+gauge_equals() {
+  local file=$1 name=$2 value=$3 max=$4
+  grep -q "\"$name\":{\"value\":$value,\"max\":$max}" "$file"
+}
 
 # --- phase 1: cold server — miss, batch, refine once, persist ---------------
 echo "=== phase 1: cold serve"
@@ -100,6 +114,14 @@ counter_equals "$STATS_LINE" "serve.batches" 1 ||
   fail "burst was not resolved as one batch"
 counter_equals "$STATS_LINE" "pipeline.characterizations" 1 ||
   fail "cold serve should characterize exactly once"
+grep -q '"serve.batch_requests":{"count":1,"sum":3,' "$STATS_LINE" ||
+  fail "stats did not record the burst as one batch of 3 requests"
+histogram_count "$STATS_LINE" "serve.flush_refine_ms" 1 ||
+  fail "stats did not time the refining batch"
+gauge_equals "$STATS_LINE" "serve.pending" 0 3 ||
+  fail "stats pending gauge should read 0 now and 3 at most"
+counter_is_zero "$STATS_LINE" "serve.generic_parses" ||
+  fail "plain request lines went through the generic parser"
 # Identical repeated query ⇒ identical reply bytes (ids differ by design).
 s1=$(sed -n 1p "$WORK/cold.answers" | sed 's/"id":1,//')
 s3=$(sed -n 3p "$WORK/cold.answers" | sed 's/"id":3,//')
@@ -138,6 +160,8 @@ counter_is_zero "$WORK/warm.stats" "surface.builds" ||
   fail "warm restart rebuilt a surface"
 counter_equals "$WORK/warm.stats" "surface.artifact_hits" 1 ||
   fail "warm restart did not load the response_surface artifact"
+histogram_count "$WORK/warm.stats" "serve.flush_hit_us" '[1-9][0-9]*' ||
+  fail "stats did not time the batches answered from cache"
 
 # --- phase 4: SIGTERM drain -------------------------------------------------
 echo "=== phase 4: SIGTERM drain"
@@ -166,11 +190,14 @@ fi
 
 # --- phase 5: degraded input + read-only inventory --------------------------
 echo "=== phase 5: degraded exit + artifacts ls"
-printf '%s\n%s\n' 'this is not json' "$BYE" |
+printf '%s\n%s\n%s\n' 'this is not json' "$STATS" "$BYE" |
   "$CLI" serve "$WORK/cold.json" --threads 2 > "$WORK/bad.out" 2> /dev/null
 [[ $? -eq 6 ]] || fail "malformed request should exit 6 (degraded)"
 grep -q '"status":"error"' "$WORK/bad.out" ||
   fail "malformed request got no error reply"
+sed -n '2p' "$WORK/bad.out" > "$WORK/bad.stats"
+counter_equals "$WORK/bad.stats" "serve.generic_parses" 1 ||
+  fail "the malformed line was not counted as a generic parse"
 grep -q '"op":"shutdown"' "$WORK/bad.out" ||
   fail "loop stopped serving after a malformed request"
 "$CLI" artifacts ls "$WORK/art_cold" > "$WORK/ls.out" ||

@@ -1,7 +1,8 @@
 #include "finser/util/json.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "finser/util/error.hpp"
@@ -15,9 +16,17 @@ namespace {
 /// Maximum nesting depth accepted by the parser (and writer, symmetric).
 constexpr int kMaxDepth = 64;
 
-void append_escaped(std::string& out, const std::string& s) {
+}  // namespace
+
+void append_json_string(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (const char c : s) {
+  std::size_t run = 0;  // start of the bytes not yet appended
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -27,31 +36,109 @@ void append_escaped(std::string& out, const std::string& s) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;  // UTF-8 bytes pass through unmodified.
-        }
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out += '"';
 }
 
-void append_double(std::string& out, double v) {
+void append_json_double(std::string& out, double v) {
   if (!std::isfinite(v)) fail("NaN/Inf is not representable in JSON");
-  char buf[40];
-  // %.17g round-trips every finite double; normalize "1e+05"-style exponents
-  // is not needed — the format is already deterministic for a given value.
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+  // std::to_chars in general format with a precision prints what printf's
+  // %.<precision>g prints, without printf's format parsing; 17 significant
+  // digits round-trip every finite double.
+  char buf[32];
+  const char* const end =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17)
+          .ptr;
+  const std::string_view text(buf, static_cast<std::size_t>(end - buf));
+  out += text;
   // Keep the value recognizably floating-point so parse(dump(x)) preserves
   // the numeric kind of whole-valued doubles.
-  if (std::strpbrk(buf, ".eEn") == nullptr) out += ".0";
+  if (text.find_first_of(".e") == std::string_view::npos) out += ".0";
 }
 
-}  // namespace
+void append_json_int(std::string& out, std::int64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void append_json_uint(std::string& out, std::uint64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+const char* scan_json_number(const char* p, const char* end, JsonNumber& out) {
+  const char* const start = p;
+  const auto digit = [&p, end] { return p < end && *p >= '0' && *p <= '9'; };
+  const bool negative = p < end && *p == '-';
+  if (negative) ++p;
+  if (!digit()) return nullptr;
+  if (*p == '0') {
+    ++p;  // a leading zero stands alone
+  } else {
+    while (digit()) ++p;
+  }
+  const char* const int_end = p;
+  if (p < end && *p == '.') {
+    ++p;
+    if (!digit()) return nullptr;
+    while (digit()) ++p;
+  }
+  if (p < end && (*p == 'e' || *p == 'E')) {
+    ++p;
+    if (p < end && (*p == '+' || *p == '-')) ++p;
+    if (!digit()) return nullptr;
+    while (digit()) ++p;
+  }
+  // A run of number characters is one token: `01`, `1.5.2` and `1e5e3` are
+  // malformed numbers, not a number followed by junk.
+  if (p < end && std::string_view("0123456789.eE+-").find(*p) !=
+                     std::string_view::npos) {
+    return nullptr;
+  }
+
+  if (p == int_end) {
+    std::uint64_t mag = 0;
+    bool fits = true;
+    for (const char* q = negative ? start + 1 : start; q < p && fits; ++q) {
+      const auto d = static_cast<std::uint64_t>(*q - '0');
+      fits = mag <= (UINT64_MAX - d) / 10;
+      mag = mag * 10 + d;
+    }
+    constexpr std::uint64_t kInt64MinMagnitude = std::uint64_t{1} << 63;
+    if (fits && !negative) {
+      out.kind = JsonValue::Kind::kUint;
+      out.u = mag;
+      out.d = static_cast<double>(mag);
+      return p;
+    }
+    if (fits && mag <= kInt64MinMagnitude) {
+      out.kind = JsonValue::Kind::kInt;
+      out.i = mag == kInt64MinMagnitude ? INT64_MIN
+                                        : -static_cast<std::int64_t>(mag);
+      out.d = static_cast<double>(out.i);
+      return p;
+    }
+    // Out-of-range integer: read it as a double.
+  }
+  double v = 0.0;
+  const std::from_chars_result r = std::from_chars(start, p, v);
+  if (r.ec == std::errc::result_out_of_range) {
+    // from_chars leaves an out-of-range value unset; strtod's ±0 (underflow)
+    // or ±inf (overflow, rejected below) is what the parser reads for it.
+    v = std::strtod(std::string(start, p).c_str(), nullptr);
+  } else if (r.ec != std::errc() || r.ptr != p) {
+    return nullptr;
+  }
+  if (!std::isfinite(v)) return nullptr;
+  out.kind = JsonValue::Kind::kDouble;
+  out.d = v;
+  return p;
+}
 
 bool JsonValue::as_bool() const {
   if (kind_ != Kind::kBool) fail("not a bool");
@@ -164,10 +251,10 @@ void JsonValue::write(std::string& out, int indent, int depth) const {
   switch (kind_) {
     case Kind::kNull: out += "null"; break;
     case Kind::kBool: out += bool_ ? "true" : "false"; break;
-    case Kind::kInt: out += std::to_string(int_); break;
-    case Kind::kUint: out += std::to_string(uint_); break;
-    case Kind::kDouble: append_double(out, double_); break;
-    case Kind::kString: append_escaped(out, string_); break;
+    case Kind::kInt: append_json_int(out, int_); break;
+    case Kind::kUint: append_json_uint(out, uint_); break;
+    case Kind::kDouble: append_json_double(out, double_); break;
+    case Kind::kString: append_json_string(out, string_); break;
     case Kind::kArray: {
       out += '[';
       for (std::size_t i = 0; i < array_.size(); ++i) {
@@ -184,7 +271,7 @@ void JsonValue::write(std::string& out, int indent, int depth) const {
       for (std::size_t i = 0; i < object_.size(); ++i) {
         if (i > 0) out += ',';
         newline_pad(depth + 1);
-        append_escaped(out, object_[i].first);
+        append_json_string(out, object_[i].first);
         out += indent > 0 ? ": " : ":";
         object_[i].second.write(out, indent, depth + 1);
       }
@@ -395,45 +482,16 @@ class Parser {
   }
 
   JsonValue parse_number() {
-    const std::size_t start = pos_;
-    bool negative = false;
-    bool floating = false;
-    if (peek() == '-') {
-      negative = true;
-      ++pos_;
+    JsonNumber n;
+    const char* const begin = s_.data() + pos_;
+    const char* const end = scan_json_number(begin, s_.data() + s_.size(), n);
+    if (end == nullptr) err("invalid number");
+    pos_ += static_cast<std::size_t>(end - begin);
+    switch (n.kind) {
+      case JsonValue::Kind::kInt: return JsonValue(n.i);
+      case JsonValue::Kind::kUint: return JsonValue(n.u);
+      default: return JsonValue(n.d);
     }
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (c >= '0' && c <= '9') {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        floating = true;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start + (negative ? 1u : 0u)) err("invalid number");
-    const std::string tok = s_.substr(start, pos_ - start);
-    errno = 0;
-    char* end = nullptr;
-    if (!floating) {
-      if (negative) {
-        const long long v = std::strtoll(tok.c_str(), &end, 10);
-        if (end == tok.c_str() + tok.size() && errno == 0) {
-          return JsonValue(static_cast<std::int64_t>(v));
-        }
-      } else {
-        const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-        if (end == tok.c_str() + tok.size() && errno == 0) {
-          return JsonValue(static_cast<std::uint64_t>(v));
-        }
-      }
-      errno = 0;  // Out-of-range integer: fall through to double.
-    }
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size() || !std::isfinite(v)) err("invalid number");
-    return JsonValue(v);
   }
 
   const std::string& s_;

@@ -6,7 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <random>
 #include <thread>
 
 #include "finser/core/array_mc.hpp"
@@ -79,11 +86,20 @@ TEST_F(ObsTest, MacrosAreNoOpsWhenDisabled) {
 TEST_F(ObsTest, ScopedSpanRecordsDuration) {
   { ScopedSpan span("t.span"); }
   { ScopedSpan span("t.span"); }
+  // reset() zeroes rows but keeps their names, so spans that tests run
+  // earlier in this process registered are listed with count 0.
   const Snapshot s = Registry::global().snapshot();
-  ASSERT_EQ(s.durations.size(), 1u);
-  EXPECT_EQ(s.durations[0].name, "t.span");
-  EXPECT_EQ(s.durations[0].count, 2u);
-  EXPECT_GE(s.durations[0].max_ns, s.durations[0].min_ns);
+  const Snapshot::DurationRow* span = nullptr;
+  for (const Snapshot::DurationRow& d : s.durations) {
+    if (d.name == "t.span") {
+      span = &d;
+    } else {
+      EXPECT_EQ(d.count, 0u) << d.name;
+    }
+  }
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->count, 2u);
+  EXPECT_GE(span->max_ns, span->min_ns);
 }
 
 TEST_F(ObsTest, TraceEventsBufferOnlyWhenTracing) {
@@ -162,6 +178,124 @@ TEST_F(ObsTest, JsonParserRejectsMalformedInput) {
   EXPECT_THROW(util::JsonValue::parse("{\"a\": 1, \"a\": 2}"), util::Error);
   EXPECT_THROW(util::JsonValue::parse("[1, 2"), util::Error);
   EXPECT_THROW(util::JsonValue::parse(""), util::Error);
+}
+
+// Numbers follow RFC 8259's grammar: no plus sign, no bare or trailing
+// decimal point, no leading zero.
+TEST_F(ObsTest, JsonParserRejectsNumbersOutsideRfc8259) {
+  for (const char* bad : {"+1", ".5", "1.", "01", "-01", "1.e5"}) {
+    const std::string doc = std::string("{\"id\": ") + bad + "}";
+    try {
+      util::JsonValue::parse(doc);
+      ADD_FAILURE() << doc << " parsed";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid number at byte 7"),
+                std::string::npos)
+          << doc << ": " << e.what();
+    }
+  }
+  using Kind = util::JsonValue::Kind;
+  EXPECT_EQ(util::JsonValue::parse("-0").kind(), Kind::kInt);
+  EXPECT_EQ(util::JsonValue::parse("0").kind(), Kind::kUint);
+  EXPECT_EQ(util::JsonValue::parse("-9223372036854775808").as_int(), INT64_MIN);
+  EXPECT_EQ(util::JsonValue::parse("18446744073709551616").kind(), Kind::kDouble);
+  EXPECT_EQ(util::JsonValue::parse("-0.5e-3").as_double(), -0.5e-3);
+  EXPECT_EQ(util::JsonValue::parse("1E+2").as_double(), 100.0);
+  EXPECT_EQ(util::JsonValue::parse("[0,-1e0]").size(), 2u);
+  EXPECT_THROW(util::JsonValue::parse("1e400"), util::Error);
+  EXPECT_THROW(util::JsonValue::parse("-"), util::Error);
+}
+
+/// "" when std::to_chars(v, general, 17) prints what snprintf("%.17g")
+/// prints and util::append_json_double prints what the JSON writer printed
+/// when it formatted with printf; else the printf text.
+std::string g17_mismatch(double v) {
+  char want[40], got[40];
+  std::snprintf(want, sizeof want, "%.17g", v);
+  char* const end =
+      std::to_chars(got, got + sizeof got, v, std::chars_format::general, 17)
+          .ptr;
+  std::string printed = want;
+  if (std::strpbrk(want, ".eEn") == nullptr) printed += ".0";
+  std::string appended;
+  util::append_json_double(appended, v);
+  if (std::string(got, end) == want && appended == printed) return {};
+  return want;
+}
+
+// The JSON writer's doubles are std::to_chars text, which must be exactly
+// what printf's %.17g prints: at ±0, subnormals, the normal range's ends,
+// integers up to 2^53, powers of ten on both sides of the switch between
+// fixed and exponent form, and a million random bit patterns.
+TEST(JsonNumbers, ToCharsPrintsWhatPrintfG17Prints) {
+  std::vector<double> corners = {0.0,      -0.0,     5e-324,   -5e-324,
+                                 DBL_MIN,  -DBL_MIN, DBL_MAX,  -DBL_MAX,
+                                 std::nextafter(DBL_MIN, 0.0), 0.1, 1.0 / 3.0};
+  for (int e = 0; e <= 53; ++e) {
+    const double p = std::ldexp(1.0, e);
+    corners.insert(corners.end(), {p, p - 1.0, -p, p + 1.0});
+  }
+  for (int k = -12; k <= 22; ++k) {
+    const double t = std::strtod(("1e" + std::to_string(k)).c_str(), nullptr);
+    corners.insert(corners.end(), {t, -t, std::nextafter(t, 0.0),
+                                   std::nextafter(t, HUGE_VAL), 9.5 * t});
+  }
+  std::size_t mismatches = 0;
+  std::string first;
+  const auto check = [&](double v) {
+    const std::string m = g17_mismatch(v);
+    if (!m.empty() && mismatches++ == 0) first = m;
+  };
+  for (const double v : corners) check(v);
+  std::mt19937_64 bits(20140601);
+  std::size_t random = 0;
+  while (random < 1000000) {
+    const double v = std::bit_cast<double>(static_cast<std::uint64_t>(bits()));
+    if (!std::isfinite(v)) continue;
+    check(v);
+    ++random;
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first;
+}
+
+// The parser reads every number as strtod does (from_chars on the common
+// path), and rejects what strtod reads as ±inf: printf texts of random
+// doubles at every precision, and the underflow and overflow edges.
+TEST(JsonNumbers, ParserReadsWhatStrtodReads) {
+  const auto same = [](const std::string& text) {
+    const double want = std::strtod(text.c_str(), nullptr);
+    if (!std::isfinite(want)) {
+      try {
+        util::JsonValue::parse(text);
+        return false;
+      } catch (const util::Error&) {
+        return true;
+      }
+    }
+    const double got = util::JsonValue::parse(text).as_double();
+    return std::bit_cast<std::uint64_t>(got) ==
+           std::bit_cast<std::uint64_t>(want);
+  };
+  for (const char* text :
+       {"2e-324", "1e-400", "-1e-400", "2.4703282292062328e-324",
+        "2.4703282292062327e-324", "4.9406564584124654e-324",
+        "1.7976931348623157e308", "-2.2250738585072011e-308", "1e22", "1e23",
+        "9007199254740993", "18446744073709551616", "1.7976931348623159e308",
+        "-1e400"}) {
+    EXPECT_TRUE(same(text)) << text;
+  }
+  std::mt19937_64 bits(7);
+  std::size_t mismatches = 0;
+  std::string first;
+  for (int i = 0; i < 200000;) {
+    const double v = std::bit_cast<double>(static_cast<std::uint64_t>(bits()));
+    if (!std::isfinite(v)) continue;
+    char text[40];
+    std::snprintf(text, sizeof text, "%.*g", 1 + i % 17, v);
+    if (!same(text) && mismatches++ == 0) first = text;
+    ++i;
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first;
 }
 
 TEST_F(ObsTest, RunReportValidatesAndRoundTrips) {

@@ -3,7 +3,9 @@
 /// byte-stable query contract (exact nodes bitwise, clamped edges bitwise),
 /// the versioned codec, the hoisted cell-model codec, surface fingerprints,
 /// and the ServeSession NDJSON loop against synthetic lookup/refine hooks,
-/// fuzzed with the ConfigFuzz.* mutation scheme (ServeFuzz.*).
+/// fuzzed with the ConfigFuzz.* mutation scheme (ServeFuzz.*) and pinned
+/// byte for byte to the document-building oracle in tests/reference/
+/// (ServeReference.*).
 
 #include "finser/surface/response_surface.hpp"
 
@@ -17,12 +19,14 @@
 #include <vector>
 
 #include "finser/core/array_engine.hpp"
+#include "finser/obs/obs.hpp"
 #include "finser/pipeline/surface_provider.hpp"
 #include "finser/stats/rng.hpp"
 #include "finser/surface/serve.hpp"
 #include "finser/util/error.hpp"
 #include "finser/util/json.hpp"
 #include "fuzz_mutate.hpp"
+#include "serve_reference.hpp"
 
 namespace finser::surface {
 namespace {
@@ -470,6 +474,60 @@ std::size_t expected_replies(const std::string& input) {
   return count;
 }
 
+/// The fuzz catalog: scenario `scen` with alpha and proton, `other` with
+/// alpha.
+std::vector<ServeScenario> fuzz_catalog() {
+  ServeScenario scen;
+  scen.name = "scen";
+  scen.species = {"alpha", "proton"};
+  ServeScenario other;
+  other.name = "other";
+  other.species = {"alpha"};
+  return {scen, other};
+}
+
+/// A session of type \p Session over the fuzz catalog whose hooks answer
+/// `scen`/`alpha` from cache, fail to refine `scen`/`proton`, and refine
+/// every other pair to \p surf.
+template <class Session>
+Session fuzz_session(const ResponseSurface& surf, std::size_t max_pending) {
+  ServeConfig cfg;
+  cfg.max_pending = max_pending;
+  return Session(
+      fuzz_catalog(), cfg,
+      [&surf](const std::string& sc,
+              const std::string& sp) -> const ResponseSurface* {
+        return sc == "scen" && sp == "alpha" ? &surf : nullptr;
+      },
+      [&surf](const std::string&,
+              const std::string& sp) -> const ResponseSurface* {
+        if (sp == "proton") throw util::NumericalError("stub refine failed");
+        return &surf;
+      },
+      nullptr);
+}
+
+/// One request stream for a session with queue bound max_pending.
+struct ServeStream {
+  std::string input;
+  std::size_t max_pending = 1;
+};
+
+/// The next fuzz stream: 1–8 corpus lines, most of them mutated, the last
+/// one unterminated half the time, under a queue bound of 1–4.
+ServeStream next_fuzz_stream(stats::Rng& rng,
+                             const std::vector<std::string>& corpus) {
+  ServeStream stream;
+  const std::size_t lines = 1 + rng.uniform_index(8);
+  for (std::size_t l = 0; l < lines; ++l) {
+    const std::string& line = corpus[rng.uniform_index(corpus.size())];
+    stream.input += rng.uniform() < 0.7 ? fuzz::mutate(line, rng) : line;
+    if (l + 1 < lines || rng.uniform() < 0.5) stream.input += '\n';
+  }
+  stream.max_pending = 1 + rng.uniform_index(4);
+  return stream;
+}
+
 /// Feed ServeSession::run \p trials streams of mutated corpus lines and
 /// return every violation of the reply contract: an exception escaping
 /// run(), a reply count other than expected_replies(), or a reply that is
@@ -479,37 +537,13 @@ std::vector<std::string> fuzz_serve(
     std::uint64_t seed, std::size_t trials,
     std::map<std::string, std::size_t>& statuses) {
   const ResponseSurface surf = make_surface();
-  ServeScenario scen;
-  scen.name = "scen";
-  scen.species = {"alpha", "proton"};
-  ServeScenario other;
-  other.name = "other";
-  other.species = {"alpha"};
   const std::vector<std::string> corpus = serve_corpus();
   std::vector<std::string> violations;
   stats::Rng rng(seed);
   for (std::size_t t = 0; t < trials; ++t) {
-    std::string input;
-    const std::size_t lines = 1 + rng.uniform_index(8);
-    for (std::size_t l = 0; l < lines; ++l) {
-      const std::string& line = corpus[rng.uniform_index(corpus.size())];
-      input += rng.uniform() < 0.7 ? fuzz::mutate(line, rng) : line;
-      if (l + 1 < lines || rng.uniform() < 0.5) input += '\n';
-    }
-    ServeConfig cfg;
-    cfg.max_pending = 1 + rng.uniform_index(4);
-    ServeSession session(
-        {scen, other}, cfg,
-        [&surf](const std::string& sc,
-                const std::string& sp) -> const ResponseSurface* {
-          return sc == "scen" && sp == "alpha" ? &surf : nullptr;
-        },
-        [&surf](const std::string&,
-                const std::string& sp) -> const ResponseSurface* {
-          if (sp == "proton") throw util::NumericalError("stub refine failed");
-          return &surf;
-        },
-        nullptr);
+    const ServeStream stream = next_fuzz_stream(rng, corpus);
+    const std::string& input = stream.input;
+    ServeSession session = fuzz_session<ServeSession>(surf, stream.max_pending);
     const std::string where = "\n  input: " + fuzz::escaped(input);
     std::istringstream in(input);
     std::ostringstream out;
@@ -559,6 +593,302 @@ TEST(ServeFuzz, EveryRequestLineGetsOneStatusReply) {
   EXPECT_GT(statuses["ok"], 100u);
   EXPECT_GT(statuses["shed"], 10u);
   EXPECT_GT(statuses["error"], 100u);
+}
+
+// ---------------------------------------------------------------------------
+// ServeReference: ServeSession against the document-building oracle
+// ---------------------------------------------------------------------------
+
+/// Collection on and a clean registry, as in `finser_cli serve`; leaves
+/// collection off and the registry clean.
+class ServeReference : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    obs::Registry::global().reset();
+    obs::set_enabled(true);
+  }
+  void TearDown() override {
+    obs::set_enabled(false);
+    obs::Registry::global().reset();
+  }
+};
+
+/// "" when \p got, a ServeSession `stats` reply, matches \p want, the
+/// oracle's: the same bytes up to the counters, the same counters (except
+/// `serve.generic_parses`, which only ServeSession counts), and then the
+/// histogram and gauge sections the oracle does not write.
+std::string stats_difference(const std::string& want, const std::string& got) {
+  const std::size_t cut = want.find("\"counters\":");
+  if (got.compare(0, cut, want, 0, cut) != 0) return "stats reply opening";
+  const util::JsonValue w = util::JsonValue::parse(want);
+  const util::JsonValue g = util::JsonValue::parse(got);
+  std::vector<std::string> keys;
+  for (const auto& [k, v] : w.items()) keys.push_back(k);
+  keys.push_back("histograms");
+  keys.push_back("gauges");
+  if (g.items().size() != keys.size()) return "stats reply keys";
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (g.items()[i].first != keys[i]) return "stats reply key " + keys[i];
+  }
+  const util::JsonValue& wc = w.at("counters");
+  const util::JsonValue& gc = g.at("counters");
+  for (const auto& [name, v] : wc.items()) {
+    if (name == "serve.generic_parses") continue;
+    if (!gc.contains(name) || gc.at(name) != v) return "counter " + name;
+  }
+  for (const auto& [name, v] : gc.items()) {
+    if (name != "serve.generic_parses" && !wc.contains(name)) {
+      return "extra counter " + name;
+    }
+  }
+  return {};
+}
+
+/// Run \p stream through the oracle and through ServeSession, each from a
+/// reset registry, and describe the first difference in exit code or reply
+/// bytes; "" when there is none.
+std::string reference_difference(const ResponseSurface& surf,
+                                 const ServeStream& stream) {
+  const auto run = [&stream](auto session, std::string& replies) {
+    obs::Registry::global().reset();
+    std::istringstream in(stream.input);
+    std::ostringstream out;
+    const int rc = session.run(in, out);
+    replies = out.str();
+    return rc;
+  };
+  std::string want, got;
+  const int want_rc =
+      run(fuzz_session<ReferenceServeSession>(surf, stream.max_pending), want);
+  const int got_rc =
+      run(fuzz_session<ServeSession>(surf, stream.max_pending), got);
+  const std::string where = "\n  input: " + fuzz::escaped(stream.input);
+  if (want_rc != got_rc) {
+    return "exit " + std::to_string(got_rc) + ", oracle " +
+           std::to_string(want_rc) + where;
+  }
+  const auto split = [](const std::string& text) {
+    std::vector<std::string> pieces(1);  // the last one follows the last '\n'
+    for (const char c : text) {
+      if (c == '\n') {
+        pieces.emplace_back();
+      } else {
+        pieces.back() += c;
+      }
+    }
+    return pieces;
+  };
+  const std::vector<std::string> w = split(want), g = split(got);
+  if (w.size() != g.size()) return "reply count" + where;
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    if (w[i] == g[i]) continue;
+    const bool stats =
+        w[i].find("\"op\":\"stats\",\"counters\":") != std::string::npos;
+    const std::string diff = stats ? stats_difference(w[i], g[i]) : "reply";
+    if (!diff.empty()) {
+      return diff + " differs\n  got:    " + fuzz::escaped(g[i]) +
+             "\n  oracle: " + fuzz::escaped(w[i]) + where;
+    }
+  }
+  return {};
+}
+
+std::uint64_t generic_parses() {
+  return obs::Registry::global().counter("serve.generic_parses").total();
+}
+
+// ServeFuzz's mutated streams (the same seed and count): every reply byte
+// and exit code equals the oracle's.
+TEST_F(ServeReference, FuzzStreamsMatchTheOracle) {
+  const ResponseSurface surf = make_surface();
+  const std::vector<std::string> corpus = serve_corpus();
+  stats::Rng rng(20140601);
+  std::size_t differences = 0, generic = 0;
+  std::string first;
+  for (std::size_t t = 0; t < 3000; ++t) {
+    const std::string diff =
+        reference_difference(surf, next_fuzz_stream(rng, corpus));
+    generic += generic_parses();
+    if (!diff.empty() && differences++ == 0) first = diff;
+  }
+  EXPECT_EQ(differences, 0u) << "first: " << first;
+  EXPECT_GT(generic, 1000u);  // mutants mostly take the generic parser
+}
+
+/// A number's JSON text in one of the forms a client may write it.
+std::string number_text(stats::Rng& rng, double v) {
+  char buf[40];
+  switch (rng.uniform_index(5)) {
+    case 0: std::snprintf(buf, sizeof buf, "%.17g", v); break;
+    case 1: std::snprintf(buf, sizeof buf, "%.3f", v); break;
+    case 2: std::snprintf(buf, sizeof buf, "%.4E", v); break;
+    case 3: std::snprintf(buf, sizeof buf, "%.0f", v); break;
+    default: std::snprintf(buf, sizeof buf, "%.2g", v); break;
+  }
+  return buf;
+}
+
+/// An id of every kind: unsigned and negative integers (`-0` included),
+/// integers past 64 bits, fractions and exponents, strings with and without
+/// escapes, arrays, objects, null and booleans.
+std::string random_id(stats::Rng& rng) {
+  static const char* const kFixed[] = {
+      "0", "-0", "18446744073709551615", "18446744073709551616",
+      "-9223372036854775808", "-9223372036854775809", "1.50", "1e3", "-0.0",
+      "2.5E-3", "\"q7\"", "\"\"", "\"caf\xc3\xa9\"", "\"a\\nb\"",
+      "\"\\u00e9\\\"x\\\\\"", "\"\\/\"", "[]", "[1, \"a\", null]",
+      "{\"k\": [true, {}]}", "{}", "null", "true", "false"};
+  switch (rng.uniform_index(4)) {
+    case 0: return std::to_string(rng() >> rng.uniform_index(64));
+    case 1: return "-" + std::to_string(1 + (rng() >> (1 + rng.uniform_index(63))));
+    case 2: return number_text(rng, rng.uniform(-1e6, 1e6));
+    default: return kFixed[rng.uniform_index(std::size(kFixed))];
+  }
+}
+
+/// A well-formed request line: any id, the keys in random order with random
+/// spacing, `with_pv` present or absent, sometimes an unknown key, for the
+/// cached pair, the refining pair, the failing pair, and now and then an
+/// invalid field, `stats`, or an unknown op.
+std::string random_request(stats::Rng& rng) {
+  static const char* const kSpace[] = {"", "", "", " ", "  ", "\t", " \r"};
+  const auto ws = [&rng] { return kSpace[rng.uniform_index(std::size(kSpace))]; };
+  std::vector<std::pair<std::string, std::string>> fields;
+  if (rng.uniform() < 0.85) fields.emplace_back("id", random_id(rng));
+  const double op = rng.uniform();
+  if (op < 0.03) {
+    fields.emplace_back("op", "\"stats\"");
+  } else if (op < 0.05) {
+    fields.emplace_back("op", rng.uniform() < 0.5 ? "\"frob\"" : "7");
+  } else {
+    const bool pof = op < 0.7;
+    fields.emplace_back("op", pof ? "\"pof\"" : "\"fit\"");
+    const double target = rng.uniform();
+    const bool other = target < 0.15;
+    if (other || rng.uniform() < 0.5) {
+      fields.emplace_back("scenario", other ? "\"other\"" : "\"scen\"");
+    }
+    if (rng.uniform() < 0.98) {
+      fields.emplace_back(
+          "species", target > 0.85 ? "\"proton\""
+                                   : rng.uniform() < 0.98 ? "\"alpha\"" : "\"muon\"");
+    }
+    if (rng.uniform() < 0.98) {
+      fields.emplace_back("vdd", number_text(rng, rng.uniform(0.6, 1.2)));
+    }
+    if (pof ? rng.uniform() < 0.98 : rng.uniform() < 0.1) {
+      fields.emplace_back("energy_mev", number_text(rng, rng.uniform(0.5, 10.0)));
+    }
+  }
+  const double pv = rng.uniform();
+  if (pv < 0.3) {
+    fields.emplace_back("with_pv", "true");
+  } else if (pv < 0.6) {
+    fields.emplace_back("with_pv", "false");
+  } else if (pv < 0.62) {
+    fields.emplace_back("with_pv", "\"yes\"");
+  }
+  if (rng.uniform() < 0.1) {
+    fields.emplace_back("client", rng.uniform() < 0.5 ? "\"c1\"" : "{\"t\": [1]}");
+  }
+  for (std::size_t i = fields.size(); i > 1; --i) {
+    std::swap(fields[i - 1], fields[rng.uniform_index(i)]);
+  }
+  std::string line = ws();
+  line += '{';
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) line += ",";
+    line = line + ws() + '"' + fields[i].first + '"' + ws() + ':' + ws() +
+           fields[i].second + ws();
+  }
+  return line + '}' + ws();
+}
+
+// Generated well-formed requests over every id kind, key order, spacing and
+// hook outcome: every reply byte and exit code equals the oracle's, and
+// both readers are exercised.
+TEST_F(ServeReference, GeneratedRequestsMatchTheOracle) {
+  const ResponseSurface surf = make_surface();
+  stats::Rng rng(0x5E7E5E7E);
+  std::size_t requests = 0, generic = 0, differences = 0;
+  std::string first;
+  while (requests < 12000) {
+    ServeStream stream;
+    const std::size_t lines = 1 + rng.uniform_index(12);
+    for (std::size_t l = 0; l < lines; ++l) {
+      stream.input += random_request(rng) + "\n";
+    }
+    if (rng.uniform() < 0.2) stream.input += "{\"op\": \"shutdown\", \"id\": 0}\n";
+    stream.max_pending = 1 + rng.uniform_index(8);
+    requests += lines;
+    const std::string diff = reference_difference(surf, stream);
+    generic += generic_parses();
+    if (!diff.empty() && differences++ == 0) first = diff;
+  }
+  EXPECT_EQ(differences, 0u) << "first: " << first;
+  EXPECT_GT(generic, requests / 10);
+  EXPECT_LT(generic, requests / 2);
+}
+
+// The lines a client like perf_ledger's writes — flat, integer ids, no
+// escapes — never reach the generic parser; an escape or an unknown key
+// sends a line there.
+TEST_F(ServeReference, PlainRequestsSkipTheGenericParser) {
+  const ResponseSurface surf = make_surface();
+  ServeSession session = fuzz_session<ServeSession>(surf, 64);
+  int rc = -1;
+  const auto lines = run_session(
+      "{\"id\":0,\"op\":\"pof\",\"scenario\":\"scen\",\"species\":\"alpha\","
+      "\"vdd\":0.71234567890123456,\"energy_mev\":2.5,\"with_pv\":true}\n"
+      "{\"id\":1,\"op\":\"fit\",\"scenario\":\"scen\",\"species\":\"alpha\","
+      "\"vdd\":1,\"with_pv\":false}\n"
+      " { \"op\" : \"pof\" , \"species\" : \"alpha\" , \"vdd\" : 8e-1 ,"
+      " \"energy_mev\" : 2 } \r\n",
+      session, rc);
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(lines.size(), 3u);
+  EXPECT_EQ(generic_parses(), 0u);
+  run_session(
+      "{\"id\":\"\\u0031\",\"op\":\"fit\",\"species\":\"alpha\",\"vdd\":1}\n"
+      "{\"id\":2,\"op\":\"fit\",\"species\":\"alpha\",\"vdd\":1,\"x\":0}\n",
+      session, rc);
+  EXPECT_EQ(generic_parses(), 2u);
+}
+
+// `stats` reports each flushed batch's size and latency (split by whether
+// it refined) and the pending-queue gauge next to the counters.
+TEST_F(ServeReference, StatsReportBatchLatencyAndQueueDepth) {
+  const ResponseSurface surf = make_surface();
+  ServeSession session = fuzz_session<ServeSession>(surf, 64);
+  const std::string hit =
+      "{\"op\":\"pof\",\"species\":\"alpha\",\"vdd\":0.8,\"energy_mev\":2}\n";
+  int rc = -1;
+  const auto lines = run_session(
+      hit + hit + hit + "{\"op\":\"stats\"}\n" +
+          "{\"op\":\"fit\",\"scenario\":\"other\",\"species\":\"alpha\","
+          "\"vdd\":0.8}\n{\"op\":\"stats\"}\n",
+      session, rc);
+  EXPECT_EQ(rc, 0);
+  ASSERT_EQ(lines.size(), 6u);
+  // Rows registered earlier in the process stay listed at count 0.
+  const auto count = [](const util::JsonValue& stats, const char* name) {
+    const util::JsonValue& rows = stats.at("histograms");
+    return rows.contains(name) ? rows.at(name).at("count").as_uint() : 0u;
+  };
+  const util::JsonValue first = util::JsonValue::parse(lines[3]);
+  EXPECT_EQ(count(first, "serve.batch_requests"), 1u);
+  EXPECT_EQ(first.at("histograms").at("serve.batch_requests").at("sum").as_uint(), 3u);
+  EXPECT_EQ(count(first, "serve.flush_hit_us"), 1u);
+  EXPECT_EQ(count(first, "serve.flush_refine_ms"), 0u);
+  const util::JsonValue& pending = first.at("gauges").at("serve.pending");
+  EXPECT_EQ(pending.at("value").as_int(), 0);
+  EXPECT_EQ(pending.at("max").as_int(), 3);
+
+  const util::JsonValue second = util::JsonValue::parse(lines[5]);
+  EXPECT_EQ(count(second, "serve.batch_requests"), 2u);
+  EXPECT_EQ(count(second, "serve.flush_hit_us"), 1u);
+  EXPECT_EQ(count(second, "serve.flush_refine_ms"), 1u);
+  EXPECT_EQ(second.at("counters").at("serve.refines").as_uint(), 1u);
 }
 
 }  // namespace
