@@ -9,9 +9,10 @@
 ///   2. array-level 3-D MC per (species, energy bin) → POF(E);
 ///   3. FIT integration over the environmental spectrum (Eq. 8).
 ///
-/// All Monte-Carlo sizes scale with the FINSER_MC_SCALE environment
-/// variable (default 1.0) so the same binaries run as quick smoke tests or
-/// long high-fidelity campaigns.
+/// SerFlow runs the Monte-Carlo sizes its config holds. The campaign runner
+/// (pipeline::CampaignRunner) is what multiplies them by FINSER_MC_SCALE
+/// (apply_mc_scale), so the same binaries run as quick smoke tests or long
+/// high-fidelity campaigns.
 
 #include <array>
 #include <memory>
@@ -190,25 +191,10 @@ double mc_scale_from_env();
 /// Multiply every Monte-Carlo size in \p config by \p scale (≥ minimum 1).
 void apply_mc_scale(SerFlowConfig& config, double scale);
 
-/// FINSER_CI_TARGET environment variable: target relative CI half-width for
-/// the adaptive stopping rule. Returns -1 when unset or malformed (meaning
-/// "no override"); 0 explicitly disables stopping; > 0 enables it.
-double ci_target_from_env();
-
 /// Apply a CI-target override to both Monte-Carlo engines. \p target < 0 is
-/// a no-op (environment unset); 0 disables adaptive stopping; > 0 sets the
-/// relative-half-width goal. The strike/history budgets stay as configured —
-/// they become *ceilings* the stopper may undercut.
+/// a no-op; 0 disables adaptive stopping; > 0 sets the relative-half-width
+/// goal. The strike/history budgets stay as configured — they become
+/// *ceilings* the stopper may undercut.
 void apply_ci_target(SerFlowConfig& config, double target);
-
-/// FINSER_CLUSTER environment variable: cluster-mode override ("1x1",
-/// "2x2", "1x4"). Returns nullopt when unset; a malformed value warns on
-/// stderr and returns nullopt (meaning "no override").
-std::optional<sram::ClusterMode> cluster_mode_from_env();
-
-/// Apply a cluster-mode override to the charged-particle engine config.
-/// nullopt is a no-op (environment unset).
-void apply_cluster(SerFlowConfig& config,
-                   std::optional<sram::ClusterMode> mode);
 
 }  // namespace finser::core

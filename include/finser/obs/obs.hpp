@@ -161,7 +161,7 @@ class Gauge {
  public:
   void set(std::int64_t v);
   std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  std::int64_t max() const { return max_.load(std::memory_order_relaxed); }
+  std::int64_t max() const;  ///< value() (0) when nothing was set.
   void reset();
 
  private:

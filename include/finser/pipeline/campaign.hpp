@@ -27,6 +27,10 @@
 /// byte-identical to driving core::SerFlow directly: same characterization
 /// seeds, same per-bin seed cursor discipline, same CSV formats.
 ///
+/// The document names the run: `finser_cli` writes `--cluster` and
+/// `--ci-target` into it, and the library reads no override from the
+/// environment but FINSER_MC_SCALE (CampaignRunner::fingerprint).
+///
 /// Campaign JSON schema (all scenario keys optional unless noted; unknown
 /// keys are rejected with a nearest-key suggestion):
 ///
@@ -134,13 +138,10 @@ CampaignSpec single_scenario_campaign(const core::SerFlowConfig& flow,
 /// util::InvalidArgument (with a nearest-name suggestion) otherwise.
 env::Spectrum spectrum_for_species(const std::string& name);
 
-/// Apply the execution-environment overrides to a scenario flow config:
-/// FINSER_MC_SCALE, FINSER_CI_TARGET and FINSER_CLUSTER. Both the campaign
-/// runner and the serve-mode refinement path resolve flows through this one
-/// helper, which is what keeps their response-surface fingerprints — and
-/// hence their cached answers — aligned. It is the one place a campaign
-/// applies the MC scale: specs (and `--print-config` dumps) carry unscaled
-/// sizes.
+/// Multiply a scenario flow's Monte-Carlo sizes by FINSER_MC_SCALE, as
+/// CampaignRunner does with the scale it read at construction. Specs and
+/// `--print-config` dumps carry unscaled sizes; SurfaceProvider resolves
+/// through this to find the surfaces the runner's sweeps persist.
 void resolve_flow_for_execution(core::SerFlowConfig& flow);
 
 // --- CSV emitters (the campaign runner's, so `run` and `campaign` write the
@@ -261,10 +262,7 @@ struct StageInfo {
 
 /// FNV-1a fingerprint of a campaign's *result-relevant* content: the fully
 /// resolved campaign_to_json document with the execution knob (threads)
-/// zeroed, since it never changes numbers. Two processes agree on
-/// this iff they would compute identical results — shard leases and done
-/// markers embed it so records from a different campaign (or an edited
-/// spec) are rejected as stale, never trusted.
+/// zeroed, since it never changes numbers. See CampaignRunner::fingerprint.
 std::uint64_t campaign_fingerprint(const CampaignSpec& spec);
 
 /// Executes a campaign as a stage graph. Characterization runs once per
@@ -287,6 +285,12 @@ class CampaignRunner {
   explicit CampaignRunner(CampaignSpec spec);
 
   const CampaignSpec& spec() const { return spec_; }
+
+  /// The run fingerprint: campaign_fingerprint(spec()), with the MC scale
+  /// folded in when it is not 1. Shard leases, done markers and the run
+  /// report's `config_fingerprint` carry it, so records of another document
+  /// or scale are rejected as stale, never trusted.
+  std::uint64_t fingerprint() const;
 
   /// The deterministic stage plan: same spec ⇒ same plan, in every process,
   /// at any thread count. Stage ids are unique (index-prefixed) and
@@ -324,6 +328,7 @@ class CampaignRunner {
   void ensure_exec();
 
   CampaignSpec spec_;
+  double scale_;  ///< FINSER_MC_SCALE, read once at construction.
   std::shared_ptr<Exec> exec_;
   std::vector<StageInfo> plan_;
 };

@@ -23,6 +23,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "finser/exec/cancel.hpp"
 #include "finser/exec/progress.hpp"
@@ -34,8 +35,8 @@
 namespace finser::pipeline {
 
 /// Content-address of the ResponseSurface for species index \p species_index
-/// of \p scenario (whose flow must already be resolved through
-/// resolve_flow_for_execution). Hashes the fully resolved single-scenario
+/// of \p scenario (whose flow must already carry the MC scale, as
+/// resolve_flow_for_execution applies it). Hashes the fully resolved single-scenario
 /// campaign JSON — threads zeroed, dirs cleared, full species list
 /// included — plus the species position. Everything that can change a
 /// number is in the hash; everything that cannot (thread budget, output
@@ -46,11 +47,11 @@ std::uint64_t response_surface_fingerprint(const ScenarioSpec& scenario,
 /// Serve-mode surface cache + refinement backend (see file comment).
 class SurfaceProvider {
  public:
-  /// \param spec     the campaign whose scenarios are servable. Kept
-  ///                 *unresolved*: CampaignRunner applies the env overrides
-  ///                 itself, and resolving here too would apply
-  ///                 multiplicative knobs (FINSER_MC_SCALE) twice. Resolved
-  ///                 copies are made only for fingerprint computation.
+  /// \param spec     the campaign whose scenarios are servable, with every
+  ///                 override already written into it. Kept *unscaled*:
+  ///                 CampaignRunner applies FINSER_MC_SCALE itself. The
+  ///                 constructor resolves each scenario once, only to
+  ///                 compute the surface fingerprints.
   /// \param threads  exec thread budget for refinement builds (0 = auto).
   /// \param cancel   interrupts a refinement build (util::Cancelled); must
   ///                 outlive the provider.
@@ -78,12 +79,18 @@ class SurfaceProvider {
                                          const std::string& species);
 
  private:
-  const ScenarioSpec& find_scenario(const std::string& name) const;
+  /// (scenario, species) indices of a request; throws util::InvalidArgument
+  /// for an unknown name.
+  std::pair<std::size_t, std::size_t> locate(const std::string& scenario,
+                                             const std::string& species) const;
   const surface::ResponseSurface* cache_put(surface::ResponseSurface surf,
                                             const std::string& scenario,
                                             const std::string& species);
 
-  CampaignSpec spec_;  ///< Unresolved (see ctor doc).
+  CampaignSpec spec_;  ///< Unscaled (see ctor doc).
+  /// response_surface_fingerprint per scenario and species index, aligned
+  /// with spec_.scenarios.
+  std::vector<std::vector<std::uint64_t>> surface_fps_;
   std::size_t threads_ = 0;
   exec::ProgressSink progress_;
   const exec::CancelToken* cancel_ = nullptr;

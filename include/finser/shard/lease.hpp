@@ -27,9 +27,10 @@
 ///                   consulted at supervisor startup to resume a killed
 ///                   campaign; a torn one merely costs a recompute.
 ///
-/// Records embed campaign_fingerprint() so a lease directory reused across
-/// edited specs (or a different campaign pointed at the same artifact_dir)
-/// is swept as stale instead of trusted. Rejects are counted per reason on
+/// Records embed the run fingerprint (CampaignRunner::fingerprint) so a
+/// lease directory reused across edited specs, overrides or MC scales (or a
+/// different campaign pointed at the same artifact_dir) is swept as stale
+/// instead of trusted. Rejects are counted per reason on
 /// "shard.lease.rejects" (plus "shard.lease.reject.<why>" detail counters,
 /// mirroring the artifact store's classification tests).
 
@@ -62,7 +63,7 @@ enum class LeaseState : std::uint32_t {
 struct LeaseRecord {
   LeaseKind kind = LeaseKind::kHeartbeat;
   LeaseState state = LeaseState::kIdle;
-  std::uint64_t campaign = 0;  ///< campaign_fingerprint() echo.
+  std::uint64_t campaign = 0;  ///< CampaignRunner::fingerprint() echo.
   std::uint64_t worker = 0;    ///< writer's worker index.
   std::uint64_t attempt = 0;   ///< retry ordinal of the referenced stage.
   std::uint64_t seq = 0;       ///< writer-monotonic record counter.

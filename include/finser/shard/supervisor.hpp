@@ -26,10 +26,11 @@
 ///     in-process path, workers = 0) produces byte-identical CSVs and
 ///     results; the equivalence is asserted by the ShardCampaignEquivalence
 ///     harness at worker counts {1, 2, 4}, including under kill -9.
-///   * **Resume** — durable done markers keyed by campaign fingerprint let
-///     a killed supervisor pick up where it stopped; combined with the
-///     content-addressed artifact store, a re-run recomputes only what
-///     never finished.
+///   * **Resume** — durable done markers keyed by the run fingerprint
+///     (CampaignRunner::fingerprint) let a killed supervisor pick up where
+///     it stopped; combined with the content-addressed artifact store, a
+///     re-run recomputes only what never finished. Workers run the document
+///     the supervisor resolved, `<lease dir>/campaign.json`.
 ///
 /// Counters: "shard.claims" (assignments handed out), "shard.reassigns"
 /// (reclaimed after death/timeout), "shard.retries", "shard.quarantines",
@@ -58,7 +59,6 @@ struct ShardConfig {
   double backoff_base_s = 0.1;       ///< Retry backoff: base * 2^(attempt-1).
   double backoff_max_s = 2.0;        ///< Backoff ceiling.
   std::string cli_path;      ///< finser_cli binary; "" = /proc/self/exe.
-  std::string campaign_path; ///< Campaign JSON handed to workers (required).
   std::size_t worker_threads = 0;  ///< Per-worker thread budget; 0 = split.
 };
 
@@ -84,6 +84,7 @@ struct ShardResult {
   std::size_t stages_total = 0;
   std::size_t stages_completed = 0;
   std::size_t stages_resumed = 0;  ///< Honored done markers from a prior run.
+  std::uint64_t fingerprint = 0;   ///< Run fingerprint every lease carries.
   std::vector<StageFailure> failures;
 };
 

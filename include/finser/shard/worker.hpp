@@ -2,11 +2,12 @@
 /// \file worker.hpp
 /// \brief Worker-process side of sharded campaign execution.
 ///
-/// `finser_cli worker` parses the same campaign JSON as its supervisor,
-/// rebuilds the identical stage plan (pipeline::CampaignRunner::plan is
-/// deterministic), then loops: poll the task lease for an assignment, ack
-/// it with a `running` heartbeat, execute the stage via run_stage(), report
-/// `done` or `failed`, repeat until a shutdown task arrives. A heartbeat
+/// `finser_cli worker` parses the campaign document its supervisor resolved
+/// and wrote into the lease dir, rebuilds the identical stage plan
+/// (pipeline::CampaignRunner::plan is deterministic), then loops: poll the
+/// task lease for an assignment, ack it with a `running` heartbeat, execute
+/// the stage via run_stage(), report `done` or `failed`, repeat until a
+/// shutdown task arrives. A heartbeat
 /// thread rewrites the hb lease every `heartbeat_period_s` so the
 /// supervisor can tell "slow" from "dead". Workers also watch getppid():
 /// if the supervisor vanishes (kill -9), they exit on their own instead of
@@ -28,8 +29,7 @@ namespace finser::shard {
 /// Configuration of one worker process (set from CLI flags by the
 /// supervisor when it spawns the worker).
 struct WorkerConfig {
-  std::string campaign_path;  ///< Campaign JSON (same file as supervisor).
-  std::string artifact_dir;   ///< Resolved store root ("" = spec's own).
+  std::string campaign_path;  ///< The supervisor's resolved campaign JSON.
   std::string lease_dir;      ///< Control-plane directory.
   std::uint64_t worker_id = 0;
   std::size_t threads = 0;          ///< Stage thread budget; 0 = auto.

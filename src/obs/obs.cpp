@@ -147,6 +147,11 @@ void Gauge::set(std::int64_t v) {
   detail::atomic_store_max(max_, v);
 }
 
+std::int64_t Gauge::max() const {
+  const std::int64_t v = max_.load(std::memory_order_relaxed);
+  return v == INT64_MIN ? value() : v;
+}
+
 void Gauge::reset() {
   value_.store(0, std::memory_order_relaxed);
   max_.store(INT64_MIN, std::memory_order_relaxed);

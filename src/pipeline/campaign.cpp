@@ -676,13 +676,6 @@ env::Spectrum spectrum_for_species(const std::string& name) {
 
 void resolve_flow_for_execution(core::SerFlowConfig& flow) {
   core::apply_mc_scale(flow, core::mc_scale_from_env());
-  // FINSER_CI_TARGET overrides the adaptive-stopping target, mirroring
-  // FINSER_MC_SCALE: shard workers and the serve refinement path inherit
-  // the environment, so a CLI flag reaches every process identically.
-  core::apply_ci_target(flow, core::ci_target_from_env());
-  // FINSER_CLUSTER overrides the cluster mode the same way (--cluster sets
-  // it in the environment before workers fork).
-  core::apply_cluster(flow, core::cluster_mode_from_env());
 }
 
 // --- CSV emitters -----------------------------------------------------------
@@ -942,7 +935,6 @@ std::uint64_t campaign_fingerprint(const CampaignSpec& spec) {
 /// worker process execute stages one at a time across separate run_stage()
 /// calls while reusing models it already materialized.
 struct CampaignRunner::Exec {
-  double scale = 1.0;
   std::vector<core::SerFlowConfig> flows;
   std::optional<ArtifactStore> store;
   std::optional<ArtifactBinCache> bin_cache;
@@ -986,17 +978,25 @@ struct CampaignRunner::Exec {
   }
 };
 
-CampaignRunner::CampaignRunner(CampaignSpec spec) : spec_(std::move(spec)) {
+CampaignRunner::CampaignRunner(CampaignSpec spec)
+    : spec_(std::move(spec)), scale_(core::mc_scale_from_env()) {
   FINSER_REQUIRE(!spec_.scenarios.empty(),
                  "CampaignRunner: campaign has no scenarios");
+}
+
+std::uint64_t CampaignRunner::fingerprint() const {
+  const std::uint64_t document = campaign_fingerprint(spec_);
+  if (scale_ == 1.0) return document;
+  util::Fnv1a h;
+  h.str("finser.campaign.run.v1");
+  h.u64(document).f64(scale_);
+  return h.hash();
 }
 
 void CampaignRunner::ensure_exec() {
   if (exec_ != nullptr) return;
   exec_ = std::make_shared<Exec>();
   Exec* ex = exec_.get();  // stage lambdas share the runner's lifetime
-  ex->scale = core::mc_scale_from_env();
-  const double scale = ex->scale;
   const std::size_t n = spec_.scenarios.size();
 
   // Resolved per-scenario flow configs: MC sizes scaled here (not in the
@@ -1005,10 +1005,7 @@ void CampaignRunner::ensure_exec() {
   ex->flows.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     ex->flows[i] = spec_.scenarios[i].flow;
-    // Shared with the serve refinement path (surface_provider.cpp): the
-    // env overrides and the resolved flow — and therefore the response-
-    // surface fingerprints — agree across both by construction.
-    resolve_flow_for_execution(ex->flows[i]);
+    core::apply_mc_scale(ex->flows[i], scale_);
   }
 
   if (!spec_.artifact_dir.empty()) {
@@ -1084,7 +1081,7 @@ void CampaignRunner::ensure_exec() {
                                             : ex->flows[i].proton_e_hi_mev;
         add_stage(
             "device_lut " + name + " " + hex8(gfp), {}, StageBody::kSerial,
-            [this, ex, name, species, g, e_lo, e_hi, scale, suffix_geometry,
+            [this, ex, name, species, g, e_lo, e_hi, suffix_geometry,
              gfp](std::size_t, const exec::ProgressSink&,
                   const exec::CancelToken*) {
               const geom::Aabb fin_box{
@@ -1092,7 +1089,7 @@ void CampaignRunner::ensure_exec() {
               phys::FinStrikeMc::Config cfg;
               cfg.samples = std::max<std::size_t>(
                   1, static_cast<std::size_t>(
-                         static_cast<double>(cfg.samples) * scale));
+                         static_cast<double>(cfg.samples) * scale_));
               const util::Grid1 lut = cached_device_lut(
                   ex->store.has_value() ? &*ex->store : nullptr, fin_box, cfg,
                   species, e_lo, e_hi, kDeviceLutPoints, kDeviceLutSeed);

@@ -41,6 +41,16 @@ SurfaceProvider::SurfaceProvider(CampaignSpec spec, std::size_t threads,
   FINSER_REQUIRE(!spec_.scenarios.empty(),
                  "SurfaceProvider: campaign has no scenarios");
   if (!spec_.artifact_dir.empty()) store_.emplace(spec_.artifact_dir);
+  // The identities the runner's sweep stages persist surfaces under: each
+  // scenario resolved once, with the MC scale the runner applies.
+  for (const ScenarioSpec& s : spec_.scenarios) {
+    ScenarioSpec resolved = s;
+    resolve_flow_for_execution(resolved.flow);
+    std::vector<std::uint64_t>& fps = surface_fps_.emplace_back();
+    for (std::size_t i = 0; i < s.species.size(); ++i) {
+      fps.push_back(response_surface_fingerprint(resolved, i));
+    }
+  }
 }
 
 std::vector<surface::ServeScenario> SurfaceProvider::catalog() const {
@@ -56,13 +66,20 @@ std::vector<surface::ServeScenario> SurfaceProvider::catalog() const {
   return out;
 }
 
-const ScenarioSpec& SurfaceProvider::find_scenario(
-    const std::string& name) const {
-  for (const ScenarioSpec& s : spec_.scenarios) {
-    if (s.name == name) return s;
+std::pair<std::size_t, std::size_t> SurfaceProvider::locate(
+    const std::string& scenario, const std::string& species) const {
+  for (std::size_t s = 0; s < spec_.scenarios.size(); ++s) {
+    if (spec_.scenarios[s].name != scenario) continue;
+    // The last match: refine() caches a repeated species' last sweep.
+    const std::vector<std::string>& names = spec_.scenarios[s].species;
+    for (std::size_t i = names.size(); i-- > 0;) {
+      if (names[i] == species) return {s, i};
+    }
+    throw util::InvalidArgument("surface provider: scenario `" + scenario +
+                                "` has no species `" + species + "`");
   }
-  throw util::InvalidArgument("surface provider: unknown scenario `" + name +
-                              "`");
+  throw util::InvalidArgument("surface provider: unknown scenario `" +
+                              scenario + "`");
 }
 
 const surface::ResponseSurface* SurfaceProvider::cache_put(
@@ -82,21 +99,8 @@ const surface::ResponseSurface* SurfaceProvider::lookup(
   }
   if (!store_.has_value()) return nullptr;
 
-  const ScenarioSpec& scen = find_scenario(scenario);
-  std::size_t index = scen.species.size();
-  for (std::size_t i = 0; i < scen.species.size(); ++i) {
-    if (scen.species[i] == species) index = i;
-  }
-  if (index == scen.species.size()) {
-    throw util::InvalidArgument("surface provider: scenario `" + scenario +
-                                "` has no species `" + species + "`");
-  }
-  // The fingerprint is computed on the *resolved* scenario — the identity
-  // the batch sweep stage persisted under (resolve_flow_for_execution is
-  // shared, so both sides agree as long as the environment does).
-  ScenarioSpec resolved = scen;
-  resolve_flow_for_execution(resolved.flow);
-  const std::uint64_t fp = response_surface_fingerprint(resolved, index);
+  const auto [s, index] = locate(scenario, species);
+  const std::uint64_t fp = surface_fps_[s][index];
   std::vector<std::uint8_t> blob;
   if (!store_->try_get(ArtifactKey{surface::kResponseSurfaceKind, fp},
                        blob)) {
@@ -116,18 +120,13 @@ const surface::ResponseSurface* SurfaceProvider::lookup(
 
 const surface::ResponseSurface* SurfaceProvider::refine(
     const std::string& scenario, const std::string& species) {
-  const ScenarioSpec& scen = find_scenario(scenario);
-  bool species_known = false;
-  for (const std::string& sp : scen.species) {
-    species_known = species_known || sp == species;
-  }
-  FINSER_REQUIRE(species_known, "surface provider: scenario `" + scenario +
-                                    "` has no species `" + species + "`");
+  const std::size_t s = locate(scenario, species).first;
+  const ScenarioSpec& scen = spec_.scenarios[s];
 
   // Build the whole scenario — full species list, in order — through the
-  // identical code path batch campaigns use. The runner resolves the flow
-  // itself (same env helper), shares the artifact store, and persists the
-  // resulting `response_surface` artifacts from its sweep stage.
+  // identical code path batch campaigns use. The runner applies the MC
+  // scale itself, shares the artifact store, and persists the resulting
+  // `response_surface` artifacts from its sweep stage.
   CampaignSpec sub;
   sub.name = spec_.name;
   sub.artifact_dir = spec_.artifact_dir;
@@ -141,13 +140,11 @@ const surface::ResponseSurface* SurfaceProvider::refine(
                      results[0].sweeps.size() == scen.species.size(),
                  "surface provider: refinement produced unexpected results");
 
-  ScenarioSpec resolved = scen;
-  resolve_flow_for_execution(resolved.flow);
   const surface::ResponseSurface* wanted = nullptr;
   for (std::size_t i = 0; i < scen.species.size(); ++i) {
     surface::ResponseSurface surf = surface::ResponseSurface::from_sweep(
-        scen.name, resolved.flow.cell_design.temp_k,
-        response_surface_fingerprint(resolved, i), results[0].sweeps[i]);
+        scen.name, scen.flow.cell_design.temp_k, surface_fps_[s][i],
+        results[0].sweeps[i]);
     const surface::ResponseSurface* cached =
         cache_put(std::move(surf), scenario, scen.species[i]);
     if (scen.species[i] == species) wanted = cached;

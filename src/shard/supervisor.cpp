@@ -20,6 +20,7 @@
 #include "finser/pipeline/artifact_store.hpp"
 #include "finser/shard/lease.hpp"
 #include "finser/util/error.hpp"
+#include "finser/util/io.hpp"
 
 namespace finser::shard {
 
@@ -77,20 +78,17 @@ std::string exit_description(int wstatus) {
 /// the child: a one-shot fault (worker_kill_after_claim:1) must prove
 /// *recovery*, not kill every successor forever. FINSER_SHARD_POISON stays
 /// inherited — it exists to crash every attempt of one stage.
-pid_t spawn_worker(const std::string& cli, const ShardConfig& config,
-                   const std::string& artifact_dir,
+pid_t spawn_worker(const std::string& cli, const std::string& campaign_doc,
                    const std::string& lease_dir, std::size_t worker_id,
                    std::size_t threads, bool replacement) {
   std::vector<std::string> args = {
       cli,
       "worker",
-      config.campaign_path,
+      campaign_doc,
       "--worker-id",
       std::to_string(worker_id),
       "--lease-dir",
       lease_dir,
-      "--artifact-dir",
-      artifact_dir,
       "--threads",
       std::to_string(threads),
   };
@@ -129,8 +127,6 @@ ShardResult run_sharded_campaign(const pipeline::CampaignSpec& spec,
                                  const exec::CancelToken* cancel,
                                  const exec::ProgressSink& progress) {
   FINSER_REQUIRE(config.workers >= 1, "shard: workers must be >= 1");
-  FINSER_REQUIRE(!config.campaign_path.empty(),
-                 "shard: campaign_path is required (workers re-read it)");
 
   // Workers ship stage products through the artifact store, so one is
   // mandatory: default it under the output dir when the spec has none.
@@ -155,12 +151,25 @@ ShardResult run_sharded_campaign(const pipeline::CampaignSpec& spec,
   pipeline::ArtifactStore::sweep_orphans(lease_dir);
   remove_control_files(lease_dir);
 
-  const std::uint64_t campaign = pipeline::campaign_fingerprint(resolved);
+  // Workers run the document planned here, not the user's file: the
+  // defaulted artifact dir, the CLI's overrides and any later edit of the
+  // file cannot make them disagree with the supervisor.
+  const std::string campaign_doc = lease_dir + "/campaign.json";
+  const std::string doc_text = pipeline::campaign_to_json(resolved).dump(2);
+  std::string write_error;
+  if (!util::atomic_write_file(campaign_doc, doc_text.data(), doc_text.size(),
+                               &write_error)) {
+    throw util::Error("shard: cannot write " + campaign_doc + ": " +
+                      write_error);
+  }
+
   pipeline::CampaignRunner planner(resolved);
+  const std::uint64_t campaign = planner.fingerprint();
   const std::vector<pipeline::StageInfo>& plan = planner.plan();
 
   ShardResult result;
   result.stages_total = plan.size();
+  result.fingerprint = campaign;
 
   std::vector<StageBook> stages(plan.size());
   const Clock::time_point start = Clock::now();
@@ -205,7 +214,7 @@ ShardResult run_sharded_campaign(const pipeline::CampaignSpec& spec,
     std::error_code rm_ec;
     std::filesystem::remove(task_path(lease_dir, w), rm_ec);
     std::filesystem::remove(heartbeat_path(lease_dir, w), rm_ec);
-    const pid_t pid = spawn_worker(cli, config, artifact_dir, lease_dir, w,
+    const pid_t pid = spawn_worker(cli, campaign_doc, lease_dir, w,
                                    worker_threads, replacement);
     if (pid < 0) return false;
     WorkerBook& book = workers[w];

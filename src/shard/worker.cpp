@@ -107,16 +107,12 @@ class HeartbeatThread {
 }  // namespace
 
 int run_worker(const WorkerConfig& config) {
-  // The worker re-derives everything from the campaign file so it agrees
-  // with the supervisor byte-for-byte. The artifact-dir override is applied
-  // *before* fingerprinting — the supervisor resolved the same directory,
-  // so both sides stamp identical campaign fingerprints into leases.
-  pipeline::CampaignSpec spec =
-      pipeline::parse_campaign_file(config.campaign_path);
-  if (!config.artifact_dir.empty()) spec.artifact_dir = config.artifact_dir;
-  const std::uint64_t campaign = pipeline::campaign_fingerprint(spec);
-
-  pipeline::CampaignRunner runner(std::move(spec));
+  // The supervisor's resolved document round-trips through JSON exactly, so
+  // both sides plan the same stages and stamp the same run fingerprint
+  // into leases (the MC scale comes from the inherited environment).
+  pipeline::CampaignRunner runner(
+      pipeline::parse_campaign_file(config.campaign_path));
+  const std::uint64_t campaign = runner.fingerprint();
   std::map<std::string, std::size_t> index_of;
   for (std::size_t i = 0; i < runner.plan().size(); ++i) {
     index_of[runner.plan()[i].id] = i;
@@ -182,7 +178,7 @@ int run_worker(const WorkerConfig& config) {
       const auto it = index_of.find(task.stage);
       FINSER_REQUIRE(it != index_of.end(),
                      "worker: unknown stage id `" + task.stage +
-                         "` (campaign file changed under the supervisor?)");
+                         "` (lease dir shared with another campaign?)");
       runner.run_stage(it->second, config.threads, progress, &cancel);
       // Durable completion marker first (resume authority for future
       // supervisors), then the done heartbeat (completion authority for

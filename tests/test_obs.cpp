@@ -102,6 +102,22 @@ TEST_F(ObsTest, ScopedSpanRecordsDuration) {
   EXPECT_GE(span->max_ns, span->min_ns);
 }
 
+TEST_F(ObsTest, UnsetGaugeReportsItsValueAsMax) {
+  Gauge& g = Registry::global().gauge("t.gauge");
+  g.set(7);
+  g.set(3);
+  EXPECT_EQ(g.max(), 7);
+  Registry::global().reset();
+  const Snapshot s = Registry::global().snapshot();
+  const Snapshot::GaugeRow* row = nullptr;
+  for (const Snapshot::GaugeRow& r : s.gauges) {
+    if (r.name == "t.gauge") row = &r;
+  }
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->value, 0);
+  EXPECT_EQ(row->max, 0);  // Not the INT64_MIN sentinel.
+}
+
 TEST_F(ObsTest, TraceEventsBufferOnlyWhenTracing) {
   { ScopedSpan span("t.untraced"); }
   EXPECT_TRUE(Registry::global().trace_events().empty());

@@ -9,6 +9,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -541,6 +542,37 @@ TEST(CampaignFingerprint, InvariantToExecutionKnobs) {
   CampaignSpec edited = spec;
   edited.scenarios[0].flow.array_mc.strikes += 1;
   EXPECT_NE(campaign_fingerprint(edited), base);
+}
+
+/// The run fingerprint that leases, done markers and the run report carry
+/// is the document's at MC scale 1 (so plain runs' markers keep resuming),
+/// and another run's at any other scale.
+TEST(CampaignFingerprint, RunFingerprintIsTheDocumentsAtScaleOne) {
+  const CampaignSpec spec =
+      single_scenario_campaign(tiny_flow(), {"alpha"}, "");
+  const char* prior = std::getenv("FINSER_MC_SCALE");
+  const bool had_prior = prior != nullptr;
+  const std::string saved = had_prior ? prior : "";
+  const auto run_fingerprint = [&spec](const char* scale) {
+    if (scale != nullptr) {
+      setenv("FINSER_MC_SCALE", scale, 1);
+    } else {
+      unsetenv("FINSER_MC_SCALE");
+    }
+    return CampaignRunner(spec).fingerprint();
+  };
+  const std::uint64_t plain = run_fingerprint(nullptr);
+  const std::uint64_t doubled = run_fingerprint("2");
+  const std::uint64_t halved = run_fingerprint("0.5");
+  if (had_prior) {
+    setenv("FINSER_MC_SCALE", saved.c_str(), 1);
+  } else {
+    unsetenv("FINSER_MC_SCALE");
+  }
+  EXPECT_EQ(plain, campaign_fingerprint(spec));
+  EXPECT_NE(doubled, plain);
+  EXPECT_NE(halved, plain);
+  EXPECT_NE(halved, doubled);
 }
 
 /// Every regular file under \p root, keyed by its relative path.

@@ -14,15 +14,20 @@
 ///    prefix — bit-identical at any thread count.
 ///
 /// Replicate seeds honor FINSER_STATS_SEED (CI runs a small seed matrix);
-/// unset, the suite is fully deterministic under seed 1.
+/// unset, the suite is fully deterministic under seed 1. Monte Carlo budgets
+/// of the statistical checks scale with FINSER_MC_SCALE (CI runs scale 2);
+/// exact checks (byte identity, exact budgets, per-sample identities) keep
+/// their fixed sizes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <vector>
 
 #include "finser/core/array_mc.hpp"
+#include "finser/core/ser_flow.hpp"
 #include "finser/stats/direction.hpp"
 #include "finser/stats/rng.hpp"
 #include "finser/stats/summary.hpp"
@@ -51,6 +56,15 @@ std::uint64_t stats_seed() {
   const char* s = std::getenv("FINSER_STATS_SEED");
   if (s == nullptr || *s == '\0') return 1;
   return std::strtoull(s, nullptr, 10);
+}
+
+/// Monte Carlo budget \p n (strikes or samples) under FINSER_MC_SCALE. A
+/// true invariant only gets sharper with more samples, while a tolerance
+/// that was quietly absorbing a bias fails.
+std::size_t mc_budget(std::size_t n) {
+  static const double scale = core::mc_scale_from_env();
+  return std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::llround(static_cast<double>(n) * scale)));
 }
 
 /// Synthetic cell model (same construction as test_core_array_mc.cpp): any
@@ -132,7 +146,8 @@ TEST(VrFocusPlane, PdfIsADensity) {
   const stats::FocusPlane plane = test_plane(0.8);
   stats::Rng rng(stats::Rng::derive_seed(stats_seed(), 101));
   stats::RunningStats s;
-  for (int i = 0; i < 100000; ++i) {
+  const std::size_t n = mc_budget(100000);
+  for (std::size_t i = 0; i < n; ++i) {
     const double x = rng.uniform(0.0, 100.0);
     const double y = rng.uniform(0.0, 50.0);
     s.add(plane.pdf(x, y) * plane.plane_area());
@@ -164,7 +179,8 @@ TEST(VrFocusPlane, SamplesAreSelfConsistentAndWeightsBounded) {
   stats::Rng rng(stats::Rng::derive_seed(stats_seed(), 102));
   const double bound = 1.0 / (1.0 - alpha);
   std::size_t focused = 0;
-  for (int i = 0; i < 5000; ++i) {
+  const std::size_t n = mc_budget(5000);
+  for (std::size_t i = 0; i < n; ++i) {
     const auto s = plane.sample(rng.uniform(), rng.uniform(), rng.uniform());
     EXPECT_GE(s.x, 0.0);
     EXPECT_LE(s.x, 100.0);
@@ -178,7 +194,8 @@ TEST(VrFocusPlane, SamplesAreSelfConsistentAndWeightsBounded) {
     if (s.focused) ++focused;
   }
   // The focus branch fires with probability alpha.
-  EXPECT_NEAR(static_cast<double>(focused) / 5000.0, alpha, 0.03);
+  EXPECT_NEAR(static_cast<double>(focused) / static_cast<double>(n), alpha,
+              0.03);
 }
 
 TEST(VrFocusPlane, ImportanceEstimatorIsUnbiased) {
@@ -192,7 +209,8 @@ TEST(VrFocusPlane, ImportanceEstimatorIsUnbiased) {
   const double truth = (30.0 * 25.0) / 5000.0;  // 0.15.
   stats::Rng rng(stats::Rng::derive_seed(stats_seed(), 103));
   stats::RunningStats is;
-  for (int i = 0; i < 50000; ++i) {
+  const std::size_t n = mc_budget(50000);
+  for (std::size_t i = 0; i < n; ++i) {
     const auto s = plane.sample(rng.uniform(), rng.uniform(), rng.uniform());
     is.add(s.weight * f(s.x, s.y));
   }
@@ -257,7 +275,8 @@ TEST(VrDirection, WeightedMomentsMatchIsotropicLaw) {
   const double beta = 0.7;
   stats::Rng rng(stats::Rng::derive_seed(stats_seed(), 106));
   stats::RunningStats mass, mz;
-  for (int i = 0; i < 200000; ++i) {
+  const std::size_t n = mc_budget(200000);
+  for (std::size_t i = 0; i < n; ++i) {
     const auto s = stats::biased_hemisphere_down(rng, beta);
     mass.add(s.weight);
     mz.add(s.weight * std::abs(s.dir.z));
@@ -313,7 +332,8 @@ TEST(VrDirection, GrazingWeightedMomentsMatchIsotropicLaw) {
   const double delta = 0.9;
   stats::Rng rng(stats::Rng::derive_seed(stats_seed(), 109));
   stats::RunningStats mass, mz;
-  for (int i = 0; i < 200000; ++i) {
+  const std::size_t n = mc_budget(200000);
+  for (std::size_t i = 0; i < n; ++i) {
     const auto s = stats::grazing_hemisphere_down(rng, delta);
     mass.add(s.weight);
     mz.add(s.weight * std::abs(s.dir.z));
@@ -416,8 +436,8 @@ TEST(VrArrayMc, ImportanceSamplingIsUnbiased) {
   // where off-focus grazing tracks still hit and carry the large weights).
   const ArrayLayout layout(3, 3, CellGeometry{});
   const CellSoftErrorModel model = synthetic_model(0.8, 0.02);
-  ArrayMcConfig uni = fast_config(8000);
-  ArrayMcConfig imp = fast_config(8000);
+  ArrayMcConfig uni = fast_config(mc_budget(8000));
+  ArrayMcConfig imp = fast_config(mc_budget(8000));
   imp.position = SourcePositionSampling::kImportance;
   ArrayMc mc_u(layout, model, uni);
   ArrayMc mc_i(layout, model, imp);
@@ -445,7 +465,7 @@ TEST(VrArrayMc, ImportanceSamplingReducesSpread) {
   // estimators share (the bench measures that regime; docs/statistics.md).
   const ArrayLayout layout(3, 3, CellGeometry{});
   const CellSoftErrorModel model = synthetic_model(0.8, 0.02);
-  ArrayMcConfig uni = fast_config(2000);
+  ArrayMcConfig uni = fast_config(mc_budget(2000));
   uni.source_margin_nm = 300.0;
   uni.angular = SourceAngularLaw::kBeam;
   uni.beam_direction = {0.1, 0.05, -1.0};
@@ -473,8 +493,8 @@ TEST(VrArrayMc, ImportanceSamplingReducesSpread) {
 TEST(VrArrayMc, SobolPositionsAgreeWithPseudoRandom) {
   const ArrayLayout layout(3, 3, CellGeometry{});
   const CellSoftErrorModel model = synthetic_model(0.8, 0.02);
-  ArrayMcConfig prng = fast_config(6000);
-  ArrayMcConfig qmc = fast_config(6000);
+  ArrayMcConfig prng = fast_config(mc_budget(6000));
+  ArrayMcConfig qmc = fast_config(mc_budget(6000));
   qmc.sampling.qmc = stats::QmcMode::kSobol;
   ArrayMc mc_p(layout, model, prng);
   ArrayMc mc_q(layout, model, qmc);
@@ -492,8 +512,8 @@ TEST(VrArrayMc, SobolDrivesImportanceMixture) {
   // unbiased (the weight is a function of the realized point only).
   const ArrayLayout layout(3, 3, CellGeometry{});
   const CellSoftErrorModel model = synthetic_model(0.8, 0.02);
-  ArrayMcConfig uni = fast_config(8000);
-  ArrayMcConfig isq = fast_config(8000);
+  ArrayMcConfig uni = fast_config(mc_budget(8000));
+  ArrayMcConfig isq = fast_config(mc_budget(8000));
   isq.position = SourcePositionSampling::kImportance;
   isq.sampling.qmc = stats::QmcMode::kSobol;
   ArrayMc mc_u(layout, model, uni);
@@ -509,8 +529,8 @@ TEST(VrArrayMc, SobolDrivesImportanceMixture) {
 TEST(VrArrayMc, DirectionBiasIsUnbiased) {
   const ArrayLayout layout(3, 3, CellGeometry{});
   const CellSoftErrorModel model = synthetic_model(0.8, 0.02);
-  ArrayMcConfig iso = fast_config(8000);
-  ArrayMcConfig bias = fast_config(8000);
+  ArrayMcConfig iso = fast_config(mc_budget(8000));
+  ArrayMcConfig bias = fast_config(mc_budget(8000));
   bias.sampling.direction_bias = 0.5;
   ArrayMc mc_i(layout, model, iso);
   ArrayMc mc_b(layout, model, bias);
@@ -534,7 +554,7 @@ TEST(VrArrayMc, EnergyStrataTileTheBinExactly) {
   // count, so strata wrap across chunk boundaries.
   const ArrayLayout layout(3, 3, CellGeometry{});
   const CellSoftErrorModel model = synthetic_model(0.8, 0.02);
-  ArrayMcConfig one = fast_config(7000);
+  ArrayMcConfig one = fast_config(mc_budget(7000));
   one.chunk = 512;
   one.sampling.energy_strata = 1;
   ArrayMcConfig four = one;
@@ -647,13 +667,13 @@ TEST(VrCoverage, ImportanceIntervalsCoverBruteForceTruth) {
   const CellSoftErrorModel model = synthetic_model(0.8, 0.02);
   const std::uint64_t base = stats::Rng::derive_seed(stats_seed(), 115);
 
-  ArrayMcConfig big = fast_config(96000);
+  ArrayMcConfig big = fast_config(mc_budget(96000));
   ArrayMc mc_truth(layout, model, big);
   const PofEstimate truth =
       mc_truth.run(phys::Species::kAlpha, 1.0, base).est[0][1];
   ASSERT_GT(truth.tot, 0.0);
 
-  ArrayMcConfig rep = fast_config(2000);
+  ArrayMcConfig rep = fast_config(mc_budget(2000));
   rep.position = SourcePositionSampling::kImportance;
   ArrayMc mc_rep(layout, model, rep);
   constexpr int kReplicates = 60;
@@ -753,7 +773,7 @@ TEST(VrAdaptiveStop, ImportanceAndStoppingCompose) {
   // agrees with uniform brute force.
   const ArrayLayout layout(3, 3, CellGeometry{});
   const CellSoftErrorModel model = synthetic_model(0.8, 0.02);
-  ArrayMcConfig cfg = fast_config(60000);
+  ArrayMcConfig cfg = fast_config(mc_budget(60000));
   cfg.chunk = 256;
   cfg.position = SourcePositionSampling::kImportance;
   cfg.ci.target = 0.2;
@@ -764,7 +784,7 @@ TEST(VrAdaptiveStop, ImportanceAndStoppingCompose) {
   EXPECT_TRUE(res.stopped_early);
   EXPECT_LT(res.units_used, res.units_total / 2);
 
-  ArrayMcConfig uni = fast_config(8000);
+  ArrayMcConfig uni = fast_config(mc_budget(8000));
   ArrayMc mc_u(layout, model, uni);
   const PofEstimate eu =
       mc_u.run(phys::Species::kAlpha, 1.0, seed + 1).est[0][1];

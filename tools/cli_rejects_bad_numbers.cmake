@@ -2,11 +2,12 @@
 # before use. `cell <vdd>` must take a finite voltage > 0 with nothing
 # trailing, the `run` INI sizes must not wrap around through an unsigned
 # cast, supply-voltage lists must hold distinct positive voltages, σVt, the
-# node capacitance and the CI target must be finite and in range, campaign
-# files must be well-formed JSON, and unknown options and campaign keys are
-# rejected. Every rejection exits 2 with a message naming the offending
-# argument, key or file; `cell 0.8` still exits 0. An invalid
-# FINSER_WORKERS is diagnosed on stderr and ignored.
+# node capacitance and the CI target (INI key, campaign key and --ci-target)
+# must be finite and in range, campaign files must be well-formed JSON, and
+# unknown options and campaign keys are rejected. Every rejection exits 2
+# with a message naming the offending argument, key or file; `cell 0.8`
+# still exits 0. An invalid FINSER_WORKERS is diagnosed on stderr and
+# ignored.
 #
 # Inputs: -DFINSER_CLI=<path to binary> -DWORK_DIR=<scratch dir>
 
@@ -64,6 +65,13 @@ expect_exit(2 "--resume" run "${WORK_DIR}/x.ini" --resume p)
 set(campaign "${WORK_DIR}/campaign.json")
 file(WRITE "${campaign}" "{\"scenarios\": [{\"name\": \"a\"}]}\n")
 expect_exit(2 "--bogus" campaign "${campaign}" --bogus)
+
+# --ci-target takes a finite relative half-width >= 0, like mc.ci_target and
+# sampling.ci_target.
+foreach(bad nan inf -1 abc)
+  expect_exit(2 "\"${bad}\"" campaign "${campaign}" --ci-target ${bad}
+              --print-config)
+endforeach()
 
 # Supply voltages: a repeated or non-positive one exits 2 naming `vdds`
 # before anything runs, from the INI and from a campaign file alike; the

@@ -28,7 +28,7 @@
 ///   mc.threads = 0            # 0 = auto; --threads overrides
 ///   mc.ci_target = 0          # target relative 95% CI half-width per energy
 ///                             # bin; 0 = fixed strike budget (--ci-target
-///                             # and FINSER_CI_TARGET override)
+///                             # overrides)
 ///   species = alpha, proton, neutron
 ///   output.dir = finser_out
 ///
@@ -38,12 +38,17 @@
 /// `<output.dir>/eh_pairs_<species>.csv`, and a rerun reuses every finished
 /// product in the store — an interrupted run resumes per energy bin, or per
 /// supply voltage while still characterizing.
+///
+/// `--cluster` and `--ci-target` are edits to the campaign document (lower()),
+/// so `--print-config`, shard workers and the run report see the run that
+/// happens; FINSER_MC_SCALE is the one result-changing setting outside it.
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -108,16 +113,17 @@ void print_help() {
       "                 hardware threads); never changes the results\n"
       "  --ci-target R  adaptive stopping: stop each energy bin's Monte Carlo\n"
       "                 once the relative 95%% CI half-width of every POF\n"
-      "                 estimate is <= R, capped by the configured strike\n"
-      "                 budget (0 = fixed budget; sets FINSER_CI_TARGET so\n"
-      "                 shard workers inherit it; docs/statistics.md)\n"
+      "                 estimate is <= R (finite, >= 0), capped by the\n"
+      "                 configured strike budget (0 = fixed budget). Sets\n"
+      "                 every scenario's sampling.ci_target, as\n"
+      "                 --print-config shows (docs/statistics.md)\n"
       "  --cluster MODE correlated multi-node charge collection: group cells\n"
       "                 into MODE tiles (1x1 = independent per-cell path,\n"
       "                 byte-identical to the default; 2x2 or 1x4 add charge\n"
       "                 sharing between adjacent struck cells of a tile and\n"
-      "                 simulate each struck cell with its shared charge;\n"
-      "                 sets FINSER_CLUSTER so shard workers inherit it;\n"
-      "                 docs/charge_sharing.md)\n"
+      "                 simulate each struck cell with its shared charge).\n"
+      "                 Sets every scenario's cluster.mode, as --print-config\n"
+      "                 shows (docs/charge_sharing.md)\n"
       "  --metrics-out PATH  enable metric collection and write a versioned\n"
       "                 JSON RunReport there at exit (docs/observability.md);\n"
       "                 FINSER_METRICS=<path> is an equivalent default\n"
@@ -181,8 +187,7 @@ std::uint64_t get_bounded(const util::KeyValueConfig& cfg,
   return static_cast<std::uint64_t>(v);
 }
 
-core::SerFlowConfig flow_config_from(const util::KeyValueConfig& cfg,
-                                     std::size_t cli_threads) {
+core::SerFlowConfig flow_config_from(const util::KeyValueConfig& cfg) {
   core::SerFlowConfig flow;
   flow.array_rows = get_bounded(cfg, "array.rows", 9, 1);
   flow.array_cols = get_bounded(cfg, "array.cols", 9, 1);
@@ -195,9 +200,7 @@ core::SerFlowConfig flow_config_from(const util::KeyValueConfig& cfg,
   flow.array_mc.strikes = get_bounded(cfg, "mc.strikes", 60000, 1);
   flow.neutron_mc.histories = flow.array_mc.strikes;
   flow.seed = get_bounded(cfg, "mc.seed", 20140601, 0);
-  // CLI --threads wins over the config key; both 0 = auto.
-  flow.threads =
-      cli_threads > 0 ? cli_threads : get_bounded(cfg, "mc.threads", 0, 0);
+  flow.threads = get_bounded(cfg, "mc.threads", 0, 0);  // 0 = auto
   const double ini_ci = cfg.get_double("mc.ci_target", 0.0);
   if (!(std::isfinite(ini_ci) && ini_ci >= 0.0)) {
     throw util::InvalidArgument("mc.ci_target must be finite and >= 0 (0 "
@@ -206,20 +209,62 @@ core::SerFlowConfig flow_config_from(const util::KeyValueConfig& cfg,
   flow.array_mc.ci.target = ini_ci;
   flow.neutron_mc.ci.target = ini_ci;
   // No MC scale here: the campaign runner applies FINSER_MC_SCALE once, so
-  // the lowered campaign (and --print-config) carries unscaled sizes. The
-  // CI target and cluster mode are set, not multiplied, so applying them
-  // here as well only lets --print-config record them.
-  core::apply_ci_target(flow, core::ci_target_from_env());
-  core::apply_cluster(flow, core::cluster_mode_from_env());
+  // the lowered campaign (and --print-config) carries unscaled sizes.
   return flow;
+}
+
+/// The command-line flags the campaign document carries.
+struct Overrides {
+  std::size_t threads = 0;   ///< --threads; 0 = keep the document's.
+  double ci_target = -1.0;   ///< --ci-target; < 0 = keep the document's.
+  std::optional<sram::ClusterMode> cluster;  ///< --cluster.
+};
+
+/// The one lowering of `run`, `campaign` and `serve`: writes \p o into
+/// \p spec before anything prints, fingerprints or runs it.
+void lower(pipeline::CampaignSpec& spec, const Overrides& o) {
+  if (o.threads > 0) spec.threads = o.threads;
+  for (pipeline::ScenarioSpec& s : spec.scenarios) {
+    core::apply_ci_target(s.flow, o.ci_target);
+    if (o.cluster) s.flow.array_mc.cluster.mode = *o.cluster;
+  }
+}
+
+/// What a run reports about itself: the run report and the trace.
+struct Outputs {
+  std::string command;      ///< The command line, as given.
+  std::string metrics_out;  ///< "" = no run report.
+  std::string trace_out;    ///< "" = no trace.
+};
+
+/// Write the run report and trace \p out asks for; \p fingerprint is
+/// CampaignRunner::fingerprint, \p shard a sharded run's report section.
+void write_outputs(const Outputs& out, const pipeline::CampaignSpec& spec,
+                   std::uint64_t fingerprint,
+                   const util::JsonValue* shard = nullptr) {
+  if (!out.metrics_out.empty()) {
+    obs::RunInfo info;
+    info.tool = "finser_cli";
+    info.command = out.command;
+    if (spec.scenarios.size() == 1) info.seed = spec.scenarios[0].flow.seed;
+    info.threads = exec::resolve_threads(spec.threads);
+    info.lanes = spice::lane_width();
+    info.mc_scale = core::mc_scale_from_env();
+    info.config_fingerprint = fingerprint;
+    obs::write_run_report(out.metrics_out, info, shard);
+    std::printf("metrics written to %s\n", out.metrics_out.c_str());
+  }
+  if (!out.trace_out.empty()) {
+    obs::write_chrome_trace(out.trace_out);
+    std::printf("trace written to %s\n", out.trace_out.c_str());
+  }
 }
 
 /// The in-process campaign driver behind `run` and `campaign`: runs \p spec
 /// on a CampaignRunner (cancellable; resumable through its artifact store),
 /// prints each scenario's FIT table, and writes the run report and trace
 /// when asked.
-int run_campaign(const pipeline::CampaignSpec& spec, const std::string& command,
-                 const std::string& metrics_out, const std::string& trace_out,
+int run_campaign(const pipeline::CampaignSpec& spec, const Outputs& out,
                  const exec::CancelToken& cancel) {
   const exec::ProgressSink progress(
       [](const std::string& m) { std::printf("  [%s]\n", m.c_str()); },
@@ -240,29 +285,13 @@ int run_campaign(const pipeline::CampaignSpec& spec, const std::string& command,
   if (!spec.output_dir.empty()) {
     std::printf("\nresults written to %s/\n", spec.output_dir.c_str());
   }
-
-  if (!metrics_out.empty()) {
-    obs::RunInfo info;
-    info.tool = "finser_cli";
-    info.command = command;
-    if (spec.scenarios.size() == 1) info.seed = spec.scenarios[0].flow.seed;
-    info.threads = exec::resolve_threads(spec.threads);
-    info.lanes = spice::lane_width();
-    info.mc_scale = core::mc_scale_from_env();
-    info.config_fingerprint = pipeline::campaign_fingerprint(spec);
-    obs::write_run_report(metrics_out, info);
-    std::printf("metrics written to %s\n", metrics_out.c_str());
-  }
-  if (!trace_out.empty()) {
-    obs::write_chrome_trace(trace_out);
-    std::printf("trace written to %s\n", trace_out.c_str());
-  }
+  write_outputs(out, spec, runner.fingerprint());
   return 0;
 }
 
-int cmd_run(const std::string& config_path, std::size_t cli_threads,
-            const std::string& metrics_out, const std::string& trace_out,
-            bool print_config, const exec::CancelToken& cancel) {
+int cmd_run(const std::string& config_path, const Overrides& overrides,
+            const Outputs& out, bool print_config,
+            const exec::CancelToken& cancel) {
   util::KeyValueConfig cfg;
   if (!config_path.empty()) {
     cfg = util::KeyValueConfig::parse_file(config_path);
@@ -270,7 +299,7 @@ int cmd_run(const std::string& config_path, std::size_t cli_threads,
   const std::string out_dir = cfg.get_string("output.dir", "finser_out");
   const std::vector<std::string> species =
       split_list(cfg.get_string("species", "alpha,proton"));
-  const core::SerFlowConfig flow_cfg = flow_config_from(cfg, cli_threads);
+  const core::SerFlowConfig flow_cfg = flow_config_from(cfg);
 
   // Fail loudly on config typos before hours of Monte Carlo. The getters
   // above recorded every supported knob, so misspellings get a suggestion.
@@ -293,14 +322,12 @@ int cmd_run(const std::string& config_path, std::size_t cli_threads,
   pipeline::CampaignSpec spec =
       pipeline::single_scenario_campaign(flow_cfg, species, out_dir, "run");
   spec.artifact_dir = out_dir + "/artifacts";
+  lower(spec, overrides);
   if (print_config) {
     std::printf("%s\n", pipeline::campaign_to_json(spec).dump(2).c_str());
     return 0;
   }
-  return run_campaign(spec,
-                      config_path.empty() ? std::string("run")
-                                          : "run " + config_path,
-                      metrics_out, trace_out, cancel);
+  return run_campaign(spec, out, cancel);
 }
 
 /// Sharding knobs extracted from the global flag pass (campaign supervisor
@@ -313,7 +340,6 @@ struct ShardCliOptions {
   double heartbeat_timeout_s = 30.0;
   std::uint64_t worker_id = 0;  ///< worker subcommand only.
   std::string lease_dir;        ///< worker subcommand only.
-  std::string artifact_dir;     ///< worker subcommand only.
 };
 
 int cmd_worker(const std::string& campaign_path, std::size_t cli_threads,
@@ -326,19 +352,18 @@ int cmd_worker(const std::string& campaign_path, std::size_t cli_threads,
   }
   shard::WorkerConfig cfg;
   cfg.campaign_path = campaign_path;
-  cfg.artifact_dir = opts.artifact_dir;
   cfg.lease_dir = opts.lease_dir;
   cfg.worker_id = opts.worker_id;
   cfg.threads = cli_threads;
   return shard::run_worker(cfg);
 }
 
-int cmd_campaign(const std::string& campaign_path, std::size_t cli_threads,
-                 const std::string& metrics_out, const std::string& trace_out,
-                 bool print_config, const ShardCliOptions& shard_opts,
+int cmd_campaign(const std::string& campaign_path, const Overrides& overrides,
+                 const Outputs& out, bool print_config,
+                 const ShardCliOptions& shard_opts,
                  const exec::CancelToken& cancel) {
   pipeline::CampaignSpec spec = pipeline::parse_campaign_file(campaign_path);
-  if (cli_threads > 0) spec.threads = cli_threads;
+  lower(spec, overrides);
 
   if (print_config) {
     std::printf("%s\n", pipeline::campaign_to_json(spec).dump(2).c_str());
@@ -356,7 +381,6 @@ int cmd_campaign(const std::string& campaign_path, std::size_t cli_threads,
     scfg.max_retries = shard_opts.max_retries;
     scfg.stage_timeout_s = shard_opts.stage_timeout_s;
     scfg.heartbeat_timeout_s = shard_opts.heartbeat_timeout_s;
-    scfg.campaign_path = campaign_path;
     const shard::ShardResult result =
         shard::run_sharded_campaign(spec, scfg, &cancel, progress);
 
@@ -373,24 +397,8 @@ int cmd_campaign(const std::string& campaign_path, std::size_t cli_threads,
     if (!spec.output_dir.empty()) {
       std::printf("results written to %s/\n", spec.output_dir.c_str());
     }
-
-    if (!metrics_out.empty()) {
-      obs::RunInfo info;
-      info.tool = "finser_cli";
-      info.command = "campaign " + campaign_path + " --workers " +
-                     std::to_string(shard_opts.workers);
-      info.threads = exec::resolve_threads(spec.threads);
-      info.lanes = spice::lane_width();
-      info.mc_scale = core::mc_scale_from_env();
-      info.config_fingerprint = pipeline::campaign_fingerprint(spec);
-      const util::JsonValue shard_doc = shard::shard_report_json(result, scfg);
-      obs::write_run_report(metrics_out, info, &shard_doc);
-      std::printf("metrics written to %s\n", metrics_out.c_str());
-    }
-    if (!trace_out.empty()) {
-      obs::write_chrome_trace(trace_out);
-      std::printf("trace written to %s\n", trace_out.c_str());
-    }
+    const util::JsonValue shard_doc = shard::shard_report_json(result, scfg);
+    write_outputs(out, spec, result.fingerprint, &shard_doc);
     switch (result.outcome) {
       case shard::ShardOutcome::kComplete:
         return 0;
@@ -402,8 +410,7 @@ int cmd_campaign(const std::string& campaign_path, std::size_t cli_threads,
     return 1;
   }
 
-  return run_campaign(spec, "campaign " + campaign_path, metrics_out,
-                      trace_out, cancel);
+  return run_campaign(spec, out, cancel);
 }
 
 /// A streambuf reading raw bytes from a POSIX fd with local buffering.
@@ -435,11 +442,11 @@ class FdInBuf final : public std::streambuf {
   char buf_[1 << 16];
 };
 
-int cmd_serve(const std::string& campaign_path, std::size_t cli_threads,
+int cmd_serve(const std::string& campaign_path, const Overrides& overrides,
               std::size_t max_pending, const std::string& artifact_dir_override,
               const exec::CancelToken& cancel) {
   pipeline::CampaignSpec spec = pipeline::parse_campaign_file(campaign_path);
-  if (cli_threads > 0) spec.threads = cli_threads;
+  lower(spec, overrides);
   if (!artifact_dir_override.empty()) spec.artifact_dir = artifact_dir_override;
   spec.output_dir.clear();  // serve answers queries; it never emits CSV files
 
@@ -451,8 +458,8 @@ int cmd_serve(const std::string& campaign_path, std::size_t cli_threads,
   const exec::ProgressSink progress(
       [](const std::string& m) { std::fprintf(stderr, "  [%s]\n", m.c_str()); },
       std::chrono::milliseconds(250));
-  pipeline::SurfaceProvider provider(std::move(spec), cli_threads, progress,
-                                     &cancel);
+  pipeline::SurfaceProvider provider(std::move(spec), overrides.threads,
+                                     progress, &cancel);
   surface::ServeConfig scfg;
   scfg.max_pending = max_pending;
   surface::ServeSession session(
@@ -538,14 +545,21 @@ int main(int argc, char** argv) {
   try {
     // Extract the global flags, keep the rest positional.
     std::vector<std::string> args;
-    std::size_t threads = 0;
+    Overrides overrides;
+    Outputs out;
+    for (int i = 1; i < argc; ++i) {
+      if (i > 1) out.command += ' ';
+      out.command += argv[i];
+    }
     // FINSER_METRICS turns collection on; a path-like value (anything but
     // "0"/"1") doubles as the default --metrics-out destination.
-    std::string metrics_out = finser::obs::configure_from_env();
-    if (metrics_out == "0" || metrics_out == "1") metrics_out.clear();
-    std::string trace_out;
+    out.metrics_out = finser::obs::configure_from_env();
+    if (out.metrics_out == "0" || out.metrics_out == "1") {
+      out.metrics_out.clear();
+    }
     bool print_config = false;
     std::size_t max_pending = 64;
+    std::string artifact_dir;  // serve and `artifacts ls`
     ShardCliOptions shard_opts;
     // FINSER_WORKERS seeds the worker count for `campaign`; --workers wins.
     if (const char* env = std::getenv("FINSER_WORKERS");
@@ -578,12 +592,12 @@ int main(int argc, char** argv) {
         }
         const char* raw = argv[++i];
         if (a == "--metrics-out") {
-          metrics_out = raw;
+          out.metrics_out = raw;
           finser::obs::set_enabled(true);
           continue;
         }
         if (a == "--trace-out") {
-          trace_out = raw;
+          out.trace_out = raw;
           finser::obs::set_trace_enabled(true);
           continue;
         }
@@ -592,37 +606,31 @@ int main(int argc, char** argv) {
           continue;
         }
         if (a == "--artifact-dir") {
-          shard_opts.artifact_dir = raw;
+          artifact_dir = raw;
           continue;
         }
         char* end = nullptr;
         if (a == "--ci-target") {
           const double v = std::strtod(raw, &end);
-          if (end == raw || *end != '\0' || v < 0.0) {
+          if (end == raw || *end != '\0' || !std::isfinite(v) || v < 0.0) {
             std::fprintf(stderr,
-                         "error: --ci-target expects a relative half-width "
-                         ">= 0 (0 disables stopping), got \"%s\"\n",
+                         "error: --ci-target expects a finite relative "
+                         "half-width >= 0 (0 disables stopping), got \"%s\"\n",
                          raw);
             return 2;
           }
-          // Exported instead of stored: every consumer (run flow, campaign
-          // runner, shard worker subprocesses) reads FINSER_CI_TARGET, so
-          // the flag and the environment variable are exactly equivalent.
-          setenv("FINSER_CI_TARGET", raw, 1);
+          overrides.ci_target = v;
           continue;
         }
         if (a == "--cluster") {
-          if (!sram::cluster_mode_from(raw).has_value()) {
+          overrides.cluster = sram::cluster_mode_from(raw);
+          if (!overrides.cluster) {
             std::fprintf(stderr,
                          "error: --cluster expects 1x1, 2x2 or 1x4, got "
                          "\"%s\"\n",
                          raw);
             return 2;
           }
-          // Exported like --ci-target: the run flow, campaign runner and
-          // shard worker subprocesses all read FINSER_CLUSTER, so the flag
-          // and the environment variable are exactly equivalent.
-          setenv("FINSER_CLUSTER", raw, 1);
           continue;
         }
         if (a == "--max-pending") {
@@ -680,7 +688,7 @@ int main(int argc, char** argv) {
                        raw);
           return 2;
         }
-        threads = static_cast<std::size_t>(v);
+        overrides.threads = static_cast<std::size_t>(v);
       } else if (a.rfind("--", 0) == 0 && a != "--help") {
         // An unknown option must not be mistaken for a positional argument
         // (a config or campaign path) or silently ignored.
@@ -701,34 +709,33 @@ int main(int argc, char** argv) {
                      "--print-config)\n");
         return 2;
       }
-      return cmd_run(args.size() > 1 ? args[1] : "", threads, metrics_out,
-                     trace_out, print_config, cancel);
+      return cmd_run(args.size() > 1 ? args[1] : "", overrides, out,
+                     print_config, cancel);
     }
     if (cmd == "campaign") {
       if (args.size() < 2) {
         std::fprintf(stderr, "error: campaign needs a JSON file argument\n");
         return 2;
       }
-      return cmd_campaign(args[1], threads, metrics_out, trace_out,
-                          print_config, shard_opts, cancel);
+      return cmd_campaign(args[1], overrides, out, print_config, shard_opts,
+                          cancel);
     }
     if (cmd == "serve") {
       if (args.size() < 2) {
         std::fprintf(stderr, "error: serve needs a campaign JSON argument\n");
         return 2;
       }
-      return cmd_serve(args[1], threads, max_pending, shard_opts.artifact_dir,
-                       cancel);
+      return cmd_serve(args[1], overrides, max_pending, artifact_dir, cancel);
     }
     if (cmd == "artifacts") {
-      return cmd_artifacts(args, shard_opts.artifact_dir);
+      return cmd_artifacts(args, artifact_dir);
     }
     if (cmd == "worker") {
       if (args.size() < 2) {
         std::fprintf(stderr, "error: worker needs a campaign JSON argument\n");
         return 2;
       }
-      return cmd_worker(args[1], threads, shard_opts);
+      return cmd_worker(args[1], overrides.threads, shard_opts);
     }
     if (cmd == "cell") {
       double vdd = 0.8;

@@ -215,8 +215,6 @@ int run_driver(const char* self) {
   unsetenv("FINSER_MC_SCALE");
   unsetenv("FINSER_THREADS");
   unsetenv("FINSER_FAULT");
-  unsetenv("FINSER_CI_TARGET");
-  unsetenv("FINSER_CLUSTER");
 
   char root_template[] = "/tmp/finser_krh_XXXXXX";
   const char* root_c = mkdtemp(root_template);
@@ -346,7 +344,6 @@ int run_campaign_driver(const std::string& cli) {
   unsetenv("FINSER_WORKERS");
   unsetenv("FINSER_FAULT");
   unsetenv("FINSER_SHARD_POISON");
-  unsetenv("FINSER_CLUSTER");
 
   char root_template[] = "/tmp/finser_krc_XXXXXX";
   const char* root_c = mkdtemp(root_template);

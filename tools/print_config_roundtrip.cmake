@@ -3,7 +3,9 @@
 # default config, feed the dump back through `campaign --print-config`, and
 # require identical output — any normalization drift (key order, number
 # formatting, defaulting) fails the diff. The dump is also exactly what
-# `run` executes: see the MC-scale and byte-identity checks below.
+# `run` executes: see the MC-scale and byte-identity checks below. The last
+# checks cover the command-line overrides, which the dump must carry, and
+# the run report's `command` and `config_fingerprint`.
 #
 # Inputs: -DFINSER_CLI=<path to binary> -DWORK_DIR=<scratch dir>
 
@@ -96,3 +98,106 @@ foreach(csv run/pof_alpha.csv run/fit_summary.csv eh_pairs_alpha.csv)
                         "dump differ (or one is missing)")
   endif()
 endforeach()
+
+# Overrides are edits to the campaign document: `--cluster` and
+# `--ci-target` show in the --print-config dump, and `campaign` on that dump
+# with no flags writes the same CSVs as the flags do.
+set(ov_flags --cluster 2x2 --ci-target 0.5)
+string(JOIN " " ov_text ${ov_flags})
+set(flag_out "${WORK_DIR}/ov_flag_out")
+set(dump_out "${WORK_DIR}/ov_dump_out")
+file(REMOVE_RECURSE "${flag_out}" "${dump_out}")
+string(REPLACE "${campaign_out}" "${flag_out}" flag_doc "${dump}")
+file(WRITE "${WORK_DIR}/ov_flag.json" "${flag_doc}")
+execute_process(
+  COMMAND "${FINSER_CLI}" campaign "${WORK_DIR}/ov_flag.json" ${ov_flags}
+          --print-config
+  OUTPUT_VARIABLE ov_dump
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "campaign --cluster --ci-target --print-config failed "
+                      "with exit code ${rc}")
+endif()
+foreach(needle "\"mode\": \"2x2\"" "\"ci_target\": 0.5")
+  string(FIND "${ov_dump}" "${needle}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "campaign ${ov_text} --print-config does not print "
+                        "${needle}:\n${ov_dump}")
+  endif()
+endforeach()
+string(REPLACE "${flag_out}" "${dump_out}" ov_dump "${ov_dump}")
+file(WRITE "${WORK_DIR}/ov_dump.json" "${ov_dump}")
+foreach(cmd "${WORK_DIR}/ov_flag.json;${ov_flags}" "${WORK_DIR}/ov_dump.json")
+  execute_process(
+    COMMAND "${FINSER_CLI}" campaign ${cmd}
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "finser_cli campaign ${cmd} failed with exit code "
+                        "${rc}\n${err}")
+  endif()
+endforeach()
+foreach(csv run/pof_alpha.csv run/fit_summary.csv eh_pairs_alpha.csv)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            "${flag_out}/${csv}" "${dump_out}/${csv}"
+    RESULT_VARIABLE diff)
+  if(NOT diff EQUAL 0)
+    message(FATAL_ERROR "${csv}: `campaign ${ov_text}` and `campaign` on "
+                        "its --print-config dump differ (or one is missing)")
+  endif()
+endforeach()
+
+# The run report names the run that happened: its `command` is the command
+# line as given, and its `config_fingerprint` (the one shard leases carry)
+# changes with the cluster mode and the MC scale but not with --threads or
+# --workers. fingerprint_of(<var> <report path>) reads it; each run below
+# is "<name>;<environment or ->;<flags>...".
+function(fingerprint_of var report)
+  file(READ "${report}" text)
+  string(REGEX MATCH "\"config_fingerprint\": \"(0x[0-9a-f]+)\"" m "${text}")
+  if(NOT m)
+    message(FATAL_ERROR "${report} has no config_fingerprint:\n${text}")
+  endif()
+  set(${var} "${CMAKE_MATCH_1}" PARENT_SCOPE)
+endfunction()
+foreach(run "plain1;-;--threads;1" "plain2;-;--threads;2;--workers;2"
+            "cluster;-;--cluster;2x2" "scaled;FINSER_MC_SCALE=2")
+  list(POP_FRONT run name env)
+  set(launcher "${FINSER_CLI}")
+  if(NOT env STREQUAL "-")
+    set(launcher "${CMAKE_COMMAND}" -E env "${env}" "${FINSER_CLI}")
+  endif()
+  execute_process(
+    COMMAND ${launcher} campaign "${WORK_DIR}/ov_flag.json" ${run}
+            --metrics-out "${WORK_DIR}/report_${name}.json"
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${name} report run failed with exit code ${rc}\n"
+                        "${err}")
+  endif()
+  fingerprint_of(fp_${name} "${WORK_DIR}/report_${name}.json")
+endforeach()
+file(READ "${WORK_DIR}/report_cluster.json" cluster_report)
+string(FIND "${cluster_report}" "--cluster 2x2" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR "the --cluster 2x2 run report's command does not "
+                      "record the flag:\n${cluster_report}")
+endif()
+if(NOT fp_plain1 STREQUAL fp_plain2)
+  message(FATAL_ERROR "config_fingerprint changed with --threads/--workers: "
+                      "${fp_plain1} vs ${fp_plain2}")
+endif()
+foreach(name cluster scaled)
+  if(fp_${name} STREQUAL fp_plain1)
+    message(FATAL_ERROR "the ${name} run reports the plain run's "
+                        "config_fingerprint ${fp_plain1}")
+  endif()
+endforeach()
+if(fp_cluster STREQUAL fp_scaled)
+  message(FATAL_ERROR "the cluster and scaled runs report one "
+                      "config_fingerprint ${fp_cluster}")
+endif()

@@ -21,6 +21,12 @@
 ///   5. quarantine     — FINSER_SHARD_POISON=sweep-b makes scenario b's sweep
 ///      die on every attempt: exit code 5 (partial), scenario a identical to
 ///      the reference, and the run report must carry the quarantined stage.
+///   6. overrides      — for each of `--cluster 2x2`, `--ci-target 0.35` and
+///      FINSER_MC_SCALE=2: a --workers 2 run with the override (whose CSVs
+///      must differ from plain), then a plain --workers 2 rerun on the same
+///      output dir, whose CSVs must equal the in-process plain reference.
+///      The override run's done markers carry another run fingerprint, so
+///      the rerun recomputes instead of resuming them.
 ///
 /// CSVs, not metrics, are compared: scheduling counters ("shard.reassigns",
 /// the heartbeat histogram) legitimately differ between runs.
@@ -156,7 +162,6 @@ int main(int argc, char** argv) {
   unsetenv("FINSER_WORKERS");
   unsetenv("FINSER_FAULT");
   unsetenv("FINSER_SHARD_POISON");
-  unsetenv("FINSER_CLUSTER");
 
   char root_template[] = "/tmp/finser_shard_XXXXXX";
   const char* root_c = mkdtemp(root_template);
@@ -362,6 +367,60 @@ int main(int argc, char** argv) {
       return fail("quarantine leg: report does not record the quarantine");
     }
     std::printf("shard OK: quarantine degraded to partial (exit 5)\n");
+  }
+
+  // 6. An override is part of the run it changes: a plain rerun on the store
+  //    of an override run must not resume the override's stages. The
+  //    campaign stops early under the CI target (6000 strikes, the first
+  //    stopping decision after two chunks) and keeps cluster tiles cheap.
+  {
+    const std::string defaults =
+        ",\n    \"sampling\": {\"ci_min_chunks\": 2},"
+        "\n    \"cluster\": {\"pv_samples\": 4}";
+    constexpr std::size_t kStrikes = 6000;
+    const std::string plain_ref = root + "/out_ov_ref";
+    write_campaign(root + "/ov_ref.json", plain_ref, kStrikes, defaults);
+    if (run_cli(cli, {"campaign", root + "/ov_ref.json"}, nullptr, nullptr) !=
+        0) {
+      return fail("overrides leg: in-process plain reference run failed");
+    }
+    struct Override {
+      const char* tag;
+      std::vector<std::string> flags;
+      const char* mc_scale;  // FINSER_MC_SCALE for the override run, or null
+    };
+    const Override overrides[] = {
+        {"cluster", {"--cluster", "2x2"}, nullptr},
+        {"ci", {"--ci-target", "0.35"}, nullptr},
+        {"scale", {}, "2"},
+    };
+    for (const Override& o : overrides) {
+      const std::string tag = o.tag;
+      const std::string doc = root + "/ov_" + tag + ".json";
+      const std::string out = root + "/out_ov_" + tag;
+      write_campaign(doc, out, kStrikes, defaults);
+      std::vector<std::string> args = {"campaign", doc, "--workers", "2"};
+      args.insert(args.end(), o.flags.begin(), o.flags.end());
+      if (o.mc_scale != nullptr) setenv("FINSER_MC_SCALE", o.mc_scale, 1);
+      const int rc = run_cli(cli, args, nullptr, nullptr);
+      unsetenv("FINSER_MC_SCALE");
+      if (rc != 0) {
+        return fail(tag + " override run exited " + std::to_string(rc));
+      }
+      if (outputs_match_reference(out, plain_ref, &why)) {
+        return fail(tag + " override run: outputs match the plain run (the "
+                          "override never engaged)");
+      }
+      if (run_cli(cli, {"campaign", doc, "--workers", "2"}, nullptr,
+                  nullptr) != 0) {
+        return fail("plain rerun after the " + tag + " override failed");
+      }
+      if (!outputs_match_reference(out, plain_ref, &why)) {
+        return fail("plain rerun after the " + tag + " override: " + why);
+      }
+      std::printf("shard OK: plain rerun after the %s override recomputed\n",
+                  o.tag);
+    }
   }
 
   std::error_code ec;
