@@ -174,17 +174,7 @@ struct McPartial {
 /// per-bin artifacts are all keyed by it.
 struct EnergyPoint {
   phys::Species species = phys::Species::kProton;
-  double e_mev = 0.0;
-  /// Optional energy-bin bounds [MeV] for within-bin energy stratification
-  /// (stats::SamplingConfig::energy_strata). Both 0 = a point energy: every
-  /// unit runs at e_mev exactly, stratification (if configured) is a no-op.
-  double e_lo_mev = 0.0;
-  double e_hi_mev = 0.0;
-
-  /// Whether the bin bounds describe a usable energy range.
-  bool has_range() const {
-    return e_lo_mev > 0.0 && e_hi_mev > e_lo_mev;
-  }
+  double e_mev = 0.0;  ///< Every unit runs at this energy exactly.
 };
 
 /// Common interface + shared chunked driver of ArrayMc / NeutronArrayMc.

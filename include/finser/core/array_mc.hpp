@@ -40,8 +40,6 @@ enum class SourceAngularLaw { kIsotropic, kCosine, kBeam };
 /// Position sampling over the source plane.
 enum class SourcePositionSampling {
   kUniform,     ///< i.i.d. uniform positions.
-  kStratified,  ///< Jittered grid strata: same estimator mean, lower
-                ///< variance for the position-driven part of the POF.
   kImportance,  ///< Track-aware mixture importance sampling: the direction is
                 ///< drawn first, then the strike origin is sampled by picking
                 ///< the track's fin-layer *crossing point* from a |z|-banded
@@ -78,9 +76,8 @@ struct ArrayMcConfig {
   /// stats::Rng::stream(seed, i), so results depend on (seed, strikes,
   /// chunk) — and on nothing about the schedule or thread count.
   std::size_t chunk = 1024;
-  /// Variance-reduction knobs (importance-sampling mixture, direction bias,
-  /// energy strata, QMC). All default to off; the defaults reproduce the
-  /// pre-VR estimator bit-for-bit.
+  /// QMC origin draws (stats::QmcMode). Default off; the default
+  /// reproduces the pseudo-random estimator bit-for-bit.
   stats::SamplingConfig sampling;
   /// Per-energy-point CI-driven early stopping (default off).
   stats::CiStopConfig ci;

@@ -261,8 +261,9 @@ struct StageInfo {
 };
 
 /// FNV-1a fingerprint of a campaign's *result-relevant* content: the fully
-/// resolved campaign_to_json document with the execution knob (threads)
-/// zeroed, since it never changes numbers. See CampaignRunner::fingerprint.
+/// resolved campaign_to_json document with the execution knobs (threads,
+/// artifact_dir) cleared, since they never change numbers. See
+/// CampaignRunner::fingerprint.
 std::uint64_t campaign_fingerprint(const CampaignSpec& spec);
 
 /// Executes a campaign as a stage graph. Characterization runs once per

@@ -4,27 +4,30 @@
 ///
 /// Most strikes miss every sensitive fin, so the uniform source estimator
 /// spends the bulk of its budget on zero-POF samples. This header provides
-/// the three levers the engines use to spend that budget better
-/// (docs/statistics.md derives each estimator):
+/// the levers the track-aware importance sampler of core::ArrayMc is built
+/// from (docs/statistics.md derives each estimator and measures it):
 ///
-///  * FocusPlane — importance sampling of the strike position on the source
-///    plane: a mixture that throws `focus_fraction` of the samples uniformly
-///    into dilated sensitive-fin footprint boxes and the rest uniformly over
-///    the whole plane. The proposal density is exact even when boxes overlap
-///    (point-in-box cover counting), so the likelihood-ratio weight
-///    w = p_uniform / q is exact and bounded by 1/(1 - focus_fraction) —
-///    the estimator stays exactly unbiased, never merely approximately.
-///  * biased_hemisphere_down — a cosine/isotropic direction mixture under
-///    the isotropic angular law, again with the exact likelihood ratio.
+///  * FocusPlane — importance sampling of a position on a plane: a mixture
+///    that throws a fraction alpha of the samples uniformly into focus boxes
+///    and the rest uniformly over the whole plane. The proposal density is
+///    exact even when boxes overlap (point-in-box cover counting), so the
+///    likelihood-ratio weight w = p_uniform / q is exact and bounded by
+///    1/(1 - alpha) — the estimator stays exactly unbiased, never merely
+///    approximately.
+///  * grazing_hemisphere_down — a shifted-reciprocal direction mixture that
+///    oversamples near-horizontal tracks under the isotropic angular law,
+///    again with the exact likelihood ratio.
 ///  * SobolSequence — a scrambled Sobol (0,2)-sequence in base 2, indexed by
 ///    the *global* strike index so the point set is independent of chunking,
 ///    with a per-dimension digital shift derived from the run seed through
-///    the counter-based Rng::derive_seed interface.
+///    the counter-based Rng::derive_seed interface. It drives the strike
+///    origin draws of either position mode (QmcMode::kSobol).
 ///
-/// CiStopConfig + stopping_rounds() define the deterministic chunk-granular
-/// early-stopping schedule shared by all engines: the decision after round k
-/// is a pure function of the merged statistics of chunks [0, b_k), so it is
-/// identical at any thread count, any worker count, and across kill/resume.
+/// CiStopConfig + ckpt::round_boundaries() define the deterministic
+/// chunk-granular early-stopping schedule shared by all engines: the
+/// decision after round k is a pure function of the merged statistics of
+/// chunks [0, b_k), so it is identical at any thread count, any worker
+/// count, and across kill/resume.
 
 #include <cstddef>
 #include <cstdint>
@@ -45,37 +48,12 @@ enum class QmcMode {
   kSobol,  ///< Scrambled Sobol points indexed by global strike index.
 };
 
-/// Knobs of the charged-particle source variance reduction. All default to
-/// "off": a default-constructed config reproduces the uniform estimator
-/// bit-for-bit.
+/// Knobs of the charged-particle source variance reduction beyond the
+/// position mode (core::SourcePositionSampling). A default-constructed
+/// config reproduces the pseudo-random estimator bit-for-bit. The importance
+/// sampler's mixture masses and margin are constants (kGrazingBias here,
+/// the focus constants in core/array_mc.cpp).
 struct SamplingConfig {
-  /// Mixture mass thrown at the focus boxes under importance position
-  /// sampling (SourcePositionSampling::kImportance). Must be in [0, 1);
-  /// the uniform mixture floor keeps every weight finite.
-  double focus_fraction = 0.9;
-  /// Base lateral dilation of each sensitive-fin footprint box [nm]. The
-  /// track-aware sampler adds the per-|z|-band lateral sweep (and the
-  /// within-sector azimuth slack) on top of this automatically, and energy
-  /// deposition happens strictly on the straight track, so the base margin
-  /// is pure safety slack and stays small.
-  double focus_margin_nm = 5.0;
-  /// Cosine-mixture mass for the isotropic angular law, in [0, 1).
-  /// 0 = pure isotropic (no direction bias, weight identically 1).
-  double direction_bias = 0.0;
-  /// Grazing-mixture mass of the track-aware importance sampler
-  /// (SourcePositionSampling::kImportance under the isotropic law), in
-  /// [0, 1). Near-horizontal tracks sweep across many cells and carry most
-  /// of the POF variance, so the joint source proposal oversamples small
-  /// |z| from the shifted-reciprocal density ~1/(|z| + kGrazingZ0) with the
-  /// exact likelihood-ratio weight (grazing_hemisphere_down). Ignored
-  /// outside kImportance; 0 = pure isotropic directions.
-  double grazing_bias = 0.9;
-  /// Within-bin log-uniform energy strata (paper Eq. 8 bins): stratum of a
-  /// strike is a pure function of its global index, each stratum tiles an
-  /// equal log-width slice of [e_lo, e_hi], so the strata partition the bin
-  /// exactly (unit weight). 0 = off: every strike runs at the bin's
-  /// representative energy (the estimand the golden figures pin).
-  std::size_t energy_strata = 0;
   /// QMC point set for the position dimensions.
   QmcMode qmc = QmcMode::kNone;
 };
@@ -174,7 +152,7 @@ class FocusPlane {
 };
 
 // ---------------------------------------------------------------------------
-// Direction-mixture importance sampling
+// Grazing direction mixture
 // ---------------------------------------------------------------------------
 
 struct DirectionSample {
@@ -182,18 +160,18 @@ struct DirectionSample {
   double weight = 1.0;  ///< Exact likelihood ratio p_isotropic / q.
 };
 
-/// Downward direction from the mixture q = beta * cosine + (1 - beta) *
-/// isotropic, weighted back to the isotropic hemisphere law:
-/// w = (1/2pi) / q(dir) = 1 / (2 beta |dir.z| + (1 - beta)). beta = 0
-/// reproduces isotropic_hemisphere_down exactly (same draws, weight 1).
-DirectionSample biased_hemisphere_down(Rng& rng, double beta);
-
 /// Grazing-incidence floor of the shifted-reciprocal direction mixture: the
 /// grazing component's |z| density is proportional to 1 / (|z| + kGrazingZ0),
 /// i.e. ~1/|z| oversampling down to |z| ~ kGrazingZ0 and flat below (tracks
 /// more grazing than that out-range the array, so their POF second moment
 /// stops growing — see grazing_hemisphere_down).
 inline constexpr double kGrazingZ0 = 0.03;
+
+/// Grazing-mixture mass delta the track-aware importance sampler draws
+/// directions with (core::SourcePositionSampling::kImportance under the
+/// isotropic law): near-horizontal tracks sweep across many cells and carry
+/// most of the POF variance. Weights stay bounded by 1 / (1 - delta) = 10.
+inline constexpr double kGrazingBias = 0.9;
 
 /// Downward direction from the grazing mixture
 /// q(|z|) = delta * C / (|z| + kGrazingZ0) + (1 - delta), C = 1 / ln(1 +
@@ -208,16 +186,17 @@ DirectionSample grazing_hemisphere_down(Rng& rng, double delta);
 // Scrambled Sobol sequence
 // ---------------------------------------------------------------------------
 
-/// First four dimensions of the Joe–Kuo Sobol sequence with a per-dimension
-/// random digital shift (XOR scrambling). Points are computed directly from
-/// the index (Gray-code formula), so point \p index is the same value no
-/// matter which chunk or worker asks — the QMC analogue of the counter-based
-/// Rng::stream contract. Dimension pairs keep the (0,2)-sequence dyadic
-/// stratification property; the digital shift randomizes the set per run
-/// seed while preserving it.
+/// First three dimensions of the Joe–Kuo Sobol sequence with a per-dimension
+/// random digital shift (XOR scrambling) — the origin uniforms: mixture
+/// selector (importance sampling only), x and y. Points are computed
+/// directly from the index (Gray-code formula), so point \p index is the
+/// same value no matter which chunk or worker asks — the QMC analogue of
+/// the counter-based Rng::stream contract. Dimension pairs keep the
+/// (0,2)-sequence dyadic stratification property; the digital shift
+/// randomizes the set per run seed while preserving it.
 class SobolSequence {
  public:
-  static constexpr std::size_t kDims = 4;
+  static constexpr std::size_t kDims = 3;
 
   /// \param scramble_seed keys the per-dimension digital shifts (derive one
   /// from the run seed via Rng::derive_seed). The same seed always produces

@@ -36,6 +36,16 @@ constexpr std::size_t kFocusSectors = 32;
 /// weight 0 (they are outside the target density's support).
 constexpr double kFocusFloor = 0.1;
 
+/// Mass of each focus plane's box component (FocusPlane alpha): the rest of
+/// the plane's draws land uniformly on its expanded rectangle.
+constexpr double kFocusFraction = 0.9;
+
+/// Base lateral dilation of each sensitive-fin footprint box [nm]. Each
+/// |z| band adds its lateral sweep (and the within-sector azimuth slack) on
+/// top, and energy deposition happens strictly on the straight track, so
+/// the base margin is pure safety slack and stays small.
+constexpr double kFocusMarginNm = 5.0;
+
 /// Half of the lateral distance a track with vertical component |z| sweeps
 /// while descending through a fin layer of height \p layer_nm.
 double half_sweep_nm(double abs_z, double layer_nm) {
@@ -94,23 +104,7 @@ ArrayMc::ArrayMc(const sram::ArrayLayout& layout,
       surface_ = owned_surface_.get();
     }
   }
-  const stats::SamplingConfig& vr = config_.sampling;
-  FINSER_REQUIRE(vr.direction_bias >= 0.0 && vr.direction_bias < 1.0,
-                 "ArrayMc: direction_bias must be in [0, 1)");
-  FINSER_REQUIRE(vr.direction_bias == 0.0 ||
-                     config_.angular == SourceAngularLaw::kIsotropic,
-                 "ArrayMc: direction_bias applies to the isotropic law only");
-  FINSER_REQUIRE(vr.grazing_bias >= 0.0 && vr.grazing_bias < 1.0,
-                 "ArrayMc: grazing_bias must be in [0, 1)");
-  FINSER_REQUIRE(vr.qmc == stats::QmcMode::kNone ||
-                     config_.position != SourcePositionSampling::kStratified,
-                 "ArrayMc: QMC and stratified positions are alternative "
-                 "low-discrepancy schemes; pick one");
   if (config_.position == SourcePositionSampling::kImportance) {
-    FINSER_REQUIRE(vr.focus_fraction >= 0.0 && vr.focus_fraction < 1.0,
-                   "ArrayMc: focus_fraction must be in [0, 1)");
-    FINSER_REQUIRE(vr.focus_margin_nm >= 0.0,
-                   "ArrayMc: focus_margin_nm must be non-negative");
     // Focus boxes: lateral footprints of the fins that are sensitive in the
     // stored data state. The proposal targets the track's *crossing point*
     // of the fin layer (mid-depth), so each |z| band dilates the footprints
@@ -138,7 +132,7 @@ ArrayMc::ArrayMc(const sram::ArrayLayout& layout,
     // sampling (weights near 1).
     const double sweep_cap =
         0.5 * std::hypot(x_hi - x_lo, y_hi - y_lo);
-    const double m0 = vr.focus_margin_nm;
+    const double m0 = kFocusMarginNm;
     const double band_ratio =
         std::pow(1.0 / kFocusZMin, 1.0 / static_cast<double>(kFocusBands));
     // Worst within-sector azimuth deviation from the sector center.
@@ -211,7 +205,7 @@ ArrayMc::ArrayMc(const sram::ArrayLayout& layout,
           }
         }
         stats::FocusPlane plane(ex_lo, ex_hi, ey_lo, ey_hi, std::move(boxes),
-                                vr.focus_fraction);
+                                kFocusFraction);
         if (estimate_union_area(plane) >= 0.8 * plane_area) {
           // Saturated cover (deep-grazing bands): the strips blanket most
           // of the source plane, so focusing cannot beat uniform and the
@@ -244,8 +238,6 @@ std::uint64_t ArrayMc::point_fingerprint(const EnergyPoint& point,
   h.u64(model().config_fingerprint);
   h.u64(static_cast<std::uint64_t>(point.species));
   h.f64(point.e_mev);
-  h.f64(point.e_lo_mev);
-  h.f64(point.e_hi_mev);
   h.u64(seed);
   h.u64(config_.strikes);
   h.u64(config_.chunk);
@@ -257,11 +249,6 @@ std::uint64_t ArrayMc::point_fingerprint(const EnergyPoint& point,
   h.u64(static_cast<std::uint64_t>(config_.straggling));
   h.f64(config_.source_margin_nm);
   h.f64(config_.source_height_nm);
-  h.f64(config_.sampling.focus_fraction);
-  h.f64(config_.sampling.focus_margin_nm);
-  h.f64(config_.sampling.direction_bias);
-  h.f64(config_.sampling.grazing_bias);
-  h.u64(config_.sampling.energy_strata);
   h.u64(static_cast<std::uint64_t>(config_.sampling.qmc));
   h.f64(config_.ci.target);
   h.u64(config_.ci.min_chunks);
@@ -287,12 +274,6 @@ void ArrayMc::simulate_chunk(const exec::ChunkRange& r,
   const double y_lo = -config_.source_margin_nm;
   const double y_hi = layout().height_nm() + config_.source_margin_nm;
 
-  // Stratification grid (jittered-grid sampling over the source plane). The
-  // stratum is a function of the *global* strike index, so the pattern is
-  // independent of how strikes are chunked across workers.
-  const auto strata = static_cast<std::size_t>(
-      std::ceil(std::sqrt(static_cast<double>(config_.strikes))));
-
   // Scrambled Sobol point set, keyed by the run seed only: point s is the
   // same value in every chunk, so QMC positions inherit the chunking
   // independence of the RNG streams.
@@ -302,48 +283,21 @@ void ArrayMc::simulate_chunk(const exec::ChunkRange& r,
     sobol.emplace(stats::Rng::derive_seed(seed, 0x536f626f6cull));  // "Sobol"
   }
 
-  // Within-bin energy stratification (only meaningful when the driver
-  // supplies bin bounds; single-energy runs fall back to e_rep).
-  const std::size_t e_strata =
-      point.has_range() ? config_.sampling.energy_strata : 0;
-  const double log_e_lo = e_strata > 0 ? std::log(point.e_lo_mev) : 0.0;
-  const double log_slice =
-      e_strata > 0 ? (std::log(point.e_hi_mev) - log_e_lo) /
-                         static_cast<double>(e_strata)
-                   : 0.0;
-
   for (std::size_t s = r.begin; s < r.end; ++s) {
     double w = 1.0;  // Likelihood-ratio weight of this strike.
 
-    // Optional energy stratification: stratum = s mod K tiles the bin's
-    // log-range exactly (equal log-widths, equal probability under the
-    // log-uniform within-bin law), so the weight stays exactly 1 and the
-    // estimand becomes the bin-average POF.
-    double e_mev = point.e_mev;
-    if (e_strata > 0) {
-      const std::size_t k = s % e_strata;
-      const double u = use_sobol ? sobol->point(s, 3) : rng.uniform();
-      e_mev = std::exp(log_e_lo + log_slice * (static_cast<double>(k) + u));
-    }
-
     // Step 1 (paper Sec. 5.1): random particle position and direction.
-    // The angular law is shared by every position mode; the track-aware
-    // importance proposal needs the direction before the origin, every
-    // other mode draws position first (the legacy stream order).
+    // The angular law is shared by both position modes; the track-aware
+    // importance proposal needs the direction before the origin, uniform
+    // sampling draws position first (the legacy stream order).
     const auto sample_direction = [&](geom::Ray& out, double& weight) {
       switch (config_.angular) {
         case SourceAngularLaw::kIsotropic:
-          if (config_.sampling.direction_bias > 0.0) {
-            const stats::DirectionSample ds = stats::biased_hemisphere_down(
-                rng, config_.sampling.direction_bias);
-            out.dir = ds.dir;
-            weight *= ds.weight;
-          } else if (config_.position == SourcePositionSampling::kImportance &&
-                     config_.sampling.grazing_bias > 0.0) {
+          if (config_.position == SourcePositionSampling::kImportance) {
             // Track-aware importance oversamples the grazing tail: those
             // tracks sweep across many cells and dominate the POF variance.
-            const stats::DirectionSample ds = stats::grazing_hemisphere_down(
-                rng, config_.sampling.grazing_bias);
+            const stats::DirectionSample ds =
+                stats::grazing_hemisphere_down(rng, stats::kGrazingBias);
             out.dir = ds.dir;
             weight *= ds.weight;
           } else {
@@ -430,36 +384,18 @@ void ArrayMc::simulate_chunk(const exec::ChunkRange& r,
           ray.origin = {ox, oy, z_source};
         }
       }
+    } else if (use_sobol) {
+      ray.origin = {x_lo + (x_hi - x_lo) * sobol->point(s, 1),
+                    y_lo + (y_hi - y_lo) * sobol->point(s, 2), z_source};
+      sample_direction(ray, w);
     } else {
-      switch (config_.position) {
-        case SourcePositionSampling::kStratified: {
-          const std::size_t ix = s % strata;
-          const std::size_t iy = (s / strata) % strata;
-          const double fx = (static_cast<double>(ix) + rng.uniform()) /
-                            static_cast<double>(strata);
-          const double fy = (static_cast<double>(iy) + rng.uniform()) /
-                            static_cast<double>(strata);
-          ray.origin = {x_lo + (x_hi - x_lo) * fx, y_lo + (y_hi - y_lo) * fy,
-                        z_source};
-          break;
-        }
-        case SourcePositionSampling::kImportance:
-          break;  // Handled above.
-        case SourcePositionSampling::kUniform:
-          if (use_sobol) {
-            ray.origin = {x_lo + (x_hi - x_lo) * sobol->point(s, 1),
-                          y_lo + (y_hi - y_lo) * sobol->point(s, 2), z_source};
-          } else {
-            ray.origin = {rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi),
-                          z_source};
-          }
-          break;
-      }
+      ray.origin = {rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi),
+                    z_source};
       sample_direction(ray, w);
     }
 
     // Step 2-3: transport, accumulate sensitive-transistor charges per cell.
-    ws.transporter.transport(ray, point.species, e_mev, rng, ws.track);
+    ws.transporter.transport(ray, point.species, point.e_mev, rng, ws.track);
 
     begin_strike(ws);
     add_deposits(ws.track, ws);

@@ -233,8 +233,7 @@ EnergySweepResult SerFlow::sweep(const env::Spectrum& spectrum,
     } else {
       engine = std::make_unique<ArrayMc>(layout_, model, charged_cfg);
     }
-    const EnergyPoint point{spectrum.species(), bin.e_rep_mev, bin.e_lo_mev,
-                            bin.e_hi_mev};
+    const EnergyPoint point{spectrum.species(), bin.e_rep_mev};
 
     // Bin-level artifact cache (campaigns): a cached blob decodes to the
     // exact result a fresh run would produce (bit-exact codec), so a hit

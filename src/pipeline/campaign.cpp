@@ -48,10 +48,7 @@ const std::vector<std::string>& cluster_keys() {
 
 const std::vector<std::string>& sampling_keys() {
   static const std::vector<std::string> keys = {
-      "position",      "focus_fraction", "focus_margin_nm",
-      "direction_bias", "grazing_bias",   "energy_strata",
-      "qmc",            "ci_target",      "ci_min_chunks",
-      "ci_growth"};
+      "position", "qmc", "ci_target", "ci_min_chunks", "ci_growth"};
   return keys;
 }
 
@@ -215,8 +212,7 @@ std::string pattern_name(sram::DataPattern pattern) {
 }
 
 const std::vector<std::string>& position_names() {
-  static const std::vector<std::string> names = {"uniform", "stratified",
-                                                 "importance"};
+  static const std::vector<std::string> names = {"uniform", "importance"};
   return names;
 }
 
@@ -228,7 +224,6 @@ const std::vector<std::string>& qmc_names() {
 core::SourcePositionSampling position_from(const std::string& name,
                                            const std::string& where) {
   if (name == "uniform") return core::SourcePositionSampling::kUniform;
-  if (name == "stratified") return core::SourcePositionSampling::kStratified;
   if (name == "importance") return core::SourcePositionSampling::kImportance;
   std::string message = "unknown position sampling `" + name + "` at " + where;
   const std::string suggestion = util::nearest_key(name, position_names());
@@ -240,8 +235,6 @@ std::string position_name(core::SourcePositionSampling position) {
   switch (position) {
     case core::SourcePositionSampling::kUniform:
       return "uniform";
-    case core::SourcePositionSampling::kStratified:
-      return "stratified";
     case core::SourcePositionSampling::kImportance:
       return "importance";
   }
@@ -422,29 +415,6 @@ ScenarioSpec parse_scenario(const util::JsonValue& obj,
                 "position"),
         swhere);
     stats::SamplingConfig& vr = f.array_mc.sampling;
-    vr.focus_fraction = get_num(skey("focus_fraction"), vr.focus_fraction,
-                                swhere, "focus_fraction");
-    if (vr.focus_fraction < 0.0 || vr.focus_fraction >= 1.0) {
-      bad("`focus_fraction` at " + swhere + " must be in [0, 1)");
-    }
-    vr.focus_margin_nm = get_num(skey("focus_margin_nm"), vr.focus_margin_nm,
-                                 swhere, "focus_margin_nm");
-    if (vr.focus_margin_nm < 0.0) {
-      bad("`focus_margin_nm` at " + swhere + " must be non-negative");
-    }
-    vr.direction_bias = get_num(skey("direction_bias"), vr.direction_bias,
-                                swhere, "direction_bias");
-    if (vr.direction_bias < 0.0 || vr.direction_bias >= 1.0) {
-      bad("`direction_bias` at " + swhere + " must be in [0, 1)");
-    }
-    vr.grazing_bias = get_num(skey("grazing_bias"), vr.grazing_bias, swhere,
-                              "grazing_bias");
-    if (vr.grazing_bias < 0.0 || vr.grazing_bias >= 1.0) {
-      bad("`grazing_bias` at " + swhere + " must be in [0, 1)");
-    }
-    vr.energy_strata = static_cast<std::size_t>(
-        get_uint(skey("energy_strata"), vr.energy_strata, swhere,
-                 "energy_strata"));
     vr.qmc = qmc_from(get_str(skey("qmc"), qmc_name(vr.qmc), swhere, "qmc"),
                       swhere);
     const double ci_target =
@@ -621,12 +591,6 @@ util::JsonValue campaign_to_json(const CampaignSpec& spec) {
     o["temp_k"] = f.cell_design.temp_k;
     util::JsonValue sampling = util::JsonValue::object();
     sampling["position"] = position_name(f.array_mc.position);
-    sampling["focus_fraction"] = f.array_mc.sampling.focus_fraction;
-    sampling["focus_margin_nm"] = f.array_mc.sampling.focus_margin_nm;
-    sampling["direction_bias"] = f.array_mc.sampling.direction_bias;
-    sampling["grazing_bias"] = f.array_mc.sampling.grazing_bias;
-    sampling["energy_strata"] =
-        static_cast<std::uint64_t>(f.array_mc.sampling.energy_strata);
     sampling["qmc"] = qmc_name(f.array_mc.sampling.qmc);
     sampling["ci_target"] = f.array_mc.ci.target;
     sampling["ci_min_chunks"] =
@@ -920,9 +884,15 @@ std::string sanitize_slug(const std::string& label) {
 std::uint64_t campaign_fingerprint(const CampaignSpec& spec) {
   // threads is a pure execution knob — every stage is thread-count-
   // invariant — so it is zeroed before hashing: a re-run with a different
-  // worker or thread budget must resume, not recompute.
+  // worker or thread budget must resume, not recompute. The store's location
+  // changes no number either (and the lease and done records live inside
+  // it), so artifact_dir is cleared too: a sharded run, which defaults the
+  // store to <output_dir>/artifacts, fingerprints like the in-process run of
+  // the same document. output_dir stays hashed, so a shared store's done
+  // markers never let a run with another output directory skip its CSVs.
   CampaignSpec norm = spec;
   norm.threads = 0;
+  norm.artifact_dir.clear();
   util::Fnv1a h;
   h.str("finser.campaign.fingerprint.v1");
   h.str(campaign_to_json(norm).dump(0));

@@ -84,20 +84,6 @@ double FocusPlane::weight(double x, double y) const {
 
 // --- Direction mixture ------------------------------------------------------
 
-DirectionSample biased_hemisphere_down(Rng& rng, double beta) {
-  FINSER_REQUIRE(beta >= 0.0 && beta < 1.0,
-                 "biased_hemisphere_down: bias must be in [0, 1)");
-  DirectionSample s;
-  if (beta > 0.0 && rng.uniform() < beta) {
-    s.dir = cosine_hemisphere_down(rng);
-  } else {
-    s.dir = isotropic_hemisphere_down(rng);
-  }
-  // p_iso = 1/(2pi); q = beta*|z|/pi + (1-beta)/(2pi).
-  s.weight = 1.0 / (2.0 * beta * std::abs(s.dir.z) + (1.0 - beta));
-  return s;
-}
-
 DirectionSample grazing_hemisphere_down(Rng& rng, double delta) {
   FINSER_REQUIRE(delta >= 0.0 && delta < 1.0,
                  "grazing_hemisphere_down: bias must be in [0, 1)");
@@ -136,18 +122,17 @@ DirectionSample grazing_hemisphere_down(Rng& rng, double delta) {
 namespace {
 
 /// Primitive polynomials + Joe–Kuo initial direction numbers for Sobol
-/// dimensions 2..4 (dimension 1 is the van der Corput radical inverse).
+/// dimensions 2..3 (dimension 1 is the van der Corput radical inverse).
 /// a encodes the inner polynomial coefficient bits, m the initial m_k.
 struct SobolPoly {
   unsigned s;       ///< Degree.
   unsigned a;       ///< Coefficient bits a_1..a_{s-1}.
-  unsigned m[3];    ///< Initial direction integers m_1..m_s (odd).
+  unsigned m[2];    ///< Initial direction integers m_1..m_s (odd).
 };
 
-constexpr SobolPoly kPolys[3] = {
-    {1, 0, {1, 0, 0}},
-    {2, 1, {1, 3, 0}},
-    {3, 1, {1, 3, 1}},
+constexpr SobolPoly kPolys[SobolSequence::kDims - 1] = {
+    {1, 0, {1, 0}},
+    {2, 1, {1, 3}},
 };
 
 }  // namespace

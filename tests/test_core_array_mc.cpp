@@ -194,62 +194,6 @@ TEST(ArrayMc, MultiplicityConsistentWithSeuMbu) {
   EXPECT_GT(tail, 0.0);  // Grazing tracks produce real multi-cell events.
 }
 
-TEST(ArrayMc, StratifiedSamplingAgreesAndReducesVariance) {
-  const ArrayLayout layout(3, 3, CellGeometry{});
-  const CellSoftErrorModel model = synthetic_model(0.8, 0.02);
-  ArrayMcConfig uni = fast_config(6000);
-  ArrayMcConfig strat = fast_config(6000);
-  strat.position = SourcePositionSampling::kStratified;
-  ArrayMc mc_u(layout, model, uni);
-  ArrayMc mc_s(layout, model, strat);
-
-  // Same estimator mean (within combined MC error)...
-  const auto eu = mc_u.run(phys::Species::kAlpha, 1.0, 11).est[0][1];
-  const auto es = mc_s.run(phys::Species::kAlpha, 1.0, 12).est[0][1];
-  EXPECT_NEAR(es.tot, eu.tot, 5.0 * (eu.tot_se + es.tot_se));
-
-  // ...and lower run-to-run spread of the estimate. Measured under a fixed
-  // beam so the position sampling (the thing stratification improves)
-  // dominates the estimator variance; under an isotropic source the
-  // direction/transport randomness swamps the position term and the
-  // reduction is within noise.
-  ArrayMcConfig beam_u = uni;
-  beam_u.angular = SourceAngularLaw::kBeam;
-  beam_u.beam_direction = {0.3, 0.2, -1.0};
-  ArrayMcConfig beam_s = beam_u;
-  beam_s.position = SourcePositionSampling::kStratified;
-  ArrayMc mc_bu(layout, model, beam_u);
-  ArrayMc mc_bs(layout, model, beam_s);
-  auto spread = [&](ArrayMc& mc) {
-    stats::RunningStats s;
-    for (std::uint64_t seed = 100; seed < 116; ++seed) {
-      s.add(mc.run(phys::Species::kAlpha, 1.0, seed).est[0][1].tot);
-    }
-    return s.stddev();
-  };
-  EXPECT_LT(spread(mc_bs), spread(mc_bu));
-}
-
-TEST(ArrayMc, StratifiedAgreesWithUniformAtFixedEnergy) {
-  // Seeded regression for the chunked strike loop: jittered-grid strata are
-  // keyed by the *global* strike index, so stratified sampling must stay an
-  // unbiased estimator (agreeing with uniform within standard error) even
-  // when the chunk size does not divide the strike count.
-  const ArrayLayout layout(3, 3, CellGeometry{});
-  const CellSoftErrorModel model = synthetic_model(0.8, 0.02);
-  ArrayMcConfig uni = fast_config(7000);
-  ArrayMcConfig strat = fast_config(7000);
-  strat.position = SourcePositionSampling::kStratified;
-  uni.chunk = strat.chunk = 512;  // 7000 / 512 leaves a partial tail chunk.
-  ArrayMc mc_u(layout, model, uni);
-  ArrayMc mc_s(layout, model, strat);
-  const auto eu = mc_u.run(phys::Species::kAlpha, 1.5, 2024).est[0][1];
-  const auto es = mc_s.run(phys::Species::kAlpha, 1.5, 2024).est[0][1];
-  EXPECT_GT(eu.tot, 0.0);
-  EXPECT_GT(es.tot, 0.0);
-  EXPECT_NEAR(es.tot, eu.tot, 4.0 * (eu.tot_se + es.tot_se));
-}
-
 TEST(ArrayMc, RejectsBadInputs) {
   const ArrayLayout layout(2, 2, CellGeometry{});
   const CellSoftErrorModel model = synthetic_model(0.8, 0.05);

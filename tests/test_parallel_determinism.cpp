@@ -64,6 +64,7 @@ void expect_identical(const PofEstimate& a, const PofEstimate& b) {
   EXPECT_EQ(a.mbu_se, b.mbu_se);
   EXPECT_EQ(a.hit_fraction, b.hit_fraction);
   EXPECT_EQ(a.strikes, b.strikes);
+  EXPECT_EQ(a.ess, b.ess);
   for (std::size_t n = 0; n < kMaxMultiplicity; ++n) {
     EXPECT_EQ(a.multiplicity[n], b.multiplicity[n]) << "multiplicity " << n;
   }
@@ -92,13 +93,18 @@ TEST(ParallelDeterminism, ArrayMcOneVsFourThreads) {
   ArrayMc mc4(layout, model, parallel);
   expect_identical(mc1.run(phys::Species::kAlpha, 1.5, 99),
                    mc4.run(phys::Species::kAlpha, 1.5, 99));
-  // Stratified sampling keys strata off the global strike index, so it must
-  // hold to the same contract.
-  serial.position = parallel.position = SourcePositionSampling::kStratified;
-  ArrayMc ms1(layout, model, serial);
-  ArrayMc ms4(layout, model, parallel);
-  expect_identical(ms1.run(phys::Species::kProton, 0.5, 100),
-                   ms4.run(phys::Species::kProton, 0.5, 100));
+  // Importance sampling holds to the same contract: grazing direction
+  // draws, zero-weight back-projections and weighted scoring all live in
+  // the chunk, and 5000 = 13*384 + 8 leaves a ragged last chunk.
+  serial.position = parallel.position = SourcePositionSampling::kImportance;
+  serial.chunk = parallel.chunk = 384;
+  ArrayMc mi1(layout, model, serial);
+  ArrayMc mi4(layout, model, parallel);
+  const ArrayMcResult weighted = mi1.run(phys::Species::kAlpha, 1.5, 100);
+  expect_identical(weighted, mi4.run(phys::Species::kAlpha, 1.5, 100));
+  // Witness that the weighted path ran: unequal weights put ESS below N.
+  EXPECT_LT(weighted.est[0][1].ess,
+            static_cast<double>(weighted.est[0][1].strikes));
 }
 
 TEST(ParallelDeterminism, NeutronMcOneVsFourThreads) {

@@ -539,6 +539,18 @@ TEST(CampaignFingerprint, InvariantToExecutionKnobs) {
   threaded.threads = 7;
   EXPECT_EQ(campaign_fingerprint(threaded), base);
 
+  // A sharded run defaults the store to <output_dir>/artifacts; that must
+  // not make it another run than the in-process one of the same document.
+  CampaignSpec stored = spec;
+  stored.artifact_dir = "elsewhere/artifacts";
+  EXPECT_EQ(campaign_fingerprint(stored), base);
+
+  // The output directory is part of the run: done markers in a shared store
+  // must not let a run with another output_dir skip writing its CSVs.
+  CampaignSpec moved = spec;
+  moved.output_dir = "elsewhere";
+  EXPECT_NE(campaign_fingerprint(moved), base);
+
   CampaignSpec edited = spec;
   edited.scenarios[0].flow.array_mc.strikes += 1;
   EXPECT_NE(campaign_fingerprint(edited), base);

@@ -9,7 +9,6 @@
 ///    brute-force truth across many seeded replicates);
 ///  * likelihood-ratio weights obey their closed-form bounds and ESS
 ///    bookkeeping is exact for unit weights;
-///  * energy strata tile the bin exactly (partition of unity, weight 1);
 ///  * CI-driven early stopping is a pure function of the merged chunk
 ///    prefix — bit-identical at any thread count.
 ///
@@ -40,7 +39,6 @@ namespace {
 using core::ArrayMc;
 using core::ArrayMcConfig;
 using core::ArrayMcResult;
-using core::EnergyPoint;
 using core::PofEstimate;
 using core::SourceAngularLaw;
 using core::SourcePositionSampling;
@@ -239,59 +237,8 @@ TEST(VrFocusPlane, RejectsBadInputs) {
 }
 
 // ---------------------------------------------------------------------------
-// Direction mixture
+// Grazing direction mixture
 // ---------------------------------------------------------------------------
-
-TEST(VrDirection, BetaZeroReproducesIsotropicExactly) {
-  stats::Rng a(stats::Rng::derive_seed(stats_seed(), 104));
-  stats::Rng b(stats::Rng::derive_seed(stats_seed(), 104));
-  for (int i = 0; i < 256; ++i) {
-    const auto s = stats::biased_hemisphere_down(a, 0.0);
-    const auto iso = stats::isotropic_hemisphere_down(b);
-    EXPECT_DOUBLE_EQ(s.weight, 1.0);
-    EXPECT_DOUBLE_EQ(s.dir.x, iso.x);
-    EXPECT_DOUBLE_EQ(s.dir.y, iso.y);
-    EXPECT_DOUBLE_EQ(s.dir.z, iso.z);
-  }
-}
-
-TEST(VrDirection, WeightIsTheExactLikelihoodRatio) {
-  const double beta = 0.6;
-  stats::Rng rng(stats::Rng::derive_seed(stats_seed(), 105));
-  for (int i = 0; i < 1000; ++i) {
-    const auto s = stats::biased_hemisphere_down(rng, beta);
-    EXPECT_LT(s.dir.z, 0.0);
-    EXPECT_DOUBLE_EQ(
-        s.weight, 1.0 / (2.0 * beta * std::abs(s.dir.z) + (1.0 - beta)));
-    // Closed-form bounds of the mixture ratio.
-    EXPECT_GE(s.weight, 1.0 / (1.0 + beta) - 1e-15);
-    EXPECT_LE(s.weight, 1.0 / (1.0 - beta) + 1e-15);
-  }
-}
-
-TEST(VrDirection, WeightedMomentsMatchIsotropicLaw) {
-  // Under the isotropic hemisphere law E[1] = 1 and E[|z|] = 1/2; the
-  // weighted estimator under the mixture must recover both.
-  const double beta = 0.7;
-  stats::Rng rng(stats::Rng::derive_seed(stats_seed(), 106));
-  stats::RunningStats mass, mz;
-  const std::size_t n = mc_budget(200000);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto s = stats::biased_hemisphere_down(rng, beta);
-    mass.add(s.weight);
-    mz.add(s.weight * std::abs(s.dir.z));
-  }
-  EXPECT_NEAR(mass.mean(), 1.0, 5.0 * mass.stderr_of_mean());
-  EXPECT_NEAR(mz.mean(), 0.5, 5.0 * mz.stderr_of_mean());
-  EXPECT_NEAR(mass.mean(), 1.0, 0.01);
-  EXPECT_NEAR(mz.mean(), 0.5, 0.01);
-}
-
-TEST(VrDirection, RejectsBadBeta) {
-  stats::Rng rng(1);
-  EXPECT_THROW(stats::biased_hemisphere_down(rng, 1.0), util::InvalidArgument);
-  EXPECT_THROW(stats::biased_hemisphere_down(rng, -0.2), util::InvalidArgument);
-}
 
 TEST(VrDirection, GrazingDeltaZeroReproducesIsotropicExactly) {
   stats::Rng a(stats::Rng::derive_seed(stats_seed(), 107));
@@ -427,7 +374,7 @@ TEST(VrSobol, RejectsBadDimension) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level unbiasedness (importance sampling, QMC, energy strata)
+// Engine-level unbiasedness (importance sampling, QMC)
 // ---------------------------------------------------------------------------
 
 TEST(VrArrayMc, ImportanceSamplingIsUnbiased) {
@@ -526,68 +473,6 @@ TEST(VrArrayMc, SobolDrivesImportanceMixture) {
   EXPECT_NEAR(eq.tot, eu.tot, 5.0 * (eu.tot_se + eq.tot_se));
 }
 
-TEST(VrArrayMc, DirectionBiasIsUnbiased) {
-  const ArrayLayout layout(3, 3, CellGeometry{});
-  const CellSoftErrorModel model = synthetic_model(0.8, 0.02);
-  ArrayMcConfig iso = fast_config(mc_budget(8000));
-  ArrayMcConfig bias = fast_config(mc_budget(8000));
-  bias.sampling.direction_bias = 0.5;
-  ArrayMc mc_i(layout, model, iso);
-  ArrayMc mc_b(layout, model, bias);
-  const std::uint64_t seed = stats::Rng::derive_seed(stats_seed(), 113);
-  const PofEstimate ei = mc_i.run(phys::Species::kAlpha, 1.0, seed).est[0][1];
-  const PofEstimate eb =
-      mc_b.run(phys::Species::kAlpha, 1.0, seed + 3).est[0][1];
-  EXPECT_GT(eb.tot, 0.0);
-  EXPECT_NEAR(eb.tot, ei.tot, 5.0 * (ei.tot_se + eb.tot_se));
-  // Mixture weights are bounded in [1/(1+β), 1/(1-β)], so the ESS cannot
-  // collapse: (Σw)²/Σw² ≥ n · (1-β)²/(1+β)²-ish — assert a conservative
-  // floor plus the strict ceiling.
-  EXPECT_GT(eb.ess, 0.25 * static_cast<double>(eb.strikes));
-  EXPECT_LT(eb.ess, static_cast<double>(eb.strikes));
-}
-
-TEST(VrArrayMc, EnergyStrataTileTheBinExactly) {
-  // K log-uniform strata keyed by the global strike index have exactly unit
-  // weight and the same estimand as K = 1 (plain log-uniform over the bin):
-  // the bin-average POF. Chunk size deliberately does not divide the strike
-  // count, so strata wrap across chunk boundaries.
-  const ArrayLayout layout(3, 3, CellGeometry{});
-  const CellSoftErrorModel model = synthetic_model(0.8, 0.02);
-  ArrayMcConfig one = fast_config(mc_budget(7000));
-  one.chunk = 512;
-  one.sampling.energy_strata = 1;
-  ArrayMcConfig four = one;
-  four.sampling.energy_strata = 4;
-  ArrayMc mc_1(layout, model, one);
-  ArrayMc mc_4(layout, model, four);
-  const EnergyPoint bin{phys::Species::kAlpha, 1.0, 0.5, 2.0};
-  const std::uint64_t seed = stats::Rng::derive_seed(stats_seed(), 114);
-  const PofEstimate e1 = mc_1.run_point(bin, seed).est[0][1];
-  const PofEstimate e4 = mc_4.run_point(bin, seed + 5).est[0][1];
-  EXPECT_GT(e1.tot, 0.0);
-  EXPECT_GT(e4.tot, 0.0);
-  EXPECT_NEAR(e4.tot, e1.tot, 5.0 * (e1.tot_se + e4.tot_se));
-  // Partition of unity: stratification never introduces weights.
-  EXPECT_DOUBLE_EQ(e1.ess, static_cast<double>(e1.strikes));
-  EXPECT_DOUBLE_EQ(e4.ess, static_cast<double>(e4.strikes));
-}
-
-TEST(VrArrayMc, StrataAreNoOpWithoutBinBounds) {
-  // A point energy (no bin range) ignores energy_strata entirely — the run
-  // is byte-identical to the unstratified configuration.
-  const ArrayLayout layout(2, 2, CellGeometry{});
-  const CellSoftErrorModel model = synthetic_model(0.8, 0.05);
-  ArrayMcConfig plain = fast_config(2000);
-  ArrayMcConfig strat = plain;
-  strat.sampling.energy_strata = 6;
-  ArrayMc mc_p(layout, model, plain);
-  ArrayMc mc_s(layout, model, strat);
-  const auto a = mc_p.run(phys::Species::kAlpha, 1.0, 77);
-  const auto b = mc_s.run(phys::Species::kAlpha, 1.0, 77);
-  EXPECT_TRUE(core::encode_result(a) == core::encode_result(b));
-}
-
 TEST(VrArrayMc, DefaultSamplingIsByteIdenticalToLegacyUniform) {
   // The whole VR layer defaults to off: a default SamplingConfig +
   // disabled CI stopping must reproduce the pre-VR uniform estimator
@@ -607,50 +492,6 @@ TEST(VrArrayMc, DefaultSamplingIsByteIdenticalToLegacyUniform) {
   EXPECT_TRUE(core::encode_result(ra) == core::encode_result(rb));
   EXPECT_EQ(ra.units_used, ra.units_total);
   EXPECT_FALSE(ra.stopped_early);
-}
-
-TEST(VrArrayMc, RejectsBadVrInputs) {
-  const ArrayLayout layout(2, 2, CellGeometry{});
-  const CellSoftErrorModel model = synthetic_model(0.8, 0.05);
-  {
-    ArrayMcConfig cfg = fast_config();
-    cfg.sampling.direction_bias = 1.0;
-    EXPECT_THROW(ArrayMc(layout, model, cfg), util::InvalidArgument);
-  }
-  {
-    ArrayMcConfig cfg = fast_config();
-    cfg.angular = SourceAngularLaw::kCosine;
-    cfg.sampling.direction_bias = 0.3;
-    EXPECT_THROW(ArrayMc(layout, model, cfg), util::InvalidArgument);
-  }
-  {
-    ArrayMcConfig cfg = fast_config();
-    cfg.position = SourcePositionSampling::kStratified;
-    cfg.sampling.qmc = stats::QmcMode::kSobol;
-    EXPECT_THROW(ArrayMc(layout, model, cfg), util::InvalidArgument);
-  }
-  {
-    ArrayMcConfig cfg = fast_config();
-    cfg.position = SourcePositionSampling::kImportance;
-    cfg.sampling.focus_fraction = 1.0;
-    EXPECT_THROW(ArrayMc(layout, model, cfg), util::InvalidArgument);
-  }
-  {
-    ArrayMcConfig cfg = fast_config();
-    cfg.position = SourcePositionSampling::kImportance;
-    cfg.sampling.focus_margin_nm = -1.0;
-    EXPECT_THROW(ArrayMc(layout, model, cfg), util::InvalidArgument);
-  }
-  {
-    ArrayMcConfig cfg = fast_config();
-    cfg.sampling.grazing_bias = 1.0;
-    EXPECT_THROW(ArrayMc(layout, model, cfg), util::InvalidArgument);
-  }
-  {
-    ArrayMcConfig cfg = fast_config();
-    cfg.sampling.grazing_bias = -0.5;
-    EXPECT_THROW(ArrayMc(layout, model, cfg), util::InvalidArgument);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 # cast, supply-voltage lists must hold distinct positive voltages, σVt, the
 # node capacitance and the CI target (INI key, campaign key and --ci-target)
 # must be finite and in range, campaign files must be well-formed JSON, and
-# unknown options and campaign keys are rejected. Every rejection exits 2
+# unknown options and campaign keys (the retired sampler knobs among them)
+# are rejected. Every rejection exits 2
 # with a message naming the offending argument, key or file; `cell 0.8`
 # still exits 0. An invalid FINSER_WORKERS is diagnosed on stderr and
 # ignored.
@@ -129,6 +130,19 @@ foreach(doc "${truncated}" "${huge}")
   expect_exit(2 "${doc}" campaign "${doc}")
   expect_exit(2 "${doc}" serve "${doc}")
   expect_exit(2 "${doc}" worker "${doc}" --lease-dir "${WORK_DIR}/leases")
+endforeach()
+
+# The sampling block holds `position` (uniform | importance), `qmc` and the
+# three `ci_*` keys; the deleted sampler knobs and the stratified position
+# exit 2 naming the block (docs/statistics.md has the evidence that
+# retired them).
+foreach(entry "\"energy_strata\": 4" "\"direction_bias\": 0.5"
+              "\"grazing_bias\": 0.9" "\"focus_fraction\": 0.9"
+              "\"focus_margin_nm\": 5.0" "\"position\": \"stratified\"")
+  set(json "${WORK_DIR}/sampling.json")
+  file(WRITE "${json}"
+       "{\"scenarios\": [{\"name\": \"a\", \"sampling\": {${entry}}}]}\n")
+  expect_exit(2 "scenarios[0].sampling" campaign "${json}" --print-config)
 endforeach()
 
 # The SPICE lane width is fixed by the build: neither a --lanes option nor a

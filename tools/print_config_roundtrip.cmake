@@ -5,7 +5,8 @@
 # formatting, defaulting) fails the diff. The dump is also exactly what
 # `run` executes: see the MC-scale and byte-identity checks below. The last
 # checks cover the command-line overrides, which the dump must carry, and
-# the run report's `command` and `config_fingerprint`.
+# the run report's `command` and `config_fingerprint` (also for a document
+# without `artifact_dir`, run in-process and sharded).
 #
 # Inputs: -DFINSER_CLI=<path to binary> -DWORK_DIR=<scratch dir>
 
@@ -200,4 +201,38 @@ endforeach()
 if(fp_cluster STREQUAL fp_scaled)
   message(FATAL_ERROR "the cluster and scaled runs report one "
                       "config_fingerprint ${fp_cluster}")
+endif()
+
+# A document without `artifact_dir` is one run in-process and sharded: the
+# supervisor defaults the store to <output_dir>/artifacts, and the store's
+# location is not part of the fingerprint. Both runs write to one output
+# directory, which is part of it.
+set(noart_out "${WORK_DIR}/noart_out")
+file(REMOVE_RECURSE "${noart_out}")
+string(REPLACE "${campaign_out}" "${noart_out}" noart_doc "${dump}")
+string(REGEX REPLACE "\n *\"artifact_dir\": \"[^\"]*\"," "" noart_doc
+       "${noart_doc}")
+string(FIND "${noart_doc}" "\"artifact_dir\"" at)
+if(NOT at EQUAL -1)
+  message(FATAL_ERROR "could not drop artifact_dir from:\n${noart_doc}")
+endif()
+file(WRITE "${WORK_DIR}/noart.json" "${noart_doc}")
+foreach(run "inproc;--threads;2" "sharded;--workers;2")
+  list(POP_FRONT run name)
+  execute_process(
+    COMMAND "${FINSER_CLI}" campaign "${WORK_DIR}/noart.json" ${run}
+            --metrics-out "${WORK_DIR}/report_noart_${name}.json"
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "store-less ${name} run failed with exit code ${rc}\n"
+                        "${err}")
+  endif()
+  fingerprint_of(fp_noart_${name} "${WORK_DIR}/report_noart_${name}.json")
+endforeach()
+if(NOT fp_noart_inproc STREQUAL fp_noart_sharded)
+  message(FATAL_ERROR "a document without artifact_dir reports "
+                      "${fp_noart_inproc} in-process but ${fp_noart_sharded} "
+                      "with --workers 2")
 endif()

@@ -204,10 +204,11 @@ int main(int argc, char** argv) {
 
   // 2b. Adaptive stopping under the lease protocol: --ci-target makes every
   //     energy bin stop at a deterministic chunk-granular round boundary, and
-  //     shard workers inherit the knob through the environment — so a
-  //     --workers 2 run must stay byte-identical to the in-process run with
-  //     the same flag. The campaign also turns on importance sampling, so the
-  //     weighted estimator state crosses the lease protocol too.
+  //     it is an edit to the campaign document, so shard workers read it from
+  //     the supervisor's resolved copy (<artifact_dir>/leases/campaign.json)
+  //     — a --workers 2 run must stay byte-identical to the in-process run
+  //     with the same flag. The campaign also turns on importance sampling,
+  //     so the weighted estimator state crosses the lease protocol too.
   {
     const std::string sampling =
         ",\n    \"sampling\": {\"position\": \"importance\", "
