@@ -42,22 +42,15 @@ inline core::BinCache* model_cache() {
   return &cache;
 }
 
-/// The paper's experimental setup (Sec. 6): 9×9 array, Vdd 0.7-1.1 V,
-/// 14 nm SOI FinFET cell, checkerboard data. Monte-Carlo sizes are the
-/// bench defaults (scaled by FINSER_MC_SCALE); the paper used 10M strikes
-/// and 1000 PV samples — set FINSER_MC_SCALE accordingly to match.
+/// The paper's experimental setup (Sec. 6), read from campaigns/paper.json:
+/// 9×9 array, Vdd 0.7-1.1 V, 14 nm SOI FinFET cell, checkerboard data, at
+/// the default Monte-Carlo budget (the paper used 10M strikes and 1000 PV
+/// samples). The benches add the shared model cache and scale strikes and
+/// PV samples by FINSER_MC_SCALE.
 inline core::SerFlowConfig paper_flow_config() {
-  core::SerFlowConfig cfg;
-  cfg.array_rows = 9;
-  cfg.array_cols = 9;
-  cfg.characterization.vdds = {0.7, 0.8, 0.9, 1.0, 1.1};
-  cfg.characterization.pv_samples_single = 200;
-  cfg.characterization.pv_samples_grid = 48;
-  cfg.array_mc.strikes = 60000;
-  cfg.proton_bins = 12;
-  cfg.alpha_bins = 10;
+  core::SerFlowConfig cfg =
+      pipeline::parse_campaign_file(FINSER_PAPER_CAMPAIGN).scenarios.at(0).flow;
   cfg.model_cache = model_cache();
-  cfg.seed = 20140601;  // DAC'14 conference date.
   core::apply_mc_scale(cfg, core::mc_scale_from_env());
   return cfg;
 }

@@ -13,8 +13,7 @@ namespace {
 using namespace finser;
 
 void report() {
-  core::SerFlowConfig cfg = bench::paper_flow_config();
-  cfg.neutron_mc.histories = cfg.array_mc.strikes;
+  const core::SerFlowConfig cfg = bench::paper_flow_config();
   core::SerFlow flow(cfg);
   flow.cell_model(bench::progress_printer());
 

@@ -26,7 +26,7 @@ namespace finser::obs {
 /// Caller-provided context embedded in the report's "run" section.
 struct RunInfo {
   std::string tool;         ///< e.g. "finser_cli".
-  std::string command;      ///< e.g. "run paper.ini".
+  std::string command;      ///< e.g. "campaign campaigns/paper.json".
   std::uint64_t seed = 0;
   std::size_t threads = 0;  ///< Resolved worker-thread count (0 = unknown).
   std::size_t lanes = 0;    ///< Resolved SPICE lane width (0 = unknown).

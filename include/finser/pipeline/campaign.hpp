@@ -21,11 +21,10 @@
 /// for what is genuinely new. Caching never changes numbers: every blob
 /// round-trips bit-exactly, and a hit is indistinguishable from recomputing.
 ///
-/// `finser_cli run` is a single-scenario campaign: the CLI lowers its INI
-/// through single_scenario_campaign() and runs it here, exactly as
-/// `campaign` runs a JSON document. A single-scenario campaign is
-/// byte-identical to driving core::SerFlow directly: same characterization
-/// seeds, same per-bin seed cursor discipline, same CSV formats.
+/// `finser_cli campaign` runs a JSON document here; the paper's setup is
+/// campaigns/paper.json. A single-scenario campaign is byte-identical to
+/// driving core::SerFlow directly: same characterization seeds, same
+/// per-bin seed cursor discipline, same CSV formats.
 ///
 /// The document names the run: `finser_cli` writes `--cluster` and
 /// `--ci-target` into it, and the library reads no override from the
@@ -125,10 +124,9 @@ CampaignSpec parse_campaign_file(const std::string& path);
 /// \p spec exactly (for the schema-covered fields).
 util::JsonValue campaign_to_json(const CampaignSpec& spec);
 
-/// Wrap one flow configuration as a single-scenario campaign — the lowering
-/// through which `finser_cli run` becomes a campaign. Checks the species
-/// names and the supply voltages as parse_campaign() does (throws
-/// util::InvalidArgument).
+/// Wrap one flow configuration built in code as a single-scenario
+/// campaign. Checks the species names, the supply voltages and the cell
+/// numbers as parse_campaign() does (throws util::InvalidArgument).
 CampaignSpec single_scenario_campaign(const core::SerFlowConfig& flow,
                                       std::vector<std::string> species,
                                       std::string output_dir,
@@ -144,11 +142,12 @@ env::Spectrum spectrum_for_species(const std::string& name);
 /// through this to find the surfaces the runner's sweeps persist.
 void resolve_flow_for_execution(core::SerFlowConfig& flow);
 
-// --- CSV emitters (the campaign runner's, so `run` and `campaign` write the
-// same formats). All of them read from a surface::ResponseSurface — the
-// sweep overload of append_fit_rows wraps the sweep into a transient surface
-// first, so every consumer-facing number flows through the same query layer
-// that `finser_cli serve` answers from. --------------------------------------
+// --- CSV emitters (the campaign runner's; `finser_cli campaign` prints its
+// FIT tables with them too). All of them read from a
+// surface::ResponseSurface — the sweep overload of append_fit_rows wraps the
+// sweep into a transient surface first, so every consumer-facing number
+// flows through the same query layer that `finser_cli serve` answers
+// from. -------------------------------------------------------------------
 
 /// POF(E, Vdd) table: columns energy_mev, vdd_v, pof_tot, pof_seu, pof_mbu,
 /// pof_tot_se (with-PV estimates).

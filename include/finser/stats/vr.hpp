@@ -121,11 +121,10 @@ class FocusPlane {
   struct Sample {
     double x = 0.0;
     double y = 0.0;
-    double weight = 1.0;  ///< Exact likelihood ratio p_uniform / q.
     bool focused = false;  ///< Drawn from the focus component.
   };
 
-  /// Map three uniforms in [0, 1) to a weighted position. \p u_select picks
+  /// Map three uniforms in [0, 1) to a position. \p u_select picks
   /// the mixture branch and (rescaled) the focus box, \p u_x / \p u_y place
   /// the point — so a QMC point set can drive the sampler directly.
   Sample sample(double u_select, double u_x, double u_y) const;

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Fault-injection matrix for the CLI flow (docs/robustness.md).
 #
-# Runs `finser_cli run` end to end under every FINSER_FAULT site and requires
-# the *documented* degradation for each — warn-and-continue for I/O failures,
-# reject-and-regenerate for a corrupted artifact, resume-to-identical-bytes
-# after a SIGKILL, a clean exit code 3 (never a crash) when the solver is
-# driven past its retry ladder. `run` is a one-scenario campaign with its
-# artifact store at <output.dir>/artifacts; the KillResumeHarness ctest
-# covers the SIGKILL site in more depth.
+# Runs `finser_cli campaign` end to end under every FINSER_FAULT site and
+# requires the *documented* degradation for each — warn-and-continue for I/O
+# failures, reject-and-regenerate for a corrupted artifact,
+# resume-to-identical-bytes after a SIGKILL, a clean exit code 3 (never a
+# crash) when the solver is driven past its retry ladder. The tiny campaign
+# keeps its artifact store at <output_dir>/artifacts; the KillResumeHarness
+# ctest covers the SIGKILL site in more depth. Also the `FaultMatrix` ctest.
 #
 # Usage: scripts/fault_matrix.sh [build-dir]   (default: build)
 
@@ -24,16 +24,15 @@ WORK=$(mktemp -d "${TMPDIR:-/tmp}/finser_fault_matrix.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
 
 # A deliberately tiny campaign: the matrix tests failure *paths*, not physics.
-CONFIG="$WORK/tiny.ini"
+CONFIG="$WORK/tiny.json"
 cat > "$CONFIG" <<EOF
-array.rows = 2
-array.cols = 2
-cell.vdds = 0.8
-mc.pv_samples = 10
-mc.strikes = 1000
-mc.seed = 99
-species = alpha
-output.dir = $WORK/out
+{
+  "seed": 99,
+  "artifact_dir": "$WORK/out/artifacts",
+  "output_dir": "$WORK/out",
+  "scenarios": [{"name": "tiny", "rows": 2, "cols": 2, "vdds": [0.8],
+                 "pv_samples": 10, "strikes": 1000, "species": ["alpha"]}]
+}
 EOF
 
 unset FINSER_FAULT FINSER_MC_SCALE FINSER_THREADS
@@ -56,14 +55,14 @@ run_cli() {
 }
 
 # --- baseline: the tiny campaign must pass cleanly --------------------------
-run_cli "" run "$CONFIG" --threads 2
+run_cli "" campaign "$CONFIG" --threads 2
 [[ $? -eq 0 ]] || fail "baseline run exited non-zero"
-[[ -s "$WORK/out/run/fit_summary.csv" ]] || fail "baseline produced no fit_summary.csv"
-cp -r "$WORK/out/run" "$WORK/baseline"
+[[ -s "$WORK/out/tiny/fit_summary.csv" ]] || fail "baseline produced no fit_summary.csv"
+cp -r "$WORK/out/tiny" "$WORK/baseline"
 
 # --- io_write_fail: a failed artifact write degrades to a warning ----------
 rm -rf "$WORK/out"
-run_cli "io_write_fail:1" run "$CONFIG" --threads 2
+run_cli "io_write_fail:1" campaign "$CONFIG" --threads 2
 [[ $? -eq 0 ]] || fail "io_write_fail run did not warn-and-continue (exit != 0)"
 grep -qi "warning" "$WORK/stdout.log" "$WORK/stderr.log" ||
   fail "io_write_fail run emitted no warning"
@@ -72,13 +71,13 @@ grep -qi "warning" "$WORK/stdout.log" "$WORK/stderr.log" ||
 # The first artifact put lands with one byte flipped; the next run must
 # reject it by CRC ("not used") and recompute it, the one after must not.
 rm -rf "$WORK/out"
-run_cli "cache_flip:40" run "$CONFIG" --threads 2
+run_cli "cache_flip:40" campaign "$CONFIG" --threads 2
 [[ $? -eq 0 ]] || fail "cache_flip seeding run exited non-zero"
-run_cli "" run "$CONFIG" --threads 2
+run_cli "" campaign "$CONFIG" --threads 2
 [[ $? -eq 0 ]] || fail "run with corrupted artifact exited non-zero"
 grep -q "not used" "$WORK/stderr.log" ||
   fail "corrupted artifact was not rejected + regenerated"
-run_cli "" run "$CONFIG" --threads 2
+run_cli "" campaign "$CONFIG" --threads 2
 [[ $? -eq 0 ]] || fail "run with regenerated artifact exited non-zero"
 grep -q "not used" "$WORK/stderr.log" &&
   fail "regenerated artifact was rejected again"
@@ -90,15 +89,15 @@ grep -q "not used" "$WORK/stderr.log" &&
 # command must serve the finished bins from the store and write the
 # baseline's bytes.
 rm -rf "$WORK/out"
-run_cli "kill_after_flush:5" run "$CONFIG" --threads 2
+run_cli "kill_after_flush:5" campaign "$CONFIG" --threads 2
 status=$?
 [[ $status -eq 137 ]] || fail "kill_after_flush run exited $status, expected SIGKILL (137)"
-run_cli "" run "$CONFIG" --threads 2 --metrics-out "$WORK/resume.json"
+run_cli "" campaign "$CONFIG" --threads 2 --metrics-out "$WORK/resume.json"
 [[ $? -eq 0 ]] || fail "rerun after SIGKILL exited non-zero"
 grep -Eq '"core.bin_cache_hits": [1-9]' "$WORK/resume.json" ||
   fail "rerun after SIGKILL served no energy bin from the store"
 for csv in fit_summary.csv pof_alpha.csv; do
-  cmp -s "$WORK/baseline/$csv" "$WORK/out/run/$csv" ||
+  cmp -s "$WORK/baseline/$csv" "$WORK/out/tiny/$csv" ||
     fail "rerun after SIGKILL: $csv differs from the baseline run"
 done
 
@@ -106,7 +105,7 @@ done
 # Making *every* strike transient diverge must trip the failure-fraction gate
 # and exit with the documented code 3.
 rm -rf "$WORK/out"
-run_cli "newton_diverge:1:1000000000" run "$CONFIG" --threads 2
+run_cli "newton_diverge:1:1000000000" campaign "$CONFIG" --threads 2
 status=$?
 [[ $status -eq 3 ]] ||
   fail "saturated newton_diverge exited $status, expected 3"

@@ -56,9 +56,9 @@ const std::vector<std::string>& sampling_keys() {
   throw util::InvalidArgument("campaign: " + message);
 }
 
-/// Reject keys outside \p allowed, suggesting the nearest known key — same
-/// contract as util::KeyValueConfig::suggestion_for, so a typo in a campaign
-/// file reads exactly like a typo in an INI file.
+/// Reject keys outside \p allowed, suggesting the nearest known key
+/// (util::nearest_key), so a typo'd knob fails with "did you mean ...?"
+/// instead of being ignored.
 void check_keys(const util::JsonValue& obj, const std::string& where,
                 const std::vector<std::string>& allowed) {
   for (const auto& [key, value] : obj.items()) {
@@ -99,16 +99,15 @@ double get_num(const util::JsonValue* v, double fallback,
 std::uint64_t get_uint(const util::JsonValue* v, std::uint64_t fallback,
                        const std::string& where, const char* key) {
   if (v == nullptr) return fallback;
-  if (!v->is_number()) {
-    bad("value for `" + std::string(key) + "` at " + where +
-        " must be a non-negative integer");
+  if (v->is_number()) {
+    try {
+      return v->as_uint();
+    } catch (const util::Error&) {
+      // Negative, fractional or at least 2^64: rejected below.
+    }
   }
-  try {
-    return v->as_uint();
-  } catch (const util::Error&) {
-    bad("value for `" + std::string(key) + "` at " + where +
-        " must be a non-negative integer");
-  }
+  bad("value for `" + std::string(key) + "` at " + where +
+      " must be an integer in [0, 2^64)");
 }
 
 std::size_t get_size(const util::JsonValue* v, std::size_t fallback,
@@ -276,7 +275,8 @@ sram::ClusterMode cluster_mode_from_name(const std::string& name,
 }
 
 /// A number as the campaign document would print it; non-finite values
-/// (which only the INI path can carry) as nan / inf / -inf.
+/// (which JSON cannot spell, so only a flow built in code and passed to
+/// single_scenario_campaign() can carry them) as nan / inf / -inf.
 std::string number_text(double v) {
   if (std::isnan(v)) return "nan";
   if (std::isinf(v)) return v > 0.0 ? "inf" : "-inf";
@@ -371,7 +371,7 @@ ScenarioSpec parse_scenario(const util::JsonValue& obj,
                where, "pv_samples");
   f.array_mc.strikes =
       get_size(key("strikes"), reference.array_mc.strikes, where, "strikes");
-  // Neutron histories follow strikes unless set — the CLI's convention.
+  // Neutron histories follow strikes unless set.
   f.neutron_mc.histories =
       get_size(key("histories"), f.array_mc.strikes, where, "histories");
   f.seed = get_uint(key("seed"), campaign_seed, where, "seed");

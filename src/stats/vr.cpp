@@ -57,7 +57,6 @@ FocusPlane::Sample FocusPlane::sample(double u_select, double u_x,
     s.x = x_lo_ + (x_hi_ - x_lo_) * u_x;
     s.y = y_lo_ + (y_hi_ - y_lo_) * u_y;
   }
-  s.weight = weight(s.x, s.y);
   return s;
 }
 

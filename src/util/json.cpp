@@ -152,6 +152,10 @@ std::int64_t JsonValue::as_int() const {
       if (uint_ > static_cast<std::uint64_t>(INT64_MAX)) fail("uint out of int64 range");
       return static_cast<std::int64_t>(uint_);
     case Kind::kDouble: {
+      // Range first: casting a double outside int64 is undefined behaviour.
+      if (!(double_ >= -0x1p63 && double_ < 0x1p63)) {
+        fail("double out of int64 range");
+      }
       const auto i = static_cast<std::int64_t>(double_);
       if (static_cast<double>(i) != double_) fail("double is not an exact integer");
       return i;
@@ -168,6 +172,7 @@ std::uint64_t JsonValue::as_uint() const {
       return static_cast<std::uint64_t>(int_);
     case Kind::kDouble: {
       if (double_ < 0.0) fail("negative value is not a uint");
+      if (!(double_ < 0x1p64)) fail("double out of uint64 range");
       const auto u = static_cast<std::uint64_t>(double_);
       if (static_cast<double>(u) != double_) fail("double is not an exact integer");
       return u;

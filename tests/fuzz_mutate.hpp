@@ -13,8 +13,8 @@
 namespace finser::fuzz {
 
 /// Fragments that steer mutants toward the parsers' edge cases: structure
-/// characters, escapes, numbers out of range, non-finite spellings and INI
-/// syntax.
+/// characters, escapes, numbers out of range, non-finite spellings and
+/// stray punctuation.
 inline const std::vector<std::string>& dictionary() {
   static const std::vector<std::string> tokens = {
       "{",      "}",     "[",      "]",     "\"",     ",",       ":",

@@ -26,6 +26,7 @@
 #include "finser/core/ser_flow.hpp"
 #include "finser/phys/collection.hpp"
 #include "finser/phys/fin_mc.hpp"
+#include "finser/pipeline/campaign.hpp"
 #include "finser/util/csv.hpp"
 #include "finser/util/error.hpp"
 
@@ -107,14 +108,11 @@ void check_against_golden(const util::CsvTable& table, const std::string& name,
 constexpr double kGoldenScale = 0.002;
 constexpr std::uint64_t kGoldenSeed = 20140601;
 
+/// The paper's setup (campaigns/paper.json) with the fixture's own bin
+/// counts, seed and thread count, at the fixed test fidelity.
 core::SerFlowConfig golden_flow_config() {
-  core::SerFlowConfig cfg;
-  cfg.array_rows = 9;
-  cfg.array_cols = 9;
-  cfg.characterization.vdds = {0.7, 0.8, 0.9, 1.0, 1.1};
-  cfg.characterization.pv_samples_single = 200;
-  cfg.characterization.pv_samples_grid = 48;
-  cfg.array_mc.strikes = 60000;
+  core::SerFlowConfig cfg =
+      pipeline::parse_campaign_file(FINSER_PAPER_CAMPAIGN).scenarios.at(0).flow;
   cfg.proton_bins = 6;
   cfg.alpha_bins = 5;
   cfg.seed = kGoldenSeed;

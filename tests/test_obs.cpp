@@ -314,6 +314,29 @@ TEST(JsonNumbers, ParserReadsWhatStrtodReads) {
   EXPECT_EQ(mismatches, 0u) << "first: " << first;
 }
 
+// as_uint and as_int read a double only when it is an exact integer in
+// range, and check the range before casting (the cast of an out-of-range
+// double is undefined behaviour): at 2^64, 2^63 and -2^63 and one step
+// inside each.
+TEST(JsonNumbers, IntegerAccessorsRejectOutOfRangeDoubles) {
+  const auto value = [](double v) { return util::JsonValue(v); };
+  EXPECT_THROW(value(0x1p64).as_uint(), util::Error);
+  EXPECT_THROW(value(1e20).as_uint(), util::Error);
+  EXPECT_THROW(util::JsonValue::parse("18446744073709551616").as_uint(),
+               util::Error);
+  EXPECT_EQ(value(std::nextafter(0x1p64, 0.0)).as_uint(),
+            0xFFFFFFFFFFFFF800ull);
+  EXPECT_EQ(value(1e19).as_uint(), 10000000000000000000ull);
+
+  EXPECT_THROW(value(0x1p63).as_int(), util::Error);
+  EXPECT_EQ(value(std::nextafter(0x1p63, 0.0)).as_int(),
+            std::int64_t{0x7FFFFFFFFFFFFC00});
+  EXPECT_EQ(value(-0x1p63).as_int(), INT64_MIN);
+  EXPECT_THROW(value(std::nextafter(-0x1p63, -HUGE_VAL)).as_int(),
+               util::Error);
+  EXPECT_THROW(value(1e300).as_int(), util::Error);
+}
+
 TEST_F(ObsTest, RunReportValidatesAndRoundTrips) {
   FINSER_OBS_COUNT("t.report_counter", 7);
   FINSER_OBS_RECORD("t.report_hist", 12);

@@ -185,7 +185,7 @@ TEST(CampaignParse, RejectsDuplicateOrNonPositiveVdds) {
   EXPECT_EQ(spec.scenarios[0].flow.characterization.vdds,
             (std::vector<double>{0.9, 0.7}));
 
-  // The `run` front end lowers through single_scenario_campaign: same rule.
+  // A flow built in code enters through single_scenario_campaign: same rule.
   core::SerFlowConfig flow = tiny_flow();
   flow.characterization.vdds = {0.8, 0.8};
   try {
@@ -396,7 +396,7 @@ TEST(CampaignRunner, SingleScenarioMatchesLegacyFlowBitExactly) {
   const core::SerFlowConfig cfg = tiny_flow();
   const std::vector<std::string> species = {"alpha", "proton"};
 
-  // Legacy path: one flow, sweeps in species order (the CLI `run` loop).
+  // Legacy path: one flow, sweeps in species order.
   core::SerFlow legacy(cfg);
   std::vector<core::EnergySweepResult> expected;
   for (const std::string& name : species) {

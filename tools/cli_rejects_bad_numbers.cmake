@@ -1,14 +1,14 @@
-# CTest script: numeric command-line arguments and INI values are validated
-# before use. `cell <vdd>` must take a finite voltage > 0 with nothing
-# trailing, the `run` INI sizes must not wrap around through an unsigned
-# cast, supply-voltage lists must hold distinct positive voltages, σVt, the
-# node capacitance and the CI target (INI key, campaign key and --ci-target)
-# must be finite and in range, campaign files must be well-formed JSON, and
-# unknown options and campaign keys (the retired sampler knobs among them)
-# are rejected. Every rejection exits 2
-# with a message naming the offending argument, key or file; `cell 0.8`
-# still exits 0. An invalid FINSER_WORKERS is diagnosed on stderr and
-# ignored.
+# CTest script: numeric command-line arguments and campaign values are
+# validated before use. `cell <vdd>` must take a finite voltage > 0 with
+# nothing trailing, campaign sizes and seeds must not wrap or saturate
+# through an unsigned cast, supply-voltage lists must hold distinct positive
+# voltages, σVt, the node capacitance and the CI target (campaign key and
+# --ci-target) must be finite and in range, campaign files must be
+# well-formed JSON, and unknown commands, options and campaign keys (the
+# retired sampler knobs among them) are rejected, as is an option the
+# command does not read. Every rejection exits 2 with a message naming the
+# offending argument, key or file; `cell 0.8` still exits 0. An invalid
+# FINSER_WORKERS is diagnosed on stderr and ignored.
 #
 # Inputs: -DFINSER_CLI=<path to binary> -DWORK_DIR=<scratch dir>
 
@@ -46,28 +46,57 @@ foreach(bad abc 0.8x inf nan 0 -0.8)
   expect_exit(2 "\"${bad}\"" cell ${bad})
 endforeach()
 
-# One bad INI per bounded key: sizes and counts must be >= 1, the seed and
-# the thread count >= 0.
-foreach(case "array.rows=-3" "array.cols=0" "mc.strikes=-5"
-             "mc.pv_samples=0" "mc.seed=-1" "mc.threads=-2")
-  string(REPLACE "=" ";" kv "${case}")
-  list(GET kv 0 key)
-  list(GET kv 1 value)
-  set(ini "${WORK_DIR}/${key}.ini")
-  file(WRITE "${ini}" "${key} = ${value}\n")
-  expect_exit(2 "${key}" run "${ini}" --print-config)
+# expect_scenario_exit(<code> <needle> <entry>): a one-scenario campaign
+# whose scenario holds <entry> (JSON member text) through `--print-config`.
+function(expect_scenario_exit code needle entry)
+  set(json "${WORK_DIR}/scenario.json")
+  file(WRITE "${json}" "{\"scenarios\": [{\"name\": \"a\", ${entry}}]}\n")
+  expect_exit(${code} "${needle}" campaign "${json}" --print-config)
+endfunction()
+
+# One bad value per bounded key: sizes and counts must be >= 1, the seeds
+# and the thread count >= 0, and every integer must fit its type — an
+# exponent-form count of 2^64 or more exits 2 instead of saturating.
+foreach(case "\"rows\": -3:rows" "\"cols\": 0:cols" "\"strikes\": -5:strikes"
+             "\"pv_samples\": 0:pv_samples" "\"seed\": -1:seed"
+             "\"pv_samples\": 1e300:pv_samples" "\"rows\": 3e19:rows"
+             "\"seed\": 1e20:seed" "\"seed\": 18446744073709551616:seed")
+  string(FIND "${case}" ":" at REVERSE)
+  string(SUBSTRING "${case}" 0 ${at} entry)
+  math(EXPR at "${at} + 1")
+  string(SUBSTRING "${case}" ${at} -1 needle)
+  expect_scenario_exit(2 "${needle}" "${entry}")
 endforeach()
+set(threads "${WORK_DIR}/threads.json")
+file(WRITE "${threads}" "{\"threads\": -2, \"scenarios\": [{\"name\": \"a\"}]}\n")
+expect_exit(2 "threads" campaign "${threads}" --print-config)
 
 # An unknown --option is an error naming it, never a positional argument (a
-# config or campaign path) or silently ignored — `--resume` included: runs
-# resume through their artifact store, with no flag.
-expect_exit(2 "--thread" run --thread 4)
-expect_exit(2 "--resume" run "${WORK_DIR}/x.ini" --resume p)
+# campaign path) or silently ignored — `--resume` included: runs resume
+# through their artifact store, with no flag.
 set(campaign "${WORK_DIR}/campaign.json")
 file(WRITE "${campaign}" "{\"scenarios\": [{\"name\": \"a\"}]}\n")
+expect_exit(2 "--thread" campaign "${campaign}" --thread 4)
+expect_exit(2 "--resume" campaign "${campaign}" --resume p)
 expect_exit(2 "--bogus" campaign "${campaign}" --bogus)
 
-# --ci-target takes a finite relative half-width >= 0, like mc.ci_target and
+# `campaign` is the one way to run the flow: `run` is an unknown command.
+expect_exit(2 "`run`" run)
+expect_exit(2 "`run`" run "${campaign}" --print-config)
+
+# A command exits 2 on a flag it does not read, naming the flag and the
+# command, instead of ignoring it.
+expect_exit(2 "`campaign` does not read --artifact-dir" campaign
+            "${campaign}" --artifact-dir "${WORK_DIR}/x" --print-config)
+expect_exit(2 "`cell` does not read --workers" cell 0.8 --workers 3
+            --cluster 2x2)
+foreach(flag "--print-config" "--workers;2" "--metrics-out;${WORK_DIR}/m.json"
+             "--trace-out;${WORK_DIR}/t.json")
+  list(GET flag 0 name)
+  expect_exit(2 "`serve` does not read ${name}" serve "${campaign}" ${flag})
+endforeach()
+
+# --ci-target takes a finite relative half-width >= 0, like
 # sampling.ci_target.
 foreach(bad nan inf -1 abc)
   expect_exit(2 "\"${bad}\"" campaign "${campaign}" --ci-target ${bad}
@@ -75,35 +104,21 @@ foreach(bad nan inf -1 abc)
 endforeach()
 
 # Supply voltages: a repeated or non-positive one exits 2 naming `vdds`
-# before anything runs, from the INI and from a campaign file alike; the
-# order stays free.
+# before anything runs; the order stays free.
 foreach(case "0.8, 0.8" "0.9, 0.7, 0.9" "0.8, -0.7" "0.8, 0")
-  set(ini "${WORK_DIR}/vdds.ini")
-  file(WRITE "${ini}" "cell.vdds = ${case}\n")
-  expect_exit(2 "vdds" run "${ini}" --print-config)
+  expect_scenario_exit(2 "vdds" "\"vdds\": [${case}]")
 endforeach()
-file(WRITE "${ini}" "cell.vdds = 0.9, 0.7\n")
-expect_exit(0 "" run "${ini}" --print-config)
+expect_scenario_exit(0 "" "\"vdds\": [0.9, 0.7]")
 set(dup "${WORK_DIR}/dup_vdds.json")
 file(WRITE "${dup}"
-     "{\"scenarios\": [{\"name\": \"a\", \"vdds\": [0.8, 0.8]}]}\n")
+     "{\"defaults\": {\"vdds\": [0.8, 0.8]}, \"scenarios\": [{\"name\": \"a\"}]}\n")
 expect_exit(2 "vdds" campaign "${dup}" --print-config)
 
 # σVt finite and >= 0, the node capacitance finite and > 0, the CI target
-# finite and >= 0: NaN, Inf and out-of-range values exit 2 at parse time,
-# naming the key, from the INI and from a campaign file alike.
-foreach(case "cell.sigma_vt=nan:sigma_vt" "cell.sigma_vt=-0.05:sigma_vt"
-             "cell.cnode_ff=0:cnode_f" "cell.cnode_ff=nan:cnode_f"
-             "mc.ci_target=nan:mc.ci_target" "mc.ci_target=inf:mc.ci_target"
-             "cell.vdds=nan:vdds")
-  string(REPLACE ":" ";" kv "${case}")
-  list(GET kv 0 line)
-  list(GET kv 1 needle)
-  string(REPLACE "=" " = " line "${line}")
-  set(ini "${WORK_DIR}/cell_numbers.ini")
-  file(WRITE "${ini}" "${line}\n")
-  expect_exit(2 "${needle}" run "${ini}" --print-config)
-endforeach()
+# finite and >= 0: out-of-range values exit 2 at parse time, naming the key,
+# from a scenario and through the defaults block alike. JSON has no NaN or
+# infinity, so those spellings exit 2 as malformed documents, naming the
+# file.
 foreach(case "\"sigma_vt\": -0.05:sigma_vt" "\"cnode_f\": 0:cnode_f"
              "\"cnode_f\": -1e-15:cnode_f"
              "\"sampling\": {\"ci_target\": -0.5}:ci_target")
@@ -111,10 +126,18 @@ foreach(case "\"sigma_vt\": -0.05:sigma_vt" "\"cnode_f\": 0:cnode_f"
   string(SUBSTRING "${case}" 0 ${at} entry)
   math(EXPR at "${at} + 1")
   string(SUBSTRING "${case}" ${at} -1 needle)
-  set(json "${WORK_DIR}/cell_numbers.json")
+  expect_scenario_exit(2 "${needle}" "${entry}")
+  set(json "${WORK_DIR}/defaults_numbers.json")
   file(WRITE "${json}"
-       "{\"scenarios\": [{\"name\": \"a\", ${entry}}]}\n")
+       "{\"defaults\": {${entry}}, \"scenarios\": [{\"name\": \"a\"}]}\n")
   expect_exit(2 "${needle}" campaign "${json}" --print-config)
+endforeach()
+foreach(entry "\"sigma_vt\": NaN" "\"cnode_f\": NaN"
+              "\"sampling\": {\"ci_target\": NaN}"
+              "\"sampling\": {\"ci_target\": Infinity}" "\"vdds\": [0.8, NaN]")
+  set(json "${WORK_DIR}/non_finite.json")
+  file(WRITE "${json}" "{\"scenarios\": [{\"name\": \"a\", ${entry}}]}\n")
+  expect_exit(2 "${json}" campaign "${json}" --print-config)
 endforeach()
 
 # A campaign file that is not JSON — truncated, or holding a number no

@@ -2,11 +2,10 @@
 /// \brief Command-line driver of the finser cross-layer SER flow.
 ///
 /// Usage:
-///   finser_cli run <config.ini>       full flow from a config file (below),
-///                                     run as a one-scenario campaign
-///   finser_cli run                    ... with built-in paper defaults
-///   finser_cli campaign <file.json>   multi-scenario campaign
-///                                     (schema: docs/architecture.md)
+///   finser_cli campaign <file.json>   run a campaign document through the
+///                                     device → cell → array → FIT flow
+///                                     (schema: docs/architecture.md; the
+///                                     paper's setup: campaigns/paper.json)
 ///   finser_cli serve <file.json>      long-lived NDJSON POF/FIT query loop
 ///                                     over the campaign's response surfaces
 ///                                     (protocol: docs/serving.md)
@@ -14,42 +13,28 @@
 ///   finser_cli cell [vdd]             one-voltage cell summary (Qcrit, SNM)
 ///   finser_cli --help
 ///
-/// The global `--threads N` flag caps the worker-thread count (default:
+/// The `--threads N` flag caps the worker-thread count (default:
 /// FINSER_THREADS, else hardware concurrency). Results are bit-identical
-/// for any thread count (docs/parallelism.md).
+/// for any thread count (docs/parallelism.md). Each command reads only the
+/// flags command_flags() lists; any other flag exits 2.
 ///
-/// Config keys (all optional; `#` comments allowed):
-///   array.rows = 9            array.cols = 9
-///   cell.vdds = 0.7, 0.8, 0.9, 1.0, 1.1
-///   cell.sigma_vt = 0.05      # [V]
-///   cell.cnode_ff = 0.17      # storage-node capacitance [fF]
-///   mc.strikes = 60000        mc.pv_samples = 200
-///   mc.seed = 20140601
-///   mc.threads = 0            # 0 = auto; --threads overrides
-///   mc.ci_target = 0          # target relative 95% CI half-width per energy
-///                             # bin; 0 = fixed strike budget (--ci-target
-///                             # overrides)
-///   species = alpha, proton, neutron
-///   output.dir = finser_out
-///
-/// `run` lowers the config to the single-scenario campaign `--print-config`
-/// prints (scenario "run", artifact store `<output.dir>/artifacts`) and runs
-/// it like `campaign` does: CSVs go to `<output.dir>/run/` and
-/// `<output.dir>/eh_pairs_<species>.csv`, and a rerun reuses every finished
-/// product in the store — an interrupted run resumes per energy bin, or per
-/// supply voltage while still characterizing.
+/// A campaign writes its CSVs under its `output_dir`, and a rerun reuses
+/// every finished product in its `artifact_dir` store — an interrupted run
+/// resumes per energy bin, or per supply voltage while still
+/// characterizing.
 ///
 /// `--cluster` and `--ci-target` are edits to the campaign document (lower()),
 /// so `--print-config`, shard workers and the run report see the run that
 /// happens; FINSER_MC_SCALE is the one result-changing setting outside it.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 #include <optional>
-#include <sstream>
 #include <streambuf>
 #include <string>
 #include <vector>
@@ -70,7 +55,6 @@
 #include "finser/shard/worker.hpp"
 #include "finser/spice/batch.hpp"
 #include "finser/sram/snm.hpp"
-#include "finser/util/config.hpp"
 #include "finser/util/csv.hpp"
 #include "finser/util/error.hpp"
 
@@ -81,14 +65,11 @@ using namespace finser;
 void print_help() {
   std::printf(
       "finser_cli — cross-layer SOI FinFET SRAM soft-error analysis\n\n"
-      "  finser_cli run [config.ini]       full characterization + sweeps, run\n"
-      "                                    as the one-scenario campaign that\n"
-      "                                    --print-config shows; artifact store\n"
-      "                                    at <output.dir>/artifacts, so a\n"
-      "                                    rerun resumes where it stopped\n"
-      "  finser_cli campaign <file.json>   multi-scenario campaign; shared\n"
-      "                                    characterization and artifact cache\n"
-      "                                    (schema: docs/architecture.md)\n"
+      "  finser_cli campaign <file.json>   run a campaign document: shared\n"
+      "                                    characterization and artifact cache,\n"
+      "                                    so a rerun resumes where it stopped\n"
+      "                                    (schema: docs/architecture.md; the\n"
+      "                                    paper's setup: campaigns/paper.json)\n"
       "  finser_cli serve <file.json>      long-lived query loop: NDJSON\n"
       "                                    POF/FIT requests on stdin, one\n"
       "                                    JSON reply per line on stdout;\n"
@@ -104,41 +85,48 @@ void print_help() {
       "                                    `campaign --workers N` supervisor;\n"
       "                                    not for direct use — docs/sharding.md)\n"
       "  finser_cli --help                 this text\n\n"
-      "Options:\n"
-      "  --print-config for `run` and `campaign`: print the fully resolved\n"
+      "Options (a command exits 2 on an option it does not read):\n"
+      "  --print-config for `campaign`: print the fully resolved\n"
       "                 effective configuration as campaign JSON (round-trips\n"
       "                 through the campaign parser) and exit without\n"
       "                 simulating\n"
-      "  --threads N    worker threads (default: FINSER_THREADS, else all\n"
-      "                 hardware threads); never changes the results\n"
-      "  --ci-target R  adaptive stopping: stop each energy bin's Monte Carlo\n"
-      "                 once the relative 95%% CI half-width of every POF\n"
-      "                 estimate is <= R (finite, >= 0), capped by the\n"
-      "                 configured strike budget (0 = fixed budget). Sets\n"
-      "                 every scenario's sampling.ci_target, as\n"
-      "                 --print-config shows (docs/statistics.md)\n"
-      "  --cluster MODE correlated multi-node charge collection: group cells\n"
-      "                 into MODE tiles (1x1 = independent per-cell path,\n"
-      "                 byte-identical to the default; 2x2 or 1x4 add charge\n"
-      "                 sharing between adjacent struck cells of a tile and\n"
-      "                 simulate each struck cell with its shared charge).\n"
-      "                 Sets every scenario's cluster.mode, as --print-config\n"
-      "                 shows (docs/charge_sharing.md)\n"
-      "  --metrics-out PATH  enable metric collection and write a versioned\n"
-      "                 JSON RunReport there at exit (docs/observability.md);\n"
-      "                 FINSER_METRICS=<path> is an equivalent default\n"
-      "  --trace-out PATH  also buffer per-span trace events and write a\n"
-      "                 Chrome-tracing/Perfetto event file there at exit\n"
+      "  --threads N    for `campaign`, `serve` and `worker`: worker threads\n"
+      "                 (default: FINSER_THREADS, else all hardware\n"
+      "                 threads); never changes the results\n"
+      "  --ci-target R  for `campaign` and `serve`: adaptive stopping: stop\n"
+      "                 each energy bin's Monte Carlo once the relative 95%%\n"
+      "                 CI half-width of every POF estimate is <= R (finite,\n"
+      "                 >= 0), capped by the configured strike budget (0 =\n"
+      "                 fixed budget). Sets every scenario's\n"
+      "                 sampling.ci_target, as --print-config shows\n"
+      "                 (docs/statistics.md)\n"
+      "  --cluster MODE for `campaign` and `serve`: correlated multi-node\n"
+      "                 charge collection: group cells into MODE tiles (1x1 =\n"
+      "                 independent per-cell path, byte-identical to the\n"
+      "                 default; 2x2 or 1x4 add charge sharing between\n"
+      "                 adjacent struck cells of a tile and simulate each\n"
+      "                 struck cell with its shared charge). Sets every\n"
+      "                 scenario's cluster.mode, as --print-config shows\n"
+      "                 (docs/charge_sharing.md)\n"
+      "  --metrics-out PATH  for `campaign`: enable metric collection and\n"
+      "                 write a versioned JSON RunReport there at exit\n"
+      "                 (docs/observability.md); FINSER_METRICS=<path> is an\n"
+      "                 equivalent default\n"
+      "  --trace-out PATH  for `campaign`: also buffer per-span trace events\n"
+      "                 and write a Chrome-tracing/Perfetto event file there\n"
+      "                 at exit\n"
       "  --workers N    for `campaign`: run stages in N worker subprocesses\n"
       "                 under a fault-tolerant supervisor (FINSER_WORKERS is\n"
       "                 an equivalent default; 0 = in-process). Results are\n"
       "                 byte-identical at any worker count (docs/sharding.md)\n"
-      "  --max-retries N  extra attempts before a crashing stage is\n"
-      "                 quarantined (default 2; sharded campaigns only)\n"
-      "  --stage-timeout-s SEC  per-stage wall-clock watchdog: a stage over\n"
-      "                 budget is killed and retried (default 0 = off)\n"
-      "  --heartbeat-timeout-s SEC  silence before a worker is presumed dead\n"
-      "                 and its stage reassigned (default 30; 0 = off)\n"
+      "  --max-retries N  for `campaign`: extra attempts before a crashing\n"
+      "                 stage is quarantined (default 2; sharded only)\n"
+      "  --stage-timeout-s SEC  for `campaign`: per-stage wall-clock\n"
+      "                 watchdog: a stage over budget is killed and retried\n"
+      "                 (default 0 = off; sharded only)\n"
+      "  --heartbeat-timeout-s SEC  for `campaign`: silence before a worker\n"
+      "                 is presumed dead and its stage reassigned (default\n"
+      "                 30; 0 = off; sharded only)\n"
       "  --artifact-dir DIR  for `serve`: override the campaign file's\n"
       "                 artifact_dir; for `artifacts ls`: default directory\n"
       "                 when no positional one is given\n"
@@ -156,61 +144,7 @@ void print_help() {
       "     (details in the run report's \"shard\" section)\n"
       "  6  degraded: `serve` drained, but at least one request was shed,\n"
       "     malformed, failed or cancelled (docs/serving.md)\n\n"
-      "See the header of tools/finser_cli.cpp for the config-file keys.\n");
-}
-
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::istringstream is(csv);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    const auto b = item.find_first_not_of(" \t");
-    const auto e = item.find_last_not_of(" \t");
-    if (b != std::string::npos) out.push_back(item.substr(b, e - b + 1));
-  }
-  return out;
-}
-
-/// Integer config value no smaller than \p min, checked before any unsigned
-/// cast can wrap it. The bounds are the campaign parser's: counts and sizes
-/// at least 1, seeds and thread counts at least 0.
-std::uint64_t get_bounded(const util::KeyValueConfig& cfg,
-                          const std::string& key, long long fallback,
-                          long long min) {
-  const long long v = cfg.get_int(key, fallback);
-  if (v < min) {
-    throw util::InvalidArgument("config value for " + key + " (line " +
-                                std::to_string(cfg.line_of(key)) +
-                                ") must be >= " + std::to_string(min) +
-                                ", got " + std::to_string(v));
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-core::SerFlowConfig flow_config_from(const util::KeyValueConfig& cfg) {
-  core::SerFlowConfig flow;
-  flow.array_rows = get_bounded(cfg, "array.rows", 9, 1);
-  flow.array_cols = get_bounded(cfg, "array.cols", 9, 1);
-  flow.characterization.vdds =
-      cfg.get_double_list("cell.vdds", {0.7, 0.8, 0.9, 1.0, 1.1});
-  flow.cell_design.sigma_vt = cfg.get_double("cell.sigma_vt", 0.05);
-  flow.cell_design.cnode_f = cfg.get_double("cell.cnode_ff", 0.17) * 1e-15;
-  flow.characterization.pv_samples_single =
-      get_bounded(cfg, "mc.pv_samples", 200, 1);
-  flow.array_mc.strikes = get_bounded(cfg, "mc.strikes", 60000, 1);
-  flow.neutron_mc.histories = flow.array_mc.strikes;
-  flow.seed = get_bounded(cfg, "mc.seed", 20140601, 0);
-  flow.threads = get_bounded(cfg, "mc.threads", 0, 0);  // 0 = auto
-  const double ini_ci = cfg.get_double("mc.ci_target", 0.0);
-  if (!(std::isfinite(ini_ci) && ini_ci >= 0.0)) {
-    throw util::InvalidArgument("mc.ci_target must be finite and >= 0 (0 "
-                                "disables adaptive stopping)");
-  }
-  flow.array_mc.ci.target = ini_ci;
-  flow.neutron_mc.ci.target = ini_ci;
-  // No MC scale here: the campaign runner applies FINSER_MC_SCALE once, so
-  // the lowered campaign (and --print-config) carries unscaled sizes.
-  return flow;
+      "Campaign document keys: docs/architecture.md.\n");
 }
 
 /// The command-line flags the campaign document carries.
@@ -220,7 +154,7 @@ struct Overrides {
   std::optional<sram::ClusterMode> cluster;  ///< --cluster.
 };
 
-/// The one lowering of `run`, `campaign` and `serve`: writes \p o into
+/// The one lowering of `campaign` and `serve`: writes \p o into
 /// \p spec before anything prints, fingerprints or runs it.
 void lower(pipeline::CampaignSpec& spec, const Overrides& o) {
   if (o.threads > 0) spec.threads = o.threads;
@@ -260,10 +194,9 @@ void write_outputs(const Outputs& out, const pipeline::CampaignSpec& spec,
   }
 }
 
-/// The in-process campaign driver behind `run` and `campaign`: runs \p spec
-/// on a CampaignRunner (cancellable; resumable through its artifact store),
-/// prints each scenario's FIT table, and writes the run report and trace
-/// when asked.
+/// `campaign` in-process: runs \p spec on a CampaignRunner (cancellable;
+/// resumable through its artifact store), prints each scenario's FIT table,
+/// and writes the run report and trace when asked.
 int run_campaign(const pipeline::CampaignSpec& spec, const Outputs& out,
                  const exec::CancelToken& cancel) {
   const exec::ProgressSink progress(
@@ -289,52 +222,10 @@ int run_campaign(const pipeline::CampaignSpec& spec, const Outputs& out,
   return 0;
 }
 
-int cmd_run(const std::string& config_path, const Overrides& overrides,
-            const Outputs& out, bool print_config,
-            const exec::CancelToken& cancel) {
-  util::KeyValueConfig cfg;
-  if (!config_path.empty()) {
-    cfg = util::KeyValueConfig::parse_file(config_path);
-  }
-  const std::string out_dir = cfg.get_string("output.dir", "finser_out");
-  const std::vector<std::string> species =
-      split_list(cfg.get_string("species", "alpha,proton"));
-  const core::SerFlowConfig flow_cfg = flow_config_from(cfg);
-
-  // Fail loudly on config typos before hours of Monte Carlo. The getters
-  // above recorded every supported knob, so misspellings get a suggestion.
-  const auto unknown = cfg.unknown_keys();
-  if (!unknown.empty()) {
-    for (const auto& k : unknown) {
-      std::fprintf(stderr, "error: unknown config key `%s`", k.c_str());
-      const std::string suggestion = cfg.suggestion_for(k);
-      if (!suggestion.empty()) {
-        std::fprintf(stderr, " (did you mean `%s`?)", suggestion.c_str());
-      }
-      std::fprintf(stderr, "\n");
-    }
-    return 2;
-  }
-
-  // The lowering: a single-scenario campaign whose artifact store lives
-  // under the output directory. --print-config prints exactly what runs,
-  // and it round-trips through the campaign parser unchanged.
-  pipeline::CampaignSpec spec =
-      pipeline::single_scenario_campaign(flow_cfg, species, out_dir, "run");
-  spec.artifact_dir = out_dir + "/artifacts";
-  lower(spec, overrides);
-  if (print_config) {
-    std::printf("%s\n", pipeline::campaign_to_json(spec).dump(2).c_str());
-    return 0;
-  }
-  return run_campaign(spec, out, cancel);
-}
-
 /// Sharding knobs extracted from the global flag pass (campaign supervisor
 /// + worker subcommand).
 struct ShardCliOptions {
-  std::size_t workers = 0;  ///< 0 = in-process (the PR-4 path).
-  bool workers_from_flag = false;
+  std::size_t workers = 0;  ///< 0 = in-process.
   std::size_t max_retries = 2;
   double stage_timeout_s = 0.0;
   double heartbeat_timeout_s = 30.0;
@@ -534,6 +425,25 @@ int cmd_cell(double vdd) {
   return 0;
 }
 
+/// The flags each command reads, keyed by command; the keys are the known
+/// commands. main() rejects any other flag, so a flag a command would
+/// ignore exits 2 instead of looking accepted.
+const std::map<std::string, std::vector<std::string>>& command_flags() {
+  static const std::map<std::string, std::vector<std::string>> table = {
+      {"campaign",
+       {"--print-config", "--threads", "--ci-target", "--cluster",
+        "--metrics-out", "--trace-out", "--workers", "--max-retries",
+        "--stage-timeout-s", "--heartbeat-timeout-s"}},
+      {"serve",
+       {"--threads", "--ci-target", "--cluster", "--artifact-dir",
+        "--max-pending"}},
+      {"worker", {"--threads", "--worker-id", "--lease-dir"}},
+      {"artifacts", {"--artifact-dir"}},
+      {"cell", {}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -575,142 +485,151 @@ int main(int argc, char** argv) {
                      env);
       }
     }
+    std::vector<std::string> flags;  // every flag given, in order
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
+      if (a.rfind("--", 0) != 0 || a == "--help") {
+        args.push_back(a);
+        continue;
+      }
+      const bool known = std::any_of(
+          command_flags().begin(), command_flags().end(), [&](const auto& c) {
+            return std::find(c.second.begin(), c.second.end(), a) !=
+                   c.second.end();
+          });
+      if (!known) {
+        // An unknown option must not be mistaken for a positional argument
+        // (a campaign path) or silently ignored.
+        std::fprintf(stderr, "error: unknown option %s (see --help)\n",
+                     a.c_str());
+        return 2;
+      }
+      flags.push_back(a);
       if (a == "--print-config") {
         print_config = true;
         continue;
       }
-      if (a == "--threads" || a == "--metrics-out" ||
-          a == "--trace-out" || a == "--workers" || a == "--max-retries" ||
-          a == "--stage-timeout-s" || a == "--heartbeat-timeout-s" ||
-          a == "--worker-id" || a == "--lease-dir" || a == "--artifact-dir" ||
-          a == "--ci-target" || a == "--cluster" || a == "--max-pending") {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "error: %s needs a value\n", a.c_str());
+      // Every other flag takes a value.
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "error: %s needs a value\n", a.c_str());
+        return 2;
+      }
+      const char* raw = argv[++i];
+      if (a == "--metrics-out") {
+        out.metrics_out = raw;
+        finser::obs::set_enabled(true);
+        continue;
+      }
+      if (a == "--trace-out") {
+        out.trace_out = raw;
+        finser::obs::set_trace_enabled(true);
+        continue;
+      }
+      if (a == "--lease-dir") {
+        shard_opts.lease_dir = raw;
+        continue;
+      }
+      if (a == "--artifact-dir") {
+        artifact_dir = raw;
+        continue;
+      }
+      char* end = nullptr;
+      if (a == "--ci-target") {
+        const double v = std::strtod(raw, &end);
+        if (end == raw || *end != '\0' || !std::isfinite(v) || v < 0.0) {
+          std::fprintf(stderr,
+                       "error: --ci-target expects a finite relative "
+                       "half-width >= 0 (0 disables stopping), got \"%s\"\n",
+                       raw);
           return 2;
         }
-        const char* raw = argv[++i];
-        if (a == "--metrics-out") {
-          out.metrics_out = raw;
-          finser::obs::set_enabled(true);
-          continue;
-        }
-        if (a == "--trace-out") {
-          out.trace_out = raw;
-          finser::obs::set_trace_enabled(true);
-          continue;
-        }
-        if (a == "--lease-dir") {
-          shard_opts.lease_dir = raw;
-          continue;
-        }
-        if (a == "--artifact-dir") {
-          artifact_dir = raw;
-          continue;
-        }
-        char* end = nullptr;
-        if (a == "--ci-target") {
-          const double v = std::strtod(raw, &end);
-          if (end == raw || *end != '\0' || !std::isfinite(v) || v < 0.0) {
-            std::fprintf(stderr,
-                         "error: --ci-target expects a finite relative "
-                         "half-width >= 0 (0 disables stopping), got \"%s\"\n",
-                         raw);
-            return 2;
-          }
-          overrides.ci_target = v;
-          continue;
-        }
-        if (a == "--cluster") {
-          overrides.cluster = sram::cluster_mode_from(raw);
-          if (!overrides.cluster) {
-            std::fprintf(stderr,
-                         "error: --cluster expects 1x1, 2x2 or 1x4, got "
-                         "\"%s\"\n",
-                         raw);
-            return 2;
-          }
-          continue;
-        }
-        if (a == "--max-pending") {
-          const long v = std::strtol(raw, &end, 10);
-          if (end == raw || *end != '\0' || v < 1) {
-            std::fprintf(stderr,
-                         "error: --max-pending expects a positive integer, "
-                         "got \"%s\"\n",
-                         raw);
-            return 2;
-          }
-          max_pending = static_cast<std::size_t>(v);
-          continue;
-        }
-        if (a == "--workers" || a == "--max-retries" || a == "--worker-id") {
-          const long v = std::strtol(raw, &end, 10);
-          if (end == raw || *end != '\0' || v < 0) {
-            std::fprintf(stderr,
-                         "error: %s expects a non-negative integer, got "
-                         "\"%s\"\n",
-                         a.c_str(), raw);
-            return 2;
-          }
-          if (a == "--workers") {
-            shard_opts.workers = static_cast<std::size_t>(v);
-            shard_opts.workers_from_flag = true;
-          } else if (a == "--max-retries") {
-            shard_opts.max_retries = static_cast<std::size_t>(v);
-          } else {
-            shard_opts.worker_id = static_cast<std::uint64_t>(v);
-          }
-          continue;
-        }
-        if (a == "--stage-timeout-s" || a == "--heartbeat-timeout-s") {
-          const double v = std::strtod(raw, &end);
-          if (end == raw || *end != '\0' || v < 0.0) {
-            std::fprintf(stderr,
-                         "error: %s expects seconds >= 0, got \"%s\"\n",
-                         a.c_str(), raw);
-            return 2;
-          }
-          if (a == "--stage-timeout-s") {
-            shard_opts.stage_timeout_s = v;
-          } else {
-            shard_opts.heartbeat_timeout_s = v;
-          }
-          continue;
-        }
-        // --threads
-        const long v = std::strtol(raw, &end, 10);
-        if (end == raw || *end != '\0' || v <= 0) {
+        overrides.ci_target = v;
+        continue;
+      }
+      if (a == "--cluster") {
+        overrides.cluster = sram::cluster_mode_from(raw);
+        if (!overrides.cluster) {
           std::fprintf(stderr,
-                       "error: --threads expects a positive integer, got "
+                       "error: --cluster expects 1x1, 2x2 or 1x4, got "
                        "\"%s\"\n",
                        raw);
           return 2;
         }
-        overrides.threads = static_cast<std::size_t>(v);
-      } else if (a.rfind("--", 0) == 0 && a != "--help") {
-        // An unknown option must not be mistaken for a positional argument
-        // (a config or campaign path) or silently ignored.
-        std::fprintf(stderr, "error: unknown option %s (see --help)\n",
-                     a.c_str());
-        return 2;
-      } else {
-        args.push_back(a);
+        continue;
       }
+      if (a == "--max-pending") {
+        const long v = std::strtol(raw, &end, 10);
+        if (end == raw || *end != '\0' || v < 1) {
+          std::fprintf(stderr,
+                       "error: --max-pending expects a positive integer, "
+                       "got \"%s\"\n",
+                       raw);
+          return 2;
+        }
+        max_pending = static_cast<std::size_t>(v);
+        continue;
+      }
+      if (a == "--workers" || a == "--max-retries" || a == "--worker-id") {
+        const long v = std::strtol(raw, &end, 10);
+        if (end == raw || *end != '\0' || v < 0) {
+          std::fprintf(stderr,
+                       "error: %s expects a non-negative integer, got "
+                       "\"%s\"\n",
+                       a.c_str(), raw);
+          return 2;
+        }
+        if (a == "--workers") {
+          shard_opts.workers = static_cast<std::size_t>(v);
+        } else if (a == "--max-retries") {
+          shard_opts.max_retries = static_cast<std::size_t>(v);
+        } else {
+          shard_opts.worker_id = static_cast<std::uint64_t>(v);
+        }
+        continue;
+      }
+      if (a == "--stage-timeout-s" || a == "--heartbeat-timeout-s") {
+        const double v = std::strtod(raw, &end);
+        if (end == raw || *end != '\0' || v < 0.0) {
+          std::fprintf(stderr,
+                       "error: %s expects seconds >= 0, got \"%s\"\n",
+                       a.c_str(), raw);
+          return 2;
+        }
+        if (a == "--stage-timeout-s") {
+          shard_opts.stage_timeout_s = v;
+        } else {
+          shard_opts.heartbeat_timeout_s = v;
+        }
+        continue;
+      }
+      // --threads
+      const long v = std::strtol(raw, &end, 10);
+      if (end == raw || *end != '\0' || v <= 0) {
+        std::fprintf(stderr,
+                     "error: --threads expects a positive integer, got "
+                     "\"%s\"\n",
+                     raw);
+        return 2;
+      }
+      overrides.threads = static_cast<std::size_t>(v);
     }
 
     const std::string cmd = !args.empty() ? args[0] : "--help";
-    if (cmd == "run") {
-      if (shard_opts.workers_from_flag) {
-        std::fprintf(stderr,
-                     "error: --workers applies to `campaign` only (wrap the "
-                     "run config in a single-scenario campaign, see "
-                     "--print-config)\n");
+    const auto reads = command_flags().find(cmd);
+    if (reads == command_flags().end()) {
+      if (cmd != "--help" && cmd != "-h") {
+        std::fprintf(stderr, "error: unknown command `%s`\n", cmd.c_str());
+      }
+      print_help();
+      return cmd == "--help" || cmd == "-h" ? 0 : 2;
+    }
+    for (const std::string& flag : flags) {
+      const std::vector<std::string>& known = reads->second;
+      if (std::find(known.begin(), known.end(), flag) == known.end()) {
+        std::fprintf(stderr, "error: `%s` does not read %s (see --help)\n",
+                     cmd.c_str(), flag.c_str());
         return 2;
       }
-      return cmd_run(args.size() > 1 ? args[1] : "", overrides, out,
-                     print_config, cancel);
     }
     if (cmd == "campaign") {
       if (args.size() < 2) {
@@ -737,24 +656,21 @@ int main(int argc, char** argv) {
       }
       return cmd_worker(args[1], overrides.threads, shard_opts);
     }
-    if (cmd == "cell") {
-      double vdd = 0.8;
-      if (args.size() > 1) {
-        const char* raw = args[1].c_str();
-        char* end = nullptr;
-        vdd = std::strtod(raw, &end);
-        if (end == raw || *end != '\0' || !std::isfinite(vdd) || vdd <= 0.0) {
-          std::fprintf(stderr,
-                       "error: cell expects a supply voltage <vdd> > 0 [V], "
-                       "got \"%s\"\n",
-                       raw);
-          return 2;
-        }
+    // cell
+    double vdd = 0.8;
+    if (args.size() > 1) {
+      const char* raw = args[1].c_str();
+      char* end = nullptr;
+      vdd = std::strtod(raw, &end);
+      if (end == raw || *end != '\0' || !std::isfinite(vdd) || vdd <= 0.0) {
+        std::fprintf(stderr,
+                     "error: cell expects a supply voltage <vdd> > 0 [V], "
+                     "got \"%s\"\n",
+                     raw);
+        return 2;
       }
-      return cmd_cell(vdd);
     }
-    print_help();
-    return cmd == "--help" || cmd == "-h" ? 0 : 2;
+    return cmd_cell(vdd);
   } catch (const util::Cancelled& e) {
     std::fprintf(stderr, "interrupted: %s\n", e.what());
     return 4;
