@@ -117,6 +117,8 @@ struct CampaignSpec {
 /// type/value errors.
 CampaignSpec parse_campaign(const util::JsonValue& doc);
 CampaignSpec parse_campaign_text(const std::string& text);
+/// Reads the document at \p path; a path that does not read throws
+/// util::InvalidArgument naming it.
 CampaignSpec parse_campaign_file(const std::string& path);
 
 /// Serialize fully resolved: every scenario carries every schema key, no
@@ -251,8 +253,8 @@ struct ScenarioResult {
 /// `id` is a stable, path-safe slug — "<index>-<kind>-<qualifier>", e.g.
 /// "0-characterize-1a2b3c4d" or "3-sweep-nominal" — identical in every
 /// process that parses the same campaign, which is what lets a shard
-/// supervisor assign stages to worker processes by id alone and lets lease
-/// and done-marker filenames embed it directly.
+/// supervisor assign stages to worker processes by id alone (it holds no
+/// whitespace, so it is one word of a shard assignment line).
 struct StageInfo {
   std::string id;
   std::string label;                ///< Human-readable (StageGraph label).
@@ -287,9 +289,8 @@ class CampaignRunner {
   const CampaignSpec& spec() const { return spec_; }
 
   /// The run fingerprint: campaign_fingerprint(spec()), with the MC scale
-  /// folded in when it is not 1. Shard leases, done markers and the run
-  /// report's `config_fingerprint` carry it, so records of another document
-  /// or scale are rejected as stale, never trusted.
+  /// folded in when it is not 1. It names the document a sharded run's
+  /// workers read and is the run report's `config_fingerprint`.
   std::uint64_t fingerprint() const;
 
   /// The deterministic stage plan: same spec ⇒ same plan, in every process,

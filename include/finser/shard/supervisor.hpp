@@ -4,20 +4,22 @@
 ///
 /// The supervisor turns a pipeline::CampaignRunner stage plan into a fleet
 /// of `finser_cli worker` subprocesses and keeps the campaign moving
-/// through worker death, wedged stages and torn control files:
+/// through worker death and wedged stages:
 ///
 ///   * **Assignment** — ready stages (dependencies completed) are handed to
-///     idle workers in deterministic plan order via task lease files;
-///     workers ack by heartbeat and report done/failed the same way. All
-///     coordination is filesystem-only (shard/lease.hpp) — there are no
-///     pipes or shared memory, so a record is either complete or absent.
-///   * **Supervision** — worker exit (code or signal) and heartbeat
-///     timeouts both reclaim the assignment; the stage is retried with
-///     exponential backoff, on a fresh worker if the old one died. A stage
-///     that fails `max_retries + 1` attempts is *quarantined*: its failure
-///     is recorded (and surfaced in the run report's "shard" section),
-///     dependent stages are marked blocked, and every other stage still
-///     runs to completion — graceful degradation, not abort.
+///     idle workers in deterministic plan order. Each worker has one pipe
+///     pair: assignment lines go to its stdin, and its heartbeat, `done` and
+///     `failed` report lines come back on its stdout, which the supervisor
+///     poll(2)s (the line protocol: shard/worker.hpp).
+///   * **Supervision** — EOF on a worker's stdout plus waitpid() is its
+///     death, whatever killed it; the stage attempt it held fails and the
+///     stage is retried with exponential backoff on a fresh worker.
+///     Heartbeat silence and a malformed report line get the worker killed
+///     the same way. A stage that fails `max_retries + 1` attempts is
+///     *quarantined*: its failure is recorded (and surfaced in the run
+///     report's "shard" section), dependent stages are marked blocked, and
+///     every other stage still runs to completion — graceful degradation,
+///     not abort.
 ///   * **Watchdog** — with `stage_timeout_s > 0`, a stage exceeding its
 ///     wall-clock budget is treated exactly like a heartbeat timeout (kill
 ///     + retry), so a wedged Newton loop becomes a retryable failure.
@@ -26,16 +28,16 @@
 ///     in-process path, workers = 0) produces byte-identical CSVs and
 ///     results; the equivalence is asserted by the ShardCampaignEquivalence
 ///     harness at worker counts {1, 2, 4}, including under kill -9.
-///   * **Resume** — durable done markers keyed by the run fingerprint
-///     (CampaignRunner::fingerprint) let a killed supervisor pick up where
-///     it stopped; combined with the content-addressed artifact store, a
-///     re-run recomputes only what never finished. Workers run the document
-///     the supervisor resolved, `<lease dir>/campaign.json`.
+///   * **Resume** — there is no shard resume record: a rerun dispatches
+///     every stage, and each finished product comes back as an
+///     artifact-store hit, exactly as in an in-process rerun. Workers run
+///     the document the supervisor resolved,
+///     `<artifact_dir>/campaigns/<run fingerprint>.json`.
 ///
 /// Counters: "shard.claims" (assignments handed out), "shard.reassigns"
-/// (reclaimed after death/timeout), "shard.retries", "shard.quarantines",
-/// "shard.worker_deaths", "shard.stage_timeouts", "shard.task_rewrites",
-/// plus the "shard.heartbeat_ms" latency histogram.
+/// (reclaimed after a death), "shard.retries", "shard.quarantines",
+/// "shard.worker_deaths", "shard.stage_timeouts", plus the
+/// "shard.heartbeat_ms" histogram of heartbeat intervals.
 
 #include <cstdint>
 #include <string>
@@ -50,16 +52,10 @@ namespace finser::shard {
 
 /// Knobs of one sharded run (CLI flags map onto these 1:1).
 struct ShardConfig {
-  std::size_t workers = 2;      ///< Worker subprocesses (>= 1).
-  std::size_t max_retries = 2;  ///< Extra attempts before quarantine.
-  double heartbeat_period_s = 0.1;   ///< Worker heartbeat cadence.
-  double heartbeat_timeout_s = 30.0; ///< Silence before a worker is killed.
-  double stage_timeout_s = 0.0;      ///< Per-stage wall clock; 0 = off.
-  double poll_period_s = 0.05;       ///< Supervisor poll cadence.
-  double backoff_base_s = 0.1;       ///< Retry backoff: base * 2^(attempt-1).
-  double backoff_max_s = 2.0;        ///< Backoff ceiling.
-  std::string cli_path;      ///< finser_cli binary; "" = /proc/self/exe.
-  std::size_t worker_threads = 0;  ///< Per-worker thread budget; 0 = split.
+  std::size_t workers = 2;            ///< Worker subprocesses (>= 1).
+  std::size_t max_retries = 2;        ///< Extra attempts before quarantine.
+  double heartbeat_timeout_s = 30.0;  ///< Silence before a kill; 0 = off.
+  double stage_timeout_s = 0.0;       ///< Per-stage wall clock; 0 = off.
 };
 
 /// How a sharded campaign ended (maps to CLI exit codes 0 / 5 / 1).
@@ -83,8 +79,7 @@ struct ShardResult {
   ShardOutcome outcome = ShardOutcome::kComplete;
   std::size_t stages_total = 0;
   std::size_t stages_completed = 0;
-  std::size_t stages_resumed = 0;  ///< Honored done markers from a prior run.
-  std::uint64_t fingerprint = 0;   ///< Run fingerprint every lease carries.
+  std::uint64_t fingerprint = 0;  ///< Run fingerprint; names the document.
   std::vector<StageFailure> failures;
 };
 
@@ -92,7 +87,7 @@ struct ShardResult {
 /// campaign completes, degrades to partial, or fails; throws
 /// util::Cancelled when \p cancel fires (after SIGTERM-ing the fleet) and
 /// util::Error for unrecoverable supervisor-side problems (unspawnable
-/// workers, unwritable lease dir). \p spec must have a non-empty
+/// workers, an unwritable document). \p spec must have a non-empty
 /// output_dir or artifact_dir (the artifact dir defaults to
 /// `<output_dir>/artifacts` when unset — workers need the store to ship
 /// stage products across processes).

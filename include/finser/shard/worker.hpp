@@ -1,45 +1,57 @@
 #pragma once
 /// \file worker.hpp
-/// \brief Worker-process side of sharded campaign execution.
+/// \brief Worker-process side of sharded campaign execution, and the line
+/// protocol it speaks with its supervisor.
 ///
-/// `finser_cli worker` parses the campaign document its supervisor resolved
-/// and wrote into the lease dir, rebuilds the identical stage plan
-/// (pipeline::CampaignRunner::plan is deterministic), then loops: poll the
-/// task lease for an assignment, ack it with a `running` heartbeat, execute
-/// the stage via run_stage(), report `done` or `failed`, repeat until a
-/// shutdown task arrives. A heartbeat
-/// thread rewrites the hb lease every `heartbeat_period_s` so the
-/// supervisor can tell "slow" from "dead". Workers also watch getppid():
-/// if the supervisor vanishes (kill -9), they exit on their own instead of
-/// running orphaned forever.
+/// `finser_cli worker <doc>` parses the campaign document its supervisor
+/// resolved, rebuilds the identical stage plan (pipeline::CampaignRunner::plan
+/// is deterministic) and talks over one pipe pair. The supervisor writes one
+/// assignment line `<stage-id> <attempt>` to the worker's stdin per stage and
+/// closes stdin to shut the worker down. The worker writes report lines to
+/// its stdout:
+///
+///   hb                            liveness, every 100 ms (heartbeat thread)
+///   done <stage-id> <attempt>     the stage ran; its products are in the store
+///   failed <stage-id> <attempt> <why>   the stage raised <why>
+///
+/// Each report is one line of at most PIPE_BUF bytes written by one write(2),
+/// so the heartbeat thread and the stage loop never interleave. The pipe is
+/// non-blocking: a heartbeat that finds it full is dropped (the next one says
+/// the same), while `done` and `failed` wait for room and are never dropped.
+/// The worker ends on stdin EOF — its supervisor closed it, or died — and a
+/// busy worker's heartbeat thread exits the process once the report pipe has
+/// no reader left, so an orphaned worker never computes on.
 ///
 /// Fault hooks (util/fault.hpp): `worker_kill_after_claim` SIGKILLs right
-/// after the ack heartbeat lands — the mid-stage-death drill;
-/// `heartbeat_stall` stops the heartbeat thread and wedges the worker at
-/// its next stage boundary — the hung-worker drill. The FINSER_SHARD_POISON
+/// after an assignment is read, the mid-stage-death drill; `heartbeat_stall`
+/// stops the heartbeats and wedges the worker at its next stage boundary
+/// without a report, the hung-worker drill. The FINSER_SHARD_POISON
 /// environment variable (a stage-id substring) makes every worker die on
-/// matching assignments, which is how tests force a deterministic
-/// quarantine across retries.
+/// matching assignments, which is how tests force a deterministic quarantine
+/// across retries.
 
-#include <cstdint>
 #include <string>
 
 namespace finser::shard {
 
-/// Configuration of one worker process (set from CLI flags by the
+/// Configuration of one worker process (set from CLI arguments by the
 /// supervisor when it spawns the worker).
 struct WorkerConfig {
   std::string campaign_path;  ///< The supervisor's resolved campaign JSON.
-  std::string lease_dir;      ///< Control-plane directory.
-  std::uint64_t worker_id = 0;
-  std::size_t threads = 0;          ///< Stage thread budget; 0 = auto.
-  double heartbeat_period_s = 0.1;
-  double poll_period_s = 0.025;
+  std::size_t threads = 0;    ///< Stage thread budget; 0 = auto.
 };
 
 /// Run the worker loop; returns the process exit code (0 on a clean
-/// shutdown). Never throws — stage failures are reported through the
-/// heartbeat lease and the loop continues to the next assignment.
+/// shutdown, 4 when cancelled). Stage failures are reported as `failed`
+/// lines and the loop continues to the next assignment.
 int run_worker(const WorkerConfig& config);
+
+/// What a report line (without its '\n') says about the assignment a worker
+/// holds, \p assignment being its `<stage-id> <attempt>` line ("" = idle).
+/// Only the lines above, for that very assignment, are trusted; everything
+/// else is kMalformed. A kFailed line's reason goes to \p why.
+enum class Report { kHeartbeat, kDone, kFailed, kMalformed };
+Report classify_report(const std::string& line, const std::string& assignment,
+                       std::string* why = nullptr);
 
 }  // namespace finser::shard

@@ -2,10 +2,9 @@
 /// \file bytes.hpp
 /// \brief Bounds-checked little-endian byte codec for binary artifacts.
 ///
-/// Artifacts, lease records and their payloads share one encoding
-/// discipline: raw IEEE-754 doubles and 64-bit counters, written in host
-/// order (finser artifacts are machine-local caches, not interchange
-/// files). The reader is bounds-checked so a truncated or corrupted payload
+/// Artifacts and their payloads share one encoding discipline: raw IEEE-754
+/// doubles and 64-bit counters, written in host order (finser artifacts are
+/// machine-local caches, not interchange files). The reader is bounds-checked so a truncated or corrupted payload
 /// surfaces as a typed util::Error instead of reading past the buffer —
 /// the robustness layer turns that error into "regenerate", never a crash.
 ///

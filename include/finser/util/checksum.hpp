@@ -2,13 +2,12 @@
 /// \file checksum.hpp
 /// \brief CRC-32 payload checksums for on-disk artifacts.
 ///
-/// Artifacts and lease records are binary files that long campaigns write
-/// and re-read across process lifetimes; a torn write, a truncated copy or a
-/// flipped bit must be *detected* (and the artifact regenerated) rather than
-/// silently parsed into garbage statistics. Every finser binary record is
-/// therefore sealed with a CRC-32 (the reflected 0xEDB88320 polynomial, as
-/// used by zlib/PNG) over its body — by util/sealed_record.hpp, the one
-/// caller of crc32().
+/// Artifacts are binary files that long campaigns write and re-read across
+/// process lifetimes; a torn write, a truncated copy or a flipped bit must be
+/// *detected* (and the artifact regenerated) rather than silently parsed into
+/// garbage statistics. Every finser binary record is therefore sealed with a
+/// CRC-32 (the reflected 0xEDB88320 polynomial, as used by zlib/PNG) over its
+/// body — by util/sealed_record.hpp, the one caller of crc32().
 
 #include <cstddef>
 #include <cstdint>

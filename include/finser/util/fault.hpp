@@ -16,8 +16,8 @@
 /// The site fires on hits n .. n+count-1 of its call counter (count
 /// defaults to 1). Sites:
 ///
-///   io_write_fail:N      the Nth atomic file write fails (artifact put or
-///                        lease write) — the run must warn and continue
+///   io_write_fail:N      the Nth atomic file write fails — a failed
+///                        artifact put must warn and let the run continue
 ///   cache_flip:OFFSET    the first artifact put gets the byte at OFFSET
 ///                        XOR-flipped before the write — the next load must
 ///                        reject the blob by CRC and regenerate it
@@ -26,12 +26,8 @@
 ///   kill_after_flush:N   raise(SIGKILL) right after the Nth successful
 ///                        artifact put — drives the kill-and-resume tests
 ///   worker_kill_after_claim:N  a shard worker raises SIGKILL right after
-///                        acknowledging its Nth stage assignment — the
-///                        supervisor must reclaim the lease and reassign
-///   lease_torn:N         the Nth lease-record write lands torn (only a
-///                        prefix reaches disk, no atomic rename) — every
-///                        reader must reject it by CRC and treat the record
-///                        as absent/reclaimable
+///                        reading its Nth stage assignment — the supervisor
+///                        must reclaim the stage and reassign it
 ///   heartbeat_stall:N    from the Nth heartbeat tick on, a shard worker
 ///                        stops heartbeating and wedges at its next stage
 ///                        boundary — the supervisor must time it out, kill
@@ -55,7 +51,6 @@ enum class FaultSite : std::size_t {
   kNewtonDiverge,
   kKillAfterFlush,
   kWorkerKillAfterClaim,
-  kLeaseTorn,
   kHeartbeatStall,
   kCount,
 };

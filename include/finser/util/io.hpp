@@ -2,9 +2,9 @@
 /// \file io.hpp
 /// \brief Crash-safe file I/O primitives for binary artifacts.
 ///
-/// Artifacts and lease records must never be observable in a half-written
-/// state: a run killed mid-write would otherwise leave a torn file that a
-/// resumed run could mistake for real data. atomic_write_file() therefore
+/// Artifacts must never be observable in a half-written state: a run killed
+/// mid-write would otherwise leave a torn file that a resumed run could
+/// mistake for real data. atomic_write_file() therefore
 /// writes to a sibling temp file, fsync()s it, and rename()s it over the
 /// target — POSIX guarantees the target is always either the old or the new
 /// content.

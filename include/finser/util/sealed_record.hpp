@@ -2,8 +2,8 @@
 /// \file sealed_record.hpp
 /// \brief The one framing of finser's on-disk binary records.
 ///
-/// Artifact blobs (`FNSRART1`, pipeline/artifact_store.hpp) and shard lease
-/// records (`FNSRLSE1`, shard/lease.hpp) are both sealed records:
+/// Artifact blobs (`FNSRART1`, pipeline/artifact_store.hpp) are sealed
+/// records:
 ///
 ///   magic   8 bytes: the format and its version
 ///   body    the format's fields (util/bytes.hpp encoding)

@@ -549,7 +549,8 @@ CampaignSpec parse_campaign_file(const std::string& path) {
   std::vector<std::uint8_t> raw;
   std::string error;
   if (!util::read_file(path, raw, &error)) {
-    throw util::Error("cannot read campaign file: " + error);
+    // A path that does not read is a command-line mistake, like bad JSON.
+    throw util::InvalidArgument("cannot read campaign file: " + error);
   }
   return parse_campaign(parse_document(
       std::string(reinterpret_cast<const char*>(raw.data()), raw.size()),
@@ -885,11 +886,11 @@ std::uint64_t campaign_fingerprint(const CampaignSpec& spec) {
   // threads is a pure execution knob — every stage is thread-count-
   // invariant — so it is zeroed before hashing: a re-run with a different
   // worker or thread budget must resume, not recompute. The store's location
-  // changes no number either (and the lease and done records live inside
-  // it), so artifact_dir is cleared too: a sharded run, which defaults the
-  // store to <output_dir>/artifacts, fingerprints like the in-process run of
-  // the same document. output_dir stays hashed, so a shared store's done
-  // markers never let a run with another output directory skip its CSVs.
+  // changes no number either, so artifact_dir is cleared too: a sharded run,
+  // which defaults the store to <output_dir>/artifacts, fingerprints like
+  // the in-process run of the same document. output_dir stays hashed, so two
+  // campaigns that share a store and differ only in where they write their
+  // CSVs still run documents of their own.
   CampaignSpec norm = spec;
   norm.threads = 0;
   norm.artifact_dir.clear();

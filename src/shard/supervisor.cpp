@@ -1,24 +1,26 @@
 #include "finser/shard/supervisor.hpp"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "finser/exec/exec.hpp"
 #include "finser/obs/obs.hpp"
-#include "finser/pipeline/artifact_store.hpp"
-#include "finser/shard/lease.hpp"
+#include "finser/shard/worker.hpp"
 #include "finser/util/error.hpp"
 #include "finser/util/io.hpp"
 
@@ -27,6 +29,12 @@ namespace finser::shard {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Retry backoff: kBackoffBaseS · 2^(attempt−1), capped at kBackoffMaxS.
+constexpr double kBackoffBaseS = 0.1;
+constexpr double kBackoffMaxS = 2.0;
+/// Longest wait for a report: the resolution of timeouts and backoff.
+constexpr int kTickMs = 50;
 
 double seconds_since(Clock::time_point t) {
   return std::chrono::duration<double>(Clock::now() - t).count();
@@ -49,18 +57,15 @@ struct StageBook {
 };
 
 struct WorkerBook {
-  pid_t pid = -1;
-  bool alive = false;
+  pid_t pid = -1;                  // -1 = slot down
+  int to = -1;                     // write end of the worker's stdin
+  int from = -1;                   // read end of the worker's stdout
+  std::string pending;             // report bytes past the last '\n'
   long stage = -1;                 // assigned plan index, -1 = idle
-  std::uint64_t attempt = 0;       // attempt ordinal of that assignment
-  bool acked = false;              // running-heartbeat for it observed
-  std::uint64_t task_seq = 0;      // task records written to this slot
-  std::uint64_t hb_seq = 0;        // last heartbeat seq observed
+  std::string assignment;          // "<stage-id> <attempt>", "" = idle
   Clock::time_point last_hb;       // last liveness evidence
   Clock::time_point assigned_at;
-  Clock::time_point task_written_at;
   std::string kill_reason;         // set before a deliberate SIGKILL
-  std::size_t respawns = 0;
 };
 
 std::string exit_description(int wstatus) {
@@ -74,50 +79,50 @@ std::string exit_description(int wstatus) {
   return "worker died";
 }
 
-/// fork + exec one worker. Replacement workers get FINSER_FAULT stripped in
-/// the child: a one-shot fault (worker_kill_after_claim:1) must prove
-/// *recovery*, not kill every successor forever. FINSER_SHARD_POISON stays
-/// inherited — it exists to crash every attempt of one stage.
-pid_t spawn_worker(const std::string& cli, const std::string& campaign_doc,
-                   const std::string& lease_dir, std::size_t worker_id,
-                   std::size_t threads, bool replacement) {
-  std::vector<std::string> args = {
-      cli,
-      "worker",
-      campaign_doc,
-      "--worker-id",
-      std::to_string(worker_id),
-      "--lease-dir",
-      lease_dir,
-      "--threads",
-      std::to_string(threads),
-  };
-
+/// fork + exec one worker on a fresh pipe pair into \p book. Both pipes are
+/// close-on-exec, so a worker keeps only the copies on its fds 0 and 1 and
+/// never holds another worker's pipe. Replacement workers get FINSER_FAULT
+/// stripped in the child: a one-shot fault (worker_kill_after_claim:1) must
+/// prove *recovery*, not kill every successor forever. FINSER_SHARD_POISON
+/// stays inherited — it exists to crash every attempt of one stage.
+bool spawn_worker(WorkerBook& book, const std::string& doc,
+                  std::size_t threads, bool replacement) {
+  int in[2];
+  int out[2];
+  if (::pipe2(in, O_CLOEXEC) != 0) return false;
+  if (::pipe2(out, O_CLOEXEC) != 0) {
+    ::close(in[0]);
+    ::close(in[1]);
+    return false;
+  }
+  const std::string t = std::to_string(threads);
   const pid_t pid = ::fork();
-  if (pid < 0) return -1;
   if (pid == 0) {
     if (replacement) ::unsetenv("FINSER_FAULT");
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (std::string& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    ::execv(cli.c_str(), argv.data());
+    ::dup2(in[0], STDIN_FILENO);
+    ::dup2(out[1], STDOUT_FILENO);
+    // dup2 onto itself (a supervisor started with fd 0 closed) keeps the
+    // close-on-exec flag; the worker's two ends must survive exec.
+    ::fcntl(STDIN_FILENO, F_SETFD, 0);
+    ::fcntl(STDOUT_FILENO, F_SETFD, 0);
+    ::execl("/proc/self/exe", "/proc/self/exe", "worker", doc.c_str(),
+            "--threads", t.c_str(), static_cast<char*>(nullptr));
     ::_exit(127);  // exec failed; supervisor sees a normal worker death
   }
-  return pid;
-}
-
-void remove_control_files(const std::string& lease_dir) {
-  std::error_code ec;
-  std::filesystem::directory_iterator it(lease_dir, ec);
-  if (ec) return;
-  for (const auto& entry : it) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("task-", 0) == 0 || name.rfind("hb-", 0) == 0) {
-      std::error_code rm_ec;
-      std::filesystem::remove(entry.path(), rm_ec);
-    }
+  ::close(in[0]);
+  ::close(out[1]);
+  if (pid < 0) {
+    ::close(in[1]);
+    ::close(out[0]);
+    return false;
   }
+  book = WorkerBook{};
+  book.pid = pid;
+  book.to = in[1];
+  book.from = out[0];
+  book.last_hb = Clock::now();
+  exec::signal_fanout_add(pid);
+  return true;
 }
 
 }  // namespace
@@ -137,68 +142,39 @@ ShardResult run_sharded_campaign(const pipeline::CampaignSpec& spec,
                    "(workers exchange stage products through the store)");
     resolved.artifact_dir = resolved.output_dir + "/artifacts";
   }
-  const std::string artifact_dir = resolved.artifact_dir;
-  const std::string lease_dir = artifact_dir + "/leases";
-  std::error_code ec;
-  std::filesystem::create_directories(lease_dir, ec);
-  FINSER_REQUIRE(!ec, "shard: cannot create lease dir " + lease_dir + ": " +
-                          ec.message());
-
-  // Startup hygiene: sweep atomic-write debris from both directories, then
-  // clear stale control files. Done markers survive — they are the resume
-  // record (stale-campaign ones are rejected by fingerprint on read).
-  pipeline::ArtifactStore::sweep_orphans(artifact_dir);
-  pipeline::ArtifactStore::sweep_orphans(lease_dir);
-  remove_control_files(lease_dir);
-
-  // Workers run the document planned here, not the user's file: the
-  // defaulted artifact dir, the CLI's overrides and any later edit of the
-  // file cannot make them disagree with the supervisor.
-  const std::string campaign_doc = lease_dir + "/campaign.json";
-  const std::string doc_text = pipeline::campaign_to_json(resolved).dump(2);
-  std::string write_error;
-  if (!util::atomic_write_file(campaign_doc, doc_text.data(), doc_text.size(),
-                               &write_error)) {
-    throw util::Error("shard: cannot write " + campaign_doc + ": " +
-                      write_error);
-  }
-
   pipeline::CampaignRunner planner(resolved);
   const std::uint64_t campaign = planner.fingerprint();
   const std::vector<pipeline::StageInfo>& plan = planner.plan();
+
+  // Workers run the document planned here, not the user's file: the
+  // defaulted artifact dir, the CLI's overrides and any later edit of the
+  // file cannot make them disagree with the supervisor. The file is named by
+  // the run fingerprint, so campaigns that share a store cannot swap plans.
+  char name[17];
+  std::snprintf(name, sizeof name, "%016llx",
+                static_cast<unsigned long long>(campaign));
+  const std::string doc =
+      resolved.artifact_dir + "/campaigns/" + name + ".json";
+  const std::string doc_text = pipeline::campaign_to_json(resolved).dump(2);
+  std::string write_error;
+  if (!util::atomic_write_file(doc, doc_text.data(), doc_text.size(),
+                               &write_error)) {
+    throw util::Error("shard: cannot write " + doc + ": " + write_error);
+  }
 
   ShardResult result;
   result.stages_total = plan.size();
   result.fingerprint = campaign;
 
   std::vector<StageBook> stages(plan.size());
-  const Clock::time_point start = Clock::now();
-  for (StageBook& s : stages) s.eligible_at = start;
+  for (StageBook& s : stages) s.eligible_at = Clock::now();
 
-  // Resume: a valid done marker from this exact campaign completes the
-  // stage before any worker spawns.
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    LeaseRecord done;
-    if (try_read_lease(done_path(lease_dir, plan[i].id), campaign, done) &&
-        done.kind == LeaseKind::kDone && done.stage == plan[i].id) {
-      stages[i].state = StageState::kCompleted;
-      result.stages_resumed += 1;
-    }
-  }
-  if (result.stages_resumed > 0) {
-    progress.message("shard: resumed " +
-                     std::to_string(result.stages_resumed) + "/" +
-                     std::to_string(plan.size()) +
-                     " stages from done markers");
-  }
-
-  const std::string cli =
-      config.cli_path.empty() ? "/proc/self/exe" : config.cli_path;
-  const std::size_t worker_threads =
-      config.worker_threads != 0
-          ? config.worker_threads
-          : std::max<std::size_t>(
-                1, exec::resolve_threads(resolved.threads) / config.workers);
+  const std::size_t worker_threads = std::max<std::size_t>(
+      1, exec::resolve_threads(resolved.threads) / config.workers);
+  // A worker that dies before its assignment is written must cost one
+  // attempt, not the supervisor: the write then fails with EPIPE instead of
+  // raising SIGPIPE, and the worker's EOF fails the attempt.
+  ::signal(SIGPIPE, SIG_IGN);
 
   // A runaway crash loop (exec always failing, a poisoned stage killing
   // every visitor) must converge: cap total respawns well above what any
@@ -208,41 +184,37 @@ ShardResult run_sharded_campaign(const pipeline::CampaignSpec& spec,
   std::size_t respawns_used = 0;
 
   std::vector<WorkerBook> workers(config.workers);
-  const auto spawn_slot = [&](std::size_t w, bool replacement) -> bool {
-    // Clear the slot's control files so the newcomer cannot read its
-    // predecessor's assignment or have its fresh heartbeat shadowed.
-    std::error_code rm_ec;
-    std::filesystem::remove(task_path(lease_dir, w), rm_ec);
-    std::filesystem::remove(heartbeat_path(lease_dir, w), rm_ec);
-    const pid_t pid = spawn_worker(cli, campaign_doc, lease_dir, w,
-                                   worker_threads, replacement);
-    if (pid < 0) return false;
-    WorkerBook& book = workers[w];
-    const std::size_t keep_respawns = book.respawns;
-    book = WorkerBook{};
-    book.respawns = keep_respawns;
-    book.pid = pid;
-    book.alive = true;
-    book.last_hb = Clock::now();
-    exec::signal_fanout_add(pid);
-    return true;
-  };
 
-  const auto reap_all = [&](bool force) {
+  // Closing a worker's stdin shuts it down; a cancelled run also SIGTERMs
+  // it, so a busy stage stops at its next chunk. Whoever is still running
+  // after 5 s is killed.
+  const auto stop_workers = [&](bool terminate) {
     for (WorkerBook& w : workers) {
-      if (!w.alive) continue;
-      if (force) ::kill(w.pid, SIGKILL);
-      int status = 0;
-      ::waitpid(w.pid, &status, 0);
+      if (w.pid < 0) continue;
+      ::close(w.to);
+      if (terminate) ::kill(w.pid, SIGTERM);
+    }
+    const Clock::time_point start = Clock::now();
+    for (WorkerBook& w : workers) {
+      if (w.pid < 0) continue;
+      while (::waitpid(w.pid, nullptr, WNOHANG) == 0) {
+        if (seconds_since(start) > 5.0) {
+          ::kill(w.pid, SIGKILL);
+          ::waitpid(w.pid, nullptr, 0);
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
       exec::signal_fanout_remove(w.pid);
-      w.alive = false;
+      ::close(w.from);
+      w.pid = -1;
     }
   };
 
-  for (std::size_t w = 0; w < config.workers; ++w) {
-    if (!spawn_slot(w, /*replacement=*/false)) {
-      reap_all(/*force=*/true);
-      throw util::Error("shard: cannot spawn worker " + std::to_string(w));
+  for (WorkerBook& w : workers) {
+    if (!spawn_worker(w, doc, worker_threads, /*replacement=*/false)) {
+      stop_workers(/*terminate=*/true);
+      throw util::Error("shard: cannot spawn a worker");
     }
   }
   progress.message("shard: supervising " + std::to_string(config.workers) +
@@ -265,9 +237,8 @@ ShardResult run_sharded_campaign(const pipeline::CampaignSpec& spec,
       return;
     }
     const double backoff = std::min(
-        config.backoff_max_s,
-        config.backoff_base_s *
-            std::pow(2.0, static_cast<double>(book.attempts) - 1.0));
+        kBackoffMaxS,
+        kBackoffBaseS * std::pow(2.0, static_cast<double>(book.attempts) - 1.0));
     book.state = StageState::kPending;
     book.eligible_at =
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -277,13 +248,68 @@ ShardResult run_sharded_campaign(const pipeline::CampaignSpec& spec,
                      reason + ")");
   };
 
-  const auto release_worker_stage = [&](WorkerBook& w,
-                                        const std::string& reason) {
-    if (w.stage < 0) return;
-    FINSER_OBS_COUNT("shard.reassigns", 1);
-    const std::size_t s = static_cast<std::size_t>(w.stage);
-    w.stage = -1;
-    if (stages[s].state == StageState::kAssigned) attempt_failed(s, reason);
+  // A worker is down once its report pipe reads EOF: reap it, reclaim its
+  // stage, and respawn the slot (without FINSER_FAULT) while budget lasts.
+  const auto worker_down = [&](std::size_t w) {
+    WorkerBook& book = workers[w];
+    int status = 0;
+    ::waitpid(book.pid, &status, 0);
+    exec::signal_fanout_remove(book.pid);
+    ::close(book.to);
+    ::close(book.from);
+    book.pid = -1;
+    FINSER_OBS_COUNT("shard.worker_deaths", 1);
+    const std::string reason = book.kill_reason.empty()
+                                   ? exit_description(status)
+                                   : book.kill_reason;
+    progress.message("shard: worker " + std::to_string(w) + " down: " +
+                     reason);
+    if (book.stage >= 0) {
+      FINSER_OBS_COUNT("shard.reassigns", 1);
+      const auto s = static_cast<std::size_t>(book.stage);
+      if (stages[s].state == StageState::kAssigned) attempt_failed(s, reason);
+    }
+    if (respawns_used < respawn_budget) {
+      ++respawns_used;
+      spawn_worker(book, doc, worker_threads, /*replacement=*/true);
+    }
+  };
+
+  // A condemned worker is killed; its EOF then fails its attempt.
+  const auto condemn = [](WorkerBook& book, const std::string& reason) {
+    book.kill_reason = reason;
+    ::kill(book.pid, SIGKILL);
+  };
+
+  // One report line from worker w. A condemned worker's lines no longer
+  // count, and a line that is not a report on its own assignment condemns
+  // the worker: it fails the attempt and is never trusted.
+  const auto on_report = [&](std::size_t w, const std::string& line) {
+    WorkerBook& book = workers[w];
+    if (!book.kill_reason.empty()) return;
+    std::string why;
+    const Report report = classify_report(line, book.assignment, &why);
+    if (report == Report::kMalformed) {
+      condemn(book, "malformed report `" + line.substr(0, 80) + "`");
+      return;
+    }
+    if (report == Report::kHeartbeat) {
+      FINSER_OBS_RECORD(
+          "shard.heartbeat_ms",
+          static_cast<std::int64_t>(seconds_since(book.last_hb) * 1e3));
+      book.last_hb = Clock::now();
+      return;
+    }
+    const auto s = static_cast<std::size_t>(book.stage);
+    book.stage = -1;
+    book.assignment.clear();
+    if (report == Report::kFailed) {
+      attempt_failed(s, why.empty() ? "stage failed" : why);
+      return;
+    }
+    stages[s].state = StageState::kCompleted;
+    progress.message("shard: stage " + plan[s].id + " completed by worker " +
+                     std::to_string(w));
   };
 
   // --- supervision loop ----------------------------------------------------
@@ -294,120 +320,57 @@ ShardResult run_sharded_campaign(const pipeline::CampaignSpec& spec,
       cancelled = true;
       break;
     }
-    const Clock::time_point now = Clock::now();
 
-    // 1. Reap deaths. A dead worker's assignment is reclaimed and the slot
-    // is respawned (without re-arming FINSER_FAULT) while budget lasts.
+    // 1. Reports: wait up to one tick for any worker to write (a signal ends
+    // the wait early), then read what arrived. EOF is the worker's death.
+    std::vector<pollfd> fds;
+    std::vector<std::size_t> owners;
     for (std::size_t w = 0; w < workers.size(); ++w) {
-      WorkerBook& book = workers[w];
-      if (!book.alive) continue;
-      int status = 0;
-      const pid_t reaped = ::waitpid(book.pid, &status, WNOHANG);
-      if (reaped != book.pid) continue;
-      exec::signal_fanout_remove(book.pid);
-      book.alive = false;
-      FINSER_OBS_COUNT("shard.worker_deaths", 1);
-      const std::string reason = book.kill_reason.empty()
-                                     ? exit_description(status)
-                                     : book.kill_reason;
-      progress.message("shard: worker " + std::to_string(w) + " down: " +
-                       reason);
-      release_worker_stage(book, reason);
-      if (respawns_used < respawn_budget) {
-        ++respawns_used;
-        ++book.respawns;
-        if (!spawn_slot(w, /*replacement=*/true)) book.alive = false;
-      }
+      if (workers[w].pid < 0) continue;
+      fds.push_back({workers[w].from, POLLIN, 0});
+      owners.push_back(w);
     }
-
-    // 2. Heartbeats: liveness, claim acks, completions, failures.
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      WorkerBook& book = workers[w];
-      if (!book.alive) continue;
-      LeaseRecord hb;
-      if (!try_read_lease(heartbeat_path(lease_dir, w), campaign, hb) ||
-          hb.kind != LeaseKind::kHeartbeat) {
+    ::poll(fds.data(), fds.size(), kTickMs);
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      if (fds[i].revents == 0) continue;
+      WorkerBook& book = workers[owners[i]];
+      char buf[4096];
+      const ssize_t n = ::read(book.from, buf, sizeof buf);
+      if (n <= 0) {
+        if (n == 0 || errno != EINTR) worker_down(owners[i]);
         continue;
       }
-      if (hb.seq != book.hb_seq) {
-        if (book.hb_seq != 0) {
-          FINSER_OBS_RECORD(
-              "shard.heartbeat_ms",
-              static_cast<std::int64_t>(seconds_since(book.last_hb) * 1e3));
-        }
-        book.hb_seq = hb.seq;
-        book.last_hb = now;
+      book.pending.append(buf, static_cast<std::size_t>(n));
+      for (std::size_t eol = book.pending.find('\n');
+           eol != std::string::npos; eol = book.pending.find('\n')) {
+        const std::string line = book.pending.substr(0, eol);
+        book.pending.erase(0, eol + 1);
+        on_report(owners[i], line);
       }
-      if (book.stage < 0) continue;
-      const std::size_t s = static_cast<std::size_t>(book.stage);
-      if (hb.stage != plan[s].id || hb.attempt != book.attempt) continue;
-      switch (hb.state) {
-        case LeaseState::kRunning:
-          book.acked = true;
-          break;
-        case LeaseState::kDone:
-          stages[s].state = StageState::kCompleted;
-          result.stages_completed += 1;
-          book.stage = -1;
-          progress.message("shard: stage " + plan[s].id + " completed by "
-                           "worker " + std::to_string(w));
-          break;
-        case LeaseState::kFailed: {
-          const std::size_t failed = s;
-          book.stage = -1;
-          attempt_failed(failed, hb.message.empty() ? "stage failed"
-                                                    : hb.message);
-          break;
-        }
-        default:
-          break;
+      // A well-formed report fits one atomic pipe write.
+      if (book.pending.size() >= PIPE_BUF && book.kill_reason.empty()) {
+        condemn(book, "overlong report line");
       }
     }
 
-    // 3. Timeouts: a silent worker and an over-budget stage are the same
-    // pathology from the campaign's point of view — kill and reassign.
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      WorkerBook& book = workers[w];
-      if (!book.alive || !book.kill_reason.empty()) continue;
+    // 2. Timeouts: a silent worker and an over-budget stage are the same
+    // pathology from the campaign's point of view — kill it; its EOF then
+    // reclaims the stage.
+    for (WorkerBook& book : workers) {
+      if (book.pid < 0 || !book.kill_reason.empty()) continue;
       if (config.heartbeat_timeout_s > 0.0 &&
           seconds_since(book.last_hb) > config.heartbeat_timeout_s) {
-        book.kill_reason = "heartbeat timeout (" +
-                           std::to_string(config.heartbeat_timeout_s) + " s)";
-        ::kill(book.pid, SIGKILL);
-        continue;
-      }
-      if (config.stage_timeout_s > 0.0 && book.stage >= 0 &&
-          seconds_since(book.assigned_at) > config.stage_timeout_s) {
-        book.kill_reason = "stage timeout (" +
-                           std::to_string(config.stage_timeout_s) + " s)";
+        condemn(book, "heartbeat timeout (" +
+                          std::to_string(config.heartbeat_timeout_s) + " s)");
+      } else if (config.stage_timeout_s > 0.0 && book.stage >= 0 &&
+                 seconds_since(book.assigned_at) > config.stage_timeout_s) {
         FINSER_OBS_COUNT("shard.stage_timeouts", 1);
-        ::kill(book.pid, SIGKILL);
+        condemn(book, "stage timeout (" +
+                          std::to_string(config.stage_timeout_s) + " s)");
       }
     }
 
-    // 4. Heal un-acked task files: if the assignment write was torn
-    // (lease_torn drill) the worker reads nothing — rewrite after an ack
-    // window. Same (stage, attempt), so a worker that *did* see the first
-    // copy dedupes the rewrite.
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      WorkerBook& book = workers[w];
-      if (!book.alive || book.stage < 0 || book.acked) continue;
-      const double window = std::max(0.25, 4.0 * config.poll_period_s);
-      if (seconds_since(book.task_written_at) < window) continue;
-      LeaseRecord task;
-      task.kind = LeaseKind::kTask;
-      task.state = LeaseState::kAssign;
-      task.campaign = campaign;
-      task.worker = w;
-      task.attempt = book.attempt;
-      task.seq = ++book.task_seq;
-      task.stage = plan[static_cast<std::size_t>(book.stage)].id;
-      write_lease(task_path(lease_dir, w), task);
-      book.task_written_at = Clock::now();
-      FINSER_OBS_COUNT("shard.task_rewrites", 1);
-    }
-
-    // 5. Cascade blocking: a stage whose dependency can never complete is
+    // 3. Cascade blocking: a stage whose dependency can never complete is
     // terminal too (recorded, so the report explains every missing CSV).
     for (std::size_t s = 0; s < plan.size(); ++s) {
       if (stages[s].state != StageState::kPending) continue;
@@ -422,10 +385,11 @@ ShardResult run_sharded_campaign(const pipeline::CampaignSpec& spec,
       }
     }
 
-    // 6. Assign ready stages to idle workers, both in deterministic order.
+    // 4. Assign ready stages to idle workers, both in deterministic order.
+    const Clock::time_point now = Clock::now();
     for (std::size_t w = 0; w < workers.size(); ++w) {
       WorkerBook& book = workers[w];
-      if (!book.alive || book.stage >= 0 || !book.kill_reason.empty()) {
+      if (book.pid < 0 || book.stage >= 0 || !book.kill_reason.empty()) {
         continue;
       }
       long pick = -1;
@@ -447,29 +411,23 @@ ShardResult run_sharded_campaign(const pipeline::CampaignSpec& spec,
       stage.state = StageState::kAssigned;
       stage.attempts += 1;
       book.stage = pick;
-      book.attempt = stage.attempts;
-      book.acked = false;
+      book.assignment = plan[s].id + " " + std::to_string(stage.attempts);
       book.assigned_at = now;
       book.last_hb = now;  // fresh timeout window for the new assignment
-      LeaseRecord task;
-      task.kind = LeaseKind::kTask;
-      task.state = LeaseState::kAssign;
-      task.campaign = campaign;
-      task.worker = w;
-      task.attempt = book.attempt;
-      task.seq = ++book.task_seq;
-      task.stage = plan[s].id;
-      write_lease(task_path(lease_dir, w), task);
-      book.task_written_at = Clock::now();
+      // A failed write needs no handling: a worker that cannot read its
+      // assignment is dead, and its EOF fails the attempt.
+      const std::string line = book.assignment + "\n";
+      (void)!::write(book.to, line.data(), line.size());
       FINSER_OBS_COUNT("shard.claims", 1);
       progress.message("shard: stage " + plan[s].id + " -> worker " +
                        std::to_string(w) +
-                       (book.attempt > 1
-                            ? " (attempt " + std::to_string(book.attempt) + ")"
+                       (stage.attempts > 1
+                            ? " (attempt " + std::to_string(stage.attempts) +
+                                  ")"
                             : ""));
     }
 
-    // 7. Termination: every stage terminal, or nobody left to run them.
+    // 5. Termination: every stage terminal, or nobody left to run them.
     const bool all_terminal = std::all_of(
         stages.begin(), stages.end(), [](const StageBook& s) {
           return s.state == StageState::kCompleted ||
@@ -479,7 +437,7 @@ ShardResult run_sharded_campaign(const pipeline::CampaignSpec& spec,
     if (all_terminal) break;
     const bool any_alive = std::any_of(
         workers.begin(), workers.end(),
-        [](const WorkerBook& w) { return w.alive; });
+        [](const WorkerBook& w) { return w.pid >= 0; });
     if (!any_alive && respawns_used >= respawn_budget) {
       for (std::size_t s = 0; s < plan.size(); ++s) {
         if (stages[s].state == StageState::kPending ||
@@ -490,59 +448,19 @@ ShardResult run_sharded_campaign(const pipeline::CampaignSpec& spec,
       }
       break;
     }
-
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(std::max(0.005, config.poll_period_s)));
   }
 
-  // --- shutdown ------------------------------------------------------------
-
-  if (cancelled) {
-    for (WorkerBook& w : workers) {
-      if (w.alive) ::kill(w.pid, SIGTERM);
-    }
-    reap_all(/*force=*/false);
-    throw util::Cancelled("shard: campaign cancelled");
-  }
-
-  for (std::size_t w = 0; w < workers.size(); ++w) {
-    WorkerBook& book = workers[w];
-    if (!book.alive) continue;
-    LeaseRecord task;
-    task.kind = LeaseKind::kTask;
-    task.state = LeaseState::kShutdown;
-    task.campaign = campaign;
-    task.worker = w;
-    task.seq = ++book.task_seq;
-    write_lease(task_path(lease_dir, w), task);
-  }
-  // Give workers one poll period to exit cleanly, then escalate.
-  const Clock::time_point shutdown_start = Clock::now();
-  for (;;) {
-    bool any = false;
-    for (WorkerBook& w : workers) {
-      if (!w.alive) continue;
-      int status = 0;
-      if (::waitpid(w.pid, &status, WNOHANG) == w.pid) {
-        exec::signal_fanout_remove(w.pid);
-        w.alive = false;
-      } else {
-        any = true;
-      }
-    }
-    if (!any) break;
-    if (seconds_since(shutdown_start) > 5.0) {
-      reap_all(/*force=*/true);
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  stop_workers(cancelled);
+  if (cancelled) throw util::Cancelled("shard: campaign cancelled");
 
   // --- outcome -------------------------------------------------------------
 
   for (std::size_t s = 0; s < plan.size(); ++s) {
     const StageBook& book = stages[s];
-    if (book.state == StageState::kCompleted) continue;
+    if (book.state == StageState::kCompleted) {
+      result.stages_completed += 1;
+      continue;
+    }
     StageFailure failure;
     failure.id = plan[s].id;
     failure.label = plan[s].label;
@@ -551,10 +469,6 @@ ShardResult run_sharded_campaign(const pipeline::CampaignSpec& spec,
         book.state == StageState::kQuarantined ? "quarantined" : "blocked";
     failure.reason = book.last_error;
     result.failures.push_back(std::move(failure));
-  }
-  result.stages_completed = 0;
-  for (const StageBook& s : stages) {
-    if (s.state == StageState::kCompleted) result.stages_completed += 1;
   }
   if (result.failures.empty()) {
     result.outcome = ShardOutcome::kComplete;
@@ -586,7 +500,6 @@ util::JsonValue shard_report_json(const ShardResult& result,
   doc["stages_total"] = static_cast<std::uint64_t>(result.stages_total);
   doc["stages_completed"] =
       static_cast<std::uint64_t>(result.stages_completed);
-  doc["stages_resumed"] = static_cast<std::uint64_t>(result.stages_resumed);
   util::JsonValue failures = util::JsonValue::array();
   for (const StageFailure& f : result.failures) {
     util::JsonValue o = util::JsonValue::object();

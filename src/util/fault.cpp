@@ -17,7 +17,7 @@ const char* site_name(std::size_t i) {
   constexpr const char* kNames[kSiteCount] = {
       "io_write_fail",           "cache_flip", "newton_diverge",
       "kill_after_flush",        "worker_kill_after_claim",
-      "lease_torn",              "heartbeat_stall"};
+      "heartbeat_stall"};
   return kNames[i];
 }
 

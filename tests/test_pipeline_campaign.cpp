@@ -473,8 +473,9 @@ TEST(CampaignRunner, SharedModelCharacterizesOnceAndWarmRunsFromArtifacts) {
 }
 
 /// The stage plan is the sharding contract (docs/sharding.md): ids must be
-/// deterministic, path-safe (they name lease files) and dependency-closed,
-/// or supervisor and workers would disagree about what "stage 3" means.
+/// deterministic, path-safe (one word of an assignment line) and
+/// dependency-closed, or supervisor and workers would disagree about what
+/// "stage 3" means.
 TEST(CampaignRunner, StagePlanIdsAreDeterministicAndPathSafe) {
   CampaignSpec spec;
   spec.name = "plan-test";
@@ -529,8 +530,8 @@ TEST(CampaignRunner, RunStageByStageMatchesRun) {
   }
 }
 
-/// The fingerprint names lease/done files across processes, so it must not
-/// depend on the execution knob (threads) — only on the science.
+/// The fingerprint names a sharded run's document across processes, so it
+/// must not depend on the execution knob (threads) — only on the science.
 TEST(CampaignFingerprint, InvariantToExecutionKnobs) {
   CampaignSpec spec = single_scenario_campaign(tiny_flow(), {"alpha"}, "");
   const std::uint64_t base = campaign_fingerprint(spec);
@@ -545,8 +546,8 @@ TEST(CampaignFingerprint, InvariantToExecutionKnobs) {
   stored.artifact_dir = "elsewhere/artifacts";
   EXPECT_EQ(campaign_fingerprint(stored), base);
 
-  // The output directory is part of the run: done markers in a shared store
-  // must not let a run with another output_dir skip writing its CSVs.
+  // The output directory is part of the run: two campaigns that share a
+  // store and differ only in output_dir must not share a document.
   CampaignSpec moved = spec;
   moved.output_dir = "elsewhere";
   EXPECT_NE(campaign_fingerprint(moved), base);
@@ -556,9 +557,8 @@ TEST(CampaignFingerprint, InvariantToExecutionKnobs) {
   EXPECT_NE(campaign_fingerprint(edited), base);
 }
 
-/// The run fingerprint that leases, done markers and the run report carry
-/// is the document's at MC scale 1 (so plain runs' markers keep resuming),
-/// and another run's at any other scale.
+/// The run fingerprint that the run report carries is the document's at MC
+/// scale 1, and another run's at any other scale.
 TEST(CampaignFingerprint, RunFingerprintIsTheDocumentsAtScaleOne) {
   const CampaignSpec spec =
       single_scenario_campaign(tiny_flow(), {"alpha"}, "");

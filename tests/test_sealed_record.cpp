@@ -1,9 +1,8 @@
 /// \file test_sealed_record.cpp
 /// \brief The one sealed-record framing (util/sealed_record.hpp): frame
-/// checks in order, parser rejects, and a mutation sweep of both record
-/// formats built on it — every truncation and every single-bit flip of an
-/// artifact blob and of a lease record must read as a reject, never as a
-/// record and never as an exception.
+/// checks in order, parser rejects, and a mutation sweep of the artifact
+/// blob built on it — every truncation and every single-bit flip must read
+/// as a reject, never as a record and never as an exception.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "finser/pipeline/artifact_store.hpp"
-#include "finser/shard/lease.hpp"
 #include "finser/util/error.hpp"
 #include "finser/util/io.hpp"
 #include "finser/util/sealed_record.hpp"
@@ -205,24 +203,6 @@ TEST(SealedRecord, ArtifactRejectsEveryTruncationAndBitFlip) {
         std::vector<std::uint8_t> out;
         return store.try_get(key, out, &reason);
       });
-}
-
-TEST(SealedRecord, LeaseRejectsEveryTruncationAndBitFlip) {
-  const TempDir dir("finser_sealed_lease_mutation");
-  const std::string path = shard::task_path(dir.path(), 1);
-  shard::LeaseRecord rec;
-  rec.kind = shard::LeaseKind::kTask;
-  rec.state = shard::LeaseState::kAssign;
-  rec.campaign = 0xC0FFEE;
-  rec.stage = "0-x";
-  ASSERT_TRUE(shard::write_lease(path, rec));
-  std::vector<std::uint8_t> good;
-  ASSERT_TRUE(read_file(path, good, nullptr));
-
-  expect_every_mutation_rejected(path, good, [&](std::string& reason) {
-    shard::LeaseRecord out;
-    return shard::try_read_lease(path, rec.campaign, out, &reason);
-  });
 }
 
 }  // namespace

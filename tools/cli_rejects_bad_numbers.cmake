@@ -5,10 +5,11 @@
 # voltages, σVt, the node capacitance and the CI target (campaign key and
 # --ci-target) must be finite and in range, campaign files must be
 # well-formed JSON, and unknown commands, options and campaign keys (the
-# retired sampler knobs among them) are rejected, as is an option the
-# command does not read. Every rejection exits 2 with a message naming the
-# offending argument, key or file; `cell 0.8` still exits 0. An invalid
-# FINSER_WORKERS is diagnosed on stderr and ignored.
+# retired sampler knobs among them) are rejected, as are an option the
+# command does not read and an argument past the ones it takes. Every
+# rejection exits 2 with a message naming the offending argument, key or
+# file; `cell 0.8` still exits 0. An invalid FINSER_WORKERS is diagnosed on
+# stderr and ignored.
 #
 # Inputs: -DFINSER_CLI=<path to binary> -DWORK_DIR=<scratch dir>
 
@@ -96,6 +97,17 @@ foreach(flag "--print-config" "--workers;2" "--metrics-out;${WORK_DIR}/m.json"
   expect_exit(2 "`serve` does not read ${name}" serve "${campaign}" ${flag})
 endforeach()
 
+# A command exits 2 on an argument past the ones it takes, naming the
+# argument and the command, instead of ignoring it.
+set(other "${WORK_DIR}/other.json")
+expect_exit(2 "unexpected argument `${other}` for `campaign`" campaign
+            "${campaign}" "${other}" --print-config)
+expect_exit(2 "unexpected argument `${other}` for `serve`" serve
+            "${campaign}" "${other}")
+expect_exit(2 "unexpected argument `0.9` for `cell`" cell 0.8 0.9)
+expect_exit(2 "unexpected argument `${WORK_DIR}/d2` for `artifacts`" artifacts
+            ls "${WORK_DIR}/d1" "${WORK_DIR}/d2")
+
 # --ci-target takes a finite relative half-width >= 0, like
 # sampling.ci_target.
 foreach(bad nan inf -1 abc)
@@ -152,7 +164,7 @@ foreach(doc "${truncated}" "${huge}")
   expect_exit(2 "${doc}" campaign "${doc}" --print-config)
   expect_exit(2 "${doc}" campaign "${doc}")
   expect_exit(2 "${doc}" serve "${doc}")
-  expect_exit(2 "${doc}" worker "${doc}" --lease-dir "${WORK_DIR}/leases")
+  expect_exit(2 "${doc}" worker "${doc}")
 endforeach()
 
 # The sampling block holds `position` (uniform | importance), `qmc` and the

@@ -11,12 +11,17 @@
 ///                                     (protocol: docs/serving.md)
 ///   finser_cli artifacts ls <dir>     read-only artifact-store inventory
 ///   finser_cli cell [vdd]             one-voltage cell summary (Qcrit, SNM)
+///   finser_cli worker <file.json>     shard worker: stage assignments on
+///                                     stdin, reports on stdout (spawned by
+///                                     `campaign --workers N`;
+///                                     docs/sharding.md)
 ///   finser_cli --help
 ///
 /// The `--threads N` flag caps the worker-thread count (default:
 /// FINSER_THREADS, else hardware concurrency). Results are bit-identical
 /// for any thread count (docs/parallelism.md). Each command reads only the
-/// flags command_flags() lists; any other flag exits 2.
+/// flags commands() lists, and at most its positional arguments; anything
+/// else exits 2.
 ///
 /// A campaign writes its CSVs under its `output_dir`, and a rerun reuses
 /// every finished product in its `artifact_dir` store — an interrupted run
@@ -81,11 +86,14 @@ void print_help() {
       "                                    store: kind, fingerprint, size and\n"
       "                                    integrity status per entry\n"
       "  finser_cli cell [vdd]             single-voltage cell summary\n"
-      "  finser_cli worker <file.json>     shard worker (spawned by a\n"
-      "                                    `campaign --workers N` supervisor;\n"
-      "                                    not for direct use — docs/sharding.md)\n"
+      "  finser_cli worker <file.json>     shard worker: reads stage\n"
+      "                                    assignments on stdin and reports\n"
+      "                                    on stdout (spawned by `campaign\n"
+      "                                    --workers N`; not for direct use —\n"
+      "                                    docs/sharding.md)\n"
       "  finser_cli --help                 this text\n\n"
-      "Options (a command exits 2 on an option it does not read):\n"
+      "Options (a command exits 2 on an option it does not read, and on an\n"
+      "argument past the ones shown above):\n"
       "  --print-config for `campaign`: print the fully resolved\n"
       "                 effective configuration as campaign JSON (round-trips\n"
       "                 through the campaign parser) and exit without\n"
@@ -222,32 +230,13 @@ int run_campaign(const pipeline::CampaignSpec& spec, const Outputs& out,
   return 0;
 }
 
-/// Sharding knobs extracted from the global flag pass (campaign supervisor
-/// + worker subcommand).
+/// Sharding knobs of `campaign`, extracted from the global flag pass.
 struct ShardCliOptions {
   std::size_t workers = 0;  ///< 0 = in-process.
   std::size_t max_retries = 2;
   double stage_timeout_s = 0.0;
   double heartbeat_timeout_s = 30.0;
-  std::uint64_t worker_id = 0;  ///< worker subcommand only.
-  std::string lease_dir;        ///< worker subcommand only.
 };
-
-int cmd_worker(const std::string& campaign_path, std::size_t cli_threads,
-               const ShardCliOptions& opts) {
-  if (opts.lease_dir.empty()) {
-    std::fprintf(stderr,
-                 "error: worker needs --lease-dir (spawned by a `campaign "
-                 "--workers N` supervisor; see docs/sharding.md)\n");
-    return 2;
-  }
-  shard::WorkerConfig cfg;
-  cfg.campaign_path = campaign_path;
-  cfg.lease_dir = opts.lease_dir;
-  cfg.worker_id = opts.worker_id;
-  cfg.threads = cli_threads;
-  return shard::run_worker(cfg);
-}
 
 int cmd_campaign(const std::string& campaign_path, const Overrides& overrides,
                  const Outputs& out, bool print_config,
@@ -262,8 +251,8 @@ int cmd_campaign(const std::string& campaign_path, const Overrides& overrides,
   }
 
   if (shard_opts.workers > 0) {
-    // Sharded path: worker subprocesses, lease-based supervision. Byte-
-    // identical outputs to the in-process branch below (docs/sharding.md).
+    // Sharded path: worker subprocesses on pipes, supervised. Byte-identical
+    // outputs to the in-process branch below (docs/sharding.md).
     const exec::ProgressSink progress(
         [](const std::string& m) { std::printf("  [%s]\n", m.c_str()); },
         std::chrono::milliseconds(250));
@@ -275,12 +264,8 @@ int cmd_campaign(const std::string& campaign_path, const Overrides& overrides,
     const shard::ShardResult result =
         shard::run_sharded_campaign(spec, scfg, &cancel, progress);
 
-    std::printf("\nsharded campaign: %zu/%zu stages completed",
+    std::printf("\nsharded campaign: %zu/%zu stages completed\n",
                 result.stages_completed, result.stages_total);
-    if (result.stages_resumed > 0) {
-      std::printf(" (%zu resumed from a previous run)", result.stages_resumed);
-    }
-    std::printf("\n");
     for (const auto& f : result.failures) {
       std::printf("  %s stage %s after %zu attempts: %s\n", f.status.c_str(),
                   f.id.c_str(), f.attempts, f.reason.c_str());
@@ -425,21 +410,30 @@ int cmd_cell(double vdd) {
   return 0;
 }
 
-/// The flags each command reads, keyed by command; the keys are the known
-/// commands. main() rejects any other flag, so a flag a command would
-/// ignore exits 2 instead of looking accepted.
-const std::map<std::string, std::vector<std::string>>& command_flags() {
-  static const std::map<std::string, std::vector<std::string>> table = {
+/// What a command reads: at most `positionals` arguments after its name,
+/// and the flags listed.
+struct CommandSpec {
+  std::size_t positionals;
+  std::vector<std::string> flags;
+};
+
+/// Every known command. main() rejects any other flag and any surplus
+/// argument, so input a command would ignore exits 2 instead of looking
+/// accepted.
+const std::map<std::string, CommandSpec>& commands() {
+  static const std::map<std::string, CommandSpec> table = {
       {"campaign",
-       {"--print-config", "--threads", "--ci-target", "--cluster",
-        "--metrics-out", "--trace-out", "--workers", "--max-retries",
-        "--stage-timeout-s", "--heartbeat-timeout-s"}},
+       {1,
+        {"--print-config", "--threads", "--ci-target", "--cluster",
+         "--metrics-out", "--trace-out", "--workers", "--max-retries",
+         "--stage-timeout-s", "--heartbeat-timeout-s"}}},
       {"serve",
-       {"--threads", "--ci-target", "--cluster", "--artifact-dir",
-        "--max-pending"}},
-      {"worker", {"--threads", "--worker-id", "--lease-dir"}},
-      {"artifacts", {"--artifact-dir"}},
-      {"cell", {}},
+       {1,
+        {"--threads", "--ci-target", "--cluster", "--artifact-dir",
+         "--max-pending"}}},
+      {"worker", {1, {"--threads"}}},
+      {"artifacts", {2, {"--artifact-dir"}}},  // ls [dir]
+      {"cell", {1, {}}},
   };
   return table;
 }
@@ -493,9 +487,9 @@ int main(int argc, char** argv) {
         continue;
       }
       const bool known = std::any_of(
-          command_flags().begin(), command_flags().end(), [&](const auto& c) {
-            return std::find(c.second.begin(), c.second.end(), a) !=
-                   c.second.end();
+          commands().begin(), commands().end(), [&](const auto& c) {
+            const std::vector<std::string>& f = c.second.flags;
+            return std::find(f.begin(), f.end(), a) != f.end();
           });
       if (!known) {
         // An unknown option must not be mistaken for a positional argument
@@ -523,10 +517,6 @@ int main(int argc, char** argv) {
       if (a == "--trace-out") {
         out.trace_out = raw;
         finser::obs::set_trace_enabled(true);
-        continue;
-      }
-      if (a == "--lease-dir") {
-        shard_opts.lease_dir = raw;
         continue;
       }
       if (a == "--artifact-dir") {
@@ -569,7 +559,7 @@ int main(int argc, char** argv) {
         max_pending = static_cast<std::size_t>(v);
         continue;
       }
-      if (a == "--workers" || a == "--max-retries" || a == "--worker-id") {
+      if (a == "--workers" || a == "--max-retries") {
         const long v = std::strtol(raw, &end, 10);
         if (end == raw || *end != '\0' || v < 0) {
           std::fprintf(stderr,
@@ -580,10 +570,8 @@ int main(int argc, char** argv) {
         }
         if (a == "--workers") {
           shard_opts.workers = static_cast<std::size_t>(v);
-        } else if (a == "--max-retries") {
-          shard_opts.max_retries = static_cast<std::size_t>(v);
         } else {
-          shard_opts.worker_id = static_cast<std::uint64_t>(v);
+          shard_opts.max_retries = static_cast<std::size_t>(v);
         }
         continue;
       }
@@ -615,8 +603,8 @@ int main(int argc, char** argv) {
     }
 
     const std::string cmd = !args.empty() ? args[0] : "--help";
-    const auto reads = command_flags().find(cmd);
-    if (reads == command_flags().end()) {
+    const auto reads = commands().find(cmd);
+    if (reads == commands().end()) {
       if (cmd != "--help" && cmd != "-h") {
         std::fprintf(stderr, "error: unknown command `%s`\n", cmd.c_str());
       }
@@ -624,12 +612,18 @@ int main(int argc, char** argv) {
       return cmd == "--help" || cmd == "-h" ? 0 : 2;
     }
     for (const std::string& flag : flags) {
-      const std::vector<std::string>& known = reads->second;
+      const std::vector<std::string>& known = reads->second.flags;
       if (std::find(known.begin(), known.end(), flag) == known.end()) {
         std::fprintf(stderr, "error: `%s` does not read %s (see --help)\n",
                      cmd.c_str(), flag.c_str());
         return 2;
       }
+    }
+    if (args.size() > reads->second.positionals + 1) {
+      std::fprintf(stderr,
+                   "error: unexpected argument `%s` for `%s` (see --help)\n",
+                   args[reads->second.positionals + 1].c_str(), cmd.c_str());
+      return 2;
     }
     if (cmd == "campaign") {
       if (args.size() < 2) {
@@ -654,7 +648,10 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: worker needs a campaign JSON argument\n");
         return 2;
       }
-      return cmd_worker(args[1], overrides.threads, shard_opts);
+      shard::WorkerConfig cfg;
+      cfg.campaign_path = args[1];
+      cfg.threads = overrides.threads;
+      return shard::run_worker(cfg);
     }
     // cell
     double vdd = 0.8;

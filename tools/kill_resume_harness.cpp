@@ -7,10 +7,11 @@
 ///   * default (ctest KillResumeHarness) — SIGKILL a one-scenario campaign
 ///     in this process tree and resume it, per the plan below.
 ///   * `campaign <finser_cli>` (ctest KillResumeCampaign) — SIGKILL the
-///     *supervisor* of a sharded campaign right after its first durable done
-///     marker lands, let the orphaned workers self-terminate, re-run the
-///     identical command, and require every CSV to match an uninterrupted
-///     in-process reference byte-for-byte (docs/sharding.md).
+///     *supervisor* of a sharded campaign once its first `cell_model`
+///     artifact lands in the store, require every orphaned worker to exit
+///     and be reaped by this process (a child subreaper on Linux) within
+///     5 s, re-run the identical command, and require every CSV to match an
+///     uninterrupted in-process reference byte-for-byte (docs/sharding.md).
 ///
 /// Default mode runs three legs — plain, adaptive (`--ci-target`, chunk 64)
 /// and correlated 2x2 cluster collection under an 88° beam — at 1 and 4
@@ -33,7 +34,11 @@
 
 #include <sys/types.h>
 #include <sys/wait.h>
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -181,12 +186,16 @@ bool files_identical(const std::string& a, const std::string& b) {
          da == db;
 }
 
-/// Number of artifacts of \p kind in the store directory \p dir.
+/// Number of finished artifacts of \p kind in the store directory \p dir
+/// (an in-flight `*.art.tmp` does not count).
 std::size_t count_artifacts(const std::string& dir, const std::string& kind) {
   std::size_t n = 0;
   std::error_code ec;
   for (const auto& e : std::filesystem::directory_iterator(dir, ec)) {
-    if (e.path().filename().string().rfind(kind + "-", 0) == 0) ++n;
+    if (e.path().filename().string().rfind(kind + "-", 0) == 0 &&
+        e.path().extension() == ".art") {
+      ++n;
+    }
   }
   return n;
 }
@@ -322,23 +331,20 @@ pid_t spawn_cli(const std::string& cli, const std::vector<std::string>& args) {
   return pid;
 }
 
-/// True once the lease dir holds at least one durable `done-*` marker.
-bool has_done_marker(const std::string& lease_dir) {
-  std::error_code ec;
-  std::filesystem::directory_iterator it(lease_dir, ec);
-  if (ec) return false;
-  for (const auto& entry : it) {
-    if (entry.path().filename().string().rfind("done-", 0) == 0) return true;
-  }
-  return false;
-}
-
 int campaign_fail(const std::string& msg) {
   std::fprintf(stderr, "kill-resume campaign FAILED: %s\n", msg.c_str());
   return 1;
 }
 
 int run_campaign_driver(const std::string& cli) {
+#ifdef __linux__
+  // Orphaned workers are re-parented to this process, so it can prove they
+  // exit by reaping them.
+  if (prctl(PR_SET_CHILD_SUBREAPER, 1) != 0) {
+    std::perror("prctl(PR_SET_CHILD_SUBREAPER)");
+    return 1;
+  }
+#endif
   unsetenv("FINSER_MC_SCALE");
   unsetenv("FINSER_THREADS");
   unsetenv("FINSER_WORKERS");
@@ -365,12 +371,12 @@ int run_campaign_driver(const std::string& cli) {
     }
   }
 
-  // 2. Victim: SIGKILL the supervisor once the first stage's durable done
-  //    marker lands — workers are orphaned mid-campaign and must
-  //    self-terminate when they notice the parent is gone.
+  // 2. Victim: SIGKILL the supervisor once the first cell model lands in the
+  //    store — workers are orphaned mid-campaign and must exit once their
+  //    pipes to the supervisor close.
   const std::string out = root + "/out";
   const std::string campaign = root + "/campaign.json";
-  const std::string leases = out + "/artifacts/leases";
+  const std::string store = out + "/artifacts";
   write_campaign(campaign, out);
   const std::vector<std::string> cmd = {"campaign", campaign, "--workers", "2"};
   {
@@ -383,7 +389,7 @@ int run_campaign_driver(const std::string& cli) {
         return campaign_fail("campaign finished before the harness could "
                              "SIGKILL the supervisor");
       }
-      if (has_done_marker(leases)) {
+      if (count_artifacts(store, "cell_model") > 0) {
         kill(pid, SIGKILL);
         killed = true;
         break;
@@ -393,20 +399,43 @@ int run_campaign_driver(const std::string& cli) {
     if (!killed) {
       kill(pid, SIGKILL);
       waitpid(pid, nullptr, 0);
-      return campaign_fail("no done marker appeared within 120 s");
+      return campaign_fail("no cell_model artifact appeared within 120 s");
     }
     int status = 0;
     if (waitpid(pid, &status, 0) < 0 || !WIFSIGNALED(status) ||
         WTERMSIG(status) != SIGKILL) {
       return campaign_fail("supervisor did not die by SIGKILL");
     }
-    // Orphaned workers poll getppid() and exit on their own; give them a
-    // moment so the resume run starts against a quiet directory.
-    usleep(1500 * 1000);
+#ifdef __linux__
+    // Every orphan must exit, and be reaped here, within 5 s, so the resume
+    // run starts against a quiet store.
+    std::size_t orphans = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    for (;;) {
+      const pid_t reaped = waitpid(-1, nullptr, WNOHANG);
+      if (reaped > 0) {
+        ++orphans;
+      } else if (reaped < 0) {
+        break;  // ECHILD: no orphan left
+      } else if (std::chrono::steady_clock::now() > deadline) {
+        return campaign_fail("orphaned workers still running 5 s after the "
+                             "supervisor died");
+      } else {
+        usleep(5 * 1000);
+      }
+    }
+    if (orphans == 0) {
+      return campaign_fail("no orphaned worker was reaped");
+    }
+    std::printf("kill-resume campaign: %zu orphaned worker(s) exited and "
+                "were reaped\n",
+                orphans);
+#endif
   }
 
-  // 3. Resume: the identical command honors done markers + artifact store
-  //    and completes the remaining stages.
+  // 3. Resume: the identical command dispatches every stage; the finished
+  //    ones come back as artifact-store hits.
   {
     int status = 0;
     const pid_t pid = spawn_cli(cli, cmd);

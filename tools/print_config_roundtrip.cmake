@@ -159,8 +159,8 @@ foreach(csv tiny/pof_alpha.csv tiny/fit_summary.csv eh_pairs_alpha.csv)
 endforeach()
 
 # The run report names the run that happened: its `command` is the command
-# line as given, and its `config_fingerprint` (the one shard leases carry)
-# changes with the cluster mode and the MC scale but not with --threads or
+# line as given, and its `config_fingerprint` (the one that names a sharded
+# run's document) changes with the cluster mode and the MC scale but not with --threads or
 # --workers. fingerprint_of(<var> <report path>) reads it; each run below
 # is "<name>;<environment or ->;<flags>...".
 function(fingerprint_of var report)

@@ -3,14 +3,16 @@
 /// execution (docs/sharding.md). Registered as ctest ShardCampaignEquivalence.
 ///
 /// The driver receives the finser_cli path on argv[1] and runs one tiny
-/// two-scenario campaign through six legs, each in a fresh output dir:
+/// two-scenario campaign through these legs, each in a fresh output dir:
 ///
 ///   1. reference      — in-process `campaign` run (no --workers).
 ///   2. --workers 1/2/4 — sharded runs; every CSV must be byte-identical to
-///      the reference (determinism is the contract, not a best effort).
+///      the reference (determinism is the contract, not a best effort). The
+///      sub-legs repeat this with --ci-target, with 2x2 cluster tiles, and
+///      with two different campaigns running at once on one artifact_dir.
 ///   3. kill           — --workers 4 with FINSER_FAULT=worker_kill_after_claim:1:
-///      every initial worker SIGKILLs itself right after acking its first
-///      task; replacements (spawned without the fault) must finish the
+///      every initial worker SIGKILLs itself right after reading its first
+///      assignment; replacements (spawned without the fault) must finish the
 ///      campaign with exit 0 and identical CSVs.
 ///   4. stall          — FINSER_FAULT=heartbeat_stall:1 wedges both initial
 ///      workers; with --stage-timeout-s the wall-clock watchdog (not the
@@ -25,12 +27,19 @@
 ///      FINSER_MC_SCALE=2: a --workers 2 run with the override (whose CSVs
 ///      must differ from plain), then a plain --workers 2 rerun on the same
 ///      output dir, whose CSVs must equal the in-process plain reference.
-///      The override run's done markers carry another run fingerprint, so
-///      the rerun recomputes instead of resuming them.
+///      The rerun dispatches every stage; the store holds the override's
+///      products under other fingerprints, so none of them stands in for a
+///      plain one.
 ///
 /// CSVs, not metrics, are compared: scheduling counters ("shard.reassigns",
 /// the heartbeat histogram) legitimately differ between runs.
+///
+/// Every child's stderr is appended to one log, and the harness fails if a
+/// sanitizer wrote to it: a worker that a sanitizer stops is retried like
+/// any dead worker, and one that reports at exit is already done, so the
+/// campaign's exit code alone would hide both.
 
+#include <fcntl.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 
@@ -60,14 +69,17 @@ const char* kCsvFiles[] = {
 /// Tiny but end-to-end campaign: shared cell model, two sweep stages.
 /// \p strikes and \p extra_defaults parameterize the adaptive-stopping leg
 /// (more strikes so the chunked stopping schedule has real decision points,
-/// plus a `sampling` defaults block).
+/// plus a `sampling` defaults block); a non-empty \p store sets the
+/// artifact_dir (default: <outdir>/artifacts).
 void write_campaign(const std::string& path, const std::string& outdir,
                     std::size_t strikes = 600,
-                    const std::string& extra_defaults = "") {
+                    const std::string& extra_defaults = "",
+                    const std::string& store = "") {
   const std::string doc = std::string("{\n")
       + "  \"campaign\": \"shard-harness\",\n"
       + "  \"seed\": 5,\n"
       + "  \"output_dir\": \"" + outdir + "\",\n"
+      + (store.empty() ? "" : "  \"artifact_dir\": \"" + store + "\",\n")
       + "  \"defaults\": {\n"
       + "    \"rows\": 2, \"cols\": 2, \"vdds\": [0.8], \"pv_samples\": 10,\n"
       + "    \"strikes\": " + std::to_string(strikes) + ",\n"
@@ -85,9 +97,12 @@ void write_campaign(const std::string& path, const std::string& outdir,
   }
 }
 
-/// Fork + execv finser_cli; returns the child's exit code (or -signal).
-int run_cli(const std::string& cli, const std::vector<std::string>& args,
-            const char* fault, const char* poison) {
+/// Where every child's stderr goes (see the file comment).
+std::string g_child_log;
+
+/// Fork + execv finser_cli; returns the child's pid.
+pid_t spawn_cli(const std::string& cli, const std::vector<std::string>& args,
+                const char* fault, const char* poison) {
   const pid_t pid = fork();
   if (pid < 0) {
     std::perror("fork");
@@ -98,6 +113,9 @@ int run_cli(const std::string& cli, const std::vector<std::string>& args,
     else unsetenv("FINSER_FAULT");
     if (poison != nullptr) setenv("FINSER_SHARD_POISON", poison, 1);
     else unsetenv("FINSER_SHARD_POISON");
+    const int log = open(g_child_log.c_str(),
+                         O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+    if (log >= 0) dup2(log, STDERR_FILENO);
     std::vector<char*> argv;
     argv.push_back(const_cast<char*>(cli.c_str()));
     for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
@@ -106,6 +124,11 @@ int run_cli(const std::string& cli, const std::vector<std::string>& args,
     std::perror("execv");
     _exit(127);
   }
+  return pid;
+}
+
+/// Wait for a spawn_cli child; returns its exit code (or -signal).
+int wait_cli(pid_t pid) {
   int status = 0;
   if (waitpid(pid, &status, 0) < 0) {
     std::perror("waitpid");
@@ -114,6 +137,11 @@ int run_cli(const std::string& cli, const std::vector<std::string>& args,
   if (WIFEXITED(status)) return WEXITSTATUS(status);
   if (WIFSIGNALED(status)) return -WTERMSIG(status);
   return -999;
+}
+
+int run_cli(const std::string& cli, const std::vector<std::string>& args,
+            const char* fault, const char* poison) {
+  return wait_cli(spawn_cli(cli, args, fault, poison));
 }
 
 bool files_identical(const std::string& a, const std::string& b) {
@@ -131,6 +159,10 @@ bool file_contains(const std::string& path, const std::string& needle) {
 }
 
 int fail(const std::string& msg) {
+  std::vector<std::uint8_t> log;
+  if (util::read_file(g_child_log, log, nullptr)) {
+    std::fwrite(log.data(), 1, log.size(), stderr);
+  }
   std::fprintf(stderr, "shard harness FAILED: %s\n", msg.c_str());
   return 1;
 }
@@ -170,6 +202,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string root = root_c;
+  g_child_log = root + "/children.log";
   std::string why;
 
   // 1. In-process reference. Its wall time scales the stall leg's stage
@@ -202,13 +235,14 @@ int main(int argc, char** argv) {
                 tag.c_str());
   }
 
-  // 2b. Adaptive stopping under the lease protocol: --ci-target makes every
-  //     energy bin stop at a deterministic chunk-granular round boundary, and
-  //     it is an edit to the campaign document, so shard workers read it from
-  //     the supervisor's resolved copy (<artifact_dir>/leases/campaign.json)
-  //     — a --workers 2 run must stay byte-identical to the in-process run
-  //     with the same flag. The campaign also turns on importance sampling,
-  //     so the weighted estimator state crosses the lease protocol too.
+  // 2b. Adaptive stopping across processes: --ci-target makes every energy
+  //     bin stop at a deterministic chunk-granular round boundary, and it is
+  //     an edit to the campaign document, so shard workers read it from the
+  //     supervisor's resolved copy (<artifact_dir>/campaigns/<run
+  //     fingerprint>.json) — a --workers 2 run must stay byte-identical to
+  //     the in-process run with the same flag. The campaign also turns on
+  //     importance sampling, so the weighted estimator state crosses the
+  //     process boundary too.
   {
     const std::string sampling =
         ",\n    \"sampling\": {\"position\": \"importance\", "
@@ -255,17 +289,17 @@ int main(int argc, char** argv) {
         "shard OK: --workers 2 --ci-target bit-identical to in-process\n");
   }
 
-  // 2c. Correlated charge collection under the lease protocol: a campaign
-  //     with a `cluster: 2x2` defaults block must stay byte-identical between
+  // 2c. Correlated charge collection across processes: a campaign with a
+  //     `cluster: 2x2` defaults block must stay byte-identical between
   //     in-process and --workers 2 — the memoized cluster surface (and its
   //     cluster_surface artifacts) must not leak scheduling into the numbers.
   //     The metrics report is the engagement witness: the reference run must
   //     actually have performed cluster tile simulations, otherwise this
   //     leg passes vacuously with the cluster path never taken.
+  const std::string cluster =
+      ",\n    \"cluster\": {\"mode\": \"2x2\", \"pv_samples\": 4}";
+  const std::string cl_ref = root + "/out_cl_ref";
   {
-    const std::string cluster =
-        ",\n    \"cluster\": {\"mode\": \"2x2\", \"pv_samples\": 4}";
-    const std::string cl_ref = root + "/out_cl_ref";
     const std::string report = root + "/cl_report.json";
     write_campaign(root + "/cl_ref.json", cl_ref, 600, cluster);
     if (run_cli(cli,
@@ -290,6 +324,37 @@ int main(int argc, char** argv) {
       return fail("--workers 2 cluster leg: " + why);
     }
     std::printf("shard OK: cluster=2x2 bit-identical to in-process\n");
+  }
+
+  // 2d. Two different campaigns — the plain one and the cluster one — run
+  //     at the same time with --workers 2 on one cold artifact_dir. Each
+  //     supervisor hands its workers the document named by its own run
+  //     fingerprint, so neither fleet can run the other's plan, and each
+  //     campaign writes its in-process bytes.
+  {
+    const std::string store = root + "/shared_store";
+    write_campaign(root + "/cc_plain.json", root + "/out_cc_plain", 600, "",
+                   store);
+    write_campaign(root + "/cc_cluster.json", root + "/out_cc_cluster", 600,
+                   cluster, store);
+    const pid_t plain = spawn_cli(
+        cli, {"campaign", root + "/cc_plain.json", "--workers", "2"}, nullptr,
+        nullptr);
+    const pid_t clustered = spawn_cli(
+        cli, {"campaign", root + "/cc_cluster.json", "--workers", "2"},
+        nullptr, nullptr);
+    const int rc_plain = wait_cli(plain);
+    const int rc_cluster = wait_cli(clustered);
+    if (rc_plain != 0 || rc_cluster != 0) {
+      return fail("concurrent campaigns exited " + std::to_string(rc_plain) +
+                  " and " + std::to_string(rc_cluster));
+    }
+    if (!outputs_match_reference(root + "/out_cc_plain", ref_out, &why) ||
+        !outputs_match_reference(root + "/out_cc_cluster", cl_ref, &why)) {
+      return fail("concurrent campaigns on one store: " + why);
+    }
+    std::printf("shard OK: two campaigns on one store at once, each "
+                "bit-identical to in-process\n");
   }
 
   // 3. Every initial worker SIGKILLs itself right after its first claim;
@@ -422,6 +487,11 @@ int main(int argc, char** argv) {
       std::printf("shard OK: plain rerun after the %s override recomputed\n",
                   o.tag);
     }
+  }
+
+  if (file_contains(g_child_log, "Sanitizer") ||
+      file_contains(g_child_log, "runtime error:")) {
+    return fail("a child process printed a sanitizer report");
   }
 
   std::error_code ec;
