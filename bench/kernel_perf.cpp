@@ -393,6 +393,105 @@ LuReplay measure_lu(const sram::CellDesign& design, double vdd,
   return r;
 }
 
+/// The hold-state DC replay of report_spice_kernel().
+struct DcReplay {
+  std::size_t solves = 0;
+  std::size_t chain = 0;  ///< ΔVt vectors per batched solve.
+  double scalar_us_per_solve = 0.0;
+  double batched_us_per_solve = 0.0;
+  bool bit_identical = false;
+};
+
+/// The cell's DC hold states for \p dvts, solved in chains of eight ΔVt
+/// vectors — a characterization grid task's batch — through
+/// StrikeSimulator::solve_holds(), against one-lane spice::solve_dc() of
+/// each vector. Every solution (or failure text) must match bit for bit. The
+/// timings are the best of several passes; each solve includes its
+/// parameter rebind.
+DcReplay measure_dc(const sram::CellDesign& design, double vdd,
+                    const std::vector<sram::DeltaVt>& dvts) {
+  DcReplay r;
+  r.solves = dvts.size();
+  r.chain = 8;
+  sram::StrikeSimulator sim(design, vdd);
+  const spice::Circuit& c = sim.circuit();
+  spice::CompiledCircuit cc(c);
+  std::vector<double> guess(cc.unknown_count(), 0.0);
+  for (const char* node : {"q", "vdd", "bl", "blb"}) {
+    guess[c.find_node(node)] = vdd;
+  }
+  spice::SolveWorkspace ws;
+  std::vector<sram::StrikeSimulator::HoldState> holds(dvts.size());
+  const auto batched = [&] {
+    for (std::size_t i = 0; i < dvts.size(); i += r.chain) {
+      sim.solve_holds(&dvts[i], std::min(r.chain, dvts.size() - i), &holds[i]);
+    }
+  };
+  // One-lane solves of the same draws: bind through the simulator's
+  // devices, rebind the plan, solve.
+  std::vector<sram::StrikeSimulator::HoldState> scalar(dvts.size());
+  const auto one_lane = [&] {
+    for (std::size_t k = 0; k < dvts.size(); ++k) {
+      try {
+        sim.hold_state(dvts[k]);  // Binds the shifts (its own solve is cached).
+      } catch (const util::NumericalError&) {
+      }
+      cc.rebind();
+      try {
+        scalar[k].x = spice::solve_dc(cc, ws, guess);
+        scalar[k].failed = false;
+      } catch (const util::NumericalError& e) {
+        scalar[k].failed = true;
+        scalar[k].error = e.what();
+      }
+    }
+  };
+
+  batched();
+  one_lane();
+  r.bit_identical = true;
+  for (std::size_t k = 0; k < dvts.size(); ++k) {
+    r.bit_identical = r.bit_identical &&
+                      holds[k].failed == scalar[k].failed &&
+                      holds[k].error == scalar[k].error &&
+                      holds[k].x.size() == scalar[k].x.size();
+    for (std::size_t i = 0; r.bit_identical && i < holds[k].x.size(); ++i) {
+      r.bit_identical = std::bit_cast<std::uint64_t>(holds[k].x[i]) ==
+                        std::bit_cast<std::uint64_t>(scalar[k].x[i]);
+    }
+  }
+
+  constexpr int kReps = 7;
+  double best_batched = 1e300;
+  double best_scalar = 1e300;
+  for (int rep = 0; rep < kReps; ++rep) {
+    auto start = std::chrono::steady_clock::now();
+    batched();
+    best_batched = std::min(best_batched,
+                            std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+    // The timed one-lane pass solves through the simulator itself, as a
+    // strike bind that misses its hold cache does.
+    sram::StrikeSimulator fresh(design, vdd);
+    start = std::chrono::steady_clock::now();
+    for (const sram::DeltaVt& d : dvts) {
+      try {
+        benchmark::DoNotOptimize(fresh.hold_state(d));
+      } catch (const util::NumericalError&) {
+      }
+    }
+    best_scalar = std::min(best_scalar,
+                           std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+  }
+  const double n = static_cast<double>(dvts.size());
+  r.batched_us_per_solve = 1e6 * best_batched / n;
+  r.scalar_us_per_solve = 1e6 * best_scalar / n;
+  return r;
+}
+
 /// SPICE strike kernel: the characterization hot path runs thousands of
 /// strike transients per supply voltage, each differing only in rebindable
 /// parameters (ΔVt sample, strike charges). Every compiled transient runs
@@ -549,6 +648,8 @@ void report_spice_kernel() {
     }
   }
   const LuReplay lu = measure_lu(design, vdd, lu_dvts, lu_charges);
+  // The hold-state DC replay over every PV draw.
+  const DcReplay dc = measure_dc(design, vdd, dvts);
 
   util::CsvTable t({"path", "seconds", "transients_per_s", "speedup",
                     "identical"});
@@ -571,11 +672,20 @@ void report_spice_kernel() {
   bench::emit(lt, "spice_lu",
               "Structural LU on the strike kernel's captured systems, W=" +
                   std::to_string(lanes) + " (identical must be 1)");
+  util::CsvTable dt({"solves", "chain", "scalar_us_per_solve",
+                     "batched_us_per_solve", "speedup", "identical"});
+  dt.add_row({static_cast<double>(dc.solves), static_cast<double>(dc.chain),
+              dc.scalar_us_per_solve, dc.batched_us_per_solve,
+              dc.scalar_us_per_solve / dc.batched_us_per_solve,
+              dc.bit_identical ? 1.0 : 0.0});
+  bench::emit(dt, "spice_dc",
+              "Hold-state DC solves of the PV draws: one-lane vs lane-batched "
+              "chains (identical must be 1)");
 
   std::filesystem::create_directories(bench::kOutDir);
   const std::string path = std::string(bench::kOutDir) + "/spice_kernel.json";
   std::ofstream os(path);
-  char body[2048];
+  char body[3072];
   std::snprintf(body, sizeof body,
                 "{\n%s"
                 "  \"kernel\": \"spice_strike_transient\",\n"
@@ -603,7 +713,12 @@ void report_spice_kernel() {
                 "  \"lu_ns_per_lane_solve\": %.2f,\n"
                 "  \"lu_divisions_per_solve\": %.2f,\n"
                 "  \"lu_dense_divisions_per_solve\": %zu,\n"
-                "  \"lu_bit_identical\": %s\n"
+                "  \"lu_bit_identical\": %s,\n"
+                "  \"dc_solves\": %zu,\n"
+                "  \"dc_chain\": %zu,\n"
+                "  \"dc_scalar_us_per_solve\": %.3f,\n"
+                "  \"dc_batched_us_per_solve\": %.3f,\n"
+                "  \"dc_bit_identical\": %s\n"
                 "}\n",
                 bench::machine_json_fields().c_str(), kSamples,
                 kSimsPerSample, scalar_s, batched_s, scalar_rate,
@@ -613,7 +728,9 @@ void report_spice_kernel() {
                 lane_fraction, lu.systems, lu.unknowns, lu.structural,
                 lu.lane_solves_per_s, lu.ns_per_lane_solve,
                 lu.divisions_per_solve, lu.unknowns * (lu.unknowns - 1) / 2,
-                lu.bit_identical ? "true" : "false");
+                lu.bit_identical ? "true" : "false", dc.solves, dc.chain,
+                dc.scalar_us_per_solve, dc.batched_us_per_solve,
+                dc.bit_identical ? "true" : "false");
   os << body;
   std::cout << "[json] " << path << "\n";
 }

@@ -51,18 +51,20 @@ class ArtifactStore {
  public:
   /// \param root directory for the blobs (created lazily on first put).
   /// Opening sweeps orphaned `*.tmp` files left in \p root by writers that
-  /// crashed between temp-write and rename (see sweep_orphans), unless
+  /// died between temp-write and rename (see sweep_orphans), unless
   /// \p sweep_on_open is false (read-only inspection, e.g. `artifacts ls`,
   /// must not mutate the directory).
   explicit ArtifactStore(std::string root, bool sweep_on_open = true);
 
   const std::string& root() const { return root_; }
 
-  /// Delete every `*.tmp` file directly inside \p dir. These are the debris
-  /// of util::atomic_write_file calls that died before their rename; they
-  /// are invisible to readers but accumulate across crashes. Counted as
-  /// "pipeline.artifact.orphans_swept". A missing or unreadable \p dir is a
-  /// no-op. Returns the number of files removed.
+  /// Delete the orphaned `*.tmp` files directly inside \p dir
+  /// (util::orphaned_temp_file): the debris of util::atomic_write_file
+  /// calls whose process died before their rename. They are invisible to
+  /// readers but accumulate across crashes. The temp file of a writer that
+  /// is still running — another campaign or worker on the same store — is
+  /// left alone. Counted as "pipeline.artifact.orphans_swept". A missing or
+  /// unreadable \p dir is a no-op. Returns the number of files removed.
   static std::size_t sweep_orphans(const std::string& dir);
 
   /// Blob path of \p key: `<root>/<kind>-<fingerprint hex>.art`.

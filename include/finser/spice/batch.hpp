@@ -16,7 +16,8 @@
 /// their oracle, for every lane width, at any thread count — W is a pure
 /// throughput knob. This is the only compiled transient loop: a scalar
 /// compiled transient is a one-lane group (run_transient_single()), and the
-/// compiled DC solve factors its one-lane system with the same LU kernel.
+/// compiled DC loop (dc.hpp) stamps and factors its lanes with the same
+/// kernels.
 ///
 /// Lanes are *masked, not branched around*: a lane that is between Newton
 /// iterations, finished or failed keeps riding the vector tick (its stamps
@@ -227,9 +228,9 @@ void run_transient_stream(CompiledCircuit& cc, BatchWorkspace& bw,
                           const std::vector<std::string>& probe_nodes = {});
 
 /// One transient from the circuit's current binding, run as a one-lane
-/// group: \p bw is sized to width 1 on first use (a workspace of another
-/// width is reconfigured) and lane 0 is rebound before the run. Throws the
-/// lane's failure text as util::NumericalError.
+/// group: \p bw is sized to one lane of \p cc on first use (a workspace of
+/// another width or circuit is reconfigured) and lane 0 is rebound before
+/// the run. Throws the lane's failure text as util::NumericalError.
 Waveform run_transient_single(CompiledCircuit& cc, BatchWorkspace& bw,
                               const std::vector<double>& x0,
                               const TransientOptions& opt,

@@ -22,12 +22,13 @@
 ///     circuit without reallocating devices, nodes or plans. A Vt-variation
 ///     MC sample or an injected-charge step is a rebind, not a rebuild.
 ///
-/// A compiled circuit solves DC through solve_dc() (dc.hpp) and transients
-/// through the lane-batched engine (run_transient_batch() in batch.hpp,
-/// W = 1 included), both without per-sample allocation and both on the one
-/// compiled LU kernel. The polymorphic devices remain the reference the
-/// tests compare against; equivalence is pinned bit-exact by
-/// tests/test_spice_compiled.cpp. Lifecycle details and the
+/// A compiled circuit solves DC operating points (solve_dc() and
+/// solve_dc_batch() in dc.hpp) and transients (run_transient_batch() in
+/// batch.hpp) on the lane-batched engine, W = 1 included, both without
+/// per-sample allocation and both on the one compiled LU kernel. The
+/// polymorphic devices remain the reference the tests compare against;
+/// equivalence is pinned bit-exact by tests/test_spice_compiled.cpp and
+/// tests/test_spice_dc_batch.cpp. Lifecycle details and the
 /// when-to-recompile table: docs/spice.md.
 
 #include <cstdint>
@@ -71,31 +72,20 @@ class CompiledCircuit {
   /// it (batch_lu_solve()).
   const std::vector<std::uint64_t>& lu_pattern() const { return lu_pattern_; }
 
-  // --- DC stamp hook (mirrors Device::stamp, devirtualized) ---------------
-
-  /// Fused DC stamp: every device's linearized DC model at ctx's iterate —
-  /// the contributions Device::stamp() makes, in netlist order — written
-  /// through precomputed flat slot indices into raw dense arrays. DC only:
-  /// \p ctx.transient must be false; capacitors and strike sources are open,
-  /// PWL sources sit at their t = 0 value. \p a must have
-  /// unknown_count()² + 1 zeroed entries and \p b unknown_count() + 1 — the
-  /// final entry of each is a scratch slot absorbing ground stamps
-  /// (branch-free equivalent of Mna's kGround drop). Used by the compiled
-  /// DC Newton (engine_detail.hpp); bit-identity with Device::stamp() is
-  /// pinned by tests/test_spice_compiled.cpp. Transient stamps go through
-  /// batch_stamp_fused() below.
-  void stamp_fused(double* a, double* b, const StampContext& ctx) const;
-
-  // --- Lane-batched transient hooks (batch.hpp; see docs/spice.md) --------
-  // The batched transient engine (engine_detail.hpp) advances W independent
-  // parameter bindings of *this one compiled plan* in lockstep, W = 1
-  // included. Per-lane parameters and reactive state live in the caller's
-  // BatchWorkspace as AoSoA blocks; the hooks below work one lane at a time
-  // (scalar bookkeeping) or on all lanes at once (the hot stamp).
+  // --- Lane-batched hooks (batch.hpp, dc.hpp; see docs/spice.md) ----------
+  // The batched DC and transient loops (engine_detail.hpp) advance W
+  // independent parameter bindings of *this one compiled plan* in lockstep,
+  // W = 1 included. Per-lane parameters and reactive state live in the
+  // caller's BatchWorkspace as AoSoA blocks; the hooks below work one lane
+  // at a time (scalar bookkeeping) or on all lanes at once (the hot
+  // stamps).
 
   /// Size \p bw for \p lanes lanes of this circuit and seed every lane from
   /// the current scalar binding. Invalidates the per-lane pivot caches.
   void batch_configure(BatchWorkspace& bw, std::size_t lanes) const;
+
+  /// Whether \p bw is sized as batch_configure(bw, \p lanes) sizes it.
+  bool batch_configured(const BatchWorkspace& bw, std::size_t lanes) const;
 
   /// Load lane \p lane of \p bw from the current scalar binding — i.e. from
   /// the values the last rebind() captured. The per-sample sequence is:
@@ -105,13 +95,21 @@ class CompiledCircuit {
   /// Fused transient stamp of every lane at once: per lane w this computes
   /// byte-identically what the reference devices' Device::stamp() computes
   /// at time[w] / dt[w] from bw.x_try's lane-w iterate and the lane's
-  /// reactive state, accumulating into bw.fa / bw.fb (which must be zeroed;
-  /// layout as for stamp_fused(), lane-interleaved). Every lane is stamped
-  /// unconditionally — masked lanes are compute-and-discard riders, which is
-  /// what keeps the loop vector-shaped.
+  /// reactive state, accumulating into bw.fa / bw.fb, which must be zeroed.
+  /// Matrix entry (i, j) of lane w lives at fa[(i·n + j)·W + w] and rhs
+  /// entry i at fb[i·W + w]; ground stamps land in the trailing scratch
+  /// slots (n², n), a branch-free equivalent of Mna's kGround drop. Every
+  /// lane is stamped unconditionally — masked lanes are compute-and-discard
+  /// riders, which is what keeps the loop vector-shaped.
   template <std::size_t W>
   void batch_stamp_fused(BatchWorkspace& bw, const double* time,
                          const double* dt, Integrator method) const;
+
+  /// Fused DC stamp of every lane at once: batch_stamp_fused() with
+  /// ctx.transient false — capacitors and strike sources open, PWL sources
+  /// at their t = 0 value. The gmin shunts are the DC loop's to add.
+  template <std::size_t W>
+  void batch_stamp_dc(BatchWorkspace& bw) const;
 
   /// Reset lane \p lane's reactive state from the DC operating point \p x.
   void batch_initialize_state(BatchWorkspace& bw, std::size_t lane,
@@ -128,6 +126,11 @@ class CompiledCircuit {
                              double t_end, std::vector<double>& out) const;
 
  private:
+  /// batch_stamp_fused() and, with kDc, batch_stamp_dc().
+  template <std::size_t W, bool kDc>
+  void batch_stamp(BatchWorkspace& bw, const double* time, const double* dt,
+                   Integrator method) const;
+
   enum class Kind : std::uint8_t {
     kResistor,
     kCapacitor,
@@ -143,9 +146,9 @@ class CompiledCircuit {
     std::uint32_t idx;
   };
 
-  /// Flat index into the fused stamp arrays (see stamp_fused): matrix slots
-  /// are i·n + j, rhs slots are i, and ground-touching stamps are redirected
-  /// to the trailing scratch slot (n² resp. n) at compile time.
+  /// Flat index into the fused stamp arrays (see batch_stamp_fused): matrix
+  /// slots are i·n + j, rhs slots are i, and ground-touching stamps are
+  /// redirected to the trailing scratch slot (n² resp. n) at compile time.
   using Slot = std::uint32_t;
 
   struct ResistorRec {

@@ -114,11 +114,13 @@ class StrikeFeed;
 /// construction; every sample is a parameter rebind plus a DC solve and a
 /// transient on persistent workspaces. The DC hold state is cached per ΔVt
 /// vector (it is independent of the strike charges, so a whole Qcrit
-/// bisection shares one DC solve). Transients run on the lane-batched
-/// engine: simulate() as a one-lane group, simulate_stream() and
-/// simulate_batch() on spice::lane_width() lanes that refill as strikes
-/// end. Results are bit-identical to the tests' interpreted reference
-/// engine replaying circuit() with transient_options().
+/// bisection shares one DC solve), and solve_holds() solves the hold states
+/// of many ΔVt vectors lane-batched ahead of their strikes. Transients run
+/// on the lane-batched engine: simulate() as a one-lane group,
+/// simulate_stream() and simulate_batch() on spice::lane_width() lanes that
+/// refill as strikes end. Results are bit-identical to the tests'
+/// interpreted reference engine replaying circuit() with
+/// transient_options().
 ///
 /// In AccessMode::kRetention the transient options carry a latch stop on
 /// {q, qb} (spice::LatchStop): a run ends at the first step past the strike
@@ -150,6 +152,13 @@ class StrikeSimulator {
     std::string error;
   };
 
+  /// A DC hold state solved ahead of its strike by solve_holds().
+  struct HoldState {
+    std::vector<double> x;  ///< The operating point, unless failed.
+    bool failed = false;
+    std::string error;      ///< The text simulate() would have thrown.
+  };
+
   /// One strike of a StrikeFeed.
   struct Strike {
     StrikeCharges charges;
@@ -158,16 +167,26 @@ class StrikeSimulator {
     /// cache first, so the lane's cache hits depend only on the task's own
     /// strikes, never on which task the lane ran before.
     bool new_task = false;
+    /// The hold state of delta_vt, solved ahead by solve_holds(), or null:
+    /// the lane then finds it in its cache or solves it when it binds the
+    /// strike. Attach one only to a strike whose bind misses the lane's
+    /// cache — a new task's first strike, or one whose ΔVt differs from
+    /// that of the lane's previous strike — so the solve only moves and
+    /// every count stays what it was. It must stay valid until the feed is
+    /// asked for the lane's next strike.
+    const HoldState* hold = nullptr;
   };
 
   /// Lane-batched simulate() over a stream: every one of lane_width() lanes
   /// takes strikes from \p feed and, the moment a strike's transient ends,
   /// reports its outcome and takes the next one, until the feed is drained.
   /// Binding a strike into a lane runs the fault hook, the parameter
-  /// rebind and the lane's ΔVt-keyed DC hold cache; a strike whose hold
-  /// solve fails is reported without taking the lane. Each outcome — flip
-  /// decision, final node voltages, failure text — is byte-identical to a
-  /// simulate() call with the same inputs, at every lane width.
+  /// rebind and the lane's ΔVt-keyed DC hold cache; a miss takes the hold
+  /// state the feed solved ahead (Strike::hold), lane-batched, or solves it
+  /// as a one-lane solve. A strike whose hold solve fails is reported
+  /// without taking the lane. Each outcome — flip decision, final node
+  /// voltages, failure text — is byte-identical to a simulate() call with
+  /// the same inputs, at every lane width.
   void simulate_stream(StrikeFeed& feed, spice::PulseShape::Kind kind);
 
   /// simulate_stream() over a list: run \p charges[k] with \p dvts[k] for
@@ -175,11 +194,22 @@ class StrikeSimulator {
   /// of inactive k are left untouched). A failing strike is reported in
   /// \p out instead of thrown. The first lane_width() active entries take
   /// lanes 0, 1, …, so a caller that repeats a short list keeps each sample
-  /// in a stable lane and its DC hold cache hits.
+  /// in a stable lane and its DC hold cache hits. The hold states of the
+  /// entries whose ΔVt appears neither elsewhere in the list nor in a lane's
+  /// cache — entries no lane cache can serve — are solved ahead with
+  /// solve_holds().
   void simulate_batch(
       const std::vector<StrikeCharges>& charges,
       const std::vector<DeltaVt>& dvts, spice::PulseShape::Kind kind,
       const std::vector<std::uint8_t>& active, std::vector<LaneOutcome>& out);
+
+  /// Solve the DC hold states of \p dvts[0, \p count) into \p out, lane-
+  /// batched: groups of up to spice::lane_width() vectors run through
+  /// spice::solve_dc_batch(). Each state — operating point or failure
+  /// text — is byte-identical to the one simulate() solves for that ΔVt,
+  /// and so is the `spice.dc.*` work it counts. Changes the device
+  /// parameters of circuit(); safe to call from StrikeFeed::next().
+  void solve_holds(const DeltaVt* dvts, std::size_t count, HoldState* out);
 
   /// Static-noise-margin style diagnostic: the hold-state solution.
   /// Returns {V(Q), V(QB)} of the DC operating point with no strike.
@@ -208,8 +238,6 @@ class StrikeSimulator {
   void apply_delta_vt(const DeltaVt& delta_vt);
   void set_strike_shapes(const StrikeCharges& charges,
                          spice::PulseShape::Kind kind);
-  /// DC hold guess: the Q=1/QB=0 state with the supplies at their rails.
-  std::vector<double> hold_guess() const;
   /// Outcome of a strike transient probed at {q, qb}.
   StrikeOutcome finish_wave(const spice::Waveform& wave) const;
   /// Expects apply_delta_vt() + rebind() done.
@@ -229,10 +257,14 @@ class StrikeSimulator {
   spice::PulseISource* src_i3_ = nullptr;
   spice::TransientOptions topt_;
 
-  // The lowered circuit, the DC solver workspace, and simulate()'s
-  // ΔVt-keyed DC hold cache and one-lane transient workspace.
+  // The lowered circuit, the DC hold guess (the Q=1/QB=0 state with the
+  // supplies at their rails), the one-lane and batched DC workspaces, and
+  // simulate()'s ΔVt-keyed DC hold cache and one-lane transient workspace.
   std::optional<spice::CompiledCircuit> compiled_;
+  std::vector<double> hold_guess_;
   spice::SolveWorkspace ws_;
+  spice::SolveWorkspace dc_ws_;
+  spice::DcBatchResult dc_out_;
   bool hold_valid_ = false;
   DeltaVt hold_dvt_{};
   std::vector<double> hold_x_;
@@ -244,6 +276,8 @@ class StrikeSimulator {
   std::array<bool, spice::kMaxLaneWidth> hold_lane_valid_{};
   std::array<DeltaVt, spice::kMaxLaneWidth> hold_lane_dvt_{};
   std::array<std::vector<double>, spice::kMaxLaneWidth> hold_lane_x_{};
+  // simulate_batch()'s hold states solved ahead.
+  std::vector<HoldState> batch_holds_;
 };
 
 /// Strike source of StrikeSimulator::simulate_stream(). A feed hands out

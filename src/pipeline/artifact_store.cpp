@@ -44,7 +44,7 @@ std::size_t ArtifactStore::sweep_orphans(const std::string& dir) {
     std::error_code entry_ec;
     if (!entry.is_regular_file(entry_ec) || entry_ec) continue;
     const std::filesystem::path& p = entry.path();
-    if (p.extension() != ".tmp") continue;
+    if (!util::orphaned_temp_file(p.filename().string())) continue;
     if (std::filesystem::remove(p, entry_ec) && !entry_ec) ++swept;
   }
   if (swept > 0) {

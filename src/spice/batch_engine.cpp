@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <atomic>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "finser/spice/batch.hpp"
@@ -17,20 +16,6 @@ namespace {
 
 /// set_lane_width() override; 0 = none (the build default).
 std::atomic<std::size_t> g_lane_override{0};
-
-template <class F, std::size_t... I>
-bool visit_width(std::size_t w, F& f, std::index_sequence<I...>) {
-  return ((w == kLaneWidths[I] &&
-           (f(std::integral_constant<std::size_t, kLaneWidths[I]>{}), true)) ||
-          ...);
-}
-
-/// Call f(std::integral_constant<std::size_t, W>{}) for the compiled width
-/// W == \p w; false if \p w is not one of kLaneWidths.
-template <class F>
-bool visit_width(std::size_t w, F&& f) {
-  return visit_width(w, f, std::make_index_sequence<kLaneWidths.size()>{});
-}
 
 [[noreturn]] void throw_unconfigured(const char* where) {
   throw util::InvalidArgument(std::string(where) +
@@ -69,7 +54,7 @@ std::size_t batch_lu_solve(const CompiledCircuit& cc, BatchWorkspace& bw,
   FINSER_REQUIRE(bw.unknowns == cc.unknown_count(),
                  "batch_lu_solve: workspace size mismatch");
   std::size_t divisions = 0;
-  const bool ran = visit_width(bw.lanes, [&](auto width) {
+  const bool ran = detail::visit_width(bw.lanes, [&](auto width) {
     constexpr std::size_t W = decltype(width)::value;
     std::array<std::uint8_t, W> lane_active;
     std::copy(active, active + W, lane_active.begin());
@@ -88,7 +73,7 @@ BatchTransientResult run_transient_batch(
     const std::vector<std::vector<double>>& x0, const TransientOptions& opt,
     const std::vector<std::string>& probe_nodes) {
   BatchTransientResult res;
-  const bool ran = visit_width(bw.lanes, [&](auto width) {
+  const bool ran = detail::visit_width(bw.lanes, [&](auto width) {
     res = detail::run_transient_batch_impl<decltype(width)::value>(
         cc, bw, x0, opt, probe_nodes);
   });
@@ -99,7 +84,7 @@ BatchTransientResult run_transient_batch(
 void run_transient_stream(CompiledCircuit& cc, BatchWorkspace& bw,
                           TransientFeed& feed, const TransientOptions& opt,
                           const std::vector<std::string>& probe_nodes) {
-  const bool ran = visit_width(bw.lanes, [&](auto width) {
+  const bool ran = detail::visit_width(bw.lanes, [&](auto width) {
     detail::run_transient_batch_impl<decltype(width)::value>(
         cc, bw, {}, opt, probe_nodes, &feed);
   });
@@ -112,7 +97,7 @@ Waveform run_transient_single(CompiledCircuit& cc, BatchWorkspace& bw,
                               const std::vector<std::string>& probe_nodes) {
   FINSER_REQUIRE(x0.size() == cc.unknown_count(),
                  "run_transient: x0 size mismatch");
-  if (bw.lanes != 1) cc.batch_configure(bw, 1);
+  if (!cc.batch_configured(bw, 1)) cc.batch_configure(bw, 1);
   cc.batch_rebind_lane(bw, 0);
   BatchTransientResult res =
       detail::run_transient_batch_impl<1>(cc, bw, {x0}, opt, probe_nodes);

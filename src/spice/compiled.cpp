@@ -11,7 +11,8 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit)
     : src_(&circuit),
       node_count_(circuit.node_count()),
       unknown_count_(circuit.unknown_count()) {
-  // Each record carries its fused-path flat slot indices (see stamp_fused):
+  // Each record carries its fused-path flat slot indices (see
+  // batch_stamp_fused):
   // matrix entry (i,j) lives at i·n + j, rhs entry i at i, and any
   // ground-touching stamp is redirected to the trailing scratch slot (n²
   // resp. n) so the inner loop needs no kGround branches — the scratch
@@ -121,70 +122,6 @@ void CompiledCircuit::rebind() {
     rec.plan = bake_finfet(*rec.model, rec.delta_vt, rec.nfin, rec.temp_k);
   }
   FINSER_OBS_COUNT("spice.compiled.rebinds", 1);
-}
-
-void CompiledCircuit::stamp_fused(double* a, double* b,
-                                  const StampContext& ctx) const {
-  FINSER_REQUIRE(!ctx.transient, "CompiledCircuit::stamp_fused: DC stamp only");
-  // Walk the plan in original netlist order: FP accumulation into shared
-  // entries is order-sensitive, and bit-identity with the polymorphic devices
-  // requires their exact accumulation sequence. Mna::add becomes
-  // precomputed-slot accumulation (ground writes land in the trailing
-  // scratch slot), and every expression below mirrors the matching kernel
-  // in stamp_kernels.hpp term for term — the fused system must be
-  // byte-identical to the Mna Device::stamp() assembles.
-  for (const Op op : ops_) {
-    switch (op.kind) {
-      case Kind::kResistor: {
-        const ResistorRec& r = resistors_[op.idx];
-        a[r.s_aa] += r.g;
-        a[r.s_bb] += r.g;
-        a[r.s_ab] += -r.g;
-        a[r.s_ba] += -r.g;
-        break;
-      }
-      case Kind::kCapacitor:
-      case Kind::kPulseISource:
-        break;  // Open in DC.
-      case Kind::kVSource: {
-        const VSourceRec& v = vsources_[op.idx];
-        a[v.s_ak] += 1.0;
-        a[v.s_bk] += -1.0;
-        a[v.s_ka] += 1.0;
-        a[v.s_kb] += -1.0;
-        b[v.r_k] += v.v;
-        break;
-      }
-      case Kind::kPwlVSource: {
-        const PwlRec& p = pwls_[op.idx];
-        a[p.s_ak] += 1.0;
-        a[p.s_bk] += -1.0;
-        a[p.s_ka] += 1.0;
-        a[p.s_kb] += -1.0;
-        b[p.r_k] += p.src->value(0.0);
-        break;
-      }
-      case Kind::kMosfet: {
-        const MosRec& m = mosfets_[op.idx];
-        const double vd = ctx.v(m.d);
-        const double vg = ctx.v(m.g);
-        const double vs = ctx.v(m.s);
-        const MosOp mop = evaluate_finfet_planned(m.plan, vd, vg, vs);
-        const double ieq =
-            mop.ids - mop.gm * (vg - vs) - mop.gds * (vd - vs);
-        const double gsum = mop.gds + mop.gm;
-        a[m.s_dd] += mop.gds;
-        a[m.s_dg] += mop.gm;
-        a[m.s_ds] += -gsum;
-        b[m.r_d] += -ieq;
-        a[m.s_sd] += -mop.gds;
-        a[m.s_sg] += -mop.gm;
-        a[m.s_ss] += gsum;
-        b[m.r_s] += ieq;
-        break;
-      }
-    }
-  }
 }
 
 }  // namespace finser::spice

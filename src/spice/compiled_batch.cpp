@@ -5,7 +5,8 @@
 /// (stamp_kernels.hpp, as called by devices.cpp) term for term, evaluated
 /// per lane on the AoSoA slices: that is what makes each lane
 /// byte-identical to a reference run with the same binding. The hot stamp
-/// (batch_stamp_fused) is written as compile-time-W
+/// (batch_stamp, behind batch_stamp_fused and batch_stamp_dc) is written as
+/// compile-time-W
 /// lane loops over unit-stride slices with uniform (lane-invariant) branches
 /// hoisted and the rest in select form, so the compiler vectorizes it
 /// without being allowed to change any lane's arithmetic.
@@ -61,6 +62,15 @@ void CompiledCircuit::batch_configure(BatchWorkspace& bw,
   for (std::size_t w = 0; w < lanes; ++w) batch_rebind_lane(bw, w);
 }
 
+bool CompiledCircuit::batch_configured(const BatchWorkspace& bw,
+                                       std::size_t lanes) const {
+  return bw.lanes == lanes && bw.unknowns == unknown_count_ &&
+         bw.vsrc_v.size() == vsources_.size() * lanes &&
+         bw.is_shape.size() == isources_.size() * lanes &&
+         bw.mos.n.size() == mosfets_.size() * lanes &&
+         bw.cap_v_prev.size() == capacitors_.size() * lanes;
+}
+
 void CompiledCircuit::batch_rebind_lane(BatchWorkspace& bw,
                                         std::size_t lane) const {
   const std::size_t W = bw.lanes;
@@ -87,10 +97,9 @@ void CompiledCircuit::batch_rebind_lane(BatchWorkspace& bw,
   }
 }
 
-template <std::size_t W>
-void CompiledCircuit::batch_stamp_fused(BatchWorkspace& bw, const double* time,
-                                        const double* dt,
-                                        Integrator method) const {
+template <std::size_t W, bool kDc>
+void CompiledCircuit::batch_stamp(BatchWorkspace& bw, const double* time,
+                                  const double* dt, Integrator method) const {
   // fa / fb / x_try are distinct vectors of the workspace, so the restrict
   // qualifiers hold by construction. Without them the vectorizer has to
   // version the lane loops against every pairwise overlap of these and the
@@ -113,6 +122,7 @@ void CompiledCircuit::batch_stamp_fused(BatchWorkspace& bw, const double* time,
         break;
       }
       case Kind::kCapacitor: {
+        if constexpr (kDc) break;  // Open in DC.
         const CapacitorRec& c = capacitors_[op.idx];
         const double factor = trap ? 2.0 : 1.0;
         const double* __restrict__ vp = bw.cap_v_prev.data() + op.idx * W;
@@ -164,18 +174,20 @@ void CompiledCircuit::batch_stamp_fused(BatchWorkspace& bw, const double* time,
         break;
       }
       case Kind::kPwlVSource: {
-        // The table is immutable and shared; only the per-lane time differs.
+        // The table is immutable and shared; only the per-lane time differs
+        // (DC reads every lane at t = 0).
         const PwlRec& p = pwls_[op.idx];
         for (std::size_t w = 0; w < W; ++w) {
           a[p.s_ak * W + w] += 1.0;
           a[p.s_bk * W + w] += -1.0;
           a[p.s_ka * W + w] += 1.0;
           a[p.s_kb * W + w] += -1.0;
-          b[p.r_k * W + w] += p.src->value(time[w]);
+          b[p.r_k * W + w] += p.src->value(kDc ? 0.0 : time[w]);
         }
         break;
       }
       case Kind::kPulseISource: {
+        if constexpr (kDc) break;  // Open in DC.
         const ISourceRec& s = isources_[op.idx];
         const PulseShape* shapes = bw.is_shape.data() + op.idx * W;
         for (std::size_t w = 0; w < W; ++w) {
@@ -277,22 +289,27 @@ void CompiledCircuit::batch_stamp_fused(BatchWorkspace& bw, const double* time,
   }
 }
 
-template void CompiledCircuit::batch_stamp_fused<1>(BatchWorkspace&,
-                                                    const double*,
-                                                    const double*,
-                                                    Integrator) const;
-template void CompiledCircuit::batch_stamp_fused<4>(BatchWorkspace&,
-                                                    const double*,
-                                                    const double*,
-                                                    Integrator) const;
-template void CompiledCircuit::batch_stamp_fused<8>(BatchWorkspace&,
-                                                    const double*,
-                                                    const double*,
-                                                    Integrator) const;
-template void CompiledCircuit::batch_stamp_fused<32>(BatchWorkspace&,
-                                                     const double*,
-                                                     const double*,
-                                                     Integrator) const;
+template <std::size_t W>
+void CompiledCircuit::batch_stamp_fused(BatchWorkspace& bw, const double* time,
+                                        const double* dt,
+                                        Integrator method) const {
+  batch_stamp<W, false>(bw, time, dt, method);
+}
+
+template <std::size_t W>
+void CompiledCircuit::batch_stamp_dc(BatchWorkspace& bw) const {
+  batch_stamp<W, true>(bw, nullptr, nullptr, Integrator::kBackwardEuler);
+}
+
+#define FINSER_BATCH_STAMPS(W)                                             \
+  template void CompiledCircuit::batch_stamp_fused<W>(                     \
+      BatchWorkspace&, const double*, const double*, Integrator) const;    \
+  template void CompiledCircuit::batch_stamp_dc<W>(BatchWorkspace&) const;
+FINSER_BATCH_STAMPS(1)
+FINSER_BATCH_STAMPS(4)
+FINSER_BATCH_STAMPS(8)
+FINSER_BATCH_STAMPS(32)
+#undef FINSER_BATCH_STAMPS
 
 void CompiledCircuit::batch_initialize_state(BatchWorkspace& bw,
                                              std::size_t lane,

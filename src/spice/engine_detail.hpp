@@ -4,15 +4,16 @@
 /// lane-batched transient loop (internal to finser::spice).
 ///
 /// The DC Newton/gmin-continuation algorithm exists exactly once,
-/// solve_dc_impl(), templated over a *system* policy that assembles and
-/// solves the linearization at an iterate. The engine's policy is
-/// CompiledDcSystem: the devirtualized stamp plan, factored by
-/// batch_lu_solve<1>. The interpreted oracle of the tests supplies a policy
-/// over the polymorphic Device list and Mna, so both DC paths run the same
-/// Newton and continuation code.
+/// solve_dc_lanes(), templated over the lane width W and a *system* policy
+/// that assembles and solves the W linearizations at their iterates. The
+/// engine's policy is CompiledDcLanes: the fused DC stamp of every lane,
+/// factored by batch_lu_solve<W>; solve_dc() is its W = 1 instantiation.
+/// The interpreted oracle of the tests supplies a one-lane policy over the
+/// polymorphic Device list and Mna, so every DC path runs the same Newton
+/// and continuation code.
 ///
-/// batch_lu_solve() is the one compiled LU kernel: the DC solve factors a
-/// one-lane system with it, the transient loop W lanes at a time. The
+/// batch_lu_solve() is the one compiled LU kernel: the DC and transient
+/// loops factor their W lanes with it. The
 /// compiled transient loop is run_transient_batch_impl() below: W
 /// transients in masked-Newton lockstep, with W = 1 as the scalar case,
 /// either a fixed set or lanes refilled from a job feed. It
@@ -27,6 +28,8 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "finser/obs/obs.hpp"
@@ -39,6 +42,20 @@
 #include "finser/util/error.hpp"
 
 namespace finser::spice::detail {
+
+template <class F, std::size_t... I>
+bool visit_width(std::size_t w, F& f, std::index_sequence<I...>) {
+  return ((w == kLaneWidths[I] &&
+           (f(std::integral_constant<std::size_t, kLaneWidths[I]>{}), true)) ||
+          ...);
+}
+
+/// Call f(std::integral_constant<std::size_t, W>{}) for the compiled width
+/// W == \p w; false if \p w is not one of kLaneWidths.
+template <class F>
+bool visit_width(std::size_t w, F&& f) {
+  return visit_width(w, f, std::make_index_sequence<kLaneWidths.size()>{});
+}
 
 // ---------------------------------------------------------------------------
 // Transient set-up shared by both transient loops
@@ -80,7 +97,7 @@ inline double clamp_breaks_and_arm(std::vector<double>& breaks, double t_end) {
 }
 
 // ---------------------------------------------------------------------------
-// The compiled LU kernel (DC at W = 1, transients at every W)
+// The compiled LU kernel (DC and transients at every W)
 // ---------------------------------------------------------------------------
 
 /// Call f(c) for every column c >= \p from of one row mask, ascending.
@@ -372,155 +389,245 @@ inline std::size_t batch_lu_solve(BatchWorkspace& bw,
 // DC operating point
 // ---------------------------------------------------------------------------
 
-/// solve_dc_impl()'s system policy over a compiled circuit: the fused DC
-/// stamp of the devirtualized plan into a one-lane system, factored by
-/// batch_lu_solve<1>. \p lu must be configured to one lane of \p cc; its
-/// pivot cache carries across one solve's Newton iterations.
-struct CompiledDcSystem {
-  CompiledCircuit& cc;
-  BatchWorkspace& lu;
+/// solve_dc_lanes()'s system policy over a compiled circuit: the fused DC
+/// stamp of every lane plus the gmin shunts, factored by batch_lu_solve<W>.
+/// \p bw must be configured to W lanes of \p cc with the lanes' bindings
+/// loaded; each lane's pivot cache carries across one solve's Newton
+/// iterations.
+template <std::size_t W>
+struct CompiledDcLanes {
+  const CompiledCircuit& cc;
+  BatchWorkspace& bw;
 
   std::size_t node_count() const { return cc.node_count(); }
   std::size_t unknown_count() const { return cc.unknown_count(); }
+  /// The lanes' Newton iterates, AoSoA: unknown i of lane w at [i * W + w].
+  double* iterate() { return bw.x_try.data(); }
 
-  /// Solve the linearization at ctx's iterate, with a gmin shunt from every
-  /// node toward \p anchor. Returns the solution, or nullptr when the LU
-  /// fails (singular or non-finite).
-  const double* solve(const StampContext& ctx,
-                      const std::vector<double>& anchor, double gmin) {
+  /// Solve every lane's linearization at its iterate, with a gmin[w] shunt
+  /// from every node toward \p anchor. Sets ok[w] = 0 where the lane's LU
+  /// fails (singular or non-finite) and returns the solutions, AoSoA.
+  const double* solve(const std::array<double, W>& gmin, const double* anchor,
+                      const std::array<std::uint8_t, W>& active,
+                      std::array<std::uint8_t, W>& ok) {
     const std::size_t n = cc.unknown_count();
-    std::fill(lu.fa.begin(), lu.fa.end(), 0.0);
-    std::fill(lu.fb.begin(), lu.fb.end(), 0.0);
-    cc.stamp_fused(lu.fa.data(), lu.fb.data(), ctx);
-    if (gmin > 0.0) {
-      // Mna's accumulation order: every diagonal shunt first
-      // (Mna::add_gmin), then the rhs anchor loop.
+    std::fill(bw.fa.begin(), bw.fa.end(), 0.0);
+    std::fill(bw.fb.begin(), bw.fb.end(), 0.0);
+    cc.batch_stamp_dc<W>(bw);
+    // Mna's accumulation order: every diagonal shunt first (Mna::add_gmin),
+    // then the rhs anchor loop. Selects, not skips: a lane whose gmin is not
+    // positive keeps its entries bit for bit, as the scalar `if (gmin > 0)`.
+    {
+      double* __restrict__ a = bw.fa.data();
+      double* __restrict__ b = bw.fb.data();
       for (std::size_t i = 0; i < cc.node_count() && i < n; ++i) {
-        lu.fa[i * n + i] += gmin;
+        for (std::size_t w = 0; w < W; ++w) {
+          const double v = a[(i * n + i) * W + w];
+          a[(i * n + i) * W + w] = gmin[w] > 0.0 ? v + gmin[w] : v;
+        }
       }
       for (std::size_t i = 0; i < cc.node_count(); ++i) {
-        lu.fb[i] += gmin * anchor[i];
+        for (std::size_t w = 0; w < W; ++w) {
+          const double v = b[i * W + w];
+          b[i * W + w] = gmin[w] > 0.0 ? v + gmin[w] * anchor[i] : v;
+        }
       }
     }
-    std::array<LaneLu, 1> status;
-    batch_lu_solve<1>(lu, cc.lu_pattern().data(), n, {1}, status);
-    return status[0] == LaneLu::kOk ? lu.x_new.data() : nullptr;
+    std::array<LaneLu, W> status;
+    batch_lu_solve<W>(bw, cc.lu_pattern().data(), n, active, status);
+    for (std::size_t w = 0; w < W; ++w) {
+      ok[w] = status[w] == LaneLu::kOk ? 1 : 0;
+    }
+    return bw.x_new.data();
   }
 };
 
-/// One damped-Newton stage at fixed gmin. Returns true on convergence;
-/// \p x is updated in place with the best iterate either way.
-///
-/// The gmin shunt pulls node voltages toward \p anchor (the caller's initial
-/// guess) rather than toward ground: for bistable circuits such as SRAM
-/// cells this keeps the continuation inside the basin the caller selected
-/// instead of collapsing onto the symmetric metastable point.
-template <class System>
-bool newton_stage(System& sys, std::vector<double>& x,
-                  const std::vector<double>& anchor, double gmin,
-                  const DcOptions& opt) {
-  const std::size_t n = sys.unknown_count();
-  StampContext ctx;
-  ctx.transient = false;
-  ctx.branch_offset = sys.node_count();
-  ctx.x = &x;
-
-  for (int iter = 0; iter < opt.max_iterations; ++iter) {
-    FINSER_OBS_COUNT("spice.dc.newton_iters", 1);
-    const double* x_new = sys.solve(ctx, anchor, gmin);
-    // A failed LU fails the stage, so the caller reports "failed to
-    // converge", not a raw LU error.
-    if (x_new == nullptr) return false;
-
-    // Damping: limit the largest voltage move per iteration.
-    double max_dv = 0.0;
-    for (std::size_t i = 0; i < sys.node_count(); ++i) {
-      max_dv = std::max(max_dv, std::abs(x_new[i] - x[i]));
-    }
-    double alpha = 1.0;
-    if (max_dv > opt.damping_vmax) alpha = opt.damping_vmax / max_dv;
-
-    double max_delta = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double step = alpha * (x_new[i] - x[i]);
-      x[i] += step;
-      max_delta = std::max(max_delta, std::abs(step));
-    }
-    if (alpha == 1.0 && max_delta < opt.v_tol) {
-      FINSER_OBS_RECORD("spice.dc.iters_per_stage", iter + 1);
-      return true;
-    }
-  }
-  return false;
-}
-
-/// The DC Newton/gmin-continuation solve over \p sys, with its work vectors
-/// in \p ws (see DcOptions for the continuation and its retry ladder).
-template <class System>
-std::vector<double> solve_dc_impl(System& sys, SolveWorkspace& ws,
-                                  const std::vector<double>& initial_guess,
-                                  const DcOptions& options) {
+/// The DC Newton/gmin-continuation solve of lanes [0, \p count) of \p sys
+/// (see DcOptions for the continuation and its retry ladder), with the work
+/// vectors in \p ws. Every lane starts from \p initial_guess and runs its
+/// own continuation; one vectorized Newton tick (the policy's stamp + LU)
+/// advances every lane mid-stage, and lanes that converged, failed or lie
+/// past \p count ride it masked. The per-lane bookkeeping — damping,
+/// convergence test, stage advance, retry ladder and counters — follows the
+/// statement order of a one-lane solve, so a lane's bits do not depend on
+/// W or on its neighbours. On return lane w's solution is in sys.iterate(),
+/// unless failed[w], with the failure text in errors[w]. Only an invalid
+/// option throws.
+template <std::size_t W, class System>
+void solve_dc_lanes(System& sys, SolveWorkspace& ws, std::size_t count,
+                    const std::vector<double>& initial_guess,
+                    const DcOptions& options, std::uint8_t* failed,
+                    std::string* errors) {
   const std::size_t n = sys.unknown_count();
   FINSER_REQUIRE(n > 0, "solve_dc: circuit has no unknowns");
   FINSER_REQUIRE(!options.gmin_steps.empty(), "solve_dc: empty gmin schedule");
   FINSER_REQUIRE(initial_guess.empty() || initial_guess.size() == n,
                  "solve_dc: initial guess size mismatch");
+  FINSER_REQUIRE(count <= W, "solve_dc_batch: more lanes than width");
 
   obs::ScopedSpan span("spice.dc.solve");
-  FINSER_OBS_COUNT("spice.dc.solves", 1);
-  std::vector<double> x = initial_guess.empty() ? std::vector<double>(n, 0.0)
-                                                : initial_guess;
-  ws.anchor = x;
-  const std::vector<double>& anchor = ws.anchor;
+  FINSER_OBS_COUNT("spice.dc.solves", static_cast<std::int64_t>(count));
+  if (initial_guess.empty()) {
+    ws.anchor.assign(n, 0.0);
+  } else {
+    ws.anchor = initial_guess;
+  }
+  // The gmin shunt pulls node voltages toward the anchor (the caller's
+  // initial guess) rather than toward ground: for bistable circuits such as
+  // SRAM cells this keeps the continuation inside the basin the caller
+  // selected instead of collapsing onto the symmetric metastable point.
+  const double* anchor = ws.anchor.data();
+  double* x = sys.iterate();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t w = 0; w < W; ++w) x[i * W + w] = anchor[i];
+  }
+  ws.x_good.assign(x, x + n * W);
 
-  // gmin continuation with a bounded retry ladder: a failed stage is retried
-  // from the last converged iterate with the geometric midpoint between the
-  // previous (converged) gmin and the failed one inserted first. Halving the
+  enum class Phase : std::uint8_t { kIdle, kNewton, kDone, kFailed };
+  std::array<Phase, W> phase;
+  phase.fill(Phase::kIdle);
+  std::array<std::size_t, W> stage{};  ///< Index into the lane's schedule.
+  std::array<int, W> iter{};           ///< Newton iteration within the stage.
+  std::array<int, W> extensions{};
+  std::array<double, W> gmin;          ///< gmin of the stage in flight.
+  std::array<double, W> prev_gmin{};   ///< gmin of the last converged stage.
+  std::array<bool, W> any_converged{};  ///< Whether prev_gmin is meaningful.
+  gmin.fill(options.gmin_steps.front());  // Riders stamp a finite shunt.
+
+  const auto copy_lane = [n](const double* src, double* dst, std::size_t w) {
+    for (std::size_t i = 0; i < n; ++i) dst[i * W + w] = src[i * W + w];
+  };
+
+  // Lane w's stage in flight failed. A failed stage is retried from the last
+  // converged iterate with the geometric midpoint between the previous
+  // (converged) gmin and the failed one inserted first: halving the
   // continuation step this way rescues solves where a single gmin decade is
-  // too aggressive a homotopy jump, without loosening any tolerance.
-  std::vector<double>& schedule = ws.gmin_schedule;
-  schedule.assign(options.gmin_steps.begin(), options.gmin_steps.end());
-  int extensions = 0;
-  double prev_gmin = 0.0;       // gmin of the last converged stage.
-  bool any_converged = false;   // Whether prev_gmin is meaningful.
-  ws.x_good = x;
-
-  for (std::size_t i = 0; i < schedule.size(); ++i) {
-    const double gmin = schedule[i];
-    FINSER_OBS_COUNT("spice.dc.gmin_stages", 1);
-    if (newton_stage(sys, x, anchor, gmin, options)) {
-      prev_gmin = gmin;
-      any_converged = true;
-      ws.x_good = x;
-      continue;
-    }
-
-    if (extensions >= options.max_gmin_extensions) {
+  // too aggressive a homotopy jump, without loosening any tolerance. Returns
+  // false once the ladder is drained: the lane has failed.
+  const auto retry = [&](std::size_t w) {
+    std::vector<double>& schedule = ws.gmin_schedule[w];
+    const double g = schedule[stage[w]];
+    if (extensions[w] >= options.max_gmin_extensions) {
       FINSER_OBS_COUNT("spice.dc.failures", 1);
-      throw util::NumericalError(
-          "solve_dc: Newton failed to converge at gmin = " +
-          std::to_string(gmin) + " after " + std::to_string(extensions) +
-          " schedule extension(s)");
+      failed[w] = 1;
+      errors[w] = "solve_dc: Newton failed to converge at gmin = " +
+                  std::to_string(g) + " after " +
+                  std::to_string(extensions[w]) + " schedule extension(s)";
+      phase[w] = Phase::kFailed;
+      return false;
     }
-
     // Restore the last converged iterate: the failed stage may have walked x
     // somewhere useless.
-    x = ws.x_good;
+    copy_lane(ws.x_good.data(), x, w);
     double inserted;
-    if (any_converged) {
-      inserted = std::sqrt(prev_gmin * gmin);
-      FINSER_REQUIRE(inserted > gmin && inserted < prev_gmin,
+    if (any_converged[w]) {
+      inserted = std::sqrt(prev_gmin[w] * g);
+      FINSER_REQUIRE(inserted > g && inserted < prev_gmin[w],
                      "solve_dc: gmin schedule is not strictly decreasing");
     } else {
       // The very first stage failed: retry from a much stiffer shunt.
-      inserted = std::min(gmin * 100.0, 1.0);
+      inserted = std::min(g * 100.0, 1.0);
     }
-    ++extensions;
+    ++extensions[w];
     FINSER_OBS_COUNT("spice.dc.gmin_extensions", 1);
-    schedule.insert(schedule.begin() + static_cast<std::ptrdiff_t>(i), inserted);
-    --i;  // Re-enter the loop at the inserted stage.
+    schedule.insert(schedule.begin() + static_cast<std::ptrdiff_t>(stage[w]),
+                    inserted);
+    return true;
+  };
+
+  // Enter lane w's stage stage[w]. A stage that allows no Newton iteration
+  // fails at once, so this walks the ladder until a stage can run or the
+  // lane has failed.
+  const auto enter_stage = [&](std::size_t w) {
+    for (;;) {
+      FINSER_OBS_COUNT("spice.dc.gmin_stages", 1);
+      gmin[w] = ws.gmin_schedule[w][stage[w]];
+      iter[w] = 0;
+      phase[w] = Phase::kNewton;
+      if (options.max_iterations > 0 || !retry(w)) return;
+    }
+  };
+
+  for (std::size_t w = 0; w < count; ++w) {
+    failed[w] = 0;
+    errors[w].clear();
+    ws.gmin_schedule[w].assign(options.gmin_steps.begin(),
+                               options.gmin_steps.end());
+    enter_stage(w);
   }
-  return x;
+
+  std::array<std::uint8_t, W> active{};
+  std::array<std::uint8_t, W> ok{};
+  for (;;) {
+    std::size_t n_active = 0;
+    for (std::size_t w = 0; w < W; ++w) {
+      active[w] = phase[w] == Phase::kNewton ? 1 : 0;
+      n_active += active[w];
+    }
+    if (n_active == 0) break;  // Every lane converged or failed.
+
+    FINSER_OBS_COUNT("spice.dc.newton_iters",
+                     static_cast<std::int64_t>(n_active));
+    FINSER_OBS_COUNT("spice.dc.batch_ticks", 1);
+    const double* x_new = sys.solve(gmin, anchor, active, ok);
+
+    // Damping (limit the largest voltage move per iteration) and the
+    // convergence measure, lane-vectorized as in the transient loop: every
+    // lane computes, and only lanes mid-Newton whose LU succeeded store
+    // their damped iterate.
+    std::array<double, W> alpha;
+    std::array<double, W> max_delta{};
+    {
+      // The iterate and the solution are distinct arrays, touched through
+      // nothing else in this block.
+      double* __restrict__ xi = x;
+      const double* __restrict__ xs = x_new;
+      std::array<double, W> max_dv{};
+      for (std::size_t i = 0; i < sys.node_count(); ++i) {
+        for (std::size_t w = 0; w < W; ++w) {
+          const double dv = std::abs(xs[i * W + w] - xi[i * W + w]);
+          max_dv[w] = dv > max_dv[w] ? dv : max_dv[w];
+        }
+      }
+      std::array<double, W> store;
+      for (std::size_t w = 0; w < W; ++w) {
+        alpha[w] = max_dv[w] > options.damping_vmax
+                       ? options.damping_vmax / max_dv[w]
+                       : 1.0;
+        store[w] = active[w] != 0 && ok[w] != 0 ? 1.0 : 0.0;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t w = 0; w < W; ++w) {
+          const double step = alpha[w] * (xs[i * W + w] - xi[i * W + w]);
+          const double nv = xi[i * W + w] + step;
+          xi[i * W + w] = store[w] != 0.0 ? nv : xi[i * W + w];
+          const double ad = std::abs(step);
+          max_delta[w] = ad > max_delta[w] ? ad : max_delta[w];
+        }
+      }
+    }
+
+    for (std::size_t w = 0; w < W; ++w) {
+      if (active[w] == 0) continue;
+      if (ok[w] == 0) {
+        // A failed LU fails the stage, so the lane reports "failed to
+        // converge", not a raw LU error.
+        if (retry(w)) enter_stage(w);
+      } else if (alpha[w] == 1.0 && max_delta[w] < options.v_tol) {
+        FINSER_OBS_RECORD("spice.dc.iters_per_stage", iter[w] + 1);
+        prev_gmin[w] = gmin[w];
+        any_converged[w] = true;
+        copy_lane(x, ws.x_good.data(), w);
+        if (++stage[w] == ws.gmin_schedule[w].size()) {
+          phase[w] = Phase::kDone;
+        } else {
+          enter_stage(w);
+        }
+      } else if (++iter[w] >= options.max_iterations) {
+        if (retry(w)) enter_stage(w);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

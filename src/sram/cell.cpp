@@ -1,5 +1,7 @@
 #include "finser/sram/cell.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "finser/obs/obs.hpp"
@@ -106,6 +108,12 @@ StrikeSimulator::StrikeSimulator(const CellDesign& design, double vdd_v,
   // The netlist is final: lower it once. Every simulate() from here on is a
   // rebind, never a rebuild.
   compiled_.emplace(circuit_);
+
+  hold_guess_.assign(circuit_.unknown_count(), 0.0);
+  hold_guess_[n_q_] = vdd_v_;
+  hold_guess_[n_vdd_] = vdd_v_;
+  hold_guess_[n_bl_] = vdd_v_;
+  hold_guess_[n_blb_] = vdd_v_;
 }
 
 void StrikeSimulator::set_pulse_width_scale(double scale) {
@@ -119,16 +127,6 @@ void StrikeSimulator::apply_delta_vt(const DeltaVt& delta_vt) {
   }
 }
 
-std::vector<double> StrikeSimulator::hold_guess() const {
-  std::vector<double> guess(circuit_.unknown_count(), 0.0);
-  guess[n_q_] = vdd_v_;
-  guess[n_qb_] = 0.0;
-  guess[n_vdd_] = vdd_v_;
-  guess[n_bl_] = vdd_v_;
-  guess[n_blb_] = vdd_v_;
-  return guess;
-}
-
 const std::vector<double>& StrikeSimulator::hold_cached(const DeltaVt& delta_vt) {
   // The DC hold state depends only on the threshold shifts (strike sources
   // are open in DC, supplies are fixed), so one solve serves every charge
@@ -140,10 +138,36 @@ const std::vector<double>& StrikeSimulator::hold_cached(const DeltaVt& delta_vt)
     FINSER_OBS_COUNT("sram.strike.dc_reuse", 1);
     return hold_x_;
   }
-  hold_x_ = spice::solve_dc(*compiled_, ws_, hold_guess());
+  hold_x_ = spice::solve_dc(*compiled_, ws_, hold_guess_);
   hold_dvt_ = delta_vt;
   hold_valid_ = true;
   return hold_x_;
+}
+
+void StrikeSimulator::solve_holds(const DeltaVt* dvts, std::size_t count,
+                                  HoldState* out) {
+  const std::size_t width = spice::lane_width();
+  for (std::size_t first = 0; first < count; first += width) {
+    const std::size_t group = std::min(width, count - first);
+    // The narrowest compiled width that holds the group: a short group does
+    // not pay for a wide tick of masked riders.
+    const std::size_t lanes = *std::find_if(
+        spice::kLaneWidths.begin(), spice::kLaneWidths.end(),
+        [group](std::size_t w) { return w >= group; });
+    if (dc_ws_.lu.lanes != lanes) compiled_->batch_configure(dc_ws_.lu, lanes);
+    for (std::size_t k = 0; k < group; ++k) {
+      apply_delta_vt(dvts[first + k]);
+      compiled_->rebind();
+      compiled_->batch_rebind_lane(dc_ws_.lu, k);
+    }
+    spice::solve_dc_batch(*compiled_, dc_ws_, group, hold_guess_, dc_out_);
+    for (std::size_t k = 0; k < group; ++k) {
+      HoldState& h = out[first + k];
+      h.failed = dc_out_.failed[k] != 0;
+      h.x.swap(dc_out_.x[k]);
+      h.error.swap(dc_out_.errors[k]);
+    }
+  }
 }
 
 std::array<double, 2> StrikeSimulator::hold_state(const DeltaVt& delta_vt) {
@@ -225,8 +249,7 @@ class StrikeSimulator::StreamBinder final : public spice::TransientFeed {
       : sim_(sim), feed_(feed), kind_(kind) {}
 
   const std::vector<double>* load(std::size_t lane) override {
-    Strike strike;
-    while (feed_.next(lane, strike)) {
+    for (Strike strike; feed_.next(lane, strike); strike = Strike{}) {
       if (strike.new_task) sim_.hold_lane_valid_[lane] = false;
       // Fault-injection hook, fired in bind order (mirrors simulate()).
       if (util::fault_fire(util::FaultSite::kNewtonDiverge)) {
@@ -240,23 +263,33 @@ class StrikeSimulator::StreamBinder final : public spice::TransientFeed {
       sim_.compiled_->rebind();
       sim_.compiled_->batch_rebind_lane(sim_.bw_, lane);
       // Per-lane ΔVt-keyed DC hold cache (see hold_cached for why exact
-      // keying keeps results independent of hit patterns). The DC solve
-      // itself stays scalar.
+      // keying keeps results independent of hit patterns). A miss takes the
+      // hold state the feed had solved ahead, lane-batched, or solves it
+      // here as a one-lane solve.
       std::vector<double>& x0 = sim_.hold_lane_x_[lane];
       if (sim_.hold_lane_valid_[lane] &&
           sim_.hold_lane_dvt_[lane] == strike.delta_vt) {
         FINSER_OBS_COUNT("sram.strike.dc_reuse", 1);
         return &x0;
       }
-      try {
-        x0 = spice::solve_dc(*sim_.compiled_, sim_.ws_, sim_.hold_guess());
-        sim_.hold_lane_dvt_[lane] = strike.delta_vt;
-        sim_.hold_lane_valid_[lane] = true;
-        return &x0;
-      } catch (const util::NumericalError& e) {
-        sim_.hold_lane_valid_[lane] = false;
-        feed_.done(lane, failed_outcome(e.what()));
+      sim_.hold_lane_valid_[lane] = false;
+      if (strike.hold != nullptr) {
+        if (strike.hold->failed) {
+          feed_.done(lane, failed_outcome(strike.hold->error));
+          continue;
+        }
+        x0 = strike.hold->x;
+      } else {
+        try {
+          x0 = spice::solve_dc(*sim_.compiled_, sim_.ws_, sim_.hold_guess_);
+        } catch (const util::NumericalError& e) {
+          feed_.done(lane, failed_outcome(e.what()));
+          continue;
+        }
       }
+      sim_.hold_lane_dvt_[lane] = strike.delta_vt;
+      sim_.hold_lane_valid_[lane] = true;
+      return &x0;
     }
     return nullptr;
   }
@@ -288,6 +321,23 @@ void StrikeSimulator::simulate_stream(StrikeFeed& feed, PulseShape::Kind kind) {
   spice::run_transient_stream(*compiled_, bw_, binder, topt_, {"q", "qb"});
 }
 
+namespace {
+
+/// A hash of a ΔVt vector consistent with ==: equal vectors (±0 alike) hash
+/// alike. NaN equals nothing, so its hash is free.
+std::uint64_t dvt_hash(const DeltaVt& dvt) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const double v : dvt) {
+    h = (h ^ (v == 0.0 ? 0u : std::bit_cast<std::uint64_t>(v))) *
+        0x100000001b3ull;
+  }
+  return h;
+}
+
+constexpr std::size_t kNotAhead = static_cast<std::size_t>(-1);
+
+}  // namespace
+
 void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
                                      const std::vector<DeltaVt>& dvts,
                                      PulseShape::Kind kind,
@@ -298,6 +348,36 @@ void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
                  "simulate_batch: input size mismatch");
   if (out.size() < count) out.resize(count);
 
+  // Solve ahead, lane-batched, the hold states of the active entries whose
+  // ΔVt appears nowhere else in the list nor in a lane's hold cache: the
+  // bind of such an entry misses the cache of whichever lane takes it, so
+  // its solve only moves. A hash collision merely leaves the entries
+  // involved to be solved when they bind.
+  std::vector<std::uint64_t> seen;
+  if (bw_.lanes == spice::lane_width()) {
+    for (std::size_t w = 0; w < bw_.lanes; ++w) {
+      if (hold_lane_valid_[w]) seen.push_back(dvt_hash(hold_lane_dvt_[w]));
+    }
+  }
+  for (std::size_t k = 0; k < count; ++k) {
+    if (active[k]) seen.push_back(dvt_hash(dvts[k]));
+  }
+  std::sort(seen.begin(), seen.end());
+  std::vector<std::size_t> ahead(count, kNotAhead);
+  std::vector<DeltaVt> ahead_dvts;
+  for (std::size_t k = 0; k < count; ++k) {
+    if (!active[k]) continue;
+    const auto [lo, hi] =
+        std::equal_range(seen.begin(), seen.end(), dvt_hash(dvts[k]));
+    if (hi - lo != 1) continue;
+    ahead[k] = ahead_dvts.size();
+    ahead_dvts.push_back(dvts[k]);
+  }
+  if (batch_holds_.size() < ahead_dvts.size()) {
+    batch_holds_.resize(ahead_dvts.size());
+  }
+  solve_holds(ahead_dvts.data(), ahead_dvts.size(), batch_holds_.data());
+
   // Hands out the active entries in list order; entry k's outcome lands in
   // out[k].
   class ListFeed final : public StrikeFeed {
@@ -305,8 +385,15 @@ void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
     ListFeed(const std::vector<StrikeCharges>& charges,
              const std::vector<DeltaVt>& dvts,
              const std::vector<std::uint8_t>& active,
+             const std::vector<std::size_t>& ahead,
+             const std::vector<HoldState>& holds,
              std::vector<LaneOutcome>& out)
-        : charges_(charges), dvts_(dvts), active_(active), out_(out) {}
+        : charges_(charges),
+          dvts_(dvts),
+          active_(active),
+          ahead_(ahead),
+          holds_(holds),
+          out_(out) {}
 
     bool next(std::size_t lane, Strike& strike) override {
       while (next_ < charges_.size() && !active_[next_]) ++next_;
@@ -314,6 +401,7 @@ void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
       entry_[lane] = next_;
       strike.charges = charges_[next_];
       strike.delta_vt = dvts_[next_];
+      if (ahead_[next_] != kNotAhead) strike.hold = &holds_[ahead_[next_]];
       ++next_;
       return true;
     }
@@ -325,11 +413,13 @@ void StrikeSimulator::simulate_batch(const std::vector<StrikeCharges>& charges,
     const std::vector<StrikeCharges>& charges_;
     const std::vector<DeltaVt>& dvts_;
     const std::vector<std::uint8_t>& active_;
+    const std::vector<std::size_t>& ahead_;
+    const std::vector<HoldState>& holds_;
     std::vector<LaneOutcome>& out_;
     std::size_t next_ = 0;
     std::array<std::size_t, spice::kMaxLaneWidth> entry_{};
   };
-  ListFeed feed(charges, dvts, active, out);
+  ListFeed feed(charges, dvts, active, ahead, batch_holds_, out);
   simulate_stream(feed, kind);
 }
 

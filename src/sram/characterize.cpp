@@ -479,14 +479,14 @@ Task grid_task(Task::Kind kind, const GridRun& grid, std::size_t point) {
   return t;
 }
 
-/// One worker's lanes draining a phase: the StrikeFeed its simulator runs.
-/// A lane holds one task at a time; when the task needs no further strike
-/// the lane claims the next one from the phase's shared cursor.
+/// One worker's lanes draining a phase: the StrikeFeed \p sim runs. A lane
+/// holds one task at a time; when the task needs no further strike the lane
+/// claims the next one from the phase's shared cursor.
 class PhaseFeed final : public StrikeFeed {
  public:
   PhaseFeed(std::vector<Task>& tasks, exec::TaskCursor& cursor,
-            const CellCharacterizer& ch)
-      : tasks_(tasks), cursor_(cursor), ch_(ch) {}
+            const CellCharacterizer& ch, StrikeSimulator& sim)
+      : tasks_(tasks), cursor_(cursor), ch_(ch), sim_(sim) {}
 
   /// Count the strikes this worker ran per stage, and its predicted
   /// bisections that verified their bracket or fell back to the plain one.
@@ -504,7 +504,6 @@ class PhaseFeed final : public StrikeFeed {
 
   bool next(std::size_t lane, StrikeSimulator::Strike& strike) override {
     Lane& l = lanes_[lane];
-    strike.new_task = false;
     if (l.task != nullptr && advance(l, strike)) return true;
     std::size_t i = 0;
     while (cursor_.next(i)) {
@@ -549,14 +548,20 @@ class PhaseFeed final : public StrikeFeed {
   }
 
  private:
+  /// kGrid: no hold state solved ahead for the sample.
+  static constexpr std::uint8_t kNoHold = 0xFF;
+
   /// A task in progress in one lane.
   struct Lane {
     Task* task = nullptr;
     Bisection search;              ///< kBisect.
     std::size_t lo = 0, hi = 0;    ///< kBoundary: open column range.
     std::size_t mid = 0;           ///< kBoundary: the column in flight.
-    stats::Rng rng;                ///< kGrid: at the next sample's draws.
     std::uint32_t left = 0;        ///< kGrid: samples still to run.
+    std::array<DeltaVt, kGridChain> dvts;  ///< kGrid: the samples' shifts.
+    /// kGrid: each sample's index into `holds`, or kNoHold.
+    std::array<std::uint8_t, kGridChain> hold_of{};
+    std::array<StrikeSimulator::HoldState, kGridChain> holds;  ///< kGrid.
   };
 
   void start(Lane& l, Task& t) {
@@ -572,13 +577,29 @@ class PhaseFeed final : public StrikeFeed {
         l.lo = 0;
         l.hi = t.grid->np();
         return;
-      case Task::Kind::kGrid:
+      case Task::Kind::kGrid: {
         // Replay the cell's stream up to the task's first sample, so sample
-        // s keeps the draws of a single pass over the whole ladder.
-        l.rng = stats::Rng::stream(t.grid->seed, t.point);
-        for (std::uint32_t s = 0; s < t.first; ++s) ch_.sample_delta_vt(l.rng);
+        // s keeps the draws of a single pass over the whole ladder, then
+        // draw the chain's samples.
+        stats::Rng rng = stats::Rng::stream(t.grid->seed, t.point);
+        for (std::uint32_t s = 0; s < t.first; ++s) ch_.sample_delta_vt(rng);
+        // Solve their hold states in one lane-batched DC solve. A sample's
+        // bind misses the lane's hold cache when it opens the task (a new
+        // task drops the cache) or its shifts differ from the previous
+        // sample's; only those are solved ahead, so every count stays the
+        // one a strike-by-strike pass makes.
+        std::array<DeltaVt, kGridChain> ahead;
+        std::uint8_t m = 0;
+        for (std::uint32_t s = 0; s < t.count; ++s) {
+          l.dvts[s] = ch_.sample_delta_vt(rng);
+          const bool repeat = s > 0 && l.dvts[s] == l.dvts[s - 1];
+          l.hold_of[s] = repeat ? kNoHold : m;
+          if (!repeat) ahead[m++] = l.dvts[s];
+        }
+        sim_.solve_holds(ahead.data(), m, l.holds.data());
         l.left = t.count;
         return;
+      }
     }
   }
 
@@ -614,12 +635,14 @@ class PhaseFeed final : public StrikeFeed {
         strike.delta_vt = DeltaVt{};
         return true;
       }
-      case Task::Kind::kGrid:
+      case Task::Kind::kGrid: {
         if (l.left == 0) return false;
-        --l.left;
+        const std::uint32_t s = t.count - l.left--;
         strike.charges = t.grid->charges_at(t.point);
-        strike.delta_vt = ch_.sample_delta_vt(l.rng);
+        strike.delta_vt = l.dvts[s];
+        if (l.hold_of[s] != kNoHold) strike.hold = &l.holds[l.hold_of[s]];
         return true;
+      }
     }
     return false;
   }
@@ -627,6 +650,7 @@ class PhaseFeed final : public StrikeFeed {
   std::vector<Task>& tasks_;
   exec::TaskCursor& cursor_;
   const CellCharacterizer& ch_;
+  StrikeSimulator& sim_;
   std::array<Lane, spice::kMaxLaneWidth> lanes_;
   std::array<std::size_t, kStageCount> transients_{};
   std::size_t hits_ = 0;
@@ -660,8 +684,9 @@ void run_phase(exec::ThreadPool& pool, SimSlots& sims, std::vector<Task>& tasks,
   require_complete(pool.parallel_drain(
       tasks.size(),
       [&](exec::TaskCursor& cursor) {
-        PhaseFeed feed(tasks, cursor, ch);
-        sims.at(cursor.worker()).simulate_stream(feed, ch.config().pulse_kind);
+        StrikeSimulator& sim = sims.at(cursor.worker());
+        PhaseFeed feed(tasks, cursor, ch, sim);
+        sim.simulate_stream(feed, ch.config().pulse_kind);
       },
       cancel));
 }

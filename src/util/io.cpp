@@ -1,13 +1,16 @@
 #include "finser/util/io.hpp"
 
 #include <fcntl.h>
+#include <signal.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 
 #include "finser/util/fault.hpp"
 
@@ -19,7 +22,43 @@ void set_error(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
 }
 
+/// Temp files this process has named (see atomic_write_file).
+std::atomic<std::uint64_t> g_temp_files{0};
+
+/// Whether \p s is a non-empty run of decimal digits.
+bool all_digits(const std::string& s) {
+  if (s.empty()) return false;
+  for (const char c : s) {
+    if (c < '0' || c > '9') return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+bool orphaned_temp_file(const std::string& file_name) {
+  constexpr std::string_view kExt = ".tmp";
+  if (file_name.size() <= kExt.size() ||
+      file_name.compare(file_name.size() - kExt.size(), kExt.size(), kExt) !=
+          0) {
+    return false;
+  }
+  // <target>.<pid>.<n>.tmp: split the writer's pid and sequence number off
+  // the right. A name without them has no writer to ask, so it is debris.
+  std::string stem = file_name.substr(0, file_name.size() - kExt.size());
+  std::size_t dot = stem.rfind('.');
+  if (dot == std::string::npos || !all_digits(stem.substr(dot + 1))) {
+    return true;
+  }
+  stem.resize(dot);
+  dot = stem.rfind('.');
+  const std::string pid_text =
+      dot == std::string::npos ? std::string() : stem.substr(dot + 1);
+  if (!all_digits(pid_text) || pid_text.size() > 9) return true;
+  const auto pid = static_cast<pid_t>(std::stol(pid_text));
+  // Signal 0 only asks whether the process exists; EPERM means it does.
+  return pid <= 0 || (::kill(pid, 0) != 0 && errno == ESRCH);
+}
 
 bool atomic_write_file(const std::string& path, const void* data,
                        std::size_t size, std::string* error) {
@@ -40,8 +79,12 @@ bool atomic_write_file(const std::string& path, const void* data,
   }
 
   // The temp file must live on the same filesystem as the target for
-  // rename() to stay atomic, so it is a sibling, not a /tmp file.
-  const std::string tmp = path + ".tmp";
+  // rename() to stay atomic, so it is a sibling, not a /tmp file. Its name
+  // is this write's own — the writer's pid and a per-process sequence
+  // number — so concurrent writers of one target, in this process or in
+  // others, never share a temp, and a store sweep can tell whose it is.
+  const std::string tmp = path + "." + std::to_string(::getpid()) + "." +
+                          std::to_string(g_temp_files.fetch_add(1)) + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     set_error(error, "cannot open " + tmp + ": " + std::strerror(errno));

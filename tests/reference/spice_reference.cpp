@@ -4,8 +4,10 @@
 #include "spice_reference.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "engine_detail.hpp"
 #include "finser/obs/obs.hpp"
@@ -20,35 +22,46 @@ namespace finser::spice {
 
 namespace {
 
-/// detail::solve_dc_impl()'s system policy over the polymorphic devices:
-/// stamps through Device::stamp() into an Mna and factors it with
+/// detail::solve_dc_lanes()'s one-lane system policy over the polymorphic
+/// devices: stamps through Device::stamp() into an Mna and factors it with
 /// Mna::solve_with_cache.
 struct InterpretedDcSystem {
   explicit InterpretedDcSystem(const Circuit& circuit)
-      : c(circuit), mna(circuit.unknown_count()) {}
+      : c(circuit),
+        mna(circuit.unknown_count()),
+        x(circuit.unknown_count(), 0.0),
+        x_new(circuit.unknown_count(), 0.0) {}
 
   const Circuit& c;
   Mna mna;
   Mna::PivotCache pivot;
+  std::vector<double> x;
   std::vector<double> x_new;
 
   std::size_t node_count() const { return c.node_count(); }
   std::size_t unknown_count() const { return c.unknown_count(); }
+  double* iterate() { return x.data(); }
 
-  const double* solve(const StampContext& ctx,
-                      const std::vector<double>& anchor, double gmin) {
+  const double* solve(const std::array<double, 1>& gmin, const double* anchor,
+                      const std::array<std::uint8_t, 1>& /*active*/,
+                      std::array<std::uint8_t, 1>& ok) {
+    StampContext ctx;
+    ctx.transient = false;
+    ctx.branch_offset = c.node_count();
+    ctx.x = &x;
     mna.clear();
     for (const auto& dev : c.devices()) dev->stamp(mna, ctx);
-    if (gmin > 0.0) {
-      mna.add_gmin(gmin, c.node_count());
+    if (gmin[0] > 0.0) {
+      mna.add_gmin(gmin[0], c.node_count());
       for (std::size_t i = 0; i < c.node_count(); ++i) {
-        mna.add_rhs(i, gmin * anchor[i]);
+        mna.add_rhs(i, gmin[0] * anchor[i]);
       }
     }
+    ok[0] = 1;
     try {
       mna.solve_with_cache(pivot, x_new);
     } catch (const util::NumericalError&) {
-      return nullptr;
+      ok[0] = 0;
     }
     return x_new.data();
   }
@@ -61,7 +74,12 @@ std::vector<double> solve_dc(const Circuit& circuit,
                              const DcOptions& options) {
   SolveWorkspace ws;
   InterpretedDcSystem system(circuit);
-  return detail::solve_dc_impl(system, ws, initial_guess, options);
+  std::uint8_t failed = 0;
+  std::string error;
+  detail::solve_dc_lanes<1>(system, ws, 1, initial_guess, options, &failed,
+                            &error);
+  if (failed != 0) throw util::NumericalError(error);
+  return system.x;
 }
 
 // ---------------------------------------------------------------------------

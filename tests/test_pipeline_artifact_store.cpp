@@ -8,7 +8,10 @@
 /// a miss that degrades to recomputation.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -309,6 +312,89 @@ TEST(ArtifactStore, OpeningSweepsOrphanedTmpFiles) {
   // Sweeping a directory that does not exist is a quiet no-op.
   EXPECT_EQ(ArtifactStore::sweep_orphans(root + "/nope"), 0u);
   std::filesystem::remove_all(root);
+}
+
+/// The temp-file name atomic_write_file() gives a write of \p blob by
+/// process \p pid.
+std::string temp_name(const std::string& blob, pid_t pid, int n) {
+  return blob + "." + std::to_string(pid) + "." + std::to_string(n) + ".tmp";
+}
+
+/// A pid no process holds: a child that has exited and been reaped.
+pid_t dead_pid() {
+  const pid_t pid = fork();
+  if (pid == 0) _exit(0);
+  waitpid(pid, nullptr, 0);
+  return pid;
+}
+
+// Another process's store opening mid-write (a second campaign, a
+// replacement worker) must leave a live writer's temp file alone, and sweep
+// the temp of a writer that died.
+TEST(ArtifactStore, LiveWritersTempSurvivesAnotherOpen) {
+  const TempStore store("finser_art_live_tmp");
+  std::filesystem::create_directories(store.root());
+  const std::string live =
+      store.root() + "/" + temp_name("unit_test-01.art", getpid(), 3);
+  const std::string dead =
+      store.root() + "/" + temp_name("unit_test-02.art", dead_pid(), 0);
+  for (const std::string& p : {live, dead}) {
+    std::ofstream os(p, std::ios::binary);
+    os << "in flight";
+  }
+  EXPECT_EQ(ArtifactStore::sweep_orphans(store.root()), 1u);
+  EXPECT_TRUE(std::filesystem::exists(live));
+  EXPECT_FALSE(std::filesystem::exists(dead));
+  const ArtifactStore reopened(store.root());
+  EXPECT_TRUE(std::filesystem::exists(live));
+}
+
+TEST(ArtifactStore, OrphanedTempFileNames) {
+  EXPECT_FALSE(util::orphaned_temp_file("unit_test-01.art"));
+  EXPECT_FALSE(util::orphaned_temp_file(temp_name("a.art", getpid(), 0) + "x"));
+  EXPECT_FALSE(util::orphaned_temp_file(temp_name("a.art", getpid(), 12)));
+  EXPECT_TRUE(util::orphaned_temp_file(temp_name("a.art", dead_pid(), 12)));
+  // Names that carry no writer: the debris of an older writer.
+  EXPECT_TRUE(util::orphaned_temp_file("a.art.tmp"));
+  EXPECT_TRUE(util::orphaned_temp_file("a.tmp"));
+  EXPECT_TRUE(util::orphaned_temp_file("a.art.7.tmp"));
+  EXPECT_TRUE(util::orphaned_temp_file("a.art.x7.7.tmp"));
+}
+
+// Writers of one key that each open their own store on the shared
+// directory — and so sweep it — while the others are mid-write: every put
+// lands (a failed put would return false and print a warning) and the blob
+// left behind is valid.
+TEST(ArtifactStore, ConcurrentPutsOfOneKeyAllLand) {
+  const TempStore store("finser_art_shared");
+  const ArtifactKey key{"unit_test", 78};
+  std::vector<std::uint8_t> payload(4096);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 7u);
+  }
+  std::atomic<int> failed{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 2; ++t) {
+    writers.emplace_back([&] {
+      for (int rep = 0; rep < 50; ++rep) {
+        const ArtifactStore mine(store.root());
+        std::string error;
+        if (!mine.put(key, payload, &error)) {
+          ADD_FAILURE() << error;
+          ++failed;
+        }
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  std::vector<std::uint8_t> out;
+  std::string reason;
+  ASSERT_TRUE(store->try_get(key, out, &reason)) << reason;
+  EXPECT_EQ(out, payload);
+  for (const auto& e : std::filesystem::directory_iterator(store.root())) {
+    EXPECT_NE(e.path().extension(), ".tmp") << e.path();
+  }
 }
 
 }  // namespace

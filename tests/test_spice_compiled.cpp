@@ -134,20 +134,46 @@ std::vector<double> random_iterate(stats::Rng& rng, std::size_t n) {
   return x;
 }
 
-/// The fused DC stamp of \p cc at ctx's iterate must equal \p ref — the
-/// Mna the polymorphic devices assembled there — entry for entry, with
-/// every ground contribution absorbed by the trailing scratch slots.
-void expect_fused_matches(const CompiledCircuit& cc, const Mna& ref,
-                          const StampContext& ctx, std::size_t n,
-                          const char* where) {
-  std::vector<double> a(n * n + 1, 0.0);
-  std::vector<double> b(n + 1, 0.0);
-  cc.stamp_fused(a.data(), b.data(), ctx);
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(b[i], ref.rhs_at(i)) << where << ": rhs row " << i;
-    for (std::size_t j = 0; j < n; ++j) {
-      ASSERT_EQ(a[i * n + j], ref.matrix_at(i, j))
-          << where << ": entry (" << i << ", " << j << ")";
+/// The fused DC stamp of \p cc at widths 1, 4, 8 and 32, each lane at an
+/// iterate of its own, must equal per lane the Mna the polymorphic devices
+/// of \p c assemble there, entry for entry, with every ground contribution
+/// absorbed by the trailing scratch slots.
+void expect_dc_stamp_matches(const Circuit& c, const CompiledCircuit& cc,
+                             stats::Rng& rng) {
+  const std::size_t n = c.unknown_count();
+  Mna ref(n);
+  BatchWorkspace bw;
+  for (const std::size_t width : kLaneWidths) {
+    cc.batch_configure(bw, width);
+    std::vector<std::vector<double>> xs;
+    for (std::size_t w = 0; w < width; ++w) {
+      xs.push_back(random_iterate(rng, n));
+      for (std::size_t i = 0; i < n; ++i) bw.x_try[i * width + w] = xs[w][i];
+    }
+    std::fill(bw.fa.begin(), bw.fa.end(), 0.0);
+    std::fill(bw.fb.begin(), bw.fb.end(), 0.0);
+    switch (width) {
+      case 1: cc.batch_stamp_dc<1>(bw); break;
+      case 4: cc.batch_stamp_dc<4>(bw); break;
+      case 8: cc.batch_stamp_dc<8>(bw); break;
+      default: cc.batch_stamp_dc<32>(bw); break;
+    }
+    for (std::size_t w = 0; w < width; ++w) {
+      StampContext ctx;
+      ctx.branch_offset = c.node_count();
+      ctx.x = &xs[w];
+      ref.clear();
+      for (const auto& dev : c.devices()) dev->stamp(ref, ctx);
+      const std::string where =
+          "dc, width " + std::to_string(width) + ", lane " + std::to_string(w);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(bw.fb[i * width + w], ref.rhs_at(i))
+            << where << ": rhs row " << i;
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(bw.fa[(i * n + j) * width + w], ref.matrix_at(i, j))
+              << where << ": entry (" << i << ", " << j << ")";
+        }
+      }
     }
   }
 }
@@ -161,14 +187,10 @@ TEST(SpiceCompiled, RandomSoupStampsAreByteIdentical) {
     const std::size_t n = c.unknown_count();
     Mna ref(n);
 
-    // DC stamp at a random iterate.
+    // DC stamp at random iterates.
+    expect_dc_stamp_matches(c, cc, rng);
     StampContext ctx;
     ctx.branch_offset = c.node_count();
-    const std::vector<double> x_dc = random_iterate(rng, n);
-    ctx.x = &x_dc;
-    ref.clear();
-    for (const auto& dev : c.devices()) dev->stamp(ref, ctx);
-    expect_fused_matches(cc, ref, ctx, n, "dc");
 
     // Transient stamp: compiled transients stamp through the lane-batched
     // hooks, here at width 1. Fresh state from a random operating point,
@@ -219,26 +241,16 @@ TEST(SpiceCompiled, RandomSoupStampsAreByteIdentical) {
   }
 }
 
-// The fused DC stamp (raw flat arrays + precomputed slot indices, used by
-// the compiled DC Newton) must produce the same dense system as the
-// polymorphic devices' Device::stamp(), entry for entry, with every ground
-// contribution absorbed by the trailing scratch slots.
+// The fused DC stamp (raw AoSoA arrays + precomputed slot indices, used by
+// the compiled DC Newton at every width) must produce per lane the same
+// dense system as the polymorphic devices' Device::stamp(), entry for entry,
+// with every ground contribution absorbed by the trailing scratch slots.
 TEST(SpiceCompiled, FusedStampMatchesMnaOnSoups) {
   stats::Rng rng(19830426);
   for (int trial = 0; trial < 40; ++trial) {
     const Circuit c = make_soup(rng);
     CompiledCircuit cc(c);
-    const std::size_t n = c.unknown_count();
-    Mna ref(n);
-
-    StampContext ctx;
-    ctx.branch_offset = c.node_count();
-    std::vector<double> x = random_iterate(rng, n);
-    ctx.x = &x;
-
-    ref.clear();
-    for (const auto& dev : c.devices()) dev->stamp(ref, ctx);
-    expect_fused_matches(cc, ref, ctx, n, "dc");
+    expect_dc_stamp_matches(c, cc, rng);
   }
 }
 
@@ -407,10 +419,12 @@ LuSystem stamped_system(CompiledCircuit& cc, stats::Rng& rng) {
   LuSystem sys{std::vector<double>(n * n + 1, 0.0),
                std::vector<double>(n + 1, 0.0)};
   if (rng.uniform() < 0.5) {
-    StampContext ctx;
-    ctx.branch_offset = cc.node_count();
-    ctx.x = &x;
-    cc.stamp_fused(sys.a.data(), sys.b.data(), ctx);
+    BatchWorkspace bw;
+    cc.batch_configure(bw, 1);
+    bw.x_try = x;
+    cc.batch_stamp_dc<1>(bw);
+    sys.a = bw.fa;
+    sys.b = bw.fb;
     for (std::size_t i = 0; i < cc.node_count(); ++i) sys.a[i * n + i] += 1e-9;
   } else {
     BatchWorkspace bw;

@@ -291,7 +291,9 @@ int run_driver(const char* self) {
 // Campaign mode: SIGKILL the sharded-campaign supervisor, then resume.
 // ---------------------------------------------------------------------------
 
-/// Same tiny two-scenario campaign the shard harness uses.
+/// The shard harness's two-scenario campaign at 6,000 strikes instead of
+/// 600: its sweeps then outlast the 10 ms poll that looks for the first cell
+/// model, so the supervisor is still running when the harness kills it.
 void write_campaign(const std::string& path, const std::string& outdir) {
   const std::string doc = std::string("{\n")
       + "  \"campaign\": \"kill-resume\",\n"
@@ -299,7 +301,7 @@ void write_campaign(const std::string& path, const std::string& outdir) {
       + "  \"output_dir\": \"" + outdir + "\",\n"
       + "  \"defaults\": {\n"
       + "    \"rows\": 2, \"cols\": 2, \"vdds\": [0.8], \"pv_samples\": 10,\n"
-      + "    \"strikes\": 600, \"histories\": 600, \"species\": [\"alpha\"]\n"
+      + "    \"strikes\": 6000, \"histories\": 6000, \"species\": [\"alpha\"]\n"
       + "  },\n"
       + "  \"scenarios\": [\n"
       + "    {\"name\": \"a\"},\n"
@@ -313,6 +315,9 @@ void write_campaign(const std::string& path, const std::string& outdir) {
   }
 }
 
+/// Fork + execv the CLI as the leader of a process group of its own, which
+/// the workers it forks join: kill_and_reap() can then end the whole run,
+/// orphans included.
 pid_t spawn_cli(const std::string& cli, const std::vector<std::string>& args) {
   const pid_t pid = fork();
   if (pid < 0) {
@@ -320,6 +325,7 @@ pid_t spawn_cli(const std::string& cli, const std::vector<std::string>& args) {
     std::exit(1);
   }
   if (pid == 0) {
+    setpgid(0, 0);
     std::vector<char*> argv;
     argv.push_back(const_cast<char*>(cli.c_str()));
     for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
@@ -328,10 +334,35 @@ pid_t spawn_cli(const std::string& cli, const std::vector<std::string>& args) {
     std::perror("execv");
     _exit(127);
   }
+  setpgid(pid, pid);  // Also here: the child may not have run yet.
   return pid;
 }
 
-int campaign_fail(const std::string& msg) {
+/// SIGKILL every process of \p group (a CLI run spawn_cli() started and the
+/// workers it forked; 0 = none) and reap every child this harness holds —
+/// as the subreaper, orphaned workers included — so a failing run leaves no
+/// worker behind.
+void kill_and_reap(pid_t group) {
+  if (group > 0) killpg(group, SIGKILL);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (;;) {
+    const pid_t reaped = waitpid(-1, nullptr, WNOHANG);
+    if (reaped < 0) return;  // ECHILD: none left.
+    if (reaped > 0) continue;
+    if (std::chrono::steady_clock::now() > deadline) {
+      std::fprintf(stderr, "kill-resume campaign: children still running "
+                           "5 s after SIGKILL\n");
+      return;
+    }
+    usleep(5 * 1000);
+  }
+}
+
+/// Fail the campaign leg: first end every process of \p group and reap
+/// every child (kill_and_reap()).
+int campaign_fail(const std::string& msg, pid_t group = 0) {
+  kill_and_reap(group);
   std::fprintf(stderr, "kill-resume campaign FAILED: %s\n", msg.c_str());
   return 1;
 }
@@ -367,7 +398,8 @@ int run_campaign_driver(const std::string& cli) {
     const pid_t pid = spawn_cli(cli, {"campaign", root + "/ref.json"});
     if (waitpid(pid, &status, 0) < 0 || !WIFEXITED(status) ||
         WEXITSTATUS(status) != 0) {
-      return campaign_fail("in-process reference run did not exit cleanly");
+      return campaign_fail("in-process reference run did not exit cleanly",
+                           pid);
     }
   }
 
@@ -387,7 +419,8 @@ int run_campaign_driver(const std::string& cli) {
       const pid_t done = waitpid(pid, &status, WNOHANG);
       if (done == pid) {
         return campaign_fail("campaign finished before the harness could "
-                             "SIGKILL the supervisor");
+                             "SIGKILL the supervisor",
+                             pid);
       }
       if (count_artifacts(store, "cell_model") > 0) {
         kill(pid, SIGKILL);
@@ -397,14 +430,13 @@ int run_campaign_driver(const std::string& cli) {
       usleep(10 * 1000);
     }
     if (!killed) {
-      kill(pid, SIGKILL);
-      waitpid(pid, nullptr, 0);
-      return campaign_fail("no cell_model artifact appeared within 120 s");
+      return campaign_fail("no cell_model artifact appeared within 120 s",
+                           pid);
     }
     int status = 0;
     if (waitpid(pid, &status, 0) < 0 || !WIFSIGNALED(status) ||
         WTERMSIG(status) != SIGKILL) {
-      return campaign_fail("supervisor did not die by SIGKILL");
+      return campaign_fail("supervisor did not die by SIGKILL", pid);
     }
 #ifdef __linux__
     // Every orphan must exit, and be reaped here, within 5 s, so the resume
@@ -420,7 +452,8 @@ int run_campaign_driver(const std::string& cli) {
         break;  // ECHILD: no orphan left
       } else if (std::chrono::steady_clock::now() > deadline) {
         return campaign_fail("orphaned workers still running 5 s after the "
-                             "supervisor died");
+                             "supervisor died",
+                             pid);
       } else {
         usleep(5 * 1000);
       }
@@ -441,7 +474,7 @@ int run_campaign_driver(const std::string& cli) {
     const pid_t pid = spawn_cli(cli, cmd);
     if (waitpid(pid, &status, 0) < 0 || !WIFEXITED(status) ||
         WEXITSTATUS(status) != 0) {
-      return campaign_fail("resumed campaign run did not exit cleanly");
+      return campaign_fail("resumed campaign run did not exit cleanly", pid);
     }
   }
 
