@@ -5,7 +5,7 @@
 /// and the variance-reduced samplers (importance mixture over the
 /// sensitive-fin footprints, optionally Sobol-driven) must sit well below
 /// the uniform curve at the same strike budget. This is the evidence behind
-/// EXPERIMENTS.md's error bars and behind the `--ci-target` guidance in
+/// EXPERIMENTS.md's error bars and behind the `sampling.ci_target` guidance in
 /// docs/statistics.md: the headline variance-reduction factor and the
 /// matched-half-width strike budget are written to
 /// bench_out/mc_convergence.json. The process exits 1 when that factor
@@ -156,7 +156,7 @@ void report() {
     achieved.add(max_rel_halfwidth(res));
   }
   const double budget_ratio = used.mean() / static_cast<double>(budget);
-  std::cout << "\n=== Matched half-width (--ci-target "
+  std::cout << "\n=== Matched half-width (sampling.ci_target "
             << uniform_relhw_at_budget << ") ===\n"
             << "uniform needs " << budget << " strikes; importance stops at "
             << used.mean() << " (" << budget_ratio

@@ -105,7 +105,7 @@ class PofAccumulator {
   std::size_t count() const { return tot_.count(); }
 
   /// Relative half-width of the 95% CI on the POF_tot channel — the
-  /// quantity the adaptive stopping rule drives to `--ci-target`.
+  /// quantity the adaptive stopping rule drives to `sampling.ci_target`.
   double rel_halfwidth() const {
     return stats::relative_halfwidth(tot_.mean(), tot_.stderr_of_mean());
   }
@@ -155,11 +155,10 @@ ArrayMcResult decode_result(util::ByteReader& r);
 struct McPartial {
   /// acc[vdd_index][mode] (mode: kModeNominal / kModeWithPv).
   std::vector<std::array<PofAccumulator, 2>> acc;
-  /// Strikes (histories) with any sensitive deposit.
-  std::size_t hits = 0;
-  /// Likelihood-ratio-weighted hit mass: Σ w over hitting strikes — equals
-  /// `hits` exactly for the unit-weight estimator, and is the unbiased
-  /// hit-fraction numerator under importance sampling.
+  /// Likelihood-ratio-weighted hit mass: Σ w over the strikes (histories)
+  /// with any sensitive deposit — their exact count for the unit-weight
+  /// estimator, and the unbiased hit-fraction numerator under importance
+  /// sampling.
   double weighted_hits = 0.0;
 
   McPartial() = default;

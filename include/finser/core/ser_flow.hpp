@@ -191,10 +191,4 @@ double mc_scale_from_env();
 /// Multiply every Monte-Carlo size in \p config by \p scale (≥ minimum 1).
 void apply_mc_scale(SerFlowConfig& config, double scale);
 
-/// Apply a CI-target override to both Monte-Carlo engines. \p target < 0 is
-/// a no-op; 0 disables adaptive stopping; > 0 sets the relative-half-width
-/// goal. The strike/history budgets stay as configured — they become
-/// *ceilings* the stopper may undercut.
-void apply_ci_target(SerFlowConfig& config, double target);
-
 }  // namespace finser::core

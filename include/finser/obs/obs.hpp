@@ -61,11 +61,6 @@ void set_enabled(bool on);
 /// Turn span trace-event buffering on/off (forces collection on with it).
 void set_trace_enabled(bool on);
 
-/// Read FINSER_METRICS: unset/"0"/"" → collection stays off; anything else
-/// turns it on. Returns the value (empty when unset) so CLIs can treat a
-/// path-like value as a default report destination.
-std::string configure_from_env();
-
 /// Monotonic nanoseconds since an arbitrary process-local epoch.
 std::uint64_t now_ns();
 

@@ -62,7 +62,7 @@ void write_chrome_trace(const std::string& path);
 /// Validate that \p doc has the report's required structure (schema marker,
 /// version, build/run/metrics/timing sections with their mandatory keys).
 /// Returns an empty string when valid, else a description of the first
-/// problem. Used by the round-trip test and by the CLI's self-check.
+/// problem. Used by the run-report round-trip test.
 std::string validate_run_report(const util::JsonValue& doc);
 
 }  // namespace finser::obs

@@ -26,49 +26,69 @@
 /// driving core::SerFlow directly: same characterization seeds, same
 /// per-bin seed cursor discipline, same CSV formats.
 ///
-/// The document names the run: `finser_cli` writes `--cluster` and
-/// `--ci-target` into it, and the library reads no override from the
-/// environment but FINSER_MC_SCALE (CampaignRunner::fingerprint).
+/// The document names the run: no command-line flag changes its results,
+/// and the library reads no override from the environment but
+/// FINSER_MC_SCALE (CampaignRunner::fingerprint).
 ///
-/// Campaign JSON schema (all scenario keys optional unless noted; unknown
-/// keys are rejected with a nearest-key suggestion):
+/// Campaign JSON schema. Every key is optional unless noted, and an unknown
+/// key is rejected with a nearest-key suggestion; tests/fixtures/
+/// every_key.json sets them all (a ctest keeps this list complete).
 ///
-/// ```json
-/// {
-///   "campaign": "vdd-corners",
-///   "seed": 20140601,                // default scenario seed
-///   "threads": 0,                    // 0 = auto (FINSER_THREADS, else HW)
-///   "artifact_dir": "out/artifacts", // "" disables the artifact store
-///   "output_dir": "out",             // "" disables CSV emission
-///   "defaults": { "strikes": 60000 },// merged under every scenario
-///   "scenarios": [
-///     {
-///       "name": "nominal",           // required, unique
-///       "rows": 9, "cols": 9,
-///       "pattern": "checkerboard",   // ones|zeros|checkerboard|random
-///       "pattern_seed": 1,
-///       "vdds": [0.7, 0.8, 0.9, 1.0, 1.1], // positive, distinct, any order
-///       "sigma_vt": 0.05,            // [V]
-///       "cnode_f": 1.7e-16,          // storage-node capacitance [F]
-///       "pv_samples": 200,
-///       "strikes": 60000,
-///       "histories": 60000,          // neutron MC (defaults to strikes)
-///       "seed": 20140601,
-///       "species": ["alpha", "proton"],
-///       "cell_w_nm": 380.0, "cell_h_nm": 160.0,
-///       "fin_w_nm": 10.0, "fin_h_nm": 26.0,
-///       "temp_k": 300.0                  // device temperature [K]
-///     }
-///   ]
-/// }
-/// ```
+/// Top level:
+///   `campaign`      campaign name ("campaign")
+///   `seed`          default scenario seed (20140601)
+///   `threads`       thread budget; 0 = auto (FINSER_THREADS, else hardware)
+///   `artifact_dir`  artifact store ("" = none)
+///   `output_dir`    root of the CSV outputs ("finser_out"; "" = none)
+///   `defaults`      scenario keys (all but `name`) that every scenario
+///                   inherits unless it sets them; a block inherits whole
+///   `scenarios`     required: a non-empty array of scenario objects
 ///
-/// The schema covers the knobs the CLI exposes; SerFlowConfig fields outside
-/// it keep their defaults. campaign_to_json() emits every scenario fully
-/// resolved (defaults folded in), and parse(campaign_to_json(spec)) == spec
-/// — the round-trip behind `finser_cli --print-config`. Capacitance is in
-/// farads, not femtofarads, precisely for this round-trip: a fF↔F unit
-/// conversion is two float multiplies that need not compose to identity.
+/// Scenario (fallbacks are the SerFlowConfig struct defaults):
+///   `name`          required, unique; never inherited
+///   `rows`, `cols`  array size (9 × 9)
+///   `pattern`       ones | zeros | checkerboard (default) | random
+///   `pattern_seed`  seed of the random pattern
+///   `vdds`          supply voltages [V]: positive, distinct, any order
+///   `sigma_vt`      σVt [V], >= 0
+///   `cnode_f`       storage-node capacitance [F], > 0
+///   `pv_samples`    critical-charge PV samples per current
+///   `strikes`       array Monte-Carlo strikes per energy bin
+///   `histories`     neutron histories per energy bin (default: `strikes`)
+///   `seed`          scenario seed (default: the top-level `seed`)
+///   `species`       alpha | proton | neutron, a non-empty list (alpha and
+///                   proton)
+///   `cell_w_nm`, `cell_h_nm`, `fin_w_nm`, `fin_h_nm`
+///                   cell and fin geometry [nm], > 0
+///   `temp_k`        device temperature [K], > 0
+///   `sampling`      block: variance reduction and adaptive stopping
+///                   (docs/statistics.md); keys it omits keep their defaults
+///   `cluster`       block: correlated multi-node charge collection
+///                   (docs/charge_sharing.md); likewise
+///
+/// `sampling`:
+///   `position`       uniform (default) | importance
+///   `qmc`            none (default) | sobol
+///   `ci_target`      stop an energy bin's Monte Carlo once the relative 95%
+///                    CI half-width of every POF estimate is <= this, within
+///                    the strike budget; 0 (default) = fixed budget
+///   `ci_min_chunks`  chunks before the first stopping decision (8)
+///   `ci_growth`      round-size growth factor, >= 1 (2)
+///
+/// `cluster`:
+///   `mode`            1x1 (default: independent cells, byte-identical to no
+///                     block) | 2x2 | 1x4 tiles of charge-sharing cells
+///   `share_fraction`  charge shared with each adjacent struck cell of a
+///                     tile, in [0, 1)
+///   `pv_samples`      joint PV samples per cluster-surface entry
+///   `quantum_fc`      joint-charge quantization step [fC], > 0
+///
+/// SerFlowConfig fields outside the schema keep their defaults.
+/// campaign_to_json() emits every scenario fully resolved (defaults folded
+/// in), and parse(campaign_to_json(spec)) == spec — the round-trip behind
+/// `finser_cli --print-config`. Capacitance is in farads, not femtofarads,
+/// precisely for this round-trip: a fF↔F unit conversion is two float
+/// multiplies that need not compose to identity.
 
 #include <cstdint>
 #include <functional>
@@ -127,8 +147,8 @@ CampaignSpec parse_campaign_file(const std::string& path);
 util::JsonValue campaign_to_json(const CampaignSpec& spec);
 
 /// Wrap one flow configuration built in code as a single-scenario
-/// campaign. Checks the species names, the supply voltages and the cell
-/// numbers as parse_campaign() does (throws util::InvalidArgument).
+/// campaign. Checks the species names and every schema value against the
+/// range rules parse_campaign() applies (throws util::InvalidArgument).
 CampaignSpec single_scenario_campaign(const core::SerFlowConfig& flow,
                                       std::vector<std::string> species,
                                       std::string output_dir,

@@ -47,11 +47,11 @@ std::uint64_t response_surface_fingerprint(const ScenarioSpec& scenario,
 /// Serve-mode surface cache + refinement backend (see file comment).
 class SurfaceProvider {
  public:
-  /// \param spec     the campaign whose scenarios are servable, with every
-  ///                 override already written into it. Kept *unscaled*:
-  ///                 CampaignRunner applies FINSER_MC_SCALE itself. The
-  ///                 constructor resolves each scenario once, only to
-  ///                 compute the surface fingerprints.
+  /// \param spec     the campaign whose scenarios are servable, as parsed.
+  ///                 Kept *unscaled*: CampaignRunner applies
+  ///                 FINSER_MC_SCALE itself. The constructor resolves each
+  ///                 scenario once, only to compute the surface
+  ///                 fingerprints.
   /// \param threads  exec thread budget for refinement builds (0 = auto).
   /// \param cancel   interrupts a refinement build (util::Cancelled); must
   ///                 outlive the provider.

@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -55,11 +54,6 @@ enum class ClusterMode {
 /// Tile dimensions of a mode.
 std::size_t cluster_rows(ClusterMode mode);
 std::size_t cluster_cols(ClusterMode mode);
-
-/// Canonical name ("1x1" / "2x2" / "1x4") and its inverse (nullopt on an
-/// unknown name).
-const char* cluster_mode_name(ClusterMode mode);
-std::optional<ClusterMode> cluster_mode_from(const std::string& name);
 
 /// Knobs of the correlated strike path. The defaults (mode 1x1) reproduce
 /// the independent per-cell pipeline bit-for-bit.

@@ -35,8 +35,7 @@ fi
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/finser_serve_smoke.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
-unset FINSER_FAULT FINSER_MC_SCALE FINSER_THREADS FINSER_WORKERS \
-  FINSER_METRICS
+unset FINSER_FAULT FINSER_MC_SCALE FINSER_THREADS
 
 FAILURES=0
 fail() {

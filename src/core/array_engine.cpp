@@ -126,7 +126,6 @@ McPartial McPartial::merge(McPartial a, McPartial b) {
   for (std::size_t v = 0; v < a.acc.size(); ++v) {
     for (std::size_t m = 0; m < 2; ++m) a.acc[v][m].merge(b.acc[v][m]);
   }
-  a.hits += b.hits;
   a.weighted_hits += b.weighted_hits;
   return a;
 }
@@ -425,8 +424,8 @@ ArrayMcResult ArrayEngine::run_point(const EnergyPoint& point,
   result.units_used = used_units;
   result.stopped_early = stopped_early;
   // The weighted hit mass is the unbiased numerator under importance
-  // sampling and sums to exactly `hits` for unit weights, so the uniform
-  // estimator's value is unchanged bit-for-bit.
+  // sampling; for unit weights it is a sum of ones, the exact count of
+  // hitting strikes.
   const double hit_fraction =
       total.weighted_hits / static_cast<double>(used_units);
   for (std::size_t v = 0; v < nv; ++v) {

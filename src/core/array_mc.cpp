@@ -400,16 +400,17 @@ void ArrayMc::simulate_chunk(const exec::ChunkRange& r,
     begin_strike(ws);
     add_deposits(ws.track, ws);
     if (!ws.touched_cells.empty()) {
-      ++part.hits;
       part.weighted_hits += w;
       FINSER_OBS_COUNT("core.array_mc.strike_hits", 1);
     }
 
     // Steps 4-5: cell POFs from the LUTs, combined via Eqs. 4-6, for every
     // supply voltage and both process-variation modes. Unit-weight strikes
-    // take the plain scoring path — add(pof) and add_weighted(pof, 1.0)
-    // are bit-identical, so the w == 1.0 branch is an optimization, not a
-    // semantic fork.
+    // take the plain scoring path. For the POF channels add(pof) and
+    // add_weighted(pof, 1.0) are bit-identical, but multiplicity bin 0 is
+    // not: the plain path adds the DP's product Π(1 − p), the weighted path
+    // one minus the flipped mass, and the two need not round alike. So this
+    // branch fixes those bits and must stay.
     if (w == 1.0) {
       score_strike(ws, part);
     } else {

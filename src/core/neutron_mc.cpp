@@ -85,7 +85,6 @@ void NeutronArrayMc::simulate_chunk(const exec::ChunkRange& r,
       add_deposits(ws.track, ws);
     }
     if (!ws.touched_cells.empty()) {
-      ++part.hits;
       // Per-history hit mass for the diagnostic hit fraction: the history
       // itself is analog (only the interaction is forced), so unit mass.
       part.weighted_hits += 1.0;

@@ -342,10 +342,4 @@ void apply_mc_scale(SerFlowConfig& config, double scale) {
       scaled(config.characterization.pv_samples_grid);
 }
 
-void apply_ci_target(SerFlowConfig& config, double target) {
-  if (target < 0.0) return;  // No override: keep the configured values.
-  config.array_mc.ci.target = target;
-  config.neutron_mc.ci.target = target;
-}
-
 }  // namespace finser::core

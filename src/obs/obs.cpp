@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -52,14 +51,6 @@ void set_enabled(bool on) {
 void set_trace_enabled(bool on) {
   if (on) detail::g_enabled.store(true, std::memory_order_relaxed);
   detail::g_trace_enabled.store(on, std::memory_order_relaxed);
-}
-
-std::string configure_from_env() {
-  const char* raw = std::getenv("FINSER_METRICS");
-  if (raw == nullptr) return {};
-  const std::string value(raw);
-  if (!value.empty() && value != "0") set_enabled(true);
-  return value;
 }
 
 std::uint64_t now_ns() {

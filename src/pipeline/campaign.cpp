@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <map>
+#include <type_traits>
 #include <utility>
 
 #include "finser/exec/exec.hpp"
@@ -31,247 +33,168 @@ const std::vector<std::string>& top_level_keys() {
   return keys;
 }
 
-const std::vector<std::string>& scenario_keys() {
-  static const std::vector<std::string> keys = {
-      "name",      "rows",       "cols",      "pattern",   "pattern_seed",
-      "vdds",      "sigma_vt",   "cnode_f",   "pv_samples", "strikes",
-      "histories", "seed",       "species",   "cell_w_nm", "cell_h_nm",
-      "fin_w_nm",  "fin_h_nm",   "temp_k",    "sampling",  "cluster"};
-  return keys;
-}
-
-const std::vector<std::string>& cluster_keys() {
-  static const std::vector<std::string> keys = {
-      "mode", "share_fraction", "pv_samples", "quantum_fc"};
-  return keys;
-}
-
-const std::vector<std::string>& sampling_keys() {
-  static const std::vector<std::string> keys = {
-      "position", "qmc", "ci_target", "ci_min_chunks", "ci_growth"};
-  return keys;
-}
-
 [[noreturn]] void bad(const std::string& message) {
   throw util::InvalidArgument("campaign: " + message);
 }
 
-/// Reject keys outside \p allowed, suggesting the nearest known key
-/// (util::nearest_key), so a typo'd knob fails with "did you mean ...?"
-/// instead of being ignored.
+/// "unknown <what> `name` at <where>", suggesting the nearest of \p known
+/// (util::nearest_key), so a typo fails with "did you mean ...?" instead of
+/// being ignored.
+[[noreturn]] void unknown(const std::string& what, const std::string& name,
+                          const std::string& where,
+                          const std::vector<std::string>& known) {
+  std::string message = "unknown " + what + " `" + name + "` at " + where;
+  const std::string suggestion = util::nearest_key(name, known);
+  if (!suggestion.empty()) message += " (did you mean `" + suggestion + "`?)";
+  bad(message);
+}
+
+/// Reject keys outside \p allowed.
 void check_keys(const util::JsonValue& obj, const std::string& where,
                 const std::vector<std::string>& allowed) {
   for (const auto& [key, value] : obj.items()) {
     (void)value;
-    if (std::find(allowed.begin(), allowed.end(), key) != allowed.end()) {
-      continue;
+    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
+      unknown("key", key, where, allowed);
     }
-    std::string message = "unknown key `" + key + "` at " + where;
-    const std::string suggestion = util::nearest_key(key, allowed);
-    if (!suggestion.empty()) {
-      message += " (did you mean `" + suggestion + "`?)";
+  }
+}
+
+/// The names of an enumerated value: the one list that parsing, printing
+/// and the did-you-mean error read.
+template <class E>
+struct Name {
+  const char* name;
+  E value;
+};
+
+template <class E, std::size_t N>
+struct Names {
+  const char* what;  ///< The kind, as errors name it: "unknown <what> `x`".
+  Name<E> entries[N];
+
+  E from(const std::string& name, const std::string& where) const {
+    std::vector<std::string> known;
+    for (const Name<E>& entry : entries) {
+      if (name == entry.name) return entry.value;
+      known.emplace_back(entry.name);
     }
-    bad(message);
+    unknown(what, name, where, known);
   }
+
+  const char* of(E value) const {
+    for (const Name<E>& entry : entries) {
+      if (entry.value == value) return entry.name;
+    }
+    return entries[0].name;
+  }
+};
+
+constexpr Names<sram::DataPattern, 4> kPatterns = {
+    "pattern",
+    {{"ones", sram::DataPattern::kAllOnes},
+     {"zeros", sram::DataPattern::kAllZeros},
+     {"checkerboard", sram::DataPattern::kCheckerboard},
+     {"random", sram::DataPattern::kRandom}}};
+constexpr Names<core::SourcePositionSampling, 2> kPositions = {
+    "position sampling",
+    {{"uniform", core::SourcePositionSampling::kUniform},
+     {"importance", core::SourcePositionSampling::kImportance}}};
+constexpr Names<stats::QmcMode, 2> kQmcModes = {
+    "qmc mode",
+    {{"none", stats::QmcMode::kNone}, {"sobol", stats::QmcMode::kSobol}}};
+constexpr Names<sram::ClusterMode, 3> kClusterModes = {
+    "cluster mode",
+    {{"1x1", sram::ClusterMode::k1x1},
+     {"2x2", sram::ClusterMode::k2x2},
+     {"1x4", sram::ClusterMode::k1x4}}};
+/// Each species with the spectrum a sweep of it integrates over.
+constexpr Names<env::Spectrum (*)(), 3> kSpecies = {
+    "species",
+    {{"alpha", [] { return env::package_alphas(); }},
+     {"proton", env::sea_level_protons},
+     {"neutron", env::sea_level_neutrons}}};
+
+// --- values -----------------------------------------------------------------
+
+/// Where a value sits: its key and the object holding it — a scenario, the
+/// `defaults` block it is inherited from, or a block inside either
+/// ("scenarios[2]", "defaults", "scenarios[0].sampling", ...).
+struct At {
+  std::string key;
+  std::string where;
+};
+
+[[noreturn]] void bad_value(const At& at, const std::string& rule) {
+  bad("value for `" + at.key + "` at " + at.where + " " + rule);
 }
 
-/// Scenario-key lookup with the defaults block folded under the scenario.
-const util::JsonValue* find_key(const util::JsonValue& scenario,
-                                const util::JsonValue* defaults,
-                                const std::string& key) {
-  if (scenario.contains(key)) return &scenario.at(key);
-  if (defaults != nullptr && defaults->contains(key)) {
-    return &defaults->at(key);
-  }
-  return nullptr;
+[[noreturn]] void bad_key(const At& at, const std::string& rule) {
+  bad("`" + at.key + "` at " + at.where + " " + rule);
 }
 
-double get_num(const util::JsonValue* v, double fallback,
-               const std::string& where, const char* key) {
-  if (v == nullptr) return fallback;
-  if (!v->is_number()) {
-    bad("value for `" + std::string(key) + "` at " + where +
-        " must be a number");
-  }
-  return v->as_double();
+double read_num(const util::JsonValue& v, const At& at) {
+  if (!v.is_number()) bad_value(at, "must be a number");
+  return v.as_double();
 }
 
-std::uint64_t get_uint(const util::JsonValue* v, std::uint64_t fallback,
-                       const std::string& where, const char* key) {
-  if (v == nullptr) return fallback;
-  if (v->is_number()) {
+std::uint64_t read_uint(const util::JsonValue& v, const At& at) {
+  if (v.is_number()) {
     try {
-      return v->as_uint();
+      return v.as_uint();
     } catch (const util::Error&) {
       // Negative, fractional or at least 2^64: rejected below.
     }
   }
-  bad("value for `" + std::string(key) + "` at " + where +
-      " must be an integer in [0, 2^64)");
+  bad_value(at, "must be an integer in [0, 2^64)");
 }
 
-std::size_t get_size(const util::JsonValue* v, std::size_t fallback,
-                     const std::string& where, const char* key) {
-  const std::uint64_t raw = get_uint(v, fallback, where, key);
-  if (raw == 0) {
-    bad("value for `" + std::string(key) + "` at " + where +
-        " must be positive");
-  }
+std::size_t read_size(const util::JsonValue& v, const At& at) {
+  const std::uint64_t raw = read_uint(v, at);
+  if (raw == 0) bad_value(at, "must be positive");
   return static_cast<std::size_t>(raw);
 }
 
-std::string get_str(const util::JsonValue* v, std::string fallback,
-                    const std::string& where, const char* key) {
-  if (v == nullptr) return fallback;
-  if (!v->is_string()) {
-    bad("value for `" + std::string(key) + "` at " + where +
-        " must be a string");
-  }
-  return v->as_string();
+std::string read_str(const util::JsonValue& v, const At& at) {
+  if (!v.is_string()) bad_value(at, "must be a string");
+  return v.as_string();
 }
 
-std::vector<double> get_num_list(const util::JsonValue* v,
-                                 std::vector<double> fallback,
-                                 const std::string& where, const char* key) {
-  if (v == nullptr) return fallback;
-  if (!v->is_array() || v->size() == 0) {
-    bad("value for `" + std::string(key) + "` at " + where +
-        " must be a non-empty array of numbers");
-  }
-  std::vector<double> out;
-  out.reserve(v->size());
-  for (std::size_t i = 0; i < v->size(); ++i) {
-    if (!v->at(i).is_number()) {
-      bad("value for `" + std::string(key) + "` at " + where +
-          " must be a non-empty array of numbers");
+/// A non-empty array of numbers (T = double) or of strings.
+template <class T>
+std::vector<T> read_list(const util::JsonValue& v, const At& at) {
+  constexpr bool kNumbers = std::is_same_v<T, double>;
+  const auto reject = [&at] {
+    bad_value(at, kNumbers ? "must be a non-empty array of numbers"
+                           : "must be a non-empty array of strings");
+  };
+  if (!v.is_array() || v.size() == 0) reject();
+  std::vector<T> out;
+  out.reserve(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const util::JsonValue& e = v.at(i);
+    if constexpr (kNumbers) {
+      if (!e.is_number()) reject();
+      out.push_back(e.as_double());
+    } else {
+      if (!e.is_string()) reject();
+      out.push_back(e.as_string());
     }
-    out.push_back(v->at(i).as_double());
   }
   return out;
 }
 
-std::vector<std::string> get_str_list(const util::JsonValue* v,
-                                      std::vector<std::string> fallback,
-                                      const std::string& where,
-                                      const char* key) {
-  if (v == nullptr) return fallback;
-  if (!v->is_array() || v->size() == 0) {
-    bad("value for `" + std::string(key) + "` at " + where +
-        " must be a non-empty array of strings");
-  }
-  std::vector<std::string> out;
-  out.reserve(v->size());
-  for (std::size_t i = 0; i < v->size(); ++i) {
-    if (!v->at(i).is_string()) {
-      bad("value for `" + std::string(key) + "` at " + where +
-          " must be a non-empty array of strings");
-    }
-    out.push_back(v->at(i).as_string());
-  }
+template <std::unsigned_integral T>
+util::JsonValue to_json(T v) {
+  return static_cast<std::uint64_t>(v);
+}
+util::JsonValue to_json(double v) { return v; }
+util::JsonValue to_json(const std::string& v) { return v; }
+template <class T>
+util::JsonValue to_json(const std::vector<T>& list) {
+  util::JsonValue out = util::JsonValue::array();
+  for (const T& v : list) out.push_back(to_json(v));
   return out;
-}
-
-// --- enums ↔ names ----------------------------------------------------------
-
-const std::vector<std::string>& pattern_names() {
-  static const std::vector<std::string> names = {"ones", "zeros",
-                                                 "checkerboard", "random"};
-  return names;
-}
-
-const std::vector<std::string>& species_names() {
-  static const std::vector<std::string> names = {"alpha", "proton", "neutron"};
-  return names;
-}
-
-sram::DataPattern pattern_from(const std::string& name,
-                               const std::string& where) {
-  if (name == "ones") return sram::DataPattern::kAllOnes;
-  if (name == "zeros") return sram::DataPattern::kAllZeros;
-  if (name == "checkerboard") return sram::DataPattern::kCheckerboard;
-  if (name == "random") return sram::DataPattern::kRandom;
-  std::string message = "unknown pattern `" + name + "` at " + where;
-  const std::string suggestion = util::nearest_key(name, pattern_names());
-  if (!suggestion.empty()) message += " (did you mean `" + suggestion + "`?)";
-  bad(message);
-}
-
-std::string pattern_name(sram::DataPattern pattern) {
-  switch (pattern) {
-    case sram::DataPattern::kAllOnes:
-      return "ones";
-    case sram::DataPattern::kAllZeros:
-      return "zeros";
-    case sram::DataPattern::kCheckerboard:
-      return "checkerboard";
-    case sram::DataPattern::kRandom:
-      return "random";
-  }
-  return "checkerboard";
-}
-
-const std::vector<std::string>& position_names() {
-  static const std::vector<std::string> names = {"uniform", "importance"};
-  return names;
-}
-
-const std::vector<std::string>& qmc_names() {
-  static const std::vector<std::string> names = {"none", "sobol"};
-  return names;
-}
-
-core::SourcePositionSampling position_from(const std::string& name,
-                                           const std::string& where) {
-  if (name == "uniform") return core::SourcePositionSampling::kUniform;
-  if (name == "importance") return core::SourcePositionSampling::kImportance;
-  std::string message = "unknown position sampling `" + name + "` at " + where;
-  const std::string suggestion = util::nearest_key(name, position_names());
-  if (!suggestion.empty()) message += " (did you mean `" + suggestion + "`?)";
-  bad(message);
-}
-
-std::string position_name(core::SourcePositionSampling position) {
-  switch (position) {
-    case core::SourcePositionSampling::kUniform:
-      return "uniform";
-    case core::SourcePositionSampling::kImportance:
-      return "importance";
-  }
-  return "uniform";
-}
-
-stats::QmcMode qmc_from(const std::string& name, const std::string& where) {
-  if (name == "none") return stats::QmcMode::kNone;
-  if (name == "sobol") return stats::QmcMode::kSobol;
-  std::string message = "unknown qmc mode `" + name + "` at " + where;
-  const std::string suggestion = util::nearest_key(name, qmc_names());
-  if (!suggestion.empty()) message += " (did you mean `" + suggestion + "`?)";
-  bad(message);
-}
-
-std::string qmc_name(stats::QmcMode qmc) {
-  switch (qmc) {
-    case stats::QmcMode::kNone:
-      return "none";
-    case stats::QmcMode::kSobol:
-      return "sobol";
-  }
-  return "none";
-}
-
-const std::vector<std::string>& cluster_mode_names() {
-  static const std::vector<std::string> names = {"1x1", "2x2", "1x4"};
-  return names;
-}
-
-sram::ClusterMode cluster_mode_from_name(const std::string& name,
-                                         const std::string& where) {
-  const std::optional<sram::ClusterMode> mode = sram::cluster_mode_from(name);
-  if (mode.has_value()) return *mode;
-  std::string message = "unknown cluster mode `" + name + "` at " + where;
-  const std::string suggestion = util::nearest_key(name, cluster_mode_names());
-  if (!suggestion.empty()) message += " (did you mean `" + suggestion + "`?)";
-  bad(message);
 }
 
 /// A number as the campaign document would print it; non-finite values
@@ -283,194 +206,313 @@ std::string number_text(double v) {
   return util::JsonValue(v).dump();
 }
 
+// --- range rules ------------------------------------------------------------
+// Checked where a value is read, so a bad one exits before any stage runs,
+// and by single_scenario_campaign() on flows built in code.
+
 /// Supply voltages are characterization axis points: each must be a
 /// positive finite voltage, and none may repeat (the response surface needs
 /// a strictly increasing axis). Order is free — the model sorts them.
-void check_vdds(const std::vector<double>& vdds, const std::string& where) {
-  if (vdds.empty()) bad("`vdds` at " + where + " must not be empty");
+void check_vdds(const std::vector<double>& vdds, const At& at) {
+  if (vdds.empty()) bad_key(at, "must not be empty");
   for (const double v : vdds) {
     if (!(std::isfinite(v) && v > 0.0)) {
-      bad("`vdds` at " + where + " must hold positive voltages, got " +
-          number_text(v));
+      bad_key(at, "must hold positive voltages, got " + number_text(v));
     }
   }
   std::vector<double> sorted = vdds;
   std::sort(sorted.begin(), sorted.end());
   const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
   if (dup != sorted.end()) {
-    bad("`vdds` at " + where + " lists the supply voltage " +
-        number_text(*dup) + " twice");
+    bad_key(at, "lists the supply voltage " + number_text(*dup) + " twice");
   }
 }
 
-/// The other cell and stopping-rule values every stage assumes: σVt finite
-/// and >= 0 (0 = no variation), the storage-node capacitance finite and
-/// > 0, and the CI target finite and >= 0 (0 disables adaptive stopping).
-/// Checked at parse time, with the voltages, so a bad value exits before
-/// any stage runs.
-void check_cell_numbers(const core::SerFlowConfig& f,
-                        const std::string& where) {
-  const auto require = [&](double v, bool positive, const std::string& key) {
-    if (std::isfinite(v) && (positive ? v > 0.0 : v >= 0.0)) return;
-    bad("`" + key + "` at " + where + " must be finite and " +
-        (positive ? "> 0" : ">= 0") + ", got " + number_text(v));
+void check_species(const std::vector<std::string>& species, const At& at) {
+  for (const std::string& name : species) kSpecies.from(name, at.where);
+}
+
+/// σVt and the CI target (0 = no variation, no adaptive stopping).
+void finite_nonnegative(double v, const At& at) {
+  if (std::isfinite(v) && v >= 0.0) return;
+  bad_key(at, "must be finite and >= 0, got " + number_text(v));
+}
+
+void finite_positive(double v, const At& at) {
+  if (std::isfinite(v) && v > 0.0) return;
+  bad_key(at, "must be finite and > 0, got " + number_text(v));
+}
+
+void positive(double v, const At& at) {
+  if (v <= 0.0) bad_key(at, "must be positive");
+}
+
+void positive_geometry(double v, const At& at) {
+  if (v <= 0.0) bad("geometry at " + at.where + " must be positive");
+}
+
+void at_least_one(double v, const At& at) {
+  if (v < 1.0) bad_key(at, "must be >= 1");
+}
+
+void unit_fraction(double v, const At& at) {
+  if (v < 0.0 || v >= 1.0) bad_key(at, "must be in [0, 1)");
+}
+
+// --- schema tables ----------------------------------------------------------
+
+/// One key of the scenario object or of one of its blocks: how its value is
+/// read into a ScenarioSpec, checked, and printed. Each table below is the
+/// one place its keys are named: the unknown-key checks, the `defaults` key
+/// list, parse_scenario(), single_scenario_campaign() and campaign_to_json()
+/// all walk it, in the order --print-config prints.
+struct Field {
+  std::string key;
+  /// Reads the value found for `key`; null = absent: keep the fallback.
+  std::function<void(const util::JsonValue*, ScenarioSpec&, const At&)> read;
+  std::function<util::JsonValue(const ScenarioSpec&)> write;
+  /// The range rule, which flows built in code must meet too; may be empty.
+  std::function<void(const ScenarioSpec&, const At&)> check;
+  /// Set on the scenario itself, never inherited from `defaults`.
+  bool own = false;
+  /// A block (`sampling`, `cluster`): its rows stand in for read, write and
+  /// check. The block folds through `defaults` as one value, and the keys
+  /// it omits keep their struct defaults.
+  const std::vector<Field>* block = nullptr;
+};
+using Table = std::vector<Field>;
+
+/// A row that reads and writes through \p read and \p write.
+template <class Read, class Write>
+Field custom(std::string key, Read read, Write write, bool own = false) {
+  Field f;
+  f.key = std::move(key);
+  f.read = std::move(read);
+  f.write = std::move(write);
+  f.own = own;
+  return f;
+}
+
+/// The row of a key whose value \p read converts, \p check (if given)
+/// bounds and to_json() prints; \p get maps a (const) ScenarioSpec to the
+/// field.
+template <class Get, class Read, class Check = std::nullptr_t>
+Field row(std::string key, Get get, Read read, Check check = nullptr) {
+  Field f = custom(
+      std::move(key),
+      [get, read](const util::JsonValue* v, ScenarioSpec& s, const At& at) {
+        if (v != nullptr) get(s) = read(*v, at);
+      },
+      [get](const ScenarioSpec& s) { return to_json(get(s)); });
+  if constexpr (!std::is_null_pointer_v<Check>) {
+    f.check = [get, check](const ScenarioSpec& s, const At& at) {
+      check(get(s), at);
+    };
+  }
+  return f;
+}
+
+/// The row of an enumerated key, spelled by \p names.
+template <class E, std::size_t N, class Get>
+Field named(std::string key, const Names<E, N>& names, Get get) {
+  return custom(
+      std::move(key),
+      [&names, get](const util::JsonValue* v, ScenarioSpec& s, const At& at) {
+        if (v != nullptr) get(s) = names.from(read_str(*v, at), at.where);
+      },
+      [&names, get](const ScenarioSpec& s) {
+        return util::JsonValue(names.of(get(s)));
+      });
+}
+
+/// The row of a block key.
+Field block(std::string key, const std::vector<Field>& rows) {
+  Field f;
+  f.key = std::move(key);
+  f.block = &rows;
+  return f;
+}
+
+std::vector<std::string> keys_of(const Table& rows,
+                                 bool inherited_only = false) {
+  std::vector<std::string> keys;
+  for (const Field& f : rows) {
+    if (!(inherited_only && f.own)) keys.push_back(f.key);
+  }
+  return keys;
+}
+
+/// Read \p obj into \p s row by row. A key \p obj lacks comes from
+/// \p defaults when that holds it — errors then name `defaults` — and keeps
+/// its fallback otherwise.
+void read_rows(const util::JsonValue& obj, const util::JsonValue* defaults,
+               const Table& rows, ScenarioSpec& s, const std::string& where) {
+  check_keys(obj, where, keys_of(rows));
+  for (const Field& f : rows) {
+    At at{f.key, where};
+    const util::JsonValue* v = obj.contains(f.key) ? &obj.at(f.key) : nullptr;
+    if (v == nullptr && !f.own && defaults != nullptr &&
+        defaults->contains(f.key)) {
+      v = &defaults->at(f.key);
+      at.where = "defaults";
+    }
+    if (f.block == nullptr) {
+      f.read(v, s, at);
+      if (f.check) f.check(s, at);
+    } else if (v != nullptr) {
+      if (!v->is_object()) bad_key(at, "must be an object");
+      read_rows(*v, nullptr, *f.block, s, at.where + "." + f.key);
+    }
+  }
+}
+
+util::JsonValue write_rows(const Table& rows, const ScenarioSpec& s) {
+  util::JsonValue obj = util::JsonValue::object();
+  for (const Field& f : rows) {
+    obj[f.key] = f.block == nullptr ? f.write(s) : write_rows(*f.block, s);
+  }
+  return obj;
+}
+
+void check_rows(const Table& rows, const ScenarioSpec& s,
+                const std::string& where) {
+  for (const Field& f : rows) {
+    if (f.block != nullptr) {
+      check_rows(*f.block, s, where + "." + f.key);
+    } else if (f.check) {
+      f.check(s, At{f.key, where});
+    }
+  }
+}
+
+/// Variance reduction and adaptive stopping (docs/statistics.md).
+const Table& sampling_rows() {
+  static const Table rows = {
+      named("position", kPositions,
+            [](auto& s) -> auto& { return s.flow.array_mc.position; }),
+      named("qmc", kQmcModes,
+            [](auto& s) -> auto& { return s.flow.array_mc.sampling.qmc; }),
+      row("ci_target",
+          [](auto& s) -> auto& { return s.flow.array_mc.ci.target; },
+          read_num, finite_nonnegative),
+      row("ci_min_chunks",
+          [](auto& s) -> auto& { return s.flow.array_mc.ci.min_chunks; },
+          read_size),
+      row("ci_growth",
+          [](auto& s) -> auto& { return s.flow.array_mc.ci.growth; },
+          read_num, at_least_one),
   };
-  require(f.cell_design.sigma_vt, false, "sigma_vt");
-  require(f.cell_design.cnode_f, true, "cnode_f");
-  require(f.array_mc.ci.target, false, "sampling.ci_target");
+  return rows;
 }
 
-void check_species_name(const std::string& name, const std::string& where) {
-  const auto& known = species_names();
-  if (std::find(known.begin(), known.end(), name) != known.end()) return;
-  std::string message = "unknown species `" + name + "` at " + where;
-  const std::string suggestion = util::nearest_key(name, known);
-  if (!suggestion.empty()) message += " (did you mean `" + suggestion + "`?)";
-  bad(message);
+/// Correlated multi-node charge collection (docs/charge_sharing.md); mode
+/// 1x1 is the independent per-cell path, byte for byte.
+const Table& cluster_rows() {
+  static const Table rows = {
+      named("mode", kClusterModes,
+            [](auto& s) -> auto& { return s.flow.array_mc.cluster.mode; }),
+      row("share_fraction",
+          [](auto& s) -> auto& {
+            return s.flow.array_mc.cluster.share_fraction;
+          },
+          read_num, unit_fraction),
+      row("pv_samples",
+          [](auto& s) -> auto& { return s.flow.array_mc.cluster.pv_samples; },
+          read_size),
+      row("quantum_fc",
+          [](auto& s) -> auto& { return s.flow.array_mc.cluster.quantum_fc; },
+          read_num, positive),
+  };
+  return rows;
 }
 
-// --- scenario parsing -------------------------------------------------------
+const Table& scenario_rows() {
+  static const Table rows = {
+      custom(
+          "name",
+          [](const util::JsonValue* v, ScenarioSpec& s, const At& at) {
+            // Required here: a shared default name would be a duplicate.
+            if (v == nullptr) {
+              bad(at.where + " is missing required key `" + at.key + "`");
+            }
+            s.name = read_str(*v, at);
+            if (s.name.empty()) bad_key(at, "must be non-empty");
+          },
+          [](const ScenarioSpec& s) { return to_json(s.name); },
+          /*own=*/true),
+      row("rows", [](auto& s) -> auto& { return s.flow.array_rows; },
+          read_size),
+      row("cols", [](auto& s) -> auto& { return s.flow.array_cols; },
+          read_size),
+      named("pattern", kPatterns,
+            [](auto& s) -> auto& { return s.flow.pattern; }),
+      row("pattern_seed", [](auto& s) -> auto& { return s.flow.pattern_seed; },
+          read_uint),
+      row("vdds",
+          [](auto& s) -> auto& { return s.flow.characterization.vdds; },
+          read_list<double>, check_vdds),
+      row("sigma_vt",
+          [](auto& s) -> auto& { return s.flow.cell_design.sigma_vt; },
+          read_num, finite_nonnegative),
+      row("cnode_f",
+          [](auto& s) -> auto& { return s.flow.cell_design.cnode_f; },
+          read_num, finite_positive),
+      row("pv_samples",
+          [](auto& s) -> auto& {
+            return s.flow.characterization.pv_samples_single;
+          },
+          read_size),
+      row("strikes", [](auto& s) -> auto& { return s.flow.array_mc.strikes; },
+          read_size),
+      custom(
+          "histories",
+          [](const util::JsonValue* v, ScenarioSpec& s, const At& at) {
+            // Neutron histories follow strikes unless set.
+            s.flow.neutron_mc.histories =
+                v != nullptr ? read_size(*v, at) : s.flow.array_mc.strikes;
+          },
+          [](const ScenarioSpec& s) {
+            return to_json(s.flow.neutron_mc.histories);
+          }),
+      row("seed", [](auto& s) -> auto& { return s.flow.seed; }, read_uint),
+      row("species", [](auto& s) -> auto& { return s.species; },
+          read_list<std::string>, check_species),
+      row("cell_w_nm",
+          [](auto& s) -> auto& { return s.flow.cell_geometry.cell_w_nm; },
+          read_num, positive_geometry),
+      row("cell_h_nm",
+          [](auto& s) -> auto& { return s.flow.cell_geometry.cell_h_nm; },
+          read_num, positive_geometry),
+      row("fin_w_nm",
+          [](auto& s) -> auto& { return s.flow.cell_geometry.fin_w_nm; },
+          read_num, positive_geometry),
+      row("fin_h_nm",
+          [](auto& s) -> auto& { return s.flow.cell_geometry.fin_h_nm; },
+          read_num, positive_geometry),
+      // The temperature axis of the response surface: flows into every
+      // device model via Mosfet::set_temperature.
+      row("temp_k", [](auto& s) -> auto& { return s.flow.cell_design.temp_k; },
+          read_num, positive),
+      block("sampling", sampling_rows()),
+      block("cluster", cluster_rows()),
+  };
+  return rows;
+}
 
 ScenarioSpec parse_scenario(const util::JsonValue& obj,
                             const util::JsonValue* defaults,
                             std::uint64_t campaign_seed,
                             const std::string& where) {
   if (!obj.is_object()) bad(where + " must be an object");
-  check_keys(obj, where, scenario_keys());
-
-  const auto key = [&](const char* k) { return find_key(obj, defaults, k); };
-
+  // A key neither the scenario nor `defaults` sets keeps its fallback: the
+  // SerFlowConfig struct default, except for these two.
   ScenarioSpec s;
-  // `name` must come from the scenario itself — a shared default name would
-  // guarantee a duplicate.
-  if (!obj.contains("name")) bad(where + " is missing required key `name`");
-  s.name = get_str(&obj.at("name"), "", where, "name");
-  if (s.name.empty()) bad("`name` at " + where + " must be non-empty");
-
-  core::SerFlowConfig& f = s.flow;
-  const core::SerFlowConfig reference;  // schema fallbacks = struct defaults
-  f.array_rows = get_size(key("rows"), reference.array_rows, where, "rows");
-  f.array_cols = get_size(key("cols"), reference.array_cols, where, "cols");
-  f.pattern =
-      pattern_from(get_str(key("pattern"), pattern_name(reference.pattern),
-                           where, "pattern"),
-                   where);
-  f.pattern_seed =
-      get_uint(key("pattern_seed"), reference.pattern_seed, where,
-               "pattern_seed");
-  f.characterization.vdds = get_num_list(
-      key("vdds"), reference.characterization.vdds, where, "vdds");
-  check_vdds(f.characterization.vdds, where);
-  f.cell_design.sigma_vt =
-      get_num(key("sigma_vt"), reference.cell_design.sigma_vt, where,
-              "sigma_vt");
-  f.cell_design.cnode_f = get_num(key("cnode_f"), reference.cell_design.cnode_f,
-                                  where, "cnode_f");
-  f.characterization.pv_samples_single =
-      get_size(key("pv_samples"), reference.characterization.pv_samples_single,
-               where, "pv_samples");
-  f.array_mc.strikes =
-      get_size(key("strikes"), reference.array_mc.strikes, where, "strikes");
-  // Neutron histories follow strikes unless set.
-  f.neutron_mc.histories =
-      get_size(key("histories"), f.array_mc.strikes, where, "histories");
-  f.seed = get_uint(key("seed"), campaign_seed, where, "seed");
-  f.cell_geometry.cell_w_nm =
-      get_num(key("cell_w_nm"), reference.cell_geometry.cell_w_nm, where,
-              "cell_w_nm");
-  f.cell_geometry.cell_h_nm =
-      get_num(key("cell_h_nm"), reference.cell_geometry.cell_h_nm, where,
-              "cell_h_nm");
-  f.cell_geometry.fin_w_nm = get_num(
-      key("fin_w_nm"), reference.cell_geometry.fin_w_nm, where, "fin_w_nm");
-  f.cell_geometry.fin_h_nm = get_num(
-      key("fin_h_nm"), reference.cell_geometry.fin_h_nm, where, "fin_h_nm");
-  if (f.cell_geometry.cell_w_nm <= 0.0 || f.cell_geometry.cell_h_nm <= 0.0 ||
-      f.cell_geometry.fin_w_nm <= 0.0 || f.cell_geometry.fin_h_nm <= 0.0) {
-    bad("geometry at " + where + " must be positive");
-  }
-  // The temperature axis of the response surface: flows into every device
-  // model via Mosfet::set_temperature.
-  f.cell_design.temp_k =
-      get_num(key("temp_k"), reference.cell_design.temp_k, where, "temp_k");
-  if (f.cell_design.temp_k <= 0.0) {
-    bad("`temp_k` at " + where + " must be positive");
-  }
-
-  // Variance-reduction / adaptive-stopping block (docs/statistics.md). The
-  // whole object folds through defaults like any other scenario key; keys
-  // omitted inside it keep the engine struct defaults (all "off").
-  const util::JsonValue* sampling = key("sampling");
-  if (sampling != nullptr) {
-    if (!sampling->is_object()) {
-      bad("`sampling` at " + where + " must be an object");
-    }
-    const std::string swhere = where + ".sampling";
-    check_keys(*sampling, swhere, sampling_keys());
-    const auto skey = [&](const char* k) {
-      return sampling->contains(k) ? &sampling->at(k) : nullptr;
-    };
-    f.array_mc.position = position_from(
-        get_str(skey("position"), position_name(f.array_mc.position), swhere,
-                "position"),
-        swhere);
-    stats::SamplingConfig& vr = f.array_mc.sampling;
-    vr.qmc = qmc_from(get_str(skey("qmc"), qmc_name(vr.qmc), swhere, "qmc"),
-                      swhere);
-    const double ci_target =
-        get_num(skey("ci_target"), f.array_mc.ci.target, swhere, "ci_target");
-    const std::size_t ci_min_chunks = get_size(
-        skey("ci_min_chunks"), f.array_mc.ci.min_chunks, swhere,
-        "ci_min_chunks");
-    const double ci_growth =
-        get_num(skey("ci_growth"), f.array_mc.ci.growth, swhere, "ci_growth");
-    if (ci_growth < 1.0) {
-      bad("`ci_growth` at " + swhere + " must be >= 1");
-    }
-    // The stopping rule is engine-agnostic: one knob drives both MCs.
-    f.array_mc.ci.target = ci_target;
-    f.array_mc.ci.min_chunks = ci_min_chunks;
-    f.array_mc.ci.growth = ci_growth;
-    f.neutron_mc.ci = f.array_mc.ci;
-  }
-
-  // Correlated multi-node charge collection (docs/charge_sharing.md). Folds
-  // through defaults like `sampling`; omitted keys keep the engine struct
-  // defaults (mode 1x1 = the independent per-cell path, byte-for-byte).
-  const util::JsonValue* cluster = key("cluster");
-  if (cluster != nullptr) {
-    if (!cluster->is_object()) {
-      bad("`cluster` at " + where + " must be an object");
-    }
-    const std::string cwhere = where + ".cluster";
-    check_keys(*cluster, cwhere, cluster_keys());
-    const auto ckey = [&](const char* k) {
-      return cluster->contains(k) ? &cluster->at(k) : nullptr;
-    };
-    sram::ClusterConfig& cc = f.array_mc.cluster;
-    cc.mode = cluster_mode_from_name(
-        get_str(ckey("mode"), sram::cluster_mode_name(cc.mode), cwhere,
-                "mode"),
-        cwhere);
-    cc.share_fraction = get_num(ckey("share_fraction"), cc.share_fraction,
-                                cwhere, "share_fraction");
-    if (cc.share_fraction < 0.0 || cc.share_fraction >= 1.0) {
-      bad("`share_fraction` at " + cwhere + " must be in [0, 1)");
-    }
-    cc.pv_samples =
-        get_size(ckey("pv_samples"), cc.pv_samples, cwhere, "pv_samples");
-    cc.quantum_fc =
-        get_num(ckey("quantum_fc"), cc.quantum_fc, cwhere, "quantum_fc");
-    if (cc.quantum_fc <= 0.0) {
-      bad("`quantum_fc` at " + cwhere + " must be positive");
-    }
-  }
-
-  check_cell_numbers(f, where);
-
-  s.species = get_str_list(key("species"), {"alpha", "proton"}, where,
-                           "species");
-  for (const std::string& name : s.species) check_species_name(name, where);
+  s.flow.seed = campaign_seed;
+  s.species = {"alpha", "proton"};
+  read_rows(obj, defaults, scenario_rows(), s, where);
+  // The stopping rule is engine-agnostic: one `sampling` block drives both
+  // Monte Carlos.
+  s.flow.neutron_mc.ci = s.flow.array_mc.ci;
   return s;
 }
 
@@ -481,27 +523,26 @@ CampaignSpec parse_campaign(const util::JsonValue& doc) {
   check_keys(doc, "top level", top_level_keys());
 
   CampaignSpec spec;
-  const auto top = [&](const char* k) {
+  const auto top = [&doc](const char* k) {
     return doc.contains(k) ? &doc.at(k) : nullptr;
   };
-  spec.name = get_str(top("campaign"), spec.name, "top level", "campaign");
-  spec.artifact_dir =
-      get_str(top("artifact_dir"), spec.artifact_dir, "top level",
-              "artifact_dir");
-  spec.output_dir =
-      get_str(top("output_dir"), spec.output_dir, "top level", "output_dir");
-  spec.threads = static_cast<std::size_t>(
-      get_uint(top("threads"), 0, "top level", "threads"));
-  const std::uint64_t campaign_seed =
-      get_uint(top("seed"), 20140601, "top level", "seed");
+  // read_top(<key>, <reader>, <field>): the field keeps its default unless
+  // the document sets the key.
+  const auto read_top = [&top](const char* k, auto read, auto& field) {
+    if (const util::JsonValue* v = top(k)) field = read(*v, At{k, "top level"});
+  };
+  read_top("campaign", read_str, spec.name);
+  read_top("artifact_dir", read_str, spec.artifact_dir);
+  read_top("output_dir", read_str, spec.output_dir);
+  read_top("threads", read_uint, spec.threads);
+  std::uint64_t campaign_seed = 20140601;
+  read_top("seed", read_uint, campaign_seed);
 
   const util::JsonValue* defaults = top("defaults");
   if (defaults != nullptr) {
     if (!defaults->is_object()) bad("`defaults` must be an object");
-    std::vector<std::string> allowed = scenario_keys();
-    allowed.erase(std::remove(allowed.begin(), allowed.end(), "name"),
-                  allowed.end());
-    check_keys(*defaults, "defaults", allowed);
+    check_keys(*defaults, "defaults",
+               keys_of(scenario_rows(), /*inherited_only=*/true));
   }
 
   const util::JsonValue* scenarios = top("scenarios");
@@ -565,48 +606,7 @@ util::JsonValue campaign_to_json(const CampaignSpec& spec) {
   doc["output_dir"] = spec.output_dir;
   util::JsonValue scenarios = util::JsonValue::array();
   for (const ScenarioSpec& s : spec.scenarios) {
-    const core::SerFlowConfig& f = s.flow;
-    util::JsonValue o = util::JsonValue::object();
-    o["name"] = s.name;
-    o["rows"] = static_cast<std::uint64_t>(f.array_rows);
-    o["cols"] = static_cast<std::uint64_t>(f.array_cols);
-    o["pattern"] = pattern_name(f.pattern);
-    o["pattern_seed"] = f.pattern_seed;
-    util::JsonValue vdds = util::JsonValue::array();
-    for (double v : f.characterization.vdds) vdds.push_back(v);
-    o["vdds"] = std::move(vdds);
-    o["sigma_vt"] = f.cell_design.sigma_vt;
-    o["cnode_f"] = f.cell_design.cnode_f;
-    o["pv_samples"] =
-        static_cast<std::uint64_t>(f.characterization.pv_samples_single);
-    o["strikes"] = static_cast<std::uint64_t>(f.array_mc.strikes);
-    o["histories"] = static_cast<std::uint64_t>(f.neutron_mc.histories);
-    o["seed"] = f.seed;
-    util::JsonValue species = util::JsonValue::array();
-    for (const std::string& name : s.species) species.push_back(name);
-    o["species"] = std::move(species);
-    o["cell_w_nm"] = f.cell_geometry.cell_w_nm;
-    o["cell_h_nm"] = f.cell_geometry.cell_h_nm;
-    o["fin_w_nm"] = f.cell_geometry.fin_w_nm;
-    o["fin_h_nm"] = f.cell_geometry.fin_h_nm;
-    o["temp_k"] = f.cell_design.temp_k;
-    util::JsonValue sampling = util::JsonValue::object();
-    sampling["position"] = position_name(f.array_mc.position);
-    sampling["qmc"] = qmc_name(f.array_mc.sampling.qmc);
-    sampling["ci_target"] = f.array_mc.ci.target;
-    sampling["ci_min_chunks"] =
-        static_cast<std::uint64_t>(f.array_mc.ci.min_chunks);
-    sampling["ci_growth"] = f.array_mc.ci.growth;
-    o["sampling"] = std::move(sampling);
-    util::JsonValue cluster = util::JsonValue::object();
-    cluster["mode"] =
-        std::string(sram::cluster_mode_name(f.array_mc.cluster.mode));
-    cluster["share_fraction"] = f.array_mc.cluster.share_fraction;
-    cluster["pv_samples"] =
-        static_cast<std::uint64_t>(f.array_mc.cluster.pv_samples);
-    cluster["quantum_fc"] = f.array_mc.cluster.quantum_fc;
-    o["cluster"] = std::move(cluster);
-    scenarios.push_back(std::move(o));
+    scenarios.push_back(write_rows(scenario_rows(), s));
   }
   doc["scenarios"] = std::move(scenarios);
   return doc;
@@ -616,27 +616,21 @@ CampaignSpec single_scenario_campaign(const core::SerFlowConfig& flow,
                                       std::vector<std::string> species,
                                       std::string output_dir,
                                       std::string name) {
-  for (const std::string& s : species) check_species_name(s, "species list");
-  check_vdds(flow.characterization.vdds, "scenarios[0]");
-  check_cell_numbers(flow, "scenarios[0]");
-  CampaignSpec spec;
-  spec.name = name;
-  spec.output_dir = std::move(output_dir);
-  spec.threads = flow.threads;
   ScenarioSpec scenario;
-  scenario.name = std::move(name);
+  scenario.name = name;
   scenario.species = std::move(species);
   scenario.flow = flow;
+  check_rows(scenario_rows(), scenario, "scenarios[0]");
+  CampaignSpec spec;
+  spec.name = std::move(name);
+  spec.output_dir = std::move(output_dir);
+  spec.threads = flow.threads;
   spec.scenarios.push_back(std::move(scenario));
   return spec;
 }
 
 env::Spectrum spectrum_for_species(const std::string& name) {
-  if (name == "alpha") return env::package_alphas();
-  if (name == "proton") return env::sea_level_protons();
-  if (name == "neutron") return env::sea_level_neutrons();
-  check_species_name(name, "species list");  // throws
-  throw util::InvalidArgument("campaign: unknown species `" + name + "`");
+  return kSpecies.from(name, "species list")();
 }
 
 void resolve_flow_for_execution(core::SerFlowConfig& flow) {

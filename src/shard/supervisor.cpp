@@ -147,8 +147,8 @@ ShardResult run_sharded_campaign(const pipeline::CampaignSpec& spec,
   const std::vector<pipeline::StageInfo>& plan = planner.plan();
 
   // Workers run the document planned here, not the user's file: the
-  // defaulted artifact dir, the CLI's overrides and any later edit of the
-  // file cannot make them disagree with the supervisor. The file is named by
+  // defaulted artifact dir and any later edit of the file cannot make them
+  // disagree with the supervisor. The file is named by
   // the run fingerprint, so campaigns that share a store cannot swap plans.
   char name[17];
   std::snprintf(name, sizeof name, "%016llx",

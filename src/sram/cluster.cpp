@@ -36,25 +36,6 @@ std::size_t cluster_cols(ClusterMode mode) {
   return 1;
 }
 
-const char* cluster_mode_name(ClusterMode mode) {
-  switch (mode) {
-    case ClusterMode::k2x2:
-      return "2x2";
-    case ClusterMode::k1x4:
-      return "1x4";
-    case ClusterMode::k1x1:
-      return "1x1";
-  }
-  return "1x1";
-}
-
-std::optional<ClusterMode> cluster_mode_from(const std::string& name) {
-  if (name == "1x1") return ClusterMode::k1x1;
-  if (name == "2x2") return ClusterMode::k2x2;
-  if (name == "1x4") return ClusterMode::k1x4;
-  return std::nullopt;
-}
-
 // ---------------------------------------------------------------------------
 // ClusterSimulator
 // ---------------------------------------------------------------------------

@@ -152,20 +152,6 @@ TEST_F(ObsTest, ChromeTraceDocumentShape) {
   EXPECT_EQ(util::JsonValue::parse(doc.dump(0)), doc);
 }
 
-TEST_F(ObsTest, ConfigureFromEnv) {
-  set_enabled(false);
-  ::setenv("FINSER_METRICS", "0", 1);
-  EXPECT_EQ(configure_from_env(), "0");
-  EXPECT_FALSE(enabled());
-  ::setenv("FINSER_METRICS", "out/metrics.json", 1);
-  EXPECT_EQ(configure_from_env(), "out/metrics.json");
-  EXPECT_TRUE(enabled());
-  ::unsetenv("FINSER_METRICS");
-  set_enabled(false);
-  EXPECT_EQ(configure_from_env(), "");
-  EXPECT_FALSE(enabled());
-}
-
 TEST_F(ObsTest, JsonRoundTripPreservesDocument) {
   util::JsonValue doc = util::JsonValue::object();
   doc["int"] = std::int64_t{-42};

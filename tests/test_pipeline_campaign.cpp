@@ -11,10 +11,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "finser/exec/cancel.hpp"
@@ -121,6 +123,31 @@ TEST(CampaignParse, UnknownPatternAndSpeciesSuggestNearest) {
               std::string::npos)
         << e.what();
   }
+  // The block enums too; a name far from every known one gets no
+  // suggestion.
+  const std::pair<const char*, const char*> blocks[] = {
+      {R"("sampling": {"position": "importanse"})", "`importance`"},
+      {R"("sampling": {"qmc": "sobl"})", "`sobol`"},
+      {R"("cluster": {"mode": "2x3"})", "`2x2`"},
+      {R"("cluster": {"mode": "3x3x3"})", ""},
+  };
+  for (const auto& [entry, suggestion] : blocks) {
+    try {
+      parse_campaign_text(std::string(R"({"scenarios": [{"name": "a", )") +
+                          entry + "}]}");
+      ADD_FAILURE() << "accepted " << entry;
+    } catch (const util::InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unknown "), std::string::npos) << what;
+      if (*suggestion == '\0') {
+        EXPECT_EQ(what.find("did you mean"), std::string::npos) << what;
+      } else {
+        EXPECT_NE(what.find(std::string("did you mean ") + suggestion),
+                  std::string::npos)
+            << what;
+      }
+    }
+  }
 }
 
 TEST(CampaignParse, DefaultsMergeUnderScenarios) {
@@ -135,6 +162,35 @@ TEST(CampaignParse, DefaultsMergeUnderScenarios) {
   EXPECT_EQ(spec.scenarios[0].flow.array_rows, 3u);
   EXPECT_EQ(spec.scenarios[1].flow.array_mc.strikes, 99u);
   EXPECT_EQ(spec.scenarios[1].flow.array_rows, 3u);
+}
+
+/// A bad value inherited from `defaults` is reported where it is written,
+/// not at the first scenario that inherits it.
+TEST(CampaignParse, DefaultsErrorsNameTheDefaultsBlock) {
+  const auto error_of = [](const std::string& doc) -> std::string {
+    try {
+      parse_campaign_text(doc);
+    } catch (const util::InvalidArgument& e) {
+      return e.what();
+    }
+    ADD_FAILURE() << "accepted " << doc;
+    return "";
+  };
+  std::string what = error_of(
+      R"({"defaults": {"rows": "nine"}, "scenarios": [{"name": "a"}]})");
+  EXPECT_NE(what.find("value for `rows` at defaults must be an integer"),
+            std::string::npos)
+      << what;
+  what = error_of(R"({"defaults": {"sampling": {"ci_targt": 0.1}},
+                      "scenarios": [{"name": "a"}]})");
+  EXPECT_NE(what.find("unknown key `ci_targt` at defaults.sampling (did you "
+                      "mean `ci_target`?)"),
+            std::string::npos)
+      << what;
+  // A scenario's own bad value still names the scenario.
+  what = error_of(R"({"defaults": {"rows": 2},
+                      "scenarios": [{"name": "a", "cols": "nine"}]})");
+  EXPECT_NE(what.find("`cols` at scenarios[0]"), std::string::npos) << what;
 }
 
 TEST(CampaignParse, RejectsDuplicateNamesAndBadValues) {
@@ -162,13 +218,13 @@ TEST(CampaignParse, RejectsDuplicateNamesAndBadValues) {
 // non-positive one is rejected at parse time, naming the key, before any
 // stage could characterize it. Order stays free.
 TEST(CampaignParse, RejectsDuplicateOrNonPositiveVdds) {
-  const auto rejects = [](const std::string& doc) {
+  const auto rejects = [](const std::string& doc,
+                          const std::string& where = "scenarios[0]") {
     try {
       parse_campaign_text(doc);
     } catch (const util::InvalidArgument& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find("`vdds`"), std::string::npos) << what;
-      EXPECT_NE(what.find("scenarios[0]"), std::string::npos) << what;
+      EXPECT_NE(what.find("`vdds` at " + where), std::string::npos) << what;
       return;
     }
     ADD_FAILURE() << "accepted " << doc;
@@ -178,7 +234,8 @@ TEST(CampaignParse, RejectsDuplicateOrNonPositiveVdds) {
   rejects(R"({"scenarios": [{"name": "a", "vdds": [0.8, 0]}]})");
   rejects(R"({"scenarios": [{"name": "a", "vdds": [-0.8]}]})");
   rejects(R"({"defaults": {"vdds": [0.9, 0.9]},
-              "scenarios": [{"name": "a"}]})");
+              "scenarios": [{"name": "a"}]})",
+          "defaults");
 
   const CampaignSpec spec = parse_campaign_text(
       R"({"scenarios": [{"name": "a", "vdds": [0.9, 0.7]}]})");
@@ -198,6 +255,42 @@ TEST(CampaignParse, RejectsDuplicateOrNonPositiveVdds) {
   flow.characterization.vdds = {0.0};
   EXPECT_THROW(single_scenario_campaign(flow, {"alpha"}, ""),
                util::InvalidArgument);
+}
+
+/// A flow built in code meets the range rules a document's values meet,
+/// block keys included, and the error names the key where a document would
+/// hold it.
+TEST(CampaignParse, CodeBuiltFlowsMeetTheDocumentRangeRules) {
+  const auto error_of = [](const core::SerFlowConfig& flow,
+                           std::vector<std::string> species) -> std::string {
+    try {
+      single_scenario_campaign(flow, std::move(species), "");
+    } catch (const util::InvalidArgument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  core::SerFlowConfig flow = tiny_flow();
+  EXPECT_EQ(error_of(flow, {"alpha", "neutron"}), "accepted");
+  EXPECT_NE(error_of(flow, {"alfa"}).find("unknown species `alfa` at "
+                                          "scenarios[0] (did you mean "
+                                          "`alpha`?)"),
+            std::string::npos);
+  flow.array_mc.ci.target = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(error_of(flow, {"alpha"})
+                .find("`ci_target` at scenarios[0].sampling must be finite "
+                      "and >= 0, got nan"),
+            std::string::npos);
+  flow = tiny_flow();
+  flow.array_mc.cluster.share_fraction = 1.0;
+  EXPECT_NE(error_of(flow, {"alpha"})
+                .find("`share_fraction` at scenarios[0].cluster must be in "
+                      "[0, 1)"),
+            std::string::npos);
+  flow = tiny_flow();
+  flow.cell_geometry.fin_h_nm = 0.0;
+  EXPECT_NE(error_of(flow, {"alpha"}).find("geometry at scenarios[0]"),
+            std::string::npos);
 }
 
 TEST(CampaignParse, JsonRoundTripIsExact) {
@@ -555,6 +648,24 @@ TEST(CampaignFingerprint, InvariantToExecutionKnobs) {
   CampaignSpec edited = spec;
   edited.scenarios[0].flow.array_mc.strikes += 1;
   EXPECT_NE(campaign_fingerprint(edited), base);
+}
+
+/// The fingerprint names a run's resolved document in the store (shard
+/// workers read `campaigns/<fingerprint>.json`, `serve` finds its surfaces
+/// through it), so the campaigns that exist must keep theirs: the paper's
+/// setup and a document that sets every scenario, `sampling` and `cluster`
+/// key, some through `defaults`. Its `--print-config` dump, which
+/// print_config_roundtrip.cmake pins byte for byte, is the same run.
+TEST(CampaignFingerprint, PinnedForPaperAndEveryKeyDocuments) {
+  const auto fingerprint = [](const std::string& path) {
+    return campaign_fingerprint(parse_campaign_file(path));
+  };
+  const std::string fixtures = FINSER_CAMPAIGN_FIXTURES;
+  EXPECT_EQ(fingerprint(FINSER_PAPER_CAMPAIGN), 0x43c658af031e2fd8ULL);
+  EXPECT_EQ(fingerprint(fixtures + "/paper.dump.json"), 0x43c658af031e2fd8ULL);
+  EXPECT_EQ(fingerprint(fixtures + "/every_key.json"), 0x1036a027d687b1d3ULL);
+  EXPECT_EQ(fingerprint(fixtures + "/every_key.dump.json"),
+            0x1036a027d687b1d3ULL);
 }
 
 /// The run fingerprint that the run report carries is the document's at MC

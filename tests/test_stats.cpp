@@ -6,7 +6,6 @@
 #include <set>
 
 #include "finser/stats/direction.hpp"
-#include "finser/stats/histogram.hpp"
 #include "finser/stats/rng.hpp"
 #include "finser/stats/summary.hpp"
 #include "finser/util/error.hpp"
@@ -328,62 +327,6 @@ TEST(WeightedRunningStats, RejectsBadWeights) {
   EXPECT_THROW(s.add(1.0, std::numeric_limits<double>::infinity()),
                util::InvalidArgument);
   EXPECT_THROW(s.add(1.0, std::numeric_limits<double>::quiet_NaN()),
-               util::InvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
-// Histogram
-// ---------------------------------------------------------------------------
-
-TEST(Histogram, LinearBinEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
-  EXPECT_DOUBLE_EQ(h.bin_center(2), 5.0);
-}
-
-TEST(Histogram, CountsAndOverflow) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.25);
-  h.add(0.75, 2.0);
-  h.add(-1.0);
-  h.add(1.5);
-  EXPECT_DOUBLE_EQ(h.count(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.underflow(), 1.0);
-  EXPECT_DOUBLE_EQ(h.overflow(), 1.0);
-  EXPECT_DOUBLE_EQ(h.total(), 3.0);
-}
-
-TEST(Histogram, DensityIntegratesToOne) {
-  Histogram h(0.0, 4.0, 8);
-  Rng r(29);
-  for (int i = 0; i < 10000; ++i) h.add(r.uniform(0.0, 4.0));
-  double integral = 0.0;
-  for (std::size_t b = 0; b < h.bin_count(); ++b) {
-    integral += h.density(b) * h.bin_width(b);
-  }
-  EXPECT_NEAR(integral, 1.0, 1e-12);
-}
-
-TEST(Histogram, LogBinsAreGeometric) {
-  Histogram h(1.0, 100.0, 2, Histogram::Binning::kLog);
-  EXPECT_NEAR(h.bin_hi(0), 10.0, 1e-9);
-  EXPECT_NEAR(h.bin_lo(1), 10.0, 1e-9);
-  h.add(5.0);
-  h.add(50.0);
-  h.add(0.5);  // Underflow (also guards log of small positives).
-  EXPECT_DOUBLE_EQ(h.count(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(1), 1.0);
-  EXPECT_DOUBLE_EQ(h.underflow(), 1.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), util::InvalidArgument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), util::InvalidArgument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 4, Histogram::Binning::kLog),
                util::InvalidArgument);
 }
 

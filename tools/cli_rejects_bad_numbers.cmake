@@ -2,30 +2,23 @@
 # validated before use. `cell <vdd>` must take a finite voltage > 0 with
 # nothing trailing, campaign sizes and seeds must not wrap or saturate
 # through an unsigned cast, supply-voltage lists must hold distinct positive
-# voltages, σVt, the node capacitance and the CI target (campaign key and
-# --ci-target) must be finite and in range, campaign files must be
-# well-formed JSON, and unknown commands, options and campaign keys (the
-# retired sampler knobs among them) are rejected, as are an option the
-# command does not read and an argument past the ones it takes. Every
-# rejection exits 2 with a message naming the offending argument, key or
-# file; `cell 0.8` still exits 0. An invalid FINSER_WORKERS is diagnosed on
-# stderr and ignored.
+# voltages, σVt, the node capacitance and the CI target must be finite and in
+# range, campaign files must be well-formed JSON, and unknown commands,
+# options and campaign keys (the retired sampler knobs among them) are
+# rejected, as are an option the command does not read and an argument past
+# the ones it takes. Every rejection exits 2 with a message naming the
+# offending argument, key or file; `cell 0.8` still exits 0.
 #
 # Inputs: -DFINSER_CLI=<path to binary> -DWORK_DIR=<scratch dir>
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 # expect_exit(<code> <needle> <args>...): run finser_cli with <args>, require
-# exit code <code> and, unless <needle> is empty, <needle> on stderr. A
-# non-empty `cli_env` (NAME=VALUE) in the caller's scope is set for the run.
+# exit code <code> and, unless <needle> is empty, <needle> on stderr.
 function(expect_exit code needle)
-  string(JOIN " " cmdline ${cli_env} ${ARGN})
-  set(launcher "${FINSER_CLI}")
-  if(cli_env)
-    set(launcher "${CMAKE_COMMAND}" -E env "${cli_env}" "${FINSER_CLI}")
-  endif()
+  string(JOIN " " cmdline ${ARGN})
   execute_process(
-    COMMAND ${launcher} ${ARGN}
+    COMMAND "${FINSER_CLI}" ${ARGN}
     OUTPUT_QUIET
     ERROR_VARIABLE err
     RESULT_VARIABLE rc)
@@ -81,16 +74,29 @@ expect_exit(2 "--thread" campaign "${campaign}" --thread 4)
 expect_exit(2 "--resume" campaign "${campaign}" --resume p)
 expect_exit(2 "--bogus" campaign "${campaign}" --bogus)
 
+# The document is the one place a run's values are set: the options that
+# repeated it (named here without their leading dashes) are unknown, for
+# every command. Cluster tiles are `cluster.mode`, adaptive stopping
+# `sampling.ci_target` and the store `artifact_dir`.
+foreach(removed "cluster;2x2" "ci-target;0.5" "artifact-dir;${WORK_DIR}/x")
+  list(POP_FRONT removed name)
+  expect_exit(2 "unknown option --${name}" campaign "${campaign}"
+              "--${name}" ${removed} --print-config)
+  expect_exit(2 "unknown option --${name}" serve "${campaign}" "--${name}"
+              ${removed})
+  expect_exit(2 "unknown option --${name}" artifacts ls "--${name}"
+              ${removed})
+endforeach()
+
 # `campaign` is the one way to run the flow: `run` is an unknown command.
 expect_exit(2 "`run`" run)
 expect_exit(2 "`run`" run "${campaign}" --print-config)
 
 # A command exits 2 on a flag it does not read, naming the flag and the
 # command, instead of ignoring it.
-expect_exit(2 "`campaign` does not read --artifact-dir" campaign
-            "${campaign}" --artifact-dir "${WORK_DIR}/x" --print-config)
-expect_exit(2 "`cell` does not read --workers" cell 0.8 --workers 3
-            --cluster 2x2)
+expect_exit(2 "`campaign` does not read --max-pending" campaign
+            "${campaign}" --max-pending 4 --print-config)
+expect_exit(2 "`cell` does not read --workers" cell 0.8 --workers 3)
 foreach(flag "--print-config" "--workers;2" "--metrics-out;${WORK_DIR}/m.json"
              "--trace-out;${WORK_DIR}/t.json")
   list(GET flag 0 name)
@@ -108,11 +114,10 @@ expect_exit(2 "unexpected argument `0.9` for `cell`" cell 0.8 0.9)
 expect_exit(2 "unexpected argument `${WORK_DIR}/d2` for `artifacts`" artifacts
             ls "${WORK_DIR}/d1" "${WORK_DIR}/d2")
 
-# --ci-target takes a finite relative half-width >= 0, like
-# sampling.ci_target.
-foreach(bad nan inf -1 abc)
-  expect_exit(2 "\"${bad}\"" campaign "${campaign}" --ci-target ${bad}
-              --print-config)
+# sampling.ci_target is a finite relative half-width >= 0; JSON cannot
+# spell nan or inf (the malformed-document legs below cover those).
+foreach(bad "-1" "\"abc\"")
+  expect_scenario_exit(2 "ci_target" "\"sampling\": {\"ci_target\": ${bad}}")
 endforeach()
 
 # Supply voltages: a repeated or non-positive one exits 2 naming `vdds`
@@ -186,12 +191,3 @@ expect_exit(2 "--lanes" campaign "${campaign}" --lanes 4)
 set(lanes "${WORK_DIR}/lanes.json")
 file(WRITE "${lanes}" "{\"lanes\": 4, \"scenarios\": [{\"name\": \"a\"}]}\n")
 expect_exit(2 "`lanes`" campaign "${lanes}" --print-config)
-
-# FINSER_WORKERS must be a non-negative integer; anything else is reported
-# (like FINSER_THREADS) and ignored.
-foreach(bad abc -2 2x)
-  set(cli_env "FINSER_WORKERS=${bad}")
-  expect_exit(0 "ignoring invalid FINSER_WORKERS=\"${bad}\"" campaign
-              "${campaign}" --print-config)
-endforeach()
-unset(cli_env)

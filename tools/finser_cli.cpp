@@ -28,9 +28,12 @@
 /// resumes per energy bin, or per supply voltage while still
 /// characterizing.
 ///
-/// `--cluster` and `--ci-target` are edits to the campaign document (lower()),
-/// so `--print-config`, shard workers and the run report see the run that
+/// The campaign document is the one place a run's results are set, so
+/// `--print-config`, shard workers and the run report see the run that
 /// happens; FINSER_MC_SCALE is the one result-changing setting outside it.
+/// The flags choose only how a run executes (`--threads` replaces the
+/// document's thread budget; worker processes, supervision) and what it
+/// reports.
 
 #include <algorithm>
 #include <chrono>
@@ -39,7 +42,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <streambuf>
 #include <string>
 #include <vector>
@@ -101,32 +103,16 @@ void print_help() {
       "  --threads N    for `campaign`, `serve` and `worker`: worker threads\n"
       "                 (default: FINSER_THREADS, else all hardware\n"
       "                 threads); never changes the results\n"
-      "  --ci-target R  for `campaign` and `serve`: adaptive stopping: stop\n"
-      "                 each energy bin's Monte Carlo once the relative 95%%\n"
-      "                 CI half-width of every POF estimate is <= R (finite,\n"
-      "                 >= 0), capped by the configured strike budget (0 =\n"
-      "                 fixed budget). Sets every scenario's\n"
-      "                 sampling.ci_target, as --print-config shows\n"
-      "                 (docs/statistics.md)\n"
-      "  --cluster MODE for `campaign` and `serve`: correlated multi-node\n"
-      "                 charge collection: group cells into MODE tiles (1x1 =\n"
-      "                 independent per-cell path, byte-identical to the\n"
-      "                 default; 2x2 or 1x4 add charge sharing between\n"
-      "                 adjacent struck cells of a tile and simulate each\n"
-      "                 struck cell with its shared charge). Sets every\n"
-      "                 scenario's cluster.mode, as --print-config shows\n"
-      "                 (docs/charge_sharing.md)\n"
       "  --metrics-out PATH  for `campaign`: enable metric collection and\n"
       "                 write a versioned JSON RunReport there at exit\n"
-      "                 (docs/observability.md); FINSER_METRICS=<path> is an\n"
-      "                 equivalent default\n"
+      "                 (docs/observability.md)\n"
       "  --trace-out PATH  for `campaign`: also buffer per-span trace events\n"
       "                 and write a Chrome-tracing/Perfetto event file there\n"
       "                 at exit\n"
       "  --workers N    for `campaign`: run stages in N worker subprocesses\n"
-      "                 under a fault-tolerant supervisor (FINSER_WORKERS is\n"
-      "                 an equivalent default; 0 = in-process). Results are\n"
-      "                 byte-identical at any worker count (docs/sharding.md)\n"
+      "                 under a fault-tolerant supervisor (default 0 =\n"
+      "                 in-process). Results are byte-identical at any\n"
+      "                 worker count (docs/sharding.md)\n"
       "  --max-retries N  for `campaign`: extra attempts before a crashing\n"
       "                 stage is quarantined (default 2; sharded only)\n"
       "  --stage-timeout-s SEC  for `campaign`: per-stage wall-clock\n"
@@ -135,9 +121,6 @@ void print_help() {
       "  --heartbeat-timeout-s SEC  for `campaign`: silence before a worker\n"
       "                 is presumed dead and its stage reassigned (default\n"
       "                 30; 0 = off; sharded only)\n"
-      "  --artifact-dir DIR  for `serve`: override the campaign file's\n"
-      "                 artifact_dir; for `artifacts ls`: default directory\n"
-      "                 when no positional one is given\n"
       "  --max-pending N  for `serve`: bound on queued refinement requests;\n"
       "                 requests over the bound get an immediate `shed`\n"
       "                 reply instead of waiting (default 64)\n\n"
@@ -152,24 +135,18 @@ void print_help() {
       "     (details in the run report's \"shard\" section)\n"
       "  6  degraded: `serve` drained, but at least one request was shed,\n"
       "     malformed, failed or cancelled (docs/serving.md)\n\n"
-      "Campaign document keys: docs/architecture.md.\n");
+      "Campaign document keys: include/finser/pipeline/campaign.hpp. Adaptive\n"
+      "stopping is the document's `sampling.ci_target` (docs/statistics.md),\n"
+      "cluster tiles its `cluster.mode` (docs/charge_sharing.md), and the\n"
+      "artifact store its `artifact_dir`.\n");
 }
 
-/// The command-line flags the campaign document carries.
-struct Overrides {
-  std::size_t threads = 0;   ///< --threads; 0 = keep the document's.
-  double ci_target = -1.0;   ///< --ci-target; < 0 = keep the document's.
-  std::optional<sram::ClusterMode> cluster;  ///< --cluster.
-};
-
-/// The one lowering of `campaign` and `serve`: writes \p o into
-/// \p spec before anything prints, fingerprints or runs it.
-void lower(pipeline::CampaignSpec& spec, const Overrides& o) {
-  if (o.threads > 0) spec.threads = o.threads;
-  for (pipeline::ScenarioSpec& s : spec.scenarios) {
-    core::apply_ci_target(s.flow, o.ci_target);
-    if (o.cluster) s.flow.array_mc.cluster.mode = *o.cluster;
-  }
+/// The document at \p path with the --threads budget (0 = the document's).
+pipeline::CampaignSpec read_campaign(const std::string& path,
+                                     std::size_t threads) {
+  pipeline::CampaignSpec spec = pipeline::parse_campaign_file(path);
+  if (threads > 0) spec.threads = threads;
+  return spec;
 }
 
 /// What a run reports about itself: the run report and the trace.
@@ -238,12 +215,11 @@ struct ShardCliOptions {
   double heartbeat_timeout_s = 30.0;
 };
 
-int cmd_campaign(const std::string& campaign_path, const Overrides& overrides,
+int cmd_campaign(const std::string& campaign_path, std::size_t threads,
                  const Outputs& out, bool print_config,
                  const ShardCliOptions& shard_opts,
                  const exec::CancelToken& cancel) {
-  pipeline::CampaignSpec spec = pipeline::parse_campaign_file(campaign_path);
-  lower(spec, overrides);
+  const pipeline::CampaignSpec spec = read_campaign(campaign_path, threads);
 
   if (print_config) {
     std::printf("%s\n", pipeline::campaign_to_json(spec).dump(2).c_str());
@@ -318,12 +294,9 @@ class FdInBuf final : public std::streambuf {
   char buf_[1 << 16];
 };
 
-int cmd_serve(const std::string& campaign_path, const Overrides& overrides,
-              std::size_t max_pending, const std::string& artifact_dir_override,
-              const exec::CancelToken& cancel) {
-  pipeline::CampaignSpec spec = pipeline::parse_campaign_file(campaign_path);
-  lower(spec, overrides);
-  if (!artifact_dir_override.empty()) spec.artifact_dir = artifact_dir_override;
+int cmd_serve(const std::string& campaign_path, std::size_t threads,
+              std::size_t max_pending, const exec::CancelToken& cancel) {
+  pipeline::CampaignSpec spec = read_campaign(campaign_path, threads);
   spec.output_dir.clear();  // serve answers queries; it never emits CSV files
 
   // Counters feed the `stats` op (and witness the warm-restart
@@ -334,8 +307,8 @@ int cmd_serve(const std::string& campaign_path, const Overrides& overrides,
   const exec::ProgressSink progress(
       [](const std::string& m) { std::fprintf(stderr, "  [%s]\n", m.c_str()); },
       std::chrono::milliseconds(250));
-  pipeline::SurfaceProvider provider(std::move(spec), overrides.threads,
-                                     progress, &cancel);
+  pipeline::SurfaceProvider provider(std::move(spec), threads, progress,
+                                     &cancel);
   surface::ServeConfig scfg;
   scfg.max_pending = max_pending;
   surface::ServeSession session(
@@ -352,19 +325,12 @@ int cmd_serve(const std::string& campaign_path, const Overrides& overrides,
   return session.run(in, std::cout);
 }
 
-int cmd_artifacts(const std::vector<std::string>& args,
-                  const std::string& artifact_dir_flag) {
-  if (args.size() < 2 || args[1] != "ls") {
+int cmd_artifacts(const std::vector<std::string>& args) {
+  if (args.size() < 3 || args[1] != "ls") {
     std::fprintf(stderr, "error: usage: finser_cli artifacts ls <dir>\n");
     return 2;
   }
-  const std::string dir = args.size() > 2 ? args[2] : artifact_dir_flag;
-  if (dir.empty()) {
-    std::fprintf(stderr,
-                 "error: artifacts ls needs a store directory (positional "
-                 "argument or --artifact-dir)\n");
-    return 2;
-  }
+  const std::string& dir = args[2];
   // Read-only open: no orphan sweep, no writes — safe to point at a store a
   // live campaign or serve process is using.
   const pipeline::ArtifactStore store(dir, /*sweep_on_open=*/false);
@@ -424,15 +390,12 @@ const std::map<std::string, CommandSpec>& commands() {
   static const std::map<std::string, CommandSpec> table = {
       {"campaign",
        {1,
-        {"--print-config", "--threads", "--ci-target", "--cluster",
-         "--metrics-out", "--trace-out", "--workers", "--max-retries",
-         "--stage-timeout-s", "--heartbeat-timeout-s"}}},
-      {"serve",
-       {1,
-        {"--threads", "--ci-target", "--cluster", "--artifact-dir",
-         "--max-pending"}}},
+        {"--print-config", "--threads", "--metrics-out", "--trace-out",
+         "--workers", "--max-retries", "--stage-timeout-s",
+         "--heartbeat-timeout-s"}}},
+      {"serve", {1, {"--threads", "--max-pending"}}},
       {"worker", {1, {"--threads"}}},
-      {"artifacts", {2, {"--artifact-dir"}}},  // ls [dir]
+      {"artifacts", {2, {}}},  // ls <dir>
       {"cell", {1, {}}},
   };
   return table;
@@ -449,36 +412,15 @@ int main(int argc, char** argv) {
   try {
     // Extract the global flags, keep the rest positional.
     std::vector<std::string> args;
-    Overrides overrides;
+    std::size_t threads = 0;  // --threads; 0 = the document's
     Outputs out;
     for (int i = 1; i < argc; ++i) {
       if (i > 1) out.command += ' ';
       out.command += argv[i];
     }
-    // FINSER_METRICS turns collection on; a path-like value (anything but
-    // "0"/"1") doubles as the default --metrics-out destination.
-    out.metrics_out = finser::obs::configure_from_env();
-    if (out.metrics_out == "0" || out.metrics_out == "1") {
-      out.metrics_out.clear();
-    }
     bool print_config = false;
     std::size_t max_pending = 64;
-    std::string artifact_dir;  // serve and `artifacts ls`
     ShardCliOptions shard_opts;
-    // FINSER_WORKERS seeds the worker count for `campaign`; --workers wins.
-    if (const char* env = std::getenv("FINSER_WORKERS");
-        env != nullptr && env[0] != '\0') {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && v >= 0) {
-        shard_opts.workers = static_cast<std::size_t>(v);
-      } else {
-        std::fprintf(stderr,
-                     "finser: ignoring invalid FINSER_WORKERS=\"%s\" (want a "
-                     "non-negative integer; 0 = in-process)\n",
-                     env);
-      }
-    }
     std::vector<std::string> flags;  // every flag given, in order
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
@@ -519,34 +461,7 @@ int main(int argc, char** argv) {
         finser::obs::set_trace_enabled(true);
         continue;
       }
-      if (a == "--artifact-dir") {
-        artifact_dir = raw;
-        continue;
-      }
       char* end = nullptr;
-      if (a == "--ci-target") {
-        const double v = std::strtod(raw, &end);
-        if (end == raw || *end != '\0' || !std::isfinite(v) || v < 0.0) {
-          std::fprintf(stderr,
-                       "error: --ci-target expects a finite relative "
-                       "half-width >= 0 (0 disables stopping), got \"%s\"\n",
-                       raw);
-          return 2;
-        }
-        overrides.ci_target = v;
-        continue;
-      }
-      if (a == "--cluster") {
-        overrides.cluster = sram::cluster_mode_from(raw);
-        if (!overrides.cluster) {
-          std::fprintf(stderr,
-                       "error: --cluster expects 1x1, 2x2 or 1x4, got "
-                       "\"%s\"\n",
-                       raw);
-          return 2;
-        }
-        continue;
-      }
       if (a == "--max-pending") {
         const long v = std::strtol(raw, &end, 10);
         if (end == raw || *end != '\0' || v < 1) {
@@ -599,7 +514,7 @@ int main(int argc, char** argv) {
                      raw);
         return 2;
       }
-      overrides.threads = static_cast<std::size_t>(v);
+      threads = static_cast<std::size_t>(v);
     }
 
     const std::string cmd = !args.empty() ? args[0] : "--help";
@@ -630,7 +545,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: campaign needs a JSON file argument\n");
         return 2;
       }
-      return cmd_campaign(args[1], overrides, out, print_config, shard_opts,
+      return cmd_campaign(args[1], threads, out, print_config, shard_opts,
                           cancel);
     }
     if (cmd == "serve") {
@@ -638,11 +553,9 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: serve needs a campaign JSON argument\n");
         return 2;
       }
-      return cmd_serve(args[1], overrides, max_pending, artifact_dir, cancel);
+      return cmd_serve(args[1], threads, max_pending, cancel);
     }
-    if (cmd == "artifacts") {
-      return cmd_artifacts(args, artifact_dir);
-    }
+    if (cmd == "artifacts") return cmd_artifacts(args);
     if (cmd == "worker") {
       if (args.size() < 2) {
         std::fprintf(stderr, "error: worker needs a campaign JSON argument\n");
@@ -650,7 +563,7 @@ int main(int argc, char** argv) {
       }
       shard::WorkerConfig cfg;
       cfg.campaign_path = args[1];
-      cfg.threads = overrides.threads;
+      cfg.threads = threads;
       return shard::run_worker(cfg);
     }
     // cell

@@ -13,7 +13,7 @@
 ///     5 s, re-run the identical command, and require every CSV to match an
 ///     uninterrupted in-process reference byte-for-byte (docs/sharding.md).
 ///
-/// Default mode runs three legs — plain, adaptive (`--ci-target`, chunk 64)
+/// Default mode runs three legs — plain, adaptive (CI target 0.35, chunk 64)
 /// and correlated 2x2 cluster collection under an 88° beam — at 1 and 4
 /// threads. Every child runs the alpha sweep of a one-scenario
 /// CampaignRunner with its artifact store in its work dir, seeded with the
@@ -84,7 +84,8 @@ pipeline::CampaignSpec harness_campaign(const std::string& store,
     // byte — the per-bin blob serializes units_used / stopped_early.
     cfg.array_mc.strikes = 2400;
     cfg.array_mc.chunk = 64;
-    core::apply_ci_target(cfg, 0.35);
+    cfg.array_mc.ci.target = 0.35;
+    cfg.neutron_mc.ci.target = 0.35;
   }
   if (leg == "cluster") {
     // Cluster leg: correlated 2x2 charge collection under a near-grazing
@@ -378,7 +379,6 @@ int run_campaign_driver(const std::string& cli) {
 #endif
   unsetenv("FINSER_MC_SCALE");
   unsetenv("FINSER_THREADS");
-  unsetenv("FINSER_WORKERS");
   unsetenv("FINSER_FAULT");
   unsetenv("FINSER_SHARD_POISON");
 

@@ -1,47 +1,55 @@
 # CTest script: `finser_cli campaign --print-config` emits campaign JSON that
-# must round-trip through the campaign parser byte-for-byte. We dump the
-# paper's campaign (campaigns/paper.json), feed the dump back through
-# `campaign --print-config`, and require identical output — any
-# normalization drift (key order, number formatting, defaulting) fails the
-# diff. The dump is also exactly what runs: see the MC-scale and
-# byte-identity checks below. The last checks cover the command-line
-# overrides, which the dump must carry, and the run report's `command` and
-# `config_fingerprint` (also for a document without `artifact_dir`, run
-# in-process and sharded).
+# must round-trip through the campaign parser byte-for-byte. Two documents
+# are pinned: the paper's campaign (campaigns/paper.json) and a document
+# that sets every scenario, `sampling` and `cluster` key, some through
+# `defaults` (tests/fixtures/every_key.json). Each dump must equal its
+# committed fixture (tests/fixtures/*.dump.json) byte for byte, and so must
+# the dump of that fixture — any normalization drift (key order, number
+# formatting, defaulting) fails. The dump is also exactly what runs: see the
+# MC-scale and byte-identity checks below. The last checks cover documents
+# that turn on cluster tiles and adaptive stopping, and the run report's
+# `command` and `config_fingerprint` (also for a document without
+# `artifact_dir`, run in-process and sharded).
 #
 # Inputs: -DFINSER_CLI=<path to binary> -DPAPER=<campaigns/paper.json>
-#         -DWORK_DIR=<scratch dir>
+#         -DFIXTURES=<tests/fixtures> -DWORK_DIR=<scratch dir>
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
-execute_process(
-  COMMAND "${FINSER_CLI}" campaign "${PAPER}" --print-config
-  OUTPUT_FILE "${WORK_DIR}/first.json"
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "campaign ${PAPER} --print-config failed with exit "
-                      "code ${rc}")
-endif()
+# expect_dump(<document> <fixture>): `campaign <document> --print-config`
+# must print <fixture>'s bytes.
+function(expect_dump document fixture)
+  get_filename_component(name "${document}" NAME)
+  set(out "${WORK_DIR}/${name}.printed")
+  execute_process(
+    COMMAND "${FINSER_CLI}" campaign "${document}" --print-config
+    OUTPUT_FILE "${out}"
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "campaign ${document} --print-config failed with "
+                        "exit code ${rc}")
+  endif()
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files "${out}" "${fixture}"
+    RESULT_VARIABLE diff)
+  if(NOT diff EQUAL 0)
+    file(READ "${out}" printed)
+    file(READ "${fixture}" want)
+    message(FATAL_ERROR "campaign ${document} --print-config does not print "
+                        "${fixture}.\n--- printed ---\n${printed}\n--- want "
+                        "---\n${want}")
+  endif()
+endfunction()
 
-execute_process(
-  COMMAND "${FINSER_CLI}" campaign "${WORK_DIR}/first.json" --print-config
-  OUTPUT_FILE "${WORK_DIR}/second.json"
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "campaign --print-config failed with exit code ${rc}")
-endif()
-
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          "${WORK_DIR}/first.json" "${WORK_DIR}/second.json"
-  RESULT_VARIABLE diff)
-if(NOT diff EQUAL 0)
-  file(READ "${WORK_DIR}/first.json" first)
-  file(READ "${WORK_DIR}/second.json" second)
-  message(FATAL_ERROR "print-config does not round-trip through the campaign "
-                      "parser.\n--- first ---\n${first}\n--- second ---\n"
-                      "${second}")
-endif()
+foreach(doc paper every_key)
+  set(fixture "${FIXTURES}/${doc}.dump.json")
+  if(doc STREQUAL "paper")
+    expect_dump("${PAPER}" "${fixture}")
+  else()
+    expect_dump("${FIXTURES}/${doc}.json" "${fixture}")
+  endif()
+  expect_dump("${fixture}" "${fixture}")
+endforeach()
 
 # --print-config applies no MC scale — the campaign runner applies
 # FINSER_MC_SCALE exactly once — so a scaled environment still prints the
@@ -62,6 +70,32 @@ foreach(needle "\"strikes\": 60000" "\"pv_samples\": 200")
                         "print the unscaled ${needle}:\n${scaled}")
   endif()
 endforeach()
+
+# run_campaign(<document> <args>...): `campaign <document> <args>` must
+# exit 0.
+function(run_campaign document)
+  execute_process(
+    COMMAND "${FINSER_CLI}" campaign "${document}" ${ARGN}
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "finser_cli campaign ${document} ${ARGN} failed with "
+                        "exit code ${rc}\n${err}")
+  endif()
+endfunction()
+
+# expect_same_csvs(<dir a> <dir b> <what>): both runs wrote the same CSVs.
+function(expect_same_csvs a b what)
+  foreach(csv tiny/pof_alpha.csv tiny/fit_summary.csv eh_pairs_alpha.csv)
+    execute_process(
+      COMMAND ${CMAKE_COMMAND} -E compare_files "${a}/${csv}" "${b}/${csv}"
+      RESULT_VARIABLE diff)
+    if(NOT diff EQUAL 0)
+      message(FATAL_ERROR "${csv}: ${what} differ (or one is missing)")
+    endif()
+  endforeach()
+endfunction()
 
 # A document is its --print-config dump: on a tiny campaign under a scaled
 # environment, the document and its dump (redirected to another output
@@ -97,72 +131,50 @@ foreach(doc "${WORK_DIR}/tiny_doc.json" "${WORK_DIR}/tiny.json")
                         "${rc}\n${err}")
   endif()
 endforeach()
-foreach(csv tiny/pof_alpha.csv tiny/fit_summary.csv eh_pairs_alpha.csv)
-  execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-            "${doc_out}/${csv}" "${campaign_out}/${csv}"
-    RESULT_VARIABLE diff)
-  if(NOT diff EQUAL 0)
-    message(FATAL_ERROR "${csv}: a campaign and its --print-config dump "
-                        "differ (or one is missing)")
-  endif()
-endforeach()
+expect_same_csvs("${doc_out}" "${campaign_out}"
+                 "a campaign and its --print-config dump")
 
-# Overrides are edits to the campaign document: `--cluster` and
-# `--ci-target` show in the --print-config dump, and `campaign` on that dump
-# with no flags writes the same CSVs as the flags do.
-set(ov_flags --cluster 2x2 --ci-target 0.5)
-string(JOIN " " ov_text ${ov_flags})
-set(flag_out "${WORK_DIR}/ov_flag_out")
+# Cluster tiles and adaptive stopping are document keys like any other: a
+# copy of the tiny dump edited to `"mode": "2x2"` and `"ci_target": 0.5`
+# prints both, and `campaign` on its own dump writes the same CSVs.
+set(edit_out "${WORK_DIR}/ov_edit_out")
 set(dump_out "${WORK_DIR}/ov_dump_out")
-file(REMOVE_RECURSE "${flag_out}" "${dump_out}")
-string(REPLACE "${campaign_out}" "${flag_out}" flag_doc "${dump}")
-file(WRITE "${WORK_DIR}/ov_flag.json" "${flag_doc}")
+file(REMOVE_RECURSE "${edit_out}" "${dump_out}")
+string(REPLACE "${campaign_out}" "${edit_out}" plain_doc "${dump}")
+file(WRITE "${WORK_DIR}/ov_plain.json" "${plain_doc}")
+string(REPLACE "\"mode\": \"1x1\"" "\"mode\": \"2x2\"" cluster_doc
+       "${plain_doc}")
+string(REPLACE "\"ci_target\": 0.0" "\"ci_target\": 0.5" edit_doc
+       "${cluster_doc}")
+file(WRITE "${WORK_DIR}/ov_cluster.json" "${cluster_doc}")
+file(WRITE "${WORK_DIR}/ov_edit.json" "${edit_doc}")
 execute_process(
-  COMMAND "${FINSER_CLI}" campaign "${WORK_DIR}/ov_flag.json" ${ov_flags}
-          --print-config
+  COMMAND "${FINSER_CLI}" campaign "${WORK_DIR}/ov_edit.json" --print-config
   OUTPUT_VARIABLE ov_dump
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "campaign --cluster --ci-target --print-config failed "
-                      "with exit code ${rc}")
+  message(FATAL_ERROR "campaign ov_edit.json --print-config failed with exit "
+                      "code ${rc}")
 endif()
 foreach(needle "\"mode\": \"2x2\"" "\"ci_target\": 0.5")
   string(FIND "${ov_dump}" "${needle}" at)
   if(at EQUAL -1)
-    message(FATAL_ERROR "campaign ${ov_text} --print-config does not print "
+    message(FATAL_ERROR "campaign ov_edit.json --print-config does not print "
                         "${needle}:\n${ov_dump}")
   endif()
 endforeach()
-string(REPLACE "${flag_out}" "${dump_out}" ov_dump "${ov_dump}")
+string(REPLACE "${edit_out}" "${dump_out}" ov_dump "${ov_dump}")
 file(WRITE "${WORK_DIR}/ov_dump.json" "${ov_dump}")
-foreach(cmd "${WORK_DIR}/ov_flag.json;${ov_flags}" "${WORK_DIR}/ov_dump.json")
-  execute_process(
-    COMMAND "${FINSER_CLI}" campaign ${cmd}
-    OUTPUT_QUIET
-    ERROR_VARIABLE err
-    RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "finser_cli campaign ${cmd} failed with exit code "
-                        "${rc}\n${err}")
-  endif()
-endforeach()
-foreach(csv tiny/pof_alpha.csv tiny/fit_summary.csv eh_pairs_alpha.csv)
-  execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-            "${flag_out}/${csv}" "${dump_out}/${csv}"
-    RESULT_VARIABLE diff)
-  if(NOT diff EQUAL 0)
-    message(FATAL_ERROR "${csv}: `campaign ${ov_text}` and `campaign` on "
-                        "its --print-config dump differ (or one is missing)")
-  endif()
-endforeach()
+run_campaign("${WORK_DIR}/ov_edit.json")
+run_campaign("${WORK_DIR}/ov_dump.json")
+expect_same_csvs("${edit_out}" "${dump_out}"
+                 "the edited document and its --print-config dump")
 
 # The run report names the run that happened: its `command` is the command
 # line as given, and its `config_fingerprint` (the one that names a sharded
-# run's document) changes with the cluster mode and the MC scale but not with --threads or
-# --workers. fingerprint_of(<var> <report path>) reads it; each run below
-# is "<name>;<environment or ->;<flags>...".
+# run's document) changes with the cluster mode and the MC scale but not with
+# --threads or --workers. fingerprint_of(<var> <report path>) reads it; each
+# run below is "<name>;<document>;<environment or ->;<flags>...".
 function(fingerprint_of var report)
   file(READ "${report}" text)
   string(REGEX MATCH "\"config_fingerprint\": \"(0x[0-9a-f]+)\"" m "${text}")
@@ -171,15 +183,16 @@ function(fingerprint_of var report)
   endif()
   set(${var} "${CMAKE_MATCH_1}" PARENT_SCOPE)
 endfunction()
-foreach(run "plain1;-;--threads;1" "plain2;-;--threads;2;--workers;2"
-            "cluster;-;--cluster;2x2" "scaled;FINSER_MC_SCALE=2")
-  list(POP_FRONT run name env)
+foreach(run "plain1;ov_plain;-;--threads;1"
+            "plain2;ov_plain;-;--threads;2;--workers;2"
+            "cluster;ov_cluster;-" "scaled;ov_plain;FINSER_MC_SCALE=2")
+  list(POP_FRONT run name doc env)
   set(launcher "${FINSER_CLI}")
   if(NOT env STREQUAL "-")
     set(launcher "${CMAKE_COMMAND}" -E env "${env}" "${FINSER_CLI}")
   endif()
   execute_process(
-    COMMAND ${launcher} campaign "${WORK_DIR}/ov_flag.json" ${run}
+    COMMAND ${launcher} campaign "${WORK_DIR}/${doc}.json" ${run}
             --metrics-out "${WORK_DIR}/report_${name}.json"
     OUTPUT_QUIET
     ERROR_VARIABLE err
@@ -190,11 +203,11 @@ foreach(run "plain1;-;--threads;1" "plain2;-;--threads;2;--workers;2"
   endif()
   fingerprint_of(fp_${name} "${WORK_DIR}/report_${name}.json")
 endforeach()
-file(READ "${WORK_DIR}/report_cluster.json" cluster_report)
-string(FIND "${cluster_report}" "--cluster 2x2" at)
+file(READ "${WORK_DIR}/report_plain2.json" plain2_report)
+string(FIND "${plain2_report}" "--threads 2 --workers 2" at)
 if(at EQUAL -1)
-  message(FATAL_ERROR "the --cluster 2x2 run report's command does not "
-                      "record the flag:\n${cluster_report}")
+  message(FATAL_ERROR "the --threads 2 --workers 2 run report's command does "
+                      "not record the flags:\n${plain2_report}")
 endif()
 if(NOT fp_plain1 STREQUAL fp_plain2)
   message(FATAL_ERROR "config_fingerprint changed with --threads/--workers: "

@@ -8,8 +8,9 @@
 ///   1. reference      — in-process `campaign` run (no --workers).
 ///   2. --workers 1/2/4 — sharded runs; every CSV must be byte-identical to
 ///      the reference (determinism is the contract, not a best effort). The
-///      sub-legs repeat this with --ci-target, with 2x2 cluster tiles, and
-///      with two different campaigns running at once on one artifact_dir.
+///      sub-legs repeat this with a `sampling.ci_target`, with 2x2 cluster
+///      tiles, and with two different campaigns running at once on one
+///      artifact_dir.
 ///   3. kill           — --workers 4 with FINSER_FAULT=worker_kill_after_claim:1:
 ///      every initial worker SIGKILLs itself right after reading its first
 ///      assignment; replacements (spawned without the fault) must finish the
@@ -23,13 +24,14 @@
 ///   5. quarantine     — FINSER_SHARD_POISON=sweep-b makes scenario b's sweep
 ///      die on every attempt: exit code 5 (partial), scenario a identical to
 ///      the reference, and the run report must carry the quarantined stage.
-///   6. overrides      — for each of `--cluster 2x2`, `--ci-target 0.35` and
-///      FINSER_MC_SCALE=2: a --workers 2 run with the override (whose CSVs
-///      must differ from plain), then a plain --workers 2 rerun on the same
-///      output dir, whose CSVs must equal the in-process plain reference.
-///      The rerun dispatches every stage; the store holds the override's
-///      products under other fingerprints, so none of them stands in for a
-///      plain one.
+///   6. overrides      — for each of a `"cluster": {"mode": "2x2"}`
+///      document, a `"sampling": {"ci_target": 0.35}` document and
+///      FINSER_MC_SCALE=2: a --workers 2 run of the override (whose CSVs
+///      must differ from plain), then a --workers 2 run of the plain
+///      document on the same output dir and store, whose CSVs must equal
+///      the in-process plain reference. The rerun dispatches every stage;
+///      the store holds the override's products under other fingerprints,
+///      so none of them stands in for a plain one.
 ///
 /// CSVs, not metrics, are compared: scheduling counters ("shard.reassigns",
 /// the heartbeat histogram) legitimately differ between runs.
@@ -191,7 +193,6 @@ int main(int argc, char** argv) {
   // The harness owns its determinism: scrub env knobs children would read.
   unsetenv("FINSER_MC_SCALE");
   unsetenv("FINSER_THREADS");
-  unsetenv("FINSER_WORKERS");
   unsetenv("FINSER_FAULT");
   unsetenv("FINSER_SHARD_POISON");
 
@@ -235,58 +236,56 @@ int main(int argc, char** argv) {
                 tag.c_str());
   }
 
-  // 2b. Adaptive stopping across processes: --ci-target makes every energy
-  //     bin stop at a deterministic chunk-granular round boundary, and it is
-  //     an edit to the campaign document, so shard workers read it from the
-  //     supervisor's resolved copy (<artifact_dir>/campaigns/<run
+  // 2b. Adaptive stopping across processes: `sampling.ci_target` makes
+  //     every energy bin stop at a deterministic chunk-granular round
+  //     boundary, and shard workers read it from the supervisor's resolved
+  //     copy of the document (<artifact_dir>/campaigns/<run
   //     fingerprint>.json) — a --workers 2 run must stay byte-identical to
-  //     the in-process run with the same flag. The campaign also turns on
-  //     importance sampling, so the weighted estimator state crosses the
-  //     process boundary too.
+  //     the in-process run. The campaign also turns on importance sampling,
+  //     so the weighted estimator state crosses the process boundary too.
   {
     const std::string sampling =
         ",\n    \"sampling\": {\"position\": \"importance\", "
-        "\"ci_min_chunks\": 2}";
+        "\"ci_min_chunks\": 2";
+    const std::string full = sampling + "}";
+    const std::string stopped = sampling + ", \"ci_target\": 0.35}";
     constexpr std::size_t kCiStrikes = 6000;  // > 1 chunk: rounds are real.
 
-    // Engagement witness: the same campaign without the CI knob must land on
-    // different numbers (the stopper really cut the budget) — otherwise this
-    // leg would pass vacuously with stopping disabled.
+    // Engagement witness: the same campaign without the CI target must land
+    // on different numbers (the stopper really cut the budget) — otherwise
+    // this leg would pass vacuously with stopping disabled.
     const std::string full_out = root + "/out_ci_full";
-    write_campaign(root + "/ci_full.json", full_out, kCiStrikes, sampling);
+    write_campaign(root + "/ci_full.json", full_out, kCiStrikes, full);
     if (run_cli(cli, {"campaign", root + "/ci_full.json"}, nullptr, nullptr) !=
         0) {
       return fail("full-budget importance reference run failed");
     }
 
     const std::string ci_ref = root + "/out_ci_ref";
-    write_campaign(root + "/ci_ref.json", ci_ref, kCiStrikes, sampling);
-    if (run_cli(cli,
-                {"campaign", root + "/ci_ref.json", "--ci-target", "0.35"},
-                nullptr, nullptr) != 0) {
-      return fail("in-process --ci-target reference run failed");
+    write_campaign(root + "/ci_ref.json", ci_ref, kCiStrikes, stopped);
+    if (run_cli(cli, {"campaign", root + "/ci_ref.json"}, nullptr, nullptr) !=
+        0) {
+      return fail("in-process ci_target reference run failed");
     }
     if (files_identical(ci_ref + "/a/pof_alpha.csv",
                         full_out + "/a/pof_alpha.csv")) {
-      return fail("--ci-target leg: adaptive stopping never engaged (outputs "
+      return fail("ci_target leg: adaptive stopping never engaged (outputs "
                   "match the full-budget run)");
     }
 
     const std::string out = root + "/out_ci_w2";
-    write_campaign(root + "/ci_w2.json", out, kCiStrikes, sampling);
+    write_campaign(root + "/ci_w2.json", out, kCiStrikes, stopped);
     const int rc = run_cli(
-        cli,
-        {"campaign", root + "/ci_w2.json", "--workers", "2", "--ci-target",
-         "0.35"},
-        nullptr, nullptr);
+        cli, {"campaign", root + "/ci_w2.json", "--workers", "2"}, nullptr,
+        nullptr);
     if (rc != 0) {
-      return fail("--workers 2 --ci-target exited " + std::to_string(rc));
+      return fail("--workers 2 ci_target exited " + std::to_string(rc));
     }
     if (!outputs_match_reference(out, ci_ref, &why)) {
-      return fail("--workers 2 --ci-target: " + why);
+      return fail("--workers 2 ci_target: " + why);
     }
     std::printf(
-        "shard OK: --workers 2 --ci-target bit-identical to in-process\n");
+        "shard OK: --workers 2 ci_target bit-identical to in-process\n");
   }
 
   // 2c. Correlated charge collection across processes: a campaign with a
@@ -435,14 +434,19 @@ int main(int argc, char** argv) {
     std::printf("shard OK: quarantine degraded to partial (exit 5)\n");
   }
 
-  // 6. An override is part of the run it changes: a plain rerun on the store
+  // 6. An override is part of the run it changes: a plain run on the store
   //    of an override run must not resume the override's stages. The
   //    campaign stops early under the CI target (6000 strikes, the first
   //    stopping decision after two chunks) and keeps cluster tiles cheap.
   {
-    const std::string defaults =
-        ",\n    \"sampling\": {\"ci_min_chunks\": 2},"
-        "\n    \"cluster\": {\"pv_samples\": 4}";
+    // plain_defaults(<sampling keys>, <cluster keys>): the leg's defaults
+    // with the given keys added to each block.
+    const auto plain_defaults = [](const std::string& sampling_keys,
+                                   const std::string& cluster_keys) {
+      return ",\n    \"sampling\": {\"ci_min_chunks\": 2" + sampling_keys +
+             "},\n    \"cluster\": {\"pv_samples\": 4" + cluster_keys + "}";
+    };
+    const std::string defaults = plain_defaults("", "");
     constexpr std::size_t kStrikes = 6000;
     const std::string plain_ref = root + "/out_ov_ref";
     write_campaign(root + "/ov_ref.json", plain_ref, kStrikes, defaults);
@@ -452,23 +456,24 @@ int main(int argc, char** argv) {
     }
     struct Override {
       const char* tag;
-      std::vector<std::string> flags;
+      std::string defaults;  // the override document's defaults block
       const char* mc_scale;  // FINSER_MC_SCALE for the override run, or null
     };
     const Override overrides[] = {
-        {"cluster", {"--cluster", "2x2"}, nullptr},
-        {"ci", {"--ci-target", "0.35"}, nullptr},
-        {"scale", {}, "2"},
+        {"cluster", plain_defaults("", ", \"mode\": \"2x2\""), nullptr},
+        {"ci", plain_defaults(", \"ci_target\": 0.35", ""), nullptr},
+        {"scale", defaults, "2"},
     };
     for (const Override& o : overrides) {
       const std::string tag = o.tag;
       const std::string doc = root + "/ov_" + tag + ".json";
+      const std::string plain_doc = root + "/ov_" + tag + "_plain.json";
       const std::string out = root + "/out_ov_" + tag;
-      write_campaign(doc, out, kStrikes, defaults);
-      std::vector<std::string> args = {"campaign", doc, "--workers", "2"};
-      args.insert(args.end(), o.flags.begin(), o.flags.end());
+      write_campaign(doc, out, kStrikes, o.defaults);
+      write_campaign(plain_doc, out, kStrikes, defaults);
       if (o.mc_scale != nullptr) setenv("FINSER_MC_SCALE", o.mc_scale, 1);
-      const int rc = run_cli(cli, args, nullptr, nullptr);
+      const int rc =
+          run_cli(cli, {"campaign", doc, "--workers", "2"}, nullptr, nullptr);
       unsetenv("FINSER_MC_SCALE");
       if (rc != 0) {
         return fail(tag + " override run exited " + std::to_string(rc));
@@ -477,7 +482,7 @@ int main(int argc, char** argv) {
         return fail(tag + " override run: outputs match the plain run (the "
                           "override never engaged)");
       }
-      if (run_cli(cli, {"campaign", doc, "--workers", "2"}, nullptr,
+      if (run_cli(cli, {"campaign", plain_doc, "--workers", "2"}, nullptr,
                   nullptr) != 0) {
         return fail("plain rerun after the " + tag + " override failed");
       }
