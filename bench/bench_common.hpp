@@ -2,7 +2,7 @@
 /// \file bench_common.hpp
 /// \brief Shared scaffolding of the figure-reproduction bench harness.
 ///
-/// Every binary under bench/ reproduces one table/figure of the paper:
+/// Every binary under bench/ reproduces tables or figures of the paper:
 /// it (1) runs the experiment at bench fidelity (scaled by FINSER_MC_SCALE),
 /// (2) prints the series to stdout in the same rows the paper plots,
 /// (3) writes a CSV under bench_out/ for EXPERIMENTS.md, and then
@@ -10,11 +10,11 @@
 ///
 /// The expensive POF-LUT characterization is cached as a `cell_model`
 /// artifact in the bench_out/artifacts store and shared by every binary
-/// (same fingerprint).
+/// (same fingerprint). paper_fit runs its campaign on that store, so its
+/// energy bins and response surfaces land there too and a rerun is warm.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -33,36 +33,22 @@ namespace finser::bench {
 /// Output directory of the reproduction CSVs.
 inline const char* kOutDir = "bench_out";
 
-/// Cell-model cache shared by every bench binary: the `cell_model` kind of
-/// the bench_out/artifacts store (lives for the whole process).
-inline core::BinCache* model_cache() {
-  static const pipeline::ArtifactStore store(std::string(kOutDir) +
-                                             "/artifacts");
-  static pipeline::ArtifactBinCache cache(store, "cell_model");
-  return &cache;
-}
+/// The artifact store every bench binary shares.
+inline const std::string kArtifactDir = std::string(kOutDir) + "/artifacts";
 
 /// The paper's experimental setup (Sec. 6), read from campaigns/paper.json:
 /// 9×9 array, Vdd 0.7-1.1 V, 14 nm SOI FinFET cell, checkerboard data, at
 /// the default Monte-Carlo budget (the paper used 10M strikes and 1000 PV
-/// samples). The benches add the shared model cache and scale strikes and
-/// PV samples by FINSER_MC_SCALE.
+/// samples). The benches add the `cell_model` cache of the kArtifactDir
+/// store and scale strikes and PV samples by FINSER_MC_SCALE.
 inline core::SerFlowConfig paper_flow_config() {
+  static const pipeline::ArtifactStore store(kArtifactDir);
+  static pipeline::ArtifactBinCache model_cache(store, "cell_model");
   core::SerFlowConfig cfg =
       pipeline::parse_campaign_file(FINSER_PAPER_CAMPAIGN).scenarios.at(0).flow;
-  cfg.model_cache = model_cache();
+  cfg.model_cache = &model_cache;
   core::apply_mc_scale(cfg, core::mc_scale_from_env());
   return cfg;
-}
-
-/// Normalize a series to its maximum (the paper reports normalized data).
-inline std::vector<double> normalized(std::vector<double> v) {
-  double m = 0.0;
-  for (double x : v) m = std::max(m, x);
-  if (m > 0.0) {
-    for (double& x : v) x /= m;
-  }
-  return v;
 }
 
 /// Print the table and write the CSV artifact.

@@ -19,12 +19,6 @@
 
 namespace finser::exec {
 
-/// Execution knobs shared by the parallel engines.
-struct ExecConfig {
-  /// Worker-thread count; 0 = auto (FINSER_THREADS, else hardware).
-  std::size_t threads = 0;
-};
-
 /// std::thread::hardware_concurrency(), floored at 1.
 std::size_t hardware_threads();
 

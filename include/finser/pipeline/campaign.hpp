@@ -103,12 +103,9 @@
 #include "finser/exec/progress.hpp"
 #include "finser/phys/fin_mc.hpp"
 #include "finser/pipeline/artifact_store.hpp"
+#include "finser/surface/response_surface.hpp"
 #include "finser/util/csv.hpp"
 #include "finser/util/json.hpp"
-
-namespace finser::surface {
-class ResponseSurface;
-}
 
 namespace finser::pipeline {
 
@@ -165,11 +162,9 @@ env::Spectrum spectrum_for_species(const std::string& name);
 void resolve_flow_for_execution(core::SerFlowConfig& flow);
 
 // --- CSV emitters (the campaign runner's; `finser_cli campaign` prints its
-// FIT tables with them too). All of them read from a
-// surface::ResponseSurface — the sweep overload of append_fit_rows wraps the
-// sweep into a transient surface first, so every consumer-facing number
-// flows through the same query layer that `finser_cli serve` answers
-// from. -------------------------------------------------------------------
+// FIT tables with them too). They read the surface a sweep stage built, so
+// every consumer-facing number flows through the same query layer that
+// `finser_cli serve` answers from. ------------------------------------------
 
 /// POF(E, Vdd) table: columns energy_mev, vdd_v, pof_tot, pof_seu, pof_mbu,
 /// pof_tot_se (with-PV estimates).
@@ -179,11 +174,9 @@ util::CsvTable pof_csv(const surface::ResponseSurface& surface);
 /// fit_mbu, fit_tot_no_pv.
 util::CsvTable make_fit_table();
 
-/// Append one sweep's per-voltage FIT rows to a make_fit_table() table.
+/// Append one surface's per-voltage FIT rows to a make_fit_table() table.
 void append_fit_rows(util::CsvTable& table, const std::string& species,
                      const surface::ResponseSurface& surface);
-void append_fit_rows(util::CsvTable& table, const std::string& species,
-                     const core::EnergySweepResult& sweep);
 
 // --- stage graph ------------------------------------------------------------
 
@@ -263,10 +256,14 @@ util::Grid1 cached_device_lut(const ArtifactStore* store,
 
 // --- runner -----------------------------------------------------------------
 
-/// Results of one scenario, sweeps aligned with ScenarioSpec::species.
+/// Results of one scenario, aligned with ScenarioSpec::species: each sweep
+/// and the response surface the sweep stage built from it, the one it
+/// stored as a `response_surface` artifact and wrote the CSVs from. The
+/// stage is the only place a campaign builds a surface.
 struct ScenarioResult {
   std::string name;
   std::vector<core::EnergySweepResult> sweeps;
+  std::vector<surface::ResponseSurface> surfaces;
 };
 
 /// One node of a campaign's exported stage plan (see CampaignRunner::plan).
@@ -329,7 +326,7 @@ class CampaignRunner {
 
   /// Scenario results accumulated by run() / run_stage() sweep stages, in
   /// scenario order; entries of scenarios whose sweep has not run in this
-  /// process have empty `sweeps`.
+  /// process have empty `sweeps` and `surfaces`.
   const std::vector<ScenarioResult>& results();
 
   /// Run every scenario; returns results in scenario order. With

@@ -344,11 +344,14 @@ std::vector<std::string> keys_of(const Table& rows,
 
 /// Read \p obj into \p s row by row. A key \p obj lacks comes from
 /// \p defaults when that holds it — errors then name `defaults` — and keeps
-/// its fallback otherwise.
+/// its fallback otherwise. \p inherited_only skips the scenario's own rows:
+/// the `defaults` block is read that way.
 void read_rows(const util::JsonValue& obj, const util::JsonValue* defaults,
-               const Table& rows, ScenarioSpec& s, const std::string& where) {
-  check_keys(obj, where, keys_of(rows));
+               const Table& rows, ScenarioSpec& s, const std::string& where,
+               bool inherited_only = false) {
+  check_keys(obj, where, keys_of(rows, inherited_only));
   for (const Field& f : rows) {
+    if (inherited_only && f.own) continue;
     At at{f.key, where};
     const util::JsonValue* v = obj.contains(f.key) ? &obj.at(f.key) : nullptr;
     if (v == nullptr && !f.own && defaults != nullptr &&
@@ -541,8 +544,11 @@ CampaignSpec parse_campaign(const util::JsonValue& doc) {
   const util::JsonValue* defaults = top("defaults");
   if (defaults != nullptr) {
     if (!defaults->is_object()) bad("`defaults` must be an object");
-    check_keys(*defaults, "defaults",
-               keys_of(scenario_rows(), /*inherited_only=*/true));
+    // Read on its own as well, so a value every scenario overrides is
+    // checked too.
+    ScenarioSpec unused;
+    read_rows(*defaults, nullptr, scenario_rows(), unused, "defaults",
+              /*inherited_only=*/true);
   }
 
   const util::JsonValue* scenarios = top("scenarios");
@@ -667,12 +673,6 @@ void append_fit_rows(util::CsvTable& table, const std::string& species,
     table.add_row({species, s.vdds[v], s.fit_tot[pv][v], s.fit_seu[pv][v],
                    s.fit_mbu[pv][v], s.fit_tot[nom][v]});
   }
-}
-
-void append_fit_rows(util::CsvTable& table, const std::string& species,
-                     const core::EnergySweepResult& sweep) {
-  append_fit_rows(table, species,
-                  surface::ResponseSurface::from_sweep("", 0.0, 0, sweep));
 }
 
 // --- stage graph ------------------------------------------------------------
@@ -1101,6 +1101,7 @@ void CampaignRunner::ensure_exec() {
           ScenarioResult& out = ex->results[i];
           out.name = scenario.name;
           out.sweeps.clear();
+          out.surfaces.clear();
           // The resolved scenario is the surface identity: the species
           // *position* matters because the flow's MC seed cursor advances
           // serially across the species sweeps below.
@@ -1118,7 +1119,7 @@ void CampaignRunner::ensure_exec() {
             // Every consumer-facing product below comes from the surface,
             // not the raw sweep — batch CSVs and `serve` answers are the
             // same bytes by construction (docs/serving.md).
-            const surface::ResponseSurface surf =
+            surface::ResponseSurface surf =
                 surface::ResponseSurface::from_sweep(
                     scenario.name, ex->flows[i].cell_design.temp_k,
                     response_surface_fingerprint(resolved, si), sweep);
@@ -1134,6 +1135,7 @@ void CampaignRunner::ensure_exec() {
             }
             append_fit_rows(fit_table, name, surf);
             out.sweeps.push_back(std::move(sweep));
+            out.surfaces.push_back(std::move(surf));
           }
           if (!spec_.output_dir.empty()) {
             fit_table.write_csv_file(spec_.output_dir + "/" + scenario.name +

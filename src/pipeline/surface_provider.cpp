@@ -126,7 +126,8 @@ const surface::ResponseSurface* SurfaceProvider::refine(
   // Build the whole scenario — full species list, in order — through the
   // identical code path batch campaigns use. The runner applies the MC
   // scale itself, shares the artifact store, and persists the resulting
-  // `response_surface` artifacts from its sweep stage.
+  // `response_surface` artifacts from its sweep stage; the surfaces it
+  // returns are the ones it stored.
   CampaignSpec sub;
   sub.name = spec_.name;
   sub.artifact_dir = spec_.artifact_dir;
@@ -135,18 +136,15 @@ const surface::ResponseSurface* SurfaceProvider::refine(
   sub.scenarios.push_back(scen);
   FINSER_OBS_COUNT("surface.builds", 1);
   CampaignRunner runner(std::move(sub));
-  const std::vector<ScenarioResult> results = runner.run(progress_, cancel_);
+  std::vector<ScenarioResult> results = runner.run(progress_, cancel_);
   FINSER_REQUIRE(results.size() == 1 &&
-                     results[0].sweeps.size() == scen.species.size(),
+                     results[0].surfaces.size() == scen.species.size(),
                  "surface provider: refinement produced unexpected results");
 
   const surface::ResponseSurface* wanted = nullptr;
   for (std::size_t i = 0; i < scen.species.size(); ++i) {
-    surface::ResponseSurface surf = surface::ResponseSurface::from_sweep(
-        scen.name, scen.flow.cell_design.temp_k, surface_fps_[s][i],
-        results[0].sweeps[i]);
-    const surface::ResponseSurface* cached =
-        cache_put(std::move(surf), scenario, scen.species[i]);
+    const surface::ResponseSurface* cached = cache_put(
+        std::move(results[0].surfaces[i]), scenario, scen.species[i]);
     if (scen.species[i] == species) wanted = cached;
   }
   return wanted;

@@ -22,6 +22,7 @@
 #include "finser/exec/cancel.hpp"
 #include "finser/obs/obs.hpp"
 #include "finser/pipeline/campaign.hpp"
+#include "finser/pipeline/surface_provider.hpp"
 #include "finser/spice/batch.hpp"
 #include "finser/util/error.hpp"
 #include "finser/util/io.hpp"
@@ -165,7 +166,9 @@ TEST(CampaignParse, DefaultsMergeUnderScenarios) {
 }
 
 /// A bad value inherited from `defaults` is reported where it is written,
-/// not at the first scenario that inherits it.
+/// not at the first scenario that inherits it. `defaults` is read on its
+/// own too, so a bad value or block key fails even where every scenario
+/// overrides it.
 TEST(CampaignParse, DefaultsErrorsNameTheDefaultsBlock) {
   const auto error_of = [](const std::string& doc) -> std::string {
     try {
@@ -185,6 +188,16 @@ TEST(CampaignParse, DefaultsErrorsNameTheDefaultsBlock) {
                       "scenarios": [{"name": "a"}]})");
   EXPECT_NE(what.find("unknown key `ci_targt` at defaults.sampling (did you "
                       "mean `ci_target`?)"),
+            std::string::npos)
+      << what;
+  what = error_of(R"({"defaults": {"rows": "nine"},
+                      "scenarios": [{"name": "a", "rows": 2}]})");
+  EXPECT_NE(what.find("value for `rows` at defaults must be an integer"),
+            std::string::npos)
+      << what;
+  what = error_of(R"({"defaults": {"sampling": {"ci_targt": 0.1}},
+                      "scenarios": [{"name": "a", "sampling": {}}]})");
+  EXPECT_NE(what.find("unknown key `ci_targt` at defaults.sampling"),
             std::string::npos)
       << what;
   // A scenario's own bad value still names the scenario.
@@ -621,6 +634,68 @@ TEST(CampaignRunner, RunStageByStageMatchesRun) {
   for (std::size_t s = 0; s < expected[0].sweeps.size(); ++s) {
     expect_sweeps_equal(expected[0].sweeps[s], actual[0].sweeps[s]);
   }
+}
+
+/// The sweep stage is the one place a surface is built, and the runner
+/// hands back what it stored: each ScenarioResult surface is the payload of
+/// its `response_surface` artifact and the from_sweep() of its sweep — in
+/// process, on the shard worker's path (plan() + run_stage() in a fresh
+/// runner) and through SurfaceProvider::refine, each on a store of its own.
+TEST(CampaignRunner, ReturnsTheSurfacesItStored) {
+  const std::string artifacts = temp_dir("finser_campaign_surfaces");
+  CampaignSpec spec =
+      single_scenario_campaign(tiny_flow(), {"alpha", "proton"}, "");
+  spec.artifact_dir = artifacts;
+  ScenarioSpec resolved = spec.scenarios[0];
+  resolve_flow_for_execution(resolved.flow);
+  const auto expect_stored = [&](const surface::ResponseSurface& surf,
+                                 std::size_t i) {
+    EXPECT_EQ(surf.fingerprint, response_surface_fingerprint(resolved, i));
+    std::vector<std::uint8_t> blob;
+    ASSERT_TRUE(ArtifactStore(artifacts).try_get(
+        ArtifactKey{surface::kResponseSurfaceKind, surf.fingerprint}, blob));
+    EXPECT_EQ(surf.encode(), blob) << "species " << i;
+  };
+  const auto expect_built = [&](const ScenarioResult& result) {
+    ASSERT_EQ(result.surfaces.size(), 2u);
+    ASSERT_EQ(result.sweeps.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      expect_stored(result.surfaces[i], i);
+      EXPECT_EQ(result.surfaces[i].encode(),
+                surface::ResponseSurface::from_sweep(
+                    resolved.name, resolved.flow.cell_design.temp_k,
+                    response_surface_fingerprint(resolved, i),
+                    result.sweeps[i])
+                    .encode())
+          << "species " << i;
+    }
+  };
+
+  std::filesystem::remove_all(artifacts);
+  CampaignRunner whole(spec);
+  const std::vector<ScenarioResult> results = whole.run();
+  ASSERT_EQ(results.size(), 1u);
+  expect_built(results[0]);
+
+  std::filesystem::remove_all(artifacts);
+  CampaignRunner stepped(spec);
+  for (std::size_t k = 0; k < stepped.plan().size(); ++k) {
+    stepped.run_stage(k, 1);
+  }
+  expect_built(stepped.results()[0]);
+
+  std::filesystem::remove_all(artifacts);
+  SurfaceProvider provider(spec, 1);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const surface::ResponseSurface* surf =
+        provider.refine("scenario", resolved.species[i]);
+    ASSERT_NE(surf, nullptr);
+    expect_stored(*surf, i);
+    EXPECT_EQ(surf->encode(), results[0].surfaces[i].encode());
+    EXPECT_EQ(stepped.results()[0].surfaces[i].encode(),
+              results[0].surfaces[i].encode());
+  }
+  std::filesystem::remove_all(artifacts);
 }
 
 /// The fingerprint names a sharded run's document across processes, so it

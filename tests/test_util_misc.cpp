@@ -7,6 +7,7 @@
 #include "finser/util/constants.hpp"
 #include "finser/util/csv.hpp"
 #include "finser/util/error.hpp"
+#include "finser/util/fingerprint.hpp"
 #include "finser/util/units.hpp"
 
 namespace finser::util {
@@ -141,6 +142,18 @@ TEST(Csv, CountsRowsAndColumns) {
   EXPECT_EQ(t.row_count(), 0u);
   t.add_row({1.0, 2.0, 3.0});
   EXPECT_EQ(t.row_count(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Fingerprints
+// ---------------------------------------------------------------------------
+
+/// Fnv1a starts from 0x14650fb0739d0383, not the FNV-1a offset basis
+/// 0xcbf29ce484222325. Artifact names, campaign fingerprints and the pinned
+/// fixture and benchmark digests all hash from this start, so "fixing" it
+/// would orphan every store and fail those pins far from the cause.
+TEST(Fnv1a, StartsFromTheHistoricalBasis) {
+  EXPECT_EQ(Fnv1a().hash(), 0x14650fb0739d0383ull);
 }
 
 }  // namespace

@@ -131,6 +131,16 @@ file(WRITE "${dup}"
      "{\"defaults\": {\"vdds\": [0.8, 0.8]}, \"scenarios\": [{\"name\": \"a\"}]}\n")
 expect_exit(2 "vdds" campaign "${dup}" --print-config)
 
+# `defaults` is read on its own: a bad value or block key there exits 2
+# naming the block even when every scenario overrides it.
+set(overridden "${WORK_DIR}/overridden_defaults.json")
+file(WRITE "${overridden}" "{\"defaults\": {\"rows\": \"nine\"}, "
+     "\"scenarios\": [{\"name\": \"a\", \"rows\": 2}]}\n")
+expect_exit(2 "`rows` at defaults" campaign "${overridden}" --print-config)
+file(WRITE "${overridden}" "{\"defaults\": {\"sampling\": {\"ci_targt\": 0.1}}, "
+     "\"scenarios\": [{\"name\": \"a\", \"sampling\": {}}]}\n")
+expect_exit(2 "defaults.sampling" campaign "${overridden}" --print-config)
+
 # σVt finite and >= 0, the node capacitance finite and > 0, the CI target
 # finite and >= 0: out-of-range values exit 2 at parse time, naming the key,
 # from a scenario and through the defaults block alike. JSON has no NaN or

@@ -190,12 +190,10 @@ int run_campaign(const pipeline::CampaignSpec& spec, const Outputs& out,
   pipeline::CampaignRunner runner(spec);
   const auto results = runner.run(progress, &cancel);
 
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& scenario = results[i];
-    const auto& species = runner.spec().scenarios[i].species;
+  for (const pipeline::ScenarioResult& scenario : results) {
     util::CsvTable fit_table = pipeline::make_fit_table();
-    for (std::size_t s = 0; s < scenario.sweeps.size(); ++s) {
-      pipeline::append_fit_rows(fit_table, species[s], scenario.sweeps[s]);
+    for (const surface::ResponseSurface& surf : scenario.surfaces) {
+      pipeline::append_fit_rows(fit_table, surf.species, surf);
     }
     std::printf("\nscenario %s:\n", scenario.name.c_str());
     fit_table.write_pretty(std::cout);
