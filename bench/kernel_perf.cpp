@@ -8,6 +8,7 @@
 #include <array>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <vector>
@@ -499,6 +500,62 @@ DcReplay measure_dc(const sram::CellDesign& design, double vdd,
 /// (StrikeSimulator::simulate, a one-lane group per transient) against
 /// lane_width()-wide groups on identical work, and cross-checks that both
 /// produce bit-identical outcomes.
+/// The strike cull's soundness replay: kCullStrikes uniform, isotropic
+/// strikes per species on the paper's 9×9 array, drawn as ArrayMc draws
+/// them, through both footprint tests. Every strike that either test
+/// rejects is checked against the exact oracle: the brute-force
+/// BoxSet::query (every box's slab test) must find no crossing, and the
+/// transport must deposit nothing.
+struct CullReplay {
+  std::size_t strikes = 0;
+  std::size_t reach_rejects = 0;    ///< Culled before the direction's trig.
+  std::size_t segment_rejects = 0;  ///< Past the reach test, no grid walk.
+  bool sound = true;
+};
+
+CullReplay measure_cull() {
+  constexpr std::size_t kCullStrikes = 100000;
+  const sram::ArrayLayout layout(9, 9, sram::CellGeometry{});
+  const core::ArrayMcConfig defaults;
+  const geom::UniformGrid& index = *layout.fin_index();
+  const double margin = defaults.source_margin_nm;
+  const double z_source = layout.bounds().hi.z + defaults.source_height_nm;
+  const double depth = z_source - layout.bounds().lo.z;
+  phys::Transporter tr(layout.fin_index(), phys::Transporter::Config{});
+  phys::TrackResult track;
+  std::vector<geom::BoxHit> hits;
+  CullReplay out;
+  for (const phys::Species species :
+       {phys::Species::kAlpha, phys::Species::kProton}) {
+    stats::Rng rng(species == phys::Species::kAlpha ? 1 : 2);
+    for (std::size_t i = 0; i < kCullStrikes; ++i) {
+      geom::Ray ray;
+      ray.origin = {rng.uniform(-margin, layout.width_nm() + margin),
+                    rng.uniform(-margin, layout.height_nm() + margin),
+                    z_source};
+      const stats::PolarDirection polar =
+          stats::draw_isotropic_hemisphere_down(rng);
+      ray.dir = stats::direction(polar);
+      if (ray.dir.z == 0.0) ray.dir.z = -1e-12;
+      const stats::LateralRun run = stats::lateral_run(polar);
+      const bool reach = index.reach_empty(ray.origin.x, ray.origin.y,
+                                           depth * run.x, depth * run.y);
+      const bool segment = index.segment_misses(ray);
+      ++out.strikes;
+      if (reach) {
+        ++out.reach_rejects;
+      } else if (segment) {
+        ++out.segment_rejects;
+      }
+      if (!reach && !segment) continue;
+      layout.fins().query(ray, hits);
+      tr.transport(ray, species, 2.0, rng, track);
+      if (!hits.empty() || !track.deposits.empty()) out.sound = false;
+    }
+  }
+  return out;
+}
+
 void report_spice_kernel() {
   const sram::CellDesign design;
   const double vdd = 0.8;
@@ -650,6 +707,12 @@ void report_spice_kernel() {
   const LuReplay lu = measure_lu(design, vdd, lu_dvts, lu_charges);
   // The hold-state DC replay over every PV draw.
   const DcReplay dc = measure_dc(design, vdd, dvts);
+  // The array strike cull's soundness replay.
+  const CullReplay cull = measure_cull();
+  const double reach_share = static_cast<double>(cull.reach_rejects) /
+                             static_cast<double>(cull.strikes);
+  const double segment_share = static_cast<double>(cull.segment_rejects) /
+                               static_cast<double>(cull.strikes);
 
   util::CsvTable t({"path", "seconds", "transients_per_s", "speedup",
                     "identical"});
@@ -681,11 +744,17 @@ void report_spice_kernel() {
   bench::emit(dt, "spice_dc",
               "Hold-state DC solves of the PV draws: one-lane vs lane-batched "
               "chains (identical must be 1)");
+  util::CsvTable ct({"strikes", "reach_share", "segment_share", "sound"});
+  ct.add_row({static_cast<double>(cull.strikes), reach_share, segment_share,
+              cull.sound ? 1.0 : 0.0});
+  bench::emit(ct, "array_cull",
+              "Array strikes the footprint tests end early, 9x9, alpha + "
+              "proton (sound must be 1)");
 
   std::filesystem::create_directories(bench::kOutDir);
   const std::string path = std::string(bench::kOutDir) + "/spice_kernel.json";
   std::ofstream os(path);
-  char body[3072];
+  char body[4096];
   std::snprintf(body, sizeof body,
                 "{\n%s"
                 "  \"kernel\": \"spice_strike_transient\",\n"
@@ -718,7 +787,11 @@ void report_spice_kernel() {
                 "  \"dc_chain\": %zu,\n"
                 "  \"dc_scalar_us_per_solve\": %.3f,\n"
                 "  \"dc_batched_us_per_solve\": %.3f,\n"
-                "  \"dc_bit_identical\": %s\n"
+                "  \"dc_bit_identical\": %s,\n"
+                "  \"cull_strikes\": %zu,\n"
+                "  \"cull_reach_share\": %.4f,\n"
+                "  \"cull_segment_share\": %.4f,\n"
+                "  \"cull_sound\": %s\n"
                 "}\n",
                 bench::machine_json_fields().c_str(), kSamples,
                 kSimsPerSample, scalar_s, batched_s, scalar_rate,
@@ -730,7 +803,8 @@ void report_spice_kernel() {
                 lu.divisions_per_solve, lu.unknowns * (lu.unknowns - 1) / 2,
                 lu.bit_identical ? "true" : "false", dc.solves, dc.chain,
                 dc.scalar_us_per_solve, dc.batched_us_per_solve,
-                dc.bit_identical ? "true" : "false");
+                dc.bit_identical ? "true" : "false", cull.strikes, reach_share,
+                segment_share, cull.sound ? "true" : "false");
   os << body;
   std::cout << "[json] " << path << "\n";
 }

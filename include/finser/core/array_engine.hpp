@@ -224,7 +224,8 @@ class ArrayEngine {
   /// the strike loop reuses per-cell charge slots and one track buffer, so
   /// each pool slot gets its own copy (created lazily on first chunk, on the
   /// worker's thread) and a strike allocates nothing once the buffers have
-  /// grown to fit.
+  /// grown to fit. Every copy's Transporter shares the layout's one
+  /// read-only fin index.
   struct WorkerScratch {
     phys::Transporter transporter;
     phys::TrackResult track;  ///< Filled by transporter.transport per track.

@@ -22,10 +22,20 @@
 /// The chunked strike driver, accumulation and cancellation live in the
 /// common base (core/array_engine.hpp); this engine supplies only the
 /// charged-particle source sampling and per-strike physics.
+///
+/// Most uniform strikes cross no fin. Once a uniform or Sobol strike has
+/// drawn its origin and its direction's polar draws, the rectangle its
+/// track can reach before it leaves the fin layer is tested against the
+/// layout's footprint table (geom::UniformGrid::reach_empty). An empty
+/// rectangle is a provable miss, scored as one without the direction's
+/// trig, the grid walk or the transport, none of which draws a random
+/// number for a miss; so every result bit is the one a transported miss
+/// gives (docs/physics.md §5.1).
 
 #include <vector>
 
 #include "finser/core/array_engine.hpp"
+#include "finser/stats/direction.hpp"
 
 namespace finser::core {
 
@@ -141,6 +151,16 @@ class ArrayMc final : public ArrayEngine {
  private:
   ArrayMcConfig config_;
   geom::Vec3 beam_dir_;  ///< Normalized beam direction (kBeam law).
+  /// The source plane [x_lo, x_hi] × [y_lo, y_hi] at height z [nm].
+  struct SourcePlane {
+    double x_lo = 0.0, x_hi = 0.0, y_lo = 0.0, y_hi = 0.0, z = 0.0;
+  };
+  SourcePlane plane_;
+  /// Descent from the source plane to the lowest fin bottom [nm]: a track
+  /// below it crosses no fin.
+  double reach_depth_nm_ = 0.0;
+  /// The beam's x-y run per unit of descent (kBeam law).
+  stats::LateralRun beam_run_;
   /// Cluster surface in use: the shared one from the config, else the
   /// engine-owned fallback, else null (1x1 — per-cell path).
   std::unique_ptr<sram::ClusterPofSurface> owned_surface_;

@@ -15,9 +15,13 @@
 /// its fin and its background material at construction, and evaluates the
 /// energy-dependent terms once per segment entry: the segment's first CSDA
 /// step, its straggling draw and (in a fin) the ionizing fraction share
-/// them. The array strike loops call the buffer-filling transport() with a
+/// them. The terms at a track's entry energy are kept per (species,
+/// material) until a track enters at another energy: an array energy bin
+/// shoots every strike at one energy, so its first segments all reuse them.
+/// The array strike loops call the buffer-filling transport() with a
 /// TrackResult they keep per worker, so once the buffers have grown a strike
-/// allocates nothing.
+/// allocates nothing. Their Transporters share the layout's read-only fin
+/// index (sram::ArrayLayout::fin_index()).
 
 #include <array>
 #include <cstdint>
@@ -58,9 +62,12 @@ class Transporter {
     const Material* background_material = nullptr;  ///< Default: silicon_dioxide().
   };
 
-  /// \param fins collecting boxes; must stay alive and unmodified.
+  /// \param fins collecting boxes; the Transporter indexes a copy.
   explicit Transporter(const geom::BoxSet& fins);
   Transporter(const geom::BoxSet& fins, const Config& config);
+  /// Transport through the boxes of a shared, read-only \p index.
+  Transporter(std::shared_ptr<const geom::UniformGrid> index,
+              const Config& config);
 
   Transporter(const Transporter&) = delete;
   Transporter& operator=(const Transporter&) = delete;
@@ -78,19 +85,22 @@ class Transporter {
     return out;
   }
 
-  const geom::BoxSet& fins() const { return *fins_; }
+  const geom::BoxSet& fins() const { return grid_->set(); }
 
  private:
   /// One evaluator per Species enumerator, in declaration order.
   using PerSpecies = std::array<EnergyLoss, 5>;
   static PerSpecies evaluators(const Material& m);
+  /// Terms at the last entry energy per species (e_mev 0: none yet).
+  using EntryTerms = std::array<EnergyLoss::Terms, 5>;
 
-  const geom::BoxSet* fins_;
   Config config_;
-  std::unique_ptr<geom::UniformGrid> grid_;
+  std::shared_ptr<const geom::UniformGrid> grid_;
   std::vector<geom::BoxHit> scratch_hits_;
   PerSpecies fin_loss_;
   PerSpecies background_loss_;
+  EntryTerms fin_entry_{};
+  EntryTerms background_entry_{};
 };
 
 }  // namespace finser::phys

@@ -17,6 +17,7 @@
 /// bitline, z vertical with fins spanning [0, H_fin] on top of the BOX.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -98,7 +99,14 @@ class ArrayLayout {
   const CellGeometry& geometry() const { return geometry_; }
 
   /// All fin boxes (ids are FinSite indices).
-  const geom::BoxSet& fins() const { return fins_; }
+  const geom::BoxSet& fins() const { return index_->set(); }
+
+  /// The fins' ray-query index, built once with the layout. It is
+  /// read-only, so every strike worker shares it, and copies of the layout
+  /// share it too.
+  const std::shared_ptr<const geom::UniformGrid>& fin_index() const {
+    return index_;
+  }
 
   /// Owner of fin box \p fin_id.
   const FinSite& site(std::uint32_t fin_id) const;
@@ -111,7 +119,7 @@ class ArrayLayout {
   double height_nm() const { return static_cast<double>(rows_) * geometry_.cell_h_nm; }
 
   /// Bounding box of all fins.
-  geom::Aabb bounds() const { return fins_.bounds(); }
+  const geom::Aabb& bounds() const { return bounds_; }
 
   /// Which strike current a deposit in a transistor feeds, given the cell's
   /// stored bit: 0 → I1, 1 → I2, 2 → I3, nullopt → transistor not sensitive.
@@ -130,7 +138,8 @@ class ArrayLayout {
   CellGeometry geometry_;
   DataPattern pattern_;
   std::uint64_t pattern_seed_;
-  geom::BoxSet fins_;
+  std::shared_ptr<const geom::UniformGrid> index_;
+  geom::Aabb bounds_;
   std::vector<FinSite> sites_;
   std::vector<double> efficiency_;
   std::vector<std::uint8_t> bits_;

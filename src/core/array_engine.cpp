@@ -134,7 +134,7 @@ McPartial McPartial::merge(McPartial a, McPartial b) {
 
 ArrayEngine::WorkerScratch::WorkerScratch(const sram::ArrayLayout& layout,
                                           const phys::Transporter::Config& tc)
-    : transporter(layout.fins(), tc),
+    : transporter(layout.fin_index(), tc),
       cell_charges(layout.cell_count(), sram::StrikeCharges{}) {}
 
 ArrayEngine::ArrayEngine(const sram::ArrayLayout& layout,

@@ -84,10 +84,18 @@ ArrayMc::ArrayMc(const sram::ArrayLayout& layout,
   FINSER_REQUIRE(config_.strikes > 0, "ArrayMc: need at least one strike");
   FINSER_REQUIRE(config_.chunk > 0, "ArrayMc: chunk must be positive");
   FINSER_REQUIRE(!model.tables.empty(), "ArrayMc: empty cell model");
+  const geom::Aabb& fin_bounds = layout.bounds();
+  plane_.x_lo = -config_.source_margin_nm;
+  plane_.x_hi = layout.width_nm() + config_.source_margin_nm;
+  plane_.y_lo = -config_.source_margin_nm;
+  plane_.y_hi = layout.height_nm() + config_.source_margin_nm;
+  plane_.z = fin_bounds.hi.z + config_.source_height_nm;
+  reach_depth_nm_ = plane_.z - fin_bounds.lo.z;
   if (config_.angular == SourceAngularLaw::kBeam) {
     FINSER_REQUIRE(config_.beam_direction.z < 0.0,
                    "ArrayMc: beam direction must point downward");
     beam_dir_ = config_.beam_direction.normalized();
+    beam_run_ = {beam_dir_.x / -beam_dir_.z, beam_dir_.y / -beam_dir_.z};
   }
   if (config_.cluster.enabled()) {
     FINSER_REQUIRE(config_.cluster_design != nullptr,
@@ -120,13 +128,12 @@ ArrayMc::ArrayMc(const sram::ArrayLayout& layout,
       const geom::Aabb& b = fins.box(id);
       base.push_back({b.lo.x, b.hi.x, b.lo.y, b.hi.y});
     }
-    const geom::Aabb bounds = layout.bounds();
-    const double layer_nm = bounds.hi.z - bounds.lo.z;
+    const double layer_nm = fin_bounds.hi.z - fin_bounds.lo.z;
     focus_mid_depth_nm_ = config_.source_height_nm + 0.5 * layer_nm;
-    const double x_lo = -config_.source_margin_nm;
-    const double x_hi = layout.width_nm() + config_.source_margin_nm;
-    const double y_lo = -config_.source_margin_nm;
-    const double y_hi = layout.height_nm() + config_.source_margin_nm;
+    const double x_lo = plane_.x_lo;
+    const double x_hi = plane_.x_hi;
+    const double y_lo = plane_.y_lo;
+    const double y_hi = plane_.y_hi;
     // Sweeps are capped at the plane half-diagonal: a longer strip leaves
     // the plane anyway, and the band degrades gracefully toward uniform
     // sampling (weights near 1).
@@ -265,14 +272,12 @@ void ArrayMc::simulate_chunk(const exec::ChunkRange& r,
                              const EnergyPoint& point, std::uint64_t seed,
                              stats::Rng& rng, WorkerScratch& ws,
                              McPartial& part) const {
-  // Pure functions of (config, layout) — recomputing them per chunk instead
-  // of per run is bit-exact and keeps the chunk self-contained.
-  const geom::Aabb fin_bounds = layout().bounds();
-  const double z_source = fin_bounds.hi.z + config_.source_height_nm;
-  const double x_lo = -config_.source_margin_nm;
-  const double x_hi = layout().width_nm() + config_.source_margin_nm;
-  const double y_lo = -config_.source_margin_nm;
-  const double y_hi = layout().height_nm() + config_.source_margin_nm;
+  const double z_source = plane_.z;
+  const double x_lo = plane_.x_lo;
+  const double x_hi = plane_.x_hi;
+  const double y_lo = plane_.y_lo;
+  const double y_hi = plane_.y_hi;
+  const geom::UniformGrid& fin_index = *layout().fin_index();
 
   // Scrambled Sobol point set, keyed by the run seed only: point s is the
   // same value in every chunk, so QMC positions inherit the chunking
@@ -282,41 +287,35 @@ void ArrayMc::simulate_chunk(const exec::ChunkRange& r,
   if (use_sobol) {
     sobol.emplace(stats::Rng::derive_seed(seed, 0x536f626f6cull));  // "Sobol"
   }
+  std::size_t culled = 0;
 
   for (std::size_t s = r.begin; s < r.end; ++s) {
     double w = 1.0;  // Likelihood-ratio weight of this strike.
 
     // Step 1 (paper Sec. 5.1): random particle position and direction.
-    // The angular law is shared by both position modes; the track-aware
-    // importance proposal needs the direction before the origin, uniform
-    // sampling draws position first (the legacy stream order).
-    const auto sample_direction = [&](geom::Ray& out, double& weight) {
-      switch (config_.angular) {
-        case SourceAngularLaw::kIsotropic:
-          if (config_.position == SourcePositionSampling::kImportance) {
-            // Track-aware importance oversamples the grazing tail: those
-            // tracks sweep across many cells and dominate the POF variance.
-            const stats::DirectionSample ds =
-                stats::grazing_hemisphere_down(rng, stats::kGrazingBias);
-            out.dir = ds.dir;
-            weight *= ds.weight;
-          } else {
-            out.dir = stats::isotropic_hemisphere_down(rng);
-          }
-          break;
-        case SourceAngularLaw::kCosine:
-          out.dir = stats::cosine_hemisphere_down(rng);
-          break;
-        case SourceAngularLaw::kBeam:
-          out.dir = beam_dir_;
-          break;
-      }
-      if (out.dir.z == 0.0) out.dir.z = -1e-12;  // Guard true horizontals.
-    };
-
+    // The track-aware importance proposal needs the direction before the
+    // origin; uniform sampling draws position first (the legacy stream
+    // order).
     geom::Ray ray;
     if (config_.position == SourcePositionSampling::kImportance) {
-      sample_direction(ray, w);
+      switch (config_.angular) {
+        case SourceAngularLaw::kIsotropic: {
+          // Track-aware importance oversamples the grazing tail: those
+          // tracks sweep across many cells and dominate the POF variance.
+          const stats::DirectionSample ds =
+              stats::grazing_hemisphere_down(rng, stats::kGrazingBias);
+          ray.dir = ds.dir;
+          w *= ds.weight;
+          break;
+        }
+        case SourceAngularLaw::kCosine:
+          ray.dir = stats::cosine_hemisphere_down(rng);
+          break;
+        case SourceAngularLaw::kBeam:
+          ray.dir = beam_dir_;
+          break;
+      }
+      if (ray.dir.z == 0.0) ray.dir.z = -1e-12;  // Guard true horizontals.
       const double u_sel = use_sobol ? sobol->point(s, 0) : rng.uniform();
       const double u_x = use_sobol ? sobol->point(s, 1) : rng.uniform();
       const double u_y = use_sobol ? sobol->point(s, 2) : rng.uniform();
@@ -384,14 +383,33 @@ void ArrayMc::simulate_chunk(const exec::ChunkRange& r,
           ray.origin = {ox, oy, z_source};
         }
       }
-    } else if (use_sobol) {
-      ray.origin = {x_lo + (x_hi - x_lo) * sobol->point(s, 1),
-                    y_lo + (y_hi - y_lo) * sobol->point(s, 2), z_source};
-      sample_direction(ray, w);
     } else {
-      ray.origin = {rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi),
-                    z_source};
-      sample_direction(ray, w);
+      const double ox = use_sobol ? x_lo + (x_hi - x_lo) * sobol->point(s, 1)
+                                  : rng.uniform(x_lo, x_hi);
+      const double oy = use_sobol ? y_lo + (y_hi - y_lo) * sobol->point(s, 2)
+                                  : rng.uniform(y_lo, y_hi);
+      stats::PolarDirection polar;
+      stats::LateralRun run = beam_run_;
+      if (config_.angular != SourceAngularLaw::kBeam) {
+        polar = config_.angular == SourceAngularLaw::kIsotropic
+                    ? stats::draw_isotropic_hemisphere_down(rng)
+                    : stats::draw_cosine_hemisphere_down(rng);
+        run = stats::lateral_run(polar);
+      }
+      if (fin_index.reach_empty(ox, oy, reach_depth_nm_ * run.x,
+                                reach_depth_nm_ * run.y)) {
+        // No fin footprint within the track's reach: a provable miss. A
+        // transported miss draws nothing more and scores exactly this.
+        ++culled;
+        begin_strike(ws);
+        score_strike(ws, part);
+        continue;
+      }
+      ray.origin = {ox, oy, z_source};
+      ray.dir = config_.angular == SourceAngularLaw::kBeam
+                    ? beam_dir_
+                    : stats::direction(polar);
+      if (ray.dir.z == 0.0) ray.dir.z = -1e-12;  // Guard true horizontals.
     }
 
     // Step 2-3: transport, accumulate sensitive-transistor charges per cell.
@@ -417,6 +435,7 @@ void ArrayMc::simulate_chunk(const exec::ChunkRange& r,
       score_weighted_history(ws, part, w);
     }
   }
+  FINSER_OBS_COUNT("core.array_mc.strikes_culled", culled);
 }
 
 }  // namespace finser::core

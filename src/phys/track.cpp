@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "finser/phys/collection.hpp"
 #include "finser/util/error.hpp"
@@ -28,13 +29,18 @@ Transporter::Transporter(const geom::BoxSet& fins)
     : Transporter(fins, Config{}) {}
 
 Transporter::Transporter(const geom::BoxSet& fins, const Config& config)
-    : fins_(&fins),
-      config_(with_default_materials(config)),
+    : Transporter(fins.empty() ? nullptr
+                               : std::make_shared<const geom::UniformGrid>(fins),
+                  config) {}
+
+Transporter::Transporter(std::shared_ptr<const geom::UniformGrid> index,
+                         const Config& config)
+    : config_(with_default_materials(config)),
+      grid_(std::move(index)),
       fin_loss_(evaluators(*config_.fin_material)),
       background_loss_(evaluators(*config_.background_material)) {
-  FINSER_REQUIRE(!fins.empty(), "Transporter: empty fin set");
+  FINSER_REQUIRE(grid_ != nullptr, "Transporter: empty fin set");
   FINSER_REQUIRE(config_.cutoff_mev > 0.0, "Transporter: cutoff must be positive");
-  grid_ = std::make_unique<geom::UniformGrid>(fins);
 }
 
 void Transporter::transport(const geom::Ray& ray, Species s, double e_mev,
@@ -54,6 +60,14 @@ void Transporter::transport(const geom::Ray& ray, Species s, double e_mev,
   const EnergyLoss& fin_loss = fin_loss_[species];
   const EnergyLoss& bg_loss = background_loss_[species];
   const Material& fin_mat = *config_.fin_material;
+  // Terms of a segment entered at energy e; those at the track's entry
+  // energy come from (and refresh) the per-species memo.
+  const auto terms_at = [e_mev](const EnergyLoss& loss,
+                                EnergyLoss::Terms& memo, double e) {
+    if (e != e_mev) return loss.at(e);
+    if (memo.e_mev != e) memo = loss.at(e);
+    return memo;
+  };
 
   double e = e_mev;
   double t_cursor = 0.0;  // Track parameter [nm] processed so far.
@@ -68,7 +82,8 @@ void Transporter::transport(const geom::Ray& ray, Species s, double e_mev,
     // 1) Background segment up to the fin entry: degrades energy only.
     const double bg_len = t_in - t_cursor;
     if (bg_len > 0.0) {
-      const EnergyLoss::Terms entry = bg_loss.at(e);
+      const EnergyLoss::Terms entry =
+          terms_at(bg_loss, background_entry_[species], e);
       const double mean_bg = bg_loss.csda_loss(entry, bg_len);
       e -= bg_loss.sample_loss(config_.straggling, rng, entry, mean_bg, bg_len);
       if (e <= config_.cutoff_mev) {
@@ -80,7 +95,7 @@ void Transporter::transport(const geom::Ray& ray, Species s, double e_mev,
     // 2) Fin segment: deposit collectable ionizing energy.
     const double fin_len = t_out - t_in;
     if (fin_len > 0.0) {
-      const EnergyLoss::Terms entry = fin_loss.at(e);
+      const EnergyLoss::Terms entry = terms_at(fin_loss, fin_entry_[species], e);
       const double mean_fin = fin_loss.csda_loss(entry, fin_len);
       const double loss_fin = fin_loss.sample_loss(config_.straggling, rng,
                                                    entry, mean_fin, fin_len);

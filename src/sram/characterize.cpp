@@ -453,6 +453,11 @@ struct Task {
   const DeltaVt* dvt = nullptr;  ///< kBisect: the sample's shifts; null: nominal.
   ScaleBracket bracket;          ///< kBisect, when `predicted`.
 
+  /// Every strike of the task runs at ΔVt = 0.
+  bool nominal() const {
+    return kind == Kind::kBoundary || (kind == Kind::kBisect && dvt == nullptr);
+  }
+
   // --- Outputs -------------------------------------------------------------
   bool failed = false;           ///< kBisect / kBoundary: a strike failed…
   std::unique_ptr<std::string> error;  ///< …with this text.
@@ -481,12 +486,15 @@ Task grid_task(Task::Kind kind, const GridRun& grid, std::size_t point) {
 
 /// One worker's lanes draining a phase: the StrikeFeed \p sim runs. A lane
 /// holds one task at a time; when the task needs no further strike the lane
-/// claims the next one from the phase's shared cursor.
+/// claims the next one from the phase's shared cursor. A nominal task's
+/// first strike takes the voltage's nominal hold state, \p nominal, which
+/// is solved once before the phases and only read here.
 class PhaseFeed final : public StrikeFeed {
  public:
   PhaseFeed(std::vector<Task>& tasks, exec::TaskCursor& cursor,
-            const CellCharacterizer& ch, StrikeSimulator& sim)
-      : tasks_(tasks), cursor_(cursor), ch_(ch), sim_(sim) {}
+            const CellCharacterizer& ch, StrikeSimulator& sim,
+            const StrikeSimulator::HoldState& nominal)
+      : tasks_(tasks), cursor_(cursor), ch_(ch), sim_(sim), nominal_(nominal) {}
 
   /// Count the strikes this worker ran per stage, and its predicted
   /// bisections that verified their bracket or fell back to the plain one.
@@ -510,6 +518,7 @@ class PhaseFeed final : public StrikeFeed {
       start(l, tasks_[i]);
       if (advance(l, strike)) {
         strike.new_task = true;
+        if (tasks_[i].nominal()) strike.hold = &nominal_;
         return true;
       }
     }
@@ -651,6 +660,7 @@ class PhaseFeed final : public StrikeFeed {
   exec::TaskCursor& cursor_;
   const CellCharacterizer& ch_;
   StrikeSimulator& sim_;
+  const StrikeSimulator::HoldState& nominal_;
   std::array<Lane, spice::kMaxLaneWidth> lanes_;
   std::array<std::size_t, kStageCount> transients_{};
   std::size_t hits_ = 0;
@@ -680,12 +690,14 @@ struct SimSlots {
 /// Drain one phase: every worker streams the list's tasks through its
 /// simulator's lanes. Throws util::Cancelled if \p cancel fires.
 void run_phase(exec::ThreadPool& pool, SimSlots& sims, std::vector<Task>& tasks,
-               const CellCharacterizer& ch, const exec::CancelToken* cancel) {
+               const CellCharacterizer& ch,
+               const StrikeSimulator::HoldState& nominal,
+               const exec::CancelToken* cancel) {
   require_complete(pool.parallel_drain(
       tasks.size(),
       [&](exec::TaskCursor& cursor) {
         StrikeSimulator& sim = sims.at(cursor.worker());
-        PhaseFeed feed(tasks, cursor, ch, sim);
+        PhaseFeed feed(tasks, cursor, ch, sim, nominal);
         sim.simulate_stream(feed, ch.config().pulse_kind);
       },
       cancel));
@@ -820,6 +832,14 @@ PofTable CellCharacterizer::characterize_at(double vdd_v, std::uint64_t seed,
     qcrit[which].resize(n_pv);
   }
 
+  // The nominal (ΔVt = 0) hold state, solved once on this thread — pool
+  // slot 0, whose simulator it uses — for every nominal bisection and
+  // boundary search of the voltage, so no task re-solves it and the
+  // spice.dc.* counts do not depend on the thread count.
+  StrikeSimulator::HoldState nominal_hold;
+  const DeltaVt nominal_dvt{};
+  sims.at(0).solve_holds(&nominal_dvt, 1, &nominal_hold);
+
   // Phase 0: the nominal bisections, which place the grid axes, and each
   // current's plain-searched PV prefix, which the bracket predictor needs.
   std::vector<Task> tasks;
@@ -832,7 +852,7 @@ PofTable CellCharacterizer::characterize_at(double vdd_v, std::uint64_t seed,
       tasks.push_back(bisect_task(Stage::kSingle, which, &dvts[which][k]));
     }
   }
-  run_phase(pool, sims, tasks, *this, cancel);
+  run_phase(pool, sims, tasks, *this, nominal_hold, cancel);
   require_no_failure(tasks, 0, 3);
   for (std::size_t which = 0; which < 3; ++which) {
     table.singles[which].nominal_qcrit_fc = tasks[which].qcrit;
@@ -867,7 +887,8 @@ PofTable CellCharacterizer::characterize_at(double vdd_v, std::uint64_t seed,
   // Phase 1: the rest of the PV samples, each searched from the bracket its
   // current's prefix fit predicts, and every grid's nominal boundary — a
   // binary search for the first flipping point along each line (the flip
-  // region is monotone). Lines are ΔVt-free, so a task pays one DC solve.
+  // region is monotone). Lines are ΔVt-free, so a task starts from the
+  // nominal hold state and solves no DC.
   tasks.clear();
   std::size_t n_lines = 0;
   for (const GridRun& g : grids) n_lines += g.lines();
@@ -888,7 +909,7 @@ PofTable CellCharacterizer::characterize_at(double vdd_v, std::uint64_t seed,
       tasks.push_back(grid_task(Task::Kind::kBoundary, g, line * g.np()));
     }
   }
-  run_phase(pool, sims, tasks, *this, cancel);
+  run_phase(pool, sims, tasks, *this, nominal_hold, cancel);
   require_no_failure(tasks, n_rest, tasks.size());
 
   for (std::size_t which = 0; which < 3; ++which) {
@@ -957,7 +978,7 @@ PofTable CellCharacterizer::characterize_at(double vdd_v, std::uint64_t seed,
       }
     }
   }
-  run_phase(pool, sims, tasks, *this, cancel);
+  run_phase(pool, sims, tasks, *this, nominal_hold, cancel);
 
   std::array<std::vector<double>, 4> pv;
   for (std::size_t gi = 0; gi < grids.size(); ++gi) {

@@ -1,5 +1,7 @@
 #include "finser/sram/layout.hpp"
 
+#include <utility>
+
 #include "finser/stats/rng.hpp"
 #include "finser/util/error.hpp"
 
@@ -88,6 +90,7 @@ void ArrayLayout::build() {
       {Role::kPdR, geometry_.x_nfin_right_nm, geometry_.y_poly_b_nm, geometry_.nfin_pd},
   };
 
+  geom::BoxSet fins;
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t c = 0; c < cols_; ++c) {
       const bool mirror_x = (c % 2) == 1;
@@ -111,7 +114,7 @@ void ArrayLayout::build() {
                     oy + ly - 0.5 * geometry_.gate_len_nm, 0.0};
           box.hi = {ox + lx + 0.5 * geometry_.fin_w_nm,
                     oy + ly + 0.5 * geometry_.gate_len_nm, geometry_.fin_h_nm};
-          fins_.add(box);
+          fins.add(box);
           sites_.push_back(FinSite{static_cast<std::uint32_t>(r),
                                    static_cast<std::uint32_t>(c), ls.role});
           efficiency_.push_back(1.0);
@@ -126,7 +129,7 @@ void ArrayLayout::build() {
               geom::Aabb sub = box;
               sub.lo.z = -tier.depth_hi_nm;
               sub.hi.z = -tier.depth_lo_nm;
-              fins_.add(sub);
+              fins.add(sub);
               sites_.push_back(FinSite{static_cast<std::uint32_t>(r),
                                        static_cast<std::uint32_t>(c), ls.role});
               efficiency_.push_back(tier.efficiency);
@@ -136,6 +139,8 @@ void ArrayLayout::build() {
       }
     }
   }
+  bounds_ = fins.bounds();
+  index_ = std::make_shared<const geom::UniformGrid>(std::move(fins));
 }
 
 }  // namespace finser::sram

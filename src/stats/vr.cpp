@@ -102,8 +102,7 @@ DirectionSample grazing_hemisphere_down(Rng& rng, double delta) {
     const double u = rng.uniform();
     const double z = std::min(1.0, kGrazingZ0 * std::expm1(u * log_span));
     const double phi = rng.uniform(0.0, 2.0 * std::numbers::pi);
-    const double r = std::sqrt(std::max(0.0, 1.0 - z * z));
-    s.dir = {r * std::cos(phi), r * std::sin(phi), -z};
+    s.dir = direction({std::sqrt(std::max(0.0, 1.0 - z * z)), -z, phi});
   } else {
     s.dir = isotropic_hemisphere_down(rng);
   }

@@ -2,12 +2,18 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "finser/core/array_mc.hpp"
 #include "finser/exec/cancel.hpp"
+#include "finser/obs/obs.hpp"
 #include "finser/stats/summary.hpp"
 #include "finser/util/error.hpp"
+#include "finser/util/fingerprint.hpp"
 
 namespace finser::core {
 namespace {
@@ -203,6 +209,81 @@ TEST(ArrayMc, RejectsBadInputs) {
   EXPECT_THROW(ArrayMc(layout, empty, fast_config()), util::InvalidArgument);
   ArrayMc mc(layout, model, fast_config());
   EXPECT_THROW(mc.run(phys::Species::kAlpha, 0.0, 8), util::InvalidArgument);
+}
+
+// A uniform or Sobol strike whose reach square touches no fin footprint is
+// scored as a miss without its direction's trig, the grid walk or the
+// transport, and a transported miss draws no random number either. So no
+// result byte may change. The digests are FNV-1a hashes of encode_result()
+// from a build that transported every strike; the runs use four threads, so
+// their workers read the layout's one fin index concurrently.
+TEST(ArrayMc, CulledStrikesAreByteIdentical) {
+  const sram::CellDesign design;
+  const ArrayLayout soi(3, 3, CellGeometry{});
+  CellGeometry bulk_geometry;
+  bulk_geometry.technology = sram::TechnologyKind::kBulk;
+  const ArrayLayout bulk(3, 3, bulk_geometry);
+  const CellSoftErrorModel model = synthetic_model(0.8, 0.05);
+
+  struct Case {
+    const char* name;
+    const ArrayLayout* layout;
+    std::function<void(ArrayMcConfig&)> edit;
+    std::uint64_t digest;
+  };
+  const std::vector<Case> cases = {
+      {"uniform", &soi, [](ArrayMcConfig&) {}, 0x9f793e967a8661afull},
+      {"uniform + Sobol", &soi,
+       [](ArrayMcConfig& c) { c.sampling.qmc = stats::QmcMode::kSobol; },
+       0xefb83ae0ca06d510ull},
+      {"importance", &soi,
+       [](ArrayMcConfig& c) {
+         c.position = SourcePositionSampling::kImportance;
+       },
+       0xb7cf25ebb47ad6e8ull},
+      {"cosine", &soi,
+       [](ArrayMcConfig& c) { c.angular = SourceAngularLaw::kCosine; },
+       0xf3daf0b6c344831full},
+      {"beam", &soi,
+       [](ArrayMcConfig& c) {
+         c.angular = SourceAngularLaw::kBeam;
+         c.beam_direction = {0.3, 0.1, -1.0};
+       },
+       0xd52f1cf1eb277916ull},
+      {"cluster 2x2", &soi,
+       [&design](ArrayMcConfig& c) {
+         c.cluster.mode = sram::ClusterMode::k2x2;
+         c.cluster.pv_samples = 2;
+         c.cluster_design = &design;
+       },
+       0xb08c24d0c548ea3full},
+      {"bulk", &bulk, [](ArrayMcConfig&) {}, 0xa9caec07a9ea62a6ull},
+  };
+
+  obs::set_enabled(true);
+  obs::Registry::global().reset();
+  for (const Case& c : cases) {
+    ArrayMcConfig cfg;
+    cfg.strikes = 6000;
+    cfg.chunk = 256;
+    cfg.threads = 4;
+    c.edit(cfg);
+    const ArrayMc mc(*c.layout, model, cfg);
+    const std::vector<std::uint8_t> blob =
+        encode_result(mc.run(phys::Species::kAlpha, 1.5, 31));
+    const std::uint64_t digest =
+        util::Fnv1a().bytes(blob.data(), blob.size()).hash();
+    EXPECT_EQ(digest, c.digest)
+        << c.name << ": 0x" << std::hex << digest;
+  }
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& row : obs::Registry::global().snapshot().counters) {
+    counters[row.name] = row.total;
+  }
+  obs::set_enabled(false);
+  obs::Registry::global().reset();
+  EXPECT_GT(counters["core.array_mc.strikes_culled"], 0u);
+  EXPECT_GT(counters["geom.grid.prefilter_rejects"], 0u);
 }
 
 // ---------------------------------------------------------------------------

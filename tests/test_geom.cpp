@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "finser/geom/aabb.hpp"
 #include "finser/geom/box_set.hpp"
@@ -217,6 +219,116 @@ TEST(UniformGrid, MatchesBruteForceOnRandomScenes) {
   }
 }
 
+// The footprint table may only ever prove misses. Scenes mix touching
+// boxes, zero-thickness boxes and boxes at several z levels (a fin with
+// bulk collection tiers below it). Every rectangle footprint_empty()
+// calls empty must overlap no box's closed x-y footprint, and one that
+// touches a box edge is never empty. On slab-shaped scenes lit from above,
+// query() must still return BoxSet::query()'s hits, and every ray that the
+// segment or reach test rejects must cross no box.
+TEST(UniformGrid, FootprintTestNeverRejectsAHit) {
+  stats::Rng rng(20141031);
+  const auto overlaps = [](const Aabb& b, double x_lo, double x_hi,
+                           double y_lo, double y_hi) {
+    return b.lo.x <= x_hi && b.hi.x >= x_lo && b.lo.y <= y_hi &&
+           b.hi.y >= y_lo;
+  };
+  std::size_t empty_rects = 0;
+  for (int scene = 0; scene < 6; ++scene) {
+    BoxSet set;
+    for (int i = 0; i < 40; ++i) {
+      const Vec3 lo{rng.uniform(0, 600), rng.uniform(0, 300),
+                    rng.uniform(0, 20)};
+      Vec3 size{rng.uniform(2, 40), rng.uniform(2, 40), rng.uniform(2, 30)};
+      if (i % 7 == 0) size.x = 0.0;
+      if (i % 11 == 0) size.y = 0.0;
+      set.add({lo, lo + size});
+      if (i % 5 == 0) {
+        set.add({{lo.x + size.x, lo.y, lo.z},
+                 {lo.x + size.x + 10.0, lo.y + size.y, lo.z + size.z}});
+        set.add({{lo.x, lo.y, -300.0}, {lo.x + size.x, lo.y + size.y, -100.0}});
+      }
+    }
+    const UniformGrid grid(set);
+    for (int q = 0; q < 4000; ++q) {
+      const double x_lo = rng.uniform(-100, 700);
+      const double y_lo = rng.uniform(-100, 400);
+      const double x_hi = x_lo + rng.uniform(0, 30);
+      const double y_hi = y_lo + rng.uniform(0, 30);
+      if (!grid.footprint_empty(x_lo, x_hi, y_lo, y_hi)) continue;
+      ++empty_rects;
+      for (const Aabb& b : set.boxes()) {
+        ASSERT_FALSE(overlaps(b, x_lo, x_hi, y_lo, y_hi))
+            << "scene " << scene << ": [" << x_lo << ", " << x_hi << "] x ["
+            << y_lo << ", " << y_hi << "] overlaps a footprint";
+      }
+    }
+    for (const Aabb& b : set.boxes()) {
+      const double w = rng.uniform(0, 30);
+      EXPECT_FALSE(grid.footprint_empty(b.lo.x - w, b.lo.x, b.lo.y, b.hi.y));
+      EXPECT_FALSE(grid.footprint_empty(b.hi.x, b.hi.x + w, b.lo.y, b.hi.y));
+      EXPECT_FALSE(grid.footprint_empty(b.lo.x, b.hi.x, b.lo.y - w, b.lo.y));
+      EXPECT_FALSE(grid.footprint_empty(b.lo.x, b.hi.x, b.hi.y, b.hi.y + w));
+    }
+  }
+  EXPECT_GT(empty_rects, 1000u);
+
+  std::size_t segment_rejects = 0;
+  std::size_t reach_rejects = 0;
+  for (int scene = 0; scene < 4; ++scene) {
+    // Fin-like boxes in one thin slab, half of them with a tier below.
+    BoxSet set;
+    for (int i = 0; i < 80; ++i) {
+      const Vec3 lo{rng.uniform(0, 1500), rng.uniform(0, 600), 0.0};
+      const Vec3 hi = lo + Vec3{10.0, 20.0, 26.0};
+      set.add({lo, hi});
+      if (scene % 2 == 1) set.add({{lo.x, lo.y, -100.0}, {hi.x, hi.y, 0.0}});
+    }
+    const UniformGrid grid(set);
+    const double z_bottom = set.bounds().lo.z;
+    std::vector<BoxHit> brute, fast;
+    for (int q = 0; q < 3000; ++q) {
+      Ray ray;
+      ray.origin = {rng.uniform(-400, 1900), rng.uniform(-400, 1000),
+                    rng.uniform(27, 60)};
+      const stats::PolarDirection polar =
+          stats::draw_isotropic_hemisphere_down(rng);
+      ray.dir = stats::direction(polar);
+      if (ray.dir.z == 0.0) continue;
+      set.query(ray, brute);
+      grid.query(ray, fast);
+      // Overlapping boxes can tie on t_in; order ties by id on both sides.
+      for (std::vector<BoxHit>* hits : {&brute, &fast}) {
+        std::sort(hits->begin(), hits->end(),
+                  [](const BoxHit& a, const BoxHit& b) {
+                    return a.interval.t_in != b.interval.t_in
+                               ? a.interval.t_in < b.interval.t_in
+                               : a.id < b.id;
+                  });
+      }
+      ASSERT_EQ(brute.size(), fast.size()) << "scene " << scene << " ray " << q;
+      for (std::size_t i = 0; i < brute.size(); ++i) {
+        EXPECT_EQ(brute[i].id, fast[i].id);
+        EXPECT_EQ(brute[i].interval.t_in, fast[i].interval.t_in);
+        EXPECT_EQ(brute[i].interval.t_out, fast[i].interval.t_out);
+      }
+      if (grid.segment_misses(ray)) {
+        ++segment_rejects;
+        EXPECT_TRUE(brute.empty()) << "scene " << scene << " ray " << q;
+      }
+      const stats::LateralRun run = stats::lateral_run(polar);
+      const double depth = ray.origin.z - z_bottom;
+      if (grid.reach_empty(ray.origin.x, ray.origin.y, depth * run.x,
+                           depth * run.y)) {
+        ++reach_rejects;
+        EXPECT_TRUE(brute.empty()) << "scene " << scene << " ray " << q;
+      }
+    }
+  }
+  EXPECT_GT(segment_rejects, 500u);
+  EXPECT_GT(reach_rejects, 500u);
+}
+
 TEST(UniformGrid, HandlesAxisAlignedRays) {
   BoxSet set;
   set.add({{0, 0, 0}, {10, 10, 10}});
@@ -242,7 +354,7 @@ TEST(UniformGrid, RepeatQueriesAreConsistent) {
   std::vector<BoxHit> h1, h2;
   const Ray r{{0.5, 0.5, 5}, {0, 0, -1}};
   grid.query(r, h1);
-  grid.query(r, h2);  // Epoch stamping must not suppress re-hits.
+  grid.query(r, h2);  // One query's hits must not suppress the next one's.
   EXPECT_EQ(h1.size(), 1u);
   EXPECT_EQ(h2.size(), 1u);
 }

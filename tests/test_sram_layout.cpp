@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "finser/sram/layout.hpp"
 #include "finser/util/error.hpp"
@@ -71,6 +73,26 @@ TEST(Layout, FootprintMatchesPitch) {
   EXPECT_LE(b.hi.x, layout.width_nm());
   EXPECT_GE(b.lo.y, 0.0);
   EXPECT_LE(b.hi.y, layout.height_nm());
+}
+
+// Copies and moves of a layout share its one fin index, and the index owns
+// its boxes: it keeps answering after the layout it was built by is gone.
+TEST(Layout, CopiesAndMovesShareAFinIndexThatOutlivesTheOriginal) {
+  auto original = std::make_unique<ArrayLayout>(3, 3, CellGeometry{});
+  const ArrayLayout copy = *original;
+  const ArrayLayout moved = std::move(*original);
+  original.reset();
+  EXPECT_EQ(copy.fin_index(), moved.fin_index());
+  EXPECT_EQ(&copy.fins(), &copy.fin_index()->set());
+  const geom::Aabb& box = copy.fins().box(7);
+  const geom::Vec3 c = box.center();
+  std::vector<geom::BoxHit> hits;
+  copy.fin_index()->query({{c.x, c.y, box.hi.z + 5.0}, {0.0, 0.0, -1.0}},
+                          hits);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].id, 7u);
+  EXPECT_EQ(copy.bounds().lo, moved.bounds().lo);
+  EXPECT_EQ(copy.bounds().hi, moved.bounds().hi);
 }
 
 TEST(Layout, SitesMapBackToCells) {
