@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <numbers>
+#include <optional>
 
 #include "bench_common.hpp"
 #include "finser/core/array_mc.hpp"
@@ -45,7 +46,11 @@ Leg run_leg(const sram::ArrayLayout& layout,
   const double tilt = 88.0 * std::numbers::pi / 180.0;
   mc_cfg.beam_direction = {std::sin(tilt), 0.05, -std::cos(tilt)};
   mc_cfg.cluster.mode = mode;
-  mc_cfg.cluster_design = &cfg.cell_design;
+  std::optional<sram::ClusterPofSurface> surface;
+  if (mc_cfg.cluster.enabled()) {
+    surface.emplace(cfg.cell_design, mc_cfg.cluster);
+    mc_cfg.cluster_surface = &*surface;
+  }
 
   const std::uint64_t sims_before =
       obs::Registry::global().counter("sram.cluster.sims").total();

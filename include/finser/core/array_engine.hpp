@@ -1,17 +1,18 @@
 #pragma once
 /// \file array_engine.hpp
-/// \brief Common interface + chunked driver of the array-level Monte Carlos.
+/// \brief Common run loop and strike scoring of the array-level Monte Carlos.
 ///
 /// Both array engines — the charged-particle ArrayMc (direct ionization) and
 /// the forced-interaction NeutronArrayMc (indirect ionization) — reduce the
 /// same loop shape: N independent strike/history units, processed in
 /// fixed-size RNG chunks on the exec thread pool, accumulated into one
 /// PofAccumulator per (vdd, mode) and merged pairwise in chunk-index order.
-/// ArrayEngine hoists that entire driver — worker-scratch management, the
+/// ArrayEngine holds that whole loop — worker-scratch management, the
 /// one round-scheduled execution path for fixed and adaptive budgets, the
-/// partial merge, and the final estimate — into one place; the engines
-/// supply only the per-chunk physics (simulate_chunk) and the fingerprint
-/// of a run.
+/// partial merge, and the final estimate — and the one scoring routine that
+/// prices a strike's deposits (score). An engine hands the base class its
+/// fixed values once, as an ArrayEngine::Spec, and supplies only the
+/// per-chunk physics (simulate_chunk) and the fingerprint of a run.
 ///
 /// The driver preserves the exec-layer determinism contract verbatim: chunk
 /// *i* consumes stats::Rng::stream(seed, i) and nothing else, partials merge
@@ -77,31 +78,38 @@ struct PofEstimate {
 inline constexpr std::size_t kModeNominal = 0;
 inline constexpr std::size_t kModeWithPv = 1;
 
-/// Merge-friendly (count, mean, M2) Welford accumulator behind one
-/// PofEstimate: three RunningStats channels (tot/seu/mbu) plus the
-/// multiplicity mass. Chunked engines keep one accumulator per (vdd, mode)
-/// per chunk and merge the partials pairwise in chunk order — the merge is
-/// exact for the mean and numerically stable for the variance, so the
-/// parallel reduction reproduces the serial statistics.
+/// Merge-friendly accumulator behind one PofEstimate: three Welford
+/// RunningStats channels (tot/seu/mbu), the weight sums Σw and Σw² of the
+/// effective sample size, and the multiplicity mass. Chunked engines keep
+/// one accumulator per (vdd, mode) per chunk and merge the partials
+/// pairwise in chunk order — the merge is exact for the mean and the sums
+/// and numerically stable for the variance, so the parallel reduction
+/// reproduces the serial statistics.
 class PofAccumulator {
  public:
-  /// Add one strike's combined POFs with unit weight.
-  void add(const CombinedPof& pof);
+  using Multiplicity = std::array<double, kMaxMultiplicity>;
 
-  /// Add one strike's combined POFs with a likelihood-ratio weight: the
-  /// plain channels receive weight·pof (the Horvitz–Thompson estimator the
-  /// SE machinery already understands), while the weighted-Welford channel
-  /// tracks (pof, weight) for ESS accounting. add(pof) ≡ add_weighted(pof, 1)
-  /// bit-for-bit.
-  void add_weighted(const CombinedPof& pof, double weight);
+  /// Add one strike with likelihood-ratio \p weight (finite, >= 0; unit
+  /// weight for analog strikes). The POF channels receive weight·pof (the
+  /// Horvitz–Thompson estimator the SE machinery already understands), the
+  /// bins n >= 1 weight·dist[n], and the ESS sums w and w². Bin 0 keeps the
+  /// strike's unit mass: a unit-weight strike adds dist[0] (for independent
+  /// cells the product Π(1 − p)), a \p weighted one
+  /// 1 − Σ_{n>=1} weight·dist[n]. The two need not round alike even at
+  /// weight 1 (POFs {0.3, 0.6}: 0.27999999999999997 against 0.28), so the
+  /// caller's choice fixes result bits: ArrayMc weights the strikes whose
+  /// weight is not exactly 1, NeutronArrayMc every history.
+  void add(const CombinedPof& pof, const Multiplicity& dist, double weight,
+           bool weighted);
 
-  /// Add \p mass to multiplicity bin \p n (bins are plain sums).
-  void add_multiplicity(std::size_t n, double mass);
+  /// Add one strike that touched no sensitive cell: a zero POF and all of
+  /// its mass in bin 0 — bit for bit add({}, {1, 0, …}, weight, either).
+  void add_miss(double weight);
 
-  /// Fold \p other in (Chan et al. parallel Welford merge).
+  /// Fold \p other in (Chan et al. parallel Welford merge; sums add).
   void merge(const PofAccumulator& other);
 
-  /// Number of strikes accumulated (via add()).
+  /// Number of strikes accumulated, zero-weight ones included.
   std::size_t count() const { return tot_.count(); }
 
   /// Relative half-width of the 95% CI on the POF_tot channel — the
@@ -110,8 +118,11 @@ class PofAccumulator {
     return stats::relative_halfwidth(tot_.mean(), tot_.stderr_of_mean());
   }
 
-  /// Effective sample size of the weighted POF_tot channel.
-  double ess() const { return wtot_.ess(); }
+  /// Effective sample size (Σw)² / Σw²: count() for unit weights, 0 before
+  /// any positive weight. Zero-weight strikes count toward count() only.
+  double ess() const {
+    return sum_w2_ > 0.0 ? sum_w_ * sum_w_ / sum_w2_ : 0.0;
+  }
 
   /// Final estimate. \p strikes normalizes the multiplicity mass and is
   /// recorded verbatim; \p hit_fraction is campaign-level bookkeeping.
@@ -121,10 +132,9 @@ class PofAccumulator {
   stats::RunningStats tot_;
   stats::RunningStats seu_;
   stats::RunningStats mbu_;
-  /// Weighted-Welford shadow of the tot channel: raw (pof, weight) pairs,
-  /// for effective-sample-size accounting of importance-sampled runs.
-  stats::WeightedRunningStats wtot_;
-  std::array<double, kMaxMultiplicity> mult_{};
+  double sum_w_ = 0.0;
+  double sum_w2_ = 0.0;
+  Multiplicity mult_{};
 };
 
 /// Result of one energy point: estimates for every (Vdd, mode).
@@ -176,12 +186,9 @@ struct EnergyPoint {
   double e_mev = 0.0;  ///< Every unit runs at this energy exactly.
 };
 
-/// Common interface + shared chunked driver of ArrayMc / NeutronArrayMc.
+/// Shared chunked run loop and strike scoring of ArrayMc / NeutronArrayMc.
 class ArrayEngine {
  public:
-  /// \param layout and \param model must outlive the engine.
-  ArrayEngine(const sram::ArrayLayout& layout,
-              const sram::CellSoftErrorModel& model);
   virtual ~ArrayEngine();
 
   ArrayEngine(const ArrayEngine&) = delete;
@@ -193,9 +200,9 @@ class ArrayEngine {
   /// result is bit-identical for any thread count. Const and thread-safe:
   /// concurrent calls on one engine (e.g. parallel energy bins) are fine.
   ///
-  /// A fixed budget runs every chunk in one round; a CI target
-  /// (ci_stop()) runs geometric rounds that may stop early. Either way the
-  /// chunks go through the one round scheduler (ckpt/scheduler.hpp).
+  /// A fixed budget runs every chunk in one round; a CI target (Spec::ci)
+  /// runs geometric rounds that may stop early. Either way the chunks go
+  /// through the one round scheduler (ckpt/scheduler.hpp).
   /// A non-null \p cancel stops the run at a chunk boundary with
   /// util::Cancelled; a token that never fires changes no bit.
   ArrayMcResult run_point(const EnergyPoint& point, std::uint64_t seed,
@@ -213,13 +220,42 @@ class ArrayEngine {
   virtual std::uint64_t point_fingerprint(const EnergyPoint& point,
                                           std::uint64_t seed) const = 0;
 
-  /// Units of Monte-Carlo work (strikes or histories) of one run.
-  virtual std::size_t units() const = 0;
-
   const sram::ArrayLayout& layout() const { return *layout_; }
   const sram::CellSoftErrorModel& model() const { return *model_; }
 
  protected:
+  /// What an engine tells the shared run loop: values fixed for the
+  /// engine's lifetime, handed to the constructor once.
+  struct Spec {
+    const char* kind;        ///< Engine name for error messages.
+    const char* unit_label;  ///< Progress phase ("strikes" / "histories").
+    /// obs span and counter names (string literals: static storage).
+    const char* span_name;
+    const char* runs_counter;
+    const char* units_counter;
+    std::size_t units;       ///< Strikes or histories per run.
+    std::size_t chunk_size;  ///< Units per deterministic RNG chunk.
+    std::size_t threads;     ///< Requested thread budget (0 = auto).
+    phys::StragglingModel straggling;  ///< For the worker Transporters.
+    double source_margin_nm;  ///< Lateral margin of the source plane.
+    /// CI-driven early stopping. When enabled, run_point() executes chunks
+    /// in deterministic geometric rounds (ckpt::round_boundaries) and stops
+    /// at the first boundary where every (vdd, mode) accumulator's POF_tot
+    /// 95% CI is within ci.target relative half-width — a pure function of
+    /// the merged chunk prefix, so the decision is identical at any
+    /// thread/worker count.
+    stats::CiStopConfig ci;
+    /// Cluster-level POF surface of the correlated multi-node charge
+    /// collection mode, or nullptr for the independent per-cell path
+    /// (see score). The surface may be shared across engines and threads
+    /// (it locks internally) and must outlive the engine.
+    sram::ClusterPofSurface* cluster_surface;
+  };
+
+  /// \param layout and \param model must outlive the engine.
+  ArrayEngine(const sram::ArrayLayout& layout,
+              const sram::CellSoftErrorModel& model, const Spec& spec);
+
   /// Per-worker mutable state: the Transporter keeps internal scratch and
   /// the strike loop reuses per-cell charge slots and one track buffer, so
   /// each pool slot gets its own copy (created lazily on first chunk, on the
@@ -231,51 +267,18 @@ class ArrayEngine {
     phys::TrackResult track;  ///< Filled by transporter.transport per track.
     std::vector<sram::StrikeCharges> cell_charges;
     std::vector<std::uint32_t> touched_cells;
-    std::vector<double> pofs;  ///< Per-touched-cell POFs of one strike.
-    /// Cluster-path scratch (unused when cluster_surface() is null):
-    /// touched cells keyed by (tile id, cell id), the per-tile surface query
-    /// and the returned flip-count distribution.
+    std::vector<double> pofs;  ///< Per-cell POFs of one strike.
+    /// Touched cells keyed by (group, cell id): the layout tile with a
+    /// cluster surface, else one group per cell in deposit order.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> tile_order;
+    /// Cluster path: one multi-cell tile's surface query and the returned
+    /// flip-count distribution.
     std::vector<sram::ClusterPofSurface::CellCharge> cluster_query;
     std::vector<double> cluster_dist;
 
     WorkerScratch(const sram::ArrayLayout& layout,
                   const phys::Transporter::Config& tc);
   };
-
-  // --- engine-specific knobs the shared driver needs -----------------------
-
-  /// Units per deterministic RNG chunk.
-  virtual std::size_t chunk_size() const = 0;
-  /// Requested thread budget (0 = auto).
-  virtual std::size_t threads() const = 0;
-  /// Straggling model for the shared Transporter scratch.
-  virtual phys::StragglingModel straggling() const = 0;
-  /// Engine name for error messages ("ArrayMc" / "NeutronArrayMc").
-  virtual const char* kind() const = 0;
-  /// Progress-phase label ("strikes" / "histories").
-  virtual const char* unit_label() const = 0;
-  /// obs span/counter names (static storage — string literals).
-  virtual const char* span_name() const = 0;
-  virtual const char* runs_counter() const = 0;
-  virtual const char* units_counter() const = 0;
-  /// Lateral margin of the source-sampling plane [nm].
-  virtual double source_margin_nm() const = 0;
-  /// Cluster-level POF surface of the correlated multi-node charge
-  /// collection mode, or nullptr for the independent per-cell path. When
-  /// non-null, score_strike/score_weighted_history dispatch to
-  /// score_clustered() instead of the per-cell LUT loop; the null default
-  /// keeps every existing engine byte-identical. The surface may be shared
-  /// across engines/threads (it locks internally) and must stay alive for
-  /// the engine's lifetime.
-  virtual sram::ClusterPofSurface* cluster_surface() const { return nullptr; }
-  /// CI-driven early-stopping knobs (disabled by default). When enabled,
-  /// run_point() executes chunks in deterministic geometric rounds
-  /// (ckpt::round_boundaries) and stops at the first boundary where every
-  /// (vdd, mode) accumulator's POF_tot 95% CI is within ci_stop().target
-  /// relative half-width — a pure function of the merged chunk prefix, so
-  /// the decision is identical at any thread/worker count.
-  virtual const stats::CiStopConfig& ci_stop() const = 0;
 
   /// Simulate units [r.begin, r.end) of chunk r.index into \p part, drawing
   /// only from \p rng (= stats::Rng::stream(seed, r.index)) — plus, for QMC
@@ -287,7 +290,7 @@ class ArrayEngine {
                               stats::Rng& rng, WorkerScratch& ws,
                               McPartial& part) const = 0;
 
-  // --- shared per-strike helpers (identical in both engines) ---------------
+  // --- shared per-strike steps (identical in both engines) -----------------
 
   /// Reset the per-cell charge slots touched by the previous strike.
   void begin_strike(WorkerScratch& ws) const;
@@ -296,25 +299,20 @@ class ArrayEngine {
   /// charges (paper steps 2-3), tracking touched cells.
   void add_deposits(const phys::TrackResult& track, WorkerScratch& ws) const;
 
-  /// Steps 4-5, unweighted (charged particles): cell POFs from the LUTs,
-  /// combined via Eqs. 4-6, for every supply voltage and both PV modes.
-  void score_strike(WorkerScratch& ws, McPartial& part) const;
-
-  /// Weighted per-incident-neutron estimator: POFs scaled by \p weight, the
-  /// n >= 1 multiplicity bins carry the interaction weight and the no-flip
-  /// bin absorbs the rest so each history still contributes unit mass.
-  void score_weighted_history(WorkerScratch& ws, McPartial& part,
-                              double weight) const;
-
-  /// Correlated scoring path (cluster_surface() non-null): touched cells
-  /// group by layout tile; singleton tiles keep the per-cell LUT arithmetic
-  /// while multi-cell tiles are priced by one joint flip-count distribution
-  /// from the surface, convolved (saturating) into the multiplicity
-  /// histogram. \p weighted selects the Horvitz–Thompson accumulation of
-  /// score_weighted_history; unweighted calls pass weight = 1. Consumes no
-  /// strike RNG, so chunk determinism is untouched.
-  void score_clustered(sram::ClusterPofSurface& surface, WorkerScratch& ws,
-                       McPartial& part, double weight, bool weighted) const;
+  /// Steps 4-5: price the strike (or neutron history) whose deposits are in
+  /// \p ws for every supply voltage and both PV modes, and add it to
+  /// part.acc with likelihood-ratio \p weight (\p weighted: see
+  /// PofAccumulator::add). A strike that touched no sensitive cell adds a
+  /// zero POF before any table work. Otherwise each touched cell's POF
+  /// comes from the LUTs, and independent cells combine by Eqs. 4-6. With
+  /// a cluster surface the touched cells group by layout tile: a singleton
+  /// tile keeps its LUT POF, each multi-cell tile contributes one joint
+  /// flip-count distribution from the surface, convolved (saturating) into
+  /// the multiplicity vector, and the POFs read off that vector
+  /// (tot = 1 − P(0), seu = P(1)). Consumes no strike RNG, so chunk
+  /// determinism is untouched.
+  void score(WorkerScratch& ws, McPartial& part, double weight,
+             bool weighted) const;
 
   /// Supply voltages of the model (cached at construction).
   const std::vector<double>& vdds() const { return vdds_; }
@@ -322,6 +320,7 @@ class ArrayEngine {
  private:
   const sram::ArrayLayout* layout_;
   const sram::CellSoftErrorModel* model_;
+  Spec spec_;
   std::vector<double> vdds_;
   /// tables_[v] = &model.at_vdd(vdds_[v]), resolved once at construction.
   std::vector<const sram::PofTable*> tables_;

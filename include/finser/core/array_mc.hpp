@@ -96,13 +96,10 @@ struct ArrayMcConfig {
   /// 2x2/1x4 group touched cells into tiles and price each multi-cell tile
   /// by simulating its struck cells with inter-cell charge sharing.
   sram::ClusterConfig cluster;
-  /// Cell design the cluster tiles are simulated with; required when
-  /// cluster.enabled() (the soft-error model does not retain the design it
-  /// was characterized from). Must outlive the engine.
-  const sram::CellDesign* cluster_design = nullptr;
-  /// Optional shared cluster surface (e.g. SerFlow's, reused across energy
-  /// bins and persisted through the ArtifactStore). Null + cluster enabled
-  /// = the engine owns a private surface. Must outlive the engine.
+  /// The cluster surface the tiles are priced on; required when
+  /// cluster.enabled(), and built for exactly `cluster` (SerFlow's, shared
+  /// across energy bins and persisted through the ArtifactStore, or one of
+  /// the caller's). Unused in 1x1 mode. Must outlive the engine.
   sram::ClusterPofSurface* cluster_surface = nullptr;
 };
 
@@ -125,25 +122,8 @@ class ArrayMc final : public ArrayEngine {
 
   std::uint64_t point_fingerprint(const EnergyPoint& point,
                                   std::uint64_t seed) const override;
-  std::size_t units() const override { return config_.strikes; }
 
  protected:
-  std::size_t chunk_size() const override { return config_.chunk; }
-  std::size_t threads() const override { return config_.threads; }
-  phys::StragglingModel straggling() const override {
-    return config_.straggling;
-  }
-  const char* kind() const override { return "ArrayMc"; }
-  const char* unit_label() const override { return "strikes"; }
-  const char* span_name() const override { return "core.array_mc.run"; }
-  const char* runs_counter() const override { return "core.array_mc.runs"; }
-  const char* units_counter() const override { return "core.array_mc.strikes"; }
-  double source_margin_nm() const override { return config_.source_margin_nm; }
-  const stats::CiStopConfig& ci_stop() const override { return config_.ci; }
-  sram::ClusterPofSurface* cluster_surface() const override {
-    return surface_;
-  }
-
   void simulate_chunk(const exec::ChunkRange& r, const EnergyPoint& point,
                       std::uint64_t seed, stats::Rng& rng, WorkerScratch& ws,
                       McPartial& part) const override;
@@ -161,10 +141,6 @@ class ArrayMc final : public ArrayEngine {
   double reach_depth_nm_ = 0.0;
   /// The beam's x-y run per unit of descent (kBeam law).
   stats::LateralRun beam_run_;
-  /// Cluster surface in use: the shared one from the config, else the
-  /// engine-owned fallback, else null (1x1 — per-cell path).
-  std::unique_ptr<sram::ClusterPofSurface> owned_surface_;
-  sram::ClusterPofSurface* surface_ = nullptr;
   /// Importance-sampling proposals over the fin-layer mid-depth plane, one
   /// per (geometric |z| band, azimuth sector) pair: grazing bands dilate
   /// the sensitive-fin footprints along the sector azimuth into the strip

@@ -71,24 +71,8 @@ class NeutronArrayMc final : public ArrayEngine {
 
   std::uint64_t point_fingerprint(const EnergyPoint& point,
                                   std::uint64_t seed) const override;
-  std::size_t units() const override { return config_.histories; }
 
  protected:
-  std::size_t chunk_size() const override { return config_.chunk; }
-  std::size_t threads() const override { return config_.threads; }
-  phys::StragglingModel straggling() const override {
-    return config_.straggling;
-  }
-  const char* kind() const override { return "NeutronArrayMc"; }
-  const char* unit_label() const override { return "histories"; }
-  const char* span_name() const override { return "core.neutron_mc.run"; }
-  const char* runs_counter() const override { return "core.neutron_mc.runs"; }
-  const char* units_counter() const override {
-    return "core.neutron_mc.histories";
-  }
-  double source_margin_nm() const override { return config_.source_margin_nm; }
-  const stats::CiStopConfig& ci_stop() const override { return config_.ci; }
-
   void simulate_chunk(const exec::ChunkRange& r, const EnergyPoint& point,
                       std::uint64_t seed, stats::Rng& rng, WorkerScratch& ws,
                       McPartial& part) const override;

@@ -72,6 +72,7 @@ struct ClusterConfig {
   double quantum_fc = 0.005;
 
   bool enabled() const { return mode != ClusterMode::k1x1; }
+  bool operator==(const ClusterConfig&) const = default;
 };
 
 /// Tile id of cell (row, col) under tile_rows × tile_cols clustering;

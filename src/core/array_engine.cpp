@@ -1,6 +1,7 @@
 #include "finser/core/array_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "finser/ckpt/scheduler.hpp"
 #include "finser/exec/thread_pool.hpp"
@@ -12,37 +13,48 @@ namespace finser::core {
 
 // --- PofAccumulator ---------------------------------------------------------
 
-void PofAccumulator::add(const CombinedPof& pof) {
-  tot_.add(pof.tot);
-  seu_.add(pof.seu);
-  mbu_.add(pof.mbu);
-  wtot_.add(pof.tot, 1.0);
+namespace {
+
+void require_weight(double weight) {
+  FINSER_REQUIRE(weight >= 0.0 && std::isfinite(weight),
+                 "PofAccumulator: weight must be finite and >= 0");
 }
 
-void PofAccumulator::add_weighted(const CombinedPof& pof, double weight) {
-  // Horvitz–Thompson: the plain channels see weight·pof, so their mean and
-  // stderr are exactly the unbiased estimator and its error bar; the
-  // weighted channel keeps the raw pair for ESS accounting.
+}  // namespace
+
+void PofAccumulator::add(const CombinedPof& pof, const Multiplicity& dist,
+                         double weight, bool weighted) {
+  require_weight(weight);
   tot_.add(weight * pof.tot);
   seu_.add(weight * pof.seu);
   mbu_.add(weight * pof.mbu);
-  wtot_.add(pof.tot, weight);
+  sum_w_ += weight;
+  sum_w2_ += weight * weight;
+  double flipped = 0.0;
+  for (std::size_t n = 1; n < kMaxMultiplicity; ++n) {
+    const double mass = weight * dist[n];
+    mult_[n] += mass;
+    flipped += mass;
+  }
+  mult_[0] += weighted ? 1.0 - flipped : dist[0];
 }
 
-void PofAccumulator::add_multiplicity(std::size_t n, double mass) {
-  // Counts beyond the histogram depth saturate into the last bin — tracked,
-  // never silent (clusters make high multiplicities reachable).
-  if (n >= kMaxMultiplicity) {
-    FINSER_OBS_COUNT("core.pof.multiplicity_saturated", 1);
-  }
-  mult_[std::min(n, kMaxMultiplicity - 1)] += mass;
+void PofAccumulator::add_miss(double weight) {
+  require_weight(weight);
+  tot_.add(0.0);
+  seu_.add(0.0);
+  mbu_.add(0.0);
+  sum_w_ += weight;
+  sum_w2_ += weight * weight;
+  mult_[0] += 1.0;
 }
 
 void PofAccumulator::merge(const PofAccumulator& other) {
   tot_.merge(other.tot_);
   seu_.merge(other.seu_);
   mbu_.merge(other.mbu_);
-  wtot_.merge(other.wtot_);
+  sum_w_ += other.sum_w_;
+  sum_w2_ += other.sum_w2_;
   for (std::size_t n = 0; n < kMaxMultiplicity; ++n) mult_[n] += other.mult_[n];
 }
 
@@ -57,7 +69,7 @@ PofEstimate PofAccumulator::finalize(std::size_t strikes,
   e.mbu_se = mbu_.stderr_of_mean();
   e.hit_fraction = hit_fraction;
   e.strikes = strikes;
-  e.ess = wtot_.ess();
+  e.ess = ess();
   if (strikes > 0) {
     for (std::size_t n = 0; n < kMaxMultiplicity; ++n) {
       e.multiplicity[n] = mult_[n] / static_cast<double>(strikes);
@@ -138,8 +150,9 @@ ArrayEngine::WorkerScratch::WorkerScratch(const sram::ArrayLayout& layout,
       cell_charges(layout.cell_count(), sram::StrikeCharges{}) {}
 
 ArrayEngine::ArrayEngine(const sram::ArrayLayout& layout,
-                         const sram::CellSoftErrorModel& model)
-    : layout_(&layout), model_(&model), vdds_(model.vdds()) {
+                         const sram::CellSoftErrorModel& model,
+                         const Spec& spec)
+    : layout_(&layout), model_(&model), spec_(spec), vdds_(model.vdds()) {
   tables_.reserve(vdds_.size());
   for (const double vdd : vdds_) tables_.push_back(&model.at_vdd(vdd));
 }
@@ -147,8 +160,8 @@ ArrayEngine::ArrayEngine(const sram::ArrayLayout& layout,
 ArrayEngine::~ArrayEngine() = default;
 
 double ArrayEngine::sampled_area_nm2() const {
-  return (layout_->width_nm() + 2.0 * source_margin_nm()) *
-         (layout_->height_nm() + 2.0 * source_margin_nm());
+  return (layout_->width_nm() + 2.0 * spec_.source_margin_nm) *
+         (layout_->height_nm() + 2.0 * spec_.source_margin_nm);
 }
 
 void ArrayEngine::begin_strike(WorkerScratch& ws) const {
@@ -181,109 +194,43 @@ void ArrayEngine::add_deposits(const phys::TrackResult& track,
   }
 }
 
-void ArrayEngine::score_strike(WorkerScratch& ws, McPartial& part) const {
-  if (sram::ClusterPofSurface* surface = cluster_surface()) {
-    score_clustered(*surface, ws, part, 1.0, /*weighted=*/false);
+void ArrayEngine::score(WorkerScratch& ws, McPartial& part, double weight,
+                        bool weighted) const {
+  if (ws.touched_cells.empty()) {
+    for (auto& modes : part.acc) {
+      for (PofAccumulator& a : modes) a.add_miss(weight);
+    }
     return;
   }
-  const std::size_t nv = vdds_.size();
-  for (std::size_t v = 0; v < nv; ++v) {
-    const sram::PofTable& table = *tables_[v];
-    for (std::size_t mode = 0; mode < 2; ++mode) {
-      const bool with_pv = (mode == kModeWithPv);
-      ws.pofs.clear();
-      for (const std::uint32_t c : ws.touched_cells) {
-        const double p = table.pof(ws.cell_charges[c], with_pv);
-        if (p > 0.0) ws.pofs.push_back(p);
-      }
-      const CombinedPof combined = ws.pofs.empty()
-                                       ? CombinedPof{0.0, 0.0, 0.0}
-                                       : combine_eqs_4_to_6(ws.pofs);
-      PofAccumulator& a = part.acc[v][mode];
-      a.add(combined);
-      if (!ws.pofs.empty()) {
-        const auto dist = multiplicity_distribution(ws.pofs);
-        for (std::size_t n = 0; n < kMaxMultiplicity; ++n) {
-          a.add_multiplicity(n, dist[n]);
-        }
-      } else {
-        a.add_multiplicity(0, 1.0);
-      }
-    }
-  }
-}
 
-void ArrayEngine::score_weighted_history(WorkerScratch& ws, McPartial& part,
-                                         double weight) const {
-  if (sram::ClusterPofSurface* surface = cluster_surface()) {
-    score_clustered(*surface, ws, part, weight, /*weighted=*/true);
-    return;
-  }
-  const std::size_t nv = vdds_.size();
-  for (std::size_t v = 0; v < nv; ++v) {
-    const sram::PofTable& table = *tables_[v];
-    for (std::size_t mode = 0; mode < 2; ++mode) {
-      const bool with_pv = (mode == kModeWithPv);
-      ws.pofs.clear();
-      for (const std::uint32_t c : ws.touched_cells) {
-        const double p = table.pof(ws.cell_charges[c], with_pv);
-        if (p > 0.0) ws.pofs.push_back(p);
-      }
-      const CombinedPof combined = ws.pofs.empty()
-                                       ? CombinedPof{}
-                                       : combine_eqs_4_to_6(ws.pofs);
-      PofAccumulator& a = part.acc[v][mode];
-      // Weighted (Horvitz–Thompson) estimator; also feeds the ESS channel.
-      a.add_weighted(combined, weight);
-      if (!ws.pofs.empty()) {
-        const auto dist = multiplicity_distribution(ws.pofs);
-        // The n >= 1 bins carry the interaction weight; the no-flip bin
-        // absorbs the rest so each history still contributes unit mass.
-        double flipped_mass = 0.0;
-        for (std::size_t n = 1; n < kMaxMultiplicity; ++n) {
-          a.add_multiplicity(n, weight * dist[n]);
-          flipped_mass += weight * dist[n];
-        }
-        a.add_multiplicity(0, 1.0 - flipped_mass);
-      } else {
-        a.add_multiplicity(0, 1.0);
-      }
-    }
-  }
-}
-
-void ArrayEngine::score_clustered(sram::ClusterPofSurface& surface,
-                                  WorkerScratch& ws, McPartial& part,
-                                  double weight, bool weighted) const {
-  const std::size_t tr = surface.tile_rows();
-  const std::size_t tc = surface.tile_cols();
+  // Group the touched cells. With a cluster surface the group is the layout
+  // tile, cells ascending within a tile — the canonical order the surface
+  // keys expect (cell-id order within a tile is local-index order); one sort
+  // over (tile, cell) pairs does both, and strikes touch a handful of cells.
+  // Without one every cell is its own group, in deposit order.
+  sram::ClusterPofSurface* const surface = spec_.cluster_surface;
+  const std::size_t tr = surface != nullptr ? surface->tile_rows() : 1;
+  const std::size_t tc = surface != nullptr ? surface->tile_cols() : 1;
   const auto cols = static_cast<std::uint32_t>(layout_->cols());
-
-  // Group the touched cells by layout tile, cells ascending within a tile —
-  // the canonical order the surface keys expect (cell-id order within a
-  // tile is local-index order). A single std::sort over (tile, cell) pairs
-  // does both; strikes touch a handful of cells, so this is cheap.
   ws.tile_order.clear();
   for (const std::uint32_t c : ws.touched_cells) {
-    const std::uint32_t row = c / cols;
-    const std::uint32_t col = c % cols;
-    ws.tile_order.emplace_back(
-        sram::cluster_tile_id(row, col, layout_->cols(), tr, tc), c);
+    const auto group =
+        surface != nullptr
+            ? sram::cluster_tile_id(c / cols, c % cols, layout_->cols(), tr, tc)
+            : static_cast<std::uint32_t>(ws.tile_order.size());
+    ws.tile_order.emplace_back(group, c);
   }
-  std::sort(ws.tile_order.begin(), ws.tile_order.end());
+  if (surface != nullptr) std::sort(ws.tile_order.begin(), ws.tile_order.end());
 
-  const std::size_t nv = vdds_.size();
-  for (std::size_t v = 0; v < nv; ++v) {
+  for (std::size_t v = 0; v < vdds_.size(); ++v) {
     const sram::PofTable& table = *tables_[v];
     for (std::size_t mode = 0; mode < 2; ++mode) {
       const bool with_pv = (mode == kModeWithPv);
-      // Singleton tiles keep the independent per-cell LUT arithmetic
-      // (identical to the 1x1 path for those cells); multi-cell tiles each
-      // contribute one joint flip-count distribution from the surface.
+      // A singleton group adds its cell's LUT POF to the independent set;
+      // a multi-cell tile contributes one joint flip-count distribution.
       ws.pofs.clear();
-      std::array<double, kMaxMultiplicity> dist{};
+      PofAccumulator::Multiplicity dist{};
       dist[0] = 1.0;
-      bool any_joint = false;
       for (std::size_t i = 0; i < ws.tile_order.size();) {
         std::size_t j = i + 1;
         while (j < ws.tile_order.size() &&
@@ -302,44 +249,31 @@ void ArrayEngine::score_clustered(sram::ClusterPofSurface& surface,
                 sram::cluster_local_index(c / cols, c % cols, tr, tc),
                 ws.cell_charges[c]});
           }
-          surface.flip_count_distribution(vdds_[v], with_pv, ws.cluster_query,
-                                          ws.cluster_dist);
+          surface->flip_count_distribution(vdds_[v], with_pv, ws.cluster_query,
+                                           ws.cluster_dist);
           dist = convolve_multiplicity(dist, ws.cluster_dist);
-          any_joint = true;
         }
         i = j;
       }
-      if (!ws.pofs.empty()) {
-        const auto singles = multiplicity_distribution(ws.pofs);
-        ws.cluster_dist.assign(singles.begin(), singles.end());
-        dist = convolve_multiplicity(dist, ws.cluster_dist);
-      }
-      const double tot = 1.0 - dist[0];
-      const double seu = dist[1];
-      const CombinedPof combined{tot, seu, std::max(tot - seu, 0.0)};
-      PofAccumulator& a = part.acc[v][mode];
-      if (!weighted) {
-        a.add(combined);
-        if (!ws.pofs.empty() || any_joint) {
-          for (std::size_t n = 0; n < kMaxMultiplicity; ++n) {
-            a.add_multiplicity(n, dist[n]);
-          }
-        } else {
-          a.add_multiplicity(0, 1.0);
+      // Independent cells combine by Eqs. 4-6 and the Poisson-binomial DP;
+      // with a surface the POFs read off the convolved vector instead. The
+      // two round differently, so each path keeps its own.
+      CombinedPof combined;
+      if (surface == nullptr) {
+        if (!ws.pofs.empty()) {
+          combined = combine_eqs_4_to_6(ws.pofs);
+          dist = multiplicity_distribution(ws.pofs);
         }
       } else {
-        a.add_weighted(combined, weight);
-        if (!ws.pofs.empty() || any_joint) {
-          double flipped_mass = 0.0;
-          for (std::size_t n = 1; n < kMaxMultiplicity; ++n) {
-            a.add_multiplicity(n, weight * dist[n]);
-            flipped_mass += weight * dist[n];
-          }
-          a.add_multiplicity(0, 1.0 - flipped_mass);
-        } else {
-          a.add_multiplicity(0, 1.0);
+        if (!ws.pofs.empty()) {
+          const auto singles = multiplicity_distribution(ws.pofs);
+          ws.cluster_dist.assign(singles.begin(), singles.end());
+          dist = convolve_multiplicity(dist, ws.cluster_dist);
         }
+        const double tot = 1.0 - dist[0];
+        combined = {tot, dist[1], std::max(tot - dist[1], 0.0)};
       }
+      part.acc[v][mode].add(combined, dist, weight, weighted);
     }
   }
 }
@@ -349,21 +283,23 @@ ArrayMcResult ArrayEngine::run_point(const EnergyPoint& point,
                                      const exec::ProgressSink& progress,
                                      const exec::CancelToken* cancel) const {
   FINSER_REQUIRE(point.e_mev > 0.0,
-                 std::string(kind()) + "::run: non-positive energy");
-  obs::ScopedSpan run_span(span_name());
+                 std::string(spec_.kind) + "::run: non-positive energy");
+  obs::ScopedSpan run_span(spec_.span_name);
   if (obs::enabled()) {
     obs::Registry& reg = obs::Registry::global();
-    reg.counter(runs_counter()).add(1);
-    reg.counter(units_counter()).add(units());
+    reg.counter(spec_.runs_counter).add(1);
+    reg.counter(spec_.units_counter).add(spec_.units);
   }
 
   const std::size_t nv = vdds_.size();
+  const std::size_t units = spec_.units;
+  const std::size_t chunk = spec_.chunk_size;
   phys::Transporter::Config tc;
-  tc.straggling = straggling();
+  tc.straggling = spec_.straggling;
 
-  exec::ThreadPool pool(threads());
+  exec::ThreadPool pool(spec_.threads);
   std::vector<std::unique_ptr<WorkerScratch>> workers(pool.thread_count());
-  progress.start_phase(unit_label(), units());
+  progress.start_phase(spec_.unit_label, units);
 
   // Chunk i (the last one may be ragged) consumes stats::Rng::stream(seed, i)
   // and nothing else, and the partials merge in chunk-index order — so the
@@ -385,8 +321,8 @@ ArrayMcResult ArrayEngine::run_point(const EnergyPoint& point,
   // skipped. The decision depends only on the chunk partials (merged
   // pairwise in index order), so it is identical at any thread count and
   // any worker count — the same invariance class as the estimates.
-  const stats::CiStopConfig& ci = ci_stop();
-  const std::size_t n_chunks = (units() + chunk_size() - 1) / chunk_size();
+  const stats::CiStopConfig& ci = spec_.ci;
+  const std::size_t n_chunks = (units + chunk - 1) / chunk;
   const std::vector<std::size_t> bounds =
       ci.enabled() ? ckpt::round_boundaries(
                          n_chunks, ckpt::AdaptiveSchedule{ci.min_chunks,
@@ -407,20 +343,19 @@ ArrayMcResult ArrayEngine::run_point(const EnergyPoint& point,
     return worst <= ci.target;
   };
   std::vector<McPartial> parts = ckpt::run_rounds<McPartial>(
-      pool, units(), chunk_size(), bounds, cancel, process_chunk, converged);
+      pool, units, chunk, bounds, cancel, process_chunk, converged);
   const bool stopped_early = parts.size() < n_chunks;
-  const std::size_t used_units = std::min(units(), parts.size() * chunk_size());
+  const std::size_t used_units = std::min(units, parts.size() * chunk);
   const McPartial total =
       exec::reduce_pairwise(std::move(parts), McPartial::merge);
-  if (ci.enabled() && obs::enabled()) {
-    obs::Registry& reg = obs::Registry::global();
-    if (stopped_early) reg.counter("core.mc.vr.stopped_early").add(1);
-    reg.counter("core.mc.vr.units_saved").add(units() - used_units);
+  if (ci.enabled()) {
+    if (stopped_early) FINSER_OBS_COUNT("core.mc.vr.stopped_early", 1);
+    FINSER_OBS_COUNT("core.mc.vr.units_saved", units - used_units);
   }
   ArrayMcResult result;
   result.vdds = vdds_;
   result.est.resize(nv);
-  result.units_total = units();
+  result.units_total = units;
   result.units_used = used_units;
   result.stopped_early = stopped_early;
   // The weighted hit mass is the unbiased numerator under importance

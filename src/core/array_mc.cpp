@@ -80,10 +80,35 @@ double estimate_union_area(const stats::FocusPlane& plane) {
 
 ArrayMc::ArrayMc(const sram::ArrayLayout& layout,
                  const sram::CellSoftErrorModel& model, const ArrayMcConfig& config)
-    : ArrayEngine(layout, model), config_(config) {
+    : ArrayEngine(layout, model,
+                  {.kind = "ArrayMc",
+                   .unit_label = "strikes",
+                   .span_name = "core.array_mc.run",
+                   .runs_counter = "core.array_mc.runs",
+                   .units_counter = "core.array_mc.strikes",
+                   .units = config.strikes,
+                   .chunk_size = config.chunk,
+                   .threads = config.threads,
+                   .straggling = config.straggling,
+                   .source_margin_nm = config.source_margin_nm,
+                   .ci = config.ci,
+                   .cluster_surface = config.cluster.enabled()
+                                          ? config.cluster_surface
+                                          : nullptr}),
+      config_(config) {
   FINSER_REQUIRE(config_.strikes > 0, "ArrayMc: need at least one strike");
   FINSER_REQUIRE(config_.chunk > 0, "ArrayMc: chunk must be positive");
   FINSER_REQUIRE(!model.tables.empty(), "ArrayMc: empty cell model");
+  if (config_.cluster.enabled()) {
+    FINSER_REQUIRE(config_.cluster_surface != nullptr,
+                   "ArrayMc: cluster mode needs a cluster surface "
+                   "(ArrayMcConfig::cluster_surface)");
+    // point_fingerprint hashes the config's cluster knobs, so a surface
+    // built with other ones would store results under a wrong identity.
+    FINSER_REQUIRE(config_.cluster_surface->config() == config_.cluster,
+                   "ArrayMc: cluster surface was built for a different "
+                   "cluster config");
+  }
   const geom::Aabb& fin_bounds = layout.bounds();
   plane_.x_lo = -config_.source_margin_nm;
   plane_.x_hi = layout.width_nm() + config_.source_margin_nm;
@@ -96,21 +121,6 @@ ArrayMc::ArrayMc(const sram::ArrayLayout& layout,
                    "ArrayMc: beam direction must point downward");
     beam_dir_ = config_.beam_direction.normalized();
     beam_run_ = {beam_dir_.x / -beam_dir_.z, beam_dir_.y / -beam_dir_.z};
-  }
-  if (config_.cluster.enabled()) {
-    FINSER_REQUIRE(config_.cluster_design != nullptr,
-                   "ArrayMc: cluster mode needs the cell design "
-                   "(ArrayMcConfig::cluster_design)");
-    if (config_.cluster_surface != nullptr) {
-      FINSER_REQUIRE(
-          config_.cluster_surface->config().mode == config_.cluster.mode,
-          "ArrayMc: shared cluster surface was built for a different mode");
-      surface_ = config_.cluster_surface;
-    } else {
-      owned_surface_ = std::make_unique<sram::ClusterPofSurface>(
-          *config_.cluster_design, config_.cluster);
-      surface_ = owned_surface_.get();
-    }
   }
   if (config_.position == SourcePositionSampling::kImportance) {
     // Focus boxes: lateral footprints of the fins that are sensitive in the
@@ -372,7 +382,7 @@ void ArrayMc::simulate_chunk(const exec::ChunkRange& r,
             // weight is 0. Record the strike (it is part of the sample
             // count) and skip the physics.
             begin_strike(ws);
-            score_weighted_history(ws, part, 0.0);
+            score(ws, part, 0.0, /*weighted=*/true);
             continue;
           }
           const double plane_area = (x_hi - x_lo) * (y_hi - y_lo);
@@ -402,7 +412,7 @@ void ArrayMc::simulate_chunk(const exec::ChunkRange& r,
         // transported miss draws nothing more and scores exactly this.
         ++culled;
         begin_strike(ws);
-        score_strike(ws, part);
+        score(ws, part, 1.0, /*weighted=*/false);
         continue;
       }
       ray.origin = {ox, oy, z_source};
@@ -423,17 +433,10 @@ void ArrayMc::simulate_chunk(const exec::ChunkRange& r,
     }
 
     // Steps 4-5: cell POFs from the LUTs, combined via Eqs. 4-6, for every
-    // supply voltage and both process-variation modes. Unit-weight strikes
-    // take the plain scoring path. For the POF channels add(pof) and
-    // add_weighted(pof, 1.0) are bit-identical, but multiplicity bin 0 is
-    // not: the plain path adds the DP's product Π(1 − p), the weighted path
-    // one minus the flipped mass, and the two need not round alike. So this
-    // branch fixes those bits and must stay.
-    if (w == 1.0) {
-      score_strike(ws, part);
-    } else {
-      score_weighted_history(ws, part, w);
-    }
+    // supply voltage and both process-variation modes. Only strikes whose
+    // weight is not exactly 1 take the weighted form of multiplicity bin 0
+    // (PofAccumulator::add); that choice fixes result bits.
+    score(ws, part, w, /*weighted=*/w != 1.0);
   }
   FINSER_OBS_COUNT("core.array_mc.strikes_culled", culled);
 }

@@ -9,7 +9,20 @@ namespace finser::core {
 NeutronArrayMc::NeutronArrayMc(const sram::ArrayLayout& layout,
                                const sram::CellSoftErrorModel& model,
                                const NeutronMcConfig& config)
-    : ArrayEngine(layout, model), config_(config) {
+    : ArrayEngine(layout, model,
+                  {.kind = "NeutronArrayMc",
+                   .unit_label = "histories",
+                   .span_name = "core.neutron_mc.run",
+                   .runs_counter = "core.neutron_mc.runs",
+                   .units_counter = "core.neutron_mc.histories",
+                   .units = config.histories,
+                   .chunk_size = config.chunk,
+                   .threads = config.threads,
+                   .straggling = config.straggling,
+                   .source_margin_nm = config.source_margin_nm,
+                   .ci = config.ci,
+                   .cluster_surface = nullptr}),
+      config_(config) {
   FINSER_REQUIRE(config_.histories > 0, "NeutronArrayMc: need >= 1 history");
   FINSER_REQUIRE(config_.chunk > 0, "NeutronArrayMc: chunk must be positive");
   FINSER_REQUIRE(config_.interaction_depth_um > 0.0,
@@ -90,7 +103,8 @@ void NeutronArrayMc::simulate_chunk(const exec::ChunkRange& r,
       part.weighted_hits += 1.0;
     }
 
-    score_weighted_history(ws, part, weight);
+    // Every history is weighted, even one whose interaction weight is 1.
+    score(ws, part, weight, /*weighted=*/true);
   }
 }
 

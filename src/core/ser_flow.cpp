@@ -130,7 +130,6 @@ ArrayMcResult SerFlow::run_at_energy(phys::Species species, double e_mev,
   const sram::CellSoftErrorModel& model = cell_model(progress);
   ArrayMcConfig cfg = config_.array_mc;
   if (cfg.threads == 0) cfg.threads = config_.threads;
-  cfg.cluster_design = &config_.cell_design;
   cfg.cluster_surface = ensure_cluster_surface();
   ArrayMc mc(layout_, model, cfg);
   return mc.run(species, e_mev, mc_seed_cursor_++, progress);
@@ -196,7 +195,6 @@ EnergySweepResult SerFlow::sweep(const env::Spectrum& spectrum,
   sram::ClusterPofSurface* cluster_surface = nullptr;
   std::uint64_t cluster_fp = 0;
   if (!neutron) {
-    charged_cfg.cluster_design = &config_.cell_design;
     cluster_surface = ensure_cluster_surface();
     charged_cfg.cluster_surface = cluster_surface;
     if (cluster_surface != nullptr && config_.cluster_cache != nullptr) {

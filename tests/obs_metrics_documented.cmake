@@ -1,7 +1,9 @@
-# CTest script: every metric name the library emits through a
-# FINSER_OBS_COUNT / FINSER_OBS_RECORD / FINSER_OBS_GAUGE call under src/
-# must appear, in backticks, in docs/observability.md — so the metric table
-# cannot silently drift behind the code.
+# CTest script: every metric name the library emits under src/ must appear,
+# in backticks, in docs/observability.md — so the metric table cannot
+# silently drift behind the code. A name is collected from a
+# FINSER_OBS_COUNT / FINSER_OBS_RECORD / FINSER_OBS_GAUGE call and from a
+# string literal passed straight to the registry's `counter`,
+# `int_histogram`, `duration` or `gauge`, so a direct call cannot hide one.
 #
 # Inputs: -DSRC_DIR=<src/ of the source tree> -DDOC=<docs/observability.md>
 
@@ -11,9 +13,10 @@ file(READ "${DOC}" doc)
 set(names "")
 foreach(source IN LISTS sources)
   file(READ "${source}" text)
-  # The name may sit on the line after the macro's open parenthesis.
-  string(REGEX MATCHALL "FINSER_OBS_[A-Z]+\\([ \t\r\n]*\"[^\"]+\"" calls
-         "${text}")
+  # The name may sit on the line after the call's open parenthesis.
+  string(REGEX MATCHALL
+         "(FINSER_OBS_[A-Z]+|counter|int_histogram|duration|gauge)\\([ \t\r\n]*\"[^\"]+\""
+         calls "${text}")
   foreach(call IN LISTS calls)
     string(REGEX REPLACE ".*\"([^\"]+)\"" "\\1" name "${call}")
     list(APPEND names "${name}")
@@ -24,7 +27,7 @@ list(SORT names)
 
 list(LENGTH names count)
 if(count EQUAL 0)
-  message(FATAL_ERROR "no FINSER_OBS_* calls found under ${SRC_DIR}")
+  message(FATAL_ERROR "no metric names found under ${SRC_DIR}")
 endif()
 
 set(missing "")

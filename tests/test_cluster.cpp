@@ -11,6 +11,7 @@
 
 #include <barrier>
 #include <cmath>
+#include <functional>
 #include <numbers>
 #include <set>
 #include <string>
@@ -667,8 +668,10 @@ CellSoftErrorModel synthetic_model(double vdd, double q_thresh_fc) {
   return m;
 }
 
-ArrayMcConfig grazing_config(std::size_t strikes, sram::ClusterMode mode,
-                             const sram::CellDesign* design) {
+/// A near-grazing beam in cluster \p mode. The caller adds a surface built
+/// for the config's cluster block; a fresh one per engine starts with an
+/// empty memo, so its run simulates every key it needs.
+ArrayMcConfig grazing_config(std::size_t strikes, sram::ClusterMode mode) {
   ArrayMcConfig cfg;
   cfg.strikes = strikes;
   cfg.angular = SourceAngularLaw::kBeam;
@@ -676,7 +679,6 @@ ArrayMcConfig grazing_config(std::size_t strikes, sram::ClusterMode mode,
   cfg.beam_direction = {std::sin(tilt), 0.05, -std::cos(tilt)};
   cfg.cluster.mode = mode;
   cfg.cluster.pv_samples = 2;
-  cfg.cluster_design = design;
   return cfg;
 }
 
@@ -710,9 +712,11 @@ TEST(ClusterEngine, CorrelatedRunIsThreadAndLaneInvariant) {
   const auto run_with = [&](std::size_t threads, std::size_t lanes) {
     const std::size_t restore = spice::lane_width();
     spice::set_lane_width(lanes);
-    ArrayMcConfig cfg = grazing_config(300, sram::ClusterMode::k2x2, &design);
+    ArrayMcConfig cfg = grazing_config(300, sram::ClusterMode::k2x2);
     cfg.chunk = 32;
     cfg.threads = threads;
+    sram::ClusterPofSurface surface(design, cfg.cluster);
+    cfg.cluster_surface = &surface;
     ArrayMc mc(layout, model, cfg);
     const auto blob = encode_result(mc.run(phys::Species::kAlpha, 1.0, 12));
     spice::set_lane_width(restore);
@@ -733,9 +737,11 @@ TEST(ClusterEngine, MetricsAreThreadInvariant) {
   const CellSoftErrorModel model = synthetic_model(0.8, 0.05);
   const auto metrics_at = [&](std::size_t threads) {
     obs::Registry::global().reset();
-    ArrayMcConfig cfg = grazing_config(300, sram::ClusterMode::k2x2, &design);
+    ArrayMcConfig cfg = grazing_config(300, sram::ClusterMode::k2x2);
     cfg.chunk = 32;
     cfg.threads = threads;
+    sram::ClusterPofSurface surface(design, cfg.cluster);
+    cfg.cluster_surface = &surface;
     ArrayMc mc(layout, model, cfg);
     (void)mc.run(phys::Species::kAlpha, 1.0, 14);
     return obs::metrics_json(obs::Registry::global().snapshot()).dump(2);
@@ -758,12 +764,8 @@ TEST(ClusterEngine, SharedSurfaceReusesMemoAcrossRuns) {
   const sram::CellDesign design;
   const ArrayLayout layout(3, 3, CellGeometry{});
   const CellSoftErrorModel model = synthetic_model(0.8, 0.05);
-  sram::ClusterConfig cc;
-  cc.mode = sram::ClusterMode::k2x2;
-  cc.pv_samples = 2;
-  sram::ClusterPofSurface surface(design, cc);
-
-  ArrayMcConfig cfg = grazing_config(200, sram::ClusterMode::k2x2, &design);
+  ArrayMcConfig cfg = grazing_config(200, sram::ClusterMode::k2x2);
+  sram::ClusterPofSurface surface(design, cfg.cluster);
   cfg.cluster_surface = &surface;
   ArrayMc mc(layout, model, cfg);
   const auto first = encode_result(mc.run(phys::Species::kAlpha, 1.0, 13));
@@ -776,12 +778,47 @@ TEST(ClusterEngine, SharedSurfaceReusesMemoAcrossRuns) {
   EXPECT_EQ(surface.size(), entries);
 }
 
+/// Cluster mode prices tiles on a surface simulated from the cell design;
+/// the engine takes no design of its own, so a config without a surface is
+/// rejected.
 TEST(ClusterEngine, ClusterModeNeedsDesign) {
   const ArrayLayout layout(2, 2, CellGeometry{});
   const CellSoftErrorModel model = synthetic_model(0.8, 0.05);
   ArrayMcConfig cfg;
   cfg.cluster.mode = sram::ClusterMode::k2x2;
-  EXPECT_THROW(ArrayMc(layout, model, cfg), util::Error);
+  EXPECT_THROW(ArrayMc(layout, model, cfg), util::InvalidArgument);
+}
+
+/// A shared surface must be built for the config's whole cluster block:
+/// point_fingerprint hashes the config's knobs, so a surface simulated with
+/// another share_fraction (or PV sample count, or key quantum) would store
+/// `array_bin` artifacts under an identity their numbers do not have.
+TEST(ClusterEngine, RejectsSurfaceOfAnotherConfig) {
+  const sram::CellDesign design;
+  const ArrayLayout layout(2, 2, CellGeometry{});
+  const CellSoftErrorModel model = synthetic_model(0.8, 0.05);
+  ArrayMcConfig cfg = grazing_config(100, sram::ClusterMode::k2x2);
+  ASSERT_EQ(cfg.cluster.share_fraction, 0.12);
+  sram::ClusterConfig other = cfg.cluster;
+  other.share_fraction = 0.3;
+  sram::ClusterPofSurface surface(design, other);
+  cfg.cluster_surface = &surface;
+  EXPECT_THROW(ArrayMc(layout, model, cfg), util::InvalidArgument);
+
+  using Edit = std::function<void(sram::ClusterConfig&)>;
+  for (const Edit& edit : std::vector<Edit>{
+           [](sram::ClusterConfig& c) { c.mode = sram::ClusterMode::k1x4; },
+           [](sram::ClusterConfig& c) { c.pv_samples = 3; },
+           [](sram::ClusterConfig& c) { c.quantum_fc = 0.01; }}) {
+    sram::ClusterConfig mismatched = cfg.cluster;
+    edit(mismatched);
+    sram::ClusterPofSurface wrong(design, mismatched);
+    cfg.cluster_surface = &wrong;
+    EXPECT_THROW(ArrayMc(layout, model, cfg), util::InvalidArgument);
+  }
+  sram::ClusterPofSurface matching(design, cfg.cluster);
+  cfg.cluster_surface = &matching;
+  EXPECT_NO_THROW(ArrayMc(layout, model, cfg));
 }
 
 }  // namespace

@@ -448,11 +448,16 @@ TEST(PofAccumulator, MergedChunksEqualSinglePass) {
     o.mbu = o.tot - o.seu;
   }
 
+  const auto dist_of = [](const core::CombinedPof& o) {
+    core::PofAccumulator::Multiplicity dist{};
+    dist[0] = 1.0 - o.tot;
+    dist[1] = o.seu;
+    dist[2] = o.mbu;
+    return dist;
+  };
+
   core::PofAccumulator single;
-  for (const auto& o : obs) {
-    single.add(o);
-    single.add_multiplicity(o.tot > 0.5 ? 2 : 1, o.tot);
-  }
+  for (const auto& o : obs) single.add(o, dist_of(o), 1.0, false);
 
   // Chunked accumulation with an uneven tail, merged pairwise.
   const std::size_t chunk = 256;
@@ -460,8 +465,7 @@ TEST(PofAccumulator, MergedChunksEqualSinglePass) {
   for (std::size_t b = 0; b < obs.size(); b += chunk) {
     core::PofAccumulator acc;
     for (std::size_t i = b; i < std::min(b + chunk, obs.size()); ++i) {
-      acc.add(obs[i]);
-      acc.add_multiplicity(obs[i].tot > 0.5 ? 2 : 1, obs[i].tot);
+      acc.add(obs[i], dist_of(obs[i]), 1.0, false);
     }
     parts.push_back(acc);
   }

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cmath>
-#include <limits>
 #include <set>
 
 #include "finser/stats/direction.hpp"
@@ -178,156 +177,6 @@ TEST(RunningStats, StderrShrinksWithSamples) {
   for (int i = 0; i < 100; ++i) small.add(r.normal());
   for (int i = 0; i < 10000; ++i) large.add(r.normal());
   EXPECT_GT(small.stderr_of_mean(), large.stderr_of_mean());
-}
-
-// ---------------------------------------------------------------------------
-// WeightedRunningStats
-// ---------------------------------------------------------------------------
-
-TEST(WeightedRunningStats, EmptyIsZero) {
-  WeightedRunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.ess(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stderr_of_mean(), 0.0);
-}
-
-TEST(WeightedRunningStats, UnitWeightsMatchRunningStats) {
-  // With w ≡ 1 the weighted accumulator degenerates to the plain Welford
-  // one: same mean, same unbiased variance, ESS == count.
-  Rng r(47);
-  RunningStats plain;
-  WeightedRunningStats weighted;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = r.normal(2.0, 0.5);
-    plain.add(x);
-    weighted.add(x, 1.0);
-  }
-  EXPECT_EQ(weighted.count(), plain.count());
-  EXPECT_DOUBLE_EQ(weighted.mean(), plain.mean());
-  EXPECT_NEAR(weighted.variance(), plain.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(weighted.ess(), 1000.0);
-  EXPECT_NEAR(weighted.stderr_of_mean(), plain.stderr_of_mean(), 1e-12);
-}
-
-TEST(WeightedRunningStats, KnownWeightedMean) {
-  WeightedRunningStats s;
-  s.add(1.0, 1.0);
-  s.add(3.0, 3.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);  // (1·1 + 3·3) / 4.
-  EXPECT_DOUBLE_EQ(s.sum_weights(), 4.0);
-  EXPECT_DOUBLE_EQ(s.sum_weights_sq(), 10.0);
-  EXPECT_DOUBLE_EQ(s.ess(), 1.6);  // 16 / 10.
-}
-
-TEST(WeightedRunningStats, ZeroWeightObservationsAreCountedNotWeighed) {
-  WeightedRunningStats s;
-  s.add(5.0, 2.0);
-  s.add(1234.5, 0.0);  // Must not move any moment.
-  s.add(7.0, 2.0);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 6.0);
-  EXPECT_DOUBLE_EQ(s.sum_weights(), 4.0);
-  EXPECT_DOUBLE_EQ(s.ess(), 2.0);
-
-  // A merged-in chunk whose observations all carry zero weight is a no-op
-  // on the moments (the degenerate all-miss chunk of an importance run).
-  WeightedRunningStats zeros;
-  zeros.add(9.0, 0.0);
-  zeros.add(-3.0, 0.0);
-  const WeightedRunningStats before = s;
-  s.merge(zeros);
-  EXPECT_EQ(s.count(), 5u);
-  EXPECT_DOUBLE_EQ(s.mean(), before.mean());
-  EXPECT_DOUBLE_EQ(s.variance(), before.variance());
-  EXPECT_DOUBLE_EQ(s.ess(), before.ess());
-}
-
-TEST(WeightedRunningStats, SingleSampleBinHasNoVariance) {
-  WeightedRunningStats s;
-  s.add(0.42, 3.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.42);
-  EXPECT_DOUBLE_EQ(s.ess(), 1.0);
-  // ESS ≤ 1: the reliability-weighted variance denominator vanishes, so
-  // variance and SE report 0 rather than dividing by ~0.
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stderr_of_mean(), 0.0);
-}
-
-TEST(WeightedRunningStats, MergeEqualsSequential) {
-  Rng r(53);
-  WeightedRunningStats a, b, all;
-  for (int i = 0; i < 200; ++i) {
-    const double x = r.normal();
-    const double w = r.uniform(0.0, 3.0);
-    (i % 3 == 0 ? a : b).add(x, w);
-    all.add(x, w);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-10);
-  EXPECT_NEAR(a.ess(), all.ess(), 1e-9);
-}
-
-TEST(WeightedRunningStats, MergeOrderIndependence) {
-  // Property-style seeded check: splitting one weighted sample into K
-  // chunks and merging them in any order gives the same statistics (to
-  // floating-point noise) — the foundation of the pairwise chunk reduction.
-  Rng r(59);
-  constexpr int kChunks = 7;
-  std::array<WeightedRunningStats, kChunks> chunks;
-  WeightedRunningStats serial;
-  for (int i = 0; i < 700; ++i) {
-    const double x = r.uniform(-1.0, 1.0);
-    const double w = r.exponential(1.0);
-    chunks[static_cast<std::size_t>(i % kChunks)].add(x, w);
-    serial.add(x, w);
-  }
-  // Forward, backward, and odd-even merge orders.
-  WeightedRunningStats fwd, bwd, mix;
-  for (int c = 0; c < kChunks; ++c) fwd.merge(chunks[std::size_t(c)]);
-  for (int c = kChunks; c-- > 0;) bwd.merge(chunks[std::size_t(c)]);
-  for (int c = 0; c < kChunks; c += 2) mix.merge(chunks[std::size_t(c)]);
-  for (int c = 1; c < kChunks; c += 2) mix.merge(chunks[std::size_t(c)]);
-  for (const WeightedRunningStats* s : {&fwd, &bwd, &mix}) {
-    EXPECT_EQ(s->count(), serial.count());
-    EXPECT_NEAR(s->mean(), serial.mean(), 1e-12);
-    EXPECT_NEAR(s->variance(), serial.variance(), 1e-10);
-    EXPECT_NEAR(s->ess(), serial.ess(), 1e-8);
-  }
-}
-
-TEST(WeightedRunningStats, SurvivesExtremeWeightRatios) {
-  // Overflow-adjacent weight ratios (~1e±150): Σw² is the first quantity at
-  // risk; the moments must stay finite and the tiny-weight observation must
-  // contribute essentially nothing to the mean.
-  WeightedRunningStats s;
-  s.add(1.0, 1e150);
-  s.add(1000.0, 1e-150);
-  EXPECT_TRUE(std::isfinite(s.mean()));
-  EXPECT_TRUE(std::isfinite(s.variance()));
-  EXPECT_TRUE(std::isfinite(s.sum_weights_sq()));
-  EXPECT_NEAR(s.mean(), 1.0, 1e-12);
-  EXPECT_NEAR(s.ess(), 1.0, 1e-12);  // One weight utterly dominates.
-
-  // And the mirrored order (small weight first — the harder incremental
-  // update) agrees.
-  WeightedRunningStats t;
-  t.add(1000.0, 1e-150);
-  t.add(1.0, 1e150);
-  EXPECT_NEAR(t.mean(), s.mean(), 1e-12);
-  EXPECT_TRUE(std::isfinite(t.variance()));
-}
-
-TEST(WeightedRunningStats, RejectsBadWeights) {
-  WeightedRunningStats s;
-  EXPECT_THROW(s.add(1.0, -0.5), util::InvalidArgument);
-  EXPECT_THROW(s.add(1.0, std::numeric_limits<double>::infinity()),
-               util::InvalidArgument);
-  EXPECT_THROW(s.add(1.0, std::numeric_limits<double>::quiet_NaN()),
-               util::InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
